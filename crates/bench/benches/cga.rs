@@ -1,14 +1,17 @@
 //! Micro-bench (heron-testkit): the constraint-based
-//! crossover/mutation operator (Algorithm 3) — building one offspring
-//! CSP and materialising a valid chromosome from it — plus a short
-//! end-to-end tuning run.
+//! crossover/mutation operator (Algorithm 3) as the tuner runs it —
+//! compiling one offspring to value pins and materialising a valid
+//! chromosome with a pinned re-solve on the shared solver session — plus
+//! a short end-to-end tuning run.
 
-use heron_core::explore::cga::offspring_csp;
+use heron_core::explore::cga::{materialize_offspring_session, offspring_pins};
 use heron_core::generate::{SpaceGenerator, SpaceOptions};
 use heron_core::tuner::{TuneConfig, Tuner};
+use heron_csp::{SolvePolicy, SolveSession};
 use heron_rng::HeronRng;
 use heron_tensor::ops;
 use heron_testkit::bench::{black_box, Harness};
+use heron_trace::Tracer;
 
 fn main() {
     let mut h = Harness::new("cga");
@@ -18,18 +21,23 @@ fn main() {
         .generate_named(&dag, &SpaceOptions::heron(), "g1")
         .expect("generates");
     let mut rng = HeronRng::from_seed(1);
-    let parents = heron_csp::rand_sat(&space.csp, &mut rng, 2).expect_sat("gemm space");
+    let mut session = SolveSession::new(&space.csp);
+    let policy = SolvePolicy::fixed(400);
+    let tracer = Tracer::disabled();
+    let parents = session
+        .solve(&mut rng, 2, &SolvePolicy::default(), &tracer)
+        .expect_sat("gemm space");
     let keys: Vec<_> = space.csp.tunables().into_iter().take(8).collect();
 
-    h.bench("cga/offspring_csp", || {
-        let csp = offspring_csp(&space.csp, &keys, &parents[0], &parents[1], &mut rng);
-        black_box(csp.num_constraints())
+    h.bench("cga/offspring_pins", || {
+        let pins = offspring_pins(&keys, &parents[0], &parents[1], &mut rng);
+        black_box(pins.len())
     });
 
-    h.bench("cga/offspring_csp+solve", || {
-        let csp = offspring_csp(&space.csp, &keys, &parents[0], &parents[1], &mut rng);
-        let sol = heron_csp::rand_sat_with_budget(&csp, &mut rng, 1, 400);
-        black_box(sol.solutions.len())
+    h.bench("cga/offspring_pins+solve_pinned", || {
+        let pins = offspring_pins(&keys, &parents[0], &parents[1], &mut rng);
+        let out = materialize_offspring_session(&mut session, pins, &mut rng, &policy, &tracer);
+        black_box(out.solution.is_some())
     });
 
     let tune_dag = ops::gemm(512, 512, 512);

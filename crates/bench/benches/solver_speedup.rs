@@ -7,22 +7,30 @@
 //! sequences (enforced by `crates/csp/tests/prop_equiv.rs`), different
 //! machinery. Besides the usual per-engine timing rows, the run prints
 //! a summary with the wall-clock speedup and the propagation-pass
-//! counts; the rewrite should show ~2× wall-clock and ≥2× fewer passes
+//! counts; the engine should show ≥4× wall-clock and ≈2× fewer passes
 //! for the same sample on this space. (Raw passes/sec is *not*
 //! comparable across the engines: a trail-engine `PROD`/`SUM`/`SELECT`
 //! pass runs its filter to a local fixpoint, so each pass does strictly
 //! more work than a reference pass.)
+//!
+//! A second summary line times the path the tuner runs — CGA offspring
+//! as pinned re-solves on one shared [`SolveSession`] — and prints its
+//! cost per propagation pass, the engine's constant factor.
 
+use heron_core::explore::cga::offspring_pins;
 use heron_core::generate::{SpaceGenerator, SpaceOptions};
-use heron_csp::SolvePolicy;
+use heron_csp::{SolvePolicy, SolveSession};
 use heron_rng::HeronRng;
 use heron_tensor::ops;
 use heron_testkit::bench::{black_box, Harness};
 use heron_testkit::csp_reference::rand_sat_reference;
+use heron_trace::Tracer;
 use std::time::Instant;
 
 const SEED: u64 = 2023;
 const SAMPLES: usize = 16;
+/// Pinned re-solves per timed run of the tuner path.
+const OFFSPRING: usize = 64;
 
 fn space() -> heron_core::generate::GeneratedSpace {
     let dag = ops::conv2d(ops::Conv2dConfig::new(1, 14, 14, 64, 64, 3, 3, 1, 1));
@@ -87,6 +95,32 @@ fn main() {
         ref_pps / 1e6,
         new_pps / 1e6,
         new_pps / ref_pps,
+    );
+
+    let tracer = Tracer::disabled();
+    let mut session = SolveSession::new(&space.csp);
+    let parents = session
+        .solve(&mut HeronRng::from_seed(SEED), 2, &policy, &tracer)
+        .expect_sat("c2d-14x64 root space");
+    let keys: Vec<_> = space.csp.tunables().into_iter().take(8).collect();
+    let (pin_s, pin_props) = measure(reps, || {
+        let mut rng = HeronRng::from_seed(SEED);
+        (0..OFFSPRING)
+            .map(|_| {
+                let pins = offspring_pins(&keys, &parents[0], &parents[1], &mut rng);
+                session
+                    .solve_pinned(&pins, &mut rng, 1, &policy, &tracer)
+                    .stats
+                    .propagations
+            })
+            .sum()
+    });
+    eprintln!(
+        "  pinned:  {OFFSPRING} offspring/run | props/run {} | {:.0} ns per propagation pass \
+         ({:.2}M passes/sec)",
+        pin_props / u64::from(reps),
+        pin_s * 1e9 / pin_props as f64,
+        pin_props as f64 / pin_s / 1e6,
     );
 
     h.finish();

@@ -11,7 +11,7 @@
 //! * **GA-3** — infeasibility-driven multi-objective (Ray et al.):
 //!   selection keeps a Pareto mix of objective and violation count.
 
-use heron_csp::{rand_sat_with_budget, Csp, Domain, Solution};
+use heron_csp::{rand_sat_with_budget, Csp, Solution};
 use heron_rng::HeronRng;
 use heron_rng::IndexedRandom;
 use heron_rng::Rng;
@@ -185,7 +185,6 @@ pub fn sat_decode(
     rng: &mut HeronRng,
 ) -> Option<Solution> {
     use heron_csp::propagate::Propagator;
-    use heron_csp::Dom;
     let csp = &space.csp;
     let prop = Propagator::new(csp);
     let mut store = prop.store();
@@ -197,12 +196,9 @@ pub fn sat_decode(
         let pick = if store.contains(var.0, gene) {
             gene
         } else {
-            // Nearest value in the current domain.
-            let options: Vec<i64> = match store.dom(var.0) {
-                Dom::Bits(_) => store.value_list(var.0),
-                Dom::Wide(Domain::Values(v)) => v.clone(),
-                Dom::Wide(Domain::Range { lo, hi }) => vec![*lo, *hi],
-            };
+            // Nearest value in the current domain (of an interval: bound).
+            let mut options = Vec::new();
+            store.branch_values(var.0, &mut options);
             *options
                 .iter()
                 .min_by_key(|&&v| (v - gene).abs())
@@ -385,7 +381,7 @@ impl Explorer for InfeasibilityDrivenGa {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use heron_csp::VarCategory;
+    use heron_csp::{Domain, VarCategory};
 
     fn toy_space() -> GeneratedSpace {
         let mut csp = Csp::new();

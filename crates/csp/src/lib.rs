@@ -48,4 +48,4 @@ pub use solver::{
     SolvePolicy, SolveStats, SolveStatus,
 };
 pub use stats::{tunable_domains, SpaceCensus};
-pub use store::{Dom, DomainStore, VarTables};
+pub use store::DomainStore;

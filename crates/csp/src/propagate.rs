@@ -50,13 +50,13 @@
 //!   rounds. Scheduling order cannot change the fixpoint (confluence
 //!   above), only how many passes it takes to get there.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
 
 use crate::constraint::Constraint;
 use crate::problem::{Csp, VarRef};
-use crate::store::{dom_for, Dom, DomainStore, VarTables};
+use crate::store::{DomainStore, VarTables};
 
 /// Returned when propagation proves the current domains unsatisfiable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,6 +110,95 @@ impl Change {
     }
 }
 
+/// A constraint's type as one byte, so the scheduling questions asked of
+/// every woken watcher (which tier? does this event wake it?) read a
+/// dense array instead of the constraint list. Ordered cheap-first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Kind {
+    Eq,
+    In,
+    Le,
+    Prod,
+    Sum,
+    Select,
+}
+
+impl Kind {
+    fn of(c: &Constraint) -> Kind {
+        match c {
+            Constraint::Eq(..) => Kind::Eq,
+            Constraint::In { .. } => Kind::In,
+            Constraint::Le(..) => Kind::Le,
+            Constraint::Prod { .. } => Kind::Prod,
+            Constraint::Sum { .. } => Kind::Sum,
+            Constraint::Select { .. } => Kind::Select,
+        }
+    }
+
+    /// Cheap constraints (`EQ`/`IN`/`LE`: one bounds comparison or a
+    /// single mask AND) drain before expensive ones (`PROD`/`SUM`/
+    /// `SELECT`: local-fixpoint loops over many variables), so a heavy
+    /// pass always sees the strongest bounds the cheap tier can provide.
+    fn is_cheap(self) -> bool {
+        self <= Kind::Le
+    }
+}
+
+/// The two-tier worklist of one `run`. Between runs both queues are empty
+/// and every `queued` flag is false — `drain` restores that on both its
+/// exits.
+#[derive(Debug)]
+struct Worklist {
+    /// Per-constraint "already in a queue" flags.
+    queued: Vec<bool>,
+    cheap: VecDeque<u32>,
+    heavy: VecDeque<u32>,
+}
+
+impl Worklist {
+    /// Queues constraint `ci` on its tier unless it is already queued or
+    /// dormant.
+    #[inline]
+    fn push(&mut self, ci: u32, kind: Kind, store: &DomainStore) {
+        if !self.queued[ci as usize] && !store.is_dormant(ci as usize) {
+            self.queued[ci as usize] = true;
+            if kind.is_cheap() {
+                self.cheap.push_back(ci);
+            } else {
+                self.heavy.push_back(ci);
+            }
+        }
+    }
+
+    /// The next constraint to run, cheap tier first.
+    #[inline]
+    fn pop(&mut self) -> Option<usize> {
+        let ci = self.cheap.pop_front().or_else(|| self.heavy.pop_front())? as usize;
+        self.queued[ci] = false;
+        Some(ci)
+    }
+
+    /// Drops everything still queued.
+    fn clear(&mut self) {
+        for ci in self.cheap.drain(..).chain(self.heavy.drain(..)) {
+            self.queued[ci as usize] = false;
+        }
+    }
+}
+
+/// The worklist and buffers of one `run`, owned by the engine so that a
+/// propagation pass allocates nothing.
+#[derive(Debug)]
+struct Scratch {
+    work: Worklist,
+    /// The changes of the pass in progress.
+    changed: Vec<Change>,
+    /// `SELECT`'s feasible indices.
+    feasible: Vec<i64>,
+    /// `PROD`'s suffix products.
+    suffix: Vec<[SatProd; 2]>,
+}
+
 /// Reusable propagation engine for one CSP.
 ///
 /// Owns a copy of the constraints and the precomputed variable →
@@ -118,12 +207,14 @@ impl Change {
 #[derive(Debug)]
 pub struct Propagator {
     constraints: Vec<Constraint>,
-    /// For each variable, the (sorted, deduplicated) indices of
-    /// constraints mentioning it.
-    watching: Vec<Vec<u32>>,
-    tables: Rc<VarTables>,
-    /// Declared domains in store representation.
-    init: Vec<Dom>,
+    kinds: Vec<Kind>,
+    /// The (sorted, deduplicated) indices of the constraints mentioning
+    /// each variable, flattened: variable `v`'s are
+    /// `watching[watch_start[v]..watch_start[v + 1]]`.
+    watching: Vec<u32>,
+    watch_start: Vec<u32>,
+    /// The declared domains (untracked, no dormancy).
+    init: DomainStore,
     /// Per-constraint precompiled `IN` mask (constraints that are `IN` on
     /// a bitset variable filter with a single AND).
     in_masks: Vec<Option<u64>>,
@@ -132,14 +223,16 @@ pub struct Propagator {
     propagations: Cell<u64>,
     /// Number of times propagation proved the domains unsatisfiable.
     wipeouts: Cell<u64>,
+    scratch: RefCell<Scratch>,
 }
 
 impl Propagator {
     /// Builds the engine for `csp`.
     pub fn new(csp: &Csp) -> Self {
         let tables = Rc::new(VarTables::for_csp(csp));
-        let mut watching = vec![Vec::new(); csp.num_vars()];
-        let mut in_masks = Vec::with_capacity(csp.num_constraints());
+        let ncons = csp.num_constraints();
+        let mut watchers = vec![Vec::new(); csp.num_vars()];
+        let mut in_masks = Vec::with_capacity(ncons);
         for (ci, c) in csp.constraints().iter().enumerate() {
             // A constraint may mention the same variable in non-adjacent
             // positions (SELECT with `out` among the choices, PROD with a
@@ -149,35 +242,47 @@ impl Propagator {
             vars.sort_unstable();
             vars.dedup();
             for v in vars {
-                watching[v.0].push(ci as u32);
+                watchers[v.0].push(ci as u32);
             }
             in_masks.push(match c {
                 Constraint::In { var, values } => tables.mask_of(var.0, values),
                 _ => None,
             });
         }
-        let init = csp
-            .vars()
-            .map(|(r, d)| dom_for(&tables, r.0, &d.domain))
-            .collect();
+        let mut watch_start = Vec::with_capacity(watchers.len() + 1);
+        let mut watching = Vec::new();
+        for w in &watchers {
+            watch_start.push(watching.len() as u32);
+            watching.extend_from_slice(w);
+        }
+        watch_start.push(watching.len() as u32);
         Propagator {
             constraints: csp.constraints().to_vec(),
+            kinds: csp.constraints().iter().map(Kind::of).collect(),
             watching,
-            tables,
-            init,
+            watch_start,
+            init: DomainStore::new(tables, csp),
             in_masks,
             propagations: Cell::new(0),
             wipeouts: Cell::new(0),
+            // A constraint is queued at most once at a time, so the
+            // queues never outgrow this capacity.
+            scratch: RefCell::new(Scratch {
+                work: Worklist {
+                    queued: vec![false; ncons],
+                    cheap: VecDeque::with_capacity(ncons),
+                    heavy: VecDeque::with_capacity(ncons),
+                },
+                changed: Vec::new(),
+                feasible: Vec::new(),
+                suffix: Vec::new(),
+            }),
         }
     }
 
     /// A fresh store over the declared domains (untracked, no dormancy).
     pub fn store(&self) -> DomainStore {
-        DomainStore::new(
-            self.tables.clone(),
-            self.init.clone(),
-            self.constraints.len(),
-        )
+        self.init.clone()
     }
 
     /// Total single-constraint filtering passes executed so far.
@@ -194,6 +299,12 @@ impl Propagator {
     pub fn reset_stats(&self) {
         self.propagations.set(0);
         self.wipeouts.set(0);
+    }
+
+    /// The constraints mentioning `v`, ascending.
+    #[inline]
+    fn watchers(&self, v: VarRef) -> &[u32] {
+        &self.watching[self.watch_start[v.0] as usize..self.watch_start[v.0 + 1] as usize]
     }
 
     /// Marks every already-entailed constraint dormant using read-only
@@ -242,14 +353,17 @@ impl Propagator {
 
     /// Runs propagation to fixpoint starting from every constraint.
     pub fn run_all(&self, store: &mut DomainStore) -> Result<(), Infeasible> {
-        let all: Vec<u32> = (0..self.constraints.len() as u32).collect();
-        self.run(store, all)
+        let mut s = self.scratch.borrow_mut();
+        for ci in 0..self.constraints.len() {
+            s.work.push(ci as u32, self.kinds[ci], store);
+        }
+        self.drain(&mut s, store)
     }
 
     /// Runs propagation to fixpoint starting from the constraints watching
     /// `changed_var`.
     pub fn run_from(&self, store: &mut DomainStore, changed_var: VarRef) -> Result<(), Infeasible> {
-        self.run(store, self.watching[changed_var.0].clone())
+        self.run_from_vars(store, &[changed_var])
     }
 
     /// [`Propagator::run_from`] for a variable just *fixed* by branching,
@@ -263,18 +377,14 @@ impl Propagator {
         pre_lo: i64,
         pre_hi: i64,
     ) -> Result<(), Infeasible> {
-        let val = store.min(var.0);
-        let ch = Change {
-            var,
-            min: val != pre_lo,
-            max: val != pre_hi,
-        };
-        let seed: Vec<u32> = self.watching[var.0]
-            .iter()
-            .copied()
-            .filter(|&wi| self.wakes_on(wi as usize, &ch))
-            .collect();
-        self.run(store, seed)
+        let ch = Change::since(store, var, pre_lo, pre_hi);
+        let mut s = self.scratch.borrow_mut();
+        for &wi in self.watchers(var) {
+            if self.wakes_on(wi as usize, &ch) {
+                s.work.push(wi, self.kinds[wi as usize], store);
+            }
+        }
+        self.drain(&mut s, store)
     }
 
     /// Runs propagation to fixpoint starting from the constraints watching
@@ -284,68 +394,45 @@ impl Propagator {
         store: &mut DomainStore,
         changed: &[VarRef],
     ) -> Result<(), Infeasible> {
-        let mut seed = Vec::new();
+        let mut s = self.scratch.borrow_mut();
         for v in changed {
-            seed.extend_from_slice(&self.watching[v.0]);
-        }
-        self.run(store, seed)
-    }
-
-    /// Cheap constraints (`EQ`/`IN`/`LE`: one bounds comparison or a
-    /// single mask AND) drain before expensive ones (`PROD`/`SUM`/
-    /// `SELECT`: local-fixpoint loops over many variables), so a heavy
-    /// pass always sees the strongest bounds the cheap tier can provide.
-    fn is_cheap(&self, ci: usize) -> bool {
-        matches!(
-            self.constraints[ci],
-            Constraint::Eq(..) | Constraint::In { .. } | Constraint::Le(..)
-        )
-    }
-
-    fn run(&self, store: &mut DomainStore, seed: Vec<u32>) -> Result<(), Infeasible> {
-        let ncons = self.constraints.len();
-        let mut queued = vec![false; ncons];
-        let mut cheap: VecDeque<u32> = VecDeque::new();
-        let mut heavy: VecDeque<u32> = VecDeque::with_capacity(seed.len());
-        for ci in seed {
-            if !queued[ci as usize] && !store.is_dormant(ci as usize) {
-                queued[ci as usize] = true;
-                if self.is_cheap(ci as usize) {
-                    cheap.push_back(ci);
-                } else {
-                    heavy.push_back(ci);
-                }
+            for &wi in self.watchers(*v) {
+                s.work.push(wi, self.kinds[wi as usize], store);
             }
         }
-        let mut changed_vars: Vec<Change> = Vec::new();
-        while let Some(ci) = cheap.pop_front().or_else(|| heavy.pop_front()) {
-            let ci = ci as usize;
-            queued[ci] = false;
+        self.drain(&mut s, store)
+    }
+
+    /// Drains the worklist to the fixpoint.
+    fn drain(&self, s: &mut Scratch, store: &mut DomainStore) -> Result<(), Infeasible> {
+        let Scratch {
+            work,
+            changed,
+            feasible,
+            suffix,
+        } = s;
+        while let Some(ci) = work.pop() {
             if store.is_dormant(ci) {
                 // Went dormant while queued; skipping is not a pass.
                 continue;
             }
-            changed_vars.clear();
+            changed.clear();
             self.propagations.set(self.propagations.get() + 1);
-            let entailed = self.filter(ci, store, &mut changed_vars).map_err(|_| {
+            let Ok(entailed) = self.filter(ci, store, changed, feasible, suffix) else {
                 self.wipeouts.set(self.wipeouts.get() + 1);
-                Infeasible
-            })?;
+                work.clear();
+                return Err(Infeasible);
+            };
             if entailed {
                 store.set_dormant(ci);
             }
             // Filters run to their local fixpoint, so an immediate
             // re-run of `ci` is always a no-op: no self-wake.
-            for ch in &changed_vars {
-                for &wi in &self.watching[ch.var.0] {
-                    let wi = wi as usize;
-                    if wi != ci && !queued[wi] && !store.is_dormant(wi) && self.wakes_on(wi, ch) {
-                        queued[wi] = true;
-                        if self.is_cheap(wi) {
-                            cheap.push_back(wi as u32);
-                        } else {
-                            heavy.push_back(wi as u32);
-                        }
+            for ch in changed.iter() {
+                for &wi in self.watchers(ch.var) {
+                    let w = wi as usize;
+                    if w != ci && self.wakes_on(w, ch) {
+                        work.push(wi, self.kinds[w], store);
                     }
                 }
             }
@@ -356,11 +443,17 @@ impl Propagator {
     /// Event filter: whether constraint `wi` can possibly prune after
     /// `ch`. Pure bounds consumers ignore interior-only removals; `LE`
     /// additionally only reads one bound of each side.
+    #[inline]
     fn wakes_on(&self, wi: usize, ch: &Change) -> bool {
-        match &self.constraints[wi] {
-            Constraint::Eq(..) | Constraint::In { .. } | Constraint::Select { .. } => true,
-            Constraint::Prod { .. } | Constraint::Sum { .. } => ch.min || ch.max,
-            Constraint::Le(a, b) => (ch.var == *a && ch.min) || (ch.var == *b && ch.max),
+        match self.kinds[wi] {
+            Kind::Eq | Kind::In | Kind::Select => true,
+            Kind::Prod | Kind::Sum => ch.min || ch.max,
+            Kind::Le => {
+                let Constraint::Le(a, b) = &self.constraints[wi] else {
+                    unreachable!("kinds mirrors constraints")
+                };
+                (ch.var == *a && ch.min) || (ch.var == *b && ch.max)
+            }
         }
     }
 
@@ -373,12 +466,14 @@ impl Propagator {
         ci: usize,
         store: &mut DomainStore,
         changed: &mut Vec<Change>,
+        feasible: &mut Vec<i64>,
+        suffix: &mut Vec<[SatProd; 2]>,
     ) -> Result<bool, ()> {
         match &self.constraints[ci] {
             Constraint::Prod { out, factors } => {
                 loop {
                     let before = changed.len();
-                    filter_prod(store, *out, factors, changed)?;
+                    filter_prod(store, *out, factors, changed, suffix)?;
                     if changed.len() == before {
                         break;
                     }
@@ -437,7 +532,7 @@ impl Propagator {
             } => {
                 loop {
                     let before = changed.len();
-                    filter_select(store, *out, *index, choices, changed)?;
+                    filter_select(store, *out, *index, choices, changed, feasible)?;
                     if changed.len() == before {
                         break;
                     }
@@ -451,16 +546,72 @@ impl Propagator {
     }
 }
 
-/// Saturating non-negative product used for interval bounds.
-fn sat_prod(vals: impl Iterator<Item = i64>) -> i64 {
-    let mut p: i64 = 1;
-    for v in vals {
-        p = p.saturating_mul(v);
-        if p == i64::MAX {
-            return i64::MAX;
+/// The bound of a product of non-negative values as the historical
+/// left-to-right saturating fold computed it — `i64::MAX` as soon as a
+/// running product reaches it, even when a later factor is 0 — in a form
+/// that composes: `a.then(b)` is the fold over `a`'s values followed by
+/// `b`'s, so "the product of the others" is a prefix joined to a suffix.
+#[derive(Debug, Clone, Copy)]
+struct SatProd {
+    /// Saturating product of the values before the first 0.
+    head: i64,
+    /// Whether a 0 follows.
+    zero: bool,
+}
+
+impl SatProd {
+    const ONE: SatProd = SatProd {
+        head: 1,
+        zero: false,
+    };
+
+    fn of(v: i64) -> SatProd {
+        SatProd {
+            head: if v == 0 { 1 } else { v },
+            zero: v == 0,
         }
     }
-    p
+
+    fn then(self, rhs: SatProd) -> SatProd {
+        if self.zero {
+            self
+        } else {
+            SatProd {
+                head: self.head.saturating_mul(rhs.head),
+                zero: rhs.zero,
+            }
+        }
+    }
+
+    fn value(self) -> i64 {
+        if self.head == i64::MAX || !self.zero {
+            self.head
+        } else {
+            0
+        }
+    }
+}
+
+/// Fills `suffix` so that `suffix[i]` bounds the product of
+/// `factors[i..]` (`[lower, upper]`; `suffix[factors.len()]` is the empty
+/// product) and returns the bounds of the product of `factors[..upto]`.
+fn bound_products(
+    store: &DomainStore,
+    factors: &[VarRef],
+    upto: usize,
+    suffix: &mut Vec<[SatProd; 2]>,
+) -> [SatProd; 2] {
+    let bounds = |f: &VarRef| [SatProd::of(store.min(f.0)), SatProd::of(store.max(f.0))];
+    suffix.clear();
+    suffix.resize(factors.len() + 1, [SatProd::ONE; 2]);
+    for (i, f) in factors.iter().enumerate().rev() {
+        let [lo, hi] = bounds(f);
+        suffix[i] = [lo.then(suffix[i + 1][0]), hi.then(suffix[i + 1][1])];
+    }
+    factors[..upto].iter().fold([SatProd::ONE; 2], |acc, f| {
+        let [lo, hi] = bounds(f);
+        [acc[0].then(lo), acc[1].then(hi)]
+    })
 }
 
 fn filter_prod(
@@ -468,10 +619,17 @@ fn filter_prod(
     out: VarRef,
     factors: &[VarRef],
     changed: &mut Vec<Change>,
+    suffix: &mut Vec<[SatProd; 2]>,
 ) -> Result<(), ()> {
     // Bounds for the product.
-    let lo = sat_prod(factors.iter().map(|f| store.min(f.0)));
-    let hi = sat_prod(factors.iter().map(|f| store.max(f.0)));
+    let mut prefix = bound_products(store, factors, 0, suffix);
+    let lo = suffix[0][0].value();
+    let hi = suffix[0][1].value();
+    // Every bound below is read as it stands when it is used, so the
+    // prefix/suffix products are recomputed after any change (`out` or a
+    // repeated factor may be among the factors still to come) — which is
+    // rare: a pass mostly confirms bounds.
+    let mut seen = changed.len();
     if store.restrict_min(out.0, lo)? {
         changed.push(Change::min_raised(out));
     }
@@ -483,20 +641,12 @@ fn filter_prod(
     let out_fixed = store.fixed_value(out.0);
 
     for (i, f) in factors.iter().enumerate() {
-        let others_lo = sat_prod(
-            factors
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| *j != i)
-                .map(|(_, g)| store.min(g.0)),
-        );
-        let others_hi = sat_prod(
-            factors
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| *j != i)
-                .map(|(_, g)| store.max(g.0)),
-        );
+        if changed.len() != seen {
+            prefix = bound_products(store, factors, i, suffix);
+            seen = changed.len();
+        }
+        let others_lo = prefix[0].then(suffix[i + 1][0]).value();
+        let others_hi = prefix[1].then(suffix[i + 1][1]).value();
         if others_hi > 0 && others_hi < i64::MAX {
             let min_f = out_lo.div_euclid(others_hi) + i64::from(out_lo.rem_euclid(others_hi) != 0);
             if store.restrict_min(f.0, min_f)? {
@@ -516,6 +666,10 @@ fn filter_prod(
                 changed.push(Change::since(store, *f, flo, fhi));
             }
         }
+        prefix = [
+            prefix[0].then(SatProd::of(store.min(f.0))),
+            prefix[1].then(SatProd::of(store.max(f.0))),
+        ];
     }
     Ok(())
 }
@@ -526,8 +680,15 @@ fn filter_sum(
     terms: &[VarRef],
     changed: &mut Vec<Change>,
 ) -> Result<(), ()> {
-    let lo: i64 = terms.iter().map(|t| store.min(t.0)).sum();
-    let hi: i64 = terms.iter().map(|t| store.max(t.0)).sum();
+    let sums = |store: &DomainStore| {
+        let lo: i64 = terms.iter().map(|t| store.min(t.0)).sum();
+        let hi: i64 = terms.iter().map(|t| store.max(t.0)).sum();
+        (lo, hi)
+    };
+    let (mut lo, mut hi) = sums(store);
+    // As in `filter_prod`: the sums are taken again after any change, so
+    // "the sum of the others" is always over the bounds as they stand.
+    let mut seen = changed.len();
     if store.restrict_min(out.0, lo)? {
         changed.push(Change::min_raised(out));
     }
@@ -536,19 +697,13 @@ fn filter_sum(
     }
     let out_lo = store.min(out.0);
     let out_hi = store.max(out.0);
-    for (i, t) in terms.iter().enumerate() {
-        let others_lo: i64 = terms
-            .iter()
-            .enumerate()
-            .filter(|(j, _)| *j != i)
-            .map(|(_, g)| store.min(g.0))
-            .sum();
-        let others_hi: i64 = terms
-            .iter()
-            .enumerate()
-            .filter(|(j, _)| *j != i)
-            .map(|(_, g)| store.max(g.0))
-            .sum();
+    for t in terms {
+        if changed.len() != seen {
+            (lo, hi) = sums(store);
+            seen = changed.len();
+        }
+        let others_lo = lo - store.min(t.0);
+        let others_hi = hi - store.max(t.0);
         if store.restrict_min(t.0, out_lo - others_hi)? {
             changed.push(Change::min_raised(*t));
         }
@@ -565,6 +720,7 @@ fn filter_select(
     index: VarRef,
     choices: &[VarRef],
     changed: &mut Vec<Change>,
+    feasible: &mut Vec<i64>,
 ) -> Result<(), ()> {
     let n = choices.len() as i64;
     if store.restrict_min(index.0, 0)? {
@@ -576,20 +732,19 @@ fn filter_select(
     // Prune indices whose choice cannot overlap the output (bounds check).
     let out_lo = store.min(out.0);
     let out_hi = store.max(out.0);
-    let feasible: Vec<i64> = store
-        .value_list(index.0)
-        .into_iter()
-        .filter(|&i| {
-            let c = choices[i as usize].0;
-            store.max(c) >= out_lo && store.min(c) <= out_hi
-        })
-        .collect();
+    feasible.clear();
+    feasible.extend(store.values(index.0));
+    let size = feasible.len();
+    feasible.retain(|&i| {
+        let c = choices[i as usize].0;
+        store.max(c) >= out_lo && store.min(c) <= out_hi
+    });
     if feasible.is_empty() {
         return Err(());
     }
-    if feasible.len() as u64 != store.size(index.0) {
+    if feasible.len() != size {
         let (ilo, ihi) = (store.min(index.0), store.max(index.0));
-        store.restrict_to(index.0, &feasible)?;
+        store.restrict_to(index.0, feasible)?;
         changed.push(Change::since(store, index, ilo, ihi));
     }
     // Output bounds from remaining choices.
@@ -623,12 +778,15 @@ fn filter_select(
     }
     Ok(())
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::domain::Domain;
     use crate::problem::VarCategory;
+
+    fn vals(s: &DomainStore, v: VarRef) -> Vec<i64> {
+        s.values(v.0).collect()
+    }
 
     #[test]
     fn prod_fixes_last_factor() {
@@ -662,7 +820,7 @@ mod tests {
         let mut s = p.store();
         p.run_all(&mut s).expect("feasible");
         // 5, 7, 8 do not divide 12
-        assert_eq!(s.value_list(a.0), vec![1, 2, 3, 4, 6, 12]);
+        assert_eq!(vals(&s, a), vec![1, 2, 3, 4, 6, 12]);
     }
 
     #[test]
@@ -721,8 +879,8 @@ mod tests {
         let p = Propagator::new(&csp);
         let mut s = p.store();
         p.run_all(&mut s).expect("feasible");
-        assert_eq!(s.value_list(a.0), vec![3, 4]);
-        assert_eq!(s.value_list(b.0), vec![3, 4]);
+        assert_eq!(vals(&s, a), vec![3, 4]);
+        assert_eq!(vals(&s, b), vec![3, 4]);
     }
 
     #[test]
@@ -751,7 +909,7 @@ mod tests {
         assert_eq!(p.run_from(&mut s, x), Err(Infeasible));
         s.undo_to(m2);
         assert_eq!(
-            s.value_list(x.0),
+            vals(&s, x),
             Domain::divisors_of(64).iter_values().collect::<Vec<_>>()
         );
     }
@@ -772,13 +930,14 @@ mod tests {
         let out = csp.add_var("out", Domain::range(1, 16), VarCategory::Other);
         csp.post_select(out, idx, vec![y, out]);
         let p = Propagator::new(&csp);
-        for (v, w) in p.watching.iter().enumerate() {
-            let mut dd = w.clone();
+        for v in 0..csp.num_vars() {
+            let w = p.watchers(VarRef(v));
+            let mut dd = w.to_vec();
             dd.dedup();
-            assert_eq!(*w, dd, "duplicate watch entries for x{v}: {w:?}");
+            assert_eq!(w, dd, "duplicate watch entries for x{v}: {w:?}");
         }
-        assert_eq!(p.watching[x.0], vec![0], "x watches PROD once");
-        assert_eq!(p.watching[out.0], vec![1], "out watches SELECT once");
+        assert_eq!(p.watchers(x), [0], "x watches PROD once");
+        assert_eq!(p.watchers(out), [1], "out watches SELECT once");
     }
 
     #[test]
@@ -825,14 +984,14 @@ mod tests {
         let m = s.mark();
         s.fix(y.0, 4).expect("in domain");
         p.run_from(&mut s, y).expect("feasible");
-        let fixed: Vec<Vec<i64>> = (0..csp.num_vars()).map(|v| s.value_list(v)).collect();
+        let fixed: Vec<Vec<i64>> = (0..csp.num_vars()).map(|v| vals(&s, VarRef(v))).collect();
         s.undo_to(m);
         // Second, identical branch: dormancy discovered the first time was
         // rolled back, so the result must be identical.
         let m2 = s.mark();
         s.fix(y.0, 4).expect("in domain");
         p.run_from(&mut s, y).expect("feasible");
-        let again: Vec<Vec<i64>> = (0..csp.num_vars()).map(|v| s.value_list(v)).collect();
+        let again: Vec<Vec<i64>> = (0..csp.num_vars()).map(|v| vals(&s, VarRef(v))).collect();
         s.undo_to(m2);
         assert_eq!(fixed, again);
     }

@@ -10,13 +10,15 @@
 //! * [`SolveSession::solve`] samples the base space directly on the
 //!   cached committed root store (the per-dive trail restores it).
 //! * [`SolveSession::solve_pinned`] is the incremental re-solve: it
-//!   clones the cached fixpoint (O(vars)), applies the offspring's value
-//!   pins, and propagates only from the pinned variables. Because the
-//!   filters are monotone, `fixpoint(root_fixpoint + pins)` equals the
-//!   from-scratch `fixpoint(initial + IN pins)`, so the sampled solution
-//!   stream is identical to materialising the offspring CSP — at a
-//!   fraction of the propagation work. Each such call counts one
-//!   *incremental hit* ([`SolveStats::incremental_hits`]).
+//!   opens a backtrack scope on the cached fixpoint (nothing is copied;
+//!   the scope's trail restores the root when the call ends), applies the
+//!   offspring's value pins, and propagates only from the pinned
+//!   variables. Because the filters are monotone,
+//!   `fixpoint(root_fixpoint + pins)` equals the from-scratch
+//!   `fixpoint(initial + IN pins)`, so the sampled solution stream is
+//!   identical to materialising the offspring CSP — at a fraction of the
+//!   propagation work. Each such call counts one *incremental hit*
+//!   ([`SolveStats::incremental_hits`]).
 //!
 //! **Determinism note:** the root fixpoint's propagations are one-time
 //! session setup and are *never* folded into any reported
@@ -32,7 +34,8 @@ use heron_trace::Tracer;
 use crate::problem::{Csp, VarRef};
 use crate::propagate::Propagator;
 use crate::solver::{
-    classify, record, sample_into, Deadline, SampleCtx, SolveOutcome, SolvePolicy, SolveStats,
+    classify, record, sample_into, Brancher, Deadline, SampleCtx, SolveOutcome, SolvePolicy,
+    SolveStats,
 };
 use crate::store::DomainStore;
 
@@ -41,8 +44,7 @@ use crate::store::DomainStore;
 pub struct SolveSession {
     csp: Csp,
     prop: Propagator,
-    tunables: Vec<VarRef>,
-    tmask: Vec<bool>,
+    brancher: Brancher,
     /// The committed root fixpoint; `None` iff the root is infeasible.
     root: Option<DomainStore>,
     incremental_hits: u64,
@@ -69,16 +71,10 @@ impl SolveSession {
         // Root-setup propagations are not attributable to any one solve
         // (see the module's determinism note).
         prop.reset_stats();
-        let tunables = csp.tunables();
-        let mut tmask = vec![false; csp.num_vars()];
-        for t in &tunables {
-            tmask[t.0] = true;
-        }
         SolveSession {
+            brancher: Brancher::new(&csp),
             csp,
             prop,
-            tunables,
-            tmask,
             root,
             incremental_hits: 0,
             max_trail: 0,
@@ -132,11 +128,10 @@ impl SolveSession {
             let ctx = SampleCtx {
                 csp: &self.csp,
                 prop: &self.prop,
-                tunables: &self.tunables,
-                tmask: &self.tmask,
             };
             sample_into(
                 &ctx,
+                &mut self.brancher,
                 store,
                 rng,
                 n,
@@ -191,9 +186,10 @@ impl SolveSession {
         let p0 = self.prop.propagations();
         let w0 = self.prop.wipeouts();
         let mut root_ok = false;
-        if let Some(root) = self.root.as_ref() {
-            // O(vars) clone of the committed fixpoint — no trail to copy.
-            let mut store = root.clone();
+        if let Some(store) = self.root.as_mut() {
+            // The pins and their fixpoint are one backtrack scope on the
+            // cached root, undone when the call ends: nothing is copied.
+            let scope = store.mark();
             let mut changed: Vec<VarRef> = Vec::with_capacity(pins.len());
             let mut wiped = false;
             for (v, values) in pins {
@@ -207,23 +203,25 @@ impl SolveSession {
                     }
                 }
             }
-            if !wiped && self.prop.run_from_vars(&mut store, &changed).is_ok() {
+            if !wiped && self.prop.run_from_vars(store, &changed).is_ok() {
                 root_ok = true;
                 // Pins typically fix variables: retire the newly
                 // entailed constraints for this pinned solve.
-                self.prop.sweep_entailed(&mut store);
+                self.prop.sweep_entailed(store);
+                // The reported depth is that of the dives, above the
+                // pinned fixpoint's own trail entries.
                 store.take_max_trail();
+                let pinned_depth = store.trail_depth();
                 stats.incremental_hits = 1;
                 self.incremental_hits += 1;
                 let ctx = SampleCtx {
                     csp: &self.csp,
                     prop: &self.prop,
-                    tunables: &self.tunables,
-                    tmask: &self.tmask,
                 };
                 sample_into(
                     &ctx,
-                    &mut store,
+                    &mut self.brancher,
+                    store,
                     rng,
                     n,
                     policy,
@@ -231,8 +229,11 @@ impl SolveSession {
                     &mut stats,
                     &mut out,
                 );
-                stats.max_trail_depth = store.take_max_trail();
+                stats.max_trail_depth = store.take_max_trail() - pinned_depth;
             }
+            store.undo_to(scope);
+            // The next solve's depth starts from the root's empty trail.
+            store.take_max_trail();
         }
         stats.propagations = self.prop.propagations() - p0;
         stats.wipeouts += self.prop.wipeouts() - w0;

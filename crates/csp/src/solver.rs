@@ -9,9 +9,10 @@
 //! Search state lives in a [`DomainStore`]: branching fixes a value and
 //! propagates on the shared store, and backtracking pops the store's
 //! trail — O(changes) per node instead of the historical full
-//! `Vec<Domain>` clone per candidate trial. The branch order's tunable
-//! set is precomputed once per solve as a boolean mask (no per-node
-//! `csp.tunables()` allocation, no O(V²) `contains` scans).
+//! `Vec<Domain>` clone per candidate trial. The branch order's inputs
+//! (tunable set and mask, the constant non-tunable suffix) and the dive's
+//! buffers (branch order, candidate values) live in one [`Brancher`] per
+//! CSP, so a dive allocates nothing until it has a solution to return.
 //!
 //! Solver failure is a first-class outcome, not a silent empty `Vec`:
 //! every sampling call returns a [`SolveOutcome`] whose [`SolveStatus`]
@@ -26,10 +27,9 @@ use heron_rng::Rng;
 use heron_rng::SliceRandom;
 use heron_trace::Tracer;
 
-use crate::domain::Domain;
 use crate::problem::{Csp, Solution, VarRef};
 use crate::propagate::Propagator;
-use crate::store::{Dom, DomainStore};
+use crate::store::DomainStore;
 
 /// Counters describing one [`rand_sat_traced`] call.
 ///
@@ -252,16 +252,13 @@ impl Deadline {
 /// Checks a complete assignment against every declared domain and every
 /// posted constraint.
 pub fn validate(csp: &Csp, sol: &Solution) -> bool {
-    if sol.values().len() != csp.num_vars() {
-        return false;
-    }
-    for (r, decl) in csp.vars() {
-        if !decl.domain.contains(sol.value(r)) {
-            return false;
-        }
-    }
-    let env = |r: VarRef| sol.value(r);
-    csp.constraints().iter().all(|c| c.check(&env))
+    sol.values().len() == csp.num_vars() && satisfies(csp, &|r| sol.value(r))
+}
+
+/// [`validate`] for an assignment given as a function of the variable.
+fn satisfies(csp: &Csp, value: &dyn Fn(VarRef) -> i64) -> bool {
+    csp.vars().all(|(r, decl)| decl.domain.contains(value(r)))
+        && csp.constraints().iter().all(|c| c.check(value))
 }
 
 /// Draws up to `n` *distinct* random solutions of `csp` under the default
@@ -319,19 +316,10 @@ pub fn rand_sat_traced<R: Rng>(
         // Permanently retire constraints already entailed at the root —
         // a free (uncounted, fixpoint-preserving) bounds sweep.
         prop.sweep_entailed(&mut store);
-        let tunables = csp.tunables();
-        let mut tmask = vec![false; csp.num_vars()];
-        for t in &tunables {
-            tmask[t.0] = true;
-        }
-        let ctx = SampleCtx {
-            csp,
-            prop: &prop,
-            tunables: &tunables,
-            tmask: &tmask,
-        };
+        let ctx = SampleCtx { csp, prop: &prop };
         sample_into(
             &ctx,
+            &mut Brancher::new(csp),
             &mut store,
             rng,
             n,
@@ -389,15 +377,42 @@ pub(crate) fn record(tracer: &Tracer, stats: &SolveStats, status: SolveStatus) {
     }
 }
 
-/// Everything a dive needs besides the mutable store: the problem (for
-/// leaf validation), the shared propagator, and the branch-order inputs
-/// precomputed once per solve (satellite of the O(V²) order-building and
-/// per-node `csp.tunables()` bugs).
+/// What a dive reads besides the store and the [`Brancher`]: the problem
+/// (for leaf validation) and the shared propagator.
 pub(crate) struct SampleCtx<'a> {
     pub csp: &'a Csp,
     pub prop: &'a Propagator,
-    pub tunables: &'a [VarRef],
-    pub tmask: &'a [bool],
+}
+
+/// The branch-order inputs of one CSP and the buffers its dives reuse,
+/// built once per solve (once per session).
+#[derive(Debug)]
+pub(crate) struct Brancher {
+    tunables: Vec<VarRef>,
+    tmask: Vec<bool>,
+    /// Branch order of the dive in progress: the tunables, reshuffled by
+    /// every dive, then everything else in declaration order.
+    order: Vec<VarRef>,
+    /// Candidate values of the open branch decisions, stacked by depth.
+    candidates: Vec<i64>,
+}
+
+impl Brancher {
+    pub(crate) fn new(csp: &Csp) -> Self {
+        let tunables = csp.tunables();
+        let mut tmask = vec![false; csp.num_vars()];
+        for t in &tunables {
+            tmask[t.0] = true;
+        }
+        let mut order = tunables.clone();
+        order.extend((0..csp.num_vars()).filter(|&i| !tmask[i]).map(VarRef));
+        Brancher {
+            tunables,
+            tmask,
+            order,
+            candidates: Vec::new(),
+        }
+    }
 }
 
 /// The sampling loop shared by [`rand_sat_traced`] and `SolveSession`:
@@ -406,6 +421,7 @@ pub(crate) struct SampleCtx<'a> {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn sample_into<R: Rng>(
     ctx: &SampleCtx<'_>,
+    brancher: &mut Brancher,
     store: &mut DomainStore,
     rng: &mut R,
     n: usize,
@@ -426,7 +442,7 @@ pub(crate) fn sample_into<R: Rng>(
             attempts -= 1;
             stats.attempts += 1;
             let mut fails = budget;
-            let found = match search_one(ctx, store, rng, &mut fails, deadline) {
+            let found = match search_one(ctx, brancher, store, rng, &mut fails, deadline) {
                 Some(sol) => {
                     debug_assert!(
                         validate(ctx.csp, &sol),
@@ -470,6 +486,7 @@ pub(crate) fn sample_into<R: Rng>(
 /// result.
 fn search_one<R: Rng>(
     ctx: &SampleCtx<'_>,
+    brancher: &mut Brancher,
     store: &mut DomainStore,
     rng: &mut R,
     fails: &mut u32,
@@ -478,108 +495,115 @@ fn search_one<R: Rng>(
     // Branch order: tunables in random order, then everything else in
     // declaration order (those are functionally determined in well-formed
     // Heron spaces, so they rarely need branching).
-    let mut order: Vec<VarRef> = ctx.tunables.to_vec();
-    order.shuffle(rng);
-    for i in 0..ctx.csp.num_vars() {
-        if !ctx.tmask[i] {
-            order.push(VarRef(i));
-        }
-    }
+    let Brancher {
+        tunables,
+        tmask,
+        order,
+        candidates,
+    } = brancher;
+    order[..tunables.len()].copy_from_slice(tunables);
+    order[..tunables.len()].shuffle(rng);
+    candidates.clear();
     let top = store.mark();
-    let sol = dive(ctx, store, &order, 0, rng, fails, deadline);
+    let mut dive = Dive {
+        ctx,
+        tmask,
+        order,
+        candidates,
+        rng,
+        fails,
+        deadline,
+    };
+    let sol = dive.descend(store, 0);
     store.undo_to(top);
     sol
 }
 
-fn dive<R: Rng>(
-    ctx: &SampleCtx<'_>,
-    store: &mut DomainStore,
-    order: &[VarRef],
-    depth: usize,
-    rng: &mut R,
-    fails: &mut u32,
-    deadline: &mut Deadline,
-) -> Option<Solution> {
-    // Find the next unfixed variable at or after `depth`.
-    let mut d = depth;
-    while d < order.len() && store.is_fixed(order[d].0) {
-        d += 1;
-    }
-    if d == order.len() {
-        // Propagation is deliberately incomplete (bounds consistency), so a
-        // fully fixed assignment must still pass the exact check.
-        let values: Vec<i64> = (0..ctx.csp.num_vars()).map(|i| store.min(i)).collect();
-        let sol = Solution::new(values);
-        if validate(ctx.csp, &sol) {
-            return Some(sol);
+/// The state of one dive besides the store.
+struct Dive<'a, R> {
+    ctx: &'a SampleCtx<'a>,
+    tmask: &'a [bool],
+    order: &'a [VarRef],
+    candidates: &'a mut Vec<i64>,
+    rng: &'a mut R,
+    fails: &'a mut u32,
+    deadline: &'a mut Deadline,
+}
+
+impl<R: Rng> Dive<'_, R> {
+    /// Branches on the next unfixed variable at or after `depth`.
+    fn descend(&mut self, store: &mut DomainStore, depth: usize) -> Option<Solution> {
+        let mut d = depth;
+        while d < self.order.len() && store.is_fixed(self.order[d].0) {
+            d += 1;
         }
-        *fails = fails.saturating_sub(1);
-        return None;
-    }
-    let var = order[d];
-    let is_tunable = ctx.tmask[var.0];
-    let candidates: Vec<i64> = match store.dom(var.0) {
-        Dom::Bits(_) => {
-            let mut v = store.value_list(var.0);
-            v.shuffle(rng);
-            v
+        if d == self.order.len() {
+            // Propagation is deliberately incomplete (bounds consistency), so a
+            // fully fixed assignment must still pass the exact check.
+            let csp = self.ctx.csp;
+            if satisfies(csp, &|r| store.min(r.0)) {
+                let values = (0..csp.num_vars()).map(|i| store.min(i)).collect();
+                return Some(Solution::new(values));
+            }
+            *self.fails = self.fails.saturating_sub(1);
+            return None;
         }
-        Dom::Wide(Domain::Values(vals)) => {
-            let mut v = vals.clone();
-            v.shuffle(rng);
-            v
-        }
-        Dom::Wide(Domain::Range { lo, hi }) => {
+        let var = self.order[d];
+        // This decision's candidates sit on top of the open ones below it.
+        let base = self.candidates.len();
+        if store.branch_values(var.0, self.candidates) {
+            self.candidates[base..].shuffle(self.rng);
+        } else if let [lo, hi] = self.candidates[base..] {
             // Auxiliary range variable still unfixed: try the bounds and a
             // random value. Occurs only for slack-like variables. The
             // random draw joins the candidate list only when it is a
             // genuinely new value (the historical adjacent-only `dedup`
             // let `random == lo` through as a duplicate trial).
-            let (lo, hi) = (*lo, *hi);
-            if hi > lo {
-                let mut v = vec![lo, hi];
-                let r = rng.random_range(lo..=hi);
-                if r != lo && r != hi {
-                    v.push(r);
+            let r = self.rng.random_range(lo..=hi);
+            if r != lo && r != hi {
+                self.candidates.push(r);
+            }
+        }
+        let count = self.candidates.len() - base;
+        let try_limit = if self.tmask[var.0] {
+            count
+        } else {
+            count.min(4)
+        };
+        let mut sol = None;
+        for k in base..base + try_limit {
+            if *self.fails == 0 || !self.deadline.tick() {
+                break;
+            }
+            let val = self.candidates[k];
+            let m = store.mark();
+            let (pre_lo, pre_hi) = (store.min(var.0), store.max(var.0));
+            if store.fix(var.0, val).is_ok()
+                && self
+                    .ctx
+                    .prop
+                    .run_from_fixed(store, var, pre_lo, pre_hi)
+                    .is_ok()
+            {
+                sol = self.descend(store, d + 1);
+                if sol.is_some() {
+                    // No undo on success: the top-level mark unwinds the
+                    // whole branch in one pass.
+                    break;
                 }
-                v
-            } else {
-                vec![lo]
             }
+            store.undo_to(m);
+            *self.fails = self.fails.saturating_sub(1);
         }
-    };
-    let try_limit = if is_tunable {
-        candidates.len()
-    } else {
-        candidates.len().min(4)
-    };
-    for &val in candidates.iter().take(try_limit) {
-        if *fails == 0 {
-            return None;
-        }
-        if !deadline.tick() {
-            return None;
-        }
-        let m = store.mark();
-        let (pre_lo, pre_hi) = (store.min(var.0), store.max(var.0));
-        if store.fix(var.0, val).is_ok()
-            && ctx.prop.run_from_fixed(store, var, pre_lo, pre_hi).is_ok()
-        {
-            if let Some(sol) = dive(ctx, store, order, d + 1, rng, fails, deadline) {
-                // No undo on success: the top-level mark unwinds the
-                // whole branch in one pass.
-                return Some(sol);
-            }
-        }
-        store.undo_to(m);
-        *fails = fails.saturating_sub(1);
+        self.candidates.truncate(base);
+        sol
     }
-    None
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::domain::Domain;
     use crate::problem::VarCategory;
     use heron_rng::HeronRng;
 

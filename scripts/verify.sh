@@ -124,6 +124,22 @@ else
     echo "warning: no committed BENCH_heron.json; skipping throughput gate" >&2
 fi
 
+echo "== host benchmark harness (benchmark/) =="
+# `benchmark/` is a package of its own that no root cargo command
+# builds, and a change that claims a gain may not edit it — so a
+# product-crate API change could break the frozen harness unnoticed.
+# Build it, run its unit tests, and drive every workload end to end at
+# smoke size (tiny budgets; the numbers mean nothing, the exit code
+# does: non-zero on any incorrect output).
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+if ! cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    run --smoke --traced >"$obs_dir/hostbench.out" 2>&1; then
+    echo "error: heron-hostbench smoke run failed:" >&2
+    tail -n 40 "$obs_dir/hostbench.out" >&2
+    exit 1
+fi
+echo "ok: heron-hostbench builds, passes its tests, and its smoke run is correct"
+
 echo "== robustness smoke (hardened exploration) =="
 # Over-constrained and UNSAT spaces must terminate with a classified
 # status (repair/fallback on satisfiable spaces, `root-infeasible` +

@@ -460,3 +460,59 @@ fn rand_sat_is_reproducible() {
     let c = sample(12);
     assert_ne!(a, c, "different seeds gave identical RandSAT outputs");
 }
+
+/// The solver work of a real tune, pinned: a 64-trial gemm-256 tune on
+/// v100 sums to exactly these `SolveStats` over all its `csp.solve` calls
+/// (population sampling and pinned offspring re-solves alike). Engine
+/// changes that claim "same work, less time" must leave every number as
+/// it is; a change that moves one is a schedule change and says so (see
+/// DESIGN.md §5, "when goldens may move").
+#[test]
+fn solver_work_of_a_real_tune_is_pinned() {
+    let dag = heron::tensor::ops::gemm(256, 256, 256);
+    let space = SpaceGenerator::new(heron::dla::v100())
+        .generate_named(&dag, &SpaceOptions::heron(), "gemm-256")
+        .expect("generates");
+    let tracer = Tracer::manual();
+    let mut tuner = Tuner::new(
+        space,
+        Measurer::new(heron::dla::v100()),
+        TuneConfig::quick(64),
+        2023,
+    )
+    .with_insight(8);
+    tuner.set_tracer(tracer.clone());
+    tuner.run();
+    let work: Vec<(&str, u64)> = [
+        "csp.propagations",
+        "csp.wipeouts",
+        "csp.attempts",
+        "csp.restarts",
+        "csp.escalations",
+        "csp.solutions",
+        "csp.incremental_hits",
+    ]
+    .into_iter()
+    .map(|name| (name, tracer.counter(name).unwrap_or(0)))
+    .collect();
+    let deepest_trail = tuner
+        .insight()
+        .expect("insight enabled")
+        .rounds
+        .iter()
+        .map(|r| r.solver_max_trail)
+        .max();
+    assert_eq!(
+        work,
+        [
+            ("csp.propagations", 970_610),
+            ("csp.wipeouts", 15_938),
+            ("csp.attempts", 292),
+            ("csp.restarts", 60),
+            ("csp.escalations", 6),
+            ("csp.solutions", 232),
+            ("csp.incremental_hits", 160),
+        ]
+    );
+    assert_eq!(deepest_trail, Some(363));
+}
