@@ -1,9 +1,23 @@
 //! Micro-bench (heron-testkit): cost-model training and prediction
 //! (Algorithm 2 Step 4 and the fitness evaluations of Step 2).
+//!
+//! Two kinds of training data. `gbdt-fit/vta-gemm512/*` is what the
+//! tuner fits: `CostModel::featurize` of RandSAT samples of the
+//! gemm-512@vta space, scored by the simulator — every feature takes a
+//! handful of distinct values and several are constant. `gbdt-fit/*x80`
+//! is the opposite extreme, uniform reals with every value distinct (as
+//! many sort buckets as rows): the worst case of the counting-sort split
+//! search, kept so that a regression there shows.
 
+use heron_core::generate::{SpaceGenerator, SpaceOptions};
+use heron_core::model::CostModel;
+use heron_core::tuner::evaluate;
 use heron_cost::{Gbdt, GbdtParams};
+use heron_csp::{SolvePolicy, SolveSession};
 use heron_rng::{HeronRng, Rng};
+use heron_tensor::ops;
 use heron_testkit::bench::{black_box, Harness};
+use heron_trace::Tracer;
 
 fn synthetic(n: usize, d: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
     let mut rng = HeronRng::from_seed(seed);
@@ -17,17 +31,81 @@ fn synthetic(n: usize, d: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
     (x, y)
 }
 
+/// `n` measured samples of the gemm-512@vta space as the tuner's cost
+/// model would hold them (invalid programs score 0).
+fn vta_gemm512(n: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
+    let space = SpaceGenerator::new(heron_dla::vta())
+        .generate_named(
+            &ops::gemm(512, 512, 512),
+            &SpaceOptions::heron(),
+            "gemm-512",
+        )
+        .expect("generates");
+    let measurer = heron_dla::Measurer::new(heron_dla::vta());
+    let model = CostModel::new(&space.csp);
+    let mut rng = HeronRng::from_seed(seed);
+    let samples = SolveSession::new(&space.csp)
+        .solve(&mut rng, n, &SolvePolicy::default(), &Tracer::disabled())
+        .expect_sat("gemm-512@vta");
+    let x = samples.iter().map(|s| model.featurize(s)).collect();
+    let y = samples
+        .iter()
+        .map(|s| evaluate(&space, &measurer, s).map_or(0.0, |(_, m)| m.gflops))
+        .collect();
+    (x, y)
+}
+
+/// Distinct values per feature of `x`: `(min, median, max, constant columns)`.
+fn distinct_values(x: &[Vec<f64>]) -> (usize, usize, usize, usize) {
+    let mut per_feature: Vec<usize> = (0..x[0].len())
+        .map(|f| {
+            let mut col: Vec<u64> = x.iter().map(|r| r[f].to_bits()).collect();
+            col.sort_unstable();
+            col.dedup();
+            col.len()
+        })
+        .collect();
+    per_feature.sort_unstable();
+    let constant = per_feature.iter().filter(|&&k| k == 1).count();
+    (
+        per_feature[0],
+        per_feature[per_feature.len() / 2],
+        per_feature[per_feature.len() - 1],
+        constant,
+    )
+}
+
+fn bench_fit(h: &mut Harness, name: &str, x: &[Vec<f64>], y: &[f64]) {
+    let (min, median, max, constant) = distinct_values(x);
+    println!(
+        "{name}: {} rows x {} features, distinct values per feature min {min} / median {median} / max {max}, {constant} constant columns",
+        x.len(),
+        x[0].len()
+    );
+    let mut rng = HeronRng::from_seed(1);
+    h.bench(name, || {
+        let m = Gbdt::fit(x, y, &GbdtParams::default(), &mut rng);
+        black_box(m.num_trees())
+    });
+}
+
 fn main() {
     let mut h = Harness::new("gbdt");
-    // Shapes matching a tuning session: ~80 CSP-variable features,
-    // growing sample counts.
+    // What a tuning session fits, at growing sample counts (1000 = the
+    // paper's trial budget).
+    let (x, y) = vta_gemm512(1000, 2023);
+    for n in [128usize, 512, 1000] {
+        bench_fit(
+            &mut h,
+            &format!("gbdt-fit/vta-gemm512/{n}"),
+            &x[..n],
+            &y[..n],
+        );
+    }
+    // Continuous features: every value distinct.
     for n in [128usize, 512, 2000] {
         let (x, y) = synthetic(n, 80, 7);
-        let mut rng = HeronRng::from_seed(1);
-        h.bench(&format!("gbdt-fit/{n}x80"), || {
-            let m = Gbdt::fit(&x, &y, &GbdtParams::default(), &mut rng);
-            black_box(m.num_trees())
-        });
+        bench_fit(&mut h, &format!("gbdt-fit/{n}x80"), &x, &y);
     }
     let (x, y) = synthetic(512, 80, 9);
     let mut rng = HeronRng::from_seed(2);

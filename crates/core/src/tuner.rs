@@ -889,6 +889,11 @@ impl Tuner {
         &self.space
     }
 
+    /// The session's cost model, as last refitted.
+    pub fn model(&self) -> &CostModel {
+        &self.state.model
+    }
+
     /// Trials measured so far.
     pub fn trials_done(&self) -> usize {
         self.state.result.curve.len()

@@ -3,7 +3,7 @@
 use heron_rng::Rng;
 use heron_trace::Tracer;
 
-use crate::tree::{RegressionTree, TreeParams};
+use crate::tree::{Columns, RegressionTree, Scratch, TreeParams};
 
 /// Boosting hyper-parameters.
 #[derive(Debug, Clone, Copy)]
@@ -80,28 +80,33 @@ impl Gbdt {
     }
 
     fn fit_inner<R: Rng>(x: &[Vec<f64>], y: &[f64], params: &GbdtParams, rng: &mut R) -> Self {
-        assert!(!x.is_empty(), "cannot fit to zero samples");
         assert_eq!(x.len(), y.len(), "feature/target length mismatch");
-        let num_features = x[0].len();
-        assert!(
-            x.iter().all(|r| r.len() == num_features),
-            "ragged feature matrix"
-        );
+        // Panics on an empty or ragged `x`.
+        let cols = Columns::new(x);
 
         let base = y.iter().sum::<f64>() / y.len() as f64;
         let mut preds = vec![base; y.len()];
         let mut trees = Vec::with_capacity(params.n_trees);
+        let mut residuals = vec![0.0; y.len()];
+        let mut rows = Vec::with_capacity(x.len());
+        let mut scratch = Scratch::default();
         for _ in 0..params.n_trees {
-            let residuals: Vec<f64> = y.iter().zip(&preds).map(|(t, p)| t - p).collect();
-            let rows: Vec<usize> = (0..x.len())
-                .filter(|_| rng.random::<f64>() < params.subsample)
-                .collect();
-            let rows = if rows.is_empty() {
-                (0..x.len()).collect()
-            } else {
-                rows
-            };
-            let tree = RegressionTree::fit(x, &residuals, &rows, &params.tree, rng);
+            for ((r, t), p) in residuals.iter_mut().zip(y).zip(&preds) {
+                *r = t - p;
+            }
+            rows.clear();
+            rows.extend((0..x.len()).filter(|_| rng.random::<f64>() < params.subsample));
+            if rows.is_empty() {
+                rows.extend(0..x.len());
+            }
+            let tree = RegressionTree::fit_columns(
+                &cols,
+                &residuals,
+                &rows,
+                &params.tree,
+                rng,
+                &mut scratch,
+            );
             for (i, row) in x.iter().enumerate() {
                 preds[i] += params.learning_rate * tree.predict(row);
             }
@@ -111,7 +116,7 @@ impl Gbdt {
             base,
             learning_rate: params.learning_rate,
             trees,
-            num_features,
+            num_features: cols.num_features(),
         }
     }
 
@@ -249,6 +254,14 @@ mod tests {
             .iter()
             .any(|(k, v)| k == "rows" && v == "128"));
         assert!(tracer.metrics_tsv().contains("cost.fit_ms\thistogram"));
+    }
+
+    #[test]
+    #[should_panic(expected = "ragged feature matrix")]
+    fn ragged_matrix_panics() {
+        let mut rng = HeronRng::from_seed(0);
+        let x = [vec![1.0, 2.0], vec![3.0]];
+        Gbdt::fit(&x, &[1.0, 2.0], &GbdtParams::default(), &mut rng);
     }
 
     #[test]

@@ -461,14 +461,9 @@ fn rand_sat_is_reproducible() {
     assert_ne!(a, c, "different seeds gave identical RandSAT outputs");
 }
 
-/// The solver work of a real tune, pinned: a 64-trial gemm-256 tune on
-/// v100 sums to exactly these `SolveStats` over all its `csp.solve` calls
-/// (population sampling and pinned offspring re-solves alike). Engine
-/// changes that claim "same work, less time" must leave every number as
-/// it is; a change that moves one is a schedule change and says so (see
-/// DESIGN.md §5, "when goldens may move").
-#[test]
-fn solver_work_of_a_real_tune_is_pinned() {
+/// The real tune the in-situ pins below share: 64 trials of gemm-256 on
+/// v100, seed 2023, traced and with insight on.
+fn real_tune() -> (Tuner, Tracer) {
     let dag = heron::tensor::ops::gemm(256, 256, 256);
     let space = SpaceGenerator::new(heron::dla::v100())
         .generate_named(&dag, &SpaceOptions::heron(), "gemm-256")
@@ -483,6 +478,18 @@ fn solver_work_of_a_real_tune_is_pinned() {
     .with_insight(8);
     tuner.set_tracer(tracer.clone());
     tuner.run();
+    (tuner, tracer)
+}
+
+/// The solver work of a real tune, pinned: a 64-trial gemm-256 tune on
+/// v100 sums to exactly these `SolveStats` over all its `csp.solve` calls
+/// (population sampling and pinned offspring re-solves alike). Engine
+/// changes that claim "same work, less time" must leave every number as
+/// it is; a change that moves one is a schedule change and says so (see
+/// DESIGN.md §5, "when goldens may move").
+#[test]
+fn solver_work_of_a_real_tune_is_pinned() {
+    let (tuner, tracer) = real_tune();
     let work: Vec<(&str, u64)> = [
         "csp.propagations",
         "csp.wipeouts",
@@ -515,4 +522,42 @@ fn solver_work_of_a_real_tune_is_pinned() {
         ]
     );
     assert_eq!(deepest_trail, Some(363));
+}
+
+/// The `cost` layer's half of the same gate: the number of refits, the
+/// rows they saw, and the models themselves — the final one's prediction
+/// on every training sample and every refit's top importances, folded
+/// bit for bit — are what the tune above produced before the tree fit was rewritten over a
+/// rank-coded column store. A faster fit must be the same fit: the low
+/// bits of a gain decide `top_features`, and through it CGA's key
+/// variables (DESIGN.md §5, "Summation order is part of the model's
+/// contract").
+#[test]
+fn cost_model_of_a_real_tune_is_pinned() {
+    let (tuner, tracer) = real_tune();
+    let fit_rows: u64 = check_trace(&tracer.to_jsonl())
+        .expect("balanced trace")
+        .spans
+        .iter()
+        .filter(|s| s.name == "cost.fit")
+        .filter_map(|s| s.fields.iter().find(|(k, _)| k == "rows"))
+        .map(|(_, rows)| rows.parse::<u64>().expect("row count"))
+        .sum();
+    assert_eq!(tracer.counter("cost.fits"), Some(8));
+    assert_eq!(fit_rows, 288);
+
+    let model = tuner.model();
+    let mut fold = 0xcbf2_9ce4_8422_2325_u64; // FNV-1a over 64-bit words
+    let mut mix = |word: u64| fold = (fold ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+    for (values, _) in &tuner.checkpoint().samples {
+        mix(model.predict(&Solution::new(values.clone())).to_bits());
+    }
+    // Every refit's `importance_topk(8)`, the final model's last.
+    for refit in &tuner.insight().expect("insight enabled").refits {
+        for &(var, importance) in &refit.top_importance {
+            mix(u64::from(var));
+            mix(importance.to_bits());
+        }
+    }
+    assert_eq!(fold, 0x781f_3776_8dd0_153b, "model fold {fold:#018x}");
 }
