@@ -4,7 +4,7 @@
 //! chromosome with a pinned re-solve on the shared solver session — plus
 //! a short end-to-end tuning run.
 
-use heron_core::explore::cga::{materialize_offspring_session, offspring_pins};
+use heron_core::explore::cga::{materialize_offspring, offspring_pins};
 use heron_core::generate::{SpaceGenerator, SpaceOptions};
 use heron_core::tuner::{TuneConfig, Tuner};
 use heron_csp::{SolvePolicy, SolveSession};
@@ -36,7 +36,7 @@ fn main() {
 
     h.bench("cga/offspring_pins+solve_pinned", || {
         let pins = offspring_pins(&keys, &parents[0], &parents[1], &mut rng);
-        let out = materialize_offspring_session(&mut session, pins, &mut rng, &policy, &tracer);
+        let out = materialize_offspring(&mut session, pins, &mut rng, &policy, &tracer);
         black_box(out.solution.is_some())
     });
 

@@ -256,15 +256,15 @@ fn emit_insight(args: &[String], tuner: &heron_core::tuner::Tuner) {
     }
 }
 
-/// Direct-`Tuner` path for the resilience and observability features:
-/// fault injection, pause-at-N checkpointing, resume, and tracing. (The
-/// plain path goes through the `heron_baselines::tune` facade, which has
-/// no session handle to pause or instrument.)
-fn tune_resilient(args: &[String], c: &Common) {
+/// `tune`: one direct-`Tuner` session, whatever the flags — fault
+/// injection, pause-at-N checkpointing, resume, tracing, insight and
+/// `--code` all read the same session handle.
+fn tune_cmd(args: &[String]) {
     use heron_core::checkpoint::TuneCheckpoint;
     use heron_core::tuner::Tuner;
     use heron_dla::{FaultPlan, Measurer};
 
+    let c = common(args);
     let traced = has_flag(args, "--trace-out")
         || has_flag(args, "--metrics-out")
         || has_flag(args, "--profile");
@@ -382,9 +382,37 @@ fn tune_resilient(args: &[String], c: &Common) {
             tuner.rounds_total()
         );
     }
-    print!("{}", tuner.result().report());
+    let result = tuner.result();
+    print!("{}", result.report());
+    println!(
+        "best: {:.1} Gops ({:.1}% of peak), latency {:.1} us, invalid trials {}",
+        result.best_gflops,
+        result.best_gflops * 1e9 / c.spec.peak_ops_per_sec() * 100.0,
+        result.best_latency_s * 1e6,
+        result.invalid_trials
+    );
+    if has_flag(args, "--code") {
+        if let Some(k) = &result.best_kernel {
+            println!("\n{}", kernel_pseudo_code(k));
+            let measurer = Measurer::new(c.spec.clone());
+            if let Ok(a) = measurer.analyze(k) {
+                println!("{a}");
+            }
+            if let Ok((m, e)) = measurer.measure_with_energy(k) {
+                println!(
+                    "energy: {:.1} uJ/run ({:.1} compute, {:.1} off-chip, {:.1} on-chip, {:.1} static) -> {:.1} Gops/W",
+                    e.total_j() * 1e6,
+                    e.compute_j * 1e6,
+                    e.offchip_j * 1e6,
+                    e.onchip_j * 1e6,
+                    e.static_j * 1e6,
+                    e.gops_per_watt(k.total_flops, m.latency_s)
+                );
+            }
+        }
+    }
     if has_flag(args, "--diagnose")
-        && tuner.result().termination == heron_core::tuner::Termination::Infeasible
+        && result.termination == heron_core::tuner::Termination::Infeasible
     {
         match heron_csp::diagnose_root_conflict(&tuner.space().csp) {
             Some(report) => print!("{report}"),
@@ -394,88 +422,8 @@ fn tune_resilient(args: &[String], c: &Common) {
             ),
         }
     }
-    emit_observability(args, &tracer, &tuner.result());
+    emit_observability(args, &tracer, &result);
     emit_insight(args, &tuner);
-}
-
-fn tune_cmd(args: &[String]) {
-    let c = common(args);
-    let needs_session = [
-        "--fault-rate",
-        "--pause-at",
-        "--resume",
-        "--trace-out",
-        "--metrics-out",
-        "--profile",
-        "--insight-out",
-        "--insight-report",
-        "--solve-deadline",
-        "--deadline-rounds",
-        "--diagnose",
-    ]
-    .iter()
-    .any(|f| has_flag(args, f));
-    if needs_session {
-        tune_resilient(args, &c);
-        return;
-    }
-    let dag = c.workload.build(c.spec.in_dtype);
-    println!(
-        "tuning `{}` on {} for {} trials…",
-        c.workload.name, c.spec.name, c.trials
-    );
-    match tune(
-        Approach::Heron,
-        &c.spec,
-        &dag,
-        &c.workload.name,
-        c.trials,
-        c.seed,
-    ) {
-        Ok(o) => {
-            println!(
-                "best: {:.1} Gops ({:.1}% of peak), latency {:.1} us, invalid trials {}",
-                o.best_gflops,
-                o.best_gflops * 1e9 / c.spec.peak_ops_per_sec() * 100.0,
-                o.best_latency_s * 1e6,
-                o.invalid_trials
-            );
-            if has_flag(args, "--code") {
-                // Re-derive the best kernel for printing.
-                let space = SpaceGenerator::new(c.spec.clone())
-                    .generate_named(&dag, &SpaceOptions::heron(), &c.workload.name)
-                    .expect("generates");
-                let mut tuner = heron_core::tuner::Tuner::new(
-                    space,
-                    heron_dla::Measurer::new(c.spec.clone()),
-                    heron_baselines::tune::heron_config(c.trials),
-                    c.seed,
-                );
-                if let Some(k) = tuner.run().best_kernel {
-                    println!("\n{}", kernel_pseudo_code(&k));
-                    let measurer = heron_dla::Measurer::new(c.spec.clone());
-                    if let Ok(a) = measurer.analyze(&k) {
-                        println!("{a}");
-                    }
-                    if let Ok((m, e)) = measurer.measure_with_energy(&k) {
-                        println!(
-                            "energy: {:.1} uJ/run ({:.1} compute, {:.1} off-chip, {:.1} on-chip, {:.1} static) -> {:.1} Gops/W",
-                            e.total_j() * 1e6,
-                            e.compute_j * 1e6,
-                            e.offchip_j * 1e6,
-                            e.onchip_j * 1e6,
-                            e.static_j * 1e6,
-                            e.gops_per_watt(k.total_flops, m.latency_s)
-                        );
-                    }
-                }
-            }
-        }
-        Err(e) => {
-            eprintln!("cannot tune: {e}");
-            std::process::exit(1);
-        }
-    }
 }
 
 fn compare_cmd(args: &[String]) {

@@ -14,9 +14,7 @@
 //! samples of `CSP_initial` and bailing out after a bounded number of
 //! stalled rounds instead of spinning forever.
 
-use heron_csp::{
-    rand_sat_traced, Csp, Solution, SolvePolicy, SolveSession, SolveStats, SolveStatus, VarRef,
-};
+use heron_csp::{Solution, SolvePolicy, SolveSession, SolveStats, SolveStatus, VarRef};
 use heron_rng::HeronRng;
 use heron_rng::IndexedRandom;
 use heron_rng::Rng;
@@ -27,41 +25,15 @@ use crate::model::CostModel;
 
 use super::{push_best, roulette_wheel, Chromosome, Evaluate, Explorer};
 
-/// Builds one offspring CSP: Algorithm 3 for a single offspring.
+/// Builds one offspring: Algorithm 3 for a single offspring, in *pin
+/// form* — the crossover `IN` constraints compiled to `(variable, allowed
+/// values)` pairs for [`SolveSession::solve_pinned`] instead of posted on
+/// a clone of `CSP_initial`.
 ///
 /// `key_vars` are the cost-model-selected variables; `c1`/`c2` the two
-/// parent chromosomes. Crossover posts one `IN` constraint per key
-/// variable; mutation removes one of them at random.
-pub fn offspring_csp<R: Rng>(
-    initial: &Csp,
-    key_vars: &[VarRef],
-    c1: &Solution,
-    c2: &Solution,
-    rng: &mut R,
-) -> Csp {
-    let mut csp = initial.clone();
-    if key_vars.is_empty() {
-        return csp;
-    }
-    // Step-3 mutation: drop one crossover constraint at random.
-    let dropped = rng.random_range(0..key_vars.len());
-    for (idx, &v) in key_vars.iter().enumerate() {
-        if idx == dropped {
-            continue;
-        }
-        csp.post_in(v, [c1.value(v), c2.value(v)]);
-    }
-    csp
-}
-
-/// The *pin form* of one offspring: Algorithm 3's crossover `IN`
-/// constraints compiled to `(variable, allowed values)` pairs for
-/// [`SolveSession::solve_pinned`], instead of a cloned-and-reposted CSP.
-///
-/// Consumes the RNG exactly like [`offspring_csp`] (one draw for the
-/// mutation drop), and produces the same constraint set — values sorted
-/// and deduplicated as `Csp::post_in` would — so the two representations
-/// sample identical chromosome streams from the same seed.
+/// parent chromosomes. Crossover yields one pin per key variable (values
+/// sorted and deduplicated, as `Csp::post_in` would store them); mutation
+/// drops one of them at random (one RNG draw).
 pub fn offspring_pins<R: Rng>(
     key_vars: &[VarRef],
     c1: &Solution,
@@ -86,7 +58,7 @@ pub fn offspring_pins<R: Rng>(
     pins
 }
 
-/// Result of materialising one offspring CSP, possibly after repair.
+/// Result of materialising one offspring, possibly after repair.
 #[derive(Debug, Clone)]
 pub struct OffspringOutcome {
     /// The concrete chromosome, or `None` when even the fully relaxed
@@ -102,70 +74,18 @@ pub struct OffspringOutcome {
     pub stats: SolveStats,
 }
 
-/// Materialises an offspring chromosome, repairing over-constrained CSPs.
+/// Materialises an offspring chromosome from its `pins`
+/// (see [`offspring_pins`]), solved incrementally from the session's
+/// cached root fixpoint, repairing over-constrained offspring.
 ///
-/// Repair policy: when the posted offspring CSP yields no solution, drop
-/// the **most recently injected** `IN` constraint (last posted first) and
-/// retry, until either a solution appears or all injected constraints are
-/// gone. Constraints belonging to `initial` are never removed, so any
-/// returned solution still satisfies `CSP_initial` by construction.
+/// Repair policy: when the pinned space yields no solution, drop the
+/// **most recently injected** pin (last first) and retry, until either a
+/// solution appears or all pins are gone. Constraints of `CSP_initial` are
+/// never touched, so any returned solution satisfies it by construction.
 ///
 /// Emits `csp.repairs` (+1 per repaired offspring) and
 /// `csp.relaxed_constraints` (+dropped count) on the tracer.
 pub fn materialize_offspring<R: Rng>(
-    initial: &Csp,
-    mut offspring: Csp,
-    rng: &mut R,
-    policy: &SolvePolicy,
-    tracer: &Tracer,
-) -> OffspringOutcome {
-    let injected = offspring
-        .num_constraints()
-        .saturating_sub(initial.num_constraints()) as u32;
-    let mut relaxed = 0u32;
-    let mut deadline_hit = false;
-    let mut stats = SolveStats::default();
-    loop {
-        let outcome = rand_sat_traced(&offspring, rng, 1, policy, tracer);
-        stats.absorb(&outcome.stats);
-        if outcome.status == SolveStatus::DeadlineExceeded {
-            deadline_hit = true;
-        }
-        if let Some(sol) = outcome.one() {
-            if relaxed > 0 {
-                tracer.counter_add("csp.repairs", 1);
-                tracer.counter_add("csp.relaxed_constraints", u64::from(relaxed));
-            }
-            return OffspringOutcome {
-                solution: Some(sol),
-                relaxed,
-                deadline_hit,
-                stats,
-            };
-        }
-        if relaxed >= injected {
-            return OffspringOutcome {
-                solution: None,
-                relaxed,
-                deadline_hit,
-                stats,
-            };
-        }
-        offspring.pop_constraints(1);
-        relaxed += 1;
-    }
-}
-
-/// [`materialize_offspring`] on a [`SolveSession`]: the incremental-solve
-/// fast path. The offspring is described by `pins`
-/// (see [`offspring_pins`]) and solved from the session's cached root
-/// fixpoint; repair pops the **most recently injected** pin and retries,
-/// matching the CSP-materialising path's drop order — and, because the
-/// pinned fixpoint equals the from-scratch fixpoint, its exact solution
-/// stream.
-///
-/// Emits the same `csp.repairs` / `csp.relaxed_constraints` counters.
-pub fn materialize_offspring_session<R: Rng>(
     session: &mut SolveSession,
     mut pins: Vec<(VarRef, Vec<i64>)>,
     rng: &mut R,
@@ -178,30 +98,20 @@ pub fn materialize_offspring_session<R: Rng>(
     loop {
         let outcome = session.solve_pinned(&pins, rng, 1, policy, tracer);
         stats.absorb(&outcome.stats);
-        if outcome.status == SolveStatus::DeadlineExceeded {
-            deadline_hit = true;
+        deadline_hit |= outcome.status == SolveStatus::DeadlineExceeded;
+        let solution = outcome.one();
+        if solution.is_some() && relaxed > 0 {
+            tracer.counter_add("csp.repairs", 1);
+            tracer.counter_add("csp.relaxed_constraints", u64::from(relaxed));
         }
-        if let Some(sol) = outcome.one() {
-            if relaxed > 0 {
-                tracer.counter_add("csp.repairs", 1);
-                tracer.counter_add("csp.relaxed_constraints", u64::from(relaxed));
-            }
+        if solution.is_some() || pins.pop().is_none() {
             return OffspringOutcome {
-                solution: Some(sol),
+                solution,
                 relaxed,
                 deadline_hit,
                 stats,
             };
         }
-        if pins.is_empty() {
-            return OffspringOutcome {
-                solution: None,
-                relaxed,
-                deadline_hit,
-                stats,
-            };
-        }
-        pins.pop();
         relaxed += 1;
     }
 }
@@ -263,20 +173,136 @@ impl Default for CgaConfig {
     }
 }
 
-/// Counters accumulated over one `explore` run (read by the stress bench
-/// and surfaced as trace counters by the tuner).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CgaRunStats {
-    /// Offspring that needed at least one constraint dropped.
-    pub repairs: u64,
-    /// Total injected constraints dropped across all repairs.
-    pub relaxed_constraints: u64,
+/// What one [`evolve_population`] call did, for the caller's robustness
+/// counters and search-health log.
+#[derive(Debug, Clone, Copy)]
+pub struct GenerationStats {
+    /// Classification of the Step-1 populate solve.
+    pub populate_status: SolveStatus,
+    /// Solver work on `CSP_initial`: the populate solve plus the fallback
+    /// samples.
+    pub fresh: SolveStats,
+    /// Solver work materialising offspring (pinned re-solves, repair
+    /// retries included).
+    pub offspring: SolveStats,
+    /// Offspring that needed at least one pin dropped.
+    pub repaired_offspring: usize,
+    /// Total pins dropped across all repairs.
+    pub relaxed_constraints: usize,
     /// Solve calls that hit the step deadline.
-    pub deadline_hits: u64,
+    pub deadline_hits: usize,
     /// Offspring replaced by a fresh random sample of `CSP_initial`.
-    pub fallback_samples: u64,
-    /// Rounds that made no exploration progress.
-    pub stall_rounds: u64,
+    pub fallback_samples: usize,
+}
+
+/// Algorithm 2 Steps 1–2, the one implementation behind both
+/// [`crate::tuner::Tuner::step`] and [`CgaExplorer`]: populate the first
+/// generation from `survivors` plus fresh `RandSAT` samples of
+/// `CSP_initial`, then evolve `cfg.generations` generations on CSPs
+/// (roulette-wheel parents, key variables, [`offspring_pins`] +
+/// [`materialize_offspring`], a fresh sample in place of an unrecoverable
+/// offspring), keeping the best `2 × population` by predicted fitness.
+///
+/// Key variables come from `model` once it is fitted; before that, or
+/// always with `random_keys` (the CGA-1 ablation), they are drawn at
+/// random among the tunables. An empty returned population means Step 1
+/// produced nothing — [`GenerationStats::populate_status`] says why.
+///
+/// Records spans `cga.populate` / `cga.evolve` and the `cga.*` counters
+/// on `tracer`.
+pub fn evolve_population(
+    session: &mut SolveSession,
+    model: &CostModel,
+    survivors: &[Chromosome],
+    cfg: &CgaConfig,
+    random_keys: bool,
+    rng: &mut HeronRng,
+    tracer: &Tracer,
+) -> (Vec<Chromosome>, GenerationStats) {
+    let policy = cfg.solver_policy();
+    let scored = |solution: Solution| Chromosome {
+        fitness: model.predict(&solution),
+        solution,
+    };
+
+    // Step-1: first generation = survivors + fresh random solutions.
+    let need = cfg.population.saturating_sub(survivors.len());
+    let populate_span = tracer.span_with("cga.populate", || [("need", need.to_string())]);
+    let outcome = session.solve(rng, need, &policy, tracer);
+    let mut stats = GenerationStats {
+        populate_status: outcome.status,
+        fresh: outcome.stats,
+        offspring: SolveStats::default(),
+        repaired_offspring: 0,
+        relaxed_constraints: 0,
+        deadline_hits: usize::from(outcome.status == SolveStatus::DeadlineExceeded),
+        fallback_samples: 0,
+    };
+    tracer.counter_add("cga.fresh_sampled", outcome.solutions.len() as u64);
+    drop(populate_span);
+    let mut pop = survivors.to_vec();
+    pop.extend(outcome.solutions.into_iter().map(scored));
+    if pop.is_empty() {
+        return (pop, stats);
+    }
+
+    // Step-2: evolve on CSPs.
+    let _evolve_span = tracer.span_with("cga.evolve", || {
+        [("generations", cfg.generations.to_string())]
+    });
+    for _ in 0..cfg.generations {
+        let parents = roulette_wheel(&pop, pop.len().min(cfg.population), rng);
+        let key_vars = if model.is_fitted() && !random_keys {
+            model.key_variables(cfg.key_vars)
+        } else {
+            let tunables = session.csp().tunables();
+            let mut keys = Vec::new();
+            for _ in 0..cfg.key_vars.min(tunables.len()) {
+                if let Some(&v) = tunables.as_slice().choose(rng) {
+                    keys.push(v);
+                }
+            }
+            keys.sort_unstable();
+            keys.dedup();
+            keys
+        };
+        let mut children = Vec::with_capacity(cfg.offspring);
+        for _ in 0..cfg.offspring {
+            let &i1 = parents.as_slice().choose(rng).expect("non-empty");
+            let &i2 = parents.as_slice().choose(rng).expect("non-empty");
+            let pins = offspring_pins(&key_vars, &pop[i1].solution, &pop[i2].solution, rng);
+            tracer.counter_add("cga.offspring_attempted", 1);
+            let off = materialize_offspring(session, pins, rng, &policy, tracer);
+            stats.offspring.absorb(&off.stats);
+            stats.deadline_hits += usize::from(off.deadline_hit);
+            if off.solution.is_some() && off.relaxed > 0 {
+                stats.repaired_offspring += 1;
+                stats.relaxed_constraints += off.relaxed as usize;
+            }
+            match off.solution {
+                Some(sol) => children.push(scored(sol)),
+                None => {
+                    tracer.counter_add("cga.offspring_invalid", 1);
+                    // Graceful degradation: replace the unrecoverable
+                    // offspring with a fresh sample of CSP_initial so the
+                    // generation keeps its size.
+                    let fallback = session.solve(rng, 1, &policy, tracer);
+                    stats.fresh.absorb(&fallback.stats);
+                    if let Some(sol) = fallback.one() {
+                        stats.fallback_samples += 1;
+                        tracer.counter_add("cga.fallback_samples", 1);
+                        children.push(scored(sol));
+                    }
+                }
+            }
+        }
+        pop.extend(children);
+        // NaN predictions are sanitised to -inf at the model, so
+        // total_cmp yields a strict deterministic order.
+        pop.sort_by(|a, b| b.fitness.total_cmp(&a.fitness));
+        pop.truncate(cfg.population * 2);
+    }
+    (pop, stats)
 }
 
 /// The CGA explorer: Heron's Algorithm 2 with the cost model in the loop.
@@ -286,9 +312,6 @@ pub struct CgaExplorer {
     /// CGA-1 ablation: choose key variables at random instead of by
     /// feature importance.
     random_key_vars: bool,
-    model: Option<CostModel>,
-    stats: CgaRunStats,
-    tracer: Tracer,
 }
 
 impl CgaExplorer {
@@ -297,9 +320,6 @@ impl CgaExplorer {
         CgaExplorer {
             config,
             random_key_vars: false,
-            model: None,
-            stats: CgaRunStats::default(),
-            tracer: Tracer::disabled(),
         }
     }
 
@@ -308,42 +328,8 @@ impl CgaExplorer {
         CgaExplorer {
             config,
             random_key_vars: true,
-            model: None,
-            stats: CgaRunStats::default(),
-            tracer: Tracer::disabled(),
         }
     }
-
-    /// Attaches a tracer: repairs, relaxations and deadline hits are
-    /// recorded as `csp.*` counters during `explore`.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
-    /// Access to the trained cost model after exploration.
-    pub fn model(&self) -> Option<&CostModel> {
-        self.model.as_ref()
-    }
-
-    /// Robustness counters from the most recent `explore` run.
-    pub fn run_stats(&self) -> CgaRunStats {
-        self.stats
-    }
-}
-
-/// Random key variables among the tunables (CGA-1's policy, and CGA's
-/// fallback before the cost model is first fitted).
-fn random_keys(csp: &Csp, k: usize, rng: &mut HeronRng) -> Vec<VarRef> {
-    let tunables = csp.tunables();
-    let mut keys = Vec::new();
-    for _ in 0..k.min(tunables.len()) {
-        if let Some(&v) = tunables.as_slice().choose(rng) {
-            keys.push(v);
-        }
-    }
-    keys.sort_unstable();
-    keys.dedup();
-    keys
 }
 
 impl Explorer for CgaExplorer {
@@ -363,10 +349,7 @@ impl Explorer for CgaExplorer {
         rng: &mut HeronRng,
     ) -> Vec<f64> {
         let cfg = self.config;
-        let policy = cfg.solver_policy();
         let mut model = CostModel::new(&space.csp);
-        model.set_tracer(self.tracer.clone());
-        let mut stats = CgaRunStats::default();
         let mut curve = Vec::with_capacity(steps);
         let mut measured: std::collections::HashSet<u64> = std::collections::HashSet::new();
         let mut survivors: Vec<Chromosome> = Vec::new();
@@ -376,94 +359,27 @@ impl Explorer for CgaExplorer {
         let mut session = SolveSession::new(&space.csp);
 
         while curve.len() < steps {
-            // Step-1: first generation = survivors + fresh random solutions.
-            let need = cfg.population.saturating_sub(survivors.len());
-            let outcome = session.solve(rng, need, &policy, &self.tracer);
-            if outcome.status == SolveStatus::DeadlineExceeded {
-                stats.deadline_hits += 1;
-            }
-            if outcome.solutions.is_empty() && survivors.is_empty() {
-                if outcome.status == SolveStatus::RootInfeasible {
+            // Steps 1–2: populate and evolve on CSPs.
+            let (mut pop, stats) = evolve_population(
+                &mut session,
+                &model,
+                &survivors,
+                &cfg,
+                self.random_key_vars,
+                rng,
+                &Tracer::disabled(),
+            );
+            if pop.is_empty() {
+                if stats.populate_status == SolveStatus::RootInfeasible {
                     break; // proven infeasible space: nothing to explore
                 }
                 // Solver starved (budget/deadline) on a possibly-feasible
                 // space: retry a bounded number of rounds before giving up.
                 stalls += 1;
-                stats.stall_rounds += 1;
                 if stalls > cfg.max_stall_rounds {
                     break;
                 }
                 continue;
-            }
-            let mut pop: Vec<Chromosome> = survivors.clone();
-            pop.extend(outcome.solutions.into_iter().map(|solution| {
-                let fitness = model.predict(&solution);
-                Chromosome { solution, fitness }
-            }));
-
-            // Step-2: evolve on CSPs.
-            for _ in 0..cfg.generations {
-                let parents = roulette_wheel(&pop, pop.len().min(cfg.population), rng);
-                let key_vars = if !self.random_key_vars && model.is_fitted() {
-                    let keys = model.key_variables(cfg.key_vars);
-                    if keys.is_empty() {
-                        random_keys(&space.csp, cfg.key_vars, rng)
-                    } else {
-                        keys
-                    }
-                } else {
-                    random_keys(&space.csp, cfg.key_vars, rng)
-                };
-                let mut children = Vec::with_capacity(cfg.offspring);
-                for _ in 0..cfg.offspring {
-                    let &i1 = parents.as_slice().choose(rng).expect("non-empty");
-                    let &i2 = parents.as_slice().choose(rng).expect("non-empty");
-                    let pins = offspring_pins(&key_vars, &pop[i1].solution, &pop[i2].solution, rng);
-                    let off = materialize_offspring_session(
-                        &mut session,
-                        pins,
-                        rng,
-                        &policy,
-                        &self.tracer,
-                    );
-                    if off.relaxed > 0 && off.solution.is_some() {
-                        stats.repairs += 1;
-                        stats.relaxed_constraints += u64::from(off.relaxed);
-                    }
-                    if off.deadline_hit {
-                        stats.deadline_hits += 1;
-                    }
-                    let sol = match off.solution {
-                        Some(sol) => Some(sol),
-                        None => {
-                            // Graceful degradation: sample CSP_initial
-                            // directly instead of dropping the slot.
-                            let fb = session.solve(rng, 1, &policy, &self.tracer).one();
-                            if fb.is_some() {
-                                stats.fallback_samples += 1;
-                                self.tracer.counter_add("cga.fallback_samples", 1);
-                            }
-                            fb
-                        }
-                    };
-                    if let Some(sol) = sol {
-                        debug_assert!(
-                            heron_csp::validate(&space.csp, &sol),
-                            "CGA offspring must satisfy CSP_initial"
-                        );
-                        let fitness = model.predict(&sol);
-                        children.push(Chromosome {
-                            solution: sol,
-                            fitness,
-                        });
-                    }
-                }
-                pop.extend(children);
-                // Keep the population bounded: best by predicted fitness.
-                // NaN predictions were sanitised to -inf at the source, so
-                // total_cmp gives a strict, deterministic order.
-                pop.sort_by(|a, b| b.fitness.total_cmp(&a.fitness));
-                pop.truncate(cfg.population * 2);
             }
 
             // Step-3: ε-greedy measurement of unmeasured candidates.
@@ -475,7 +391,6 @@ impl Explorer for CgaExplorer {
                 // Space exhausted around the population; restart randomly,
                 // but only a bounded number of times.
                 stalls += 1;
-                stats.stall_rounds += 1;
                 if stalls > cfg.max_stall_rounds {
                     break;
                 }
@@ -514,8 +429,6 @@ impl Explorer for CgaExplorer {
             pop.sort_by(|a, b| b.fitness.total_cmp(&a.fitness));
             survivors = pop.into_iter().take(cfg.population / 2).collect();
         }
-        self.model = Some(model);
-        self.stats = stats;
         curve
     }
 }
@@ -523,7 +436,7 @@ impl Explorer for CgaExplorer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use heron_csp::{Domain, VarCategory};
+    use heron_csp::{Csp, Domain, VarCategory};
 
     fn toy_csp() -> Csp {
         let mut csp = Csp::new();
@@ -534,16 +447,32 @@ mod tests {
         csp
     }
 
+    fn materialize(csp: &Csp, pins: Vec<(VarRef, Vec<i64>)>, seed: u64) -> OffspringOutcome {
+        materialize_offspring(
+            &mut SolveSession::new(csp),
+            pins,
+            &mut HeronRng::from_seed(seed),
+            &SolvePolicy::fixed(500),
+            &Tracer::disabled(),
+        )
+    }
+
     #[test]
     fn offspring_satisfy_initial_constraints() {
         let csp = toy_csp();
         let mut rng = HeronRng::from_seed(0);
         let parents = heron_csp::rand_sat(&csp, &mut rng, 2).expect_sat("toy csp");
         let keys: Vec<VarRef> = csp.tunables();
+        let mut session = SolveSession::new(&csp);
+        let policy = SolvePolicy::default();
         for _ in 0..20 {
-            let child_csp = offspring_csp(&csp, &keys, &parents[0], &parents[1], &mut rng);
-            for sol in heron_csp::rand_sat(&child_csp, &mut rng, 2).solutions {
+            let pins = offspring_pins(&keys, &parents[0], &parents[1], &mut rng);
+            let out = session.solve_pinned(&pins, &mut rng, 2, &policy, &Tracer::disabled());
+            for sol in out.solutions {
                 assert!(heron_csp::validate(&csp, &sol));
+                for (v, allowed) in &pins {
+                    assert!(allowed.contains(&sol.value(*v)), "pin not honoured");
+                }
             }
         }
     }
@@ -554,98 +483,36 @@ mod tests {
         let mut rng = HeronRng::from_seed(1);
         let parents = heron_csp::rand_sat(&csp, &mut rng, 2).expect_sat("toy csp");
         let keys: Vec<VarRef> = csp.tunables();
-        let child = offspring_csp(&csp, &keys, &parents[0], &parents[1], &mut rng);
-        assert_eq!(
-            child.num_constraints(),
-            csp.num_constraints() + keys.len() - 1
-        );
+        let pins = offspring_pins(&keys, &parents[0], &parents[1], &mut rng);
+        assert_eq!(pins.len(), keys.len() - 1);
+        assert!(offspring_pins(&[], &parents[0], &parents[1], &mut rng).is_empty());
     }
 
     #[test]
     fn repair_recovers_over_constrained_offspring() {
-        // Inject IN constraints that contradict each other: x in {1} and
-        // x in {16} cannot both hold with x*y == 16 and y in {1}.
+        // x in {1} alone is satisfiable (y == 16), but y in {3} is not:
+        // 3 is outside y's domain, so the pinned space is empty until
+        // repair drops that pin.
         let csp = toy_csp();
-        let mut rng = HeronRng::from_seed(7);
-        let mut off = csp.clone();
-        off.post_in(VarRef(0), [1]);
-        off.post_in(VarRef(1), [3]); // y == 3 impossible: domain lacks 3? domain has 1,2,4,8,16 → empty IN intersection
-        let policy = SolvePolicy::fixed(500);
-        let tracer = Tracer::disabled();
-        let out = materialize_offspring(&csp, off, &mut rng, &policy, &tracer);
+        let pins = vec![(VarRef(0), vec![1]), (VarRef(1), vec![3])];
+        let out = materialize(&csp, pins, 7);
         let sol = out.solution.expect("repair must recover a solution");
         assert!(heron_csp::validate(&csp, &sol));
-        assert!(out.relaxed >= 1, "must have dropped the impossible IN");
-    }
-
-    #[test]
-    fn repair_drops_most_recent_first() {
-        // First injected IN is satisfiable (x in {2}); the second is the
-        // poison (y in {3}, not in domain). Dropping most-recent-first
-        // must keep the x constraint: solution has x == 2.
-        let csp = toy_csp();
-        let mut rng = HeronRng::from_seed(9);
-        let mut off = csp.clone();
-        off.post_in(VarRef(0), [2]);
-        off.post_in(VarRef(1), [3]);
-        let policy = SolvePolicy::fixed(500);
-        let tracer = Tracer::disabled();
-        let out = materialize_offspring(&csp, off, &mut rng, &policy, &tracer);
-        let sol = out.solution.expect("solvable after one drop");
-        assert_eq!(out.relaxed, 1);
-        assert_eq!(sol.value(VarRef(0)), 2, "older IN constraint must survive");
-    }
-
-    #[test]
-    fn session_offspring_matches_materialised_offspring() {
-        // The pin-based incremental path and the CSP-materialising path
-        // must sample identical chromosome streams from identical seeds,
-        // including under repair.
-        let csp = toy_csp();
-        let keys: Vec<VarRef> = csp.tunables();
-        let policy = SolvePolicy::fixed(500);
-        let tracer = Tracer::disabled();
-        let mut rng = HeronRng::from_seed(4);
-        let parents = heron_csp::rand_sat(&csp, &mut rng, 2).expect_sat("toy csp");
-        let mut session = SolveSession::new(&csp);
-        for seed in 0..10u64 {
-            let mut rng_a = HeronRng::from_seed(seed);
-            let mut rng_b = HeronRng::from_seed(seed);
-            let pins = offspring_pins(&keys, &parents[0], &parents[1], &mut rng_a);
-            let child = offspring_csp(&csp, &keys, &parents[0], &parents[1], &mut rng_b);
-            let a = materialize_offspring_session(&mut session, pins, &mut rng_a, &policy, &tracer);
-            let b = materialize_offspring(&csp, child, &mut rng_b, &policy, &tracer);
-            assert_eq!(a.solution, b.solution, "offspring stream diverged");
-            assert_eq!(a.relaxed, b.relaxed);
-            assert_eq!(a.deadline_hit, b.deadline_hit);
-            assert!(a.stats.incremental_hits >= 1);
-            assert!(
-                a.stats.propagations <= b.stats.propagations,
-                "incremental offspring solve must not propagate more"
-            );
-        }
+        assert!(out.relaxed >= 1, "must have dropped the impossible pin");
     }
 
     #[test]
     fn session_repair_recovers_over_constrained_pins() {
-        let csp = toy_csp();
-        let mut session = SolveSession::new(&csp);
-        let mut rng = HeronRng::from_seed(7);
         // x pinned to {2} is satisfiable; the later y pin to {3} (not in
         // the domain) is poison — repair must drop it and keep x == 2.
+        let csp = toy_csp();
         let pins = vec![(VarRef(0), vec![2]), (VarRef(1), vec![3])];
-        let policy = SolvePolicy::fixed(500);
-        let out = materialize_offspring_session(
-            &mut session,
-            pins,
-            &mut rng,
-            &policy,
-            &Tracer::disabled(),
-        );
+        let out = materialize(&csp, pins, 7);
         let sol = out.solution.expect("solvable after one drop");
         assert_eq!(out.relaxed, 1);
         assert_eq!(sol.value(VarRef(0)), 2, "older pin must survive repair");
         assert!(heron_csp::validate(&csp, &sol));
+        assert!(out.stats.incremental_hits >= 1);
     }
 
     #[test]
@@ -655,13 +522,8 @@ mod tests {
         let x = csp.add_var("x", Domain::values([1, 2]), VarCategory::Tunable);
         let n = csp.add_const("n", 7);
         csp.post_prod(n, vec![x]);
-        let mut rng = HeronRng::from_seed(3);
-        let mut off = csp.clone();
-        off.post_in(x, [1]);
-        let policy = SolvePolicy::fixed(200);
-        let tracer = Tracer::disabled();
-        let out = materialize_offspring(&csp, off, &mut rng, &policy, &tracer);
+        let out = materialize(&csp, vec![(x, vec![1])], 3);
         assert!(out.solution.is_none());
-        assert_eq!(out.relaxed, 1, "tried dropping the one injected IN");
+        assert_eq!(out.relaxed, 1, "tried dropping the one injected pin");
     }
 }

@@ -32,18 +32,17 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::time::Instant;
 
-use heron_csp::{tunable_domains, Solution, SolveSession, SolveStats, SolveStatus};
+use heron_csp::{tunable_domains, Solution, SolveSession, SolveStatus};
 use heron_dla::{FaultPlan, FaultyMeasurer, MeasureError, Measurement, Measurer};
 use heron_insight::{population_entropy_bits, RefitRecord, RoundRecord, SearchLog};
 use heron_rng::HeronRng;
-use heron_rng::IndexedRandom;
 use heron_sched::{lower, Kernel, LowerError};
 use heron_trace::{ProfileNode, Tracer};
 
 use crate::checkpoint::{CheckpointError, TuneCheckpoint};
 use crate::control::TunerControl;
-use crate::explore::cga::{materialize_offspring_session, offspring_pins, CgaConfig};
-use crate::explore::{eps_greedy_detailed, roulette_wheel, Chromosome};
+use crate::explore::cga::{evolve_population, CgaConfig, GenerationStats};
+use crate::explore::{eps_greedy_detailed, Chromosome};
 use crate::generate::GeneratedSpace;
 use crate::model::CostModel;
 
@@ -667,27 +666,6 @@ impl SessionState {
     }
 }
 
-/// Robustness-counter snapshot taken at round start so the search-health
-/// log can record per-round deltas instead of cumulative totals.
-#[derive(Debug, Clone, Copy)]
-struct RoundSnapshot {
-    repaired_offspring: usize,
-    relaxed_constraints: usize,
-    fallback_samples: usize,
-    deadline_hits: usize,
-}
-
-impl RoundSnapshot {
-    fn of(r: &TuneResult) -> Self {
-        RoundSnapshot {
-            repaired_offspring: r.repaired_offspring,
-            relaxed_constraints: r.relaxed_constraints,
-            fallback_samples: r.fallback_samples,
-            deadline_hits: r.solver_deadline_hits,
-        }
-    }
-}
-
 /// Capped exponential backoff for retry `retry` (1-based), seconds.
 fn backoff_s(cfg: &TuneConfig, retry: u32) -> f64 {
     (cfg.backoff_base_s * 2f64.powi(retry.saturating_sub(1).min(62) as i32)).min(cfg.backoff_cap_s)
@@ -839,13 +817,11 @@ impl Tuner {
     }
 
     /// Base per-round record: round index, trials, best-so-far, and the
-    /// round's deltas of the robustness counters plus its visible solver
-    /// work (population sampling + fallback sampling).
+    /// round's robustness counters plus its visible solver work
+    /// (population sampling + fallback sampling).
     fn insight_round_record(
         &self,
-        snap: &RoundSnapshot,
-        solver: &SolveStats,
-        offspring: &SolveStats,
+        evolved: &GenerationStats,
         population: usize,
     ) -> Option<RoundRecord> {
         let log = self.state.insight.as_ref()?;
@@ -854,34 +830,19 @@ impl Tuner {
         rec.trials_done = r.curve.len() as u32;
         rec.best_gflops = r.best_gflops;
         rec.population = population as u32;
-        rec.repaired_offspring = (r.repaired_offspring - snap.repaired_offspring) as u32;
-        rec.relaxed_constraints = (r.relaxed_constraints - snap.relaxed_constraints) as u32;
-        rec.fallback_samples = (r.fallback_samples - snap.fallback_samples) as u32;
-        rec.deadline_hits = (r.solver_deadline_hits - snap.deadline_hits) as u32;
-        rec.solver_attempts = solver.attempts;
-        rec.solver_propagations = solver.propagations;
-        rec.solver_wipeouts = solver.wipeouts;
-        rec.solver_max_trail = solver.max_trail_depth.max(offspring.max_trail_depth);
-        rec.solver_incremental = offspring.incremental_hits;
+        rec.repaired_offspring = evolved.repaired_offspring as u32;
+        rec.relaxed_constraints = evolved.relaxed_constraints as u32;
+        rec.fallback_samples = evolved.fallback_samples as u32;
+        rec.deadline_hits = evolved.deadline_hits as u32;
+        rec.solver_attempts = evolved.fresh.attempts;
+        rec.solver_propagations = evolved.fresh.propagations;
+        rec.solver_wipeouts = evolved.fresh.wipeouts;
+        rec.solver_max_trail = evolved
+            .fresh
+            .max_trail_depth
+            .max(evolved.offspring.max_trail_depth);
+        rec.solver_incremental = evolved.offspring.incremental_hits;
         Some(rec)
-    }
-
-    /// Records a round in which no measurable candidate was produced
-    /// (solver starvation or space exhaustion).
-    fn record_stalled_round(
-        &mut self,
-        snap: &RoundSnapshot,
-        solver: &SolveStats,
-        offspring: &SolveStats,
-        population: usize,
-    ) {
-        let Some(mut rec) = self.insight_round_record(snap, solver, offspring, population) else {
-            return;
-        };
-        rec.stalled = true;
-        if let Some(log) = &mut self.state.insight {
-            log.push_round(rec);
-        }
     }
 
     /// The tuned space.
@@ -975,38 +936,31 @@ impl Tuner {
         let _step_span = tracer.span_with("tuner.step", || [("iter", iter_no.to_string())]);
         tracer.counter_add("tuner.steps", 1);
         let insight_on = self.state.insight.is_some();
-        let snap = RoundSnapshot::of(&self.state.result);
-        let mut round_solver = SolveStats::default();
-        // Solver work spent materialising offspring (incremental pinned
-        // re-solves); kept apart from `round_solver` so the populate /
-        // fallback columns of the round record keep their historical
-        // meaning.
-        let mut round_offspring = SolveStats::default();
 
-        // ---- Step 1: first generation --------------------------------
+        // ---- Steps 1–2: first generation, then evolve on CSPs ---------
         let t = Instant::now();
-        let policy = cfg.cga.solver_policy();
-        let need = cfg
-            .cga
-            .population
-            .saturating_sub(self.state.survivors.len());
-        let populate_span = tracer.span_with("cga.populate", || [("need", need.to_string())]);
-        let outcome = self.solver.solve(&mut self.rng, need, &policy, &tracer);
-        let populate_status = outcome.status;
-        round_solver.absorb(&outcome.stats);
-        if populate_status == SolveStatus::DeadlineExceeded {
-            self.state.result.solver_deadline_hits += 1;
-        }
-        tracer.counter_add("cga.fresh_sampled", outcome.solutions.len() as u64);
-        drop(populate_span);
-        let mut pop: Vec<Chromosome> = self.state.survivors.clone();
-        pop.extend(outcome.solutions.into_iter().map(|solution| Chromosome {
-            fitness: self.state.model.predict(&solution),
-            solution,
-        }));
+        let (mut pop, evolved) = evolve_population(
+            &mut self.solver,
+            &self.state.model,
+            &self.state.survivors,
+            &cfg.cga,
+            false,
+            &mut self.rng,
+            &tracer,
+        );
+        let r = &mut self.state.result;
+        r.solver_deadline_hits += evolved.deadline_hits;
+        r.repaired_offspring += evolved.repaired_offspring;
+        r.relaxed_constraints += evolved.relaxed_constraints;
+        r.fallback_samples += evolved.fallback_samples;
         if pop.is_empty() {
-            self.record_stalled_round(&snap, &round_solver, &round_offspring, 0);
-            if populate_status == SolveStatus::RootInfeasible {
+            if let Some(mut rec) = self.insight_round_record(&evolved, 0) {
+                rec.stalled = true;
+                if let Some(log) = &mut self.state.insight {
+                    log.push_round(rec);
+                }
+            }
+            if evolved.populate_status == SolveStatus::RootInfeasible {
                 // A propagation wipeout at the root is an UNSAT *proof*:
                 // the space admits no solution at all.
                 self.finish(Termination::Infeasible);
@@ -1024,83 +978,6 @@ impl Tuner {
             }
             return true;
         }
-
-        // ---- Step 2: evolve on CSPs -----------------------------------
-        let evolve_span = tracer.span_with("cga.evolve", || {
-            [("generations", cfg.cga.generations.to_string())]
-        });
-        for _ in 0..cfg.cga.generations {
-            let parents = roulette_wheel(&pop, pop.len().min(cfg.cga.population), &mut self.rng);
-            let key_vars = if self.state.model.is_fitted() {
-                self.state.model.key_variables(cfg.cga.key_vars)
-            } else {
-                let tunables = self.space.csp.tunables();
-                let mut keys = Vec::new();
-                for _ in 0..cfg.cga.key_vars.min(tunables.len()) {
-                    if let Some(&v) = tunables.as_slice().choose(&mut self.rng) {
-                        keys.push(v);
-                    }
-                }
-                keys.sort_unstable();
-                keys.dedup();
-                keys
-            };
-            let mut children = Vec::with_capacity(cfg.cga.offspring);
-            for _ in 0..cfg.cga.offspring {
-                let &i1 = parents.as_slice().choose(&mut self.rng).expect("non-empty");
-                let &i2 = parents.as_slice().choose(&mut self.rng).expect("non-empty");
-                let pins = offspring_pins(
-                    &key_vars,
-                    &pop[i1].solution,
-                    &pop[i2].solution,
-                    &mut self.rng,
-                );
-                tracer.counter_add("cga.offspring_attempted", 1);
-                let off = materialize_offspring_session(
-                    &mut self.solver,
-                    pins,
-                    &mut self.rng,
-                    &policy,
-                    &tracer,
-                );
-                round_offspring.absorb(&off.stats);
-                if off.deadline_hit {
-                    self.state.result.solver_deadline_hits += 1;
-                }
-                if off.solution.is_some() && off.relaxed > 0 {
-                    self.state.result.repaired_offspring += 1;
-                    self.state.result.relaxed_constraints += off.relaxed as usize;
-                }
-                match off.solution {
-                    Some(sol) => children.push(Chromosome {
-                        fitness: self.state.model.predict(&sol),
-                        solution: sol,
-                    }),
-                    None => {
-                        tracer.counter_add("cga.offspring_invalid", 1);
-                        // Graceful degradation: replace the unrecoverable
-                        // offspring with a fresh sample of CSP_initial so
-                        // the generation keeps its size.
-                        let fallback = self.solver.solve(&mut self.rng, 1, &policy, &tracer);
-                        round_solver.absorb(&fallback.stats);
-                        if let Some(sol) = fallback.one() {
-                            self.state.result.fallback_samples += 1;
-                            tracer.counter_add("cga.fallback_samples", 1);
-                            children.push(Chromosome {
-                                fitness: self.state.model.predict(&sol),
-                                solution: sol,
-                            });
-                        }
-                    }
-                }
-            }
-            pop.extend(children);
-            // NaN predictions are sanitised to -inf at the model, so
-            // total_cmp yields a strict deterministic order.
-            pop.sort_by(|a, b| b.fitness.total_cmp(&a.fitness));
-            pop.truncate(cfg.cga.population * 2);
-        }
-        drop(evolve_span);
         self.state.result.timing.cga_s += t.elapsed().as_secs_f64();
         tracer.gauge_set("tuner.cga_s", self.state.result.timing.cga_s);
 
@@ -1137,9 +1014,7 @@ impl Tuner {
             let population = pop.len();
             drop(unmeasured);
             drop(pop);
-            if let Some(mut rec) =
-                self.insight_round_record(&snap, &round_solver, &round_offspring, population)
-            {
+            if let Some(mut rec) = self.insight_round_record(&evolved, population) {
                 rec.stalled = true;
                 rec.entropy_bits = entropy_bits;
                 rec.distinct_solutions = distinct as u32;
@@ -1210,9 +1085,7 @@ impl Tuner {
         });
 
         // ---- Search-health log record for this round ------------------
-        if let Some(mut rec) =
-            self.insight_round_record(&snap, &round_solver, &round_offspring, population)
-        {
+        if let Some(mut rec) = self.insight_round_record(&evolved, population) {
             rec.batch_size = batch_scores.len() as u32;
             rec.batch_best_gflops = batch_scores.iter().copied().fold(0.0_f64, f64::max);
             rec.batch_mean_gflops =

@@ -223,13 +223,6 @@ impl Csp {
         decl.domain = Domain::values(merged);
     }
 
-    /// Removes the last `n` posted constraints — used by constraint-based
-    /// mutation, which drops one crossover constraint.
-    pub fn pop_constraints(&mut self, n: usize) {
-        let keep = self.constraints.len().saturating_sub(n);
-        self.constraints.truncate(keep);
-    }
-
     /// A copy of this problem with the same variables but only the
     /// constraints whose indices appear in `keep` (in `keep` order).
     /// Used by the conflict diagnoser to test feasibility of constraint
@@ -352,16 +345,6 @@ mod tests {
         let mut csp = Csp::new();
         let x = csp.add_var("x", Domain::boolean(), VarCategory::Other);
         csp.post(Constraint::Eq(x, VarRef(99)));
-    }
-
-    #[test]
-    fn pop_constraints_trims_tail() {
-        let mut csp = Csp::new();
-        let x = csp.add_var("x", Domain::range(0, 9), VarCategory::Tunable);
-        csp.post_in(x, [1, 2]);
-        csp.post_in(x, [2, 3]);
-        csp.pop_constraints(1);
-        assert_eq!(csp.num_constraints(), 1);
     }
 
     #[test]

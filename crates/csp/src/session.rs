@@ -1,5 +1,5 @@
-//! A reusable solver session: one [`Propagator`] + cached root fixpoint
-//! shared across many solves.
+//! A reusable solver session: one [`crate::propagate::Propagator`] +
+//! cached root fixpoint shared across many solves.
 //!
 //! The CGA explorer solves thousands of closely-related CSPs per tune:
 //! the initial space for population seeding, and per-offspring variants
@@ -18,11 +18,15 @@
 //!   `fixpoint(initial + IN pins)`, so the sampled solution stream is
 //!   identical to materialising the offspring CSP — at a fraction of the
 //!   propagation work. Each such call counts one *incremental hit*
-//!   ([`SolveStats::incremental_hits`]).
+//!   ([`crate::SolveStats::incremental_hits`]).
+//!
+//! Both are the one sampling driver of [`crate::solver`] on the session's
+//! root; the one-shot [`crate::solver::rand_sat_traced`] is the same
+//! driver on a root built for that call.
 //!
 //! **Determinism note:** the root fixpoint's propagations are one-time
 //! session setup and are *never* folded into any reported
-//! [`SolveStats`]. A tuner killed and resumed mid-run rebuilds its
+//! [`crate::SolveStats`]. A tuner killed and resumed mid-run rebuilds its
 //! session; if the root cost were charged to the first solve after
 //! construction, a resumed run's round records would differ from an
 //! uninterrupted run's. Excluding it keeps checkpoint/resume runs
@@ -32,21 +36,13 @@ use heron_rng::Rng;
 use heron_trace::Tracer;
 
 use crate::problem::{Csp, VarRef};
-use crate::propagate::Propagator;
-use crate::solver::{
-    classify, record, sample_into, Brancher, Deadline, SampleCtx, SolveOutcome, SolvePolicy,
-    SolveStats,
-};
-use crate::store::DomainStore;
+use crate::solver::{Root, SolveOutcome, SolvePolicy};
 
 /// Long-lived solver state for one CSP (see the module docs).
 #[derive(Debug)]
 pub struct SolveSession {
     csp: Csp,
-    prop: Propagator,
-    brancher: Brancher,
-    /// The committed root fixpoint; `None` iff the root is infeasible.
-    root: Option<DomainStore>,
+    root: Root,
     incremental_hits: u64,
     max_trail: u64,
 }
@@ -55,27 +51,9 @@ impl SolveSession {
     /// Builds the session: propagator adjacency, tunable mask, and the
     /// root fixpoint, computed exactly once.
     pub fn new(csp: &Csp) -> Self {
-        let csp = csp.clone();
-        let prop = Propagator::new(&csp);
-        let mut store = prop.store();
-        let root = if prop.run_all(&mut store).is_ok() {
-            store.commit();
-            // Retire constraints already entailed at the root for the
-            // session's whole lifetime (read-only, fixpoint-preserving).
-            prop.sweep_entailed(&mut store);
-            store.take_max_trail();
-            Some(store)
-        } else {
-            None
-        };
-        // Root-setup propagations are not attributable to any one solve
-        // (see the module's determinism note).
-        prop.reset_stats();
         SolveSession {
-            brancher: Brancher::new(&csp),
-            csp,
-            prop,
-            root,
+            root: Root::new(csp),
+            csp: csp.clone(),
             incremental_hits: 0,
             max_trail: 0,
         }
@@ -88,7 +66,7 @@ impl SolveSession {
 
     /// Whether the root fixpoint is feasible.
     pub fn root_feasible(&self) -> bool {
-        self.root.is_some()
+        self.root.is_feasible()
     }
 
     /// Total incremental (pinned) re-solves served so far.
@@ -111,49 +89,7 @@ impl SolveSession {
         policy: &SolvePolicy,
         tracer: &Tracer,
     ) -> SolveOutcome {
-        let span = tracer.span_with("csp.solve", || {
-            [
-                ("n", n.to_string()),
-                ("budget", policy.budget.to_string()),
-                ("vars", self.csp.num_vars().to_string()),
-            ]
-        });
-        let mut stats = SolveStats::default();
-        let mut deadline = Deadline::new(policy.deadline_steps);
-        let mut out = Vec::with_capacity(n);
-        let root_ok = self.root.is_some();
-        if let Some(store) = self.root.as_mut() {
-            let p0 = self.prop.propagations();
-            let w0 = self.prop.wipeouts();
-            let ctx = SampleCtx {
-                csp: &self.csp,
-                prop: &self.prop,
-            };
-            sample_into(
-                &ctx,
-                &mut self.brancher,
-                store,
-                rng,
-                n,
-                policy,
-                &mut deadline,
-                &mut stats,
-                &mut out,
-            );
-            stats.propagations = self.prop.propagations() - p0;
-            stats.wipeouts = self.prop.wipeouts() - w0;
-            stats.max_trail_depth = store.take_max_trail();
-        }
-        stats.solutions = out.len() as u64;
-        self.max_trail = self.max_trail.max(stats.max_trail_depth);
-        let status = classify(root_ok, &deadline, &out, n);
-        record(tracer, &stats, status);
-        drop(span);
-        SolveOutcome {
-            status,
-            solutions: out,
-            stats,
-        }
+        self.sample(None, rng, n, policy, tracer)
     }
 
     /// Incremental re-solve: samples the base space further constrained
@@ -163,8 +99,8 @@ impl SolveSession {
     ///
     /// `values` slices must be sorted and deduplicated (as produced by
     /// `Csp::post_in`). An infeasible pin set classifies as
-    /// [`SolveStatus::RootInfeasible`], exactly like materialising the
-    /// offspring CSP would.
+    /// [`crate::SolveStatus::RootInfeasible`], exactly like materialising
+    /// the offspring CSP would.
     pub fn solve_pinned<R: Rng>(
         &mut self,
         pins: &[(VarRef, Vec<i64>)],
@@ -173,83 +109,24 @@ impl SolveSession {
         policy: &SolvePolicy,
         tracer: &Tracer,
     ) -> SolveOutcome {
-        let span = tracer.span_with("csp.solve", || {
-            [
-                ("n", n.to_string()),
-                ("budget", policy.budget.to_string()),
-                ("vars", self.csp.num_vars().to_string()),
-            ]
-        });
-        let mut stats = SolveStats::default();
-        let mut deadline = Deadline::new(policy.deadline_steps);
-        let mut out = Vec::with_capacity(n);
-        let p0 = self.prop.propagations();
-        let w0 = self.prop.wipeouts();
-        let mut root_ok = false;
-        if let Some(store) = self.root.as_mut() {
-            // The pins and their fixpoint are one backtrack scope on the
-            // cached root, undone when the call ends: nothing is copied.
-            let scope = store.mark();
-            let mut changed: Vec<VarRef> = Vec::with_capacity(pins.len());
-            let mut wiped = false;
-            for (v, values) in pins {
-                match store.restrict_to(v.0, values) {
-                    Ok(true) => changed.push(*v),
-                    Ok(false) => {}
-                    Err(()) => {
-                        stats.wipeouts += 1;
-                        wiped = true;
-                        break;
-                    }
-                }
-            }
-            if !wiped && self.prop.run_from_vars(store, &changed).is_ok() {
-                root_ok = true;
-                // Pins typically fix variables: retire the newly
-                // entailed constraints for this pinned solve.
-                self.prop.sweep_entailed(store);
-                // The reported depth is that of the dives, above the
-                // pinned fixpoint's own trail entries.
-                store.take_max_trail();
-                let pinned_depth = store.trail_depth();
-                stats.incremental_hits = 1;
-                self.incremental_hits += 1;
-                let ctx = SampleCtx {
-                    csp: &self.csp,
-                    prop: &self.prop,
-                };
-                sample_into(
-                    &ctx,
-                    &mut self.brancher,
-                    store,
-                    rng,
-                    n,
-                    policy,
-                    &mut deadline,
-                    &mut stats,
-                    &mut out,
-                );
-                stats.max_trail_depth = store.take_max_trail() - pinned_depth;
-            }
-            store.undo_to(scope);
-            // The next solve's depth starts from the root's empty trail.
-            store.take_max_trail();
-        }
-        stats.propagations = self.prop.propagations() - p0;
-        stats.wipeouts += self.prop.wipeouts() - w0;
-        stats.solutions = out.len() as u64;
-        self.max_trail = self.max_trail.max(stats.max_trail_depth);
-        let status = classify(root_ok, &deadline, &out, n);
-        record(tracer, &stats, status);
-        if stats.incremental_hits > 0 {
-            tracer.counter_add("csp.incremental_hits", stats.incremental_hits);
-        }
-        drop(span);
-        SolveOutcome {
-            status,
-            solutions: out,
-            stats,
-        }
+        self.sample(Some(pins), rng, n, policy, tracer)
+    }
+
+    fn sample<R: Rng>(
+        &mut self,
+        pins: Option<&[(VarRef, Vec<i64>)]>,
+        rng: &mut R,
+        n: usize,
+        policy: &SolvePolicy,
+        tracer: &Tracer,
+    ) -> SolveOutcome {
+        // Root set-up and earlier calls are not this call's work (see the
+        // module's determinism note).
+        self.root.prop.reset_stats();
+        let outcome = self.root.sample(&self.csp, pins, rng, n, policy, tracer);
+        self.incremental_hits += outcome.stats.incremental_hits;
+        self.max_trail = self.max_trail.max(outcome.stats.max_trail_depth);
+        outcome
     }
 }
 
@@ -258,7 +135,7 @@ mod tests {
     use super::*;
     use crate::domain::Domain;
     use crate::problem::VarCategory;
-    use crate::solver::{rand_sat_traced, SolveStatus};
+    use crate::solver::{rand_sat_traced, SolveStats, SolveStatus};
     use heron_rng::HeronRng;
 
     fn tiling_csp() -> (Csp, [VarRef; 3]) {
@@ -341,6 +218,39 @@ mod tests {
         // The cached root is untouched: the base space still solves.
         let ok = session.solve(&mut rng, 4, &SolvePolicy::fixed(2_000), &Tracer::disabled());
         assert_eq!(ok.status, SolveStatus::Sat);
+    }
+
+    #[test]
+    fn zero_sample_requests_report_no_sampling_work() {
+        // Nothing asked for, nothing attempted: in particular the
+        // escalation schedule must not run on the empty result.
+        let (csp, [i0, _, _]) = tiling_csp();
+        let policy = SolvePolicy::default();
+        let tracer = Tracer::manual();
+        let mut rng = HeronRng::from_seed(5);
+        let mut session = SolveSession::new(&csp);
+        let base = session.solve(&mut rng, 0, &policy, &tracer);
+        let pinned = session.solve_pinned(&[(i0, vec![2, 8])], &mut rng, 0, &policy, &tracer);
+        let one_shot = rand_sat_traced(&csp, &mut rng, 0, &policy, &tracer);
+        for out in [&base, &pinned, &one_shot] {
+            assert_eq!(out.status, SolveStatus::Sat);
+            assert!(out.solutions.is_empty());
+            // What is left is fixpoint work: none on the cached root, the
+            // pins' for the pinned call, the root's for the one-shot.
+            let fixpoint_only = SolveStats {
+                propagations: out.stats.propagations,
+                wipeouts: out.stats.wipeouts,
+                incremental_hits: out.stats.incremental_hits,
+                ..SolveStats::default()
+            };
+            assert_eq!(out.stats, fixpoint_only);
+        }
+        assert_eq!(base.stats, SolveStats::default());
+        assert_eq!(pinned.stats.incremental_hits, 1);
+        let root_cost = Root::new(&csp).prop.propagations();
+        assert_eq!(one_shot.stats.propagations, root_cost);
+        assert_eq!(tracer.counter("csp.escalations"), Some(0));
+        assert_eq!(tracer.counter("csp.attempts"), Some(0));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! trail — O(changes) per node instead of the historical full
 //! `Vec<Domain>` clone per candidate trial. The branch order's inputs
 //! (tunable set and mask, the constant non-tunable suffix) and the dive's
-//! buffers (branch order, candidate values) live in one [`Brancher`] per
+//! buffers (branch order, candidate values) live in one `Brancher` per
 //! CSP, so a dive allocates nothing until it has a solution to return.
 //!
 //! Solver failure is a first-class outcome, not a silent empty `Vec`:
@@ -220,14 +220,14 @@ impl SolveOutcome {
 }
 
 /// Deterministic step deadline threaded through the dives.
-pub(crate) struct Deadline {
+struct Deadline {
     remaining: u64,
     enabled: bool,
-    pub(crate) hit: bool,
+    hit: bool,
 }
 
 impl Deadline {
-    pub(crate) fn new(steps: u64) -> Self {
+    fn new(steps: u64) -> Self {
         Deadline {
             remaining: steps,
             enabled: steps > 0,
@@ -286,11 +286,15 @@ pub fn rand_sat_policy<R: Rng>(
     rand_sat_traced(csp, rng, n, policy, &Tracer::disabled())
 }
 
-/// The canonical sampling entry point: applies the full [`SolvePolicy`]
-/// (budget, escalation, deadline), reports exact solver counters and
-/// records them on `tracer` (span `csp.solve`, counters `csp.*`). The
-/// tracer never touches `rng`, so traced and untraced runs draw identical
-/// samples.
+/// The canonical one-shot sampling entry point: applies the full
+/// [`SolvePolicy`] (budget, escalation, deadline), reports exact solver
+/// counters and records them on `tracer` (span `csp.solve`, counters
+/// `csp.*`). The tracer never touches `rng`, so traced and untraced runs
+/// draw identical samples.
+///
+/// This is the one sampling driver (`Root::sample`) over a root built for
+/// the call, so — unlike a `SolveSession` solve — the root fixpoint's
+/// propagations and wipeouts are part of the reported counters.
 pub fn rand_sat_traced<R: Rng>(
     csp: &Csp,
     rng: &mut R,
@@ -298,58 +302,150 @@ pub fn rand_sat_traced<R: Rng>(
     policy: &SolvePolicy,
     tracer: &Tracer,
 ) -> SolveOutcome {
-    let span = tracer.span_with("csp.solve", || {
-        [
-            ("n", n.to_string()),
-            ("budget", policy.budget.to_string()),
-            ("vars", csp.num_vars().to_string()),
-        ]
-    });
-    let mut stats = SolveStats::default();
-    let prop = Propagator::new(csp);
-    let mut store = prop.store();
-    let root_ok = prop.run_all(&mut store).is_ok();
-    let mut out = Vec::with_capacity(n);
-    let mut deadline = Deadline::new(policy.deadline_steps);
-    if root_ok && n > 0 {
-        store.commit();
-        // Permanently retire constraints already entailed at the root —
-        // a free (uncounted, fixpoint-preserving) bounds sweep.
-        prop.sweep_entailed(&mut store);
-        let ctx = SampleCtx { csp, prop: &prop };
-        sample_into(
-            &ctx,
-            &mut Brancher::new(csp),
-            &mut store,
-            rng,
-            n,
-            policy,
-            &mut deadline,
-            &mut stats,
-            &mut out,
-        );
+    Root::new(csp).sample(csp, None, rng, n, policy, tracer)
+}
+
+/// One CSP's propagator, branch-order state and committed root fixpoint:
+/// what every sampling call runs on. [`rand_sat_traced`] builds one per
+/// call, a `SolveSession` keeps one for its lifetime.
+#[derive(Debug)]
+pub(crate) struct Root {
+    pub(crate) prop: Propagator,
+    brancher: Brancher,
+    /// The committed root fixpoint; `None` iff the root is infeasible.
+    store: Option<DomainStore>,
+}
+
+impl Root {
+    /// Builds the propagator adjacency, the tunable mask and the root
+    /// fixpoint, retiring the constraints already entailed there (a free,
+    /// fixpoint-preserving bounds sweep).
+    pub(crate) fn new(csp: &Csp) -> Self {
+        let prop = Propagator::new(csp);
+        let mut store = prop.store();
+        let store = prop.run_all(&mut store).is_ok().then(|| {
+            store.commit();
+            prop.sweep_entailed(&mut store);
+            store
+        });
+        Root {
+            prop,
+            brancher: Brancher::new(csp),
+            store,
+        }
     }
-    stats.propagations = prop.propagations();
-    stats.wipeouts = prop.wipeouts();
-    stats.solutions = out.len() as u64;
-    stats.max_trail_depth = store.take_max_trail();
-    let status = classify(root_ok, &deadline, &out, n);
-    record(tracer, &stats, status);
-    drop(span);
-    SolveOutcome {
-        status,
-        solutions: out,
-        stats,
+
+    pub(crate) fn is_feasible(&self) -> bool {
+        self.store.is_some()
+    }
+
+    /// The one sampling driver: draws up to `n` distinct solutions of
+    /// `csp` (the problem this root was built from), further constrained
+    /// by `pins` when given.
+    ///
+    /// Pins (`var ∈ values`, sorted and deduplicated) and their fixpoint
+    /// are one backtrack scope on the root store, undone when the call
+    /// ends: nothing is copied. A feasible pinned call counts one
+    /// [`SolveStats::incremental_hits`]; an infeasible pin set classifies
+    /// as [`SolveStatus::RootInfeasible`]. The reported propagations and
+    /// wipeouts are everything the propagator counted since its last
+    /// `reset_stats`.
+    pub(crate) fn sample<R: Rng>(
+        &mut self,
+        csp: &Csp,
+        pins: Option<&[(VarRef, Vec<i64>)]>,
+        rng: &mut R,
+        n: usize,
+        policy: &SolvePolicy,
+        tracer: &Tracer,
+    ) -> SolveOutcome {
+        let span = tracer.span_with("csp.solve", || {
+            [
+                ("n", n.to_string()),
+                ("budget", policy.budget.to_string()),
+                ("vars", csp.num_vars().to_string()),
+            ]
+        });
+        let mut stats = SolveStats::default();
+        let mut deadline = Deadline::new(policy.deadline_steps);
+        let mut out = Vec::with_capacity(n);
+        let mut root_ok = false;
+        if let Some(store) = self.store.as_mut() {
+            let scope = store.mark();
+            root_ok = pins.is_none_or(|pins| apply_pins(&self.prop, store, pins, &mut stats));
+            stats.incremental_hits = u64::from(root_ok && pins.is_some());
+            if root_ok && n > 0 {
+                // The reported depth is that of the dives, above the
+                // pinned fixpoint's own trail entries.
+                store.take_max_trail();
+                let pinned_depth = store.trail_depth();
+                let ctx = SampleCtx {
+                    csp,
+                    prop: &self.prop,
+                };
+                sample_into(
+                    &ctx,
+                    &mut self.brancher,
+                    store,
+                    rng,
+                    n,
+                    policy,
+                    &mut deadline,
+                    &mut stats,
+                    &mut out,
+                );
+                stats.max_trail_depth = store.take_max_trail() - pinned_depth;
+            }
+            store.undo_to(scope);
+            // The next call's depth starts from the root's empty trail.
+            store.take_max_trail();
+        }
+        stats.propagations = self.prop.propagations();
+        stats.wipeouts += self.prop.wipeouts();
+        stats.solutions = out.len() as u64;
+        let status = classify(root_ok, &deadline, &out, n);
+        record(tracer, &stats, status);
+        drop(span);
+        SolveOutcome {
+            status,
+            solutions: out,
+            stats,
+        }
     }
 }
 
+/// Restricts `store` to `pins` and propagates from the variables they
+/// changed; `false` iff the pinned space is proven empty. Pins typically
+/// fix variables, so the newly entailed constraints are retired for the
+/// scope.
+fn apply_pins(
+    prop: &Propagator,
+    store: &mut DomainStore,
+    pins: &[(VarRef, Vec<i64>)],
+    stats: &mut SolveStats,
+) -> bool {
+    let mut changed: Vec<VarRef> = Vec::with_capacity(pins.len());
+    for (v, values) in pins {
+        match store.restrict_to(v.0, values) {
+            Ok(true) => changed.push(*v),
+            Ok(false) => {}
+            Err(()) => {
+                // A pin outside the variable's domain wipes it out before
+                // any filtering pass could count it.
+                stats.wipeouts += 1;
+                return false;
+            }
+        }
+    }
+    let feasible = prop.run_from_vars(store, &changed).is_ok();
+    if feasible {
+        prop.sweep_entailed(store);
+    }
+    feasible
+}
+
 /// Maps the terminal solver state to a [`SolveStatus`].
-pub(crate) fn classify(
-    root_ok: bool,
-    deadline: &Deadline,
-    out: &[Solution],
-    n: usize,
-) -> SolveStatus {
+fn classify(root_ok: bool, deadline: &Deadline, out: &[Solution], n: usize) -> SolveStatus {
     if !root_ok {
         SolveStatus::RootInfeasible
     } else if deadline.hit {
@@ -361,8 +457,8 @@ pub(crate) fn classify(
     }
 }
 
-/// Emits the per-call counters shared by every sampling entry point.
-pub(crate) fn record(tracer: &Tracer, stats: &SolveStats, status: SolveStatus) {
+/// Emits the per-call counters.
+fn record(tracer: &Tracer, stats: &SolveStats, status: SolveStatus) {
     tracer.counter_add("csp.attempts", stats.attempts);
     tracer.counter_add("csp.propagations", stats.propagations);
     tracer.counter_add("csp.restarts", stats.restarts);
@@ -375,19 +471,22 @@ pub(crate) fn record(tracer: &Tracer, stats: &SolveStats, status: SolveStatus) {
     if status == SolveStatus::RootInfeasible {
         tracer.counter_add("csp.root_infeasible", 1);
     }
+    if stats.incremental_hits > 0 {
+        tracer.counter_add("csp.incremental_hits", stats.incremental_hits);
+    }
 }
 
 /// What a dive reads besides the store and the [`Brancher`]: the problem
 /// (for leaf validation) and the shared propagator.
-pub(crate) struct SampleCtx<'a> {
-    pub csp: &'a Csp,
-    pub prop: &'a Propagator,
+struct SampleCtx<'a> {
+    csp: &'a Csp,
+    prop: &'a Propagator,
 }
 
 /// The branch-order inputs of one CSP and the buffers its dives reuse,
 /// built once per solve (once per session).
 #[derive(Debug)]
-pub(crate) struct Brancher {
+struct Brancher {
     tunables: Vec<VarRef>,
     tmask: Vec<bool>,
     /// Branch order of the dive in progress: the tunables, reshuffled by
@@ -398,7 +497,7 @@ pub(crate) struct Brancher {
 }
 
 impl Brancher {
-    pub(crate) fn new(csp: &Csp) -> Self {
+    fn new(csp: &Csp) -> Self {
         let tunables = csp.tunables();
         let mut tmask = vec![false; csp.num_vars()];
         for t in &tunables {
@@ -415,11 +514,11 @@ impl Brancher {
     }
 }
 
-/// The sampling loop shared by [`rand_sat_traced`] and `SolveSession`:
-/// draws up to `n` distinct solutions on `store` (which must hold a
-/// committed root fixpoint), applying the attempt/escalation schedule.
+/// The sampling loop of [`Root::sample`]: draws up to `n > 0` distinct
+/// solutions on `store` (which must hold a fixpoint), applying the
+/// attempt/escalation schedule.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn sample_into<R: Rng>(
+fn sample_into<R: Rng>(
     ctx: &SampleCtx<'_>,
     brancher: &mut Brancher,
     store: &mut DomainStore,

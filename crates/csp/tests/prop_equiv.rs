@@ -10,10 +10,11 @@
 //! difference — dormancy and self-wake suppression must only ever make
 //! the new engine cheaper.
 
-use heron_csp::{rand_sat_policy, Csp, SolvePolicy};
+use heron_csp::{rand_sat_policy, Csp, SolvePolicy, SolveSession, SolveStats};
 use heron_rng::HeronRng;
 use heron_testkit::csp_reference::rand_sat_reference;
 use heron_testkit::{csp_corpus, property_cases};
+use heron_trace::Tracer;
 
 /// Runs both engines on the same seed and asserts identical outcomes.
 fn assert_engines_agree(csp: &Csp, seed: u64, n: usize, policy: &SolvePolicy, label: &str) {
@@ -101,4 +102,50 @@ fn trail_engine_matches_reference_on_knife_edge_corpus() {
             assert_engines_agree(&csp, seed, 4, &deadlined, "knife-edge-deadline");
         },
     );
+}
+
+/// The session's two entry points share one driver: a pinned solve with
+/// no pins is the plain solve — same status, same solutions, same
+/// counters — except that it counts as an incremental hit on a feasible
+/// root.
+#[test]
+fn session_solve_equals_pinned_solve_without_pins() {
+    property_cases("session_solve_equals_pinned_solve_without_pins", 64, |g| {
+        let n_vars = g.index(2, 7);
+        let csp = match g.index(0, 4) {
+            0 => csp_corpus::base_csp(g, n_vars),
+            1 => csp_corpus::unsat_csp(g),
+            2 => csp_corpus::single_solution_csp(g).0,
+            _ => csp_corpus::knife_edge_csp(g),
+        };
+        let seed = g.int(0, 1_000_000) as u64;
+        let n = g.index(0, 9);
+        let policy = if g.index(0, 2) == 0 {
+            SolvePolicy::default()
+        } else {
+            SolvePolicy::fixed(g.index(0, 64) as u32).with_deadline(g.index(0, 200) as u64)
+        };
+        let tracer = Tracer::disabled();
+        let mut session = SolveSession::new(&csp);
+        // Two rounds on one session: the second starts from whatever the
+        // first left behind on the cached root.
+        for round in 0..2 {
+            let mut rng_a = HeronRng::from_seed(seed + round);
+            let mut rng_b = HeronRng::from_seed(seed + round);
+            let plain = session.solve(&mut rng_a, n, &policy, &tracer);
+            let pinned = session.solve_pinned(&[], &mut rng_b, n, &policy, &tracer);
+            assert_eq!(plain.status, pinned.status, "status (seed {seed})");
+            assert_eq!(plain.solutions, pinned.solutions, "solutions (seed {seed})");
+            assert_eq!(plain.stats.incremental_hits, 0);
+            assert_eq!(
+                pinned.stats.incremental_hits,
+                u64::from(session.root_feasible())
+            );
+            let without_hits = SolveStats {
+                incremental_hits: 0,
+                ..pinned.stats
+            };
+            assert_eq!(plain.stats, without_hits, "counters (seed {seed})");
+        }
+    });
 }

@@ -6,7 +6,7 @@
 //! cargo run --release --example inspect_space
 //! ```
 
-use heron::core::explore::cga::offspring_csp;
+use heron::core::explore::cga::offspring_pins;
 use heron::prelude::*;
 use heron_rng::HeronRng;
 
@@ -58,14 +58,22 @@ fn main() {
 
     println!("\n== constraint-based crossover (Algorithm 3) ==");
     let keys: Vec<_> = tunables.iter().copied().take(4).collect();
-    let child_csp = offspring_csp(&space.csp, &keys, &sols[0], &sols[1], &mut rng);
+    let pins = offspring_pins(&keys, &sols[0], &sols[1], &mut rng);
     println!(
-        "  CSP_initial has {} constraints; the offspring CSP has {} (crossover IN constraints on {} key variables, one removed by mutation)",
+        "  the offspring is CSP_initial ({} constraints) plus {} value pins (crossover IN constraints on {} key variables, one removed by mutation):",
         space.csp.num_constraints(),
-        child_csp.num_constraints(),
+        pins.len(),
         keys.len()
     );
-    let children = heron::csp::rand_sat(&child_csp, &mut rng, 2).solutions;
+    for (v, allowed) in &pins {
+        println!("    {} IN {allowed:?}", space.csp.var(*v).name);
+    }
+    let mut session = heron::csp::SolveSession::new(&space.csp);
+    let policy = heron::csp::SolvePolicy::default();
+    let tracer = heron::trace::Tracer::disabled();
+    let children = session
+        .solve_pinned(&pins, &mut rng, 2, &policy, &tracer)
+        .solutions;
     for child in &children {
         assert!(heron::csp::validate(&space.csp, child));
         println!("  offspring is valid under CSP_initial ✓");

@@ -140,17 +140,17 @@ if ! cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml 
 fi
 echo "ok: heron-hostbench builds, passes its tests, and its smoke run is correct"
 
-echo "== micro-bench smoke (gbdt) =="
+echo "== micro-bench smoke (gbdt, cga) =="
 # clippy compiles the benches but nothing above runs one. One iteration
-# of the cost-model bench (it samples and measures a real space to build
-# its training data): the timings mean nothing, the exit code does.
-if ! HERON_BENCH_WARMUP=0 HERON_BENCH_ITERS=1 \
-    cargo bench --offline -p heron-bench --bench gbdt >"$obs_dir/gbdt_bench.out" 2>&1; then
-    echo "error: the gbdt micro-bench failed:" >&2
-    tail -n 40 "$obs_dir/gbdt_bench.out" >&2
-    exit 1
-fi
-echo "ok: the gbdt micro-bench runs"
+# each of the cost-model and offspring benches: only the exit code counts.
+for bench in gbdt cga; do
+    if ! HERON_BENCH_WARMUP=0 HERON_BENCH_ITERS=1 \
+        cargo bench --offline -p heron-bench --bench "$bench" >"$obs_dir/bench.out" 2>&1; then
+        echo "error: the $bench micro-bench failed:" >&2
+        tail -n 40 "$obs_dir/bench.out" >&2; exit 1
+    fi
+done
+echo "ok: the gbdt and cga micro-benches run"
 
 echo "== robustness smoke (hardened exploration) =="
 # Over-constrained and UNSAT spaces must terminate with a classified

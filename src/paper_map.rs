@@ -17,8 +17,8 @@
 //! | §4 constraint rules C1–C6 (Table 8) | [`heron_core::generate::builder::SpaceBuilder`] (`tile_split`, `fuse_loops`, `candidates`, `select`, `mem_limit`, platform-specific rules) |
 //! | §4 Figure 4 example | `examples/inspect_space.rs`, `heron_cli census` |
 //! | §4 customization | `examples/custom_dla.rs` (new accelerator from a spec) |
-//! | §5 Algorithm 2 (CGA-based exploration) | [`heron_core::tuner::Tuner::run`] |
-//! | §5 Algorithm 3 (constraint-based crossover/mutation) | [`heron_core::explore::cga::offspring_csp`] |
+//! | §5 Algorithm 2 (CGA-based exploration) | [`heron_core::tuner::Tuner::run`]; Steps 1–2 in [`heron_core::explore::cga::evolve_population`] |
+//! | §5 Algorithm 3 (constraint-based crossover/mutation) | [`heron_core::explore::cga::offspring_pins`], materialised by [`heron_core::explore::cga::materialize_offspring`] |
 //! | §5 CSP solver (RandSAT) | [`heron_csp::solver::rand_sat`] |
 //! | §5 key-variable extraction | [`heron_core::model::CostModel::key_variables`] via [`heron_cost::Gbdt::top_features`] |
 //! | §5 Figure 5 example | unit tests in [`heron_core::explore::cga`] |
