@@ -76,6 +76,9 @@ impl CostModel {
             .tracer
             .span_with("model.fit", || [("samples", self.data_y.len().to_string())]);
         let wall = std::time::Instant::now();
+        // The previous model is not read by the fit: free it first, so the
+        // old and the new ensemble are never live together.
+        self.model = None;
         self.model = Some(Gbdt::fit_traced(
             &self.data_x,
             &self.data_y,

@@ -11,8 +11,9 @@
 //!   passes;
 //! * [`mod@compile`] — lowering of a fused graph onto a DLA: each distinct MAC
 //!   workload is tuned once through Heron (a tuning cache keyed by the
-//!   workload signature), memory-bound layers are costed analytically, and
-//!   the compiled model reports end-to-end latency;
+//!   workload signature; the distinct workloads are tuned concurrently),
+//!   memory-bound layers are costed analytically, and the compiled model
+//!   reports end-to-end latency;
 //! * [`models`] — builders for the paper's evaluated networks (ResNet-50,
 //!   VGG-16, Inception-style blocks, BERT encoders).
 //!

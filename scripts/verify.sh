@@ -128,9 +128,9 @@ echo "== host benchmark harness (benchmark/) =="
 # `benchmark/` is a package of its own that no root cargo command
 # builds, and a change that claims a gain may not edit it — so a
 # product-crate API change could break the frozen harness unnoticed.
-# Build it, run its unit tests, and drive every workload end to end at
-# smoke size (tiny budgets; the numbers mean nothing, the exit code
-# does: non-zero on any incorrect output).
+# Build it, run its tests, and drive every workload end to end at smoke
+# size (non-zero exit on any incorrect output). Its check "layer-by-layer
+# replay equals compile()" holds the concurrent compile to a serial one.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 if ! cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
     run --smoke --traced >"$obs_dir/hostbench.out" 2>&1; then

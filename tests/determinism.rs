@@ -561,3 +561,26 @@ fn cost_model_of_a_real_tune_is_pinned() {
     }
     assert_eq!(fold, 0x781f_3776_8dd0_153b, "model fold {fold:#018x}");
 }
+
+/// The graph layer's companion of the solver pin: a bottleneck block
+/// compiled at a fixed seed has exactly this end-to-end latency, to the bit,
+/// and this tuning-cache accounting. `compile` tunes a network's distinct
+/// workloads concurrently; these are the numbers the one-at-a-time compile
+/// produced, and no worker count or thread interleaving may move them.
+#[test]
+fn compiled_model_of_a_small_network_is_pinned() {
+    let graph = heron::graph::models::resnet_bottleneck(1, 56, 256, 64, false);
+    let fused = heron::graph::fuse(&graph);
+    let opts = heron::graph::CompileOptions {
+        trials: 12,
+        seed: 2023,
+    };
+    let model = heron::graph::compile(&graph, &fused, &heron::dla::v100(), &opts);
+    assert_eq!((model.tuned_workloads, model.cache_hits), (3, 0));
+    assert_eq!(
+        model.latency_s().to_bits(),
+        0x3f10_5f53_6955_7554,
+        "latency {} s",
+        model.latency_s()
+    );
+}
