@@ -8,7 +8,7 @@
 //! order, so same-seed runs (including killed-and-resumed ones) are
 //! byte-identical.
 
-use heron_trace::Json;
+use heron_trace::{Cursor, Json};
 
 use crate::over::OverWitness;
 use crate::under::UnderWitness;
@@ -280,43 +280,20 @@ impl AuditReport {
     }
 }
 
-fn want<'a>(doc: &'a Json, path: &str, key: &str) -> Result<&'a Json, String> {
-    doc.get(key)
-        .ok_or_else(|| format!("{path}: missing member `{key}`"))
-}
-
-fn want_num(doc: &Json, path: &str, key: &str) -> Result<f64, String> {
-    want(doc, path, key)?
-        .as_f64()
-        .ok_or_else(|| format!("{path}.{key}: expected a number"))
-}
-
-fn want_str<'a>(doc: &'a Json, path: &str, key: &str) -> Result<&'a str, String> {
-    want(doc, path, key)?
-        .as_str()
-        .ok_or_else(|| format!("{path}.{key}: expected a string"))
-}
-
-fn want_arr<'a>(doc: &'a Json, path: &str, key: &str) -> Result<&'a [Json], String> {
-    want(doc, path, key)?
-        .as_arr()
-        .ok_or_else(|| format!("{path}.{key}: expected an array"))
-}
-
-fn want_bool(doc: &Json, path: &str, key: &str) -> Result<bool, String> {
-    match want(doc, path, key)? {
-        Json::Bool(b) => Ok(*b),
-        _ => Err(format!("{path}.{key}: expected a boolean")),
-    }
-}
-
-fn want_removal(doc: &Json, path: &str, key: &str) -> Result<(), String> {
-    for (i, e) in want_arr(doc, path, key)?.iter().enumerate() {
-        let p = format!("{path}.{key}[{i}]");
-        want_num(e, &p, "index")?;
-        want_str(e, &p, "constraint")?;
+/// A removal set: `{index, constraint}` entries.
+fn check_removal(parent: &Cursor, key: &str) -> Result<(), String> {
+    for entry in parent.arr(key)?.items() {
+        entry.u64("index")?;
+        entry.str("constraint")?;
     }
     Ok(())
+}
+
+/// A witness's full assignment: one number per variable.
+fn check_values(witness: &Cursor) -> Result<(), String> {
+    let values = witness.arr("values")?;
+    let n = values.items().len();
+    values.each(0..n, Cursor::num)
 }
 
 /// Validates the structure of an `audit.json` document.
@@ -324,93 +301,58 @@ fn want_removal(doc: &Json, path: &str, key: &str) -> Result<(), String> {
 /// # Errors
 /// A message naming the offending JSON path.
 pub fn validate_audit(doc: &Json) -> Result<(), String> {
-    let schema = want_str(doc, "$", "schema")?;
-    if schema != AUDIT_SCHEMA {
-        return Err(format!(
-            "$.schema: expected `{AUDIT_SCHEMA}`, found `{schema}`"
-        ));
-    }
-    want_str(doc, "$", "workload")?;
-    want_str(doc, "$", "dla")?;
-    want_num(doc, "$", "seed")?;
-    let config = want(doc, "$", "config")?;
-    for key in ["samples", "anchors", "max_domain"] {
-        want_num(config, "$.config", key)?;
-    }
-    let summary = want(doc, "$", "summary")?;
-    for key in [
-        "distinct_samples",
-        "invalid_samples",
-        "boundary_invalid",
-        "under_witnesses",
-        "over_witnesses",
-        "perturbations",
-        "anchors",
-        "confirmed",
-    ] {
-        want_num(summary, "$.summary", key)?;
-    }
-    want_bool(summary, "$.summary", "infeasible")?;
-    want_bool(summary, "$.summary", "clean")?;
-    let rules = want_arr(doc, "$", "rules")?;
-    if rules.len() != RULE_IDS.len() {
-        return Err(format!(
-            "$.rules: expected {} rows, found {}",
+    let doc = Cursor::new(doc, "$");
+    doc.one_of("schema", &[AUDIT_SCHEMA])?;
+    doc.each(["workload", "dla"], Cursor::str)?;
+    doc.u64("seed")?;
+    doc.get("config")?
+        .each(["samples", "anchors", "max_domain"], Cursor::u64)?;
+    let summary = doc.get("summary")?;
+    summary.each(
+        [
+            "distinct_samples",
+            "invalid_samples",
+            "boundary_invalid",
+            "under_witnesses",
+            "over_witnesses",
+            "perturbations",
+            "anchors",
+            "confirmed",
+        ],
+        Cursor::u64,
+    )?;
+    summary.bool("infeasible")?;
+    summary.bool("clean")?;
+    let rules = doc.arr("rules")?;
+    if rules.items().len() != RULE_IDS.len() {
+        return Err(rules.fail(format!(
+            "expected {} rows, found {}",
             RULE_IDS.len(),
-            rules.len()
-        ));
+            rules.items().len()
+        )));
     }
-    for (i, row) in rules.iter().enumerate() {
-        let p = format!("$.rules[{i}]");
-        let rule = want_str(row, &p, "rule")?;
-        if rule != RULE_IDS[i] {
-            return Err(format!(
-                "{p}.rule: expected `{}`, found `{rule}`",
-                RULE_IDS[i]
-            ));
-        }
-        want_num(row, &p, "under")?;
-        want_num(row, &p, "over")?;
+    for (row, id) in rules.items().zip(RULE_IDS) {
+        row.one_of("rule", &[id])?;
+        row.each(["under", "over"], Cursor::u64)?;
     }
-    for (i, w) in want_arr(doc, "$", "under")?.iter().enumerate() {
-        let p = format!("$.under[{i}]");
-        want_str(w, &p, "fingerprint")?;
-        want_str(w, &p, "tag")?;
-        want_str(w, &p, "rule")?;
-        want_str(w, &p, "message")?;
-        for (j, d) in want_arr(w, &p, "diff")?.iter().enumerate() {
-            let dp = format!("{p}.diff[{j}]");
-            want_str(d, &dp, "var")?;
-            want_num(d, &dp, "value")?;
-            want_num(d, &dp, "reference")?;
+    for w in doc.arr("under")?.items() {
+        w.each(["fingerprint", "tag", "rule", "message"], Cursor::str)?;
+        for d in w.arr("diff")?.items() {
+            d.str("var")?;
+            d.each(["value", "reference"], Cursor::num)?;
         }
-        if want_arr(w, &p, "values")?
-            .iter()
-            .any(|v| v.as_f64().is_none())
-        {
-            return Err(format!("{p}.values: expected numbers"));
-        }
+        check_values(&w)?;
     }
-    for (i, w) in want_arr(doc, "$", "over")?.iter().enumerate() {
-        let p = format!("$.over[{i}]");
-        want_str(w, &p, "var")?;
-        want_num(w, &p, "value")?;
-        want_str(w, &p, "anchor")?;
-        want_bool(w, &p, "diagnosed")?;
-        for (j, b) in want_arr(w, &p, "blocking")?.iter().enumerate() {
-            let bp = format!("{p}.blocking[{j}]");
-            want_num(b, &bp, "index")?;
-            want_str(b, &bp, "constraint")?;
-            want_str(b, &bp, "rule")?;
+    for w in doc.arr("over")?.items() {
+        w.each(["var", "anchor"], Cursor::str)?;
+        w.num("value")?;
+        w.bool("diagnosed")?;
+        for b in w.arr("blocking")?.items() {
+            b.u64("index")?;
+            b.each(["constraint", "rule"], Cursor::str)?;
         }
-        want_removal(w, &p, "removal")?;
-        if want_arr(w, &p, "values")?
-            .iter()
-            .any(|v| v.as_f64().is_none())
-        {
-            return Err(format!("{p}.values: expected numbers"));
-        }
+        check_removal(&w, "removal")?;
+        check_values(&w)?;
     }
-    want_removal(doc, "$", "infeasible_removal")?;
-    Ok(())
+    check_removal(&doc, "infeasible_removal")
 }

@@ -9,59 +9,25 @@
 //! the `heron-bench-v1` schema), runs [`heron_insight::compare`] with
 //! the default deterministic thresholds (overridable per-metric via the
 //! `--max-*` flags, fractions not percent), prints every regression
-//! message, and exits non-zero when the gate fails. Comparing a
-//! snapshot against itself always passes, which is what `verify.sh`
-//! uses as its smoke check.
+//! message, and exits 1 when the gate fails (2 when an input cannot be
+//! loaded). Comparing a snapshot against itself always passes, which is
+//! what `verify.sh` uses as its smoke check.
 
-use heron_bench::flag;
-use heron_insight::{compare, validate_bench, BenchReport, CompareConfig};
+use heron_bench::{flag, read_json};
+use heron_insight::{compare, BenchReport, CompareConfig};
 
 fn load(path: &str) -> BenchReport {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read `{path}`: {e}");
-            std::process::exit(2);
-        }
-    };
-    let doc = match heron_trace::json::parse(&text) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("`{path}` is not valid JSON: {e}");
-            std::process::exit(2);
-        }
-    };
-    if let Err(errors) = validate_bench(&doc) {
-        eprintln!("`{path}` fails the heron-bench-v1 schema:");
-        let stale_randsat = errors
-            .iter()
-            .any(|e| e.contains("randsat_") || e.contains("sol_per_kprop"));
-        for e in errors {
-            eprintln!("  {e}");
-        }
-        if stale_randsat {
+    BenchReport::from_json(&read_json(path)).unwrap_or_else(|e| {
+        eprintln!("`{path}` fails the heron-bench-v1 schema: {e}");
+        if e.contains("randsat_") || e.contains("sol_per_kprop") {
             eprintln!(
                 "  note: `{path}` predates the solver-throughput snapshot fields; \
                  regenerate it with bench_snapshot (only `randsat_max_trail` and \
                  `incremental_hits` are optional for old baselines)"
             );
         }
-        std::process::exit(2);
-    }
-    match BenchReport::from_json(&doc) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("cannot parse `{path}`: {e}");
-            if e.contains("randsat_") || e.contains("sol_per_kprop") {
-                eprintln!(
-                    "  note: `{path}` predates the solver-throughput snapshot fields; \
-                     regenerate it with bench_snapshot (only `randsat_max_trail` and \
-                     `incremental_hits` are optional for old baselines)"
-                );
-            }
-            std::process::exit(2);
-        }
-    }
+        std::process::exit(2)
+    })
 }
 
 fn frac(args: &[String], name: &str, default: f64) -> f64 {

@@ -24,13 +24,11 @@
 //! line already there — a corrupt history fails loudly instead of
 //! growing silently.
 
-use heron_bench::{flag, TsvTable};
+use heron_bench::{flag, must_validate, TsvTable};
 use heron_core::generate::{SpaceGenerator, SpaceOptions};
 use heron_core::tuner::{TuneConfig, Tuner};
 use heron_dla::{v100, Measurer};
-use heron_insight::{
-    trajectory_line, validate_bench, validate_trajectory, BenchReport, WorkloadBench,
-};
+use heron_insight::{trajectory_line, validate_trajectory, BenchReport, WorkloadBench};
 use heron_rng::HeronRng;
 use heron_tensor::{ops, Dag};
 
@@ -155,13 +153,7 @@ fn main() {
     }
 
     let doc = report.to_json();
-    if let Err(errors) = validate_bench(&doc) {
-        eprintln!("internal error: snapshot fails its own schema:");
-        for e in errors {
-            eprintln!("  {e}");
-        }
-        std::process::exit(1);
-    }
+    must_validate("the snapshot", BenchReport::from_json(&doc));
     if let Err(e) = std::fs::write(&out, doc.render_pretty()) {
         eprintln!("cannot write `{out}`: {e}");
         std::process::exit(1);
@@ -191,10 +183,7 @@ fn main() {
         let appended = format!("{existing}{}\n", trajectory_line(&report));
         // Re-validate the would-be file so a bug in the line renderer
         // can never poison the committed history.
-        if let Err(e) = validate_trajectory(&appended) {
-            eprintln!("internal error: new history line fails its own schema: {e}");
-            std::process::exit(1);
-        }
+        must_validate("the new history line", validate_trajectory(&appended));
         if let Err(e) = std::fs::write(&history, appended) {
             eprintln!("cannot write history `{history}`: {e}");
             std::process::exit(1);

@@ -19,7 +19,7 @@
 //! a mutated space **must** fail `--check`).
 
 use heron_audit::{audit_with_state, validate_audit, AuditConfig, UnderState};
-use heron_bench::{flag, has_flag};
+use heron_bench::{flag, has_flag, must_validate, write_file};
 use heron_core::generate::{SpaceGenerator, SpaceOptions};
 use heron_dla::DlaSpec;
 use heron_tensor::ops::Conv2dConfig;
@@ -129,12 +129,8 @@ fn main() {
     print!("{}", report.render_text());
     if let Some(path) = flag(&args, "--out") {
         let doc = report.to_json();
-        debug_assert!(validate_audit(&doc).is_ok());
-        if let Err(e) = std::fs::write(&path, doc.render_pretty()) {
-            eprintln!("cannot write audit to `{path}`: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("audit written to `{path}`");
+        must_validate("audit.json", validate_audit(&doc));
+        write_file(&path, &doc.render_pretty(), "audit");
     }
     heron_bench::write_metrics_flag(&args, &tracer);
     if has_flag(&args, "--check") && !report.clean() {

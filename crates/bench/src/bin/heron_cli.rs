@@ -240,7 +240,7 @@ fn emit_insight(args: &[String], tuner: &heron_core::tuner::Tuner) {
     let report = heron_insight::analyze(log);
     if let Some(path) = flag(args, "--insight-out") {
         let doc = report.to_json(log);
-        debug_assert!(heron_insight::validate_insight(&doc).is_ok());
+        heron_bench::must_validate("insight.json", heron_insight::validate_insight(&doc));
         if let Err(e) = std::fs::write(&path, doc.render_pretty()) {
             eprintln!("cannot write insight to `{path}`: {e}");
             std::process::exit(1);

@@ -10,13 +10,15 @@
 //! heron_scope scope.json --check      # validate only; exit 1 if invalid
 //! ```
 //!
+//! A file that cannot be read or is not JSON exits 2.
+//!
 //! Validation enforces the document invariants — schema, per-segment
 //! structure, lane accounting — and the central one: the critical path
 //! is a contiguous chain from 0 to the makespan whose durations sum
 //! *exactly* to `makespan_ns`. The summary line printed on success
 //! states that equality, so the CI stage can grep for it.
 
-use heron_bench::{flag, has_flag};
+use heron_bench::{flag, has_flag, read_json};
 use heron_scope::{render_timeline, validate_scope};
 use heron_trace::Json;
 
@@ -35,20 +37,7 @@ fn main() {
     else {
         usage();
     };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read `{path}`: {e}");
-            std::process::exit(1);
-        }
-    };
-    let doc = match heron_trace::json::parse(&text) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("`{path}` is not JSON: {e}");
-            std::process::exit(1);
-        }
-    };
+    let doc = read_json(path);
     if let Err(e) = validate_scope(&doc) {
         eprintln!("invalid scope document `{path}`: {e}");
         std::process::exit(1);

@@ -13,7 +13,7 @@
 //! job was lost or double-run, and a second service run reproduces the
 //! manifest byte for byte.
 
-use heron_bench::{flag, has_flag, scope_input};
+use heron_bench::{flag, has_flag, read_json, read_slo, scope_input, write_file};
 use heron_pulse::{build_pulse, render_dashboard, render_slo_report, SloSpec};
 use heron_serve::{chaos, parse_script, JobScript, JobState, Supervisor};
 use heron_trace::Json;
@@ -101,22 +101,7 @@ fn main() {
         None => Vec::new(),
     };
     let slo_spec = match flag(&args, "--slo") {
-        Some(path) => {
-            let text = match std::fs::read_to_string(&path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("cannot read SLO spec `{path}`: {e}");
-                    std::process::exit(1);
-                }
-            };
-            match SloSpec::parse(&text) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("bad SLO spec `{path}`: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
+        Some(path) => read_slo(&path),
         None => SloSpec::parse(DEFAULT_SLO).expect("builtin SLO spec parses"),
     };
 
@@ -139,35 +124,19 @@ fn main() {
 
     let scope_doc = heron_scope::build_scope(&scope_input(&sup));
     if let Some(path) = flag(&args, "--scope-out") {
-        if let Err(e) = std::fs::write(&path, scope_doc.render_pretty()) {
-            eprintln!("cannot write scope document `{path}`: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("scope document written to `{path}`");
+        write_file(&path, &scope_doc.render_pretty(), "scope document");
     }
 
     let pulse_doc = build_pulse(&sup.pulse_input(), &slo_spec);
     if let Some(path) = flag(&args, "--pulse-out") {
-        if let Err(e) = std::fs::write(&path, pulse_doc.render_pretty()) {
-            eprintln!("cannot write pulse document `{path}`: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("pulse document written to `{path}`");
+        write_file(&path, &pulse_doc.render_pretty(), "pulse document");
     }
     if let Some(path) = flag(&args, "--slo-report") {
-        if let Err(e) = std::fs::write(&path, render_slo_report(&pulse_doc)) {
-            eprintln!("cannot write SLO report `{path}`: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("SLO report written to `{path}`");
+        write_file(&path, &render_slo_report(&pulse_doc), "SLO report");
     }
 
     if let Some(path) = flag(&args, "--manifest") {
-        if let Err(e) = std::fs::write(&path, &manifest) {
-            eprintln!("cannot write manifest `{path}`: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("manifest written to `{path}`");
+        write_file(&path, &manifest, "manifest");
     }
     if let Some(path) = flag(&args, "--trace-out") {
         // The merged trace: supervisor events plus every completed
@@ -225,21 +194,7 @@ fn run_service(
 /// Loads the per-workload `sol_per_kprop` baseline from a committed
 /// `BENCH_heron.json` snapshot.
 fn load_baseline(path: &str) -> Vec<(String, f64)> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read baseline `{path}`: {e}");
-            std::process::exit(1);
-        }
-    };
-    let doc = match heron_trace::json::parse(&text) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("baseline `{path}` is not JSON: {e}");
-            std::process::exit(1);
-        }
-    };
-    match heron_insight::BenchReport::from_json(&doc) {
+    match heron_insight::BenchReport::from_json(&read_json(path)) {
         Ok(report) => report
             .workloads
             .into_iter()

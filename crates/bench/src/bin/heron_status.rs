@@ -13,14 +13,16 @@
 //! heron_status pulse.json --check         # exit 1 if any SLO rule is breached
 //! ```
 //!
+//! A file that cannot be read or is not JSON exits 2; one that is not a
+//! valid `heron-pulse-v1` document exits 1.
+//!
 //! The dashboard is a pure function of `pulse.json` (itself
 //! byte-identical across reruns of the same service script), so its
 //! output is byte-stable too — `--check` is the CI gate that fails the
 //! build when a committed SLO spec is breached.
 
-use heron_bench::{flag, has_flag};
-use heron_pulse::{attach_slo, breach_count, render_dashboard, validate_pulse, SloSpec};
-use heron_trace::json;
+use heron_bench::{flag, has_flag, read_json, read_slo};
+use heron_pulse::{attach_slo, breach_count, render_dashboard, validate_pulse};
 
 fn usage() -> ! {
     eprintln!("usage: heron_status <pulse.json> [--check] [--top N] [--slo SPEC]");
@@ -42,40 +44,13 @@ fn main() {
     else {
         usage();
     };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read `{path}`: {e}");
-            std::process::exit(1);
-        }
-    };
-    let mut doc = match json::parse(&text) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("`{path}` is not JSON: {e}");
-            std::process::exit(1);
-        }
-    };
+    let mut doc = read_json(path);
     if let Err(e) = validate_pulse(&doc) {
         eprintln!("`{path}` is not a valid heron-pulse-v1 document: {e}");
         std::process::exit(1);
     }
     if let Some(spec_path) = flag(&args, "--slo") {
-        let spec_text = match std::fs::read_to_string(&spec_path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read SLO spec `{spec_path}`: {e}");
-                std::process::exit(1);
-            }
-        };
-        let spec = match SloSpec::parse(&spec_text) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("bad SLO spec `{spec_path}`: {e}");
-                std::process::exit(1);
-            }
-        };
-        doc = attach_slo(doc, &spec);
+        doc = attach_slo(doc, &read_slo(&spec_path));
     }
     let top = match flag(&args, "--top") {
         Some(t) => match t.parse::<usize>() {

@@ -15,7 +15,7 @@
 use heron_baselines::{tune, vendor_outcome, Approach, Outcome};
 use heron_dla::DlaSpec;
 use heron_tensor::DType;
-use heron_trace::Tracer;
+use heron_trace::{Json, Tracer};
 use heron_workloads::Workload;
 
 /// Measured trials per tuning run (`HERON_TRIALS`, default 300).
@@ -190,6 +190,53 @@ pub fn write_metrics_flag(args: &[String], tracer: &Tracer) {
         }
         eprintln!("metrics written to `{path}`");
     }
+}
+
+/// Reads and parses the JSON document at `path`. Exits with status 2
+/// and a message naming the file when it cannot be read or is not JSON
+/// — the load-error status every binary that reads an artifact shares.
+pub fn read_json(path: &str) -> Json {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("cannot read `{path}`: {e}");
+        std::process::exit(2)
+    });
+    heron_trace::json::parse(&text).unwrap_or_else(|e| {
+        eprintln!("`{path}` is not valid JSON: {e}");
+        std::process::exit(2)
+    })
+}
+
+/// Reads and parses the SLO spec at `path`, exiting with status 1 and a
+/// message naming the file when it cannot be read or parsed.
+pub fn read_slo(path: &str) -> heron_pulse::SloSpec {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("cannot read SLO spec `{path}`: {e}");
+        std::process::exit(1)
+    });
+    heron_pulse::SloSpec::parse(&text).unwrap_or_else(|e| {
+        eprintln!("bad SLO spec `{path}`: {e}");
+        std::process::exit(1)
+    })
+}
+
+/// Writes `data` to `path` and confirms on stderr; exits with status 1
+/// and a message naming the file when it cannot be written.
+pub fn write_file(path: &str, data: &str, what: &str) {
+    if let Err(e) = std::fs::write(path, data) {
+        eprintln!("cannot write {what} `{path}`: {e}");
+        std::process::exit(1);
+    }
+    eprintln!("{what} written to `{path}`");
+}
+
+/// Returns the validated value, or exits with status 1 when a document
+/// this binary is about to write fails its own validator — release
+/// builds included, so a writer bug never reaches disk.
+pub fn must_validate<T>(what: &str, checked: Result<T, String>) -> T {
+    checked.unwrap_or_else(|e| {
+        eprintln!("internal error: {what} fails its own schema: {e}");
+        std::process::exit(1)
+    })
 }
 
 /// The deterministic schedule projection for `heron_scope`: submission

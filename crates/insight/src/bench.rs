@@ -8,7 +8,10 @@
 //! intentionally excluded — they would make the committed baseline
 //! machine-dependent and the gate flaky (DESIGN.md §7).
 
-use heron_trace::Json;
+use heron_trace::{Cursor, Json};
+
+/// The schema identifier of `BENCH_heron.json`.
+const BENCH_SCHEMA: &str = "heron-bench-v1";
 
 /// One workload's performance snapshot.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,7 +88,7 @@ impl BenchReport {
     pub fn to_json(&self) -> Json {
         let num = Json::Num;
         Json::Obj(vec![
-            ("schema".into(), Json::Str("heron-bench-v1".into())),
+            ("schema".into(), Json::Str(BENCH_SCHEMA.into())),
             ("seed".into(), num(self.seed as f64)),
             ("trials".into(), num(f64::from(self.trials))),
             ("geomean_gflops".into(), num(self.geomean_gflops())),
@@ -121,65 +124,74 @@ impl BenchReport {
         ])
     }
 
-    /// Parses a report back from JSON.
+    /// Parses and validates a `heron-bench-v1` document in one pass:
+    /// every member typed, every measurement finite and non-negative,
+    /// workloads non-empty and strictly name-ascending.
     ///
     /// # Errors
-    /// A message naming the missing/invalid member *and* the workload
-    /// (index and, when present, name) it was missing from — a gate
-    /// that refuses a baseline must say exactly what is wrong with it.
+    /// The first problem, naming the member's path and — inside a
+    /// workload that has a name — the workload, e.g.
+    /// ``$.workloads[1].sol_per_kprop: missing (workload `gemm-512`)``:
+    /// a gate that refuses a baseline must say exactly what is wrong
+    /// with it.
     pub fn from_json(doc: &Json) -> Result<Self, String> {
-        if doc.get("schema").and_then(Json::as_str) != Some("heron-bench-v1") {
-            return Err("not a heron-bench-v1 document".to_string());
+        let doc = Cursor::new(doc, "$");
+        doc.one_of("schema", &[BENCH_SCHEMA])?;
+        doc.num("geomean_gflops")?;
+        let mut report = BenchReport::new(doc.u64("seed")?, doc.u32("trials")?);
+        let workloads = doc.arr("workloads")?;
+        if workloads.items().len() == 0 {
+            return Err(workloads.fail("empty"));
         }
-        let f = |obj: &Json, key: &str, ctx: &str| -> Result<f64, String> {
-            obj.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("{ctx}: missing numeric member `{key}`"))
-        };
-        let mut report = BenchReport::new(
-            f(doc, "seed", "document")? as u64,
-            f(doc, "trials", "document")? as u32,
-        );
-        let workloads = doc
-            .get("workloads")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| "document: missing `workloads` array".to_string())?;
-        for (i, w) in workloads.iter().enumerate() {
-            let ctx = match w.get("name").and_then(Json::as_str) {
-                Some(name) => format!("workloads[{i}] (`{name}`)"),
-                None => format!("workloads[{i}]"),
-            };
-            report.push(WorkloadBench {
-                name: w
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| format!("{ctx}: missing string member `name`"))?
-                    .to_string(),
-                best_gflops: f(w, "best_gflops", &ctx)?,
-                best_latency_us: f(w, "best_latency_us", &ctx)?,
-                trials: f(w, "trials", &ctx)? as u32,
-                valid_trials: f(w, "valid_trials", &ctx)? as u32,
-                rounds: f(w, "rounds", &ctx)? as u32,
-                hw_measure_s: f(w, "hw_measure_s", &ctx)?,
-                randsat_solutions: f(w, "randsat_solutions", &ctx)? as u64,
-                randsat_propagations: f(w, "randsat_propagations", &ctx)? as u64,
-                sol_per_kprop: f(w, "sol_per_kprop", &ctx)?,
-                // Optional with a 0 default so pre-trail baselines
-                // (no such members) still parse for comparison.
-                randsat_max_trail: w
-                    .get("randsat_max_trail")
-                    .and_then(Json::as_f64)
-                    .unwrap_or(0.0) as u64,
-                incremental_hits: w
-                    .get("incremental_hits")
-                    .and_then(Json::as_f64)
-                    .unwrap_or(0.0) as u64,
-                model_fits: f(w, "model_fits", &ctx)? as u32,
-                final_rank_accuracy: f(w, "final_rank_accuracy", &ctx)?,
-            });
+        for w in workloads.items() {
+            let bench = workload_from_json(&w).map_err(|e| match w.value().get("name") {
+                Some(Json::Str(name)) => format!("{e} (workload `{name}`)"),
+                _ => e,
+            })?;
+            if let Some(prev) = report.workloads.last() {
+                if prev.name >= bench.name {
+                    return Err(w.get("name")?.fail(format!(
+                        "workloads must be sorted by name; `{}` follows `{}`",
+                        bench.name, prev.name
+                    )));
+                }
+            }
+            report.workloads.push(bench);
         }
         Ok(report)
     }
+}
+
+fn workload_from_json(w: &Cursor) -> Result<WorkloadBench, String> {
+    let measure = |key: &str| {
+        let v = w.num(key)?;
+        if v.is_finite() && v >= 0.0 {
+            Ok(v)
+        } else {
+            Err(w
+                .get(key)?
+                .fail(format!("{v} is not a finite non-negative")))
+        }
+    };
+    // Added with the trail-based solver and absent from pre-trail
+    // baselines, which must stay comparable: optional, 0 by default.
+    let optional = |key: &str| if w.has(key) { w.u64(key) } else { Ok(0) };
+    Ok(WorkloadBench {
+        name: w.str("name")?.to_string(),
+        best_gflops: measure("best_gflops")?,
+        best_latency_us: measure("best_latency_us")?,
+        trials: w.u32("trials")?,
+        valid_trials: w.u32("valid_trials")?,
+        rounds: w.u32("rounds")?,
+        hw_measure_s: measure("hw_measure_s")?,
+        randsat_solutions: w.u64("randsat_solutions")?,
+        randsat_propagations: w.u64("randsat_propagations")?,
+        sol_per_kprop: measure("sol_per_kprop")?,
+        randsat_max_trail: optional("randsat_max_trail")?,
+        incremental_hits: optional("incremental_hits")?,
+        model_fits: w.u32("model_fits")?,
+        final_rank_accuracy: measure("final_rank_accuracy")?,
+    })
 }
 
 /// Deterministic regression-gate thresholds (fractions, not percent).
@@ -327,31 +339,13 @@ pub fn validate_trajectory(text: &str) -> Result<usize, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let no = i + 1;
-        let doc = heron_trace::json::parse(line).map_err(|e| format!("line {no}: {e}"))?;
-        if doc.get("schema").and_then(Json::as_str) != Some(TRAJECTORY_SCHEMA) {
-            return Err(format!("line {no}: not a `{TRAJECTORY_SCHEMA}` object"));
-        }
-        for key in ["seed", "trials", "geomean_gflops"] {
-            if doc.get(key).and_then(Json::as_f64).is_none() {
-                return Err(format!("line {no}: missing numeric member `{key}`"));
-            }
-        }
-        let workloads = doc
-            .get("workloads")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format!("line {no}: missing array `workloads`"))?;
-        for (k, w) in workloads.iter().enumerate() {
-            if w.get("name").and_then(Json::as_str).is_none() {
-                return Err(format!("line {no}: workloads[{k}]: missing string `name`"));
-            }
-            for key in ["best_gflops", "sol_per_kprop"] {
-                if w.get(key).and_then(Json::as_f64).is_none() {
-                    return Err(format!(
-                        "line {no}: workloads[{k}]: missing numeric member `{key}`"
-                    ));
-                }
-            }
+        let doc = heron_trace::json::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
+        let doc = Cursor::line(&doc, i + 1);
+        doc.one_of("schema", &[TRAJECTORY_SCHEMA])?;
+        doc.each(["seed", "trials", "geomean_gflops"], Cursor::num)?;
+        for w in doc.arr("workloads")?.items() {
+            w.str("name")?;
+            w.each(["best_gflops", "sol_per_kprop"], Cursor::num)?;
         }
         lines += 1;
     }
@@ -442,7 +436,7 @@ mod tests {
         assert!(legacy.contains("sol_per_kprop"), "conv-64 keeps its copy");
         let err = BenchReport::from_json(&heron_trace::json::parse(&legacy).unwrap()).unwrap_err();
         assert_eq!(
-            err, "workloads[1] (`gemm-512`): missing numeric member `sol_per_kprop`",
+            err, "$.workloads[1].sol_per_kprop: missing (workload `gemm-512`)",
             "diagnostic names workload index, name, and key"
         );
 
@@ -453,7 +447,7 @@ mod tests {
             .replace("\"name\":\"conv-64\",", "");
         let err =
             BenchReport::from_json(&heron_trace::json::parse(&nameless).unwrap()).unwrap_err();
-        assert_eq!(err, "workloads[0]: missing string member `name`");
+        assert_eq!(err, "$.workloads[0].name: missing");
     }
 
     #[test]
@@ -494,9 +488,36 @@ mod tests {
     }
 
     #[test]
-    fn rejects_wrong_schema() {
-        let doc = heron_trace::json::parse(r#"{"schema":"other"}"#).unwrap();
-        assert!(BenchReport::from_json(&doc).is_err());
+    fn rejects_what_the_schema_forbids() {
+        let doc = sample().to_json().render();
+        for (from, to, err) in [
+            (
+                "heron-bench-v1",
+                "other",
+                "$.schema: expected `heron-bench-v1`, found `other`",
+            ),
+            (
+                "\"best_gflops\":1000",
+                "\"best_gflops\":-1",
+                "$.workloads[0].best_gflops: -1 is not a finite non-negative (workload `conv-64`)",
+            ),
+            (
+                "\"conv-64\"",
+                "\"zz\"",
+                "$.workloads[1].name: workloads must be sorted by name; `gemm-512` follows `zz`",
+            ),
+        ] {
+            let bad = heron_trace::json::parse(&doc.replacen(from, to, 1)).unwrap();
+            assert_eq!(BenchReport::from_json(&bad).unwrap_err(), err);
+        }
+        let empty = heron_trace::json::parse(
+            r#"{"schema":"heron-bench-v1","seed":1,"trials":8,"geomean_gflops":0,"workloads":[]}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            BenchReport::from_json(&empty).unwrap_err(),
+            "$.workloads: empty"
+        );
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub use bench::{
     TRAJECTORY_SCHEMA,
 };
 pub use log::{population_entropy_bits, RefitRecord, RoundRecord, SearchLog, VarCoverage};
-pub use schema::{validate_bench, validate_insight};
+pub use schema::validate_insight;
 
 /// Serializes an `f64` as its exact 16-hex-digit bit pattern (the same
 /// encoding `heron-checkpoint v2` uses), so checkpointed insight state

@@ -1,348 +1,151 @@
-//! Structural schema validators for the two insight artifacts.
+//! Structural schema validator for `insight.json` (`heron-insight-v1`).
 //!
-//! These are what `scripts/verify.sh` and `bench_compare
-//! --check-insight` run against freshly produced documents: they check
-//! member presence and types, array element shapes, and cross-field
-//! invariants (regret length = rounds, coverage in `[0,1]`, …) without
-//! pulling in any external JSON-schema machinery.
+//! `heron_cli --insight-out` runs it on every document before writing:
+//! it checks member presence and types, array element shapes, and
+//! cross-field invariants (regret length = rounds, coverage in `[0,1]`,
+//! …). `BENCH_heron.json` is validated by [`crate::BenchReport::from_json`]
+//! as it parses.
 
-use heron_trace::Json;
-
-fn want_num(obj: &Json, key: &str, errs: &mut Vec<String>, ctx: &str) -> Option<f64> {
-    match obj.get(key) {
-        Some(Json::Num(n)) => Some(*n),
-        Some(_) => {
-            errs.push(format!("{ctx}: `{key}` is not a number"));
-            None
-        }
-        None => {
-            errs.push(format!("{ctx}: missing `{key}`"));
-            None
-        }
-    }
-}
-
-fn want_num_or_null(obj: &Json, key: &str, errs: &mut Vec<String>, ctx: &str) {
-    match obj.get(key) {
-        Some(Json::Num(_)) | Some(Json::Null) => {}
-        Some(_) => errs.push(format!("{ctx}: `{key}` is not a number or null")),
-        None => errs.push(format!("{ctx}: missing `{key}`")),
-    }
-}
-
-fn want_str(obj: &Json, key: &str, errs: &mut Vec<String>, ctx: &str) -> Option<String> {
-    match obj.get(key) {
-        Some(Json::Str(s)) => Some(s.clone()),
-        Some(_) => {
-            errs.push(format!("{ctx}: `{key}` is not a string"));
-            None
-        }
-        None => {
-            errs.push(format!("{ctx}: missing `{key}`"));
-            None
-        }
-    }
-}
-
-fn want_arr<'a>(obj: &'a Json, key: &str, errs: &mut Vec<String>, ctx: &str) -> &'a [Json] {
-    match obj.get(key) {
-        Some(Json::Arr(items)) => items,
-        Some(_) => {
-            errs.push(format!("{ctx}: `{key}` is not an array"));
-            &[]
-        }
-        None => {
-            errs.push(format!("{ctx}: missing `{key}`"));
-            &[]
-        }
-    }
-}
-
-fn want_obj<'a>(doc: &'a Json, key: &str, errs: &mut Vec<String>) -> Option<&'a Json> {
-    match doc.get(key) {
-        Some(obj @ Json::Obj(_)) => Some(obj),
-        Some(_) => {
-            errs.push(format!("`{key}` is not an object"));
-            None
-        }
-        None => {
-            errs.push(format!("missing section `{key}`"));
-            None
-        }
-    }
-}
+use heron_trace::{Cursor, Json};
 
 /// Validates an `insight.json` document against the
 /// `heron-insight-v1` schema.
 ///
 /// # Errors
-/// Every structural problem found, one message each.
-pub fn validate_insight(doc: &Json) -> Result<(), Vec<String>> {
-    let mut errs = Vec::new();
-    let mut rounds_declared = None;
+/// The first structural problem found, naming its JSON path.
+pub fn validate_insight(doc: &Json) -> Result<(), String> {
+    let doc = Cursor::new(doc, "$");
+    let meta = doc.get("meta")?;
+    meta.one_of("schema", &["heron-insight-v1"])?;
+    meta.each(["workload", "dla"], Cursor::str)?;
+    meta.each(["seed", "trials"], Cursor::num)?;
+    let rounds_declared = meta.u64("rounds")?;
+    let per_round = |arr: &Cursor| {
+        let n = arr.items().len();
+        if n as u64 == rounds_declared {
+            return Ok(n);
+        }
+        Err(arr.fail(format!(
+            "{n} entries, but $.meta.rounds is {rounds_declared}"
+        )))
+    };
 
-    if let Some(meta) = want_obj(doc, "meta", &mut errs) {
-        match want_str(meta, "schema", &mut errs, "meta") {
-            Some(s) if s == "heron-insight-v1" => {}
-            Some(s) => errs.push(format!(
-                "meta: schema is `{s}`, expected `heron-insight-v1`"
-            )),
-            None => {}
-        }
-        want_str(meta, "workload", &mut errs, "meta");
-        want_str(meta, "dla", &mut errs, "meta");
-        want_num(meta, "seed", &mut errs, "meta");
-        rounds_declared = want_num(meta, "rounds", &mut errs, "meta");
-        want_num(meta, "trials", &mut errs, "meta");
-    }
-
-    if let Some(conv) = want_obj(doc, "convergence", &mut errs) {
-        want_num(conv, "final_best_gflops", &mut errs, "convergence");
-        want_num_or_null(conv, "convergence_round", &mut errs, "convergence");
-        let regret = want_arr(conv, "regret", &mut errs, "convergence");
-        if let Some(n) = rounds_declared {
-            if regret.len() as f64 != n {
-                errs.push(format!(
-                    "convergence: regret has {} entries but meta.rounds is {n}",
-                    regret.len()
-                ));
-            }
-        }
-        for (i, r) in regret.iter().enumerate() {
-            match r.as_f64() {
-                Some(v) if v >= -1e-9 => {}
-                Some(v) => errs.push(format!("convergence: regret[{i}] = {v} is negative")),
-                None => errs.push(format!("convergence: regret[{i}] is not a number")),
-            }
-        }
-        for (i, w) in want_arr(conv, "stagnation_windows", &mut errs, "convergence")
-            .iter()
-            .enumerate()
-        {
-            let ctx = format!("stagnation_windows[{i}]");
-            want_num(w, "start", &mut errs, &ctx);
-            want_num(w, "len", &mut errs, &ctx);
+    let conv = doc.get("convergence")?;
+    conv.each(["final_best_gflops", "stalled_rounds"], Cursor::num)?;
+    conv.num_or_null("convergence_round")?;
+    let regret = conv.arr("regret")?;
+    for i in 0..per_round(&regret)? {
+        let r = regret.num(i)?;
+        if r < -1e-9 {
+            return Err(regret.get(i)?.fail(format!("{r} is negative")));
         }
     }
+    for w in conv.arr("stagnation_windows")?.items() {
+        w.each(["start", "len"], Cursor::num)?;
+    }
 
-    if let Some(search) = want_obj(doc, "search", &mut errs) {
-        for key in [
+    let search = doc.get("search")?;
+    search.each(
+        [
             "entropy_first_bits",
             "entropy_last_bits",
             "entropy_min_bits",
             "diversity_first",
             "diversity_last",
             "explore_fraction",
-        ] {
-            want_num(search, key, &mut errs, "search");
-        }
-        for (i, v) in want_arr(search, "coverage", &mut errs, "search")
-            .iter()
-            .enumerate()
-        {
-            let ctx = format!("coverage[{i}]");
-            want_str(v, "name", &mut errs, &ctx);
-            want_num(v, "domain_size", &mut errs, &ctx);
-            want_num(v, "seen", &mut errs, &ctx);
-            if let Some(c) = want_num(v, "coverage", &mut errs, &ctx) {
-                if !(0.0..=1.0).contains(&c) {
-                    errs.push(format!("{ctx}: coverage {c} outside [0, 1]"));
-                }
-            }
+        ],
+        Cursor::num,
+    )?;
+    for v in search.arr("coverage")?.items() {
+        v.str("name")?;
+        v.each(["domain_size", "seen"], Cursor::num)?;
+        let c = v.num("coverage")?;
+        if !(0.0..=1.0).contains(&c) {
+            return Err(v.get("coverage")?.fail(format!("{c} outside [0, 1]")));
         }
     }
 
-    if let Some(model) = want_obj(doc, "model", &mut errs) {
-        want_num(model, "refits", &mut errs, "model");
-        for key in [
+    let model = doc.get("model")?;
+    model.num("refits")?;
+    model.each(
+        [
             "batch_rank_accuracy_mean",
             "batch_rank_accuracy_min",
             "batch_spearman_mean",
             "batch_spearman_min",
             "importance_churn_mean",
-        ] {
-            want_num_or_null(model, key, &mut errs, "model");
-        }
-        for (i, d) in want_arr(model, "importance_drift", &mut errs, "model")
-            .iter()
-            .enumerate()
-        {
-            let ctx = format!("importance_drift[{i}]");
-            want_num(d, "round", &mut errs, &ctx);
-            want_num(d, "jaccard", &mut errs, &ctx);
-            want_num(d, "l1", &mut errs, &ctx);
-        }
-        for (i, f) in want_arr(model, "refit_history", &mut errs, "model")
-            .iter()
-            .enumerate()
-        {
-            let ctx = format!("refit_history[{i}]");
-            want_num(f, "round", &mut errs, &ctx);
-            want_num(f, "samples", &mut errs, &ctx);
-            want_num(f, "train_rank_accuracy", &mut errs, &ctx);
-            want_num(f, "train_spearman", &mut errs, &ctx);
-            for (j, t) in want_arr(f, "top_importance", &mut errs, &ctx)
-                .iter()
-                .enumerate()
-            {
-                let tctx = format!("{ctx}.top_importance[{j}]");
-                want_num(t, "feature", &mut errs, &tctx);
-                want_num(t, "importance", &mut errs, &tctx);
-            }
+        ],
+        Cursor::num_or_null,
+    )?;
+    for d in model.arr("importance_drift")?.items() {
+        d.each(["round", "jaccard", "l1"], Cursor::num)?;
+    }
+    for f in model.arr("refit_history")?.items() {
+        f.each(
+            ["round", "samples", "train_rank_accuracy", "train_spearman"],
+            Cursor::num,
+        )?;
+        for t in f.arr("top_importance")?.items() {
+            t.each(["feature", "importance"], Cursor::num)?;
         }
     }
 
-    if let Some(cons) = want_obj(doc, "constraints", &mut errs) {
-        for key in [
-            "repaired_offspring",
-            "relaxed_constraints",
-            "fallback_samples",
-            "deadline_hits",
-            "solver_attempts",
-            "solver_propagations",
-            "solver_wipeouts",
-            "solver_max_trail",
-            "solver_incremental",
-        ] {
-            want_num(cons, key, &mut errs, "constraints");
+    doc.get("constraints")?.each(SOLVER_PRESSURE, Cursor::num)?;
+    let rounds = doc.arr("rounds")?;
+    per_round(&rounds)?;
+    for (i, r) in rounds.items().enumerate() {
+        let round = r.u64("round")?;
+        if round != i as u64 {
+            return Err(r.get("round")?.fail(format!("expected {i}, found {round}")));
         }
+        r.each(
+            [
+                "trials_done",
+                "best_gflops",
+                "batch_best_gflops",
+                "batch_mean_gflops",
+                "batch_size",
+                "exploit_picks",
+                "explore_picks",
+                "population",
+                "distinct_solutions",
+                "diversity",
+                "entropy_bits",
+            ],
+            Cursor::num,
+        )?;
+        r.each(SOLVER_PRESSURE, Cursor::num)?;
+        r.each(
+            ["batch_rank_accuracy", "batch_spearman"],
+            Cursor::num_or_null,
+        )?;
+        r.bool("stalled")?;
     }
 
-    let rounds = want_arr(doc, "rounds", &mut errs, "document");
-    if let Some(n) = rounds_declared {
-        if rounds.len() as f64 != n {
-            errs.push(format!(
-                "document: rounds has {} entries but meta.rounds is {n}",
-                rounds.len()
-            ));
-        }
+    for w in doc.arr("warnings")?.items() {
+        w.each(["code", "message"], Cursor::str)?;
     }
-    for (i, r) in rounds.iter().enumerate() {
-        let ctx = format!("rounds[{i}]");
-        for key in [
-            "round",
-            "trials_done",
-            "best_gflops",
-            "batch_best_gflops",
-            "batch_mean_gflops",
-            "batch_size",
-            "exploit_picks",
-            "explore_picks",
-            "population",
-            "distinct_solutions",
-            "diversity",
-            "entropy_bits",
-            "repaired_offspring",
-            "relaxed_constraints",
-            "fallback_samples",
-            "deadline_hits",
-            "solver_attempts",
-            "solver_propagations",
-            "solver_wipeouts",
-            "solver_max_trail",
-            "solver_incremental",
-        ] {
-            want_num(r, key, &mut errs, &ctx);
-        }
-        want_num_or_null(r, "batch_rank_accuracy", &mut errs, &ctx);
-        want_num_or_null(r, "batch_spearman", &mut errs, &ctx);
-        match r.get("stalled") {
-            Some(Json::Bool(_)) => {}
-            _ => errs.push(format!("{ctx}: missing boolean `stalled`")),
-        }
-        if r.get("round").and_then(Json::as_u64) != Some(i as u64) {
-            errs.push(format!("{ctx}: round index is not {i}"));
-        }
-    }
-
-    for (i, w) in want_arr(doc, "warnings", &mut errs, "document")
-        .iter()
-        .enumerate()
-    {
-        let ctx = format!("warnings[{i}]");
-        want_str(w, "code", &mut errs, &ctx);
-        want_str(w, "message", &mut errs, &ctx);
-    }
-
-    if errs.is_empty() {
-        Ok(())
-    } else {
-        Err(errs)
-    }
+    Ok(())
 }
 
-/// Validates a `BENCH_heron.json` document against the
-/// `heron-bench-v1` schema.
-///
-/// # Errors
-/// Every structural problem found, one message each.
-pub fn validate_bench(doc: &Json) -> Result<(), Vec<String>> {
-    let mut errs = Vec::new();
-    match want_str(doc, "schema", &mut errs, "document") {
-        Some(s) if s == "heron-bench-v1" => {}
-        Some(s) => errs.push(format!("schema is `{s}`, expected `heron-bench-v1`")),
-        None => {}
-    }
-    want_num(doc, "seed", &mut errs, "document");
-    want_num(doc, "trials", &mut errs, "document");
-    want_num(doc, "geomean_gflops", &mut errs, "document");
-    let workloads = want_arr(doc, "workloads", &mut errs, "document");
-    if workloads.is_empty() && errs.is_empty() {
-        errs.push("workloads array is empty".to_string());
-    }
-    let mut prev_name: Option<String> = None;
-    for (i, w) in workloads.iter().enumerate() {
-        let ctx = format!("workloads[{i}]");
-        if let Some(name) = want_str(w, "name", &mut errs, &ctx) {
-            if let Some(prev) = &prev_name {
-                if *prev >= name {
-                    errs.push(format!("{ctx}: workloads not sorted by name"));
-                }
-            }
-            prev_name = Some(name);
-        }
-        for key in [
-            "best_gflops",
-            "best_latency_us",
-            "trials",
-            "valid_trials",
-            "rounds",
-            "hw_measure_s",
-            "randsat_solutions",
-            "randsat_propagations",
-            "sol_per_kprop",
-            "model_fits",
-            "final_rank_accuracy",
-        ] {
-            if let Some(v) = want_num(w, key, &mut errs, &ctx) {
-                if !v.is_finite() || v < 0.0 {
-                    errs.push(format!("{ctx}: `{key}` = {v} is not a finite non-negative"));
-                }
-            }
-        }
-        // Added with the trail-based solver; absent from pre-trail
-        // baselines, which must stay comparable (`BenchReport::from_json`
-        // defaults them to 0). Present ⇒ must be well-formed.
-        for key in ["randsat_max_trail", "incremental_hits"] {
-            if let Some(v) = w.get(key) {
-                match v.as_f64() {
-                    Some(n) if n.is_finite() && n >= 0.0 => {}
-                    _ => errs.push(format!("{ctx}: `{key}` is not a finite non-negative")),
-                }
-            }
-        }
-    }
-    if errs.is_empty() {
-        Ok(())
-    } else {
-        Err(errs)
-    }
-}
+/// The constraint-pressure and solver-work counters carried both per
+/// round and as run totals.
+const SOLVER_PRESSURE: [&str; 9] = [
+    "repaired_offspring",
+    "relaxed_constraints",
+    "fallback_samples",
+    "deadline_hits",
+    "solver_attempts",
+    "solver_propagations",
+    "solver_wipeouts",
+    "solver_max_trail",
+    "solver_incremental",
+];
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{analyze, bench::WorkloadBench, BenchReport, RoundRecord, SearchLog};
+    use crate::{analyze, RoundRecord, SearchLog};
 
     #[test]
     fn produced_insight_json_validates() {
@@ -368,40 +171,6 @@ mod tests {
     }
 
     #[test]
-    fn produced_bench_json_validates_and_mutations_fail() {
-        let mut r = BenchReport::new(1, 8);
-        r.push(WorkloadBench {
-            name: "g".into(),
-            best_gflops: 1.0,
-            best_latency_us: 2.0,
-            trials: 8,
-            valid_trials: 8,
-            rounds: 2,
-            hw_measure_s: 0.1,
-            randsat_solutions: 10,
-            randsat_propagations: 100,
-            sol_per_kprop: 100.0,
-            randsat_max_trail: 6,
-            incremental_hits: 3,
-            model_fits: 1,
-            final_rank_accuracy: 0.8,
-        });
-        let doc = r.to_json();
-        validate_bench(&doc).expect("valid");
-
-        let broken = heron_trace::json::parse(
-            &doc.render()
-                .replace("\"best_gflops\":1", "\"best_gflops\":\"x\""),
-        )
-        .unwrap();
-        let errs = validate_bench(&broken).unwrap_err();
-        assert!(errs.iter().any(|e| e.contains("best_gflops")));
-
-        let wrong = heron_trace::json::parse(r#"{"schema":"heron-bench-v1"}"#).unwrap();
-        assert!(validate_bench(&wrong).is_err());
-    }
-
-    #[test]
     fn insight_mutations_fail() {
         let mut log = SearchLog::new("w", "d", 5, 4);
         let mut rec = RoundRecord::new(0);
@@ -409,15 +178,28 @@ mod tests {
         log.push_round(rec);
         let doc = analyze(&log).to_json(&log);
         let text = doc.render();
-        for (from, to) in [
-            ("\"schema\":\"heron-insight-v1\"", "\"schema\":\"v0\""),
-            ("\"regret\":[0]", "\"regret\":[]"),
-            ("\"stalled\":false", "\"stalled\":0"),
+        for (from, to, path) in [
+            (
+                "\"schema\":\"heron-insight-v1\"",
+                "\"schema\":\"v0\"",
+                "$.meta.schema: ",
+            ),
+            (
+                "\"regret\":[0]",
+                "\"regret\":[]",
+                "$.convergence.regret: 0 entries",
+            ),
+            (
+                "\"stalled\":false",
+                "\"stalled\":0",
+                "$.rounds[0].stalled: ",
+            ),
         ] {
             let mutated = text.replace(from, to);
             assert_ne!(mutated, text, "mutation `{from}` did not apply");
             let parsed = heron_trace::json::parse(&mutated).unwrap();
-            assert!(validate_insight(&parsed).is_err(), "accepted `{to}`");
+            let err = validate_insight(&parsed).unwrap_err();
+            assert!(err.starts_with(path), "want `{path}…`, got `{err}`");
         }
     }
 }

@@ -4,39 +4,9 @@
 //! before rendering, so a truncated or hand-edited `pulse.json` fails
 //! with a named path instead of a blank dashboard.
 
-use heron_trace::Json;
+use heron_trace::{Cursor, Json};
 
 use crate::sli::PULSE_SCHEMA;
-
-fn want<'a>(doc: &'a Json, path: &str, key: &str) -> Result<&'a Json, String> {
-    doc.get(key)
-        .ok_or_else(|| format!("{path}: missing member `{key}`"))
-}
-
-fn want_num(doc: &Json, path: &str, key: &str) -> Result<f64, String> {
-    want(doc, path, key)?
-        .as_f64()
-        .ok_or_else(|| format!("{path}.{key}: expected a number"))
-}
-
-fn want_str<'a>(doc: &'a Json, path: &str, key: &str) -> Result<&'a str, String> {
-    want(doc, path, key)?
-        .as_str()
-        .ok_or_else(|| format!("{path}.{key}: expected a string"))
-}
-
-fn want_arr<'a>(doc: &'a Json, path: &str, key: &str) -> Result<&'a [Json], String> {
-    want(doc, path, key)?
-        .as_arr()
-        .ok_or_else(|| format!("{path}.{key}: expected an array"))
-}
-
-fn want_num_or_null(doc: &Json, path: &str, key: &str) -> Result<(), String> {
-    match want(doc, path, key)? {
-        Json::Num(_) | Json::Null => Ok(()),
-        _ => Err(format!("{path}.{key}: expected a number or null")),
-    }
-}
 
 /// The per-job SLI names every document carries (and the names an SLO
 /// spec may reference per-job).
@@ -54,95 +24,73 @@ pub const SLI_KEYS: [&str; 6] = [
 /// # Errors
 /// A message naming the offending JSON path.
 pub fn validate_pulse(doc: &Json) -> Result<(), String> {
-    let schema = want_str(doc, "$", "schema")?;
-    if schema != PULSE_SCHEMA {
-        return Err(format!(
-            "$.schema: expected `{PULSE_SCHEMA}`, found `{schema}`"
-        ));
-    }
-    let service = want(doc, "$", "service")?;
-    for key in [
-        "jobs",
-        "completed",
-        "preempted",
-        "quarantined",
-        "queued",
-        "rejected",
-        "reject_rate",
-        "warnings",
-        "workers",
-    ] {
-        want_num(service, "$.service", key)?;
-    }
-    let jobs = want_arr(doc, "$", "jobs")?;
-    for (i, job) in jobs.iter().enumerate() {
-        let path = format!("$.jobs[{i}]");
-        want_str(job, &path, "id")?;
-        want_str(job, &path, "state")?;
-        for key in [
-            "attempts",
-            "recoveries",
-            "postmortems",
-            "rounds",
-            "trials",
-            "wall_s",
-        ] {
-            want_num(job, &path, key)?;
+    let doc = Cursor::new(doc, "$");
+    doc.one_of("schema", &[PULSE_SCHEMA])?;
+    doc.get("service")?.each(
+        [
+            "jobs",
+            "completed",
+            "preempted",
+            "quarantined",
+            "queued",
+            "rejected",
+            "reject_rate",
+            "warnings",
+            "workers",
+        ],
+        Cursor::num,
+    )?;
+    for job in doc.arr("jobs")?.items() {
+        job.each(["id", "state"], Cursor::str)?;
+        job.each(
+            [
+                "attempts",
+                "recoveries",
+                "postmortems",
+                "rounds",
+                "trials",
+                "wall_s",
+            ],
+            Cursor::num,
+        )?;
+        job.str_or_null("termination")?;
+        let warnings = job.arr("warnings")?;
+        warnings.each(0..warnings.items().len(), Cursor::str)?;
+        job.get("slis")?.each(SLI_KEYS, Cursor::num_or_null)?;
+        let traj = job.get("trajectories")?;
+        let acc = traj.arr("batch_rank_accuracy")?;
+        let props = traj.arr("solver_propagations")?;
+        let (rounds, series) = (acc.items().len(), props.items().len());
+        if rounds != series {
+            return Err(traj.fail(format!("series lengths differ ({rounds} vs {series})")));
         }
-        match want(job, &path, "termination")? {
-            Json::Str(_) | Json::Null => {}
-            _ => return Err(format!("{path}.termination: expected a string or null")),
-        }
-        let warnings = want_arr(job, &path, "warnings")?;
-        if warnings.iter().any(|w| w.as_str().is_none()) {
-            return Err(format!("{path}.warnings: expected strings"));
-        }
-        let slis = want(job, &path, "slis")?;
-        for key in SLI_KEYS {
-            want_num_or_null(slis, &format!("{path}.slis"), key)?;
-        }
-        let traj = want(job, &path, "trajectories")?;
-        let acc = want_arr(traj, &format!("{path}.trajectories"), "batch_rank_accuracy")?;
-        let props = want_arr(traj, &format!("{path}.trajectories"), "solver_propagations")?;
-        if acc.len() != props.len() {
-            return Err(format!(
-                "{path}.trajectories: series lengths differ ({} vs {})",
-                acc.len(),
-                props.len()
-            ));
-        }
-        let hot = want_arr(job, &path, "hot_spans")?;
-        for (j, span) in hot.iter().enumerate() {
-            let span_path = format!("{path}.hot_spans[{j}]");
-            want_str(span, &span_path, "name")?;
-            want_num(span, &span_path, "count")?;
-            want_num(span, &span_path, "total_s")?;
+        acc.each(0..rounds, Cursor::num_or_null)?;
+        props.each(0..rounds, Cursor::num_or_null)?;
+        for span in job.arr("hot_spans")?.items() {
+            span.str("name")?;
+            span.each(["count", "total_s"], Cursor::num)?;
         }
     }
-    let slo = want(doc, "$", "slo")?;
-    for key in ["pass", "warn", "breach"] {
-        want_num(slo, "$.slo", key)?;
+    let slo = doc.get("slo")?;
+    slo.each(["pass", "warn", "breach"], Cursor::num)?;
+    for rule in slo.arr("rules")?.items() {
+        check_slo_rule(&rule)?;
     }
-    let rules = want_arr(slo, "$.slo", "rules")?;
-    for (i, rule) in rules.iter().enumerate() {
-        let path = format!("$.slo.rules[{i}]");
-        want_str(rule, &path, "metric")?;
-        let op = want_str(rule, &path, "op")?;
-        if op != "<=" && op != ">=" {
-            return Err(format!("{path}.op: expected `<=` or `>=`, found `{op}`"));
-        }
-        want_num(rule, &path, "threshold")?;
-        want_num_or_null(rule, &path, "warn")?;
-        want_num_or_null(rule, &path, "value")?;
-        match want(rule, &path, "job")? {
-            Json::Str(_) | Json::Null => {}
-            _ => return Err(format!("{path}.job: expected a string or null")),
-        }
-        let verdict = want_str(rule, &path, "verdict")?;
-        if !matches!(verdict, "pass" | "warn" | "breach") {
-            return Err(format!("{path}.verdict: unknown verdict `{verdict}`"));
-        }
-    }
+    Ok(())
+}
+
+/// Validates one judged SLO rule — an element of `pulse.json`'s
+/// `slo.rules` and of a postmortem header's `slo`.
+///
+/// # Errors
+/// A message naming the offending member's path.
+pub fn check_slo_rule(rule: &Cursor) -> Result<(), String> {
+    rule.str("metric")?;
+    rule.one_of("op", &["<=", ">="])?;
+    rule.num("threshold")?;
+    rule.each(["warn", "value"], Cursor::num_or_null)?;
+    rule.str_or_null("job")?;
+    rule.one_of("verdict", &["pass", "warn", "breach"])?;
     Ok(())
 }
 

@@ -7,46 +7,29 @@
 //! invariant: the critical path is a contiguous chain from 0 to the
 //! makespan whose segment durations sum *exactly* to `makespan_ns`.
 
-use heron_trace::Json;
+use heron_trace::{Cursor, Json};
 
 use crate::report::SCOPE_SCHEMA;
 
-fn want<'a>(doc: &'a Json, path: &str, key: &str) -> Result<&'a Json, String> {
-    doc.get(key)
-        .ok_or_else(|| format!("{path}: missing member `{key}`"))
-}
-
-fn want_num(doc: &Json, path: &str, key: &str) -> Result<f64, String> {
-    want(doc, path, key)?
-        .as_f64()
-        .ok_or_else(|| format!("{path}.{key}: expected a number"))
-}
-
-fn want_str<'a>(doc: &'a Json, path: &str, key: &str) -> Result<&'a str, String> {
-    want(doc, path, key)?
-        .as_str()
-        .ok_or_else(|| format!("{path}.{key}: expected a string"))
-}
-
-fn want_arr<'a>(doc: &'a Json, path: &str, key: &str) -> Result<&'a [Json], String> {
-    want(doc, path, key)?
-        .as_arr()
-        .ok_or_else(|| format!("{path}.{key}: expected an array"))
-}
-
-fn want_phase(doc: &Json, path: &str) -> Result<String, String> {
-    let phase = want_str(doc, path, "phase")?;
-    if !matches!(phase, "queue" | "run" | "backoff") {
-        return Err(format!("{path}.phase: unknown phase `{phase}`"));
+/// A Gantt segment's phase, attempt and lane: `run` segments occupy a
+/// worker, `queue`/`backoff` segments carry `null`.
+fn check_phase<'j>(seg: &Cursor<'j, '_>) -> Result<&'j str, String> {
+    let phase = seg.one_of("phase", &["queue", "run", "backoff"])?;
+    seg.u64("attempt")?;
+    let worker = seg.get("worker")?;
+    if phase == "run" {
+        seg.u64("worker")?;
+    } else if !matches!(worker.value(), Json::Null) {
+        return Err(worker.fail(format!("`{phase}` segments carry no lane")));
     }
-    Ok(phase.to_string())
+    Ok(phase)
 }
 
-fn want_span(doc: &Json, path: &str) -> Result<(u64, u64), String> {
-    let start = want_num(doc, path, "start_ns")? as u64;
-    let end = want_num(doc, path, "end_ns")? as u64;
+fn check_span(seg: &Cursor) -> Result<(u64, u64), String> {
+    let start = seg.u64("start_ns")?;
+    let end = seg.u64("end_ns")?;
     if end < start {
-        return Err(format!("{path}: end_ns {end} precedes start_ns {start}"));
+        return Err(seg.fail(format!("end_ns {end} precedes start_ns {start}")));
     }
     Ok((start, end))
 }
@@ -56,106 +39,74 @@ fn want_span(doc: &Json, path: &str) -> Result<(u64, u64), String> {
 /// # Errors
 /// A message naming the offending JSON path.
 pub fn validate_scope(doc: &Json) -> Result<(), String> {
-    let schema = want_str(doc, "$", "schema")?;
-    if schema != SCOPE_SCHEMA {
-        return Err(format!(
-            "$.schema: expected `{SCOPE_SCHEMA}`, found `{schema}`"
-        ));
-    }
-    want_num(doc, "$", "workers")?;
-    let makespan_ns = want_num(doc, "$", "makespan_ns")? as u64;
-    want_num(doc, "$", "makespan_s")?;
-    let jobs = want_arr(doc, "$", "jobs")?;
-    for (i, job) in jobs.iter().enumerate() {
-        let path = format!("$.jobs[{i}]");
-        want_str(job, &path, "id")?;
-        want_str(job, &path, "state")?;
-        for key in ["queue_ns", "run_ns", "backoff_ns"] {
-            want_num(job, &path, key)?;
+    let doc = Cursor::new(doc, "$");
+    doc.one_of("schema", &[SCOPE_SCHEMA])?;
+    doc.u64("workers")?;
+    let makespan_ns = doc.u64("makespan_ns")?;
+    doc.num("makespan_s")?;
+    for job in doc.arr("jobs")?.items() {
+        job.each(["id", "state"], Cursor::str)?;
+        job.each(["queue_ns", "run_ns", "backoff_ns"], Cursor::u64)?;
+        for seg in job.arr("segments")?.items() {
+            check_phase(&seg)?;
+            check_span(&seg)?;
+            seg.u64("slack_ns")?;
         }
-        for (k, seg) in want_arr(job, &path, "segments")?.iter().enumerate() {
-            let seg_path = format!("{path}.segments[{k}]");
-            let phase = want_phase(seg, &seg_path)?;
-            want_span(seg, &seg_path)?;
-            want_num(seg, &seg_path, "attempt")?;
-            want_num(seg, &seg_path, "slack_ns")?;
-            match (phase.as_str(), want(seg, &seg_path, "worker")?) {
-                ("run", Json::Num(_)) | ("queue" | "backoff", Json::Null) => {}
-                ("run", _) => return Err(format!("{seg_path}.worker: run needs a lane")),
-                _ => {
-                    return Err(format!(
-                        "{seg_path}.worker: `{phase}` segments carry no lane"
-                    ))
-                }
-            }
-        }
-        let profile = want(job, &path, "profile")?;
-        let profile_path = format!("{path}.profile");
-        want_num(profile, &profile_path, "events")?;
-        want_num(profile, &profile_path, "points")?;
-        for (k, span) in want_arr(profile, &profile_path, "top_spans")?
-            .iter()
-            .enumerate()
-        {
-            let span_path = format!("{profile_path}.top_spans[{k}]");
-            want_str(span, &span_path, "name")?;
-            want_num(span, &span_path, "count")?;
-            want_num(span, &span_path, "total_ns")?;
+        let profile = job.get("profile")?;
+        profile.each(["events", "points"], Cursor::u64)?;
+        for span in profile.arr("top_spans")?.items() {
+            span.str("name")?;
+            span.each(["count", "total_ns"], Cursor::u64)?;
         }
     }
-    for (i, lane) in want_arr(doc, "$", "workers_timeline")?.iter().enumerate() {
-        let path = format!("$.workers_timeline[{i}]");
-        let busy = want_num(lane, &path, "busy_ns")? as u64;
-        let idle = want_num(lane, &path, "idle_ns")? as u64;
-        want_num(lane, &path, "worker")?;
-        want_num(lane, &path, "utilization")?;
-        if busy + idle != makespan_ns {
-            return Err(format!(
-                "{path}: busy {busy} + idle {idle} != makespan {makespan_ns}"
-            ));
+    for lane in doc.arr("workers_timeline")?.items() {
+        let busy = lane.u64("busy_ns")?;
+        let idle = lane.u64("idle_ns")?;
+        lane.u64("worker")?;
+        lane.num("utilization")?;
+        if busy.checked_add(idle) != Some(makespan_ns) {
+            return Err(lane.fail(format!(
+                "busy {busy} + idle {idle} != makespan {makespan_ns}"
+            )));
         }
-        for (k, seg) in want_arr(lane, &path, "segments")?.iter().enumerate() {
-            let seg_path = format!("{path}.segments[{k}]");
-            want_str(seg, &seg_path, "job")?;
-            want_num(seg, &seg_path, "attempt")?;
-            want_span(seg, &seg_path)?;
+        for seg in lane.arr("segments")?.items() {
+            seg.str("job")?;
+            seg.u64("attempt")?;
+            check_span(&seg)?;
         }
     }
     // The central invariant: the critical path is contiguous from 0 to
     // the makespan and sums to it exactly.
-    let critical = want_arr(doc, "$", "critical_path")?;
-    if critical.is_empty() && makespan_ns != 0 {
-        return Err("$.critical_path: empty with a non-zero makespan".to_string());
+    let critical = doc.arr("critical_path")?;
+    if critical.items().len() == 0 && makespan_ns != 0 {
+        return Err(critical.fail("empty with a non-zero makespan"));
     }
-    let mut cursor = 0u64;
+    let mut chain_end = 0u64;
     let mut sum = 0u64;
-    for (i, seg) in critical.iter().enumerate() {
-        let path = format!("$.critical_path[{i}]");
-        want_str(seg, &path, "job")?;
-        want_num(seg, &path, "attempt")?;
-        let phase = want_phase(seg, &path)?;
-        if phase == "queue" {
-            return Err(format!("{path}: queue segments are never critical"));
+    for seg in critical.items() {
+        seg.str("job")?;
+        if check_phase(&seg)? == "queue" {
+            return Err(seg.fail("queue segments are never critical"));
         }
-        let (start, end) = want_span(seg, &path)?;
-        if start != cursor {
-            return Err(format!(
-                "{path}: chain gap — starts at {start}, previous ended at {cursor}"
-            ));
+        let (start, end) = check_span(&seg)?;
+        if start != chain_end {
+            return Err(seg.fail(format!(
+                "chain gap — starts at {start}, previous ended at {chain_end}"
+            )));
         }
-        cursor = end;
-        sum += end - start;
+        chain_end = end;
+        sum = sum.saturating_add(end - start);
     }
-    if cursor != makespan_ns {
-        return Err(format!(
-            "$.critical_path: chain ends at {cursor}, makespan is {makespan_ns}"
-        ));
+    if chain_end != makespan_ns {
+        return Err(critical.fail(format!(
+            "chain ends at {chain_end}, makespan is {makespan_ns}"
+        )));
     }
-    let declared = want_num(doc, "$", "critical_sum_ns")? as u64;
+    let declared = doc.u64("critical_sum_ns")?;
     if declared != sum {
-        return Err(format!(
-            "$.critical_sum_ns: declared {declared}, segments sum to {sum}"
-        ));
+        return Err(doc
+            .get("critical_sum_ns")?
+            .fail(format!("declared {declared}, segments sum to {sum}")));
     }
     Ok(())
 }
@@ -217,6 +168,24 @@ mod tests {
             let doc = parse(&damage).expect("still JSON");
             let err = validate_scope(&doc).unwrap_err();
             assert!(err.contains(want_msg), "want `{want_msg}` in `{err}`");
+        }
+    }
+
+    #[test]
+    fn nanosecond_fields_must_be_non_negative_integers() {
+        // Both documents were accepted when `*_ns` fields were read as
+        // numbers and cast: -5 saturated to 0 (an empty chain then
+        // "matched"), and 2.7 / 2.9 both truncated to the chain's 2.
+        let head = r#"{"schema":"heron-scope-v1","workers":1,"makespan_s":0,"jobs":[],"workers_timeline":[],"#;
+        for tail in [
+            r#""makespan_ns":-5,"critical_path":[],"critical_sum_ns":0}"#,
+            r#""makespan_ns":2.7,"critical_path":[{"job":"a","phase":"run","attempt":0,"worker":0,"start_ns":0,"end_ns":2}],"critical_sum_ns":2.9}"#,
+        ] {
+            let doc = parse(&format!("{head}{tail}")).expect("JSON");
+            assert_eq!(
+                validate_scope(&doc).unwrap_err(),
+                "$.makespan_ns: expected a non-negative integer"
+            );
         }
     }
 }

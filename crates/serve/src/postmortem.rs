@@ -16,8 +16,8 @@
 //! `makespan_s` depend on which neighbours happened to finish first and
 //! would poison byte-identity, so they judge as no-sample passes.
 
-use heron_pulse::{attach_slo, backoff_last_s, backoff_wait_s, SloSpec};
-use heron_trace::{check_ring_snapshot, Json, RingSummary};
+use heron_pulse::{attach_slo, backoff_last_s, backoff_wait_s, check_slo_rule, SloSpec};
+use heron_trace::{check_ring_snapshot, Cursor, Json, RingSummary};
 
 use crate::recorder::FlightEntry;
 
@@ -200,52 +200,30 @@ pub struct PostmortemSummary {
 /// # Errors
 /// A message naming the offending header field or ring line.
 pub fn check_postmortem(text: &str) -> Result<PostmortemSummary, String> {
-    let mut parts = text.splitn(2, '\n');
-    let header = parts.next().unwrap_or("");
-    let body = parts.next().unwrap_or("");
+    let (header, body) = text.split_once('\n').unwrap_or((text, ""));
     let doc = heron_trace::json::parse(header).map_err(|e| format!("postmortem header: {e}"))?;
-    let schema = doc
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or_else(|| "postmortem header: missing string `schema`".to_string())?;
-    if schema != POSTMORTEM_SCHEMA {
-        return Err(format!(
-            "postmortem header: expected `{POSTMORTEM_SCHEMA}`, found `{schema}`"
-        ));
+    let header = Cursor::new(&doc, "postmortem header");
+    header.one_of("schema", &[POSTMORTEM_SCHEMA])?;
+    header.u64("epoch")?;
+    header.u64("sim_ns")?;
+    let checkpoint = header.get("checkpoint")?;
+    checkpoint.bool("present")?;
+    checkpoint.str_or_null("id")?;
+    let restart = header.get("restart")?;
+    restart.u32("recoveries")?;
+    restart.u32("budget")?;
+    let slo = header.arr("slo")?;
+    let slo_rules = slo.items().len();
+    for rule in slo.items() {
+        check_slo_rule(&rule)?;
     }
-    let want_str = |key: &str| {
-        doc.get(key)
-            .and_then(Json::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| format!("postmortem header: missing string `{key}`"))
-    };
-    let want_u64 = |key: &str| {
-        doc.get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("postmortem header: missing or non-integer `{key}`"))
-    };
-    let job = want_str("job")?;
-    let reason = want_str("reason")?;
-    let attempt = want_u64("attempt")? as u32;
-    let rounds = want_u64("rounds")?;
-    for key in ["checkpoint", "restart"] {
-        if doc.get(key).is_none() {
-            return Err(format!("postmortem header: missing object `{key}`"));
-        }
-    }
-    let slo_rules = doc
-        .get("slo")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| "postmortem header: missing array `slo`".to_string())?
-        .len();
-    let ring = check_ring_snapshot(body).map_err(|e| format!("postmortem ring: {e}"))?;
     Ok(PostmortemSummary {
-        job,
-        attempt,
-        reason,
-        rounds,
+        job: header.str("job")?.to_string(),
+        attempt: header.u32("attempt")?,
+        reason: header.str("reason")?.to_string(),
+        rounds: header.u64("rounds")?,
         slo_rules,
-        ring,
+        ring: check_ring_snapshot(body).map_err(|e| format!("postmortem ring: {e}"))?,
     })
 }
 

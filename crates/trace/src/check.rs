@@ -18,7 +18,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::json::{self, Json};
+use crate::json::{self, Cursor, Json};
 use crate::tracer::TraceContext;
 
 /// One reconstructed span (open + close pair).
@@ -89,61 +89,33 @@ impl TraceSummary {
     }
 }
 
-/// Parses the optional `"ctx"` member of an event line.
+/// The optional `"ctx"` member of an event line.
 ///
 /// # Errors
-/// A message naming the line when `ctx` is present but malformed.
-pub fn parse_ctx(obj: &Json, line: usize) -> Result<Option<TraceContext>, String> {
-    match obj.get("ctx") {
-        None => Ok(None),
-        Some(ctx @ Json::Obj(_)) => {
-            let job = ctx
-                .get("job")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("line {line}: ctx missing string `job`"))?;
-            let attempt = ctx
-                .get("attempt")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("line {line}: ctx missing integer `attempt`"))?;
-            let epoch = ctx
-                .get("epoch")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("line {line}: ctx missing integer `epoch`"))?;
-            if attempt > u32::MAX as u64 {
-                return Err(format!("line {line}: ctx attempt {attempt} out of range"));
-            }
-            Ok(Some(TraceContext::new(job, attempt as u32, epoch)))
-        }
-        Some(other) => Err(format!("line {line}: `ctx` is not an object: {other:?}")),
+/// The member's path when `ctx` is present but malformed.
+pub(crate) fn event_ctx(event: &Cursor) -> Result<Option<TraceContext>, String> {
+    if !event.has("ctx") {
+        return Ok(None);
     }
+    let ctx = event.get("ctx")?;
+    let job = ctx.str("job")?;
+    let attempt = ctx.u32("attempt")?;
+    Ok(Some(TraceContext::new(job, attempt, ctx.u64("epoch")?)))
 }
 
-fn get_u64(obj: &Json, key: &str, line: usize) -> Result<u64, String> {
-    obj.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("line {line}: missing or non-integer `{key}`"))
-}
-
-fn get_str<'j>(obj: &'j Json, key: &str, line: usize) -> Result<&'j str, String> {
-    obj.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("line {line}: missing or non-string `{key}`"))
-}
-
-fn get_fields(obj: &Json, line: usize) -> Result<Vec<(String, String)>, String> {
-    match obj.get("fields") {
-        None => Ok(Vec::new()),
-        Some(Json::Obj(members)) => members
-            .iter()
-            .map(|(k, v)| match v {
-                Json::Str(s) => Ok((k.clone(), s.clone())),
-                other => Err(format!(
-                    "line {line}: field `{k}` is not a string: {other:?}"
-                )),
-            })
-            .collect(),
-        Some(other) => Err(format!("line {line}: `fields` is not an object: {other:?}")),
+/// The optional `"fields"` member of an event line: string values only.
+fn event_fields(event: &Cursor) -> Result<Vec<(String, String)>, String> {
+    if !event.has("fields") {
+        return Ok(Vec::new());
     }
+    let fields = event.get("fields")?;
+    let Json::Obj(members) = fields.value() else {
+        return Err(fields.fail("expected an object"));
+    };
+    members
+        .iter()
+        .map(|(k, _)| Ok((k.clone(), fields.str(k.as_str())?.to_string())))
+        .collect()
 }
 
 /// Validates a JSONL trace and reconstructs its spans.
@@ -212,39 +184,38 @@ impl TraceChecker {
             return Err(format!("line {lineno}: event is not a JSON object"));
         }
         self.events += 1;
+        let event = Cursor::line(&obj, lineno);
 
-        let seq = get_u64(&obj, "seq", lineno)?;
+        let seq = event.u64("seq")?;
         if seq != idx as u64 {
-            return Err(format!(
-                "line {lineno}: seq {seq} does not match line index {idx}"
-            ));
+            return Err(event.fail(format!("seq {seq} does not match line index {idx}")));
         }
-        let t_ns = get_u64(&obj, "t_ns", lineno)?;
-        let ctx = parse_ctx(&obj, lineno)?;
+        let t_ns = event.u64("t_ns")?;
+        let ctx = event_ctx(&event)?;
         let group = self.groups.entry(ctx.clone()).or_default();
         if t_ns < group.last_t_ns {
-            return Err(format!(
-                "line {lineno}: timestamp {t_ns} goes backwards (previous {} in the same context)",
+            return Err(event.fail(format!(
+                "timestamp {t_ns} goes backwards (previous {} in the same context)",
                 group.last_t_ns
-            ));
+            )));
         }
         group.last_t_ns = t_ns;
 
-        match get_str(&obj, "ev", lineno)? {
+        match event.one_of("ev", &["open", "close", "point"])? {
             "open" => {
-                let id = get_u64(&obj, "id", lineno)?;
+                let id = event.u64("id")?;
                 if id == 0 {
-                    return Err(format!("line {lineno}: span id 0 is reserved"));
+                    return Err(event.fail("span id 0 is reserved"));
                 }
-                let parent = get_u64(&obj, "parent", lineno)?;
+                let parent = event.u64("parent")?;
                 let expected_parent = group.stack.last().map_or(0, |&(_, id)| id);
                 if parent != expected_parent {
-                    return Err(format!(
-                        "line {lineno}: span {id} claims parent {parent} but innermost open span is {expected_parent}"
-                    ));
+                    return Err(event.fail(format!(
+                        "span {id} claims parent {parent} but innermost open span is {expected_parent}"
+                    )));
                 }
-                let name = get_str(&obj, "name", lineno)?.to_string();
-                let fields = get_fields(&obj, lineno)?;
+                let name = event.str("name")?.to_string();
+                let fields = event_fields(&event)?;
                 group.stack.push((self.spans.len(), id));
                 self.spans.push(SpanRec {
                     id,
@@ -257,29 +228,26 @@ impl TraceChecker {
                 });
             }
             "close" => {
-                let id = get_u64(&obj, "id", lineno)?;
+                let id = event.u64("id")?;
                 match group.stack.pop() {
                     Some((slot, open_id)) if open_id == id => {
                         self.spans[slot].t_close_ns = t_ns;
                     }
                     Some((_, open_id)) => {
-                        return Err(format!(
-                            "line {lineno}: close of span {id} but innermost open span is {open_id} (not LIFO)"
-                        ));
+                        return Err(event.fail(format!(
+                            "close of span {id} but innermost open span is {open_id} (not LIFO)"
+                        )));
                     }
                     None => {
-                        return Err(format!(
-                            "line {lineno}: close of span {id} with no span open"
-                        ));
+                        return Err(event.fail(format!("close of span {id} with no span open")));
                     }
                 }
             }
-            "point" => {
-                get_str(&obj, "name", lineno)?;
-                get_fields(&obj, lineno)?;
+            _ => {
+                event.str("name")?;
+                event_fields(&event)?;
                 self.points += 1;
             }
-            other => return Err(format!("line {lineno}: unknown event kind `{other}`")),
         }
         Ok(())
     }

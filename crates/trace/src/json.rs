@@ -6,6 +6,12 @@
 //! escapes), numbers, booleans and null — enough to *emit* trace events
 //! and to *parse any* JSON document back for validation, so
 //! `trace_report --check` accepts traces produced by other tools too.
+//!
+//! [`Cursor`] is the one reader every `heron-*-v1` validator is written
+//! against: typed member accessors whose errors name the offending
+//! member as `<root>.<path>: <what>`.
+
+use std::fmt::{self, Display};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -160,6 +166,218 @@ impl Json {
             }
             other => other.render_into(out),
         }
+    }
+}
+
+/// One step down a [`Cursor`]'s path: an object member or an array
+/// element. `&str` and `usize` convert into it, so every accessor takes
+/// either.
+#[derive(Debug, Clone, Copy)]
+pub enum Step<'p> {
+    /// An object member.
+    Key(&'p str),
+    /// An array element.
+    Index(usize),
+}
+
+impl<'p> From<&'p str> for Step<'p> {
+    fn from(key: &'p str) -> Self {
+        Step::Key(key)
+    }
+}
+
+impl From<usize> for Step<'_> {
+    fn from(index: usize) -> Self {
+        Step::Index(index)
+    }
+}
+
+/// Where a cursor points: its root label plus the steps taken from it,
+/// each step borrowing its parent's path, so descending never
+/// allocates — the text is built only when an error is returned.
+#[derive(Debug, Clone, Copy)]
+enum Path<'p> {
+    Root(&'p str),
+    Line(usize),
+    Child(&'p Path<'p>, Step<'p>),
+}
+
+impl Display for Path<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Path::Root(label) => f.write_str(label),
+            Path::Line(n) => write!(f, "line {n}"),
+            Path::Child(parent, Step::Key(key)) => write!(f, "{parent}.{key}"),
+            Path::Child(parent, Step::Index(i)) => write!(f, "{parent}[{i}]"),
+        }
+    }
+}
+
+/// A path-carrying read cursor over a parsed document: the reader every
+/// artifact validator uses.
+///
+/// Accessors take a member key or an array index ([`Step`]) and fail
+/// with `<root>.<path>: missing` when it is absent, or `…: expected …`
+/// when its value has the wrong type — for example
+/// `$.jobs[3].slis.ttfc_s: expected a number or null`. Validators return
+/// the first such error; cross-field invariants stay hand-written and
+/// report through [`Cursor::fail`].
+#[derive(Debug, Clone, Copy)]
+pub struct Cursor<'j, 'p> {
+    value: &'j Json,
+    path: Path<'p>,
+}
+
+impl<'j, 'p> Cursor<'j, 'p> {
+    /// A cursor at `value`, whose errors start with `root` (`$`,
+    /// `ring header`, …).
+    pub fn new(value: &'j Json, root: &'p str) -> Self {
+        let path = Path::Root(root);
+        Cursor { value, path }
+    }
+
+    /// A cursor at line `n` of a JSONL document (errors start `line n`).
+    pub fn line(value: &'j Json, n: usize) -> Self {
+        let path = Path::Line(n);
+        Cursor { value, path }
+    }
+
+    /// The value under the cursor.
+    pub fn value(&self) -> &'j Json {
+        self.value
+    }
+
+    /// The error `<path>: <what>`, for an invariant this value breaks.
+    pub fn fail(&self, what: impl Display) -> String {
+        format!("{}: {what}", self.path)
+    }
+
+    /// Whether the object under the cursor has member `key` (for
+    /// optional members).
+    pub fn has(&self, key: &str) -> bool {
+        self.value.get(key).is_some()
+    }
+
+    /// The member or element `step`, of any type (this value must be an
+    /// object for a key, an array for an index).
+    pub fn get<'s>(&'s self, step: impl Into<Step<'s>>) -> Result<Cursor<'j, 's>, String> {
+        let step = step.into();
+        let found = match (step, self.value) {
+            (Step::Key(key), Json::Obj(_)) => self.value.get(key),
+            (Step::Index(i), Json::Arr(items)) => items.get(i),
+            (Step::Key(_), _) => return Err(self.fail("expected an object")),
+            (Step::Index(_), _) => return Err(self.fail("expected an array")),
+        };
+        let path = Path::Child(&self.path, step);
+        match found {
+            Some(value) => Ok(Cursor { value, path }),
+            None => Err(format!("{path}: missing")),
+        }
+    }
+
+    fn typed<'s, T>(
+        &'s self,
+        step: impl Into<Step<'s>>,
+        want: &str,
+        read: impl FnOnce(&'j Json) -> Option<T>,
+    ) -> Result<T, String> {
+        let at = self.get(step)?;
+        read(at.value).ok_or_else(|| at.fail(format_args!("expected {want}")))
+    }
+
+    /// The number at `step`.
+    pub fn num<'s>(&'s self, step: impl Into<Step<'s>>) -> Result<f64, String> {
+        self.typed(step, "a number", Json::as_f64)
+    }
+
+    /// The non-negative integer at `step`.
+    pub fn u64<'s>(&'s self, step: impl Into<Step<'s>>) -> Result<u64, String> {
+        self.typed(step, "a non-negative integer", Json::as_u64)
+    }
+
+    /// The non-negative integer at `step`, which must fit a `u32`.
+    pub fn u32<'s>(&'s self, step: impl Into<Step<'s>>) -> Result<u32, String> {
+        self.typed(step, "a 32-bit non-negative integer", |v| {
+            v.as_u64().and_then(|n| u32::try_from(n).ok())
+        })
+    }
+
+    /// The string at `step`.
+    pub fn str<'s>(&'s self, step: impl Into<Step<'s>>) -> Result<&'j str, String> {
+        self.typed(step, "a string", Json::as_str)
+    }
+
+    /// The string at `step`, which must be one of `allowed` (a schema id,
+    /// an enumeration).
+    pub fn one_of<'s>(
+        &'s self,
+        step: impl Into<Step<'s>>,
+        allowed: &[&str],
+    ) -> Result<&'j str, String> {
+        let step = step.into();
+        let s = self.str(step)?;
+        if allowed.contains(&s) {
+            return Ok(s);
+        }
+        let wanted: Vec<String> = allowed.iter().map(|a| format!("`{a}`")).collect();
+        let what = format!("expected {}, found `{s}`", wanted.join(" or "));
+        Err(self.get(step)?.fail(what))
+    }
+
+    /// Reads each of `steps` with `read` — e.g.
+    /// `job.each(["id", "state"], Cursor::str)` — for members that need no
+    /// further check.
+    pub fn each<'s, S: Into<Step<'s>>, T>(
+        &'s self,
+        steps: impl IntoIterator<Item = S>,
+        read: impl Fn(&'s Self, S) -> Result<T, String>,
+    ) -> Result<(), String> {
+        steps
+            .into_iter()
+            .try_for_each(|step| read(self, step).map(drop))
+    }
+
+    /// The boolean at `step`.
+    pub fn bool<'s>(&'s self, step: impl Into<Step<'s>>) -> Result<bool, String> {
+        self.typed(step, "a boolean", |v| match v {
+            Json::Bool(b) => Some(*b),
+            _ => None,
+        })
+    }
+
+    /// The number at `step`, or `None` for `null`.
+    pub fn num_or_null<'s>(&'s self, step: impl Into<Step<'s>>) -> Result<Option<f64>, String> {
+        self.typed(step, "a number or null", |v| match v {
+            Json::Null => Some(None),
+            v => v.as_f64().map(Some),
+        })
+    }
+
+    /// The string at `step`, or `None` for `null`.
+    pub fn str_or_null<'s>(&'s self, step: impl Into<Step<'s>>) -> Result<Option<&'j str>, String> {
+        self.typed(step, "a string or null", |v| match v {
+            Json::Null => Some(None),
+            v => v.as_str().map(Some),
+        })
+    }
+
+    /// The array at `step`, as a cursor to index or iterate.
+    pub fn arr<'s>(&'s self, step: impl Into<Step<'s>>) -> Result<Cursor<'j, 's>, String> {
+        let at = self.get(step)?;
+        match at.value {
+            Json::Arr(_) => Ok(at),
+            _ => Err(at.fail("expected an array")),
+        }
+    }
+
+    /// Cursors at the elements of the array under the cursor (none
+    /// when it is not an array).
+    pub fn items(&self) -> impl ExactSizeIterator<Item = Cursor<'j, '_>> {
+        let items: &'j [Json] = self.value.as_arr().unwrap_or(&[]);
+        items.iter().enumerate().map(move |(i, value)| Cursor {
+            value,
+            path: Path::Child(&self.path, Step::Index(i)),
+        })
     }
 }
 
@@ -433,6 +651,50 @@ mod tests {
         assert!(pretty.ends_with('\n'));
         assert_eq!(parse(&pretty).unwrap(), v);
         assert!(pretty.contains("  \"a\": ["));
+    }
+
+    #[test]
+    fn cursor_errors_name_the_member_path() {
+        let doc = parse(r#"{"a":{"b":[1,"x",null]},"s":"v1","t":true,"n":-2}"#).unwrap();
+        let root = Cursor::new(&doc, "$");
+        let a = root.get("a").unwrap();
+        let b = a.arr("b").unwrap();
+        assert_eq!(b.items().len(), 3);
+        assert_eq!(b.u64(0), Ok(1));
+        assert_eq!(b.num(1).unwrap_err(), "$.a.b[1]: expected a number");
+        assert_eq!(b.num_or_null(2), Ok(None));
+        assert_eq!(
+            b.str_or_null(0).unwrap_err(),
+            "$.a.b[0]: expected a string or null"
+        );
+        assert_eq!(b.get(3).unwrap_err(), "$.a.b[3]: missing");
+        assert_eq!(b.get("k").unwrap_err(), "$.a.b: expected an object");
+        assert_eq!(a.num("c").unwrap_err(), "$.a.c: missing");
+        assert_eq!(
+            root.u64("n").unwrap_err(),
+            "$.n: expected a non-negative integer"
+        );
+        assert_eq!(root.bool("t"), Ok(true));
+        assert_eq!(root.one_of("s", &["v1"]), Ok("v1"));
+        assert_eq!(
+            root.one_of("s", &["v2", "v3"]).unwrap_err(),
+            "$.s: expected `v2` or `v3`, found `v1`"
+        );
+        assert_eq!(
+            root.each(["t", "s"], Cursor::bool).unwrap_err(),
+            "$.s: expected a boolean"
+        );
+        assert_eq!(
+            b.each(0..2, Cursor::num).unwrap_err(),
+            "$.a.b[1]: expected a number"
+        );
+        let items: Vec<String> = b.items().map(|c| c.fail("bad")).collect();
+        assert_eq!(items, ["$.a.b[0]: bad", "$.a.b[1]: bad", "$.a.b[2]: bad"]);
+        let big = parse("{\"n\":4294967296}").unwrap();
+        assert_eq!(
+            Cursor::line(&big, 7).u32("n").unwrap_err(),
+            "line 7.n: expected a 32-bit non-negative integer"
+        );
     }
 
     #[test]

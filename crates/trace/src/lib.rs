@@ -47,7 +47,7 @@ pub mod tracer;
 
 pub use check::{check_trace, check_trace_lines, SpanRec, TraceChecker, TraceSummary};
 pub use clock::Clock;
-pub use json::Json;
+pub use json::{Cursor, Json};
 pub use metrics::{Histogram, Instrument, MetricsRegistry, DEFAULT_BUCKETS};
 pub use profile::{profile_from_summary, ProfileNode};
 pub use ring::{check_ring_snapshot, RingSummary, RING_SCHEMA};

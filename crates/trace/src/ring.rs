@@ -39,7 +39,7 @@
 use std::collections::VecDeque;
 
 use crate::check::{check_trace, TraceSummary};
-use crate::json::{self, Json};
+use crate::json::{self, Cursor};
 use crate::tracer::{Event, TraceContext};
 
 /// The schema identifier stamped into every ring snapshot header.
@@ -120,12 +120,6 @@ pub struct RingSummary {
     pub summary: TraceSummary,
 }
 
-fn header_u64(doc: &Json, key: &str) -> Result<u64, String> {
-    doc.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("ring header: missing or non-integer `{key}`"))
-}
-
 /// Validates a `heron-ring-v1` snapshot: parses the header line, checks
 /// the schema and event count, and runs the body through
 /// [`check_trace`].
@@ -133,36 +127,24 @@ fn header_u64(doc: &Json, key: &str) -> Result<u64, String> {
 /// # Errors
 /// A message naming the offending header field or body line.
 pub fn check_ring_snapshot(jsonl: &str) -> Result<RingSummary, String> {
-    let mut parts = jsonl.splitn(2, '\n');
-    let header = parts.next().unwrap_or("");
-    let body = parts.next().unwrap_or("");
+    let (header, body) = jsonl.split_once('\n').unwrap_or((jsonl, ""));
     let doc = json::parse(header).map_err(|e| format!("ring header: {e}"))?;
-    let schema = doc
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or_else(|| "ring header: missing string `schema`".to_string())?;
-    if schema != RING_SCHEMA {
-        return Err(format!(
-            "ring header: expected `{RING_SCHEMA}`, found `{schema}`"
-        ));
+    let header = Cursor::new(&doc, "ring header");
+    header.one_of("schema", &[RING_SCHEMA])?;
+    let events = header.u64("events")?;
+    let ring = RingSummary {
+        capacity: header.u64("capacity")?,
+        evicted: header.u64("evicted")?,
+        now_ns: header.u64("now_ns")?,
+        summary: check_trace(body)?,
+    };
+    if ring.summary.events as u64 != events {
+        return Err(header.get("events")?.fail(format!(
+            "declares {events} events but body has {}",
+            ring.summary.events
+        )));
     }
-    let capacity = header_u64(&doc, "capacity")?;
-    let evicted = header_u64(&doc, "evicted")?;
-    let events = header_u64(&doc, "events")?;
-    let now_ns = header_u64(&doc, "now_ns")?;
-    let summary = check_trace(body)?;
-    if summary.events as u64 != events {
-        return Err(format!(
-            "ring header: declares {events} events but body has {}",
-            summary.events
-        ));
-    }
-    Ok(RingSummary {
-        capacity,
-        evicted,
-        now_ns,
-        summary,
-    })
+    Ok(ring)
 }
 
 #[cfg(test)]

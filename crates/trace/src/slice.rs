@@ -29,7 +29,9 @@ use crate::tracer::TraceContext;
 /// untagged/service-level lines and lines that do not parse).
 pub fn line_ctx(line: &str) -> Option<TraceContext> {
     let obj = json::parse(line).ok()?;
-    crate::check::parse_ctx(&obj, 0).ok().flatten()
+    crate::check::event_ctx(&json::Cursor::line(&obj, 0))
+        .ok()
+        .flatten()
 }
 
 fn edit_members(line: &str, edit: impl FnOnce(&mut Vec<(String, Json)>)) -> String {

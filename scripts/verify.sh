@@ -80,20 +80,16 @@ done
 echo "ok: trace validates; $instruments instruments across all layers"
 
 echo "== insight smoke (search-health analytics + perf trajectory) =="
-# A traced tune with insight enabled must emit a schema-valid
-# `insight.json`; `bench_snapshot` must emit a schema-valid
-# `BENCH_heron.json`; and `bench_compare` comparing that snapshot
-# against itself must pass the regression gate (DESIGN.md §7,
-# "Search-health analytics & perf trajectory"). The committed
-# `BENCH_heron.json` baseline is regenerated with the default
+# A tune with insight enabled must emit a schema-valid `insight.json`
+# and `bench_snapshot` a schema-valid `BENCH_heron.json` (both binaries
+# validate what they write and exit 1 otherwise); and `bench_compare`
+# comparing that snapshot against itself must pass the regression gate
+# (DESIGN.md §7, "Search-health analytics & perf trajectory"). The
+# committed `BENCH_heron.json` baseline is regenerated with the default
 # seed/trials; this stage uses a reduced budget so it stays fast.
 cargo run --release --offline -p heron-bench --bin heron_cli -- \
     tune --op gemm --shape 256x256x256 --trials 24 \
     --insight-out "$obs_dir/insight.json" >/dev/null 2>&1
-if ! grep -q '"schema": "heron-insight-v1"' "$obs_dir/insight.json"; then
-    echo "error: insight.json missing the heron-insight-v1 schema id" >&2
-    exit 1
-fi
 cargo run --release --offline -p heron-bench --bin bench_snapshot -- \
     --trials 24 --out "$obs_dir/BENCH_smoke.json" >/dev/null 2>&1
 cargo run --release --offline -p heron-bench --bin bench_compare -- \

@@ -425,7 +425,7 @@ fn bench_snapshot_json_is_byte_identical_for_same_seed() {
     let b = snapshot(7);
     let (ja, jb) = (a.to_json().render_pretty(), b.to_json().render_pretty());
     assert_eq!(ja, jb, "same-seed BENCH_heron.json diverged");
-    heron::insight::validate_bench(&a.to_json()).expect("schema-valid snapshot");
+    heron::insight::BenchReport::from_json(&a.to_json()).expect("schema-valid snapshot");
     assert!(
         compare(&a, &b, &CompareConfig::default()).is_empty(),
         "self-comparison must pass the gate"
