@@ -18,6 +18,7 @@
 
 use heron_csp::{Solution, SolveSession, VarRef};
 use heron_rng::HeronRng;
+use heron_trace::kv::{self, CheckpointError, Hex, Words, Writer};
 use heron_trace::Tracer;
 
 use crate::oracle::{Oracle, OracleVerdict};
@@ -75,7 +76,7 @@ pub struct UnderState {
     pub boundary_invalid: u64,
 }
 
-const CKPT_HEADER: &str = "heron-audit-ckpt-v1";
+const CKPT_HEADER: &str = "heron-audit-ckpt-v2";
 
 impl UnderState {
     /// A fresh probe.
@@ -84,117 +85,56 @@ impl UnderState {
     }
 
     /// Serializes the state (plus the `seed`/`samples` it is only valid
-    /// for) as a line-oriented text checkpoint.
+    /// for) as a sealed [`kv`] checkpoint.
     pub fn to_text(&self, seed: u64, samples: usize) -> String {
-        let mut out = String::new();
-        out.push_str(CKPT_HEADER);
-        out.push('\n');
-        out.push_str(&format!("seed {seed} samples {samples}\n"));
-        out.push_str(&format!(
-            "next_chunk {} dry {} invalid_total {} done {}\n",
-            self.next_chunk,
-            self.dry,
-            self.invalid_total,
-            u8::from(self.done)
-        ));
-        out.push_str("seen");
-        for fp in &self.seen {
-            out.push_str(&format!(" {fp:016x}"));
-        }
-        out.push('\n');
+        let mut w = Writer::new(CKPT_HEADER);
+        w.line("seed", seed);
+        w.line("samples", samples);
+        w.line("next_chunk", self.next_chunk);
+        w.line("dry", self.dry);
+        w.line("invalid_total", self.invalid_total);
+        w.line("done", u8::from(self.done));
+        w.line("seen", Words(self.seen.iter().map(|&fp| Hex(fp))));
         if let Some(r) = &self.reference {
-            out.push_str("ref");
-            for v in r.values() {
-                out.push_str(&format!(" {v}"));
-            }
-            out.push('\n');
+            w.line("ref", Words(r.values()));
         }
-        for w in &self.raw_witnesses {
-            out.push_str("wit");
-            for v in w.values() {
-                out.push_str(&format!(" {v}"));
-            }
-            out.push('\n');
+        for wit in &self.raw_witnesses {
+            w.line("wit", Words(wit.values()));
         }
-        out.push_str("end\n");
-        out
+        w.seal()
     }
 
     /// Parses a checkpoint written by [`UnderState::to_text`], returning
     /// the state and the `(seed, samples)` pair it belongs to.
     ///
     /// # Errors
-    /// A message naming the first malformed line.
-    pub fn from_text(text: &str) -> Result<(UnderState, u64, usize), String> {
-        let mut lines = text.lines();
-        if lines.next() != Some(CKPT_HEADER) {
-            return Err(format!("not a `{CKPT_HEADER}` checkpoint"));
-        }
-        let kv = |line: &str, want: &[&str]| -> Result<Vec<u64>, String> {
-            let toks: Vec<&str> = line.split_whitespace().collect();
-            if toks.len() != want.len() * 2 {
-                return Err(format!("malformed line `{line}`"));
-            }
-            want.iter()
-                .enumerate()
-                .map(|(i, key)| {
-                    if toks[2 * i] != *key {
-                        return Err(format!("expected `{key}` in `{line}`"));
-                    }
-                    toks[2 * i + 1]
-                        .parse::<u64>()
-                        .map_err(|_| format!("bad number in `{line}`"))
-                })
-                .collect()
-        };
-        let head = kv(lines.next().unwrap_or(""), &["seed", "samples"])?;
-        let (seed, samples) = (head[0], head[1] as usize);
-        let prog = kv(
-            lines.next().unwrap_or(""),
-            &["next_chunk", "dry", "invalid_total", "done"],
-        )?;
-        let mut state = UnderState {
-            next_chunk: prog[0] as usize,
-            dry: prog[1] as usize,
-            invalid_total: prog[2],
-            done: prog[3] != 0,
-            ..UnderState::default()
-        };
-        let mut saw_end = false;
-        for line in lines {
-            let mut toks = line.split_whitespace();
-            match toks.next() {
-                Some("seen") => {
-                    for t in toks {
-                        state.seen.push(
-                            u64::from_str_radix(t, 16)
-                                .map_err(|_| format!("bad fingerprint `{t}`"))?,
-                        );
-                    }
-                }
-                Some("ref") | Some("wit") => {
-                    let values: Result<Vec<i64>, String> = line
-                        .split_whitespace()
-                        .skip(1)
-                        .map(|t| t.parse::<i64>().map_err(|_| format!("bad value `{t}`")))
-                        .collect();
-                    let sol = Solution::new(values?);
-                    if line.starts_with("ref") {
-                        state.reference = Some(sol);
-                    } else {
-                        state.raw_witnesses.push(sol);
-                    }
-                }
-                Some("end") => {
-                    saw_end = true;
-                    break;
-                }
-                other => return Err(format!("unexpected line `{:?}`", other.unwrap_or(""))),
+    /// [`CheckpointError::Corrupt`] on any damage (checked first),
+    /// [`CheckpointError::VersionMismatch`] for another version (a v1 file
+    /// included), [`CheckpointError::Parse`] naming a malformed line.
+    pub fn from_text(text: &str) -> Result<(UnderState, u64, usize), CheckpointError> {
+        let mut state = UnderState::default();
+        let (mut seed, mut samples) = (None, None);
+        for e in kv::unseal(text, CKPT_HEADER)? {
+            let e = e?;
+            match e.key {
+                "seed" => seed = Some(e.num(e.value)?),
+                "samples" => samples = Some(e.num(e.value)?),
+                "next_chunk" => state.next_chunk = e.num(e.value)?,
+                "dry" => state.dry = e.num(e.value)?,
+                "invalid_total" => state.invalid_total = e.num(e.value)?,
+                "done" => state.done = e.tokens().flag()?,
+                "seen" => state.seen = e.tokens().map(|t| e.hex(t)).collect::<Result<_, _>>()?,
+                "ref" => state.reference = Some(Solution::new(e.tokens().rest()?)),
+                "wit" => state.raw_witnesses.push(Solution::new(e.tokens().rest()?)),
+                _ => return Err(e.error("unknown key")),
             }
         }
-        if !saw_end {
-            return Err("truncated checkpoint (missing `end`)".into());
-        }
+        let (Some(seed), Some(samples)) = (seed, samples) else {
+            return Err(CheckpointError::Parse {
+                line: 1,
+                message: "audit checkpoint is missing seed or samples".into(),
+            });
+        };
         Ok((state, seed, samples))
     }
 }

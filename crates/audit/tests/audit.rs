@@ -92,14 +92,50 @@ fn killed_and_resumed_audit_is_byte_identical() {
 
 #[test]
 fn checkpoint_rejects_damage() {
-    let state = UnderState::new();
-    let text = state.to_text(3, 16);
-    assert!(UnderState::from_text(&text).is_ok());
+    // A paused probe with every kind of line: counters, seen
+    // fingerprints, the reference and a witness.
+    let s = gemm("v100", 128);
+    let cfg = AuditConfig::new(2023);
+    let mut state = UnderState::new();
+    assert!(audit_with_state(&s, &cfg, &Tracer::disabled(), &mut state, Some(1)).is_none());
+    let reference = state.reference.clone().expect("a valid reference sample");
+    state.raw_witnesses.push(reference);
+    state.invalid_total = 1;
+    let text = state.to_text(cfg.seed, cfg.samples);
+    let (back, seed, samples) = UnderState::from_text(&text).expect("round-trips");
+    assert_eq!(back.to_text(seed, samples), text);
+
+    // Every single-byte flip is rejected: no damaged digit of a counter
+    // or fingerprint may resume a different audit. (Non-UTF-8 results
+    // never reach the parser.)
+    for off in 0..text.len() {
+        let mut bytes = text.clone().into_bytes();
+        bytes[off] ^= 0x01;
+        if let Ok(flipped) = String::from_utf8(bytes) {
+            assert!(
+                UnderState::from_text(&flipped).is_err(),
+                "flip at byte {off} went undetected"
+            );
+        }
+    }
+    // So is every truncation.
+    for cut in 0..text.len() {
+        assert!(
+            UnderState::from_text(&text[..cut]).is_err(),
+            "truncation at byte {cut} went undetected"
+        );
+    }
     assert!(UnderState::from_text("not a checkpoint").is_err());
-    let truncated = text.replace("end\n", "");
-    assert!(UnderState::from_text(&truncated).is_err());
-    let mangled = text.replace("next_chunk", "next_chunkk");
-    assert!(UnderState::from_text(&mangled).is_err());
+    // A checkpoint of the unsealed first version is a version mismatch
+    // naming both headers.
+    let v1 = "heron-audit-ckpt-v1\nseed 3 samples 16\n\
+              next_chunk 0 dry 0 invalid_total 0 done 0\nseen\nend\n";
+    let err = UnderState::from_text(v1)
+        .map(|_| ())
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("version mismatch"), "{err}");
+    assert!(err.contains("heron-audit-ckpt-v1") && err.contains("heron-audit-ckpt-v2"));
 }
 
 #[test]

@@ -24,7 +24,7 @@ use heron_core::generate::{SpaceGenerator, SpaceOptions};
 use heron_dla::DlaSpec;
 use heron_tensor::ops::Conv2dConfig;
 use heron_testkit::rule_mutation::RuleMutation;
-use heron_trace::Tracer;
+use heron_trace::{kv, Tracer};
 use heron_workloads::{OpKind, Workload};
 
 fn main() {
@@ -84,11 +84,8 @@ fn main() {
     let tracer = Tracer::manual();
     let mut state = UnderState::new();
     if let Some(path) = flag(&args, "--resume") {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("cannot read checkpoint `{path}`: {e}");
-            std::process::exit(1);
-        });
-        let (restored, ck_seed, ck_samples) = UnderState::from_text(&text).unwrap_or_else(|e| {
+        let restored = kv::load(&path).and_then(|text| UnderState::from_text(&text));
+        let (restored, ck_seed, ck_samples) = restored.unwrap_or_else(|e| {
             eprintln!("cannot resume from `{path}`: {e}");
             std::process::exit(1);
         });
@@ -113,7 +110,7 @@ fn main() {
         None => {
             let path = flag(&args, "--checkpoint")
                 .unwrap_or_else(|| format!("{}.audit.ckpt", workload.name));
-            if let Err(e) = std::fs::write(&path, state.to_text(cfg.seed, cfg.samples)) {
+            if let Err(e) = kv::save(&path, &state.to_text(cfg.seed, cfg.samples)) {
                 eprintln!("cannot write checkpoint `{path}`: {e}");
                 std::process::exit(1);
             }

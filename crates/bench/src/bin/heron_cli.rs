@@ -313,7 +313,7 @@ fn tune_cmd(args: &[String]) {
             "resuming `{}` on {} from `{path}` ({} trials done)…",
             ckpt.workload,
             ckpt.dla,
-            ckpt.curve.len()
+            ckpt.result.curve.len()
         );
         match Tuner::resume(space, Measurer::new(c.spec.clone()), config, plan, &ckpt) {
             Ok(t) => t,

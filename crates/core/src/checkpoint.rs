@@ -1,146 +1,69 @@
 //! Checkpoint/resume for tuning sessions.
 //!
 //! A [`TuneCheckpoint`] captures *everything* a [`crate::tuner::Tuner`]
-//! needs to continue an interrupted session bit-for-bit: the best program
-//! so far, the best-so-far curve, every measured fingerprint, the
-//! quarantine set, the cost-model sample log (replayed on resume), the
-//! survivor population, and — critically — the exact RNG stream position.
+//! needs to continue an interrupted session bit-for-bit: the session's
+//! [`TuneResult`] so far, every measured fingerprint, the quarantine set,
+//! the cost-model sample log (replayed on resume), the survivor
+//! population, and — critically — the exact RNG stream position.
 //!
-//! The on-disk format is a line-oriented UTF-8 text format in the same
-//! `key = value` idiom as the [`crate::library`] format, versioned by a
-//! `heron-checkpoint v2` header. Floating-point values are serialised as
-//! the 16-hex-digit big-endian IEEE-754 bit pattern (via [`f64::to_bits`])
-//! so the roundtrip is *exact* — a resumed session must reproduce the
-//! uninterrupted one to the last bit, which decimal formatting cannot
-//! guarantee. A human-readable decimal rendering follows as a `#` comment
-//! and is ignored by the parser.
+//! The on-disk format is `heron-checkpoint v2`, written in the sealed
+//! `key = value` codec [`heron_trace::kv`]: the CRC-32 footer is verified
+//! before anything is parsed (any truncation or byte flip is
+//! [`CheckpointError::Corrupt`], a pre-CRC `v1` file a
+//! [`CheckpointError::VersionMismatch`]), saving is atomic, and floats are
+//! the exact IEEE-754 bits, with a decimal `#` comment where a reader
+//! wants one. The lines come in three parts:
 //!
-//! # Corruption proofing (format v2)
+//! 1. the **deterministic section**: session ids and RNG state, the
+//!    result lines (`write_result`, which is also the body of
+//!    [`TuneResult::deterministic_record`]), then the measured and
+//!    quarantine lists, samples, survivors and the `insight.*` lines;
+//! 2. the **host envelope**: `timing.cga_s`, `timing.sim_s` and
+//!    `timing.model_s`, real-clock seconds that differ on every run;
+//! 3. the `crc32` footer.
 //!
-//! Resuming from a half-written or bit-flipped checkpoint must fail
-//! loudly, never half-parse into a wrong-but-plausible session. Two
-//! mechanisms guarantee that:
-//!
-//! * **Atomic save** — [`TuneCheckpoint::save`] writes to a temporary
-//!   sibling file, syncs it, then renames over the target, so no reader
-//!   can ever observe a partially written checkpoint.
-//! * **CRC32 footer** — the final line is `crc32 = xxxxxxxx`, the IEEE
-//!   CRC-32 of every byte before it. [`TuneCheckpoint::from_text`]
-//!   verifies the footer *before* parsing anything (the header included),
-//!   so any truncation or byte flip is rejected with
-//!   [`CheckpointError::Corrupt`] carrying the corrupt byte offset. A
-//!   pre-CRC `heron-checkpoint v1` file is rejected with
-//!   [`CheckpointError::VersionMismatch`].
+//! Same-seed runs agree on every byte of the deterministic section, and
+//! its CRC-32 is the [`content_id`] a postmortem quotes. The reader does
+//! not depend on line order, so files written with the host lines in the
+//! middle still load.
 //!
 //! ```text
 //! heron-checkpoint v2
+//! # tuning-session checkpoint; floats are IEEE-754 bits
 //! workload = gemm-256
 //! dla = nvidia-v100
 //! seed = 42
 //! rng = 0123456789abcdef ... (4 words)
+//! stall_rounds = 0
+//! rounds_total = 9
 //! best_gflops = 40b3880000000000 # 5000
 //! curve = 40b3880000000000 ...
 //! sample = 40b3880000000000 4 16 2 ...
 //! survivor = 4 16 2 ...
+//! timing.cga_s = 3fd0000000000000
+//! timing.sim_s = 3fc0000000000000
+//! timing.model_s = 3fb0000000000000
 //! crc32 = 89abcdef
 //! ```
 
-use std::collections::BTreeMap;
-use std::io::Write as _;
 use std::path::Path;
 
+use heron_csp::Solution;
 use heron_insight::SearchLog;
+use heron_trace::kv::{self, Bits, Entry, Hex, Words, Writer};
 
-use crate::tuner::{IterationStats, TuneTiming};
+pub use heron_trace::kv::CheckpointError;
 
-/// Why loading or applying a checkpoint failed.
-#[derive(Debug)]
-pub enum CheckpointError {
-    /// Reading or writing the checkpoint file failed.
-    Io(std::io::Error),
-    /// The checkpoint bytes fail integrity verification (truncated file,
-    /// bit flip, invalid UTF-8, missing or mismatching CRC footer). The
-    /// offset points at the corrupt region so operators can inspect it.
-    Corrupt {
-        /// Byte offset of (the start of) the corrupt region.
-        offset: usize,
-        /// What went wrong.
-        message: String,
-    },
-    /// The checkpoint uses a different (e.g. pre-CRC `v1`) format
-    /// version.
-    VersionMismatch {
-        /// The header found in the file.
-        found: String,
-        /// The header this build writes and reads.
-        expected: String,
-    },
-    /// The checkpoint text passed integrity checks but is malformed.
-    Parse {
-        /// 1-based line number of the offending line.
-        line: usize,
-        /// What went wrong.
-        message: String,
-    },
-    /// The checkpoint is internally valid but does not belong to the
-    /// session it was applied to (wrong workload, platform or solution
-    /// arity).
-    Mismatch(String),
-}
+use crate::tuner::{IterationStats, TuneResult};
 
-impl std::fmt::Display for CheckpointError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CheckpointError::Io(e) => write!(f, "checkpoint I/O error: {e}"),
-            CheckpointError::Corrupt { offset, message } => {
-                write!(f, "checkpoint corrupt at byte offset {offset}: {message}")
-            }
-            CheckpointError::VersionMismatch { found, expected } => write!(
-                f,
-                "checkpoint version mismatch: found `{found}`, this build reads `{expected}`"
-            ),
-            CheckpointError::Parse { line, message } => {
-                write!(f, "checkpoint parse error at line {line}: {message}")
-            }
-            CheckpointError::Mismatch(msg) => write!(f, "checkpoint mismatch: {msg}"),
-        }
-    }
-}
+const HEADER: &str = "heron-checkpoint v2";
 
-impl std::error::Error for CheckpointError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            CheckpointError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for CheckpointError {
-    fn from(e: std::io::Error) -> Self {
-        CheckpointError::Io(e)
-    }
-}
-
-/// IEEE CRC-32 (polynomial `0xEDB88320`, bit-reflected, init/xorout
-/// `0xFFFFFFFF`) — the checksum protecting the checkpoint body. Bitwise,
-/// dependency-free; checkpoints are small, so table-driven speed is not
-/// worth the code.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = 0xFFFF_FFFF;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
+/// The start of the host envelope: its first line.
+const ENVELOPE: &str = "\ntiming.cga_s = ";
 
 /// A complete serialisable snapshot of a tuning session, exact at
 /// iteration boundaries. See the [module docs](self) for the format.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TuneCheckpoint {
     /// Workload name the session tunes (must match the space on resume).
     pub workload: String,
@@ -152,52 +75,19 @@ pub struct TuneCheckpoint {
     pub rng_state: [u64; 4],
     /// Consecutive stalled ε-greedy rounds at checkpoint time.
     pub stall_rounds: usize,
-    /// Lifetime ε-greedy rounds executed, earlier resumes included — the
-    /// counter a `TunerControl` round deadline is measured against.
-    /// Absent in pre-v7 checkpoints (defaults to 0 on parse).
-    pub rounds_total: usize,
-    /// Quarantine entries evicted so far by the `max_quarantined` bound.
-    /// Absent in pre-v7 checkpoints (defaults to 0 on parse).
-    pub quarantine_evictions: usize,
-    /// Best observed throughput so far, Gops.
-    pub best_gflops: f64,
-    /// Latency of the best program, seconds (`inf` if none found yet).
-    pub best_latency_s: f64,
-    /// Raw variable values of the best solution, if any.
-    pub best_solution: Option<Vec<i64>>,
-    /// Best-so-far score after every trial.
-    pub curve: Vec<f64>,
-    /// Trials that produced a running program.
-    pub valid_trials: usize,
-    /// Trials rejected or quarantined.
-    pub invalid_trials: usize,
-    /// Trials that needed at least one transient-failure retry.
-    pub retried_trials: usize,
-    /// Total transient-failure retries across all trials.
-    pub total_retries: usize,
-    /// Trials that saw at least one measurement timeout.
-    pub timeout_trials: usize,
-    /// Offspring whose CSP needed constraint relaxation to materialise.
-    pub repaired_offspring: usize,
-    /// Total injected `IN` constraints dropped by offspring repair.
-    pub relaxed_constraints: usize,
-    /// Solver calls that hit the step deadline.
-    pub solver_deadline_hits: usize,
-    /// Offspring replaced by a random `CSP_initial` sample after repair
-    /// failed.
-    pub fallback_samples: usize,
-    /// Error occurrences by class tag.
-    pub error_counts: BTreeMap<String, usize>,
-    /// Timing breakdown so far.
-    pub timing: TuneTiming,
-    /// Per-iteration statistics so far.
-    pub iterations: Vec<IterationStats>,
+    /// The session result so far. Not serialised: `best_kernel` (resume
+    /// lowers it again from `best_solution`), `termination` and
+    /// `model_rank_accuracy` (a resumed session is running and refits its
+    /// model); `quarantined` reads back as the length of
+    /// [`TuneCheckpoint::quarantined`]. Counters absent from an older
+    /// file read as 0.
+    pub result: TuneResult,
     /// Fingerprints of every measured solution, ascending.
     pub measured: Vec<u64>,
     /// Fingerprints of every *currently* quarantined solution, in
     /// insertion order (the order the `max_quarantined` bound evicts
     /// oldest-first — serialising it keeps eviction deterministic across
-    /// resume). Pre-v7 checkpoints stored ascending order, which is an
+    /// resume). Older checkpoints stored ascending order, which is an
     /// equally valid insertion history and still parses.
     pub quarantined: Vec<u64>,
     /// The cost-model training log in measurement order:
@@ -208,397 +98,178 @@ pub struct TuneCheckpoint {
     /// The search-health log, when insight was enabled on the session.
     /// Serialised as `insight.*` keys so a resumed run's `insight.json`
     /// is byte-identical to the uninterrupted run's. Absent (`None`) in
-    /// checkpoints written without insight — including every pre-insight
-    /// v2 file, which therefore still parses.
+    /// checkpoints written without insight.
     pub insight: Option<SearchLog>,
 }
 
-const HEADER: &str = "heron-checkpoint v2";
-const HEADER_PREFIX: &str = "heron-checkpoint v";
-const FOOTER_KEY: &str = "crc32 = ";
-
-/// Exact f64 serialisation: 16 hex digits of the IEEE-754 bit pattern.
-fn f64_hex(x: f64) -> String {
-    format!("{:016x}", x.to_bits())
-}
-
-fn parse_f64_hex(tok: &str, line: usize) -> Result<f64, CheckpointError> {
-    u64::from_str_radix(tok, 16)
-        .map(f64::from_bits)
-        .map_err(|_| CheckpointError::Parse {
-            line,
-            message: format!("expected 16-hex-digit f64 bits, got `{tok}`"),
-        })
-}
-
-fn parse_u64(tok: &str, line: usize) -> Result<u64, CheckpointError> {
-    tok.parse::<u64>().map_err(|_| CheckpointError::Parse {
-        line,
-        message: format!("expected unsigned integer, got `{tok}`"),
-    })
-}
-
-fn parse_usize(tok: &str, line: usize) -> Result<usize, CheckpointError> {
-    tok.parse::<usize>().map_err(|_| CheckpointError::Parse {
-        line,
-        message: format!("expected unsigned integer, got `{tok}`"),
-    })
-}
-
-fn parse_i64_list(toks: &str, line: usize) -> Result<Vec<i64>, CheckpointError> {
-    toks.split_whitespace()
-        .map(|t| {
-            t.parse::<i64>().map_err(|_| CheckpointError::Parse {
-                line,
-                message: format!("expected integer, got `{t}`"),
-            })
-        })
-        .collect()
-}
-
-/// Locates and verifies the CRC footer; returns the protected body on
-/// success. Runs *before* any parsing so corruption can never half-parse.
-fn verify_footer(text: &str) -> Result<&str, CheckpointError> {
-    if text.trim().is_empty() {
-        return Err(CheckpointError::Corrupt {
-            offset: 0,
-            message: "empty checkpoint".into(),
-        });
+/// Writes the result lines of `r` — the one serialisation of a
+/// [`TuneResult`], shared by [`TuneCheckpoint::to_text`] and
+/// [`TuneResult::deterministic_record`]. Host time is not among them.
+pub(crate) fn write_result(w: &mut Writer, r: &TuneResult) {
+    w.line("rounds_total", r.rounds_total);
+    w.line("quarantine_evictions", r.quarantine_evictions);
+    let exact = |x: f64| format!("{} # {x}", Bits(x));
+    w.line("best_gflops", exact(r.best_gflops));
+    w.line("best_latency_s", exact(r.best_latency_s));
+    if let Some(sol) = &r.best_solution {
+        w.line("best_solution", Words(sol.values()));
     }
-    let footer_pos = match text.rfind(&format!("\n{FOOTER_KEY}")) {
-        Some(p) => p + 1,
-        None => {
-            // No footer at all: an old v1 file (pre-CRC format) is a
-            // version mismatch; anything else is corrupt/truncated.
-            let first = text.lines().find(|l| !l.trim().is_empty()).unwrap_or("");
-            if first.trim().starts_with(HEADER_PREFIX) && first.trim() != HEADER {
-                return Err(CheckpointError::VersionMismatch {
-                    found: first.trim().to_string(),
-                    expected: HEADER.to_string(),
-                });
-            }
-            return Err(CheckpointError::Corrupt {
-                offset: text.len(),
-                message: "missing crc32 footer (truncated checkpoint?)".into(),
-            });
-        }
-    };
-    // The footer must be the *exact* tail of the file — `crc32 = ` plus 8
-    // lowercase hex digits plus one final newline, nothing else. A strict
-    // byte-level check (no trimming, no tolerated trailing whitespace)
-    // guarantees that a flip of any byte of the file, footer included,
-    // is detected: bytes before the footer change the CRC, bytes inside
-    // it break this shape or the stored value.
-    let tail = &text[footer_pos..];
-    let hex = tail
-        .strip_prefix(FOOTER_KEY)
-        .and_then(|rest| rest.strip_suffix('\n'))
-        .filter(|h| {
-            h.len() == 8
-                && h.bytes()
-                    .all(|b| b.is_ascii_hexdigit() && !b.is_ascii_uppercase())
-        });
-    let stored = match hex.and_then(|h| u32::from_str_radix(h, 16).ok()) {
-        Some(v) => v,
-        None => {
-            return Err(CheckpointError::Corrupt {
-                offset: footer_pos,
-                message: format!("unreadable crc32 footer `{}`", tail.trim_end()),
-            });
-        }
-    };
-    let body = &text[..footer_pos];
-    let computed = crc32(body.as_bytes());
-    if stored != computed {
-        return Err(CheckpointError::Corrupt {
-            offset: footer_pos,
-            message: format!(
-                "crc mismatch over bytes 0..{}: stored {stored:08x}, computed {computed:08x}",
-                body.len()
+    w.line("valid_trials", r.valid_trials);
+    w.line("invalid_trials", r.invalid_trials);
+    w.line("retried_trials", r.retried_trials);
+    w.line("total_retries", r.total_retries);
+    w.line("timeout_trials", r.timeout_trials);
+    w.line("repaired_offspring", r.repaired_offspring);
+    w.line("relaxed_constraints", r.relaxed_constraints);
+    w.line("solver_deadline_hits", r.solver_deadline_hits);
+    w.line("fallback_samples", r.fallback_samples);
+    for (tag, n) in &r.error_counts {
+        w.line(&format!("error.{tag}"), n);
+    }
+    w.line("timing.hw_measure_s", Bits(r.timing.hw_measure_s));
+    if !r.curve.is_empty() {
+        w.line("curve", Words(r.curve.iter().map(|&x| Bits(x))));
+    }
+    for it in &r.iterations {
+        w.line(
+            "iter",
+            format_args!(
+                "{} {} {} {} {} {}",
+                it.iteration,
+                it.trials_done,
+                Bits(it.best_gflops),
+                Bits(it.batch_mean_gflops),
+                u8::from(it.model_fitted),
+                it.population
             ),
-        });
+        );
     }
-    Ok(body)
+}
+
+/// Reads one line written by [`write_result`] into `r`.
+fn read_result(r: &mut TuneResult, e: &Entry<'_>) -> Result<(), CheckpointError> {
+    match e.key {
+        "rounds_total" => r.rounds_total = e.num(e.value)?,
+        "quarantine_evictions" => r.quarantine_evictions = e.num(e.value)?,
+        "best_gflops" => r.best_gflops = e.bits(e.value)?,
+        "best_latency_s" => r.best_latency_s = e.bits(e.value)?,
+        "best_solution" => r.best_solution = Some(Solution::new(e.tokens().rest()?)),
+        "valid_trials" => r.valid_trials = e.num(e.value)?,
+        "invalid_trials" => r.invalid_trials = e.num(e.value)?,
+        "retried_trials" => r.retried_trials = e.num(e.value)?,
+        "total_retries" => r.total_retries = e.num(e.value)?,
+        "timeout_trials" => r.timeout_trials = e.num(e.value)?,
+        "repaired_offspring" => r.repaired_offspring = e.num(e.value)?,
+        "relaxed_constraints" => r.relaxed_constraints = e.num(e.value)?,
+        "solver_deadline_hits" => r.solver_deadline_hits = e.num(e.value)?,
+        "fallback_samples" => r.fallback_samples = e.num(e.value)?,
+        "timing.hw_measure_s" => r.timing.hw_measure_s = e.bits(e.value)?,
+        "curve" => r.curve = e.tokens().map(|t| e.bits(t)).collect::<Result<_, _>>()?,
+        "iter" => {
+            let mut t = e.tokens();
+            r.iterations.push(IterationStats {
+                iteration: t.num()?,
+                trials_done: t.num()?,
+                best_gflops: t.bits()?,
+                batch_mean_gflops: t.bits()?,
+                model_fitted: t.flag()?,
+                population: t.num()?,
+            });
+            t.end()?;
+        }
+        key => match key.strip_prefix("error.") {
+            Some(tag) => {
+                r.error_counts.insert(tag.to_string(), e.num(e.value)?);
+            }
+            None => return Err(e.error("unknown key")),
+        },
+    }
+    Ok(())
+}
+
+/// The postmortem content id of checkpoint text: the CRC-32 of its
+/// deterministic section, every byte before the host envelope. Two
+/// checkpoints of one session that differ only in host time share it;
+/// any other difference changes it. Text without an envelope is hashed
+/// whole.
+pub fn content_id(text: &str) -> u32 {
+    let end = text.find(ENVELOPE).map_or(text.len(), |i| i + 1);
+    kv::crc32(&text.as_bytes()[..end])
 }
 
 impl TuneCheckpoint {
     /// Serialises the checkpoint to its versioned text format, CRC footer
     /// included.
     pub fn to_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "{HEADER}");
-        let _ = writeln!(out, "# tuning-session checkpoint; floats are IEEE-754 bits");
-        let _ = writeln!(out, "workload = {}", self.workload);
-        let _ = writeln!(out, "dla = {}", self.dla);
-        let _ = writeln!(out, "seed = {}", self.seed);
-        let _ = writeln!(
-            out,
-            "rng = {:016x} {:016x} {:016x} {:016x}",
-            self.rng_state[0], self.rng_state[1], self.rng_state[2], self.rng_state[3]
-        );
-        let _ = writeln!(out, "stall_rounds = {}", self.stall_rounds);
-        let _ = writeln!(out, "rounds_total = {}", self.rounds_total);
-        let _ = writeln!(out, "quarantine_evictions = {}", self.quarantine_evictions);
-        let _ = writeln!(
-            out,
-            "best_gflops = {} # {}",
-            f64_hex(self.best_gflops),
-            self.best_gflops
-        );
-        let _ = writeln!(
-            out,
-            "best_latency_s = {} # {}",
-            f64_hex(self.best_latency_s),
-            self.best_latency_s
-        );
-        if let Some(values) = &self.best_solution {
-            let _ = writeln!(out, "best_solution = {}", join_i64(values));
-        }
-        let _ = writeln!(out, "valid_trials = {}", self.valid_trials);
-        let _ = writeln!(out, "invalid_trials = {}", self.invalid_trials);
-        let _ = writeln!(out, "retried_trials = {}", self.retried_trials);
-        let _ = writeln!(out, "total_retries = {}", self.total_retries);
-        let _ = writeln!(out, "timeout_trials = {}", self.timeout_trials);
-        let _ = writeln!(out, "repaired_offspring = {}", self.repaired_offspring);
-        let _ = writeln!(out, "relaxed_constraints = {}", self.relaxed_constraints);
-        let _ = writeln!(out, "solver_deadline_hits = {}", self.solver_deadline_hits);
-        let _ = writeln!(out, "fallback_samples = {}", self.fallback_samples);
-        for (tag, n) in &self.error_counts {
-            let _ = writeln!(out, "error.{tag} = {n}");
-        }
-        let _ = writeln!(out, "timing.cga_s = {}", f64_hex(self.timing.cga_s));
-        let _ = writeln!(out, "timing.sim_s = {}", f64_hex(self.timing.sim_s));
-        let _ = writeln!(out, "timing.model_s = {}", f64_hex(self.timing.model_s));
-        let _ = writeln!(
-            out,
-            "timing.hw_measure_s = {}",
-            f64_hex(self.timing.hw_measure_s)
-        );
-        if !self.curve.is_empty() {
-            let hex: Vec<String> = self.curve.iter().map(|&x| f64_hex(x)).collect();
-            let _ = writeln!(out, "curve = {}", hex.join(" "));
-        }
-        for it in &self.iterations {
-            let _ = writeln!(
-                out,
-                "iter = {} {} {} {} {} {}",
-                it.iteration,
-                it.trials_done,
-                f64_hex(it.best_gflops),
-                f64_hex(it.batch_mean_gflops),
-                u8::from(it.model_fitted),
-                it.population
-            );
-        }
+        let mut w = Writer::new(HEADER);
+        w.comment("tuning-session checkpoint; floats are IEEE-754 bits");
+        w.line("workload", &self.workload);
+        w.line("dla", &self.dla);
+        w.line("seed", self.seed);
+        w.line("rng", Words(self.rng_state.map(Hex)));
+        w.line("stall_rounds", self.stall_rounds);
+        write_result(&mut w, &self.result);
         if !self.measured.is_empty() {
-            let toks: Vec<String> = self.measured.iter().map(|fp| fp.to_string()).collect();
-            let _ = writeln!(out, "measured = {}", toks.join(" "));
+            w.line("measured", Words(&self.measured));
         }
         if !self.quarantined.is_empty() {
-            let toks: Vec<String> = self.quarantined.iter().map(|fp| fp.to_string()).collect();
-            let _ = writeln!(out, "quarantined = {}", toks.join(" "));
+            w.line("quarantined", Words(&self.quarantined));
         }
         for (values, score) in &self.samples {
-            let _ = writeln!(out, "sample = {} {}", f64_hex(*score), join_i64(values));
+            w.line("sample", format_args!("{} {}", Bits(*score), Words(values)));
         }
         for values in &self.survivors {
-            let _ = writeln!(out, "survivor = {}", join_i64(values));
+            w.line("survivor", Words(values));
         }
         if let Some(log) = &self.insight {
-            for (k, v) in log.checkpoint_lines() {
-                let _ = writeln!(out, "{k} = {v}");
-            }
+            log.write_checkpoint(&mut w);
         }
-        let crc = crc32(out.as_bytes());
-        let _ = writeln!(out, "{FOOTER_KEY}{crc:08x}");
-        out
+        let host = &self.result.timing;
+        w.line("timing.cga_s", Bits(host.cga_s));
+        w.line("timing.sim_s", Bits(host.sim_s));
+        w.line("timing.model_s", Bits(host.model_s));
+        w.seal()
     }
 
-    /// Parses a checkpoint from its text format.
+    /// Parses a checkpoint from its text format (see [`kv::unseal`] for
+    /// the order in which integrity, version and lines are checked).
     ///
-    /// Verification order is strict: CRC footer first (any truncation or
-    /// byte flip → [`CheckpointError::Corrupt`]), then the version header
-    /// ([`CheckpointError::VersionMismatch`] for a recognised older
-    /// format), then the line-by-line parse
-    /// ([`CheckpointError::Parse`] with the 1-based line number).
+    /// # Errors
+    /// [`CheckpointError::Corrupt`], [`CheckpointError::VersionMismatch`]
+    /// or [`CheckpointError::Parse`] with the 1-based line number.
     pub fn from_text(text: &str) -> Result<Self, CheckpointError> {
-        let body = verify_footer(text)?;
-        let mut lines = body.lines().enumerate();
-        let header = loop {
-            match lines.next() {
-                Some((_, l)) if l.trim().is_empty() => continue,
-                Some((i, l)) => break (i, l.trim()),
-                None => {
-                    return Err(CheckpointError::Parse {
-                        line: 1,
-                        message: "checkpoint has no header line".into(),
-                    })
-                }
-            }
-        };
-        if header.1 != HEADER {
-            if header.1.starts_with(HEADER_PREFIX) {
-                return Err(CheckpointError::VersionMismatch {
-                    found: header.1.to_string(),
-                    expected: HEADER.to_string(),
-                });
-            }
-            return Err(CheckpointError::Parse {
-                line: header.0 + 1,
-                message: format!("expected `{HEADER}` header, got `{}`", header.1),
-            });
-        }
-
-        let mut ck = TuneCheckpoint {
-            workload: String::new(),
-            dla: String::new(),
-            seed: 0,
-            rng_state: [0; 4],
-            stall_rounds: 0,
-            rounds_total: 0,
-            quarantine_evictions: 0,
-            best_gflops: 0.0,
-            best_latency_s: f64::INFINITY,
-            best_solution: None,
-            curve: Vec::new(),
-            valid_trials: 0,
-            invalid_trials: 0,
-            retried_trials: 0,
-            total_retries: 0,
-            timeout_trials: 0,
-            repaired_offspring: 0,
-            relaxed_constraints: 0,
-            solver_deadline_hits: 0,
-            fallback_samples: 0,
-            error_counts: BTreeMap::new(),
-            timing: TuneTiming::default(),
-            iterations: Vec::new(),
-            measured: Vec::new(),
-            quarantined: Vec::new(),
-            samples: Vec::new(),
-            survivors: Vec::new(),
-            insight: None,
-        };
+        let mut ck = TuneCheckpoint::default();
         let mut seen_rng = false;
-
-        for (idx, raw) in lines {
-            let line_no = idx + 1;
-            // Strip trailing comments; skip blank/comment-only lines.
-            let content = raw.split('#').next().unwrap_or("").trim();
-            if content.is_empty() {
-                continue;
-            }
-            let (key, value) = content
-                .split_once('=')
-                .ok_or_else(|| CheckpointError::Parse {
-                    line: line_no,
-                    message: format!("expected `key = value`, got `{content}`"),
-                })?;
-            let (key, value) = (key.trim(), value.trim());
-            match key {
-                "workload" => ck.workload = value.to_string(),
-                "dla" => ck.dla = value.to_string(),
-                "seed" => ck.seed = parse_u64(value, line_no)?,
+        for e in kv::unseal(text, HEADER)? {
+            let e = e?;
+            match e.key {
+                "workload" => ck.workload = e.value.to_string(),
+                "dla" => ck.dla = e.value.to_string(),
+                "seed" => ck.seed = e.num(e.value)?,
                 "rng" => {
-                    let words: Vec<&str> = value.split_whitespace().collect();
-                    if words.len() != 4 {
-                        return Err(CheckpointError::Parse {
-                            line: line_no,
-                            message: format!("rng needs 4 state words, got {}", words.len()),
-                        });
-                    }
-                    for (i, w) in words.iter().enumerate() {
-                        ck.rng_state[i] =
-                            u64::from_str_radix(w, 16).map_err(|_| CheckpointError::Parse {
-                                line: line_no,
-                                message: format!("bad rng state word `{w}`"),
-                            })?;
-                    }
+                    let words: Vec<u64> = e.tokens().map(|t| e.hex(t)).collect::<Result<_, _>>()?;
+                    ck.rng_state = words.try_into().map_err(|w: Vec<u64>| {
+                        e.error(format!("needs 4 state words, got {}", w.len()))
+                    })?;
                     seen_rng = true;
                 }
-                "stall_rounds" => ck.stall_rounds = parse_usize(value, line_no)?,
-                "rounds_total" => ck.rounds_total = parse_usize(value, line_no)?,
-                "quarantine_evictions" => {
-                    ck.quarantine_evictions = parse_usize(value, line_no)?;
-                }
-                "best_gflops" => ck.best_gflops = parse_f64_hex(value, line_no)?,
-                "best_latency_s" => ck.best_latency_s = parse_f64_hex(value, line_no)?,
-                "best_solution" => ck.best_solution = Some(parse_i64_list(value, line_no)?),
-                "valid_trials" => ck.valid_trials = parse_usize(value, line_no)?,
-                "invalid_trials" => ck.invalid_trials = parse_usize(value, line_no)?,
-                "retried_trials" => ck.retried_trials = parse_usize(value, line_no)?,
-                "total_retries" => ck.total_retries = parse_usize(value, line_no)?,
-                "timeout_trials" => ck.timeout_trials = parse_usize(value, line_no)?,
-                "repaired_offspring" => ck.repaired_offspring = parse_usize(value, line_no)?,
-                "relaxed_constraints" => ck.relaxed_constraints = parse_usize(value, line_no)?,
-                "solver_deadline_hits" => ck.solver_deadline_hits = parse_usize(value, line_no)?,
-                "fallback_samples" => ck.fallback_samples = parse_usize(value, line_no)?,
-                "timing.cga_s" => ck.timing.cga_s = parse_f64_hex(value, line_no)?,
-                "timing.sim_s" => ck.timing.sim_s = parse_f64_hex(value, line_no)?,
-                "timing.model_s" => ck.timing.model_s = parse_f64_hex(value, line_no)?,
-                "timing.hw_measure_s" => ck.timing.hw_measure_s = parse_f64_hex(value, line_no)?,
-                "curve" => {
-                    ck.curve = value
-                        .split_whitespace()
-                        .map(|t| parse_f64_hex(t, line_no))
-                        .collect::<Result<_, _>>()?;
-                }
-                "iter" => {
-                    let toks: Vec<&str> = value.split_whitespace().collect();
-                    if toks.len() != 6 {
-                        return Err(CheckpointError::Parse {
-                            line: line_no,
-                            message: format!("iter needs 6 fields, got {}", toks.len()),
-                        });
-                    }
-                    ck.iterations.push(IterationStats {
-                        iteration: parse_usize(toks[0], line_no)?,
-                        trials_done: parse_usize(toks[1], line_no)?,
-                        best_gflops: parse_f64_hex(toks[2], line_no)?,
-                        batch_mean_gflops: parse_f64_hex(toks[3], line_no)?,
-                        model_fitted: toks[4] == "1",
-                        population: parse_usize(toks[5], line_no)?,
-                    });
-                }
-                "measured" => {
-                    ck.measured = value
-                        .split_whitespace()
-                        .map(|t| parse_u64(t, line_no))
-                        .collect::<Result<_, _>>()?;
-                }
-                "quarantined" => {
-                    ck.quarantined = value
-                        .split_whitespace()
-                        .map(|t| parse_u64(t, line_no))
-                        .collect::<Result<_, _>>()?;
-                }
+                "stall_rounds" => ck.stall_rounds = e.num(e.value)?,
+                "measured" => ck.measured = e.tokens().rest()?,
+                "quarantined" => ck.quarantined = e.tokens().rest()?,
                 "sample" => {
-                    let mut toks = value.splitn(2, char::is_whitespace);
-                    let score = parse_f64_hex(toks.next().unwrap_or_default(), line_no)?;
-                    let values = parse_i64_list(toks.next().unwrap_or(""), line_no)?;
-                    ck.samples.push((values, score));
+                    let mut t = e.tokens();
+                    let score = t.bits()?;
+                    ck.samples.push((t.rest()?, score));
                 }
-                "survivor" => ck.survivors.push(parse_i64_list(value, line_no)?),
-                k if k.starts_with("insight.") => {
-                    ck.insight
-                        .get_or_insert_with(|| SearchLog::new("", "", 0, 0))
-                        .apply_checkpoint_line(k, value)
-                        .map_err(|message| CheckpointError::Parse {
-                            line: line_no,
-                            message,
-                        })?;
-                }
-                k if k.starts_with("error.") => {
-                    let tag = k.trim_start_matches("error.").to_string();
-                    ck.error_counts.insert(tag, parse_usize(value, line_no)?);
-                }
-                _ => {
-                    return Err(CheckpointError::Parse {
-                        line: line_no,
-                        message: format!("unknown key `{key}`"),
-                    });
-                }
+                "survivor" => ck.survivors.push(e.tokens().rest()?),
+                "timing.cga_s" => ck.result.timing.cga_s = e.bits(e.value)?,
+                "timing.sim_s" => ck.result.timing.sim_s = e.bits(e.value)?,
+                "timing.model_s" => ck.result.timing.model_s = e.bits(e.value)?,
+                key if key.starts_with("insight.") => ck
+                    .insight
+                    .get_or_insert_with(|| SearchLog::new("", "", 0, 0))
+                    .apply_checkpoint_line(&e)?,
+                _ => read_result(&mut ck.result, &e)?,
             }
         }
         if ck.workload.is_empty() || ck.dla.is_empty() || !seen_rng {
@@ -607,71 +278,40 @@ impl TuneCheckpoint {
                 message: "checkpoint is missing workload, dla or rng state".into(),
             });
         }
+        ck.result.quarantined = ck.quarantined.len();
         Ok(ck)
     }
 
-    /// Writes the checkpoint to `path` **atomically**: the text is
-    /// written to a temporary sibling (`<path>.tmp.<pid>`), synced to
-    /// disk, then renamed over the target. A crash at any point leaves
-    /// either the previous checkpoint or the new one — never a partial
-    /// file.
+    /// Writes the checkpoint to `path` atomically ([`kv::save`]).
     ///
     /// # Errors
-    /// [`CheckpointError::Io`] on filesystem failure (the temporary file
-    /// is cleaned up best-effort).
+    /// [`CheckpointError::Io`] on filesystem failure.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
-        let path = path.as_ref();
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(format!(".tmp.{}", std::process::id()));
-        let tmp = std::path::PathBuf::from(tmp);
-        let write_sync_rename = (|| -> std::io::Result<()> {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(self.to_text().as_bytes())?;
-            f.sync_all()?;
-            drop(f);
-            std::fs::rename(&tmp, path)
-        })();
-        if let Err(e) = write_sync_rename {
-            std::fs::remove_file(&tmp).ok();
-            return Err(CheckpointError::Io(e));
-        }
-        Ok(())
+        kv::save(path, &self.to_text())
     }
 
     /// Reads a checkpoint from `path`.
     ///
     /// # Errors
-    /// [`CheckpointError::Io`] on filesystem failure,
-    /// [`CheckpointError::Corrupt`] on integrity failure (invalid UTF-8,
-    /// truncation, CRC mismatch), [`CheckpointError::VersionMismatch`]
-    /// for pre-CRC formats, [`CheckpointError::Parse`] on malformed
-    /// content.
+    /// [`CheckpointError::Io`] on filesystem failure, otherwise as
+    /// [`TuneCheckpoint::from_text`] (invalid UTF-8 is `Corrupt`).
     pub fn load(path: impl AsRef<Path>) -> Result<Self, CheckpointError> {
-        let bytes = std::fs::read(path)?;
-        let text = String::from_utf8(bytes).map_err(|e| CheckpointError::Corrupt {
-            offset: e.utf8_error().valid_up_to(),
-            message: "checkpoint is not valid UTF-8".into(),
-        })?;
-        Self::from_text(&text)
+        Self::from_text(&kv::load(path)?)
     }
-}
-
-fn join_i64(values: &[i64]) -> String {
-    values
-        .iter()
-        .map(|v| v.to_string())
-        .collect::<Vec<_>>()
-        .join(" ")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generate::{SpaceGenerator, SpaceOptions};
+    use crate::tuner::{TuneConfig, TuneTiming, Tuner};
+    use heron_dla::{v100, FaultPlan, Measurer};
+    use std::collections::BTreeMap;
 
     /// Appends a valid CRC footer to a hand-written body, so tests can
     /// exercise the parser behind the integrity gate.
     fn with_crc(body: &str) -> String {
-        format!("{body}{FOOTER_KEY}{:08x}\n", crc32(body.as_bytes()))
+        format!("{body}crc32 = {:08x}\n", kv::crc32(body.as_bytes()))
     }
 
     fn sample_checkpoint() -> TuneCheckpoint {
@@ -689,36 +329,40 @@ mod tests {
                 0x0000_0000_0000_0001,
             ],
             stall_rounds: 2,
-            rounds_total: 9,
-            quarantine_evictions: 1,
-            best_gflops: 1_234.567_890_123,
-            best_latency_s: 3.2e-5,
-            best_solution: Some(vec![4, 16, 2, -1, 8]),
-            curve: vec![0.0, 100.5, 100.5, 1_234.567_890_123],
-            valid_trials: 3,
-            invalid_trials: 1,
-            retried_trials: 2,
-            total_retries: 5,
-            timeout_trials: 1,
-            repaired_offspring: 4,
-            relaxed_constraints: 9,
-            solver_deadline_hits: 2,
-            fallback_samples: 1,
-            error_counts,
-            timing: TuneTiming {
-                cga_s: 0.25,
-                sim_s: 0.125,
-                model_s: 0.0625,
-                hw_measure_s: 17.75,
-            },
-            iterations: vec![IterationStats {
-                iteration: 0,
-                trials_done: 4,
+            result: TuneResult {
+                rounds_total: 9,
+                quarantine_evictions: 1,
                 best_gflops: 1_234.567_890_123,
-                batch_mean_gflops: 617.3,
-                model_fitted: true,
-                population: 32,
-            }],
+                best_latency_s: 3.2e-5,
+                best_solution: Some(Solution::new(vec![4, 16, 2, -1, 8])),
+                curve: vec![0.0, 100.5, 100.5, 1_234.567_890_123],
+                valid_trials: 3,
+                invalid_trials: 1,
+                retried_trials: 2,
+                total_retries: 5,
+                quarantined: 1,
+                timeout_trials: 1,
+                repaired_offspring: 4,
+                relaxed_constraints: 9,
+                solver_deadline_hits: 2,
+                fallback_samples: 1,
+                error_counts,
+                timing: TuneTiming {
+                    cga_s: 0.25,
+                    sim_s: 0.125,
+                    model_s: 0.0625,
+                    hw_measure_s: 17.75,
+                },
+                iterations: vec![IterationStats {
+                    iteration: 0,
+                    trials_done: 4,
+                    best_gflops: 1_234.567_890_123,
+                    batch_mean_gflops: 617.3,
+                    model_fitted: true,
+                    population: 32,
+                }],
+                ..TuneResult::default()
+            },
             measured: vec![11, 22, 33, 44],
             quarantined: vec![22],
             samples: vec![
@@ -730,61 +374,51 @@ mod tests {
         }
     }
 
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // IEEE CRC-32 check value for "123456789".
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-        assert_ne!(crc32(b"a"), crc32(b"b"));
+    fn gemm64() -> crate::generate::GeneratedSpace {
+        SpaceGenerator::new(v100())
+            .generate(&heron_tensor::ops::gemm(64, 64, 64), &SpaceOptions::heron())
+            .expect("generates")
+    }
+
+    fn faulty_session() -> Tuner {
+        Tuner::new(gemm64(), Measurer::new(v100()), TuneConfig::quick(24), 11)
+            .with_faults(FaultPlan::uniform(11, 0.35))
     }
 
     #[test]
     fn text_roundtrip_is_exact() {
-        let ck = sample_checkpoint();
-        let text = ck.to_text();
+        // Every section populated by hand: parse → serialise is identity.
+        let text = sample_checkpoint().to_text();
         let back = TuneCheckpoint::from_text(&text).expect("parses");
-        assert_eq!(back.workload, ck.workload);
-        assert_eq!(back.dla, ck.dla);
-        assert_eq!(back.seed, ck.seed);
-        assert_eq!(back.rng_state, ck.rng_state);
-        assert_eq!(back.stall_rounds, ck.stall_rounds);
-        assert_eq!(back.rounds_total, ck.rounds_total);
-        assert_eq!(back.quarantine_evictions, ck.quarantine_evictions);
-        assert_eq!(back.best_gflops.to_bits(), ck.best_gflops.to_bits());
-        assert_eq!(back.best_latency_s.to_bits(), ck.best_latency_s.to_bits());
-        assert_eq!(back.best_solution, ck.best_solution);
-        assert_eq!(back.curve.len(), ck.curve.len());
-        for (a, b) in back.curve.iter().zip(&ck.curve) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        assert_eq!(back.valid_trials, ck.valid_trials);
-        assert_eq!(back.invalid_trials, ck.invalid_trials);
-        assert_eq!(back.retried_trials, ck.retried_trials);
-        assert_eq!(back.total_retries, ck.total_retries);
-        assert_eq!(back.timeout_trials, ck.timeout_trials);
-        assert_eq!(back.repaired_offspring, ck.repaired_offspring);
-        assert_eq!(back.relaxed_constraints, ck.relaxed_constraints);
-        assert_eq!(back.solver_deadline_hits, ck.solver_deadline_hits);
-        assert_eq!(back.fallback_samples, ck.fallback_samples);
-        assert_eq!(back.error_counts, ck.error_counts);
-        assert_eq!(back.timing.cga_s.to_bits(), ck.timing.cga_s.to_bits());
-        assert_eq!(
-            back.timing.hw_measure_s.to_bits(),
-            ck.timing.hw_measure_s.to_bits()
-        );
-        assert_eq!(back.iterations, ck.iterations);
-        assert_eq!(back.measured, ck.measured);
-        assert_eq!(back.quarantined, ck.quarantined);
-        assert_eq!(back.samples.len(), ck.samples.len());
-        for ((va, sa), (vb, sb)) in back.samples.iter().zip(&ck.samples) {
-            assert_eq!(va, vb);
-            assert_eq!(sa.to_bits(), sb.to_bits());
-        }
-        assert_eq!(back.survivors, ck.survivors);
-        // And re-serialising the parsed checkpoint is byte-identical.
         assert_eq!(back.to_text(), text);
-        // The serialised form ends with the CRC footer.
-        assert!(text.trim_end().lines().last().unwrap().starts_with("crc32"));
+        assert_eq!(back.result.quarantined, 1);
+        assert!(text.ends_with(&format!(
+            "timing.model_s = {}\ncrc32 = {:08x}\n",
+            Bits(0.0625),
+            kv::crc32(&text.as_bytes()[..text.rfind("crc32").unwrap()])
+        )));
+
+        // A real faulty session (retries, quarantine, error counts) at a
+        // round boundary: the reparsed checkpoint re-serialises byte for
+        // byte and resumes to the uninterrupted run.
+        let expected = faulty_session().run();
+        let mut head = faulty_session();
+        head.run_until(12);
+        let text = head.checkpoint().to_text();
+        let back = TuneCheckpoint::from_text(&text).expect("parses");
+        assert_eq!(back.to_text(), text);
+        let mut resumed = Tuner::resume(
+            gemm64(),
+            Measurer::new(v100()),
+            TuneConfig::quick(24),
+            FaultPlan::uniform(11, 0.35),
+            &back,
+        )
+        .expect("resumes");
+        assert_eq!(
+            resumed.run().deterministic_record(),
+            expected.deterministic_record()
+        );
     }
 
     #[test]
@@ -820,8 +454,7 @@ mod tests {
         assert_eq!(back.insight.as_ref(), Some(&log));
         // Re-serialising is byte-identical (insight lines included).
         assert_eq!(back.to_text(), text);
-        // A checkpoint without insight still parses to None (backwards
-        // compatibility with pre-insight v2 files).
+        // A checkpoint without insight parses to None.
         let plain = sample_checkpoint();
         let back = TuneCheckpoint::from_text(&plain.to_text()).expect("parses");
         assert!(back.insight.is_none());
@@ -838,85 +471,57 @@ mod tests {
 
     #[test]
     fn pre_service_checkpoints_parse_with_zero_round_and_eviction_counters() {
-        // A pre-PR-7 v2 checkpoint has no `rounds_total` /
+        // A pre-service v2 checkpoint has no `rounds_total` /
         // `quarantine_evictions` lines; it must still load, with both
         // counters defaulting to zero (fresh-deadline semantics).
-        let mut text = sample_checkpoint().to_text();
-        let body: String = text
+        let body: String = sample_checkpoint()
+            .to_text()
             .lines()
             .filter(|l| !l.starts_with("rounds_total") && !l.starts_with("quarantine_evictions"))
             .take_while(|l| !l.starts_with("crc32"))
             .map(|l| format!("{l}\n"))
             .collect();
-        text = with_crc(&body);
-        let back = TuneCheckpoint::from_text(&text).expect("legacy checkpoint parses");
-        assert_eq!(back.rounds_total, 0);
-        assert_eq!(back.quarantine_evictions, 0);
+        let back = TuneCheckpoint::from_text(&with_crc(&body)).expect("legacy checkpoint parses");
+        assert_eq!(back.result.rounds_total, 0);
+        assert_eq!(back.result.quarantine_evictions, 0);
         assert_eq!(back.quarantined, vec![22]);
     }
 
     #[test]
     fn infinity_and_empty_session_roundtrip() {
         let mut ck = sample_checkpoint();
-        ck.best_gflops = 0.0;
-        ck.best_latency_s = f64::INFINITY;
-        ck.best_solution = None;
-        ck.curve.clear();
+        ck.result = TuneResult::default();
         ck.measured.clear();
         ck.quarantined.clear();
         ck.samples.clear();
         ck.survivors.clear();
-        ck.iterations.clear();
-        ck.error_counts.clear();
-        let back = TuneCheckpoint::from_text(&ck.to_text()).expect("parses");
-        assert!(back.best_latency_s.is_infinite());
-        assert_eq!(back.best_solution, None);
-        assert!(back.curve.is_empty());
+        let text = ck.to_text();
+        let back = TuneCheckpoint::from_text(&text).expect("parses");
+        assert!(back.result.best_latency_s.is_infinite());
+        assert!(back.result.best_solution.is_none());
+        assert!(back.result.curve.is_empty());
         assert!(back.samples.is_empty());
+        assert_eq!(back.to_text(), text);
     }
 
     #[test]
-    fn every_single_byte_flip_is_rejected_as_corrupt() {
-        let text = sample_checkpoint().to_text();
-        let bytes = text.as_bytes();
-        // Deterministically sweep a sample of offsets across the whole
-        // file (every 7th byte, plus the first and last).
-        let offsets: Vec<usize> = std::iter::once(0)
-            .chain((0..bytes.len()).step_by(7))
-            .chain(std::iter::once(bytes.len() - 1))
-            .collect();
-        for &off in &offsets {
-            let mut mutated = bytes.to_vec();
-            mutated[off] ^= 0x01; // guaranteed different byte
-            let outcome = match String::from_utf8(mutated) {
-                Ok(s) => TuneCheckpoint::from_text(&s),
-                // Invalid UTF-8 is what `load` maps to Corrupt; simulate.
-                Err(_) => Err(CheckpointError::Corrupt {
-                    offset: off,
-                    message: "utf8".into(),
-                }),
-            };
-            assert!(
-                matches!(outcome, Err(CheckpointError::Corrupt { .. })),
-                "flip at byte {off} was not rejected as Corrupt: {:?}",
-                outcome.map(|_| ()).map_err(|e| e.to_string())
-            );
-        }
-    }
-
-    #[test]
-    fn truncation_is_rejected_as_corrupt() {
-        let text = sample_checkpoint().to_text();
-        for cut in [1, text.len() / 4, text.len() / 2, text.len() - 2] {
-            let truncated = &text[..cut];
-            let err = TuneCheckpoint::from_text(truncated).expect_err("truncated");
-            assert!(
-                matches!(err, CheckpointError::Corrupt { .. }),
-                "truncation at {cut} gave {err}"
-            );
-        }
-        let err = TuneCheckpoint::from_text("").expect_err("empty");
-        assert!(matches!(err, CheckpointError::Corrupt { offset: 0, .. }));
+    fn host_time_is_an_envelope_outside_the_content_id() {
+        let ck = sample_checkpoint();
+        let text = ck.to_text();
+        let lines: Vec<&str> = text.lines().collect();
+        let n = lines.len();
+        assert!(lines[n - 4].starts_with("timing.cga_s = "));
+        assert!(lines[n - 3].starts_with("timing.sim_s = "));
+        assert!(lines[n - 2].starts_with("timing.model_s = "));
+        let section = &text[..text.find("timing.cga_s").unwrap()];
+        assert_eq!(content_id(&text), kv::crc32(section.as_bytes()));
+        // The record is the checkpoint's result lines plus two.
+        let record = ck.result.deterministic_record();
+        assert!(section.contains(
+            record
+                .strip_suffix("quarantined = 1\ntermination = running\n")
+                .unwrap()
+        ));
     }
 
     #[test]
@@ -932,21 +537,10 @@ mod tests {
             other => panic!("wrong error: {other}"),
         }
         assert!(err.to_string().contains("version mismatch"));
-
-        // A v1 header *with* a valid CRC footer is still a mismatch.
-        let crcd = with_crc("heron-checkpoint v1\nworkload = g\ndla = d\nrng = 1 2 3 4\n");
-        assert!(matches!(
-            TuneCheckpoint::from_text(&crcd),
-            Err(CheckpointError::VersionMismatch { .. })
-        ));
     }
 
     #[test]
     fn rejects_bad_header_and_malformed_lines() {
-        // Foreign format without a footer: corrupt, not half-parsed.
-        let err = TuneCheckpoint::from_text("heron-library v1\n").expect_err("bad header");
-        assert!(matches!(err, CheckpointError::Corrupt { .. }));
-
         // Foreign format with a valid footer: a parse error on the header.
         let err =
             TuneCheckpoint::from_text(&with_crc("heron-library v1\n")).expect_err("bad header");
@@ -977,39 +571,6 @@ mod tests {
     }
 
     #[test]
-    fn save_is_atomic_and_load_roundtrips() {
-        let ck = sample_checkpoint();
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!(
-            "heron-ckpt-test-{}-{}.txt",
-            std::process::id(),
-            ck.seed
-        ));
-        ck.save(&path).expect("saves");
-        let back = TuneCheckpoint::load(&path).expect("loads");
-        assert_eq!(back.to_text(), ck.to_text());
-        // No temporary file remains next to the checkpoint.
-        let tmp_leftover = std::fs::read_dir(&dir)
-            .expect("temp dir lists")
-            .filter_map(|e| e.ok())
-            .any(|e| {
-                let name = e.file_name().to_string_lossy().to_string();
-                name.starts_with(&format!(
-                    "heron-ckpt-test-{}-{}.txt.tmp",
-                    std::process::id(),
-                    ck.seed
-                )) && name != path.file_name().unwrap().to_string_lossy()
-            });
-        assert!(!tmp_leftover, "atomic save left a temporary file behind");
-        // Overwriting an existing checkpoint also succeeds atomically.
-        ck.save(&path).expect("overwrites");
-        std::fs::remove_file(&path).ok();
-
-        let missing = TuneCheckpoint::load("/nonexistent/heron.ckpt");
-        assert!(matches!(missing, Err(CheckpointError::Io(_))));
-    }
-
-    #[test]
     fn corrupt_file_on_disk_reports_offset() {
         let ck = sample_checkpoint();
         let path = std::env::temp_dir().join(format!(
@@ -1018,6 +579,10 @@ mod tests {
             ck.seed
         ));
         ck.save(&path).expect("saves");
+        assert_eq!(
+            TuneCheckpoint::load(&path).expect("loads").to_text(),
+            ck.to_text()
+        );
         // Flip one byte mid-file.
         let mut bytes = std::fs::read(&path).expect("reads");
         let mid = bytes.len() / 2;

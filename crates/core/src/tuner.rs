@@ -39,7 +39,7 @@ use heron_rng::HeronRng;
 use heron_sched::{lower, Kernel, LowerError};
 use heron_trace::{ProfileNode, Tracer};
 
-use crate::checkpoint::{CheckpointError, TuneCheckpoint};
+use crate::checkpoint::{write_result, CheckpointError, TuneCheckpoint};
 use crate::control::TunerControl;
 use crate::explore::cga::{evolve_population, CgaConfig, GenerationStats};
 use crate::explore::{eps_greedy_detailed, Chromosome};
@@ -358,8 +358,9 @@ pub struct TuneResult {
     pub iterations: Vec<IterationStats>,
 }
 
-impl TuneResult {
-    fn empty() -> Self {
+impl Default for TuneResult {
+    /// The result of a session that has not measured anything yet.
+    fn default() -> Self {
         TuneResult {
             best_gflops: 0.0,
             best_latency_s: f64::INFINITY,
@@ -385,7 +386,9 @@ impl TuneResult {
             iterations: Vec::new(),
         }
     }
+}
 
+impl TuneResult {
     /// Flamegraph-style text breakdown of the session's simulated
     /// compilation time. Built directly from [`TuneTiming`], so the layer
     /// totals sum exactly to [`TuneTiming::total_s`] (the trace-derived
@@ -483,82 +486,24 @@ impl TuneResult {
     }
 
     /// Canonical serialisation of everything **deterministic** about the
-    /// session: the best program (exact float bits), the full best-so-far
-    /// curve, per-iteration stats, every resilience/solver counter, and
-    /// the *simulated* measurement clock. Host wall-clock timings
+    /// session: the checkpoint's result lines (best program and solution
+    /// as exact float bits, best-so-far curve, per-iteration stats, every
+    /// resilience/solver counter, the *simulated* measurement clock) plus
+    /// the quarantined count and the termination. Host wall-clock timings
     /// (`cga_s`, `sim_s`, `model_s`) are excluded — they vary run to run
-    /// on the same machine.
+    /// on the same machine — and so is the best kernel, a pure function
+    /// of the template and the recorded best solution.
     ///
     /// Two runs of the same `(space, seed, config)` produce byte-equal
     /// records; so does a run recovered from any round-boundary
     /// checkpoint versus its uninterrupted original. That equality is the
     /// crash-recovery proof obligation of `heron-serve`'s chaos harness.
     pub fn deterministic_record(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "best_gflops={:016x} best_latency_s={:016x}",
-            self.best_gflops.to_bits(),
-            self.best_latency_s.to_bits()
-        );
-        if let Some(sol) = &self.best_solution {
-            let _ = writeln!(
-                out,
-                "best_solution={:?} fp={:#018x}",
-                sol.values(),
-                sol.fingerprint()
-            );
-        }
-        if let Some(k) = &self.best_kernel {
-            let _ = writeln!(out, "best_kernel={k:?}");
-        }
-        for (i, v) in self.curve.iter().enumerate() {
-            let _ = writeln!(out, "curve[{i}]={:016x}", v.to_bits());
-        }
-        for it in &self.iterations {
-            let _ = writeln!(
-                out,
-                "iter={} trials={} best={:016x} batch_mean={:016x} fitted={} pop={}",
-                it.iteration,
-                it.trials_done,
-                it.best_gflops.to_bits(),
-                it.batch_mean_gflops.to_bits(),
-                u8::from(it.model_fitted),
-                it.population
-            );
-        }
-        let _ = writeln!(
-            out,
-            "valid={} invalid={} retried={} retries={} quarantined={} evictions={} \
-             rounds={} timeouts={} termination={}",
-            self.valid_trials,
-            self.invalid_trials,
-            self.retried_trials,
-            self.total_retries,
-            self.quarantined,
-            self.quarantine_evictions,
-            self.rounds_total,
-            self.timeout_trials,
-            self.termination
-        );
-        let _ = writeln!(
-            out,
-            "repaired={} relaxed={} deadline_hits={} fallbacks={}",
-            self.repaired_offspring,
-            self.relaxed_constraints,
-            self.solver_deadline_hits,
-            self.fallback_samples
-        );
-        for (tag, n) in &self.error_counts {
-            let _ = writeln!(out, "error[{tag}]={n}");
-        }
-        let _ = writeln!(
-            out,
-            "hw_measure_s={:016x}",
-            self.timing.hw_measure_s.to_bits()
-        );
-        out
+        let mut w = heron_trace::kv::Writer::default();
+        write_result(&mut w, self);
+        w.line("quarantined", self.quarantined);
+        w.line("termination", self.termination);
+        w.finish()
     }
 
     /// FNV-1a 64-bit hash of [`TuneResult::deterministic_record`] — a
@@ -655,7 +600,7 @@ impl SessionState {
         SessionState {
             model: CostModel::new(&space.csp),
             samples: Vec::new(),
-            result: TuneResult::empty(),
+            result: TuneResult::default(),
             measured: BTreeSet::new(),
             quarantined: Quarantine::default(),
             survivors: Vec::new(),
@@ -1280,31 +1225,13 @@ impl Tuner {
     /// [`TuneCheckpoint`]. Exact at iteration boundaries (which is where
     /// [`Tuner::run_until`] stops).
     pub fn checkpoint(&self) -> TuneCheckpoint {
-        let r = &self.state.result;
         TuneCheckpoint {
             workload: self.space.workload.clone(),
             dla: self.space.dla.name.clone(),
             seed: self.rng.seed(),
             rng_state: self.rng.state_words(),
             stall_rounds: self.state.stall_rounds,
-            rounds_total: r.rounds_total,
-            quarantine_evictions: r.quarantine_evictions,
-            best_gflops: r.best_gflops,
-            best_latency_s: r.best_latency_s,
-            best_solution: r.best_solution.as_ref().map(|s| s.values().to_vec()),
-            curve: r.curve.clone(),
-            valid_trials: r.valid_trials,
-            invalid_trials: r.invalid_trials,
-            retried_trials: r.retried_trials,
-            total_retries: r.total_retries,
-            timeout_trials: r.timeout_trials,
-            repaired_offspring: r.repaired_offspring,
-            relaxed_constraints: r.relaxed_constraints,
-            solver_deadline_hits: r.solver_deadline_hits,
-            fallback_samples: r.fallback_samples,
-            error_counts: r.error_counts.clone(),
-            timing: r.timing,
-            iterations: r.iterations.clone(),
+            result: self.state.result.clone(),
             measured: self.state.measured.iter().copied().collect(),
             quarantined: self.state.quarantined.ordered(),
             samples: self.state.samples.clone(),
@@ -1349,17 +1276,11 @@ impl Tuner {
             )));
         }
         let num_vars = space.csp.num_vars();
-        let arity_check = |values: &Vec<i64>, what: &str| -> Result<(), CheckpointError> {
-            if values.len() == num_vars {
-                Ok(())
-            } else {
-                Err(CheckpointError::Mismatch(format!(
-                    "{} has {} variables, space has {}",
-                    what,
-                    values.len(),
-                    num_vars
-                )))
-            }
+        let arity_check = |values: &[i64], what: &str| match values.len() {
+            n if n == num_vars => Ok(()),
+            n => Err(CheckpointError::Mismatch(format!(
+                "{what} has {n} variables, space has {num_vars}"
+            ))),
         };
 
         let rng = HeronRng::restore(ckpt.seed, ckpt.rng_state);
@@ -1371,7 +1292,7 @@ impl Tuner {
             arity_check(values, "a recorded sample")?;
             model.add_sample(&Solution::new(values.clone()), *score);
         }
-        if let Some(last_iter) = ckpt.iterations.len().checked_sub(1) {
+        if let Some(last_iter) = ckpt.result.iterations.len().checked_sub(1) {
             let mut fit_rng = rng.fork(FIT_STREAM.wrapping_add(last_iter as u64));
             model.fit(&mut fit_rng);
         }
@@ -1386,51 +1307,28 @@ impl Tuner {
             });
         }
 
-        let best_solution = match &ckpt.best_solution {
-            Some(values) => {
-                arity_check(values, "the best solution")?;
-                Some(Solution::new(values.clone()))
-            }
-            None => None,
-        };
-        let best_kernel = best_solution.as_ref().and_then(|sol| {
-            lower(&space.template, sol.fingerprint(), &|name| {
-                sol.value_by_name(&space.csp, name)
-            })
-            .ok()
-        });
-
-        let result = TuneResult {
-            best_gflops: ckpt.best_gflops,
-            best_latency_s: ckpt.best_latency_s,
-            best_solution,
-            best_kernel,
-            curve: ckpt.curve.clone(),
-            valid_trials: ckpt.valid_trials,
-            invalid_trials: ckpt.invalid_trials,
-            retried_trials: ckpt.retried_trials,
-            total_retries: ckpt.total_retries,
-            quarantined: ckpt.quarantined.len(),
-            quarantine_evictions: ckpt.quarantine_evictions,
-            rounds_total: ckpt.rounds_total,
-            timeout_trials: ckpt.timeout_trials,
-            repaired_offspring: ckpt.repaired_offspring,
-            relaxed_constraints: ckpt.relaxed_constraints,
-            solver_deadline_hits: ckpt.solver_deadline_hits,
-            fallback_samples: ckpt.fallback_samples,
-            error_counts: ckpt.error_counts.clone(),
+        let quarantined =
+            Quarantine::from_ordered(&ckpt.quarantined, ckpt.result.quarantine_evictions);
+        let mut result = TuneResult {
+            quarantined: quarantined.len(),
             termination: Termination::Running,
             model_rank_accuracy: None,
-            timing: ckpt.timing,
-            iterations: ckpt.iterations.clone(),
+            ..ckpt.result.clone()
         };
+        if let Some(sol) = &result.best_solution {
+            arity_check(sol.values(), "the best solution")?;
+            result.best_kernel = lower(&space.template, sol.fingerprint(), &|name| {
+                sol.value_by_name(&space.csp, name)
+            })
+            .ok();
+        }
 
         let state = SessionState {
             model,
             samples: ckpt.samples.clone(),
             result,
             measured: ckpt.measured.iter().copied().collect(),
-            quarantined: Quarantine::from_ordered(&ckpt.quarantined, ckpt.quarantine_evictions),
+            quarantined,
             survivors,
             stall_rounds: ckpt.stall_rounds,
             finished: false,
@@ -1783,7 +1681,7 @@ mod tests {
         // byte-identical to the uninterrupted run — including the
         // determinism fingerprint heron-serve's chaos harness compares.
         let ckpt = TuneCheckpoint::from_text(&tuner.checkpoint().to_text()).expect("roundtrips");
-        assert_eq!(ckpt.rounds_total, 2);
+        assert_eq!(ckpt.result.rounds_total, 2);
         let mut resumed = Tuner::resume(
             gemm_space(256, "gemm-ctl"),
             Measurer::new(v100()),

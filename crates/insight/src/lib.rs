@@ -55,38 +55,3 @@ pub use bench::{
 };
 pub use log::{population_entropy_bits, RefitRecord, RoundRecord, SearchLog, VarCoverage};
 pub use schema::validate_insight;
-
-/// Serializes an `f64` as its exact 16-hex-digit bit pattern (the same
-/// encoding `heron-checkpoint v2` uses), so checkpointed insight state
-/// round-trips bit-exactly.
-pub fn f64_hex(x: f64) -> String {
-    format!("{:016x}", x.to_bits())
-}
-
-/// Parses an [`f64_hex`] bit pattern back.
-///
-/// # Errors
-/// A message naming the bad token when it is not 16 hex digits.
-pub fn parse_f64_hex(s: &str) -> Result<f64, String> {
-    if s.len() != 16 {
-        return Err(format!("bad f64 hex `{s}`: expected 16 hex digits"));
-    }
-    u64::from_str_radix(s, 16)
-        .map(f64::from_bits)
-        .map_err(|_| format!("bad f64 hex `{s}`"))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn f64_hex_roundtrips_exactly() {
-        for x in [0.0, -0.0, 1.5, f64::NAN, f64::INFINITY, 1e-308, -3.25] {
-            let back = parse_f64_hex(&f64_hex(x)).unwrap();
-            assert_eq!(back.to_bits(), x.to_bits());
-        }
-        assert!(parse_f64_hex("zz").is_err());
-        assert!(parse_f64_hex("00000000000000000").is_err());
-    }
-}

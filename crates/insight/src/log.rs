@@ -7,15 +7,16 @@
 //! model ranking candidates well, which constraints push back) on top
 //! of the mechanical spans/counters `heron-trace` already records.
 //!
-//! The log has an exact line-oriented checkpoint encoding
-//! ([`SearchLog::checkpoint_lines`] / [`SearchLog::apply_checkpoint_line`])
-//! using the same `f64`-bit-hex convention as `heron-checkpoint v2`, so
-//! a killed-and-resumed tuning session produces a byte-identical
+//! The log has an exact checkpoint encoding as `insight.*` lines of the
+//! tuner checkpoint ([`SearchLog::write_checkpoint`] /
+//! [`SearchLog::apply_checkpoint_line`], on [`heron_trace::kv`]), so a
+//! killed-and-resumed tuning session produces a byte-identical
 //! `insight.json` to the uninterrupted run.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write as _;
 
-use crate::{f64_hex, parse_f64_hex};
+use heron_trace::kv::{Bits, CheckpointError, Entry, OptBits, Words, Writer};
 
 /// Search coverage for one tunable CSP variable.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,7 +42,7 @@ impl VarCoverage {
 }
 
 /// One tuning round's search-health record.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RoundRecord {
     /// Round index (0-based).
     pub round: u32,
@@ -102,29 +103,7 @@ impl RoundRecord {
     pub fn new(round: u32) -> Self {
         RoundRecord {
             round,
-            trials_done: 0,
-            best_gflops: 0.0,
-            batch_best_gflops: 0.0,
-            batch_mean_gflops: 0.0,
-            batch_size: 0,
-            exploit_picks: 0,
-            explore_picks: 0,
-            population: 0,
-            distinct_solutions: 0,
-            diversity: 0.0,
-            entropy_bits: 0.0,
-            batch_rank_accuracy: None,
-            batch_spearman: None,
-            repaired_offspring: 0,
-            relaxed_constraints: 0,
-            fallback_samples: 0,
-            deadline_hits: 0,
-            solver_attempts: 0,
-            solver_propagations: 0,
-            solver_wipeouts: 0,
-            stalled: false,
-            solver_max_trail: 0,
-            solver_incremental: 0,
+            ..RoundRecord::default()
         }
     }
 }
@@ -225,267 +204,173 @@ impl SearchLog {
     // Checkpoint encoding (heron-checkpoint v2 `insight.*` keys)
     // ------------------------------------------------------------------
 
-    /// Serializes the log as `(key, value)` checkpoint lines. The
-    /// encoding is exact: floats are bit-hex, optionals are `-`.
-    pub fn checkpoint_lines(&self) -> Vec<(String, String)> {
-        let mut out = Vec::new();
-        out.push((
-            "insight.meta".to_string(),
-            format!("{} {}", self.top_k, self.seed),
-        ));
-        out.push(("insight.workload".to_string(), self.workload.clone()));
-        out.push(("insight.dla".to_string(), self.dla.clone()));
+    /// Writes the log as `insight.*` checkpoint lines. The encoding is
+    /// exact: floats are [`Bits`], absent optionals `-`.
+    pub fn write_checkpoint(&self, w: &mut Writer) {
+        w.line("insight.meta", format_args!("{} {}", self.top_k, self.seed));
+        w.line("insight.workload", &self.workload);
+        w.line("insight.dla", &self.dla);
         for (i, var) in self.vars.iter().enumerate() {
-            out.push((
-                "insight.var".to_string(),
-                format!("{} {} {}", i, var.domain_size, var.name),
-            ));
+            w.line(
+                "insight.var",
+                format_args!("{i} {} {}", var.domain_size, var.name),
+            );
             if !var.seen.is_empty() {
-                let vals: Vec<String> = var.seen.iter().map(|v| v.to_string()).collect();
-                out.push((
-                    "insight.seen".to_string(),
-                    format!("{} {}", i, vals.join(" ")),
-                ));
+                w.line("insight.seen", format_args!("{i} {}", Words(&var.seen)));
             }
         }
         for r in &self.rounds {
-            out.push(("insight.round".to_string(), encode_round(r)));
+            write_round(w, r);
         }
         for f in &self.refits {
-            out.push(("insight.refit".to_string(), encode_refit(f)));
+            let mut line = format!(
+                "{} {} {} {}",
+                f.round,
+                f.samples,
+                Bits(f.train_rank_accuracy),
+                Bits(f.train_spearman),
+            );
+            for (idx, imp) in &f.top_importance {
+                let _ = write!(line, " {idx}:{}", Bits(*imp));
+            }
+            w.line("insight.refit", line);
         }
-        out
     }
 
-    /// Applies one checkpoint line previously produced by
-    /// [`SearchLog::checkpoint_lines`].
+    /// Applies one checkpoint line previously written by
+    /// [`SearchLog::write_checkpoint`].
     ///
     /// # Errors
-    /// A message naming the malformed key/value.
-    pub fn apply_checkpoint_line(&mut self, key: &str, value: &str) -> Result<(), String> {
-        match key {
+    /// [`CheckpointError::Parse`] naming the malformed line.
+    pub fn apply_checkpoint_line(&mut self, e: &Entry<'_>) -> Result<(), CheckpointError> {
+        match e.key {
             "insight.meta" => {
-                let mut it = value.split_whitespace();
-                self.top_k = next_u32(&mut it, key)?;
-                self.seed = next_u64(&mut it, key)?;
-                Ok(())
+                let mut t = e.tokens();
+                self.top_k = t.num()?;
+                self.seed = t.num()?;
             }
-            "insight.workload" => {
-                self.workload = value.to_string();
-                Ok(())
-            }
-            "insight.dla" => {
-                self.dla = value.to_string();
-                Ok(())
-            }
+            "insight.workload" => self.workload = e.value.to_string(),
+            "insight.dla" => self.dla = e.value.to_string(),
             "insight.var" => {
-                let mut it = value.splitn(3, ' ');
-                let idx = it
-                    .next()
-                    .ok_or_else(|| format!("truncated `{key}`"))?
-                    .parse::<usize>()
-                    .map_err(|_| format!("bad index in `{key}`"))?;
-                let domain_size = it
-                    .next()
-                    .ok_or_else(|| format!("truncated `{key}`"))?
-                    .parse::<u64>()
-                    .map_err(|_| format!("bad domain size in `{key}`"))?;
-                let name = it.next().unwrap_or("").to_string();
+                // The name may contain spaces: it is everything after the
+                // second field.
+                let mut it = e.value.splitn(3, ' ');
+                let idx: usize = e.num(it.next().unwrap_or(""))?;
+                let domain_size = e.num(it.next().unwrap_or(""))?;
                 if idx != self.vars.len() {
-                    return Err(format!("out-of-order `{key}` index {idx}"));
+                    return Err(e.error(format!("out-of-order index {idx}")));
                 }
                 self.vars.push(VarCoverage {
-                    name,
+                    name: it.next().unwrap_or("").to_string(),
                     domain_size,
                     seen: BTreeSet::new(),
                 });
-                Ok(())
             }
             "insight.seen" => {
-                let mut it = value.split_whitespace();
-                let idx = next_u32(&mut it, key)? as usize;
+                let mut t = e.tokens();
+                let idx: usize = t.num()?;
                 let var = self
                     .vars
                     .get_mut(idx)
-                    .ok_or_else(|| format!("`{key}` references unknown var {idx}"))?;
-                for tok in it {
-                    let v = tok
-                        .parse::<i64>()
-                        .map_err(|_| format!("bad value `{tok}` in `{key}`"))?;
-                    var.seen.insert(v);
-                }
-                Ok(())
+                    .ok_or_else(|| e.error(format!("references unknown var {idx}")))?;
+                var.seen.extend(t.rest::<i64>()?);
             }
-            "insight.round" => {
-                let rec = decode_round(value)?;
-                self.rounds.push(rec);
-                Ok(())
-            }
+            "insight.round" => self.rounds.push(read_round(e)?),
             "insight.refit" => {
-                let rec = decode_refit(value)?;
+                let mut t = e.tokens();
+                let mut rec = RefitRecord {
+                    round: t.num()?,
+                    samples: t.num()?,
+                    train_rank_accuracy: t.bits()?,
+                    train_spearman: t.bits()?,
+                    top_importance: Vec::new(),
+                };
+                for tok in t {
+                    let (idx, imp) = tok
+                        .split_once(':')
+                        .ok_or_else(|| e.error(format!("bad importance pair `{tok}`")))?;
+                    rec.top_importance.push((e.num(idx)?, e.bits(imp)?));
+                }
                 self.refits.push(rec);
-                Ok(())
             }
-            other => Err(format!("unknown insight checkpoint key `{other}`")),
+            _ => return Err(e.error("unknown insight checkpoint key")),
         }
+        Ok(())
     }
 }
 
-fn next_u32<'a>(it: &mut impl Iterator<Item = &'a str>, key: &str) -> Result<u32, String> {
-    it.next()
-        .ok_or_else(|| format!("truncated `{key}`"))?
-        .parse::<u32>()
-        .map_err(|_| format!("bad u32 in `{key}`"))
-}
-
-fn next_u64<'a>(it: &mut impl Iterator<Item = &'a str>, key: &str) -> Result<u64, String> {
-    it.next()
-        .ok_or_else(|| format!("truncated `{key}`"))?
-        .parse::<u64>()
-        .map_err(|_| format!("bad u64 in `{key}`"))
-}
-
-fn opt_hex(x: Option<f64>) -> String {
-    match x {
-        Some(v) => f64_hex(v),
-        None => "-".to_string(),
-    }
-}
-
-fn parse_opt_hex(tok: &str) -> Result<Option<f64>, String> {
-    if tok == "-" {
-        Ok(None)
-    } else {
-        parse_f64_hex(tok).map(Some)
-    }
-}
-
-fn encode_round(r: &RoundRecord) -> String {
-    format!(
-        "{} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
-        r.round,
-        r.trials_done,
-        f64_hex(r.best_gflops),
-        f64_hex(r.batch_best_gflops),
-        f64_hex(r.batch_mean_gflops),
-        r.batch_size,
-        r.exploit_picks,
-        r.explore_picks,
-        r.population,
-        r.distinct_solutions,
-        f64_hex(r.diversity),
-        f64_hex(r.entropy_bits),
-        opt_hex(r.batch_rank_accuracy),
-        opt_hex(r.batch_spearman),
-        r.repaired_offspring,
-        r.relaxed_constraints,
-        r.fallback_samples,
-        r.deadline_hits,
-        r.solver_attempts,
-        r.solver_propagations,
-        r.solver_wipeouts,
-        u8::from(r.stalled),
-        r.solver_max_trail,
-        r.solver_incremental,
-    )
-}
-
-fn decode_round(value: &str) -> Result<RoundRecord, String> {
-    let toks: Vec<&str> = value.split_whitespace().collect();
-    // 22 tokens = the pre-trail-solver encoding (no trailing
-    // `solver_max_trail solver_incremental`); accepted for checkpoint
-    // backward compatibility, defaulting both counters to 0.
-    if toks.len() != 22 && toks.len() != 24 {
-        return Err(format!(
-            "`insight.round` expects 22 or 24 tokens, got {}",
-            toks.len()
-        ));
-    }
-    let u32_at = |i: usize| -> Result<u32, String> {
-        toks[i]
-            .parse::<u32>()
-            .map_err(|_| format!("bad u32 `{}` in `insight.round`", toks[i]))
-    };
-    let u64_at = |i: usize| -> Result<u64, String> {
-        toks[i]
-            .parse::<u64>()
-            .map_err(|_| format!("bad u64 `{}` in `insight.round`", toks[i]))
-    };
-    Ok(RoundRecord {
-        round: u32_at(0)?,
-        trials_done: u32_at(1)?,
-        best_gflops: parse_f64_hex(toks[2])?,
-        batch_best_gflops: parse_f64_hex(toks[3])?,
-        batch_mean_gflops: parse_f64_hex(toks[4])?,
-        batch_size: u32_at(5)?,
-        exploit_picks: u32_at(6)?,
-        explore_picks: u32_at(7)?,
-        population: u32_at(8)?,
-        distinct_solutions: u32_at(9)?,
-        diversity: parse_f64_hex(toks[10])?,
-        entropy_bits: parse_f64_hex(toks[11])?,
-        batch_rank_accuracy: parse_opt_hex(toks[12])?,
-        batch_spearman: parse_opt_hex(toks[13])?,
-        repaired_offspring: u32_at(14)?,
-        relaxed_constraints: u32_at(15)?,
-        fallback_samples: u32_at(16)?,
-        deadline_hits: u32_at(17)?,
-        solver_attempts: u64_at(18)?,
-        solver_propagations: u64_at(19)?,
-        solver_wipeouts: u64_at(20)?,
-        stalled: match toks[21] {
-            "0" => false,
-            "1" => true,
-            other => return Err(format!("bad stalled flag `{other}` in `insight.round`")),
-        },
-        solver_max_trail: if toks.len() > 22 { u64_at(22)? } else { 0 },
-        solver_incremental: if toks.len() > 23 { u64_at(23)? } else { 0 },
-    })
-}
-
-fn encode_refit(f: &RefitRecord) -> String {
-    let mut s = format!(
-        "{} {} {} {}",
-        f.round,
-        f.samples,
-        f64_hex(f.train_rank_accuracy),
-        f64_hex(f.train_spearman),
+fn write_round(w: &mut Writer, r: &RoundRecord) {
+    w.line(
+        "insight.round",
+        format_args!(
+            "{} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
+            r.round,
+            r.trials_done,
+            Bits(r.best_gflops),
+            Bits(r.batch_best_gflops),
+            Bits(r.batch_mean_gflops),
+            r.batch_size,
+            r.exploit_picks,
+            r.explore_picks,
+            r.population,
+            r.distinct_solutions,
+            Bits(r.diversity),
+            Bits(r.entropy_bits),
+            OptBits(r.batch_rank_accuracy),
+            OptBits(r.batch_spearman),
+            r.repaired_offspring,
+            r.relaxed_constraints,
+            r.fallback_samples,
+            r.deadline_hits,
+            r.solver_attempts,
+            r.solver_propagations,
+            r.solver_wipeouts,
+            u8::from(r.stalled),
+            r.solver_max_trail,
+            r.solver_incremental,
+        ),
     );
-    for (idx, imp) in &f.top_importance {
-        s.push_str(&format!(" {}:{}", idx, f64_hex(*imp)));
-    }
-    s
 }
 
-fn decode_refit(value: &str) -> Result<RefitRecord, String> {
-    let mut it = value.split_whitespace();
-    let round = next_u32(&mut it, "insight.refit")?;
-    let samples = next_u32(&mut it, "insight.refit")?;
-    let train_rank_accuracy = parse_f64_hex(
-        it.next()
-            .ok_or_else(|| "truncated `insight.refit`".to_string())?,
-    )?;
-    let train_spearman = parse_f64_hex(
-        it.next()
-            .ok_or_else(|| "truncated `insight.refit`".to_string())?,
-    )?;
-    let mut top_importance = Vec::new();
-    for tok in it {
-        let (idx, imp) = tok
-            .split_once(':')
-            .ok_or_else(|| format!("bad importance pair `{tok}` in `insight.refit`"))?;
-        let idx = idx
-            .parse::<u32>()
-            .map_err(|_| format!("bad feature index `{idx}` in `insight.refit`"))?;
-        top_importance.push((idx, parse_f64_hex(imp)?));
+fn read_round(e: &Entry<'_>) -> Result<RoundRecord, CheckpointError> {
+    let mut t = e.tokens();
+    let mut r = RoundRecord {
+        round: t.num()?,
+        trials_done: t.num()?,
+        best_gflops: t.bits()?,
+        batch_best_gflops: t.bits()?,
+        batch_mean_gflops: t.bits()?,
+        batch_size: t.num()?,
+        exploit_picks: t.num()?,
+        explore_picks: t.num()?,
+        population: t.num()?,
+        distinct_solutions: t.num()?,
+        diversity: t.bits()?,
+        entropy_bits: t.bits()?,
+        batch_rank_accuracy: t.opt_bits()?,
+        batch_spearman: t.opt_bits()?,
+        repaired_offspring: t.num()?,
+        relaxed_constraints: t.num()?,
+        fallback_samples: t.num()?,
+        deadline_hits: t.num()?,
+        solver_attempts: t.num()?,
+        solver_propagations: t.num()?,
+        solver_wipeouts: t.num()?,
+        stalled: t.flag()?,
+        ..RoundRecord::default()
+    };
+    // 22 fields = the pre-trail-solver encoding (no trailing
+    // `solver_max_trail solver_incremental`); accepted for checkpoint
+    // backward compatibility, both counters 0.
+    match t.rest::<u64>()?[..] {
+        [] => {}
+        [trail, incremental] => {
+            r.solver_max_trail = trail;
+            r.solver_incremental = incremental;
+        }
+        _ => return Err(e.error("expects 22 or 24 fields")),
     }
-    Ok(RefitRecord {
-        round,
-        samples,
-        train_rank_accuracy,
-        train_spearman,
-        top_importance,
-    })
+    Ok(r)
 }
 
 // ----------------------------------------------------------------------
@@ -558,16 +443,34 @@ mod tests {
         log
     }
 
+    const HEADER: &str = "insight-lines v1";
+
+    /// The log's checkpoint lines in a sealed kv document.
+    fn checkpoint_text(log: &SearchLog) -> String {
+        let mut w = Writer::new(HEADER);
+        log.write_checkpoint(&mut w);
+        w.seal()
+    }
+
+    fn apply(log: &mut SearchLog, key: &str, value: &str) -> Result<(), CheckpointError> {
+        log.apply_checkpoint_line(&Entry {
+            line: 1,
+            key,
+            value,
+        })
+    }
+
     #[test]
     fn checkpoint_lines_roundtrip_exactly() {
         let log = sample_log();
+        let text = checkpoint_text(&log);
         let mut back = SearchLog::new("", "", 0, 0);
-        for (k, v) in log.checkpoint_lines() {
-            back.apply_checkpoint_line(&k, &v).unwrap();
+        for e in heron_trace::kv::unseal(&text, HEADER).unwrap() {
+            back.apply_checkpoint_line(&e.unwrap()).unwrap();
         }
         assert_eq!(back, log);
         // Second serialization is byte-identical.
-        assert_eq!(back.checkpoint_lines(), log.checkpoint_lines());
+        assert_eq!(checkpoint_text(&back), text);
     }
 
     #[test]
@@ -579,20 +482,25 @@ mod tests {
     #[test]
     fn malformed_checkpoint_lines_are_rejected() {
         let mut log = SearchLog::new("", "", 0, 0);
-        assert!(log.apply_checkpoint_line("insight.round", "1 2 3").is_err());
-        assert!(log.apply_checkpoint_line("insight.bogus", "x").is_err());
-        assert!(log.apply_checkpoint_line("insight.seen", "0 1").is_err());
-        assert!(log
-            .apply_checkpoint_line("insight.refit", "0 4 nothex")
-            .is_err());
+        assert!(apply(&mut log, "insight.round", "1 2 3").is_err());
+        assert!(apply(&mut log, "insight.bogus", "x").is_err());
+        assert!(apply(&mut log, "insight.seen", "0 1").is_err());
+        assert!(apply(&mut log, "insight.refit", "0 4 nothex").is_err());
+        assert!(apply(&mut log, "insight.var", "1 16 skips-index-0").is_err());
     }
 
     #[test]
     fn legacy_22_token_round_lines_decode_with_zero_defaults() {
+        let mut log = SearchLog::new("", "", 0, 0);
         let mut r = RoundRecord::new(3);
         r.solver_max_trail = 9;
         r.solver_incremental = 4;
-        let line = encode_round(&r);
+        log.push_round(r);
+        let text = checkpoint_text(&log);
+        let line = text
+            .lines()
+            .find_map(|l| l.strip_prefix("insight.round = "))
+            .unwrap();
         assert_eq!(line.split_whitespace().count(), 24);
         // A pre-trail-solver checkpoint lacks the two trailing counters.
         let legacy = line
@@ -600,10 +508,17 @@ mod tests {
             .take(22)
             .collect::<Vec<_>>()
             .join(" ");
-        let back = decode_round(&legacy).expect("legacy lines must decode");
-        assert_eq!(back.solver_max_trail, 0);
-        assert_eq!(back.solver_incremental, 0);
-        assert_eq!(back.round, 3);
+        let mut back = SearchLog::new("", "", 0, 0);
+        apply(&mut back, "insight.round", &legacy).expect("legacy lines must decode");
+        assert_eq!(back.rounds[0].solver_max_trail, 0);
+        assert_eq!(back.rounds[0].solver_incremental, 0);
+        assert_eq!(back.rounds[0].round, 3);
+        let short = line
+            .split_whitespace()
+            .take(23)
+            .collect::<Vec<_>>()
+            .join(" ");
+        assert!(apply(&mut back, "insight.round", &short).is_err());
     }
 
     #[test]

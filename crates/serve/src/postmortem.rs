@@ -3,7 +3,9 @@
 //!
 //! A bundle is schema-versioned JSONL: one `heron-postmortem-v1` header
 //! line carrying the job's state at death — attempt, epoch, rounds,
-//! simulated clock, checkpoint presence (and content hash), restart
+//! simulated clock, checkpoint presence (and its content id,
+//! [`heron_core::checkpoint::content_id`]: the CRC-32 of the checkpoint's
+//! deterministic section, so host time never reaches it), restart
 //! budget state, and the SLO verdicts judged at that instant — followed
 //! verbatim by the job's last flight-recorder ring snapshot (its last-K
 //! trace events; see [`crate::recorder`]). Every field is a
@@ -16,6 +18,7 @@
 //! `makespan_s` depend on which neighbours happened to finish first and
 //! would poison byte-identity, so they judge as no-sample passes.
 
+use heron_core::checkpoint::content_id;
 use heron_pulse::{attach_slo, backoff_last_s, backoff_wait_s, check_slo_rule, SloSpec};
 use heron_trace::{check_ring_snapshot, Cursor, Json, RingSummary};
 
@@ -23,26 +26,6 @@ use crate::recorder::FlightEntry;
 
 /// The schema identifier stamped into every bundle header.
 pub const POSTMORTEM_SCHEMA: &str = "heron-postmortem-v1";
-
-/// FNV-1a over the checkpoint text: the bundle's stable checkpoint id.
-///
-/// Checkpoint text carries `timing.*` lines measured with real
-/// wall-clocks (and a `crc32` footer covering them), so hashing the raw
-/// bytes would make same-seed runs disagree. The id therefore hashes
-/// only the deterministic lines.
-fn fnv64(text: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for line in text.lines() {
-        if line.starts_with("timing.") || line.starts_with("crc32 = ") {
-            continue;
-        }
-        for b in line.bytes().chain(std::iter::once(b'\n')) {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
 
 /// Everything the supervisor knows about a job at its time of death.
 pub struct DeathReport<'a> {
@@ -137,7 +120,7 @@ pub fn build(report: &DeathReport<'_>) -> Postmortem {
             "id".to_string(),
             report
                 .checkpoint
-                .map_or(Json::Null, |t| Json::Str(format!("{:016x}", fnv64(t)))),
+                .map_or(Json::Null, |t| Json::Str(format!("{:08x}", content_id(t)))),
         ),
     ]);
     let restart = Json::Obj(vec![
@@ -278,7 +261,9 @@ mod tests {
         assert_eq!(summary.slo_rules, 1);
         assert_eq!(summary.ring.summary.spans.len(), 3);
         assert!(a.bundle.contains("\"present\":true"));
-        assert!(a.bundle.contains(&format!("{:016x}", fnv64("ckpt-text"))));
+        assert!(a
+            .bundle
+            .contains(&format!("{:08x}", content_id("ckpt-text"))));
     }
 
     #[test]
@@ -315,12 +300,55 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_id_ignores_wall_clock_timing_lines() {
-        let a = "seed = 7\ntiming.sim_s = 3ff0000000000000\ncrc32 = 11111111\n";
-        let b = "seed = 7\ntiming.sim_s = 4000000000000000\ncrc32 = 22222222\n";
-        let c = "seed = 8\ntiming.sim_s = 3ff0000000000000\ncrc32 = 11111111\n";
-        assert_eq!(fnv64(a), fnv64(b), "timing/crc lines must not matter");
-        assert_ne!(fnv64(a), fnv64(c), "deterministic lines must matter");
+    fn checkpoint_id_is_blind_to_host_time_and_sees_every_deterministic_byte() {
+        use heron_core::generate::{SpaceGenerator, SpaceOptions};
+        use heron_core::tuner::{TuneConfig, Tuner};
+        use heron_dla::{v100, Measurer};
+        // Two runs of one session, checkpointed at the same round
+        // boundary; the second's host times forced apart from the first's.
+        let checkpoint = || {
+            let space = SpaceGenerator::new(v100())
+                .generate(&heron_tensor::ops::gemm(64, 64, 64), &SpaceOptions::heron())
+                .expect("generates");
+            let mut tuner = Tuner::new(space, Measurer::new(v100()), TuneConfig::quick(16), 7);
+            tuner.run_until(8);
+            tuner.checkpoint()
+        };
+        let a = checkpoint().to_text();
+        let mut b = checkpoint();
+        b.result.timing.cga_s += 1.0;
+        b.result.timing.sim_s += 2.0;
+        b.result.timing.model_s += 3.0;
+        let b = b.to_text();
+        let (lines_a, lines_b): (Vec<&str>, Vec<&str>) = (a.lines().collect(), b.lines().collect());
+        let det = lines_a.len() - 4;
+        assert_eq!(lines_a.len(), lines_b.len());
+        assert_eq!(lines_a[..det], lines_b[..det], "same deterministic section");
+        let tails = lines_a[det..].iter().zip(&lines_b[det..]);
+        assert!(
+            tails.clone().all(|(x, y)| x != y),
+            "three host lines and the footer"
+        );
+        let slo = SloSpec::empty();
+        let id_in = |text: &str| {
+            let mut report = death(None, &slo);
+            report.checkpoint = Some(text);
+            let bundle = build(&report).bundle;
+            let at = bundle.find("\"id\":\"").expect("an id") + 6;
+            bundle[at..at + 8].to_string()
+        };
+        assert_eq!(id_in(&a), id_in(&b));
+        assert_eq!(id_in(&a), format!("{:08x}", content_id(&a)));
+        // Changing one byte anywhere in the deterministic section (every
+        // line, at its last byte) changes the id.
+        let mut end = 0;
+        for line in &lines_a[..det] {
+            end += line.len() + 1;
+            let mut bytes = a.clone().into_bytes();
+            bytes[end - 2] ^= 0x01;
+            let changed = String::from_utf8(bytes).expect("ASCII stays ASCII");
+            assert_ne!(id_in(&changed), id_in(&a), "line `{line}`");
+        }
     }
 
     #[test]

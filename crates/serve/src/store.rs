@@ -9,13 +9,11 @@
 //! replacement is building. Stale saves are counted, not silently
 //! swallowed, so the chaos harness can assert the fence actually fired.
 //!
-//! The store keeps checkpoint *text* (the CRC-framed `key = value`
-//! format from `heron_core::checkpoint`), not parsed structs: that is
-//! exactly the byte string an on-disk snapshot would hold, so the
-//! optional disk mirror is a plain write-through.
+//! The store keeps checkpoint *text* (the CRC-sealed `key = value`
+//! format from `heron_core::checkpoint`), not parsed structs: exactly the
+//! byte string an on-disk checkpoint holds.
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 #[derive(Debug, Default)]
@@ -29,7 +27,6 @@ struct StoreInner {
     slots: BTreeMap<String, Slot>,
     stale_saves: u64,
     saves: u64,
-    mirror_dir: Option<PathBuf>,
 }
 
 /// Shared, thread-safe checkpoint store with per-job epoch fencing.
@@ -42,13 +39,6 @@ impl CheckpointStore {
     /// An empty in-memory store.
     pub fn new() -> Self {
         CheckpointStore::default()
-    }
-
-    /// Mirrors every accepted save to `<dir>/<job>.ckpt` (best-effort:
-    /// a failed mirror write does not fail the in-memory save).
-    pub fn with_mirror(self, dir: impl Into<PathBuf>) -> Self {
-        self.inner.lock().expect("store lock").mirror_dir = Some(dir.into());
-        self
     }
 
     /// Bumps and returns the job's epoch. Called by the supervisor at
@@ -77,15 +67,8 @@ impl CheckpointStore {
             inner.stale_saves += 1;
             return false;
         }
-        let mirror = inner.mirror_dir.clone();
-        let slot = inner.slots.entry(job.to_string()).or_default();
-        slot.text = Some(text.clone());
+        inner.slots.entry(job.to_string()).or_default().text = Some(text);
         inner.saves += 1;
-        drop(inner);
-        if let Some(dir) = mirror {
-            let _ = std::fs::create_dir_all(&dir);
-            let _ = std::fs::write(dir.join(format!("{job}.ckpt")), text);
-        }
         true
     }
 

@@ -254,12 +254,6 @@ impl Supervisor {
         self
     }
 
-    /// Replaces the checkpoint store (e.g. one with a disk mirror).
-    pub fn with_store(mut self, store: CheckpointStore) -> Self {
-        self.store = store;
-        self
-    }
-
     /// Installs the SLO spec judged inside postmortem bundles (the
     /// "verdicts at time of death"; defaults to the empty spec).
     pub fn with_slo(mut self, slo: SloSpec) -> Self {

@@ -18,7 +18,8 @@
 //! plus the flight-recorder **ring sink** ([`Tracer::set_ring`],
 //! DESIGN.md §12): a fixed-capacity buffer of the most recent events
 //! with span-boundary-safe eviction, the bounded always-on recording
-//! mode for long-lived service runs.
+//! mode for long-lived service runs; and [`kv`], the CRC-sealed
+//! `key = value` text codec every checkpoint is written in (DESIGN.md §6).
 //!
 //! # Example
 //!
@@ -39,6 +40,7 @@
 pub mod check;
 pub mod clock;
 pub mod json;
+pub mod kv;
 pub mod metrics;
 pub mod profile;
 pub mod ring;

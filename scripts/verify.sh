@@ -156,30 +156,24 @@ echo "== robustness smoke (hardened exploration) =="
 cargo run --release --offline -p heron-bench --bin space_stress -- --smoke >/dev/null
 echo "ok: over-constrained + UNSAT spaces behave (space_stress --smoke)"
 
-# A corrupt checkpoint must be rejected up front: write a real
-# checkpoint, flip one byte mid-file, and require `--resume` to exit
-# non-zero naming the corruption (never a partial load).
-ck="$obs_dir/gemm.ckpt"
-cargo run --release --offline -p heron-bench --bin heron_cli -- \
-    tune --op gemm --shape 256x256x256 --trials 16 \
-    --pause-at 8 --checkpoint "$ck" >/dev/null 2>&1
-size=$(wc -c < "$ck")
-mid=$((size / 2))
-orig=$(dd if="$ck" bs=1 skip="$mid" count=1 2>/dev/null)
-flip='Z'; [ "$orig" = 'Z' ] && flip='Q'
-printf '%s' "$flip" | dd of="$ck" bs=1 seek="$mid" conv=notrunc 2>/dev/null
-if cargo run --release --offline -p heron-bench --bin heron_cli -- \
-    tune --op gemm --shape 256x256x256 --trials 16 \
-    --resume "$ck" >"$obs_dir/resume.out" 2>&1; then
-    echo "error: resume from a corrupted checkpoint succeeded" >&2
-    exit 1
-fi
-if ! grep -qi "corrupt" "$obs_dir/resume.out"; then
-    echo "error: corrupted-checkpoint rejection does not mention corruption:" >&2
-    cat "$obs_dir/resume.out" >&2
-    exit 1
-fi
-echo "ok: bit-flipped checkpoint rejected as corrupt (byte $mid)"
+# A corrupt checkpoint must be rejected up front: flip one byte mid-FILE and
+# `BIN ARGS --resume FILE` must exit non-zero naming the corruption.
+resume_rejects_flip() { # FILE BIN ARGS...
+    local ck="$1" bin="$2" mid flip=Z; shift 2
+    mid=$(($(wc -c < "$ck") / 2))
+    [ "$(dd if="$ck" bs=1 skip="$mid" count=1 2>/dev/null)" = Z ] && flip=Q
+    printf '%s' "$flip" | dd of="$ck" bs=1 seek="$mid" conv=notrunc 2>/dev/null
+    if cargo run --release --offline -p heron-bench --bin "$bin" -- "$@" --resume "$ck" \
+        >"$obs_dir/resume.out" 2>&1 || ! grep -qi corrupt "$obs_dir/resume.out"; then
+        echo "error: $bin resumed a corrupted checkpoint or did not call it corrupt:" >&2
+        cat "$obs_dir/resume.out" >&2; exit 1
+    fi
+    echo "ok: $bin rejects a bit-flipped checkpoint as corrupt (byte $mid)"
+}
+tune=(tune --op gemm --shape 256x256x256 --trials 16)
+cargo run --release --offline -p heron-bench --bin heron_cli -- "${tune[@]}" \
+    --pause-at 8 --checkpoint "$obs_dir/gemm.ckpt" >/dev/null 2>&1
+resume_rejects_flip "$obs_dir/gemm.ckpt" heron_cli "${tune[@]}"
 
 echo "== service-robustness smoke (heron-serve chaos harness) =="
 # The supervised tuning service must survive injected worker crashes,
@@ -271,6 +265,10 @@ if cargo run --release --offline -p heron-bench --bin heron_audit -- \
     echo "error: audit --check passed on a space with a dropped LE rule" >&2
     exit 1
 fi
+audit=(--dla v100 --op gemm --shape 128x128x128 --samples 32)
+cargo run --release --offline -p heron-bench --bin heron_audit -- "${audit[@]}" \
+    --pause-at 1 --checkpoint "$obs_dir/audit.ckpt" >/dev/null
+resume_rejects_flip "$obs_dir/audit.ckpt" heron_audit "${audit[@]}"
 echo "ok: clean specs audit clean (3 platforms, byte-stable); dropped rule fails the gate"
 
 echo "== telemetry-name lint (serve.* / pulse.* / audit.* / scope.* documentation) =="
