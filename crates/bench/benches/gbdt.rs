@@ -1,19 +1,21 @@
 //! Micro-bench (heron-testkit): cost-model training and prediction
 //! (Algorithm 2 Step 4 and the fitness evaluations of Step 2).
 //!
-//! Two kinds of training data. `gbdt-fit/vta-gemm512/*` is what the
-//! tuner fits: `CostModel::featurize` of RandSAT samples of the
-//! gemm-512@vta space, scored by the simulator — every feature takes a
-//! handful of distinct values and several are constant. `gbdt-fit/*x80`
-//! is the opposite extreme, uniform reals with every value distinct (as
-//! many sort buckets as rows): the worst case of the counting-sort split
-//! search, kept so that a regression there shows.
+//! Two kinds of training data. `gbdt-fit/{vta,dlboost}-gemm512/*` is what
+//! the tuner fits: `CostModel::featurize` of RandSAT samples of the
+//! gemm-512 space on VTA and on DL Boost, scored by the simulator — every
+//! feature takes a handful of distinct values and several are constant
+//! (the two platforms differ in feature count and bucket histogram).
+//! `gbdt-fit/*x80` is the opposite extreme, uniform reals with every value
+//! distinct (as many sort buckets as rows): the worst case of the
+//! counting-sort split search, kept so that a regression there shows.
 
 use heron_core::generate::{SpaceGenerator, SpaceOptions};
 use heron_core::model::CostModel;
 use heron_core::tuner::evaluate;
 use heron_cost::{Gbdt, GbdtParams};
 use heron_csp::{SolvePolicy, SolveSession};
+use heron_dla::DlaSpec;
 use heron_rng::{HeronRng, Rng};
 use heron_tensor::ops;
 use heron_testkit::bench::{black_box, Harness};
@@ -31,22 +33,22 @@ fn synthetic(n: usize, d: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
     (x, y)
 }
 
-/// `n` measured samples of the gemm-512@vta space as the tuner's cost
-/// model would hold them (invalid programs score 0).
-fn vta_gemm512(n: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
-    let space = SpaceGenerator::new(heron_dla::vta())
+/// `n` measured samples of the gemm-512 space on `dla` as the tuner's
+/// cost model would hold them (invalid programs score 0).
+fn gemm512(dla: DlaSpec, n: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
+    let space = SpaceGenerator::new(dla.clone())
         .generate_named(
             &ops::gemm(512, 512, 512),
             &SpaceOptions::heron(),
             "gemm-512",
         )
         .expect("generates");
-    let measurer = heron_dla::Measurer::new(heron_dla::vta());
+    let measurer = heron_dla::Measurer::new(dla);
     let model = CostModel::new(&space.csp);
     let mut rng = HeronRng::from_seed(seed);
     let samples = SolveSession::new(&space.csp)
         .solve(&mut rng, n, &SolvePolicy::default(), &Tracer::disabled())
-        .expect_sat("gemm-512@vta");
+        .expect_sat("gemm-512");
     let x = samples.iter().map(|s| model.featurize(s)).collect();
     let y = samples
         .iter()
@@ -93,14 +95,16 @@ fn main() {
     let mut h = Harness::new("gbdt");
     // What a tuning session fits, at growing sample counts (1000 = the
     // paper's trial budget).
-    let (x, y) = vta_gemm512(1000, 2023);
-    for n in [128usize, 512, 1000] {
-        bench_fit(
-            &mut h,
-            &format!("gbdt-fit/vta-gemm512/{n}"),
-            &x[..n],
-            &y[..n],
-        );
+    for (name, dla) in [("vta", heron_dla::vta()), ("dlboost", heron_dla::dlboost())] {
+        let (x, y) = gemm512(dla, 1000, 2023);
+        for n in [128usize, 512, 1000] {
+            bench_fit(
+                &mut h,
+                &format!("gbdt-fit/{name}-gemm512/{n}"),
+                &x[..n],
+                &y[..n],
+            );
+        }
     }
     // Continuous features: every value distinct.
     for n in [128usize, 512, 2000] {

@@ -4,8 +4,11 @@
 //! count, per-feature gains, predictions, and the RNG's position after the
 //! fit — on matrices that mix the column kinds the tuner produces
 //! (`ln(v + 1)` of a few integers, constants) with the ones it does not
-//! (continuous, `±0.0`, NaN). (heron-testkit harness; see DESIGN.md,
-//! "Zero-dependency & determinism policy".)
+//! (continuous, `±0.0`, NaN), and that reach every branch of the split
+//! search: tiny nodes, `K` on both sides of its one-lane switch, a NaN
+//! bucket that is the last, a column that dies below the root.
+//! (heron-testkit harness; see DESIGN.md, "Zero-dependency & determinism
+//! policy".)
 
 use heron_cost::tree::TreeParams;
 use heron_cost::{Gbdt, GbdtParams, RegressionTree};
@@ -235,7 +238,7 @@ impl RefGbdt {
 /// One column of `n` values of a randomly chosen kind.
 fn column(g: &mut Gen, n: usize) -> Vec<f64> {
     let featurize = |v: i64| (v as f64 + 1.0).ln();
-    match g.choice(6) {
+    match g.choice(8) {
         // What `CostModel::featurize` produces: ln(v + 1) of a few integers.
         0 | 1 => {
             let k = g.index(2, 7);
@@ -246,6 +249,12 @@ fn column(g: &mut Gen, n: usize) -> Vec<f64> {
         2 => vec![featurize(g.int(0, 64)); n],
         // Every value distinct (K ≈ n).
         3 => (0..n).map(|_| g.f64_in(-4.0, 4.0)).collect(),
+        // About n / 2 distinct values: nodes fall on both sides of the
+        // split search's switch between one lane and several.
+        6 => (0..n).map(|_| g.index(0, n / 2 + 1) as f64).collect(),
+        // A few values and NaN, which sorts last: a NaN bucket that is
+        // the last bucket of a node that sorts in lanes.
+        7 => (0..n).map(|_| *g.pick(&[1.0, 2.0, f64::NAN])).collect(),
         // Signed zeros: equal as values, distinct under `total_cmp`.
         4 => (0..n)
             .map(|_| *g.pick(&[0.0, -0.0, 0.0, -0.0, 1.5]))
@@ -263,9 +272,34 @@ fn column(g: &mut Gen, n: usize) -> Vec<f64> {
 }
 
 fn matrix(g: &mut Gen) -> (Vec<Vec<f64>>, Vec<f64>) {
-    let n = g.index(2, 97);
+    // Tiny matrices give nodes of 1–7 rows, not multiples of 4 (the lanes'
+    // remainder), from the root down.
+    let n = if g.bool(0.25) {
+        g.index(1, 8)
+    } else {
+        g.index(2, 97)
+    };
     let d = g.index(1, 10);
-    let cols: Vec<Vec<f64>> = (0..d).map(|_| column(g, n)).collect();
+    let mut cols: Vec<Vec<f64>> = (0..d).map(|_| column(g, n)).collect();
+    // A column constant (a number, or NaN) on the rows where another
+    // column is at most a pivot: a split there leaves it constant in a
+    // child, where it must stay skipped below (a NaN one must not).
+    if g.bool(0.5) {
+        let source = cols[g.index(0, d)].clone();
+        let pivot = source[g.index(0, n)];
+        let constant = *g.pick(&[1.5, f64::NAN]);
+        let derived = source
+            .iter()
+            .map(|&v| {
+                if v <= pivot {
+                    constant
+                } else {
+                    *g.pick(&[2.0, 3.0])
+                }
+            })
+            .collect();
+        cols.push(derived);
+    }
     let x: Vec<Vec<f64>> = (0..n)
         .map(|r| cols.iter().map(|c| c[r]).collect())
         .collect();
@@ -306,7 +340,7 @@ fn bits(v: &[f64]) -> Vec<u64> {
 
 #[test]
 fn tree_equals_comparison_sort_reference() {
-    property_cases("tree_equals_comparison_sort_reference", 256, |g| {
+    property_cases("tree_equals_comparison_sort_reference", 512, |g| {
         let (x, y) = matrix(g);
         let (n, d) = (x.len(), x[0].len());
         // In-bag subsets as `Gbdt` draws them (ascending), and arbitrary
@@ -348,7 +382,7 @@ fn tree_equals_comparison_sort_reference() {
 
 #[test]
 fn gbdt_equals_comparison_sort_reference() {
-    property_cases("gbdt_equals_comparison_sort_reference", 96, |g| {
+    property_cases("gbdt_equals_comparison_sort_reference", 128, |g| {
         let (x, y) = matrix(g);
         let d = x[0].len();
         let params = GbdtParams {

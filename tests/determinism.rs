@@ -535,6 +535,17 @@ fn solver_work_of_a_real_tune_is_pinned() {
 #[test]
 fn cost_model_of_a_real_tune_is_pinned() {
     let (tuner, tracer) = real_tune();
+    assert_eq!(
+        cost_model_pin(&tuner, &tracer),
+        (8, 288, 0x781f_3776_8dd0_153b)
+    );
+}
+
+/// `(cost.fits, rows over all cost.fit spans, model fold)` of a finished
+/// traced tune with insight on. The fold is FNV-1a over the final model's
+/// prediction on every training sample, then every refit's
+/// `importance_topk`, bit for bit.
+fn cost_model_pin(tuner: &Tuner, tracer: &Tracer) -> (u64, u64, u64) {
     let fit_rows: u64 = check_trace(&tracer.to_jsonl())
         .expect("balanced trace")
         .spans
@@ -543,23 +554,56 @@ fn cost_model_of_a_real_tune_is_pinned() {
         .filter_map(|s| s.fields.iter().find(|(k, _)| k == "rows"))
         .map(|(_, rows)| rows.parse::<u64>().expect("row count"))
         .sum();
-    assert_eq!(tracer.counter("cost.fits"), Some(8));
-    assert_eq!(fit_rows, 288);
-
     let model = tuner.model();
     let mut fold = 0xcbf2_9ce4_8422_2325_u64; // FNV-1a over 64-bit words
     let mut mix = |word: u64| fold = (fold ^ word).wrapping_mul(0x0000_0100_0000_01b3);
     for (values, _) in &tuner.checkpoint().samples {
         mix(model.predict(&Solution::new(values.clone())).to_bits());
     }
-    // Every refit's `importance_topk(8)`, the final model's last.
+    // Every refit's `importance_topk`, the final model's last.
     for refit in &tuner.insight().expect("insight enabled").refits {
         for &(var, importance) in &refit.top_importance {
             mix(u64::from(var));
             mix(importance.to_bits());
         }
     }
-    assert_eq!(fold, 0x781f_3776_8dd0_153b, "model fold {fold:#018x}");
+    (tracer.counter("cost.fits").unwrap_or(0), fit_rows, fold)
+}
+
+/// The model pin where the refit is the host cost: gemm-512 on VTA and on
+/// DL Boost, whose features take a handful of distinct values each, tuned
+/// long enough that the last refits see a few hundred rows. These are the
+/// fits the tree's multi-lane counting sort and bucket-wise scan are for;
+/// the 64-trial v100 pin above sees eight fits of at most 64 rows.
+/// Constants recorded before the split search was rewritten.
+#[test]
+fn cost_model_of_vta_and_dlboost_tunes_are_pinned() {
+    let pins: Vec<(u64, u64, u64)> = [heron::dla::vta(), heron::dla::dlboost()]
+        .into_iter()
+        .map(|dla| {
+            let space = SpaceGenerator::new(dla.clone())
+                .generate_named(
+                    &heron::tensor::ops::gemm(512, 512, 512),
+                    &SpaceOptions::heron(),
+                    "gemm-512",
+                )
+                .expect("generates");
+            let tracer = Tracer::manual();
+            let mut tuner =
+                Tuner::new(space, Measurer::new(dla), TuneConfig::quick(320), 2023).with_insight(8);
+            tuner.set_tracer(tracer.clone());
+            tuner.run();
+            cost_model_pin(&tuner, &tracer)
+        })
+        .collect();
+    assert_eq!(
+        pins,
+        [
+            (43, 7_191, 0x4453_4187_279e_5f08),
+            (43, 7_278, 0x4b61_7615_5757_8f81),
+        ],
+        "pins {pins:#x?}"
+    );
 }
 
 /// The graph layer's companion of the solver pin: a bottleneck block
