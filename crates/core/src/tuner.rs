@@ -762,8 +762,8 @@ impl Tuner {
     }
 
     /// Base per-round record: round index, trials, best-so-far, and the
-    /// round's robustness counters plus its visible solver work
-    /// (population sampling + fallback sampling).
+    /// round's robustness counters plus all of its solver work
+    /// (population, offspring and fallback solves).
     fn insight_round_record(
         &self,
         evolved: &GenerationStats,
@@ -779,14 +779,13 @@ impl Tuner {
         rec.relaxed_constraints = evolved.relaxed_constraints as u32;
         rec.fallback_samples = evolved.fallback_samples as u32;
         rec.deadline_hits = evolved.deadline_hits as u32;
-        rec.solver_attempts = evolved.fresh.attempts;
-        rec.solver_propagations = evolved.fresh.propagations;
-        rec.solver_wipeouts = evolved.fresh.wipeouts;
-        rec.solver_max_trail = evolved
-            .fresh
-            .max_trail_depth
-            .max(evolved.offspring.max_trail_depth);
-        rec.solver_incremental = evolved.offspring.incremental_hits;
+        let mut solver = evolved.fresh;
+        solver.absorb(&evolved.offspring);
+        rec.solver_attempts = solver.attempts;
+        rec.solver_propagations = solver.propagations;
+        rec.solver_wipeouts = solver.wipeouts;
+        rec.solver_max_trail = solver.max_trail_depth;
+        rec.solver_incremental = solver.incremental_hits;
         Some(rec)
     }
 
@@ -1553,6 +1552,36 @@ mod tests {
         assert!(traced.profile().starts_with("tune "));
         assert!(traced.report().contains("tune "));
         assert!(traced.report().contains("measure.hw"));
+    }
+
+    #[test]
+    fn insight_rounds_account_for_every_solve() {
+        // Offspring re-solves are most of a round's solver work: the
+        // per-round records must add up to everything the solver counted.
+        let space = gemm_space(256, "gemm-insight");
+        let mut tuner =
+            Tuner::new(space, Measurer::new(v100()), TuneConfig::quick(32), 7).with_insight(5);
+        let tracer = Tracer::manual();
+        tuner.set_tracer(tracer.clone());
+        tuner.run();
+        let rounds = &tuner.insight().expect("insight enabled").rounds;
+        let sum = |f: fn(&RoundRecord) -> u64| rounds.iter().map(f).sum::<u64>();
+        assert_eq!(
+            sum(|r| r.solver_attempts),
+            tracer.counter("csp.attempts").unwrap_or(0)
+        );
+        assert_eq!(
+            sum(|r| r.solver_propagations),
+            tracer.counter("csp.propagations").unwrap_or(0)
+        );
+        assert_eq!(
+            sum(|r| r.solver_wipeouts),
+            tracer.counter("csp.wipeouts").unwrap_or(0)
+        );
+        assert!(
+            sum(|r| r.solver_incremental) > 0,
+            "offspring were re-solved"
+        );
     }
 
     #[test]

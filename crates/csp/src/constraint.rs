@@ -91,7 +91,8 @@ impl Constraint {
                 value(*out) == p
             }
             Constraint::Sum { out, terms } => {
-                value(*out) == terms.iter().map(|t| value(*t)).sum::<i64>()
+                // Summed in i128 so that no assignment overflows.
+                i128::from(value(*out)) == terms.iter().map(|t| i128::from(value(*t))).sum()
             }
             Constraint::Eq(a, b) => value(*a) == value(*b),
             Constraint::Le(a, b) => value(*a) <= value(*b),
@@ -170,6 +171,11 @@ mod tests {
         };
         assert!(c.check(&env(&[7, 3, 4])));
         assert!(!c.check(&env(&[8, 3, 4])));
+        let big = 1 << 62;
+        assert!(c.check(&env(&[big + 1, big, 1])));
+        // 2^62 + 2^62 is past i64::MAX: no i64 value equals it.
+        assert!(!c.check(&env(&[i64::MIN, big, big])));
+        assert!(!c.check(&env(&[i64::MAX, big, big])));
     }
 
     #[test]

@@ -15,8 +15,11 @@
 //! Because every filter is sound and monotone, chaotic iteration reaches
 //! the *same* least fixpoint (and the same wipeout verdict) under any
 //! fair schedule — so the engine is free to reorder and skip work as
-//! long as it never skips a pass that could still prune. Four
-//! propagation-count optimisations exploit that freedom:
+//! long as it never skips a pass that could still prune. After a wipeout
+//! the caller undoes the store to its mark, so a schedule that finds the
+//! wipeout sooner leaves every later domain, and every RNG draw of the
+//! sampler, unchanged. Six propagation-count optimisations exploit that
+//! freedom:
 //!
 //! * **Entailment dormancy** — a filter pass reports when its constraint
 //!   has become *entailed* (can never prune again while domains only
@@ -49,6 +52,20 @@
 //!   tightest bounds the cheap tier can derive and converges in fewer
 //!   rounds. Scheduling order cannot change the fixpoint (confluence
 //!   above), only how many passes it takes to get there.
+//! * **Fail-first hot tier** — a heavy constraint that wiped out once is
+//!   flagged *hot*, and hot constraints drain after the cheap tier but
+//!   before the other heavy ones. In a sampling call the same few
+//!   constraints end most failing propagations, so a failing run reaches
+//!   its wipeout after fewer passes. The flags are cleared at the start
+//!   of every sampling call (`Propagator::clear_hot`), so a call's pass
+//!   count depends only on its own inputs and a resumed session counts
+//!   exactly what an uninterrupted one does.
+//! * **Settled `PROD`/`SUM` runs** — the local-fixpoint loop of a
+//!   `PROD`/`SUM` pass stops after a run that moved only `out` (when
+//!   `out` is not also an operand), because that run already filtered
+//!   every operand against the new `out` bounds: the confirming run it
+//!   skips is a guaranteed no-op, so the pass and its changes are the
+//!   same.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -144,14 +161,20 @@ impl Kind {
     }
 }
 
-/// The two-tier worklist of one `run`. Between runs both queues are empty
-/// and every `queued` flag is false — `drain` restores that on both its
-/// exits.
+/// The three-tier worklist of one `run`. Between runs every queue is
+/// empty and every `queued` flag is false — `drain` restores that on both
+/// its exits. The `hot` flags outlive a run: they are set by wipeouts and
+/// cleared only by `Propagator::clear_hot`.
 #[derive(Debug)]
 struct Worklist {
     /// Per-constraint "already in a queue" flags.
     queued: Vec<bool>,
+    /// Per-constraint "wiped out since the last `clear_hot`" flags, read
+    /// for heavy constraints only.
+    hot: Vec<bool>,
     cheap: VecDeque<u32>,
+    /// Queued heavy constraints whose `hot` flag is set.
+    hot_heavy: VecDeque<u32>,
     heavy: VecDeque<u32>,
 }
 
@@ -164,23 +187,31 @@ impl Worklist {
             self.queued[ci as usize] = true;
             if kind.is_cheap() {
                 self.cheap.push_back(ci);
+            } else if self.hot[ci as usize] {
+                self.hot_heavy.push_back(ci);
             } else {
                 self.heavy.push_back(ci);
             }
         }
     }
 
-    /// The next constraint to run, cheap tier first.
+    /// The next constraint to run: cheap tier first, then the hot heavy
+    /// constraints, then the rest.
     #[inline]
     fn pop(&mut self) -> Option<usize> {
-        let ci = self.cheap.pop_front().or_else(|| self.heavy.pop_front())? as usize;
+        let ci = self
+            .cheap
+            .pop_front()
+            .or_else(|| self.hot_heavy.pop_front())
+            .or_else(|| self.heavy.pop_front())? as usize;
         self.queued[ci] = false;
         Some(ci)
     }
 
     /// Drops everything still queued.
     fn clear(&mut self) {
-        for ci in self.cheap.drain(..).chain(self.heavy.drain(..)) {
+        let queued = self.cheap.drain(..).chain(self.hot_heavy.drain(..));
+        for ci in queued.chain(self.heavy.drain(..)) {
             self.queued[ci as usize] = false;
         }
     }
@@ -270,7 +301,9 @@ impl Propagator {
             scratch: RefCell::new(Scratch {
                 work: Worklist {
                     queued: vec![false; ncons],
+                    hot: vec![false; ncons],
                     cheap: VecDeque::with_capacity(ncons),
+                    hot_heavy: VecDeque::with_capacity(ncons),
                     heavy: VecDeque::with_capacity(ncons),
                 },
                 changed: Vec::new(),
@@ -299,6 +332,22 @@ impl Propagator {
     pub fn reset_stats(&self) {
         self.propagations.set(0);
         self.wipeouts.set(0);
+    }
+
+    /// Forgets which constraints have wiped out, so the schedule —
+    /// and with it the pass count — of later runs depends on nothing that
+    /// happened before this call. [`crate::solver`] calls it at the start
+    /// of every sampling call.
+    pub(crate) fn clear_hot(&self) {
+        self.scratch.borrow_mut().work.hot.fill(false);
+    }
+
+    /// Schedules constraint `ci` as if it had already wiped out (which
+    /// moves nothing for a cheap constraint: those always run first).
+    /// Wipeouts do this themselves; it is public so that tests can check
+    /// that any hot set leaves fixpoints and verdicts unchanged.
+    pub fn mark_hot(&self, ci: usize) {
+        self.scratch.borrow_mut().work.hot[ci] = true;
     }
 
     /// The constraints mentioning `v`, ascending.
@@ -420,6 +469,9 @@ impl Propagator {
             self.propagations.set(self.propagations.get() + 1);
             let Ok(entailed) = self.filter(ci, store, changed, feasible, suffix) else {
                 self.wipeouts.set(self.wipeouts.get() + 1);
+                // A constraint that failed once is the likeliest to fail
+                // the next propagation of the same call.
+                work.hot[ci] = true;
                 work.clear();
                 return Err(Infeasible);
             };
@@ -474,7 +526,7 @@ impl Propagator {
                 loop {
                     let before = changed.len();
                     filter_prod(store, *out, factors, changed, suffix)?;
-                    if changed.len() == before {
+                    if settled(&changed[before..], *out, factors) {
                         break;
                     }
                 }
@@ -484,7 +536,7 @@ impl Propagator {
                 loop {
                     let before = changed.len();
                     filter_sum(store, *out, terms, changed)?;
-                    if changed.len() == before {
+                    if settled(&changed[before..], *out, terms) {
                         break;
                     }
                 }
@@ -544,6 +596,16 @@ impl Propagator {
             }
         }
     }
+}
+
+/// Whether a `PROD`/`SUM` run that made the changes `run` left its
+/// constraint at its local fixpoint: nothing moved, or only `out` did and
+/// `out` is not also an operand. A run narrows `out` first and then filters
+/// every operand against the narrowed `out`, so in the second case the
+/// operands were already filtered against the bounds a confirming run
+/// would read, and that run is a guaranteed no-op.
+fn settled(run: &[Change], out: VarRef, operands: &[VarRef]) -> bool {
+    run.is_empty() || (run.iter().all(|c| c.var == out) && !operands.contains(&out))
 }
 
 /// The bound of a product of non-negative values as the historical
@@ -680,34 +742,38 @@ fn filter_sum(
     terms: &[VarRef],
     changed: &mut Vec<Change>,
 ) -> Result<(), ()> {
+    // Bounds are summed in `i128`, exact for any `i64` operands; a bound
+    // beyond `i64` is clamped to it on the way into a domain, which only
+    // weakens the pruning.
     let sums = |store: &DomainStore| {
-        let lo: i64 = terms.iter().map(|t| store.min(t.0)).sum();
-        let hi: i64 = terms.iter().map(|t| store.max(t.0)).sum();
+        let lo: i128 = terms.iter().map(|t| i128::from(store.min(t.0))).sum();
+        let hi: i128 = terms.iter().map(|t| i128::from(store.max(t.0))).sum();
         (lo, hi)
     };
+    let clamp = |x: i128| x.clamp(i64::MIN.into(), i64::MAX.into()) as i64;
     let (mut lo, mut hi) = sums(store);
     // As in `filter_prod`: the sums are taken again after any change, so
     // "the sum of the others" is always over the bounds as they stand.
     let mut seen = changed.len();
-    if store.restrict_min(out.0, lo)? {
+    if store.restrict_min(out.0, clamp(lo))? {
         changed.push(Change::min_raised(out));
     }
-    if store.restrict_max(out.0, hi)? {
+    if store.restrict_max(out.0, clamp(hi))? {
         changed.push(Change::max_lowered(out));
     }
-    let out_lo = store.min(out.0);
-    let out_hi = store.max(out.0);
+    let out_lo = i128::from(store.min(out.0));
+    let out_hi = i128::from(store.max(out.0));
     for t in terms {
         if changed.len() != seen {
             (lo, hi) = sums(store);
             seen = changed.len();
         }
-        let others_lo = lo - store.min(t.0);
-        let others_hi = hi - store.max(t.0);
-        if store.restrict_min(t.0, out_lo - others_hi)? {
+        let others_lo = lo - i128::from(store.min(t.0));
+        let others_hi = hi - i128::from(store.max(t.0));
+        if store.restrict_min(t.0, clamp(out_lo - others_hi))? {
             changed.push(Change::min_raised(*t));
         }
-        if store.restrict_max(t.0, out_hi - others_lo)? {
+        if store.restrict_max(t.0, clamp(out_hi - others_lo))? {
             changed.push(Change::max_lowered(*t));
         }
     }
@@ -839,6 +905,29 @@ mod tests {
         assert!(s.max(a.0) <= 30);
         assert!(s.max(b.0) <= 40);
         assert!(s.min(total.0) >= 30);
+    }
+
+    #[test]
+    fn self_referencing_sum_and_prod_run_to_their_fixpoint() {
+        // `x = x + y` with y = 1 has no solution, but a run moves only
+        // `x` each time: stopping after such a run is right only when
+        // `out` is not also an operand.
+        let mut csp = Csp::new();
+        let x = csp.add_var("x", Domain::range(0, 5), VarCategory::Other);
+        let y = csp.add_var("y", Domain::values([1]), VarCategory::Other);
+        csp.post_sum(x, vec![x, y]);
+        let p = Propagator::new(&csp);
+        assert_eq!(p.run_all(&mut p.store()), Err(Infeasible));
+
+        // `x = x · y` with y = 2 leaves only x = 0.
+        let mut csp = Csp::new();
+        let x = csp.add_var("x", Domain::range(0, 40), VarCategory::Other);
+        let y = csp.add_var("y", Domain::values([2]), VarCategory::Other);
+        csp.post_prod(x, vec![x, y]);
+        let p = Propagator::new(&csp);
+        let mut s = p.store();
+        p.run_all(&mut s).expect("x = 0 is a solution");
+        assert_eq!(s.fixed_value(x.0), Some(0));
     }
 
     #[test]

@@ -221,6 +221,42 @@ mod tests {
     }
 
     #[test]
+    fn pinned_solve_stats_do_not_depend_on_earlier_calls() {
+        // Every field of a call's counters — the schedule-dependent
+        // propagation count and trail depth included — must be the same
+        // on a fresh session and on one that has served failing calls,
+        // or a resumed tune would count differently from an
+        // uninterrupted one.
+        let (csp, [i0, i1, i2]) = tiling_csp();
+        let policy = SolvePolicy::fixed(2_000);
+        let pins = vec![(i0, vec![1, 2, 4, 8]), (i2, vec![2, 4, 8, 16])];
+        let call = |session: &mut SolveSession| {
+            let mut rng = HeronRng::from_seed(8);
+            session.solve_pinned(&pins, &mut rng, 16, &policy, &Tracer::disabled())
+        };
+        let fresh = call(&mut SolveSession::new(&csp));
+        assert!(fresh.stats.wipeouts > 0, "the call must fail somewhere");
+
+        let mut used = SolveSession::new(&csp);
+        let mut rng = HeronRng::from_seed(3);
+        // i1 · i2 = 4096 breaks both products: a propagation wipeout.
+        let dead = used.solve_pinned(
+            &[(i1, vec![64]), (i2, vec![64])],
+            &mut rng,
+            4,
+            &policy,
+            &Tracer::disabled(),
+        );
+        assert_eq!(dead.status, SolveStatus::RootInfeasible);
+        assert_eq!(dead.stats.wipeouts, 1);
+        let busy = used.solve(&mut rng, 16, &policy, &Tracer::disabled());
+        assert!(busy.stats.wipeouts > 0);
+        let again = call(&mut used);
+        assert_eq!(again.solutions, fresh.solutions);
+        assert_eq!(again.stats, fresh.stats);
+    }
+
+    #[test]
     fn zero_sample_requests_report_no_sampling_work() {
         // Nothing asked for, nothing attempted: in particular the
         // escalation schedule must not run on the empty result.

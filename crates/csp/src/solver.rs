@@ -35,6 +35,10 @@ use crate::store::DomainStore;
 ///
 /// All counts are exact and deterministic for a fixed `(csp, seed, n,
 /// policy)` tuple, which is what the exact-count unit tests pin down.
+/// `attempts`, `restarts`, `wipeouts`, `solutions` and `escalations` are
+/// facts of the sampled stream, fixed by the search itself;
+/// `propagations` and `max_trail_depth` also depend on the propagation
+/// schedule, which may change them without moving a single sample.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
     /// Randomised backtracking dives started (including the ones that
@@ -366,6 +370,8 @@ impl Root {
                 ("vars", csp.num_vars().to_string()),
             ]
         });
+        // Wipeouts of earlier calls must not steer this call's schedule.
+        self.prop.clear_hot();
         let mut stats = SolveStats::default();
         let mut deadline = Deadline::new(policy.deadline_steps);
         let mut out = Vec::with_capacity(n);
@@ -989,6 +995,26 @@ mod tests {
             .fields
             .iter()
             .any(|(k, v)| k == "n" && v == "8"));
+    }
+
+    #[test]
+    fn sum_bounds_past_i64_max_do_not_overflow() {
+        // The terms' upper bounds sum to 2^63, one past i64::MAX; a
+        // wrapping sum made this satisfiable space root-infeasible.
+        let mut csp = Csp::new();
+        let big = 1 << 62;
+        let out = csp.add_var("out", Domain::range(0, i64::MAX), VarCategory::Other);
+        let a = csp.add_var("a", Domain::values([1, big]), VarCategory::Tunable);
+        let b = csp.add_var("b", Domain::values([1, big]), VarCategory::Tunable);
+        csp.post_sum(out, vec![a, b]);
+        let mut rng = HeronRng::from_seed(4);
+        let sols = rand_sat(&csp, &mut rng, 4).expect_sat("sum near i64::MAX");
+        // (2^62, 2^62) has no i64 sum; the other three pairs do.
+        assert_eq!(sols.len(), 3);
+        for s in &sols {
+            assert!(validate(&csp, s));
+            assert_eq!(s.value(out), s.value(a) + s.value(b));
+        }
     }
 
     #[test]

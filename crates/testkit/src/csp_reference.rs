@@ -363,6 +363,13 @@ impl Deadline {
     }
 }
 
+/// Filters `domains` to the reference engine's propagation fixpoint,
+/// every constraint of `csp` seeded; `false` is a wipeout (`domains` is
+/// then partially filtered).
+pub fn fixpoint_reference(csp: &Csp, domains: &mut [Domain]) -> bool {
+    RefPropagator::new(csp).run_all(domains).is_ok()
+}
+
 /// Clone-based sampling under `policy` — the historical `rand_sat`.
 pub fn rand_sat_reference<R: Rng>(
     csp: &Csp,

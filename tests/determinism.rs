@@ -512,7 +512,7 @@ fn solver_work_of_a_real_tune_is_pinned() {
     assert_eq!(
         work,
         [
-            ("csp.propagations", 970_610),
+            ("csp.propagations", 664_135),
             ("csp.wipeouts", 15_938),
             ("csp.attempts", 292),
             ("csp.restarts", 60),
