@@ -2,12 +2,15 @@
 //! GEMM `CSP_initial` — the inner loop of CGA (called thousands of
 //! times per tuning session, so its cost sets the "CGA" slice of
 //! Figure 14). Every solve row also prints its mean propagations per
-//! call, so a time change can be read against a work change.
+//! call, and below that its filtering passes and wipeouts per constraint
+//! kind, so a time change can be read against a work change. The
+//! `session_new` row is a session's set-up: the presolve, the propagator
+//! and the root fixpoint.
 
 use heron_core::explore::cga::{offspring_pins, CgaConfig};
 use heron_core::generate::{SpaceGenerator, SpaceOptions};
 use heron_csp::propagate::Propagator;
-use heron_csp::{SolveOutcome, SolveSession};
+use heron_csp::{Kind, SolveOutcome, SolveSession, SolveStats};
 use heron_rng::HeronRng;
 use heron_tensor::ops;
 use heron_testkit::bench::{black_box, Harness};
@@ -21,20 +24,34 @@ fn gemm_space(n: i64, name: &str) -> heron_core::generate::GeneratedSpace {
 }
 
 /// Benches `solve` as `name`, then prints the mean propagations per call
-/// (warm-up calls included) under the timing line.
+/// (warm-up calls included) under the timing line, and each constraint
+/// kind's mean passes and wipeouts per call.
 fn bench_solve(h: &mut Harness, name: &str, mut solve: impl FnMut() -> SolveOutcome) {
-    let (mut calls, mut propagations) = (0u64, 0u64);
+    let mut calls = 0u64;
+    let mut total = SolveStats::default();
     h.bench(name, || {
         let out = solve();
         calls += 1;
-        propagations += out.stats.propagations;
+        total.absorb(&out.stats);
         out.solutions.len()
     });
+    let per_call = |n: u64| n / calls.max(1);
     eprintln!(
         "  {:<40} {:>12} propagations/call",
         name,
-        propagations / calls.max(1)
+        per_call(total.propagations)
     );
+    for kind in Kind::ALL {
+        let work = total.by_kind[kind as usize];
+        if work.passes > 0 {
+            eprintln!(
+                "    {:<38} {:>12} passes/call {:>10} wipeouts/call",
+                kind.tag(),
+                per_call(work.passes),
+                per_call(work.wipeouts)
+            );
+        }
+    }
 }
 
 fn main() {
@@ -54,6 +71,10 @@ fn main() {
     // The in-situ path: CGA materialises an offspring of two parents by
     // re-solving the tuner's session under their crossover pins.
     let space512 = gemm_space(512, "g2");
+    h.bench("session_new/gemm-512", || {
+        black_box(SolveSession::new(&space512.csp).root_feasible())
+    });
+
     let cga = CgaConfig::default();
     let policy = cga.solver_policy();
     let tracer = Tracer::disabled();

@@ -80,6 +80,36 @@ impl Constraint {
         }
     }
 
+    /// The constraint with every variable `v` replaced by `f(v)`.
+    pub(crate) fn map_vars(&self, f: impl Fn(VarRef) -> VarRef) -> Constraint {
+        let all = |vs: &[VarRef]| vs.iter().map(|&v| f(v)).collect();
+        match self {
+            Constraint::Prod { out, factors } => Constraint::Prod {
+                out: f(*out),
+                factors: all(factors),
+            },
+            Constraint::Sum { out, terms } => Constraint::Sum {
+                out: f(*out),
+                terms: all(terms),
+            },
+            Constraint::Eq(a, b) => Constraint::Eq(f(*a), f(*b)),
+            Constraint::Le(a, b) => Constraint::Le(f(*a), f(*b)),
+            Constraint::In { var, values } => Constraint::In {
+                var: f(*var),
+                values: values.clone(),
+            },
+            Constraint::Select {
+                out,
+                index,
+                choices,
+            } => Constraint::Select {
+                out: f(*out),
+                index: f(*index),
+                choices: all(choices),
+            },
+        }
+    }
+
     /// Checks the constraint against a complete assignment.
     pub fn check(&self, value: &dyn Fn(VarRef) -> i64) -> bool {
         match self {

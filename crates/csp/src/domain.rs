@@ -99,11 +99,13 @@ impl Domain {
         }
     }
 
-    /// Number of values (saturating for large ranges).
+    /// Number of values. Exact for every domain: `hi - lo` of a
+    /// non-negative interval fits in `i64`, so the count (at most 2^63)
+    /// fits in `u64`.
     pub fn size(&self) -> u64 {
         match self {
             Domain::Values(v) => v.len() as u64,
-            Domain::Range { lo, hi } => (hi - lo + 1) as u64,
+            Domain::Range { lo, hi } => (hi - lo) as u64 + 1,
         }
     }
 
@@ -195,7 +197,10 @@ impl Domain {
         }
     }
 
-    /// Restricts to the given sorted candidate set.
+    /// Restricts to the given sorted candidate set. An interval becomes
+    /// an explicit set only if a value is removed: a restriction that
+    /// removes nothing leaves the domain as it was, as every other
+    /// mutator does (and as [`crate::DomainStore`] does).
     pub fn restrict_to(&mut self, candidates: &[i64]) -> Result<bool, ()> {
         match self {
             Domain::Values(v) => {
@@ -215,21 +220,26 @@ impl Domain {
                 if kept.is_empty() {
                     return Err(());
                 }
-                let changed = kept.len() as u64 != self.size();
+                if kept.len() as u64 == self.size() {
+                    return Ok(false);
+                }
                 *self = Domain::Values(kept);
-                Ok(changed)
+                Ok(true)
             }
         }
     }
 
-    /// Fixes the domain to a single value.
+    /// Fixes the domain to a single value (a domain already fixed to it
+    /// is left as it was).
     pub fn fix(&mut self, v: i64) -> Result<bool, ()> {
         if !self.contains(v) {
             return Err(());
         }
-        let changed = !self.is_fixed();
+        if self.is_fixed() {
+            return Ok(false);
+        }
         *self = Domain::Values(vec![v]);
-        Ok(changed)
+        Ok(true)
     }
 
     /// Intersects with another domain.
@@ -299,6 +309,17 @@ mod tests {
     }
 
     #[test]
+    fn restrictions_that_remove_nothing_keep_an_interval() {
+        let mut d = Domain::range(3, 5);
+        assert_eq!(d.restrict_to(&[1, 3, 4, 5, 9]), Ok(false));
+        assert_eq!(d.intersect(&Domain::values([3, 4, 5])), Ok(false));
+        assert_eq!(d, Domain::range(3, 5));
+        let mut one = Domain::range(7, 7);
+        assert_eq!(one.fix(7), Ok(false));
+        assert_eq!(one, Domain::range(7, 7));
+    }
+
+    #[test]
     fn intersect_values_with_range() {
         let mut d = Domain::values([1, 4, 9, 16]);
         assert_eq!(d.intersect(&Domain::range(2, 10)), Ok(true));
@@ -318,6 +339,18 @@ mod tests {
     fn display_is_compact() {
         assert_eq!(Domain::range(1, 9).to_string(), "[1, 9]");
         assert_eq!(Domain::values([1, 2]).to_string(), "[1, 2]");
+    }
+
+    #[test]
+    fn size_of_the_widest_interval_does_not_overflow() {
+        let d = Domain::range(0, i64::MAX);
+        assert_eq!(d.size(), 1 << 63);
+        assert!(!d.is_fixed());
+        assert_eq!(d.fixed_value(), None);
+        assert_eq!(
+            Domain::range(i64::MAX, i64::MAX).fixed_value(),
+            Some(i64::MAX)
+        );
     }
 
     #[test]

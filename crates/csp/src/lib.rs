@@ -41,6 +41,7 @@ pub use constraint::Constraint;
 pub use diagnose::{diagnose_root_conflict, root_feasible, ConflictEntry, ConflictReport};
 pub use domain::Domain;
 pub use problem::{Csp, Solution, VarCategory, VarRef};
+pub use propagate::{Kind, KindWork};
 pub use serialize::{from_text, solution_from_text, solution_to_text, to_text};
 pub use session::SolveSession;
 pub use solver::{

@@ -66,6 +66,19 @@
 //!   every operand against the new `out` bounds: the confirming run it
 //!   skips is a guaranteed no-op, so the pass and its changes are the
 //!   same.
+//!
+//! One more makes each pass cheaper instead of fewer:
+//!
+//! * **Exact `PROD`** — a `PROD` whose factors are at least 1, distinct
+//!   and not `out`, and whose upper bounds multiply to less than
+//!   `i64::MAX` (decided once per constraint, when the engine is built),
+//!   computes its bounds with plain multiplications and divides a
+//!   factor's bound out only when a multiplication shows the quotient
+//!   prunes (`filter_prod_exact`). Every other `PROD` keeps the
+//!   saturating prefix/suffix path. Both make the same changes.
+//!
+//! Passes and wipeouts are counted per constraint [`Kind`]
+//! ([`crate::SolveStats::by_kind`]).
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -129,9 +142,10 @@ impl Change {
 
 /// A constraint's type as one byte, so the scheduling questions asked of
 /// every woken watcher (which tier? does this event wake it?) read a
-/// dense array instead of the constraint list. Ordered cheap-first.
+/// dense array instead of the constraint list. Ordered cheap-first; the
+/// discriminant indexes [`crate::SolveStats::by_kind`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Kind {
+pub enum Kind {
     Eq,
     In,
     Le,
@@ -141,7 +155,20 @@ enum Kind {
 }
 
 impl Kind {
-    fn of(c: &Constraint) -> Kind {
+    /// Number of kinds.
+    pub const COUNT: usize = 6;
+
+    /// Every kind, in discriminant order.
+    pub const ALL: [Kind; Kind::COUNT] = [
+        Kind::Eq,
+        Kind::In,
+        Kind::Le,
+        Kind::Prod,
+        Kind::Sum,
+        Kind::Select,
+    ];
+
+    pub(crate) fn of(c: &Constraint) -> Kind {
         match c {
             Constraint::Eq(..) => Kind::Eq,
             Constraint::In { .. } => Kind::In,
@@ -152,6 +179,11 @@ impl Kind {
         }
     }
 
+    /// The type tag of [`Constraint::type_tag`] (`PROD`, `SUM`, …).
+    pub fn tag(self) -> &'static str {
+        ["EQ", "IN", "LE", "PROD", "SUM", "SELECT"][self as usize]
+    }
+
     /// Cheap constraints (`EQ`/`IN`/`LE`: one bounds comparison or a
     /// single mask AND) drain before expensive ones (`PROD`/`SUM`/
     /// `SELECT`: local-fixpoint loops over many variables), so a heavy
@@ -159,6 +191,15 @@ impl Kind {
     fn is_cheap(self) -> bool {
         self <= Kind::Le
     }
+}
+
+/// Filtering passes run, and wipeouts they proved, for one [`Kind`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct KindWork {
+    /// Single-constraint filtering passes.
+    pub passes: u64,
+    /// Passes that wiped out a domain.
+    pub wipeouts: u64,
 }
 
 /// The three-tier worklist of one `run`. Between runs every queue is
@@ -228,6 +269,8 @@ struct Scratch {
     feasible: Vec<i64>,
     /// `PROD`'s suffix products.
     suffix: Vec<[SatProd; 2]>,
+    /// Exact `PROD`'s suffix products, sized for the longest factor list.
+    exact: Vec<[i64; 2]>,
 }
 
 /// Reusable propagation engine for one CSP.
@@ -239,32 +282,50 @@ struct Scratch {
 pub struct Propagator {
     constraints: Vec<Constraint>,
     kinds: Vec<Kind>,
+    /// Per-constraint: a `PROD` whose bounds [`filter_prod_exact`] may
+    /// compute (see [`exact_prod`]).
+    exact: Vec<bool>,
     /// The (sorted, deduplicated) indices of the constraints mentioning
     /// each variable, flattened: variable `v`'s are
     /// `watching[watch_start[v]..watch_start[v + 1]]`.
     watching: Vec<u32>,
     watch_start: Vec<u32>,
-    /// The declared domains (untracked, no dormancy).
+    /// The initial domains (untracked, no dormancy).
     init: DomainStore,
     /// Per-constraint precompiled `IN` mask (constraints that are `IN` on
     /// a bitset variable filter with a single AND).
     in_masks: Vec<Option<u64>>,
-    /// Number of single-constraint filtering passes executed (observability
-    /// counter; `Cell` keeps the propagation API `&self`).
-    propagations: Cell<u64>,
-    /// Number of times propagation proved the domains unsatisfiable.
-    wipeouts: Cell<u64>,
+    /// Filtering passes and wipeouts executed so far, per [`Kind`]
+    /// (observability counters; `Cell` keeps the propagation API `&self`).
+    work: [Cell<KindWork>; Kind::COUNT],
     scratch: RefCell<Scratch>,
 }
 
 impl Propagator {
     /// Builds the engine for `csp`.
     pub fn new(csp: &Csp) -> Self {
+        Propagator::with_constraints(csp, csp.constraints().to_vec(), &[])
+    }
+
+    /// Builds the engine for `constraints` over `csp`'s variables, whose
+    /// declared domains are first narrowed to the intervals
+    /// `(v, lo, hi)` of `narrow` (each inside `v`'s declared interval and
+    /// non-empty). The presolve of [`crate::solver`] passes its rewritten
+    /// constraint list and the merged domains of its `EQ` classes.
+    pub(crate) fn with_constraints(
+        csp: &Csp,
+        constraints: Vec<Constraint>,
+        narrow: &[(VarRef, i64, i64)],
+    ) -> Self {
         let tables = Rc::new(VarTables::for_csp(csp));
-        let ncons = csp.num_constraints();
+        let ncons = constraints.len();
+        let mut init = DomainStore::new(tables.clone(), csp, ncons);
+        for &(v, lo, hi) in narrow {
+            let narrowed = init.restrict_min(v.0, lo).and(init.restrict_max(v.0, hi));
+            debug_assert!(narrowed.is_ok(), "narrowing {v} to [{lo}, {hi}] empties it");
+        }
         let mut watchers = vec![Vec::new(); csp.num_vars()];
-        let mut in_masks = Vec::with_capacity(ncons);
-        for (ci, c) in csp.constraints().iter().enumerate() {
+        for (ci, c) in constraints.iter().enumerate() {
             // A constraint may mention the same variable in non-adjacent
             // positions (SELECT with `out` among the choices, PROD with a
             // repeated factor): sort + dedup so each variable watches the
@@ -275,10 +336,6 @@ impl Propagator {
             for v in vars {
                 watchers[v.0].push(ci as u32);
             }
-            in_masks.push(match c {
-                Constraint::In { var, values } => tables.mask_of(var.0, values),
-                _ => None,
-            });
         }
         let mut watch_start = Vec::with_capacity(watchers.len() + 1);
         let mut watching = Vec::new();
@@ -287,15 +344,28 @@ impl Propagator {
             watching.extend_from_slice(w);
         }
         watch_start.push(watching.len() as u32);
+        let in_masks = constraints
+            .iter()
+            .map(|c| match c {
+                Constraint::In { var, values } => tables.mask_of(var.0, values),
+                _ => None,
+            })
+            .collect();
+        let exact = constraints.iter().map(|c| exact_prod(c, &init)).collect();
+        let longest = constraints.iter().map(|c| match c {
+            Constraint::Prod { factors, .. } => factors.len(),
+            _ => 0,
+        });
+        let longest = longest.max().unwrap_or(0);
         Propagator {
-            constraints: csp.constraints().to_vec(),
-            kinds: csp.constraints().iter().map(Kind::of).collect(),
+            kinds: constraints.iter().map(Kind::of).collect(),
+            constraints,
+            exact,
             watching,
             watch_start,
-            init: DomainStore::new(tables, csp),
+            init,
             in_masks,
-            propagations: Cell::new(0),
-            wipeouts: Cell::new(0),
+            work: Default::default(),
             // A constraint is queued at most once at a time, so the
             // queues never outgrow this capacity.
             scratch: RefCell::new(Scratch {
@@ -309,6 +379,7 @@ impl Propagator {
                 changed: Vec::new(),
                 feasible: Vec::new(),
                 suffix: Vec::new(),
+                exact: vec![[1, 1]; longest + 1],
             }),
         }
     }
@@ -320,18 +391,34 @@ impl Propagator {
 
     /// Total single-constraint filtering passes executed so far.
     pub fn propagations(&self) -> u64 {
-        self.propagations.get()
+        self.work.iter().map(|w| w.get().passes).sum()
     }
 
     /// Total domain wipeouts (infeasibility proofs) observed so far.
     pub fn wipeouts(&self) -> u64 {
-        self.wipeouts.get()
+        self.work.iter().map(|w| w.get().wipeouts).sum()
     }
 
-    /// Resets both observability counters to zero.
+    /// [`Propagator::propagations`] and [`Propagator::wipeouts`] split by
+    /// constraint kind, indexed by `Kind as usize`.
+    pub(crate) fn work_by_kind(&self) -> [KindWork; Kind::COUNT] {
+        std::array::from_fn(|k| self.work[k].get())
+    }
+
+    /// Resets the observability counters to zero.
     pub fn reset_stats(&self) {
-        self.propagations.set(0);
-        self.wipeouts.set(0);
+        for w in &self.work {
+            w.set(KindWork::default());
+        }
+    }
+
+    /// Counts a wipeout proved outside a filtering pass, on behalf of a
+    /// constraint of kind `kind` (the presolve's empty `EQ` class).
+    pub(crate) fn count_wipeout(&self, kind: Kind) {
+        let w = &self.work[kind as usize];
+        let mut tally = w.get();
+        tally.wipeouts += 1;
+        w.set(tally);
     }
 
     /// Forgets which constraints have wiped out, so the schedule —
@@ -459,6 +546,7 @@ impl Propagator {
             changed,
             feasible,
             suffix,
+            exact,
         } = s;
         while let Some(ci) = work.pop() {
             if store.is_dormant(ci) {
@@ -466,9 +554,13 @@ impl Propagator {
                 continue;
             }
             changed.clear();
-            self.propagations.set(self.propagations.get() + 1);
-            let Ok(entailed) = self.filter(ci, store, changed, feasible, suffix) else {
-                self.wipeouts.set(self.wipeouts.get() + 1);
+            let count = &self.work[self.kinds[ci] as usize];
+            let mut tally = count.get();
+            tally.passes += 1;
+            count.set(tally);
+            let Ok(entailed) = self.filter(ci, store, changed, feasible, suffix, exact) else {
+                tally.wipeouts += 1;
+                count.set(tally);
                 // A constraint that failed once is the likeliest to fail
                 // the next propagation of the same call.
                 work.hot[ci] = true;
@@ -520,12 +612,17 @@ impl Propagator {
         changed: &mut Vec<Change>,
         feasible: &mut Vec<i64>,
         suffix: &mut Vec<[SatProd; 2]>,
+        exact: &mut [[i64; 2]],
     ) -> Result<bool, ()> {
         match &self.constraints[ci] {
             Constraint::Prod { out, factors } => {
                 loop {
                     let before = changed.len();
-                    filter_prod(store, *out, factors, changed, suffix)?;
+                    if self.exact[ci] {
+                        filter_prod_exact(store, *out, factors, changed, exact)?;
+                    } else {
+                        filter_prod(store, *out, factors, changed, suffix)?;
+                    }
                     if settled(&changed[before..], *out, factors) {
                         break;
                     }
@@ -736,6 +833,86 @@ fn filter_prod(
     Ok(())
 }
 
+/// Whether `c` is a `PROD` that [`filter_prod_exact`] may filter over
+/// domains no wider than `init`'s: `out` non-negative, every factor at
+/// least 1, the factors
+/// distinct, `out` not among them, and the product of the factors' upper
+/// bounds below `i64::MAX`. Then no product of bounds saturates or hits
+/// a 0, and a change to one factor moves no other operand's bounds.
+fn exact_prod(c: &Constraint, init: &DomainStore) -> bool {
+    let Constraint::Prod { out, factors } = c else {
+        return false;
+    };
+    let distinct = factors
+        .iter()
+        .enumerate()
+        .all(|(i, f)| f != out && !factors[..i].contains(f));
+    let positive = init.min(out.0) >= 0 && factors.iter().all(|f| init.min(f.0) >= 1);
+    let bounded = factors
+        .iter()
+        .try_fold(1i64, |p, f| p.checked_mul(init.max(f.0)))
+        .is_some_and(|p| p < i64::MAX);
+    distinct && positive && bounded
+}
+
+/// [`filter_prod`] for a constraint that [`exact_prod`] admits, with the
+/// same changes in the same order. Every product of bounds is exact, so
+/// the suffix products are multiplied once per run and never recomputed,
+/// and a factor's bound is only divided out when a multiplication shows
+/// that the quotient prunes: `⌈out_lo / others_hi⌉ > min(f)` exactly when
+/// `out_lo > min(f) · others_hi` (and then `out_lo ≥ 1`, so the ceiling
+/// is `(out_lo − 1) / others_hi + 1`), and `⌊out_hi / others_lo⌋ < max(f)`
+/// exactly when `out_hi < max(f) · others_lo`. All operands are
+/// non-negative and no product exceeds the product of the upper bounds.
+/// `suffix` needs room for `factors.len() + 1` entries.
+fn filter_prod_exact(
+    store: &mut DomainStore,
+    out: VarRef,
+    factors: &[VarRef],
+    changed: &mut Vec<Change>,
+    suffix: &mut [[i64; 2]],
+) -> Result<(), ()> {
+    let n = factors.len();
+    suffix[n] = [1, 1];
+    for i in (0..n).rev() {
+        let f = factors[i].0;
+        suffix[i] = [
+            store.min(f) * suffix[i + 1][0],
+            store.max(f) * suffix[i + 1][1],
+        ];
+    }
+    if store.restrict_min(out.0, suffix[0][0])? {
+        changed.push(Change::min_raised(out));
+    }
+    if store.restrict_max(out.0, suffix[0][1])? {
+        changed.push(Change::max_lowered(out));
+    }
+    let out_lo = store.min(out.0);
+    let out_hi = store.max(out.0);
+    let out_fixed = store.fixed_value(out.0);
+    let mut prefix = [1i64, 1];
+    for (i, f) in factors.iter().enumerate() {
+        let others_lo = prefix[0] * suffix[i + 1][0];
+        let others_hi = prefix[1] * suffix[i + 1][1];
+        if out_lo > store.min(f.0) * others_hi
+            && store.restrict_min(f.0, (out_lo - 1) / others_hi + 1)?
+        {
+            changed.push(Change::min_raised(*f));
+        }
+        if out_hi < store.max(f.0) * others_lo && store.restrict_max(f.0, out_hi / others_lo)? {
+            changed.push(Change::max_lowered(*f));
+        }
+        if let Some(p) = out_fixed {
+            let (flo, fhi) = (store.min(f.0), store.max(f.0));
+            if p > 0 && store.retain_divisors(f.0, p)? {
+                changed.push(Change::since(store, *f, flo, fhi));
+            }
+        }
+        prefix = [prefix[0] * store.min(f.0), prefix[1] * store.max(f.0)];
+    }
+    Ok(())
+}
+
 fn filter_sum(
     store: &mut DomainStore,
     out: VarRef,
@@ -928,6 +1105,80 @@ mod tests {
         let mut s = p.store();
         p.run_all(&mut s).expect("x = 0 is a solution");
         assert_eq!(s.fixed_value(x.0), Some(0));
+    }
+
+    #[test]
+    fn exact_prod_admits_only_products_that_cannot_saturate() {
+        let mut csp = Csp::new();
+        let n = csp.add_const("n", 64);
+        let x = csp.add_var("x", Domain::divisors_of(64), VarCategory::Tunable);
+        let y = csp.add_var("y", Domain::range(1, 64), VarCategory::Other);
+        let z = csp.add_var("z", Domain::values([0, 1, 2]), VarCategory::Tunable);
+        let big = csp.add_var("big", Domain::values([1, 1 << 32]), VarCategory::Tunable);
+        let out = csp.add_var("out", Domain::range(0, i64::MAX), VarCategory::Other);
+        csp.post_prod(n, vec![x, y]); // exact
+        csp.post_prod(out, vec![x, z]); // a factor may be 0
+        csp.post_prod(out, vec![x, y, x]); // a repeated factor
+        csp.post_prod(y, vec![y, x]); // `out` among the factors
+        csp.post_prod(out, vec![big, big, y]); // the bounds' product saturates
+        csp.post_prod(out, vec![big, x, y]); // 2^32 · 64 · 64 is exact
+        let p = Propagator::new(&csp);
+        assert_eq!(p.exact, [true, false, false, false, false, true]);
+    }
+
+    #[test]
+    fn exact_prod_makes_the_saturating_filters_changes() {
+        // Random bounds on `out = f0 · f1 · f2` (explicit sets, so the
+        // divisor rule runs too): both filters leave the same domains
+        // and report the same changes in the same order.
+        let mut rng = heron_rng::HeronRng::from_seed(7);
+        for case in 0..2_000 {
+            let mut csp = Csp::new();
+            let mut draw = |lo: i64, hi: i64| heron_rng::Rng::random_range(&mut rng, lo..=hi);
+            let factors: Vec<VarRef> = (0..3)
+                .map(|i| {
+                    let values: Vec<i64> = (0..draw(1, 5)).map(|_| draw(1, 12)).collect();
+                    csp.add_var(
+                        format!("f{i}"),
+                        Domain::values(values),
+                        VarCategory::Tunable,
+                    )
+                })
+                .collect();
+            let lo = draw(0, 200);
+            let out = if draw(0, 2) == 0 {
+                csp.add_const("out", lo)
+            } else {
+                csp.add_var(
+                    "out",
+                    Domain::range(lo, lo + draw(0, 400)),
+                    VarCategory::Other,
+                )
+            };
+            csp.post_prod(out, factors.clone());
+            let p = Propagator::new(&csp);
+            assert!(p.exact[0]);
+            let (mut a, mut b) = (p.store(), p.store());
+            let (mut ca, mut cb) = (Vec::new(), Vec::new());
+            let ra = filter_prod(&mut a, out, &factors, &mut ca, &mut Vec::new());
+            let rb = filter_prod_exact(&mut b, out, &factors, &mut cb, &mut [[0; 2]; 4]);
+            assert_eq!(ra, rb, "case {case}: verdict");
+            if ra.is_ok() {
+                let key = |c: &Change| (c.var, c.min, c.max);
+                assert_eq!(
+                    ca.iter().map(key).collect::<Vec<_>>(),
+                    cb.iter().map(key).collect::<Vec<_>>(),
+                    "case {case}: changes"
+                );
+                for v in 0..csp.num_vars() {
+                    assert_eq!(
+                        vals(&a, VarRef(v)),
+                        vals(&b, VarRef(v)),
+                        "case {case}: x{v}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

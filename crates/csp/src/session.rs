@@ -48,8 +48,8 @@ pub struct SolveSession {
 }
 
 impl SolveSession {
-    /// Builds the session: propagator adjacency, tunable mask, and the
-    /// root fixpoint, computed exactly once.
+    /// Builds the session: the presolve, the propagator adjacency, the
+    /// branch order and the root fixpoint, computed exactly once.
     pub fn new(csp: &Csp) -> Self {
         SolveSession {
             root: Root::new(csp),
@@ -97,10 +97,13 @@ impl SolveSession {
     /// an offspring's crossover `IN` constraints), starting from the
     /// cached root fixpoint instead of propagating from scratch.
     ///
-    /// `values` slices must be sorted and deduplicated (as produced by
-    /// `Csp::post_in`). An infeasible pin set classifies as
+    /// An infeasible pin set classifies as
     /// [`crate::SolveStatus::RootInfeasible`], exactly like materialising
     /// the offspring CSP would.
+    ///
+    /// # Panics
+    /// Panics, naming the variable, if a pin's `values` are not strictly
+    /// ascending (sorted and deduplicated, as `Csp::post_in` leaves them).
     pub fn solve_pinned<R: Rng>(
         &mut self,
         pins: &[(VarRef, Vec<i64>)],
@@ -109,6 +112,13 @@ impl SolveSession {
         policy: &SolvePolicy,
         tracer: &Tracer,
     ) -> SolveOutcome {
+        for (v, values) in pins {
+            assert!(
+                values.windows(2).all(|w| w[0] < w[1]),
+                "solve_pinned: the values pinned on `{}` are not strictly ascending: {values:?}",
+                self.csp.var(*v).name
+            );
+        }
         self.sample(Some(pins), rng, n, policy, tracer)
     }
 
@@ -256,6 +266,44 @@ mod tests {
         assert_eq!(again.stats, fresh.stats);
     }
 
+    /// `x ∈ [0, 10]` pinned to `[50, 2]`: a binary-search pin would call
+    /// the space infeasible although `x = 2` is allowed.
+    #[test]
+    #[should_panic(expected = "values pinned on `x` are not strictly ascending")]
+    fn unsorted_pin_on_an_interval_is_rejected() {
+        let mut csp = Csp::new();
+        let x = csp.add_var("x", Domain::range(0, 10), VarCategory::Tunable);
+        let mut session = SolveSession::new(&csp);
+        let mut rng = HeronRng::from_seed(1);
+        let policy = SolvePolicy::default();
+        session.solve_pinned(
+            &[(x, vec![50, 2])],
+            &mut rng,
+            1,
+            &policy,
+            &Tracer::disabled(),
+        );
+    }
+
+    /// `y ∈ {2, 4, 8}` pinned to `[8, 2]`: a merge-walk pin would keep
+    /// only `y = 8`.
+    #[test]
+    #[should_panic(expected = "values pinned on `y` are not strictly ascending")]
+    fn unsorted_pin_on_a_value_set_is_rejected() {
+        let mut csp = Csp::new();
+        let y = csp.add_var("y", Domain::values([2, 4, 8]), VarCategory::Tunable);
+        let mut session = SolveSession::new(&csp);
+        let mut rng = HeronRng::from_seed(1);
+        let policy = SolvePolicy::default();
+        session.solve_pinned(
+            &[(y, vec![8, 2])],
+            &mut rng,
+            4,
+            &policy,
+            &Tracer::disabled(),
+        );
+    }
+
     #[test]
     fn zero_sample_requests_report_no_sampling_work() {
         // Nothing asked for, nothing attempted: in particular the
@@ -277,6 +325,7 @@ mod tests {
                 propagations: out.stats.propagations,
                 wipeouts: out.stats.wipeouts,
                 incremental_hits: out.stats.incremental_hits,
+                by_kind: out.stats.by_kind,
                 ..SolveStats::default()
             };
             assert_eq!(out.stats, fixpoint_only);

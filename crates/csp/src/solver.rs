@@ -10,9 +10,17 @@
 //! propagates on the shared store, and backtracking pops the store's
 //! trail — O(changes) per node instead of the historical full
 //! `Vec<Domain>` clone per candidate trial. The branch order's inputs
-//! (tunable set and mask, the constant non-tunable suffix) and the dive's
-//! buffers (branch order, candidate values) live in one `Brancher` per
-//! CSP, so a dive allocates nothing until it has a solution to return.
+//! (the tunables, the constant non-tunable suffix) and the dive's buffers
+//! (branch order, candidate values, the leaf assignment) live in one
+//! `Brancher` per CSP, so a dive allocates nothing until it has a
+//! solution to return.
+//!
+//! Before any of that, the CSP is presolved once per sampling root
+//! (`Presolve`; DESIGN.md §5, "Presolve"): `EQ` twins of alike declared
+//! domains become one store variable, and helper-boolean `SELECT`s leave
+//! the propagator and the branch order, their outputs read as
+//! `choices[index]` and their pins translated to pins on the index. The
+//! fixpoints the dive reads, and so every sample, stay as they were.
 //!
 //! Solver failure is a first-class outcome, not a silent empty `Vec`:
 //! every sampling call returns a [`SolveOutcome`] whose [`SolveStatus`]
@@ -27,8 +35,10 @@ use heron_rng::Rng;
 use heron_rng::SliceRandom;
 use heron_trace::Tracer;
 
-use crate::problem::{Csp, Solution, VarRef};
-use crate::propagate::Propagator;
+use crate::constraint::Constraint;
+use crate::domain::Domain;
+use crate::problem::{Csp, Solution, VarCategory, VarRef};
+use crate::propagate::{Kind, KindWork, Propagator};
 use crate::store::DomainStore;
 
 /// Counters describing one [`rand_sat_traced`] call.
@@ -37,8 +47,9 @@ use crate::store::DomainStore;
 /// policy)` tuple, which is what the exact-count unit tests pin down.
 /// `attempts`, `restarts`, `wipeouts`, `solutions` and `escalations` are
 /// facts of the sampled stream, fixed by the search itself;
-/// `propagations` and `max_trail_depth` also depend on the propagation
-/// schedule, which may change them without moving a single sample.
+/// `propagations`, `max_trail_depth` and `by_kind` also depend on the
+/// propagation schedule and the presolve, which may change them without
+/// moving a single sample.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
     /// Randomised backtracking dives started (including the ones that
@@ -65,6 +76,11 @@ pub struct SolveStats {
     /// Solves served incrementally from a session's cached root fixpoint
     /// (1 for a `SolveSession::solve_pinned` call, 0 otherwise).
     pub incremental_hits: u64,
+    /// `propagations` split by the kind of the constraint that ran,
+    /// indexed by `Kind as usize`, with the wipeouts those passes proved
+    /// (`wipeouts` also counts pins that empty a domain before any pass).
+    /// Only the micro-benchmarks print it; no artifact carries it.
+    pub by_kind: [KindWork; Kind::COUNT],
 }
 
 impl SolveStats {
@@ -81,6 +97,10 @@ impl SolveStats {
         self.escalations += other.escalations;
         self.max_trail_depth = self.max_trail_depth.max(other.max_trail_depth);
         self.incremental_hits += other.incremental_hits;
+        for (mine, theirs) in self.by_kind.iter_mut().zip(&other.by_kind) {
+            mine.passes += theirs.passes;
+            mine.wipeouts += theirs.wipeouts;
+        }
     }
 }
 
@@ -309,33 +329,55 @@ pub fn rand_sat_traced<R: Rng>(
     Root::new(csp).sample(csp, None, rng, n, policy, tracer)
 }
 
-/// One CSP's propagator, branch-order state and committed root fixpoint:
-/// what every sampling call runs on. [`rand_sat_traced`] builds one per
-/// call, a `SolveSession` keeps one for its lifetime.
+/// One CSP's presolved propagator, branch-order state and committed root
+/// fixpoint: what every sampling call runs on. [`rand_sat_traced`] builds
+/// one per call, a `SolveSession` keeps one for its lifetime.
 #[derive(Debug)]
 pub(crate) struct Root {
     pub(crate) prop: Propagator,
+    /// How each variable of the CSP is read (see [`Read`]).
+    reads: Vec<Read>,
     brancher: Brancher,
     /// The committed root fixpoint; `None` iff the root is infeasible.
     store: Option<DomainStore>,
+    /// The store variables the pins of the call in progress changed.
+    pinned: Vec<VarRef>,
+    /// A pin on a retired helper boolean, translated to its index.
+    translated: Vec<i64>,
 }
 
 impl Root {
-    /// Builds the propagator adjacency, the tunable mask and the root
-    /// fixpoint, retiring the constraints already entailed there (a free,
-    /// fixpoint-preserving bounds sweep).
+    /// Presolves `csp` (see [`Presolve`]), then builds the propagator
+    /// adjacency, the branch order and the root fixpoint, retiring the
+    /// constraints already entailed there (a free, fixpoint-preserving
+    /// bounds sweep).
     pub(crate) fn new(csp: &Csp) -> Self {
-        let prop = Propagator::new(csp);
-        let mut store = prop.store();
-        let store = prop.run_all(&mut store).is_ok().then(|| {
-            store.commit();
-            prop.sweep_entailed(&mut store);
-            store
-        });
+        let Presolve {
+            reads,
+            live,
+            narrow,
+            empty_class,
+        } = Presolve::of(csp);
+        let prop = Propagator::with_constraints(csp, live, if empty_class { &[] } else { &narrow });
+        let store = if empty_class {
+            // The EQ chain joining the class would wipe it out.
+            prop.count_wipeout(Kind::Eq);
+            None
+        } else {
+            let mut store = prop.store();
+            prop.run_all(&mut store).is_ok().then(|| {
+                store.commit();
+                prop.sweep_entailed(&mut store);
+                store
+            })
+        };
         Root {
             prop,
-            brancher: Brancher::new(csp),
+            brancher: Brancher::new(csp, &reads),
+            reads,
             store,
+            pinned: Vec::new(),
+            translated: Vec::new(),
         }
     }
 
@@ -378,7 +420,30 @@ impl Root {
         let mut root_ok = false;
         if let Some(store) = self.store.as_mut() {
             let scope = store.mark();
-            root_ok = pins.is_none_or(|pins| apply_pins(&self.prop, store, pins, &mut stats));
+            root_ok = pins.is_none_or(|pins| {
+                let pinned = restrict_to_pins(
+                    &self.reads,
+                    store,
+                    pins,
+                    &mut self.pinned,
+                    &mut self.translated,
+                );
+                let feasible = match pinned {
+                    Ok(()) => self.prop.run_from_vars(store, &self.pinned).is_ok(),
+                    Err(()) => {
+                        // A pin outside the variable's domain wipes it out
+                        // before any filtering pass could count it.
+                        stats.wipeouts += 1;
+                        false
+                    }
+                };
+                if feasible {
+                    // Pins typically fix variables, so the newly entailed
+                    // constraints are retired for the scope.
+                    self.prop.sweep_entailed(store);
+                }
+                feasible
+            });
             stats.incremental_hits = u64::from(root_ok && pins.is_some());
             if root_ok && n > 0 {
                 // The reported depth is that of the dives, above the
@@ -388,6 +453,7 @@ impl Root {
                 let ctx = SampleCtx {
                     csp,
                     prop: &self.prop,
+                    reads: &self.reads,
                 };
                 sample_into(
                     &ctx,
@@ -408,6 +474,7 @@ impl Root {
         }
         stats.propagations = self.prop.propagations();
         stats.wipeouts += self.prop.wipeouts();
+        stats.by_kind = self.prop.work_by_kind();
         stats.solutions = out.len() as u64;
         let status = classify(root_ok, &deadline, &out, n);
         record(tracer, &stats, status);
@@ -420,34 +487,217 @@ impl Root {
     }
 }
 
-/// Restricts `store` to `pins` and propagates from the variables they
-/// changed; `false` iff the pinned space is proven empty. Pins typically
-/// fix variables, so the newly entailed constraints are retired for the
-/// scope.
-fn apply_pins(
-    prop: &Propagator,
-    store: &mut DomainStore,
-    pins: &[(VarRef, Vec<i64>)],
-    stats: &mut SolveStats,
-) -> bool {
-    let mut changed: Vec<VarRef> = Vec::with_capacity(pins.len());
-    for (v, values) in pins {
-        match store.restrict_to(v.0, values) {
-            Ok(true) => changed.push(*v),
-            Ok(false) => {}
-            Err(()) => {
-                // A pin outside the variable's domain wipes it out before
-                // any filtering pass could count it.
-                stats.wipeouts += 1;
-                return false;
-            }
+/// How the sampler reads one variable of the CSP.
+#[derive(Debug, Clone, Copy)]
+enum Read {
+    /// As store variable `.0`: the representative of the variable's `EQ`
+    /// class (the variable itself when it has no twin).
+    Store(usize),
+    /// As `choices[index]` of a retired helper-boolean `SELECT`: bit
+    /// `store value of index` of `ones`, over `n` choices.
+    Helper { index: usize, n: u32, ones: u64 },
+}
+
+impl Read {
+    /// The variable's value once the store has fixed what it reads.
+    #[inline]
+    fn value(self, store: &DomainStore) -> i64 {
+        match self {
+            Read::Store(v) => store.min(v),
+            Read::Helper { index, ones, .. } => ((ones >> store.min(index)) & 1) as i64,
         }
     }
-    let feasible = prop.run_from_vars(store, &changed).is_ok();
-    if feasible {
-        prop.sweep_entailed(store);
+}
+
+/// The rewriting of a CSP that [`Root::new`] builds its propagator from.
+/// It leaves every fixpoint the dive reads, and so every sample, as it
+/// was (DESIGN.md §5, "Presolve"):
+///
+/// * `EQ(a, b)` between two declared intervals, or two equal declared
+///   value sets, makes `a` and `b` one store variable (union-find; the
+///   smallest member represents the class, and an interval class's
+///   domain is the intersection of its members'). An `EQ` between
+///   differing representations stays a constraint.
+/// * A helper-boolean `SELECT` (see [`retired_helper`]) leaves the
+///   propagator, and its output leaves the branch order: the output is
+///   read as `choices[index]` ([`Read::Helper`]).
+#[derive(Debug)]
+struct Presolve {
+    reads: Vec<Read>,
+    /// The constraints the propagator runs, rewritten to store variables.
+    live: Vec<Constraint>,
+    /// `(representative, lo, hi)` of each interval class narrower than its
+    /// representative's declared interval.
+    narrow: Vec<(VarRef, i64, i64)>,
+    /// Whether some interval class is empty.
+    empty_class: bool,
+}
+
+impl Presolve {
+    fn of(csp: &Csp) -> Presolve {
+        let nvars = csp.num_vars();
+        let decl = |v: VarRef| &csp.var(v).domain;
+        let mut rep: Vec<u32> = (0..nvars as u32).collect();
+        let find = |rep: &mut [u32], mut v: usize| {
+            while rep[v] as usize != v {
+                rep[v] = rep[rep[v] as usize];
+                v = rep[v] as usize;
+            }
+            v
+        };
+        let mut mentions = vec![0u32; nvars];
+        for c in csp.constraints() {
+            for v in c.vars() {
+                mentions[v.0] += 1;
+            }
+            let Constraint::Eq(a, b) = c else { continue };
+            let alike = match (decl(*a), decl(*b)) {
+                (Domain::Range { .. }, Domain::Range { .. }) => true,
+                (Domain::Values(x), Domain::Values(y)) => x == y,
+                _ => false,
+            };
+            if alike {
+                let (ra, rb) = (find(&mut rep, a.0), find(&mut rep, b.0));
+                rep[ra.max(rb)] = ra.min(rb) as u32;
+            }
+        }
+        let mut reads: Vec<Read> = (0..nvars).map(|v| Read::Store(find(&mut rep, v))).collect();
+
+        // An interval class's domain: the intersection of its members'.
+        let mut bounds: Vec<(i64, i64)> = csp
+            .vars()
+            .map(|(_, d)| (d.domain.min(), d.domain.max()))
+            .collect();
+        for (v, d) in csp.vars() {
+            let Read::Store(r) = reads[v.0] else { continue };
+            if r != v.0 && matches!(d.domain, Domain::Range { .. }) {
+                bounds[r] = (
+                    bounds[r].0.max(bounds[v.0].0),
+                    bounds[r].1.min(bounds[v.0].1),
+                );
+            }
+        }
+        let narrow: Vec<(VarRef, i64, i64)> = csp
+            .vars()
+            .filter(|&(r, d)| bounds[r.0] != (d.domain.min(), d.domain.max()))
+            .map(|(r, _)| (r, bounds[r.0].0, bounds[r.0].1))
+            .collect();
+        let empty_class = narrow.iter().any(|&(_, lo, hi)| lo > hi);
+
+        // Helper booleans, then the live constraints over store variables.
+        let mut live = Vec::with_capacity(csp.num_constraints());
+        for c in csp.constraints() {
+            if let Some((out, helper)) = retired_helper(csp, c, &mentions, &reads) {
+                reads[out.0] = helper;
+                continue;
+            }
+            let store_var = |v: VarRef| match reads[v.0] {
+                Read::Store(r) => VarRef(r),
+                Read::Helper { .. } => unreachable!("a retired output is in no live constraint"),
+            };
+            if let Constraint::Eq(a, b) = c {
+                if store_var(*a) == store_var(*b) {
+                    continue;
+                }
+            }
+            live.push(c.map_vars(store_var));
+        }
+        Presolve {
+            reads,
+            live,
+            narrow,
+            empty_class,
+        }
     }
-    feasible
+}
+
+/// The output of `c` and how to read it, if `c` is a helper-boolean
+/// `SELECT` the presolve retires: its choices are declared 0/1 constants,
+/// its output is a non-tunable boolean holding every choice and in no
+/// other constraint (`mentions` counts each variable's mentions over all
+/// constraints), and its index is declared within the choices and
+/// precedes the output in the branch order. Such a `SELECT` can only
+/// narrow its own output, which is fixed before the dive reaches it.
+fn retired_helper(
+    csp: &Csp,
+    c: &Constraint,
+    mentions: &[u32],
+    reads: &[Read],
+) -> Option<(VarRef, Read)> {
+    let Constraint::Select {
+        out,
+        index,
+        choices,
+    } = c
+    else {
+        return None;
+    };
+    let decl = |v: VarRef| &csp.var(v).domain;
+    let tunable = |v: VarRef| csp.var(v).category == VarCategory::Tunable;
+    let n = choices.len() as i64;
+    let (o, ix) = (decl(*out), decl(*index));
+    let helper = n <= 64
+        && !tunable(*out)
+        && mentions[out.0] == 1
+        && o.min() >= 0
+        && o.max() <= 1
+        && ix.min() >= 0
+        && ix.max() < n
+        && (tunable(*index) || index.0 < out.0);
+    if !helper {
+        return None;
+    }
+    let mut ones = 0u64;
+    for (i, ch) in choices.iter().enumerate() {
+        match decl(*ch).fixed_value() {
+            Some(b @ (0 | 1)) if o.contains(b) => ones |= (b as u64) << i,
+            _ => return None,
+        }
+    }
+    // A retired output is mentioned by its own SELECT only, and the index
+    // is mentioned by this one too: it is never retired itself.
+    let Read::Store(index) = reads[index.0] else {
+        return None;
+    };
+    let read = Read::Helper {
+        index,
+        n: n as u32,
+        ones,
+    };
+    Some((*out, read))
+}
+
+/// Restricts `store` to `pins`, read through `reads` (a pin on a retired
+/// helper boolean becomes a pin on its index), and collects the store
+/// variables that changed in `pinned`; `Err` iff a pin empties a domain.
+fn restrict_to_pins(
+    reads: &[Read],
+    store: &mut DomainStore,
+    pins: &[(VarRef, Vec<i64>)],
+    pinned: &mut Vec<VarRef>,
+    translated: &mut Vec<i64>,
+) -> Result<(), ()> {
+    pinned.clear();
+    for (v, values) in pins {
+        let (var, changed) = match reads[v.0] {
+            Read::Store(var) => (var, store.restrict_to(var, values)?),
+            Read::Helper { index, n, ones } => {
+                // For a boolean, SELECT's bounds-overlap test is
+                // membership, so `out ∈ values` is exactly
+                // `index ∈ {i : choices[i] ∈ values}`.
+                translated.clear();
+                translated.extend(
+                    (0..i64::from(n))
+                        .filter(|&i| values.binary_search(&(((ones >> i) & 1) as i64)).is_ok()),
+                );
+                (index, store.restrict_to(index, translated)?)
+            }
+        };
+        if changed {
+            pinned.push(VarRef(var));
+        }
+    }
+    Ok(())
 }
 
 /// Maps the terminal solver state to a [`SolveStatus`].
@@ -483,39 +733,49 @@ fn record(tracer: &Tracer, stats: &SolveStats, status: SolveStatus) {
 }
 
 /// What a dive reads besides the store and the [`Brancher`]: the problem
-/// (for leaf validation) and the shared propagator.
+/// (for leaf validation), the shared propagator and how each variable is
+/// read.
 struct SampleCtx<'a> {
     csp: &'a Csp,
     prop: &'a Propagator,
+    reads: &'a [Read],
 }
 
 /// The branch-order inputs of one CSP and the buffers its dives reuse,
 /// built once per solve (once per session).
 #[derive(Debug)]
 struct Brancher {
+    /// The store variable of each tunable, in declaration order.
     tunables: Vec<VarRef>,
-    tmask: Vec<bool>,
-    /// Branch order of the dive in progress: the tunables, reshuffled by
-    /// every dive, then everything else in declaration order.
+    /// Branch order of the dive in progress: the tunables' store
+    /// variables, reshuffled by every dive, then those of every other
+    /// variable a dive may find unfixed, in declaration order. So the
+    /// decision at depth `d` is on a tunable iff `d < tunables.len()`.
     order: Vec<VarRef>,
     /// Candidate values of the open branch decisions, stacked by depth.
     candidates: Vec<i64>,
+    /// The assignment at the leaf being checked.
+    leaf: Vec<i64>,
 }
 
 impl Brancher {
-    fn new(csp: &Csp) -> Self {
-        let tunables = csp.tunables();
-        let mut tmask = vec![false; csp.num_vars()];
-        for t in &tunables {
-            tmask[t.0] = true;
-        }
+    fn new(csp: &Csp, reads: &[Read]) -> Self {
+        let store_var = |v: VarRef| match reads[v.0] {
+            Read::Store(r) => Some(VarRef(r)),
+            Read::Helper { .. } => None,
+        };
+        let tunables: Vec<VarRef> = csp.tunables().into_iter().filter_map(store_var).collect();
         let mut order = tunables.clone();
-        order.extend((0..csp.num_vars()).filter(|&i| !tmask[i]).map(VarRef));
+        order.extend(
+            csp.vars()
+                .filter(|(_, d)| d.category != VarCategory::Tunable)
+                .filter_map(|(v, _)| store_var(v)),
+        );
         Brancher {
             tunables,
-            tmask,
             order,
             candidates: Vec::new(),
+            leaf: vec![0; csp.num_vars()],
         }
     }
 }
@@ -602,9 +862,9 @@ fn search_one<R: Rng>(
     // Heron spaces, so they rarely need branching).
     let Brancher {
         tunables,
-        tmask,
         order,
         candidates,
+        leaf,
     } = brancher;
     order[..tunables.len()].copy_from_slice(tunables);
     order[..tunables.len()].shuffle(rng);
@@ -612,9 +872,10 @@ fn search_one<R: Rng>(
     let top = store.mark();
     let mut dive = Dive {
         ctx,
-        tmask,
+        tunables: tunables.len(),
         order,
         candidates,
+        leaf,
         rng,
         fails,
         deadline,
@@ -627,9 +888,11 @@ fn search_one<R: Rng>(
 /// The state of one dive besides the store.
 struct Dive<'a, R> {
     ctx: &'a SampleCtx<'a>,
-    tmask: &'a [bool],
+    /// How many decisions of `order` are on tunables.
+    tunables: usize,
     order: &'a [VarRef],
     candidates: &'a mut Vec<i64>,
+    leaf: &'a mut Vec<i64>,
     rng: &'a mut R,
     fails: &'a mut u32,
     deadline: &'a mut Deadline,
@@ -645,10 +908,12 @@ impl<R: Rng> Dive<'_, R> {
         if d == self.order.len() {
             // Propagation is deliberately incomplete (bounds consistency), so a
             // fully fixed assignment must still pass the exact check.
-            let csp = self.ctx.csp;
-            if satisfies(csp, &|r| store.min(r.0)) {
-                let values = (0..csp.num_vars()).map(|i| store.min(i)).collect();
-                return Some(Solution::new(values));
+            for (value, read) in self.leaf.iter_mut().zip(self.ctx.reads) {
+                *value = read.value(store);
+            }
+            let leaf = &*self.leaf;
+            if satisfies(self.ctx.csp, &|r| leaf[r.0]) {
+                return Some(Solution::new(leaf.clone()));
             }
             *self.fails = self.fails.saturating_sub(1);
             return None;
@@ -670,7 +935,7 @@ impl<R: Rng> Dive<'_, R> {
             }
         }
         let count = self.candidates.len() - base;
-        let try_limit = if self.tmask[var.0] {
+        let try_limit = if d < self.tunables {
             count
         } else {
             count.min(4)
@@ -816,6 +1081,7 @@ mod tests {
                 escalations: 0,
                 max_trail_depth: 1,
                 incremental_hits: 0,
+                by_kind: Default::default(),
             }
         );
     }
@@ -843,8 +1109,16 @@ mod tests {
                 escalations: 0,
                 max_trail_depth: 0,
                 incremental_hits: 0,
+                by_kind: in_work(1, 0),
             }
         );
+    }
+
+    /// `by_kind` with `passes` `IN` passes that proved `wipeouts` wipeouts.
+    fn in_work(passes: u64, wipeouts: u64) -> [KindWork; Kind::COUNT] {
+        let mut by_kind = [KindWork::default(); Kind::COUNT];
+        by_kind[Kind::In as usize] = KindWork { passes, wipeouts };
+        by_kind
     }
 
     #[test]
@@ -868,6 +1142,7 @@ mod tests {
                 escalations: 0,
                 max_trail_depth: 0,
                 incremental_hits: 0,
+                by_kind: in_work(1, 1),
             }
         );
 
@@ -1015,6 +1290,149 @@ mod tests {
             assert!(validate(&csp, s));
             assert_eq!(s.value(out), s.value(a) + s.value(b));
         }
+    }
+
+    /// A miniature Heron space: a tile split with `tile.*` twins (same
+    /// divisor set), a loop-length twin (an interval `EQ` a set), two
+    /// interval twins of differing bounds, and a candidate set `v` with
+    /// a selector and one helper boolean per value.
+    fn heron_like_csp() -> Csp {
+        let mut csp = Csp::new();
+        let n = csp.add_const("n", 16);
+        let p0 = csp.add_var("p0", Domain::divisors_of(16), VarCategory::LoopLength);
+        let t0 = csp.add_var("tile.p0", Domain::divisors_of(16), VarCategory::Tunable);
+        let p1 = csp.add_var("p1", Domain::divisors_of(16), VarCategory::LoopLength);
+        let t1 = csp.add_var("tile.p1", Domain::divisors_of(16), VarCategory::Tunable);
+        csp.post_eq(t0, p0);
+        csp.post_eq(t1, p1);
+        csp.post_prod(n, vec![p0, p1]);
+        let len = csp.add_var("len.p0", Domain::range(1, 16), VarCategory::LoopLength);
+        csp.post_eq(len, p0);
+        let wide = csp.add_var("wide", Domain::range(0, 100), VarCategory::Other);
+        let narrow = csp.add_var("narrow", Domain::range(2, 40), VarCategory::Other);
+        csp.post_prod(wide, vec![p0, p1]);
+        csp.post_eq(narrow, wide);
+        let v = csp.add_var("v", Domain::values([1, 2, 4]), VarCategory::Tunable);
+        csp.post_in(v, [1, 2, 4]);
+        let idx = csp.add_var("idx.v", Domain::range(0, 2), VarCategory::Other);
+        let consts: Vec<VarRef> = [1, 2, 4].map(|c| csp.add_const(format!("c{c}"), c)).into();
+        csp.post_select(v, idx, consts);
+        let (zero, one) = (csp.add_const("zero", 0), csp.add_const("one", 1));
+        for (i, c) in [1, 2, 4].into_iter().enumerate() {
+            let b = csp.add_var(format!("is.v.{c}"), Domain::boolean(), VarCategory::Other);
+            let choices = (0..3).map(|j| if j == i { one } else { zero }).collect();
+            csp.post_select(b, idx, choices);
+        }
+        csp.post_le(v, t1);
+        csp
+    }
+
+    #[test]
+    fn presolve_merges_alike_twins_and_retires_helper_booleans() {
+        let csp = heron_like_csp();
+        let var = |name: &str| csp.var_by_name(name).expect("declared");
+        let pre = Presolve::of(&csp);
+        let store_var = |name: &str| match pre.reads[var(name).0] {
+            Read::Store(r) => r,
+            Read::Helper { .. } => panic!("{name} is retired"),
+        };
+        // Same-set twins and interval twins share a store variable; the
+        // mixed pair does not.
+        assert_eq!(store_var("tile.p0"), store_var("p0"));
+        assert_eq!(store_var("tile.p1"), store_var("p1"));
+        assert_eq!(store_var("narrow"), store_var("wide"));
+        assert_ne!(store_var("len.p0"), store_var("p0"));
+        // The interval class is the intersection of its members.
+        assert_eq!(pre.narrow, [(var("wide"), 2, 40)]);
+        assert!(!pre.empty_class);
+        for c in [1, 2, 4] {
+            assert!(matches!(
+                pre.reads[var(&format!("is.v.{c}")).0],
+                Read::Helper { n: 3, .. }
+            ));
+        }
+        // Of 12 constraints, three merged EQs and three helper SELECTs go.
+        assert_eq!(csp.num_constraints(), 12);
+        assert_eq!(pre.live.len(), 6);
+        assert!(pre.live.contains(&Constraint::Eq(var("len.p0"), var("p0"))));
+        assert!(pre.live.contains(&Constraint::Le(var("v"), var("p1"))));
+    }
+
+    #[test]
+    fn presolve_keeps_near_miss_helpers() {
+        // A helper mentioned twice, a tunable helper, a helper declared
+        // before its non-tunable selector and a non-boolean output all
+        // stay `SELECT`s.
+        let mut csp = Csp::new();
+        let early = csp.add_var("early", Domain::boolean(), VarCategory::Other);
+        let idx = csp.add_var("idx", Domain::range(0, 1), VarCategory::Other);
+        let (zero, one) = (csp.add_const("zero", 0), csp.add_const("one", 1));
+        let twice = csp.add_var("twice", Domain::boolean(), VarCategory::Other);
+        let tunable = csp.add_var("tunable", Domain::boolean(), VarCategory::Tunable);
+        let wide = csp.add_var("wide", Domain::range(0, 3), VarCategory::Other);
+        let kept = csp.add_var("kept", Domain::boolean(), VarCategory::Other);
+        for b in [early, twice, tunable, wide, kept] {
+            csp.post_select(b, idx, vec![zero, one]);
+        }
+        csp.post_le(twice, one);
+        let pre = Presolve::of(&csp);
+        let retired: Vec<bool> = [early, twice, tunable, wide, kept]
+            .map(|b| matches!(pre.reads[b.0], Read::Helper { .. }))
+            .into();
+        assert_eq!(retired, [false, false, false, false, true]);
+        assert_eq!(pre.live.len(), 5);
+    }
+
+    #[test]
+    fn presolved_samples_read_every_twin_and_helper() {
+        let csp = heron_like_csp();
+        let var = |name: &str| csp.var_by_name(name).expect("declared");
+        let mut rng = HeronRng::from_seed(6);
+        let sols = rand_sat(&csp, &mut rng, 16).expect_sat("heron-like space");
+        for s in &sols {
+            assert!(validate(&csp, s));
+            assert_eq!(s.value(var("tile.p0")), s.value(var("p0")));
+            assert_eq!(s.value(var("narrow")), s.value(var("wide")));
+            let v = s.value(var("v"));
+            for c in [1, 2, 4] {
+                assert_eq!(s.value(var(&format!("is.v.{c}"))), i64::from(v == c));
+            }
+        }
+        // A pin on a helper boolean is a pin on its selector.
+        let mut session = crate::SolveSession::new(&csp);
+        let policy = SolvePolicy::default();
+        let pinned = session
+            .solve_pinned(
+                &[(var("is.v.2"), vec![1])],
+                &mut rng,
+                8,
+                &policy,
+                &Tracer::disabled(),
+            )
+            .expect_sat("v = 2");
+        assert!(pinned.iter().all(|s| s.value(var("v")) == 2));
+        let none = session.solve_pinned(
+            &[(var("is.v.2"), vec![5])],
+            &mut rng,
+            8,
+            &policy,
+            &Tracer::disabled(),
+        );
+        assert_eq!(none.status, SolveStatus::RootInfeasible);
+        assert_eq!(none.stats.wipeouts, 1);
+    }
+
+    #[test]
+    fn empty_interval_class_is_root_infeasible() {
+        let mut csp = Csp::new();
+        let a = csp.add_var("a", Domain::range(0, 4), VarCategory::Tunable);
+        let b = csp.add_var("b", Domain::range(6, 9), VarCategory::Other);
+        csp.post_eq(a, b);
+        let mut rng = HeronRng::from_seed(0);
+        let outcome = rand_sat(&csp, &mut rng, 2);
+        assert_eq!(outcome.status, SolveStatus::RootInfeasible);
+        assert_eq!(outcome.stats.wipeouts, 1);
+        assert_eq!(outcome.stats.by_kind[Kind::Eq as usize].wipeouts, 1);
     }
 
     #[test]

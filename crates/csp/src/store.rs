@@ -212,9 +212,10 @@ pub struct DomainStore {
 // mutators; the propagator maps them to `Infeasible`.
 #[allow(clippy::result_unit_err)]
 impl DomainStore {
-    /// A store over the declared domains of `csp`, starting untracked
-    /// (epoch 0) with no dormant constraint.
-    pub(crate) fn new(tables: Rc<VarTables>, csp: &Csp) -> Self {
+    /// A store over the declared domains of `csp` with dormancy flags for
+    /// `ncons` constraints, starting untracked (epoch 0) with none of
+    /// them dormant.
+    pub(crate) fn new(tables: Rc<VarTables>, csp: &Csp, ncons: usize) -> Self {
         let nvars = csp.num_vars();
         let mut doms = Vec::with_capacity(nvars);
         let mut lo = Vec::with_capacity(nvars);
@@ -239,7 +240,7 @@ impl DomainStore {
             doms,
             lo,
             hi,
-            dormant: vec![false; csp.num_constraints()],
+            dormant: vec![false; ncons],
             trail: Vec::new(),
             dormant_trail: Vec::new(),
             saved_at: vec![0; nvars],
@@ -351,7 +352,7 @@ impl DomainStore {
     pub fn size(&self, v: usize) -> u64 {
         match &self.doms[v] {
             Dom::Bits(w) => u64::from(w.count_ones()),
-            Dom::Range => (self.hi[v] - self.lo[v] + 1) as u64,
+            Dom::Range => (self.hi[v] - self.lo[v]) as u64 + 1,
             Dom::Values(x) => x.len() as u64,
         }
     }
@@ -707,7 +708,7 @@ mod tests {
     use crate::problem::VarCategory;
 
     fn store_for(csp: &Csp) -> DomainStore {
-        DomainStore::new(Rc::new(VarTables::for_csp(csp)), csp)
+        DomainStore::new(Rc::new(VarTables::for_csp(csp)), csp, csp.num_constraints())
     }
 
     fn vals(s: &DomainStore, v: usize) -> Vec<i64> {
@@ -731,6 +732,15 @@ mod tests {
         assert!(s.restrict_min(x.0, 100).is_err());
         // The failed restriction left the domain intact.
         assert_eq!(s.fixed_value(x.0), Some(8));
+    }
+
+    #[test]
+    fn size_of_the_widest_interval_does_not_overflow() {
+        let mut csp = Csp::new();
+        let x = csp.add_var("x", Domain::range(0, i64::MAX), VarCategory::Other);
+        let s = store_for(&csp);
+        assert_eq!(s.size(x.0), 1 << 63);
+        assert_eq!(s.fixed_value(x.0), None);
     }
 
     #[test]

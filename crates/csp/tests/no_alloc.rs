@@ -80,9 +80,10 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
 }
 
 /// What one call may allocate besides one value vector per solution. In
-/// steady state that is three — the outcome's solution list, the
-/// changed-pin list and the seen-fingerprint set's table; the rest is
-/// headroom for a pooled set buffer that has to grow once more.
+/// steady state that is two — the outcome's solution list and the
+/// seen-fingerprint set's table (the changed-pin list and a helper
+/// boolean's translated pin live in the session); the rest is headroom
+/// for a pooled set buffer that has to grow once more.
 const PER_CALL: u64 = 8;
 
 /// Offspring tried; the hardest must need more than a thousand branch
@@ -102,13 +103,28 @@ fn pinned_resolve_allocates_per_call_not_per_decision() {
         .solve(&mut HeronRng::from_seed(2023), 8, &policy, &tracer)
         .expect_sat("c2d-14x64 root space");
     let tunables = space.csp.tunables();
+    // The helper booleans of the candidate sets (`is.<var>.<value>`),
+    // which the presolve retires: a pin on one becomes a pin on its
+    // selector.
+    let helpers: Vec<VarRef> = space
+        .csp
+        .vars()
+        .filter(|(_, d)| d.name.starts_with("is."))
+        .map(|(v, _)| v)
+        .collect();
+    assert!(!helpers.is_empty(), "c2d-14x64 has helper booleans");
 
-    // A strict crossover of two parents on four key variables: usually
-    // easy, now and then a long search, sometimes unsatisfiable.
+    // A strict crossover of two parents on four key variables and one
+    // helper boolean: usually easy, now and then a long search,
+    // sometimes unsatisfiable.
     let offspring = |rng: &mut HeronRng| -> Vec<(VarRef, Vec<i64>)> {
         let mut pins: Vec<(VarRef, Vec<i64>)> = Vec::new();
-        for _ in 0..4 {
-            let v = tunables[rng.random_range(0..tunables.len())];
+        for k in 0..5 {
+            let v = if k < 4 {
+                tunables[rng.random_range(0..tunables.len())]
+            } else {
+                helpers[rng.random_range(0..helpers.len())]
+            };
             let parent = &parents[rng.random_range(0..parents.len())];
             if pins.iter().all(|(p, _)| *p != v) {
                 pins.push((v, vec![parent.value(v)]));

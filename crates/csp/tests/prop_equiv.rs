@@ -9,13 +9,21 @@
 //! branch/backtrack schedule). Propagation counts are the one sanctioned
 //! difference — dormancy and self-wake suppression must only ever make
 //! the new engine cheaper.
+//!
+//! The same holds for the presolve every sampling root applies (merged
+//! `EQ` classes, retired helper booleans, exact `PROD` bounds): a session
+//! draws the reference's stream on Heron-shaped problems and on every
+//! space of `tests/space_matrix.rs`, and a pinned re-solve draws the
+//! reference's stream on the CSP with the pins posted as `IN`s.
 
+use heron_core::generate::{SpaceGenerator, SpaceOptions};
 use heron_csp::propagate::Propagator;
 use heron_csp::{
     rand_sat_policy, Constraint, Csp, Domain, DomainStore, SolvePolicy, SolveSession, SolveStats,
     VarCategory, VarRef,
 };
-use heron_rng::HeronRng;
+use heron_rng::{HeronRng, Rng};
+use heron_tensor::{ops, DType};
 use heron_testkit::csp_reference::{fixpoint_reference, rand_sat_reference};
 use heron_testkit::{csp_corpus, property_cases, Gen};
 use heron_trace::Tracer;
@@ -292,4 +300,237 @@ fn fixpoints_match_reference_under_any_hot_set() {
             }
         }
     });
+}
+
+/// `csp` with every pin posted as an `IN` constraint: the offspring CSP a
+/// pinned re-solve stands for.
+fn materialised(csp: &Csp, pins: &[(VarRef, Vec<i64>)]) -> Csp {
+    let mut offspring = csp.clone();
+    for (v, values) in pins {
+        offspring.post_in(*v, values.iter().copied());
+    }
+    offspring
+}
+
+/// Asserts that `session`'s plain solve and a pinned solve under `pins`
+/// draw the reference engine's status and solution stream, on `csp` and
+/// on the materialised offspring respectively.
+fn assert_session_matches_reference(
+    session: &mut SolveSession,
+    pins: &[(VarRef, Vec<i64>)],
+    seed: u64,
+    n: usize,
+    policy: &SolvePolicy,
+    label: &str,
+) {
+    let tracer = Tracer::disabled();
+    let csp = session.csp().clone();
+    for (what, pinned, problem) in [
+        ("solve", None, csp.clone()),
+        ("solve_pinned", Some(pins), materialised(&csp, pins)),
+    ] {
+        let mut rng_new = HeronRng::from_seed(seed);
+        let mut rng_ref = HeronRng::from_seed(seed);
+        let new = match pinned {
+            None => session.solve(&mut rng_new, n, policy, &tracer),
+            Some(pins) => session.solve_pinned(pins, &mut rng_new, n, policy, &tracer),
+        };
+        let reference = rand_sat_reference(&problem, &mut rng_ref, n, policy);
+        assert_eq!(
+            new.status, reference.status,
+            "{label}: {what} status diverged (seed {seed}, pins {pins:?})"
+        );
+        assert_eq!(
+            new.solutions, reference.solutions,
+            "{label}: {what} stream diverged (seed {seed}, pins {pins:?})"
+        );
+        assert_eq!(
+            new.stats.attempts, reference.stats.attempts,
+            "{label}: {what} attempts"
+        );
+        for sol in &new.solutions {
+            assert!(
+                heron_csp::validate(&problem, sol),
+                "{label}: {what} invalid"
+            );
+        }
+    }
+}
+
+/// One to three pins on distinct variables of `csp`, each a sorted random
+/// set of values drawn around the variable's declared domain. Most pins
+/// land on a variable the presolve rewrites — an `EQ` operand, or a
+/// `SELECT`'s output or index — the others on any variable.
+fn random_pins(g: &mut Gen, csp: &Csp) -> Vec<(VarRef, Vec<i64>)> {
+    let mut rewritten: Vec<VarRef> = Vec::new();
+    for c in csp.constraints() {
+        match c {
+            Constraint::Eq(a, b) => rewritten.extend([*a, *b]),
+            Constraint::Select { out, index, .. } => rewritten.extend([*out, *index]),
+            _ => {}
+        }
+    }
+    let mut pins: Vec<(VarRef, Vec<i64>)> = Vec::new();
+    for _ in 0..g.index(1, 4) {
+        let v = if !rewritten.is_empty() && g.bool(0.7) {
+            *g.pick(&rewritten)
+        } else {
+            VarRef(g.index(0, csp.num_vars()))
+        };
+        if pins.iter().any(|(p, _)| *p == v) {
+            continue;
+        }
+        let d = &csp.var(v).domain;
+        let (lo, hi) = (d.min(), d.max().min(d.min() + 40));
+        let mut values: Vec<i64> = match d {
+            Domain::Values(vals) => vals.iter().copied().filter(|_| g.bool(0.5)).collect(),
+            Domain::Range { .. } => (0..g.index(1, 6))
+                .map(|_| g.int_inclusive(lo, hi))
+                .collect(),
+        };
+        if g.bool(0.1) {
+            values.push(hi + 1);
+        }
+        values.sort_unstable();
+        values.dedup();
+        if !values.is_empty() {
+            pins.push((v, values));
+        }
+    }
+    pins
+}
+
+/// Presolve equivalence on the Heron-shaped corpus: merged `EQ` classes
+/// (with pins on any member), retired helper booleans (with pins on them
+/// and on their selectors) and `PROD`s off the exact fast path.
+#[test]
+fn session_matches_reference_on_heron_shaped_corpus() {
+    property_cases(
+        "session_matches_reference_on_heron_shaped_corpus",
+        384,
+        |g| {
+            let csp = csp_corpus::heron_shaped_csp(g);
+            let seed = g.int(0, 1_000_000) as u64;
+            let n = g.index(1, 7);
+            let policy = if g.bool(0.7) {
+                SolvePolicy::default()
+            } else {
+                SolvePolicy::fixed(g.index(1, 40) as u32)
+            };
+            let mut session = SolveSession::new(&csp);
+            for round in 0..2 {
+                let pins = random_pins(g, &csp);
+                assert_session_matches_reference(
+                    &mut session,
+                    &pins,
+                    seed + round,
+                    n,
+                    &policy,
+                    "heron-shaped",
+                );
+            }
+            // The one-shot door runs the same presolved root.
+            let mut rng_new = HeronRng::from_seed(seed);
+            let mut rng_ref = HeronRng::from_seed(seed);
+            let one_shot = rand_sat_policy(&csp, &mut rng_new, n, &policy);
+            let reference = rand_sat_reference(&csp, &mut rng_ref, n, &policy);
+            assert_eq!(one_shot.status, reference.status, "one-shot status");
+            assert_eq!(one_shot.solutions, reference.solutions, "one-shot stream");
+        },
+    );
+}
+
+/// Every space of `tests/space_matrix.rs`, at two seeds: a session's
+/// samples, and a crossover-like re-solve pinning four random variables
+/// to the values of its first sample, match the reference engine.
+#[test]
+fn session_matches_reference_on_every_matrix_space() {
+    let heron_only = [("heron", SpaceOptions::heron())];
+    let all = [
+        ("heron", SpaceOptions::heron()),
+        ("autotvm", SpaceOptions::autotvm()),
+        ("ansor", SpaceOptions::ansor()),
+        ("amos", SpaceOptions::amos()),
+    ];
+    let intrinsic_only = [
+        ("heron", SpaceOptions::heron()),
+        ("autotvm", SpaceOptions::autotvm()),
+        ("amos", SpaceOptions::amos()),
+    ];
+    let c2d = ops::Conv2dConfig::new(8, 28, 28, 128, 128, 3, 3, 1, 1);
+    let matrix = [
+        (
+            heron_dla::v100(),
+            "gemm",
+            ops::gemm(512, 512, 512),
+            &all[..],
+        ),
+        (heron_dla::v100(), "c2d", ops::conv2d(c2d), &all[..]),
+        (heron_dla::v100(), "scan", ops::scan(16, 512), &all[..]),
+        (
+            heron_dla::dlboost(),
+            "gemm",
+            ops::gemm_dtyped(512, 512, 512, DType::I8),
+            &all[..],
+        ),
+        (
+            heron_dla::dlboost(),
+            "c2d",
+            ops::conv2d(c2d.with_dtype(DType::I8)),
+            &all[..],
+        ),
+        (
+            heron_dla::vta(),
+            "gemm",
+            ops::gemm_dtyped(512, 512, 512, DType::I8),
+            &intrinsic_only[..],
+        ),
+        (
+            heron_dla::vta(),
+            "bmm",
+            ops::bmm_dtyped(8, 128, 128, 128, DType::I8),
+            &intrinsic_only[..],
+        ),
+        (
+            heron_dla::cambricon(),
+            "gemm",
+            ops::gemm_dtyped(512, 512, 512, DType::I8),
+            &heron_only[..],
+        ),
+        (
+            heron_dla::tpu(),
+            "gemm",
+            ops::gemm_dtyped(1024, 1024, 1024, DType::I8),
+            &heron_only[..],
+        ),
+    ];
+    let policy = SolvePolicy::default();
+    for (spec, op, dag, approaches) in &matrix {
+        for (name, opts) in approaches.iter() {
+            let label = format!("{}/{op}/{name}", spec.name);
+            let space = SpaceGenerator::new(spec.clone())
+                .generate_named(dag, opts, &label)
+                .unwrap_or_else(|e| panic!("{label}: generation failed: {e}"));
+            let mut session = SolveSession::new(&space.csp);
+            for seed in [11, 2023] {
+                let first = session
+                    .solve(
+                        &mut HeronRng::from_seed(seed),
+                        1,
+                        &policy,
+                        &Tracer::disabled(),
+                    )
+                    .expect_sat(&label);
+                let mut rng = HeronRng::from_seed(seed);
+                let mut pins: Vec<(VarRef, Vec<i64>)> = Vec::new();
+                for _ in 0..4 {
+                    let v = VarRef(rng.random_range(0..space.csp.num_vars()));
+                    if pins.iter().all(|(p, _)| *p != v) {
+                        pins.push((v, vec![first[0].value(v)]));
+                    }
+                }
+                assert_session_matches_reference(&mut session, &pins, seed, 4, &policy, &label);
+            }
+        }
+    }
 }

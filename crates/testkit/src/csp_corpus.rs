@@ -20,6 +20,22 @@
 //!   assignment wipes out. Exercises budget escalation and deadline
 //!   classification without ever being UNSAT.
 //!
+//! Three more families are shaped like Heron's own spaces, for the
+//! solver's presolve (DESIGN.md §5, "Presolve"), which must leave every
+//! sample as it was:
+//!
+//! * [`eq_twin_csp`] — `EQ` chains over interval/interval, set/set and
+//!   mixed pairs, as Rule-C1's `tile.*` twins and the loop-length twins
+//!   build them.
+//! * [`helper_boolean_csp`] — candidate sets encoded with a selector
+//!   index and one helper boolean per value, each tied by a `SELECT`, plus
+//!   near misses the presolve must leave alone.
+//! * [`prod_fallback_csp`] — `PROD`s outside the exact fast path: a zero
+//!   lower bound, a repeated factor, `out` among the factors, bounds whose
+//!   product saturates.
+//!
+//! [`heron_shaped_csp`] draws from all three.
+//!
 //! All generators draw exclusively from the harness [`Gen`], so corpus
 //! problems shrink and replay like any other property input.
 
@@ -165,6 +181,203 @@ pub fn knife_edge_csp(g: &mut Gen) -> Csp {
         .collect();
     csp.post_prod(out, factors);
     csp
+}
+
+/// A random variable category: the presolve treats tunables specially.
+fn category(g: &mut Gen) -> VarCategory {
+    *g.pick(&[
+        VarCategory::Tunable,
+        VarCategory::LoopLength,
+        VarCategory::Other,
+    ])
+}
+
+/// A non-empty random subset of `values`.
+fn subset(g: &mut Gen, values: &[i64]) -> Vec<i64> {
+    let mut kept: Vec<i64> = values.iter().copied().filter(|_| g.bool(0.5)).collect();
+    if kept.is_empty() {
+        kept.push(*g.pick(values));
+    }
+    kept
+}
+
+/// Heron's `EQ` twins: a tile split `PROD(N, parts)` whose parts each
+/// carry up to three `EQ`-linked twins — the same divisor set (set/set,
+/// the `tile.*` twin), an interval (mixed, a loop-length twin) or a
+/// smaller set (differing tables) — chained to the part or to the
+/// previous twin; then the product of the first two parts with a chain
+/// of interval twins of differing bounds (interval/interval), an optional
+/// `LE` cap and an optional `IN` that turns that interval class into a
+/// value set.
+pub fn eq_twin_csp(g: &mut Gen) -> Csp {
+    let mut csp = Csp::new();
+    let n = *g.pick(&[12, 16, 24, 36]);
+    let divisors: Vec<i64> = Domain::divisors_of(n).iter_values().collect();
+    let total = csp.add_const("N", n);
+    let mut parts = Vec::new();
+    for p in 0..g.index(2, 4) {
+        let part = csp.add_var(format!("p{p}"), Domain::divisors_of(n), category(g));
+        let mut prev = part;
+        for t in 0..g.index(0, 4) {
+            let domain = match g.index(0, 3) {
+                0 => Domain::divisors_of(n),
+                1 => Domain::range(g.int(0, 3), n + g.int(0, 3)),
+                _ => Domain::values(subset(g, &divisors)),
+            };
+            let twin = csp.add_var(format!("p{p}.{t}"), domain, category(g));
+            let to = if g.bool(0.5) { prev } else { part };
+            if g.bool(0.5) {
+                csp.post_eq(twin, to);
+            } else {
+                csp.post_eq(to, twin);
+            }
+            prev = twin;
+        }
+        parts.push(part);
+    }
+    csp.post_prod(total, parts.clone());
+    let fused = csp.add_var("fused", Domain::range(1, n * n), category(g));
+    csp.post_prod(fused, vec![parts[0], parts[1]]);
+    let mut prev = fused;
+    for t in 0..g.index(1, 4) {
+        let lo = g.int(0, 4);
+        let twin = csp.add_var(
+            format!("fused.{t}"),
+            Domain::range(lo, g.int(n, n * n + 8)),
+            category(g),
+        );
+        let to = if g.bool(0.5) { prev } else { fused };
+        csp.post_eq(twin, to);
+        prev = twin;
+    }
+    if g.bool(0.5) {
+        let cap = csp.add_const("cap", g.int(n / 2, 2 * n));
+        csp.post_le(prev, cap);
+    }
+    if g.bool(0.4) {
+        let values: Vec<i64> = (1..=n).filter(|_| g.bool(0.3)).collect();
+        if !values.is_empty() {
+            csp.post_in(prev, values);
+        }
+    }
+    csp
+}
+
+/// Heron's candidate-set encoding (`SpaceBuilder::tunable`): a variable
+/// `v ∈ values` with `IN(v, values)`, a selector `idx ∈ [0, n)` with
+/// `SELECT(v, idx, values)`, and one helper boolean `is.v.c` per value
+/// with `SELECT(is.v.c, idx, [i == c])` — one to three such groups and an
+/// `LE` between two of the variables. `v` is mostly a tunable, so its
+/// branch decision fixes the selector; now and then it is not, and a
+/// near miss the presolve must keep shows: a helper that is tunable,
+/// mentioned by an `LE`, wider than a boolean, or declared before its
+/// (non-tunable) selector and its variable, where a dive reaches it
+/// before anything fixed it.
+pub fn helper_boolean_csp(g: &mut Gen) -> Csp {
+    let mut csp = Csp::new();
+    let zero = csp.add_const("const.0", 0);
+    let one = csp.add_const("const.1", 1);
+    let mut vars = Vec::new();
+    for k in 0..g.index(1, 4) {
+        let values = subset(g, &[1, 2, 4, 8, 16]);
+        let n = values.len() as i64;
+        let early = (n >= 2 && g.bool(0.2))
+            .then(|| csp.add_var(format!("early.t{k}"), Domain::boolean(), VarCategory::Other));
+        let v_category = if g.bool(0.75) {
+            VarCategory::Tunable
+        } else {
+            VarCategory::Other
+        };
+        let v = csp.add_var(
+            format!("t{k}"),
+            Domain::values(values.iter().copied()),
+            v_category,
+        );
+        csp.post_in(v, values.iter().copied());
+        vars.push(v);
+        if n < 2 {
+            continue;
+        }
+        let idx_category = if g.bool(0.2) {
+            VarCategory::Tunable
+        } else {
+            VarCategory::Other
+        };
+        let idx = csp.add_var(format!("idx.t{k}"), Domain::range(0, n - 1), idx_category);
+        let consts: Vec<VarRef> = values
+            .iter()
+            .map(|&c| csp.add_const(format!("c{k}.{c}"), c))
+            .collect();
+        csp.post_select(v, idx, consts);
+        for (i, c) in values.iter().enumerate() {
+            let (domain, category) = match g.index(0, 8) {
+                0 => (Domain::boolean(), VarCategory::Tunable),
+                1 => (Domain::range(0, 3), VarCategory::Other),
+                _ => (Domain::boolean(), VarCategory::Other),
+            };
+            let b = match early {
+                Some(b) if i == 0 => b,
+                _ => csp.add_var(format!("is.t{k}.{c}"), domain, category),
+            };
+            let choices = (0..values.len())
+                .map(|j| if j == i { one } else { zero })
+                .collect();
+            csp.post_select(b, idx, choices);
+            if g.bool(0.08) {
+                csp.post_le(b, one);
+            }
+        }
+    }
+    if vars.len() >= 2 && g.bool(0.5) {
+        csp.post_le(vars[0], vars[1]);
+    }
+    csp
+}
+
+/// `PROD`s the exact fast path must leave to the saturating one, each
+/// beside an ordinary `PROD(N, [f0, f1])` over divisors: a factor with
+/// lower bound 0, a repeated factor, `out` among its own factors, or
+/// factors whose upper bounds multiply past `i64::MAX`.
+pub fn prod_fallback_csp(g: &mut Gen) -> Csp {
+    let mut csp = Csp::new();
+    let n = *g.pick(&[12, 16, 36]);
+    let total = csp.add_const("N", n);
+    let f: Vec<VarRef> = (0..2)
+        .map(|i| csp.add_var(format!("f{i}"), Domain::divisors_of(n), category(g)))
+        .collect();
+    csp.post_prod(total, f.clone());
+    match g.index(0, 4) {
+        0 => {
+            let z = csp.add_var("z", Domain::values([0, 1, 2, 4]), category(g));
+            let out = csp.add_var("out", Domain::range(0, 4 * n), category(g));
+            csp.post_prod(out, vec![z, f[0]]);
+        }
+        1 => {
+            let out = csp.add_var("sq", Domain::range(1, n * n * n), category(g));
+            csp.post_prod(out, vec![f[0], f[1], f[0]]);
+        }
+        2 => {
+            let x = csp.add_var("x", Domain::range(0, 4 * n), category(g));
+            csp.post_prod(x, vec![x, f[1]]);
+        }
+        _ => {
+            let big = 1i64 << g.int(31, 40);
+            let a = csp.add_var("a", Domain::values([1, 2, big]), category(g));
+            let b = csp.add_var("b", Domain::values([1, 3, big]), category(g));
+            let out = csp.add_var("out", Domain::range(1, i64::MAX), category(g));
+            csp.post_prod(out, vec![a, b, f[0]]);
+        }
+    }
+    csp
+}
+
+/// A problem from one of the three presolve families, chosen at random.
+pub fn heron_shaped_csp(g: &mut Gen) -> Csp {
+    match g.index(0, 3) {
+        0 => eq_twin_csp(g),
+        1 => helper_boolean_csp(g),
+        _ => prod_fallback_csp(g),
+    }
 }
 
 #[cfg(test)]

@@ -512,7 +512,7 @@ fn solver_work_of_a_real_tune_is_pinned() {
     assert_eq!(
         work,
         [
-            ("csp.propagations", 664_135),
+            ("csp.propagations", 454_749),
             ("csp.wipeouts", 15_938),
             ("csp.attempts", 292),
             ("csp.restarts", 60),
@@ -521,7 +521,7 @@ fn solver_work_of_a_real_tune_is_pinned() {
             ("csp.incremental_hits", 160),
         ]
     );
-    assert_eq!(deepest_trail, Some(363));
+    assert_eq!(deepest_trail, Some(263));
 }
 
 /// The `cost` layer's half of the same gate: the number of refits, the
