@@ -10,9 +10,11 @@
 
 use heron_core::generate::{SpaceGenerator, SpaceOptions};
 use heron_core::tuner::evaluate;
+use heron_csp::{SolvePolicy, SolveSession};
 use heron_dla::{DlaFamily, DlaSpec, Measurer};
 use heron_rng::HeronRng;
 use heron_tensor::Dag;
+use heron_trace::Tracer;
 
 /// Result of the AKG model.
 #[derive(Debug, Clone, Copy)]
@@ -43,8 +45,10 @@ pub fn akg_outcome(spec: &DlaSpec, dag: &Dag, workload: &str, seed: u64) -> Opti
     let measurer = Measurer::new(spec.clone());
     let mut rng = HeronRng::from_seed(seed);
 
+    let mut session = SolveSession::new(&space.csp);
+    let policy = SolvePolicy::fixed(400);
+    let quiet = Tracer::disabled();
     for (i1, i2, j1, j2, r1) in LADDER {
-        let mut csp = space.csp.clone();
         let pins = [
             ("m", 16),
             ("n", 16),
@@ -65,24 +69,19 @@ pub fn akg_outcome(spec: &DlaSpec, dag: &Dag, workload: &str, seed: u64) -> Opti
             ("vec.C", 4),
             ("unroll", 64),
         ];
-        let mut feasible = true;
-        for (name, value) in pins {
-            let Some(var) = csp.var_by_name(name) else {
-                feasible = false;
-                break;
-            };
-            if !csp.var(var).domain.contains(value) {
-                feasible = false;
-                break;
-            }
-            csp.post_in(var, [value]);
-        }
-        if !feasible {
+        let Some(pins) = pins
+            .into_iter()
+            .map(|(name, value)| Some((space.csp.var_by_name(name)?, vec![value])))
+            .collect::<Option<Vec<_>>>()
+        else {
             continue;
-        }
+        };
         // The polyhedral scheduler emits exactly one program: take the
         // first solution of the pinned space.
-        let Some(sol) = heron_csp::rand_sat_with_budget(&csp, &mut rng, 1, 400).one() else {
+        let Some(sol) = session
+            .solve_pinned(&pins, &mut rng, 1, &policy, &quiet)
+            .one()
+        else {
             continue;
         };
         if let Ok((_, m)) = evaluate(&space, &measurer, &sol) {

@@ -11,12 +11,13 @@
 //! observation that Heron beats vendor libraries by 2.69× on average while
 //! only modestly winning on their home-turf shapes.
 
-use heron_core::generate::{GeneratedSpace, SpaceGenerator, SpaceOptions};
+use heron_core::generate::{SpaceGenerator, SpaceOptions};
 use heron_core::tuner::evaluate;
-use heron_csp::Csp;
+use heron_csp::{Solution, SolvePolicy, SolveSession};
 use heron_dla::{DlaFamily, DlaSpec, Measurer};
 use heron_rng::HeronRng;
 use heron_tensor::Dag;
+use heron_trace::Tracer;
 
 /// Hand-optimisation bonus: vendor kernels use mechanisms outside the
 /// schedule space (cp.async, swizzled layouts), worth ~10% when a menu
@@ -28,6 +29,9 @@ const VENDOR_BONUS: f64 = 1.10;
 /// fixed per-call cost that dominates small operators (the source of the
 /// paper's largest vendor gaps).
 const DISPATCH_OVERHEAD_S: f64 = 10e-6;
+
+/// The budget of every vendor solve.
+const SAMPLE: SolvePolicy = SolvePolicy::fixed(400);
 
 /// One expert menu entry: tunable-variable pins.
 type MenuEntry = Vec<(&'static str, i64)>;
@@ -107,24 +111,25 @@ pub struct VendorOutcome {
     pub latency_s: f64,
 }
 
-/// Pins the menu entry onto a copy of the space's CSP and solves it.
+/// Solves the session's space with the menu entry pinned; no solution
+/// when the entry does not fit this shape.
 fn realize_entry(
-    space: &GeneratedSpace,
+    session: &mut SolveSession,
     entry: &MenuEntry,
     rng: &mut HeronRng,
-) -> Vec<heron_csp::Solution> {
-    let mut csp: Csp = space.csp.clone();
-    for (name, value) in entry {
-        let Some(var) = csp.var_by_name(name) else {
-            return Vec::new();
-        };
-        if !csp.var(var).domain.contains(*value) {
-            return Vec::new(); // entry does not fit this shape
-        }
-        csp.post_in(var, [*value]);
-    }
+) -> Vec<Solution> {
+    let csp = session.csp();
+    let Some(pins) = entry
+        .iter()
+        .map(|&(name, value)| Some((csp.var_by_name(name)?, vec![value])))
+        .collect::<Option<Vec<_>>>()
+    else {
+        return Vec::new();
+    };
     // Several completions of the micro knobs; the vendor picks the best.
-    heron_csp::rand_sat_with_budget(&csp, rng, 12, 400).solutions
+    session
+        .solve_pinned(&pins, rng, 12, &SAMPLE, &Tracer::disabled())
+        .solutions
 }
 
 /// Evaluates the vendor library on a workload; `None` when the platform
@@ -156,8 +161,9 @@ pub fn vendor_outcome(
         }
     };
     let mut best: Option<VendorOutcome> = None;
+    let mut session = SolveSession::new(&space.csp);
     for entry in &menu {
-        for sol in realize_entry(&space, entry, &mut rng) {
+        for sol in realize_entry(&mut session, entry, &mut rng) {
             let Ok((_, m)) = evaluate(&space, &measurer, &sol) else {
                 continue;
             };
@@ -176,7 +182,9 @@ pub fn vendor_outcome(
     if best.is_none() {
         if let Ok(generic) = generator.generate_named(dag, &SpaceOptions::autotvm(), workload) {
             let generic_measurer = Measurer::new(spec.clone());
-            for sol in heron_csp::rand_sat_with_budget(&generic.csp, &mut rng, 3, 400).solutions {
+            let zoo =
+                SolveSession::new(&generic.csp).solve(&mut rng, 3, &SAMPLE, &Tracer::disabled());
+            for sol in zoo.solutions {
                 let Ok((_, m)) = evaluate(&generic, &generic_measurer, &sol) else {
                     continue;
                 };

@@ -10,10 +10,11 @@
 use heron_core::explore::cga::{offspring_pins, CgaConfig};
 use heron_core::generate::{SpaceGenerator, SpaceOptions};
 use heron_csp::propagate::Propagator;
-use heron_csp::{Kind, SolveOutcome, SolveSession, SolveStats};
+use heron_csp::{Kind, SolveOutcome, SolvePolicy, SolveSession, SolveStats};
 use heron_rng::HeronRng;
 use heron_tensor::ops;
 use heron_testkit::bench::{black_box, Harness};
+use heron_testkit::solve_once;
 use heron_trace::Tracer;
 
 fn gemm_space(n: i64, name: &str) -> heron_core::generate::GeneratedSpace {
@@ -59,13 +60,13 @@ fn main() {
     let space = gemm_space(1024, "g1");
 
     let mut rng = HeronRng::from_seed(1);
-    bench_solve(&mut h, "rand_sat/gemm-1024/1-solution", || {
-        heron_csp::rand_sat_with_budget(&space.csp, &mut rng, 1, 400)
+    bench_solve(&mut h, "solve_once/gemm-1024/1-solution", || {
+        solve_once(&space.csp, &mut rng, 1, &SolvePolicy::fixed(400))
     });
 
     let mut rng = HeronRng::from_seed(2);
-    bench_solve(&mut h, "rand_sat/gemm-1024/16-solutions", || {
-        heron_csp::rand_sat_with_budget(&space.csp, &mut rng, 16, 400)
+    bench_solve(&mut h, "solve_once/gemm-1024/16-solutions", || {
+        solve_once(&space.csp, &mut rng, 16, &SolvePolicy::fixed(400))
     });
 
     // The in-situ path: CGA materialises an offspring of two parents by
@@ -102,7 +103,7 @@ fn main() {
     });
 
     let mut rng = HeronRng::from_seed(3);
-    let sol = heron_csp::rand_sat(&space.csp, &mut rng, 1)
+    let sol = solve_once(&space.csp, &mut rng, 1, &SolvePolicy::default())
         .one()
         .expect("solvable");
     h.bench("validate/gemm-1024", || {

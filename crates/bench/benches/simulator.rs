@@ -30,9 +30,10 @@ fn main() {
             .expect("generates");
         let measurer = Measurer::new(spec);
         let mut rng = HeronRng::from_seed(1);
-        let sol = heron_csp::rand_sat(&space.csp, &mut rng, 1)
-            .one()
-            .expect("solvable");
+        let sol =
+            heron_testkit::solve_once(&space.csp, &mut rng, 1, &heron_csp::SolvePolicy::default())
+                .one()
+                .expect("solvable");
         let csp = space.csp.clone();
         let kernel = lower(&space.template, sol.fingerprint(), &|n| {
             sol.value_by_name(&csp, n)

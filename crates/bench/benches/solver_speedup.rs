@@ -8,7 +8,9 @@
 //! machinery. Besides the usual per-engine timing rows, the run prints
 //! a summary with the wall-clock speedup and the propagation-pass
 //! counts; the engine should show ≥4× wall-clock and ≈2× fewer passes
-//! for the same sample on this space. (Raw passes/sec is *not*
+//! for the same sample on this space. Each trail run builds its own
+//! session, so its time includes the root fixpoint; its pass count, like
+//! every `SolveStats`, leaves that set-up out. (Raw passes/sec is *not*
 //! comparable across the engines: a trail-engine `PROD`/`SUM`/`SELECT`
 //! pass runs its filter to a local fixpoint, so each pass does strictly
 //! more work than a reference pass.)
@@ -24,6 +26,7 @@ use heron_rng::HeronRng;
 use heron_tensor::ops;
 use heron_testkit::bench::{black_box, Harness};
 use heron_testkit::csp_reference::rand_sat_reference;
+use heron_testkit::solve_once;
 use heron_trace::Tracer;
 use std::time::Instant;
 
@@ -63,7 +66,7 @@ fn main() {
     });
     h.bench("trail/c2d-14x64/16-solutions", || {
         let mut rng = HeronRng::from_seed(SEED);
-        let out = heron_csp::rand_sat(&space.csp, &mut rng, SAMPLES);
+        let out = solve_once(&space.csp, &mut rng, SAMPLES, &policy);
         black_box(out.solutions.len())
     });
 
@@ -79,7 +82,7 @@ fn main() {
     });
     let (new_s, new_props) = measure(reps, || {
         let mut rng = HeronRng::from_seed(SEED);
-        heron_csp::rand_sat(&space.csp, &mut rng, SAMPLES)
+        solve_once(&space.csp, &mut rng, SAMPLES, &policy)
             .stats
             .propagations
     });

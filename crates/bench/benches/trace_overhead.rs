@@ -1,18 +1,19 @@
 //! Micro-bench (heron-testkit): cost of the tracing subsystem.
 //!
-//! The acceptance bar for `heron-trace` is that a **disabled** tracer is
-//! effectively free (<2% on instrumented hot paths), so instrumentation
-//! can stay compiled into the solver and tuner unconditionally. This
-//! bench times the two instrumented hot paths (RandSAT solving, GBDT
-//! fitting) four ways — uninstrumented entry point, disabled tracer,
-//! enabled manual-clock tracer, and the bounded flight-recorder ring
-//! sink (`set_ring(64, true)`, the always-on mode long-lived
-//! `heron_serve` runs use) — plus the raw per-op tracer costs, and
-//! prints the measured disabled- and ring-vs-baseline overheads. The
-//! ring numbers back DESIGN.md §12's <2% hot-path claim.
+//! Instrumentation stays compiled into the solver and tuner
+//! unconditionally: an untraced caller passes a **disabled** tracer, a
+//! `None` branch per call site, so there is no uninstrumented path to
+//! compare against. This bench times the two instrumented hot paths —
+//! sampling on the tuner's long-lived `SolveSession`, and GBDT fitting —
+//! three ways: disabled tracer, enabled manual-clock tracer, and the
+//! bounded flight-recorder ring sink (`set_ring(64, true)`, the always-on
+//! mode long-lived `heron_serve` runs use). It prints the enabled and ring
+//! overheads against the disabled row, plus the raw per-op tracer costs.
+//! The ring numbers back DESIGN.md §12's <2% hot-path claim.
 
 use heron_core::generate::{SpaceGenerator, SpaceOptions};
 use heron_cost::{Gbdt, GbdtParams};
+use heron_csp::{SolvePolicy, SolveSession};
 use heron_dla::v100;
 use heron_rng::{HeronRng, Rng};
 use heron_tensor::ops;
@@ -31,101 +32,60 @@ fn synthetic(n: usize, d: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
     (x, y)
 }
 
+/// Benches `run` as `{path}/tracer-{disabled,enabled,ring}`, each row
+/// from a fresh `seed`, and prints the enabled and ring overheads
+/// against the disabled row.
+fn tracer_rows(
+    h: &mut Harness,
+    path: &str,
+    seed: u64,
+    mut run: impl FnMut(&Tracer, &mut HeronRng) -> usize,
+) {
+    let ring = Tracer::manual();
+    ring.set_ring(64, true);
+    let tracers = [
+        ("disabled", Tracer::disabled()),
+        ("enabled", Tracer::manual()),
+        ("ring", ring),
+    ];
+    let medians: Vec<u128> = tracers
+        .iter()
+        .map(|(mode, tracer)| {
+            let mut rng = HeronRng::from_seed(seed);
+            let row = format!("{path}/tracer-{mode}");
+            h.bench(&row, || black_box(run(tracer, &mut rng))).median_ns
+        })
+        .collect();
+    for ((mode, _), median) in tracers.iter().zip(&medians).skip(1) {
+        let overhead = *median as f64 / medians[0] as f64 - 1.0;
+        eprintln!(
+            "  {path} {mode}-tracer overhead vs disabled: {:+.2}%",
+            overhead * 100.0
+        );
+    }
+}
+
 fn main() {
     let mut h = Harness::new("trace_overhead");
 
-    // Hot path 1: RandSAT over a real generated space (csp.solve spans +
-    // attempt/propagation counters when traced).
+    // Hot path 1: sampling on one session over a real generated space
+    // (csp.solve spans + attempt/propagation counters when traced).
     let dag = ops::gemm(512, 512, 512);
     let space = SpaceGenerator::new(v100())
         .generate_named(&dag, &SpaceOptions::heron(), "gemm-512")
         .expect("generates");
-    let mut rng = HeronRng::from_seed(7);
-    let base = h
-        .bench("rand_sat/baseline", || {
-            black_box(
-                heron_csp::rand_sat_with_budget(&space.csp, &mut rng, 16, 4096)
-                    .solutions
-                    .len(),
-            )
-        })
-        .median_ns;
-    let mut rng = HeronRng::from_seed(7);
-    let policy = heron_csp::SolvePolicy::fixed(4096);
-    let off = Tracer::disabled();
-    let disabled = h
-        .bench("rand_sat/tracer-disabled", || {
-            black_box(
-                heron_csp::rand_sat_traced(&space.csp, &mut rng, 16, &policy, &off)
-                    .solutions
-                    .len(),
-            )
-        })
-        .median_ns;
-    let mut rng = HeronRng::from_seed(7);
-    let on = Tracer::manual();
-    h.bench("rand_sat/tracer-enabled", || {
-        black_box(
-            heron_csp::rand_sat_traced(&space.csp, &mut rng, 16, &policy, &on)
-                .solutions
-                .len(),
-        )
+    let mut session = SolveSession::new(&space.csp);
+    let policy = SolvePolicy::fixed(4096);
+    tracer_rows(&mut h, "solve", 7, |tracer, rng| {
+        session.solve(rng, 16, &policy, tracer).solutions.len()
     });
-    // The flight-recorder mode heron_serve runs long-lived jobs under:
-    // events land in the bounded ring only, nothing accumulates.
-    let mut rng = HeronRng::from_seed(7);
-    let ring = Tracer::manual();
-    ring.set_ring(64, true);
-    let ringed = h
-        .bench("rand_sat/tracer-ring", || {
-            black_box(
-                heron_csp::rand_sat_traced(&space.csp, &mut rng, 16, &policy, &ring)
-                    .solutions
-                    .len(),
-            )
-        })
-        .median_ns;
-    let overhead = disabled as f64 / base as f64 - 1.0;
-    eprintln!(
-        "  rand_sat disabled-tracer overhead: {:+.2}%",
-        overhead * 100.0
-    );
-    let ring_overhead = ringed as f64 / base as f64 - 1.0;
-    eprintln!(
-        "  rand_sat ring-sink overhead: {:+.2}%",
-        ring_overhead * 100.0
-    );
 
     // Hot path 2: GBDT fit (cost.fit span + fit counters when traced).
     let (x, y) = synthetic(512, 80, 9);
-    let mut rng = HeronRng::from_seed(1);
-    let base = h
-        .bench("gbdt-fit/baseline", || {
-            black_box(Gbdt::fit(&x, &y, &GbdtParams::default(), &mut rng).num_trees())
-        })
-        .median_ns;
-    let mut rng = HeronRng::from_seed(1);
-    let disabled = h
-        .bench("gbdt-fit/tracer-disabled", || {
-            black_box(Gbdt::fit_traced(&x, &y, &GbdtParams::default(), &mut rng, &off).num_trees())
-        })
-        .median_ns;
-    let mut rng = HeronRng::from_seed(1);
-    let ringed = h
-        .bench("gbdt-fit/tracer-ring", || {
-            black_box(Gbdt::fit_traced(&x, &y, &GbdtParams::default(), &mut rng, &ring).num_trees())
-        })
-        .median_ns;
-    let overhead = disabled as f64 / base as f64 - 1.0;
-    eprintln!(
-        "  gbdt-fit disabled-tracer overhead: {:+.2}%",
-        overhead * 100.0
-    );
-    let ring_overhead = ringed as f64 / base as f64 - 1.0;
-    eprintln!(
-        "  gbdt-fit ring-sink overhead: {:+.2}%",
-        ring_overhead * 100.0
-    );
+    let params = GbdtParams::default();
+    tracer_rows(&mut h, "gbdt-fit", 1, |tracer, rng| {
+        Gbdt::fit_traced(&x, &y, &params, rng, tracer).num_trees()
+    });
 
     // Hot path 3: the full tuner step loop, with search-health insight
     // disabled (the default — every insight hook behind a `is_some`
@@ -190,6 +150,7 @@ fn main() {
     });
 
     // Raw per-operation cost of the tracer itself.
+    let off = Tracer::disabled();
     h.bench("tracer/span-disabled/10k", || {
         for i in 0..10_000u64 {
             let _g = off.span_with("bench.span", || [("i", i.to_string())]);

@@ -27,7 +27,7 @@
 use heron_bench::{flag, has_flag, write_metrics_flag, TsvTable};
 use heron_core::generate::{GeneratedSpace, SpaceGenerator, SpaceOptions};
 use heron_core::tuner::{Termination, TuneConfig, TuneResult, Tuner};
-use heron_csp::{diagnose_root_conflict, SolveStatus};
+use heron_csp::{diagnose_root_conflict, SolvePolicy, SolveSession, SolveStatus};
 use heron_dla::{v100, Measurer};
 use heron_rng::HeronRng;
 use heron_tensor::ops;
@@ -44,7 +44,8 @@ fn base_space(name: &str) -> GeneratedSpace {
 /// reference solution (deterministic in `seed`).
 fn pin_tunables(space: &mut GeneratedSpace, count: usize, seed: u64) {
     let mut rng = HeronRng::from_seed(seed);
-    let sol = heron_csp::rand_sat_with_budget(&space.csp, &mut rng, 1, 4_000)
+    let sol = SolveSession::new(&space.csp)
+        .solve(&mut rng, 1, &SolvePolicy::fixed(4_000), &Tracer::disabled())
         .one()
         .expect("base space is satisfiable");
     let tunables = space.csp.tunables();
@@ -119,7 +120,12 @@ fn smoke(seed: u64) -> i32 {
     let mut unsat = base_space("stress-clash");
     add_clash(&mut unsat);
     let mut rng = HeronRng::from_seed(seed);
-    let outcome = heron_csp::rand_sat(&unsat.csp, &mut rng, 4);
+    let outcome = SolveSession::new(&unsat.csp).solve(
+        &mut rng,
+        4,
+        &SolvePolicy::default(),
+        &Tracer::disabled(),
+    );
     check(
         outcome.status == SolveStatus::RootInfeasible && outcome.solutions.is_empty(),
         "contradictory space is classified root-infeasible",
@@ -154,8 +160,8 @@ fn smoke(seed: u64) -> i32 {
     let open = base_space("stress-deadline");
     let solve = |seed: u64| {
         let mut rng = HeronRng::from_seed(seed);
-        let policy = heron_csp::SolvePolicy::fixed(4_000).with_deadline(64);
-        heron_csp::rand_sat_policy(&open.csp, &mut rng, 8, &policy)
+        let policy = SolvePolicy::fixed(4_000).with_deadline(64);
+        SolveSession::new(&open.csp).solve(&mut rng, 8, &policy, &Tracer::disabled())
     };
     let (a, b) = (solve(seed), solve(seed));
     check(

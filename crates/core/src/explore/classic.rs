@@ -7,14 +7,21 @@
 //! demonstrates. RAND samples valid programs through the solver, which is
 //! why it is a surprisingly strong baseline there.
 
-use heron_csp::{rand_sat_with_budget, validate, Solution};
+use heron_csp::{validate, Solution, SolvePolicy, SolveSession};
 use heron_rng::HeronRng;
 use heron_rng::IndexedRandom;
 use heron_rng::Rng;
+use heron_trace::Tracer;
 
 use crate::generate::GeneratedSpace;
 
 use super::{push_best, roulette_wheel, Chromosome, Evaluate, Explorer};
+
+/// The budget of the baselines' fresh samples.
+pub(super) const SAMPLE: SolvePolicy = SolvePolicy::fixed(400);
+/// The budget of their re-solves under pinned tunables, and of a random
+/// restart after an invalid offspring.
+pub(super) const REPAIR: SolvePolicy = SolvePolicy::fixed(200);
 
 /// Random search: every step measures a fresh solver sample.
 #[derive(Debug, Default)]
@@ -33,8 +40,10 @@ impl Explorer for RandomExplorer {
         rng: &mut HeronRng,
     ) -> Vec<f64> {
         let mut curve = Vec::with_capacity(steps);
+        let mut session = SolveSession::new(&space.csp);
+        let quiet = Tracer::disabled();
         while curve.len() < steps {
-            let batch = rand_sat_with_budget(&space.csp, rng, 16.min(steps - curve.len()), 400);
+            let batch = session.solve(rng, 16.min(steps - curve.len()), &SAMPLE, &quiet);
             if batch.solutions.is_empty() {
                 break;
             }
@@ -66,24 +75,24 @@ pub fn mutate_tunable(space: &GeneratedSpace, sol: &Solution, rng: &mut HeronRng
 }
 
 /// Repairs the auxiliary variables after tunables changed, by re-solving
-/// the CSP with every tunable pinned. Returns `None` when the tunable
-/// assignment is inconsistent — the common case that makes plain GA/SA
-/// flounder.
+/// the session's CSP with every tunable pinned. Returns `None` when the
+/// tunable assignment is inconsistent — the common case that makes plain
+/// GA/SA flounder.
 pub fn complete_from_tunables(
-    space: &GeneratedSpace,
+    session: &mut SolveSession,
     tunable_values: &Solution,
     rng: &mut HeronRng,
 ) -> Option<Solution> {
-    let mut csp = space.csp.clone();
-    for var in csp.tunables() {
-        let v = tunable_values.value(var);
-        if !csp.var(var).domain.contains(v) {
-            return None;
-        }
-        csp.post_in(var, [v]);
-    }
-    let sol = rand_sat_with_budget(&csp, rng, 1, 200).one()?;
-    validate(&space.csp, &sol).then_some(sol)
+    let pins: Vec<_> = session
+        .csp()
+        .tunables()
+        .into_iter()
+        .map(|var| (var, vec![tunable_values.value(var)]))
+        .collect();
+    let sol = session
+        .solve_pinned(&pins, rng, 1, &REPAIR, &Tracer::disabled())
+        .one()?;
+    validate(session.csp(), &sol).then_some(sol)
 }
 
 /// Simulated annealing over tunable assignments.
@@ -117,8 +126,9 @@ impl Explorer for SaExplorer {
         rng: &mut HeronRng,
     ) -> Vec<f64> {
         let mut curve = Vec::with_capacity(steps);
+        let mut session = SolveSession::new(&space.csp);
         // Initial valid program from the solver (as in the paper's setup).
-        let Some(start) = rand_sat_with_budget(&space.csp, rng, 1, 400).one() else {
+        let Some(start) = session.solve(rng, 1, &SAMPLE, &Tracer::disabled()).one() else {
             return curve;
         };
         let mut current = start;
@@ -128,7 +138,7 @@ impl Explorer for SaExplorer {
         while curve.len() < steps {
             temp *= self.cooling;
             let proposal = mutate_tunable(space, &current, rng);
-            let Some(candidate) = complete_from_tunables(space, &proposal, rng) else {
+            let Some(candidate) = complete_from_tunables(&mut session, &proposal, rng) else {
                 // Invalid neighbour: the move is wasted (a failed trial).
                 push_best(&mut curve, 0.0);
                 continue;
@@ -197,7 +207,9 @@ impl Explorer for GaExplorer {
         rng: &mut HeronRng,
     ) -> Vec<f64> {
         let mut curve = Vec::with_capacity(steps);
-        let init = rand_sat_with_budget(&space.csp, rng, self.population, 400);
+        let mut session = SolveSession::new(&space.csp);
+        let quiet = Tracer::disabled();
+        let init = session.solve(rng, self.population, &SAMPLE, &quiet);
         if init.solutions.is_empty() {
             return curve;
         }
@@ -226,7 +238,7 @@ impl Explorer for GaExplorer {
             } else {
                 child
             };
-            match complete_from_tunables(space, &child, rng) {
+            match complete_from_tunables(&mut session, &child, rng) {
                 Some(sol) => {
                     let fitness = measure(&sol).unwrap_or_default();
                     push_best(&mut curve, fitness);
@@ -239,7 +251,7 @@ impl Explorer for GaExplorer {
                     // Invalid offspring: wasted trial + random restart, the
                     // behaviour the paper observes for plain GA.
                     push_best(&mut curve, 0.0);
-                    if let Some(sol) = rand_sat_with_budget(&space.csp, rng, 1, 200).one() {
+                    if let Some(sol) = session.solve(rng, 1, &REPAIR, &quiet).one() {
                         if curve.len() < steps {
                             let fitness = measure(&sol).unwrap_or_default();
                             push_best(&mut curve, fitness);

@@ -11,14 +11,15 @@
 //! * **GA-3** — infeasibility-driven multi-objective (Ray et al.):
 //!   selection keeps a Pareto mix of objective and violation count.
 
-use heron_csp::{rand_sat_with_budget, Csp, Solution};
+use heron_csp::{Csp, Solution, SolveSession};
 use heron_rng::HeronRng;
 use heron_rng::IndexedRandom;
 use heron_rng::Rng;
+use heron_trace::Tracer;
 
 use crate::generate::GeneratedSpace;
 
-use super::classic::{crossover_tunables, mutate_tunable};
+use super::classic::{complete_from_tunables, crossover_tunables, mutate_tunable, REPAIR, SAMPLE};
 use super::{push_best, roulette_wheel, Chromosome, Evaluate, Explorer};
 
 /// Number of violated constraints of an assignment.
@@ -92,8 +93,8 @@ fn random_genotype(space: &GeneratedSpace, base: &Solution, rng: &mut HeronRng) 
 /// Best-effort completion of auxiliaries for a tunable assignment; falls
 /// back to the raw (violating) assignment when inconsistent, so that the
 /// chromosome carries a non-zero violation count.
-fn complete_or_keep(space: &GeneratedSpace, sol: Solution, rng: &mut HeronRng) -> Solution {
-    super::classic::complete_from_tunables(space, &sol, rng).unwrap_or(sol)
+fn complete_or_keep(session: &mut SolveSession, sol: Solution, rng: &mut HeronRng) -> Solution {
+    complete_from_tunables(session, &sol, rng).unwrap_or(sol)
 }
 
 impl Explorer for StochasticRankingGa {
@@ -109,7 +110,10 @@ impl Explorer for StochasticRankingGa {
         rng: &mut HeronRng,
     ) -> Vec<f64> {
         let mut curve = Vec::with_capacity(steps);
-        let seeds = rand_sat_with_budget(&space.csp, rng, self.population / 2, 400).solutions;
+        let mut session = SolveSession::new(&space.csp);
+        let seeds = session
+            .solve(rng, self.population / 2, &SAMPLE, &Tracer::disabled())
+            .solutions;
         if seeds.is_empty() {
             return curve;
         }
@@ -142,7 +146,7 @@ impl Explorer for StochasticRankingGa {
                 .clone();
             let child = crossover_tunables(space, &a, &b, rng);
             let child = mutate_tunable(space, &child, rng);
-            let child = complete_or_keep(space, child, rng);
+            let child = complete_or_keep(&mut session, child, rng);
             let violations = violation_count(&space.csp, &child);
             let fitness = if violations == 0 {
                 measure(&child).unwrap_or_default()
@@ -176,22 +180,23 @@ impl Default for SatDecoderGa {
     }
 }
 
-/// Decodes a genotype to a valid phenotype: pins each tunable to its gene
-/// value *if the propagated domain still allows it*, otherwise to the
-/// nearest remaining value, then solves.
+/// Decodes a genotype to a valid phenotype of the session's CSP: pins
+/// each tunable to its gene value *if the propagated domain still allows
+/// it*, otherwise to the nearest remaining value, then solves.
 pub fn sat_decode(
-    space: &GeneratedSpace,
+    session: &mut SolveSession,
     genotype: &Solution,
     rng: &mut HeronRng,
 ) -> Option<Solution> {
     use heron_csp::propagate::Propagator;
-    let csp = &space.csp;
-    let prop = Propagator::new(csp);
+    let tunables = session.csp().tunables();
+    let prop = Propagator::new(session.csp());
     let mut store = prop.store();
     if prop.run_all(&mut store).is_err() {
         return None;
     }
-    for var in csp.tunables() {
+    let quiet = Tracer::disabled();
+    for &var in &tunables {
         let gene = genotype.value(var);
         let pick = if store.contains(var.0, gene) {
             gene
@@ -206,17 +211,15 @@ pub fn sat_decode(
         };
         if store.fix(var.0, pick).is_err() || prop.run_from(&mut store, var).is_err() {
             // Re-solve from scratch for the remainder.
-            return rand_sat_with_budget(csp, rng, 1, 200).one();
+            return session.solve(rng, 1, &REPAIR, &quiet).one();
         }
     }
     // Complete any remaining free variables through the solver with pins.
-    let mut pinned = csp.clone();
-    for var in csp.tunables() {
-        if let Some(v) = store.fixed_value(var.0) {
-            pinned.post_in(var, [v]);
-        }
-    }
-    rand_sat_with_budget(&pinned, rng, 1, 200).one()
+    let pins: Vec<_> = tunables
+        .into_iter()
+        .filter_map(|var| Some((var, vec![store.fixed_value(var.0)?])))
+        .collect();
+    session.solve_pinned(&pins, rng, 1, &REPAIR, &quiet).one()
 }
 
 impl Explorer for SatDecoderGa {
@@ -232,7 +235,10 @@ impl Explorer for SatDecoderGa {
         rng: &mut HeronRng,
     ) -> Vec<f64> {
         let mut curve = Vec::with_capacity(steps);
-        let seeds = rand_sat_with_budget(&space.csp, rng, self.population, 400).solutions;
+        let mut session = SolveSession::new(&space.csp);
+        let seeds = session
+            .solve(rng, self.population, &SAMPLE, &Tracer::disabled())
+            .solutions;
         if seeds.is_empty() {
             return curve;
         }
@@ -262,7 +268,7 @@ impl Explorer for SatDecoderGa {
             } else {
                 geno
             };
-            let Some(pheno) = sat_decode(space, &geno, rng) else {
+            let Some(pheno) = sat_decode(&mut session, &geno, rng) else {
                 push_best(&mut curve, 0.0);
                 continue;
             };
@@ -313,7 +319,10 @@ impl Explorer for InfeasibilityDrivenGa {
         rng: &mut HeronRng,
     ) -> Vec<f64> {
         let mut curve = Vec::with_capacity(steps);
-        let seeds = rand_sat_with_budget(&space.csp, rng, self.population / 2, 400).solutions;
+        let mut session = SolveSession::new(&space.csp);
+        let seeds = session
+            .solve(rng, self.population / 2, &SAMPLE, &Tracer::disabled())
+            .solutions;
         if seeds.is_empty() {
             return curve;
         }
@@ -349,7 +358,7 @@ impl Explorer for InfeasibilityDrivenGa {
                 random_genotype(space, &a, rng)
             };
             let child = mutate_tunable(space, &child, rng);
-            let child = complete_or_keep(space, child, rng);
+            let child = complete_or_keep(&mut session, child, rng);
             let violations = violation_count(&space.csp, &child);
             let fitness = if violations == 0 {
                 measure(&child).unwrap_or_default()
@@ -413,10 +422,11 @@ mod tests {
     #[test]
     fn sat_decode_returns_valid_phenotypes() {
         let space = toy_space();
+        let mut session = SolveSession::new(&space.csp);
         let mut rng = HeronRng::from_seed(0);
         // Genotype violating x*y == 64.
         let geno = Solution::new(vec![8, 16, 64]);
-        let pheno = sat_decode(&space, &geno, &mut rng).expect("decodes");
+        let pheno = sat_decode(&mut session, &geno, &mut rng).expect("decodes");
         assert!(heron_csp::validate(&space.csp, &pheno));
         // Decoder keeps the first gene (pinned while consistent).
         assert_eq!(pheno.value(heron_csp::VarRef(0)), 8);

@@ -298,7 +298,9 @@ mod tests {
         assert!(b.csp.var_by_name("tile.C.i1").is_some());
         // Solve: every sample multiplies to 64.
         let mut rng = HeronRng::from_seed(0);
-        let sols = heron_csp::rand_sat(&b.csp, &mut rng, 8).expect_sat("builder space");
+        let sols =
+            heron_testkit::solve_once(&b.csp, &mut rng, 8, &heron_csp::SolvePolicy::default())
+                .expect_sat("builder space");
         assert!(!sols.is_empty());
         for s in &sols {
             let p: i64 = parts.iter().map(|r| s.value(*r)).product();
@@ -317,7 +319,9 @@ mod tests {
         let bytes = b.mem_limit("buf", MemScope::Shared, elems, 2);
         b.cap_total("smem.total", &[bytes], 1024); // tile_inner * 2 <= 1024
         let mut rng = HeronRng::from_seed(1);
-        let sols = heron_csp::rand_sat(&b.csp, &mut rng, 16).expect_sat("builder space");
+        let sols =
+            heron_testkit::solve_once(&b.csp, &mut rng, 16, &heron_csp::SolvePolicy::default())
+                .expect_sat("builder space");
         assert!(!sols.is_empty());
         for s in &sols {
             assert!(s.value(parts[1]) * 2 <= 1024);
@@ -333,7 +337,9 @@ mod tests {
         let vec = b.tunable("vec", &[1, 2, 4, 8]);
         b.divides(vec, parts[1], "vec.row");
         let mut rng = HeronRng::from_seed(2);
-        let sols = heron_csp::rand_sat(&b.csp, &mut rng, 24).expect_sat("builder space");
+        let sols =
+            heron_testkit::solve_once(&b.csp, &mut rng, 24, &heron_csp::SolvePolicy::default())
+                .expect_sat("builder space");
         assert!(!sols.is_empty());
         for s in &sols {
             let v = s.value(vec);

@@ -422,7 +422,10 @@ mod tests {
             .generate_named(&dag, &SpaceOptions::heron(), "g")
             .expect("generates");
         let mut rng = HeronRng::from_seed(3);
-        for sol in heron_csp::rand_sat(&space.csp, &mut rng, 8).solutions {
+        for sol in
+            heron_testkit::solve_once(&space.csp, &mut rng, 8, &heron_csp::SolvePolicy::default())
+                .solutions
+        {
             assert_eq!(sol.value_by_name(&space.csp, "C.j2"), Some(16));
             assert_eq!(sol.value_by_name(&space.csp, "C.r2"), Some(4));
             // L1 working set respects the cache.
@@ -439,7 +442,10 @@ mod tests {
             .expect("generates");
         let mut rng = HeronRng::from_seed(4);
         let mut seen_packed = false;
-        for sol in heron_csp::rand_sat(&space.csp, &mut rng, 24).solutions {
+        for sol in
+            heron_testkit::solve_once(&space.csp, &mut rng, 24, &heron_csp::SolvePolicy::default())
+                .solutions
+        {
             let layout = sol.value_by_name(&space.csp, "layout.B").expect("tunable");
             let row = sol.value_by_name(&space.csp, "row.B.l2").expect("declared");
             if layout == 0 {

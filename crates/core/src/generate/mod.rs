@@ -296,7 +296,9 @@ mod tests {
 
     fn solve_and_lower(space: &GeneratedSpace, seed: u64) -> heron_sched::Kernel {
         let mut rng = HeronRng::from_seed(seed);
-        let sols = heron_csp::rand_sat(&space.csp, &mut rng, 4).solutions;
+        let sols =
+            heron_testkit::solve_once(&space.csp, &mut rng, 4, &heron_csp::SolvePolicy::default())
+                .solutions;
         assert!(!sols.is_empty(), "space must be satisfiable");
         let sol = &sols[0];
         let csp = &space.csp;
@@ -405,7 +407,9 @@ mod tests {
 
     fn invalid_fraction(space: &GeneratedSpace, n: usize, seed: u64) -> (usize, usize) {
         let mut rng = HeronRng::from_seed(seed);
-        let sols = heron_csp::rand_sat(&space.csp, &mut rng, n).solutions;
+        let sols =
+            heron_testkit::solve_once(&space.csp, &mut rng, n, &heron_csp::SolvePolicy::default())
+                .solutions;
         assert!(!sols.is_empty());
         let measurer = heron_dla::Measurer::new(space.dla.clone());
         let csp = &space.csp;

@@ -274,7 +274,9 @@ mod tests {
             .generate_named(&dag, &SpaceOptions::heron(), "g")
             .expect("generates");
         let mut rng = HeronRng::from_seed(5);
-        let sols = heron_csp::rand_sat(&space.csp, &mut rng, 16).expect_sat("vta space");
+        let sols =
+            heron_testkit::solve_once(&space.csp, &mut rng, 16, &heron_csp::SolvePolicy::default())
+                .expect_sat("vta space");
         assert!(!sols.is_empty());
         for sol in sols {
             let r1 = sol.value_by_name(&space.csp, "C.r1").expect("declared");
@@ -289,7 +291,10 @@ mod tests {
             .generate_named(&dag, &SpaceOptions::heron(), "g")
             .expect("generates");
         let mut rng = HeronRng::from_seed(6);
-        for sol in heron_csp::rand_sat(&space.csp, &mut rng, 12).solutions {
+        for sol in
+            heron_testkit::solve_once(&space.csp, &mut rng, 12, &heron_csp::SolvePolicy::default())
+                .solutions
+        {
             let input = sol
                 .value_by_name(&space.csp, "bytes.A.sram")
                 .expect("declared");
@@ -314,7 +319,10 @@ mod tests {
             .expect("generates");
         let mut rng = HeronRng::from_seed(7);
         let mut shapes_seen = std::collections::HashSet::new();
-        for sol in heron_csp::rand_sat(&space.csp, &mut rng, 32).solutions {
+        for sol in
+            heron_testkit::solve_once(&space.csp, &mut rng, 32, &heron_csp::SolvePolicy::default())
+                .solutions
+        {
             let m = sol.value_by_name(&space.csp, "m").expect("declared");
             let n = sol.value_by_name(&space.csp, "n").expect("declared");
             let k = sol.value_by_name(&space.csp, "k").expect("declared");

@@ -24,10 +24,11 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
 
-use heron_csp::Solution;
+use heron_csp::{SolvePolicy, SolveSession};
 use heron_dla::Measurer;
 use heron_sched::{lower, Kernel};
 use heron_tensor::Dag;
+use heron_trace::Tracer;
 
 use crate::generate::{GeneratedSpace, SpaceGenerator, SpaceOptions};
 use crate::tuner::{TuneConfig, Tuner};
@@ -166,18 +167,19 @@ impl KernelLibrary {
         let space: GeneratedSpace = SpaceGenerator::new(spec.clone())
             .generate_named(dag, &SpaceOptions::heron(), key)
             .ok()?;
-        let mut csp = space.csp.clone();
-        for (name, value) in &entry.tunables {
-            let var = csp.var_by_name(name)?;
-            if !csp.var(var).domain.contains(*value) {
-                return None;
-            }
-            csp.post_in(var, [*value]);
-        }
+        let csp = &space.csp;
+        let pins = entry
+            .tunables
+            .iter()
+            .map(|(name, value)| Some((csp.var_by_name(name)?, vec![*value])))
+            .collect::<Option<Vec<_>>>()?;
         let mut rng = heron_rng::HeronRng::from_seed(0);
-        let sol: Solution = heron_csp::rand_sat_with_budget(&csp, &mut rng, 1, 800).one()?;
+        let policy = SolvePolicy::fixed(800);
+        let sol = SolveSession::new(csp)
+            .solve_pinned(&pins, &mut rng, 1, &policy, &Tracer::disabled())
+            .one()?;
         lower(&space.template, sol.fingerprint(), &|n| {
-            sol.value_by_name(&csp, n)
+            sol.value_by_name(csp, n)
         })
         .ok()
     }

@@ -1353,7 +1353,6 @@ impl Tuner {
 mod tests {
     use super::*;
     use crate::generate::{SpaceGenerator, SpaceOptions};
-    use heron_csp::rand_sat_with_budget;
     use heron_dla::{v100, vta};
     use heron_tensor::ops;
 
@@ -1472,9 +1471,14 @@ mod tests {
         // instead of spinning on the remaining budget forever.
         let mut space = gemm_space(256, "gemm-stall");
         let mut pin_rng = HeronRng::from_seed(9);
-        let sol = rand_sat_with_budget(&space.csp, &mut pin_rng, 1, 2_000)
-            .one()
-            .expect("satisfiable");
+        let sol = heron_testkit::solve_once(
+            &space.csp,
+            &mut pin_rng,
+            1,
+            &heron_csp::SolvePolicy::fixed(2_000),
+        )
+        .one()
+        .expect("satisfiable");
         for v in space.csp.tunables() {
             let value = sol.value(v);
             space.csp.post_in(v, [value]);

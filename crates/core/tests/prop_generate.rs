@@ -15,7 +15,9 @@ fn check_heron_space(spec: heron_dla::DlaSpec, dag: heron_tensor::Dag) {
         .generate_named(&dag, &SpaceOptions::heron(), "prop")
         .unwrap_or_else(|e| panic!("generation failed: {e}"));
     let mut rng = HeronRng::from_seed(13);
-    let sols = heron_csp::rand_sat_with_budget(&space.csp, &mut rng, 4, 600).solutions;
+    let sols =
+        heron_testkit::solve_once(&space.csp, &mut rng, 4, &heron_csp::SolvePolicy::fixed(600))
+            .solutions;
     assert!(!sols.is_empty(), "space unsatisfiable");
     let measurer = Measurer::new(spec);
     for sol in &sols {

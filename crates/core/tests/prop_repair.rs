@@ -14,10 +14,10 @@ use heron_core::explore::cga::{
 use heron_core::explore::Chromosome;
 use heron_core::generate::{SpaceGenerator, SpaceOptions};
 use heron_core::model::CostModel;
-use heron_csp::{rand_sat, validate, Csp, SolvePolicy, SolveSession, VarRef};
+use heron_csp::{validate, Csp, SolvePolicy, SolveSession, VarRef};
 use heron_rng::HeronRng;
 use heron_testkit::csp_corpus::{knife_edge_csp, single_solution_csp, unsat_csp};
-use heron_testkit::{property_cases, Gen};
+use heron_testkit::{property_cases, solve_once, Gen};
 use heron_trace::Tracer;
 
 fn solver_rng(g: &mut Gen) -> HeronRng {
@@ -42,7 +42,7 @@ fn materialised_offspring_always_satisfy_initial() {
     property_cases("repair_offspring_valid", 32, |g| {
         let initial = knife_edge_csp(g);
         let mut rng = solver_rng(g);
-        let parents = rand_sat(&initial, &mut rng, 2).solutions;
+        let parents = solve_once(&initial, &mut rng, 2, &SolvePolicy::default()).solutions;
         if parents.len() < 2 {
             return; // solver starved on this case; nothing to cross over
         }
@@ -129,7 +129,7 @@ fn check_generation(csp: &Csp, seed: u64) {
     for fitted in [false, true] {
         if fitted {
             let mut rng = HeronRng::from_seed(seed ^ 0x5eed);
-            let samples = rand_sat(csp, &mut rng, 12).solutions;
+            let samples = solve_once(csp, &mut rng, 12, &SolvePolicy::default()).solutions;
             if samples.len() < 8 {
                 return; // too few distinct points to fit on
             }

@@ -10,15 +10,18 @@
 //! # Example
 //!
 //! ```
-//! use heron_csp::{Csp, Domain, VarCategory};
+//! use heron_csp::{Csp, Domain, SolvePolicy, SolveSession, VarCategory};
+//! use heron_trace::Tracer;
 //!
 //! let mut csp = Csp::new();
 //! let x = csp.add_var("x", Domain::values([1, 2, 3, 4, 6, 12]), VarCategory::Tunable);
 //! let y = csp.add_var("y", Domain::values([1, 2, 3, 4, 6, 12]), VarCategory::Tunable);
 //! let n = csp.add_const("n", 12);
 //! csp.post_prod(n, vec![x, y]); // x * y == 12
+//! // One session per CSP: presolve and root fixpoint are built here, once.
+//! let mut session = SolveSession::new(&csp);
 //! let mut rng = heron_rng::HeronRng::from_seed(7);
-//! let outcome = heron_csp::solver::rand_sat(&csp, &mut rng, 8);
+//! let outcome = session.solve(&mut rng, 8, &SolvePolicy::default(), &Tracer::disabled());
 //! let sols = outcome.expect_sat("doc example");
 //! assert!(!sols.is_empty());
 //! for s in &sols {
@@ -32,7 +35,6 @@ pub mod domain;
 pub mod problem;
 pub mod propagate;
 pub mod serialize;
-pub mod session;
 pub mod solver;
 pub mod stats;
 pub mod store;
@@ -43,10 +45,6 @@ pub use domain::Domain;
 pub use problem::{Csp, Solution, VarCategory, VarRef};
 pub use propagate::{Kind, KindWork};
 pub use serialize::{from_text, solution_from_text, solution_to_text, to_text};
-pub use session::SolveSession;
-pub use solver::{
-    rand_sat, rand_sat_policy, rand_sat_traced, rand_sat_with_budget, validate, SolveOutcome,
-    SolvePolicy, SolveStats, SolveStatus,
-};
+pub use solver::{validate, SolveOutcome, SolvePolicy, SolveSession, SolveStats, SolveStatus};
 pub use stats::{tunable_domains, SpaceCensus};
 pub use store::DomainStore;

@@ -412,15 +412,6 @@ impl Propagator {
         }
     }
 
-    /// Counts a wipeout proved outside a filtering pass, on behalf of a
-    /// constraint of kind `kind` (the presolve's empty `EQ` class).
-    pub(crate) fn count_wipeout(&self, kind: Kind) {
-        let w = &self.work[kind as usize];
-        let mut tally = w.get();
-        tally.wipeouts += 1;
-        w.set(tally);
-    }
-
     /// Forgets which constraints have wiped out, so the schedule —
     /// and with it the pass count — of later runs depends on nothing that
     /// happened before this call. [`crate::solver`] calls it at the start

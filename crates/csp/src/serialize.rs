@@ -305,7 +305,9 @@ pub fn solution_from_text(csp: &Csp, text: &str) -> Result<Solution, ParseError>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::{SolvePolicy, SolveSession};
     use heron_rng::HeronRng;
+    use heron_trace::Tracer;
 
     fn sample_csp() -> Csp {
         let mut csp = Csp::new();
@@ -333,7 +335,10 @@ mod tests {
         assert_eq!(back.num_constraints(), csp.num_constraints());
         // Solutions transfer across the round trip.
         let mut rng = HeronRng::from_seed(1);
-        for sol in crate::solver::rand_sat(&csp, &mut rng, 8).expect_sat("sample csp") {
+        let policy = SolvePolicy::default();
+        let mut session = SolveSession::new(&csp);
+        let sols = session.solve(&mut rng, 8, &policy, &Tracer::disabled());
+        for sol in sols.expect_sat("sample csp") {
             assert!(crate::solver::validate(&back, &sol));
         }
         // Second round trip is a fixed point.
@@ -344,7 +349,8 @@ mod tests {
     fn solution_text_roundtrip() {
         let csp = sample_csp();
         let mut rng = HeronRng::from_seed(2);
-        let sol = crate::solver::rand_sat(&csp, &mut rng, 1)
+        let sol = SolveSession::new(&csp)
+            .solve(&mut rng, 1, &SolvePolicy::default(), &Tracer::disabled())
             .one()
             .expect("solvable");
         let text = solution_to_text(&csp, &sol);

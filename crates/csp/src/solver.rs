@@ -6,21 +6,34 @@
 //! as propagation-guided backtracking search with randomised variable and
 //! value order, restarted per requested sample.
 //!
+//! There is one way in: a [`SolveSession`] is built once per CSP and then
+//! sampled by [`SolveSession::solve`] (the CSP as posted) and
+//! [`SolveSession::solve_pinned`] (the CSP further constrained by value
+//! pins, e.g. a CGA offspring's crossover `IN`s, or a baseline's fixed
+//! tunables). Building the session presolves the CSP, builds the
+//! propagator adjacency and the branch order, and runs the root fixpoint,
+//! exactly once; every call then samples on that cached root. A pinned
+//! call opens a backtrack scope on it, applies the pins and propagates
+//! only from the pinned variables. Because the filters are monotone,
+//! `fixpoint(root_fixpoint + pins)` equals the from-scratch
+//! `fixpoint(initial + IN pins)`, so the sampled stream is the one the
+//! materialised CSP would draw, at a fraction of the propagation work.
+//!
 //! Search state lives in a [`DomainStore`]: branching fixes a value and
 //! propagates on the shared store, and backtracking pops the store's
 //! trail — O(changes) per node instead of the historical full
 //! `Vec<Domain>` clone per candidate trial. The branch order's inputs
 //! (the tunables, the constant non-tunable suffix) and the dive's buffers
 //! (branch order, candidate values, the leaf assignment) live in one
-//! `Brancher` per CSP, so a dive allocates nothing until it has a
+//! `Brancher` per session, so a dive allocates nothing until it has a
 //! solution to return.
 //!
-//! Before any of that, the CSP is presolved once per sampling root
-//! (`Presolve`; DESIGN.md §5, "Presolve"): `EQ` twins of alike declared
-//! domains become one store variable, and helper-boolean `SELECT`s leave
-//! the propagator and the branch order, their outputs read as
-//! `choices[index]` and their pins translated to pins on the index. The
-//! fixpoints the dive reads, and so every sample, stay as they were.
+//! The presolve (`Presolve`; DESIGN.md §5, "Presolve") merges `EQ` twins
+//! of alike declared domains into one store variable, and takes
+//! helper-boolean `SELECT`s out of the propagator and the branch order,
+//! their outputs read as `choices[index]` and their pins translated to
+//! pins on the index. The fixpoints the dive reads, and so every sample,
+//! stay as they were.
 //!
 //! Solver failure is a first-class outcome, not a silent empty `Vec`:
 //! every sampling call returns a [`SolveOutcome`] whose [`SolveStatus`]
@@ -30,6 +43,12 @@
 //! solve deadline ([`SolveStatus::DeadlineExceeded`]). Callers must match
 //! on the status — the explorer uses it to drive offspring repair and
 //! graceful degradation instead of silently shrinking generations.
+//!
+//! **Determinism note:** the root fixpoint is one-time session set-up and
+//! is *never* folded into any reported [`SolveStats`]. A tuner killed and
+//! resumed mid-run rebuilds its session; if the root cost were charged to
+//! the first solve after construction, a resumed run's round records
+//! would differ from an uninterrupted run's.
 
 use heron_rng::Rng;
 use heron_rng::SliceRandom;
@@ -41,10 +60,12 @@ use crate::problem::{Csp, Solution, VarCategory, VarRef};
 use crate::propagate::{Kind, KindWork, Propagator};
 use crate::store::DomainStore;
 
-/// Counters describing one [`rand_sat_traced`] call.
+/// Counters describing one [`SolveSession`] call: the work of that call
+/// alone. The root fixpoint is session set-up and is never reported, and
+/// no earlier call shows in a later one's counters.
 ///
-/// All counts are exact and deterministic for a fixed `(csp, seed, n,
-/// policy)` tuple, which is what the exact-count unit tests pin down.
+/// All counts are exact and deterministic for a fixed `(csp, pins, seed,
+/// n, policy)` tuple, which is what the exact-count unit tests pin down.
 /// `attempts`, `restarts`, `wipeouts`, `solutions` and `escalations` are
 /// facts of the sampled stream, fixed by the search itself;
 /// `propagations`, `max_trail_depth` and `by_kind` also depend on the
@@ -55,9 +76,8 @@ pub struct SolveStats {
     /// Randomised backtracking dives started (including the ones that
     /// found a duplicate or nothing).
     pub attempts: u64,
-    /// Single-constraint filtering passes executed, root propagation
-    /// included (for session solves the root fixpoint is one-time setup
-    /// and is excluded — see `SolveSession`).
+    /// Single-constraint filtering passes executed: the pins' fixpoint
+    /// and the dives', never the root's.
     pub propagations: u64,
     /// Dives that ended without contributing a new solution — either the
     /// budget ran out or the result duplicated an earlier sample — and
@@ -73,8 +93,9 @@ pub struct SolveStats {
     pub escalations: u64,
     /// Deepest trail (undo-stack) length reached while backtracking.
     pub max_trail_depth: u64,
-    /// Solves served incrementally from a session's cached root fixpoint
-    /// (1 for a `SolveSession::solve_pinned` call, 0 otherwise).
+    /// Solves served incrementally from the session's cached root
+    /// fixpoint (1 for a feasible [`SolveSession::solve_pinned`] call, 0
+    /// otherwise).
     pub incremental_hits: u64,
     /// `propagations` split by the kind of the constraint that ran,
     /// indexed by `Kind as usize`, with the wipeouts those passes proved
@@ -178,9 +199,8 @@ impl Default for SolvePolicy {
 }
 
 impl SolvePolicy {
-    /// A fixed-budget policy with no escalation and no deadline — the
-    /// behaviour of the historical `rand_sat_with_budget` contract.
-    pub fn fixed(budget: u32) -> Self {
+    /// A fixed-budget policy with no escalation and no deadline.
+    pub const fn fixed(budget: u32) -> Self {
         SolvePolicy {
             budget,
             max_escalations: 0,
@@ -285,56 +305,12 @@ fn satisfies(csp: &Csp, value: &dyn Fn(VarRef) -> i64) -> bool {
         && csp.constraints().iter().all(|c| c.check(value))
 }
 
-/// Draws up to `n` *distinct* random solutions of `csp` under the default
-/// [`SolvePolicy`] (budget 2 000, two 4× escalation rounds, no deadline).
-///
-/// The returned [`SolveOutcome`] classifies the result; an empty solution
-/// list always comes with a non-`Sat` status explaining why.
-pub fn rand_sat<R: Rng>(csp: &Csp, rng: &mut R, n: usize) -> SolveOutcome {
-    rand_sat_policy(csp, rng, n, &SolvePolicy::default())
-}
-
-/// [`rand_sat`] with an explicit fixed per-sample backtracking budget and
-/// no escalation (see [`SolvePolicy::fixed`]).
-pub fn rand_sat_with_budget<R: Rng>(csp: &Csp, rng: &mut R, n: usize, budget: u32) -> SolveOutcome {
-    rand_sat_policy(csp, rng, n, &SolvePolicy::fixed(budget))
-}
-
-/// [`rand_sat_traced`] without a tracer.
-pub fn rand_sat_policy<R: Rng>(
-    csp: &Csp,
-    rng: &mut R,
-    n: usize,
-    policy: &SolvePolicy,
-) -> SolveOutcome {
-    rand_sat_traced(csp, rng, n, policy, &Tracer::disabled())
-}
-
-/// The canonical one-shot sampling entry point: applies the full
-/// [`SolvePolicy`] (budget, escalation, deadline), reports exact solver
-/// counters and records them on `tracer` (span `csp.solve`, counters
-/// `csp.*`). The tracer never touches `rng`, so traced and untraced runs
-/// draw identical samples.
-///
-/// This is the one sampling driver (`Root::sample`) over a root built for
-/// the call, so — unlike a `SolveSession` solve — the root fixpoint's
-/// propagations and wipeouts are part of the reported counters.
-pub fn rand_sat_traced<R: Rng>(
-    csp: &Csp,
-    rng: &mut R,
-    n: usize,
-    policy: &SolvePolicy,
-    tracer: &Tracer,
-) -> SolveOutcome {
-    Root::new(csp).sample(csp, None, rng, n, policy, tracer)
-}
-
-/// One CSP's presolved propagator, branch-order state and committed root
-/// fixpoint: what every sampling call runs on. [`rand_sat_traced`] builds
-/// one per call, a `SolveSession` keeps one for its lifetime.
+/// One CSP's presolved propagator, branch order and committed root
+/// fixpoint, built once and sampled by every call (see the module docs).
 #[derive(Debug)]
-pub(crate) struct Root {
-    pub(crate) prop: Propagator,
+pub struct SolveSession {
+    csp: Csp,
+    prop: Propagator,
     /// How each variable of the CSP is read (see [`Read`]).
     reads: Vec<Read>,
     brancher: Brancher,
@@ -346,12 +322,12 @@ pub(crate) struct Root {
     translated: Vec<i64>,
 }
 
-impl Root {
-    /// Presolves `csp` (see [`Presolve`]), then builds the propagator
-    /// adjacency, the branch order and the root fixpoint, retiring the
-    /// constraints already entailed there (a free, fixpoint-preserving
-    /// bounds sweep).
-    pub(crate) fn new(csp: &Csp) -> Self {
+impl SolveSession {
+    /// Builds the session: presolves `csp` (see [`Presolve`]), then builds
+    /// the propagator adjacency, the branch order and the root fixpoint,
+    /// retiring the constraints already entailed there (a free,
+    /// fixpoint-preserving bounds sweep).
+    pub fn new(csp: &Csp) -> Self {
         let Presolve {
             reads,
             live,
@@ -361,7 +337,6 @@ impl Root {
         let prop = Propagator::with_constraints(csp, live, if empty_class { &[] } else { &narrow });
         let store = if empty_class {
             // The EQ chain joining the class would wipe it out.
-            prop.count_wipeout(Kind::Eq);
             None
         } else {
             let mut store = prop.store();
@@ -371,7 +346,8 @@ impl Root {
                 store
             })
         };
-        Root {
+        SolveSession {
+            csp: csp.clone(),
             prop,
             brancher: Brancher::new(csp, &reads),
             reads,
@@ -381,24 +357,69 @@ impl Root {
         }
     }
 
-    pub(crate) fn is_feasible(&self) -> bool {
+    /// The session's problem.
+    pub fn csp(&self) -> &Csp {
+        &self.csp
+    }
+
+    /// Whether the root fixpoint is feasible.
+    pub fn root_feasible(&self) -> bool {
         self.store.is_some()
     }
 
-    /// The one sampling driver: draws up to `n` distinct solutions of
-    /// `csp` (the problem this root was built from), further constrained
-    /// by `pins` when given.
-    ///
-    /// Pins (`var ∈ values`, sorted and deduplicated) and their fixpoint
-    /// are one backtrack scope on the root store, undone when the call
-    /// ends: nothing is copied. A feasible pinned call counts one
-    /// [`SolveStats::incremental_hits`]; an infeasible pin set classifies
-    /// as [`SolveStatus::RootInfeasible`]. The reported propagations and
-    /// wipeouts are everything the propagator counted since its last
-    /// `reset_stats`.
-    pub(crate) fn sample<R: Rng>(
+    /// Draws up to `n` *distinct* random solutions of the session's CSP
+    /// under `policy` (budget, escalation, deadline), reporting exact
+    /// counters and recording them on `tracer` (span `csp.solve`, counters
+    /// `csp.*`). The tracer never touches `rng`, so traced and untraced
+    /// calls draw identical samples. An empty solution list always comes
+    /// with a non-`Sat` status explaining why.
+    pub fn solve<R: Rng>(
         &mut self,
-        csp: &Csp,
+        rng: &mut R,
+        n: usize,
+        policy: &SolvePolicy,
+        tracer: &Tracer,
+    ) -> SolveOutcome {
+        self.sample(None, rng, n, policy, tracer)
+    }
+
+    /// [`SolveSession::solve`] on the CSP further constrained by
+    /// per-variable value pins (`var ∈ values`): the stream sampling the
+    /// CSP with each pin posted as an `IN` constraint would draw, started
+    /// from the cached root fixpoint instead of from scratch. A feasible
+    /// call counts one [`SolveStats::incremental_hits`]; an infeasible pin
+    /// set — a pin outside its variable's domain included — classifies as
+    /// [`SolveStatus::RootInfeasible`] before any draw from `rng`.
+    ///
+    /// # Panics
+    /// Panics, naming the variable, if a pin's `values` are not strictly
+    /// ascending (sorted and deduplicated, as `Csp::post_in` leaves them).
+    pub fn solve_pinned<R: Rng>(
+        &mut self,
+        pins: &[(VarRef, Vec<i64>)],
+        rng: &mut R,
+        n: usize,
+        policy: &SolvePolicy,
+        tracer: &Tracer,
+    ) -> SolveOutcome {
+        for (v, values) in pins {
+            assert!(
+                values.windows(2).all(|w| w[0] < w[1]),
+                "solve_pinned: the values pinned on `{}` are not strictly ascending: {values:?}",
+                self.csp.var(*v).name
+            );
+        }
+        self.sample(Some(pins), rng, n, policy, tracer)
+    }
+
+    /// The one sampling driver: draws up to `n` distinct solutions,
+    /// further constrained by `pins` when given.
+    ///
+    /// Pins and their fixpoint are one backtrack scope on the root store,
+    /// undone when the call ends: nothing is copied. The call's counters
+    /// start from zero and depend on nothing an earlier call did.
+    fn sample<R: Rng>(
+        &mut self,
         pins: Option<&[(VarRef, Vec<i64>)]>,
         rng: &mut R,
         n: usize,
@@ -409,10 +430,12 @@ impl Root {
             [
                 ("n", n.to_string()),
                 ("budget", policy.budget.to_string()),
-                ("vars", csp.num_vars().to_string()),
+                ("vars", self.csp.num_vars().to_string()),
             ]
         });
-        // Wipeouts of earlier calls must not steer this call's schedule.
+        // Neither the root fixpoint nor earlier calls' work or wipeouts
+        // may show in, or steer, this call.
+        self.prop.reset_stats();
         self.prop.clear_hot();
         let mut stats = SolveStats::default();
         let mut deadline = Deadline::new(policy.deadline_steps);
@@ -451,7 +474,7 @@ impl Root {
                 store.take_max_trail();
                 let pinned_depth = store.trail_depth();
                 let ctx = SampleCtx {
-                    csp,
+                    csp: &self.csp,
                     prop: &self.prop,
                     reads: &self.reads,
                 };
@@ -509,7 +532,8 @@ impl Read {
     }
 }
 
-/// The rewriting of a CSP that [`Root::new`] builds its propagator from.
+/// The rewriting of a CSP that [`SolveSession::new`] builds its propagator
+/// from.
 /// It leaves every fixpoint the dive reads, and so every sample, as it
 /// was (DESIGN.md §5, "Presolve"):
 ///
@@ -742,7 +766,7 @@ struct SampleCtx<'a> {
 }
 
 /// The branch-order inputs of one CSP and the buffers its dives reuse,
-/// built once per solve (once per session).
+/// built once per session.
 #[derive(Debug)]
 struct Brancher {
     /// The store variable of each tunable, in declaration order.
@@ -780,7 +804,7 @@ impl Brancher {
     }
 }
 
-/// The sampling loop of [`Root::sample`]: draws up to `n > 0` distinct
+/// The sampling loop of [`SolveSession::solve`]: draws up to `n > 0` distinct
 /// solutions on `store` (which must hold a fixpoint), applying the
 /// attempt/escalation schedule.
 #[allow(clippy::too_many_arguments)]
@@ -977,6 +1001,11 @@ mod tests {
     use crate::problem::VarCategory;
     use heron_rng::HeronRng;
 
+    /// One call on a session built for it.
+    fn solve_once(csp: &Csp, rng: &mut HeronRng, n: usize, policy: &SolvePolicy) -> SolveOutcome {
+        SolveSession::new(csp).solve(rng, n, policy, &Tracer::disabled())
+    }
+
     /// A miniature tiling space: i0 * i1 * i2 == 64, i1 * i2 <= 32,
     /// vec ∈ {1,2,4,8}, vec <= i2.
     fn tiling_csp() -> (Csp, [VarRef; 4]) {
@@ -999,7 +1028,8 @@ mod tests {
     fn solutions_satisfy_all_constraints() {
         let (csp, [i0, i1, i2, vec]) = tiling_csp();
         let mut rng = HeronRng::from_seed(42);
-        let sols = rand_sat(&csp, &mut rng, 32).expect_sat("tiling space");
+        let sols =
+            solve_once(&csp, &mut rng, 32, &SolvePolicy::default()).expect_sat("tiling space");
         assert!(
             sols.len() >= 16,
             "expected many solutions, got {}",
@@ -1017,7 +1047,8 @@ mod tests {
     fn solutions_are_distinct_and_diverse() {
         let (csp, [i0, ..]) = tiling_csp();
         let mut rng = HeronRng::from_seed(1);
-        let sols = rand_sat(&csp, &mut rng, 24).expect_sat("tiling space");
+        let sols =
+            solve_once(&csp, &mut rng, 24, &SolvePolicy::default()).expect_sat("tiling space");
         let fps: std::collections::HashSet<u64> = sols.iter().map(|s| s.fingerprint()).collect();
         assert_eq!(fps.len(), sols.len(), "duplicate solutions returned");
         let i0_values: std::collections::HashSet<i64> = sols.iter().map(|s| s.value(i0)).collect();
@@ -1030,12 +1061,14 @@ mod tests {
         let a = csp.add_var("a", Domain::values([2, 3]), VarCategory::Tunable);
         csp.post_in(a, [7, 9]);
         let mut rng = HeronRng::from_seed(0);
-        let outcome = rand_sat(&csp, &mut rng, 4);
+        let outcome = solve_once(&csp, &mut rng, 4, &SolvePolicy::default());
         assert_eq!(outcome.status, SolveStatus::RootInfeasible);
         assert!(outcome.solutions.is_empty());
         assert!(!outcome.is_sat());
-        // Escalation never fires on a proven-infeasible root.
+        // Escalation never fires on a proven-infeasible root, and the
+        // root's own wipeout is session set-up: nothing is reported.
         assert_eq!(outcome.stats.escalations, 0);
+        assert_eq!(outcome.stats, SolveStats::default());
     }
 
     #[test]
@@ -1045,7 +1078,7 @@ mod tests {
         let a = csp.add_var("a", Domain::values([2, 3]), VarCategory::Tunable);
         csp.post_in(a, [7, 9]);
         let mut rng = HeronRng::from_seed(0);
-        rand_sat(&csp, &mut rng, 4).expect_sat("unit test");
+        solve_once(&csp, &mut rng, 4, &SolvePolicy::default()).expect_sat("unit test");
     }
 
     #[test]
@@ -1053,7 +1086,8 @@ mod tests {
         let (csp, _) = tiling_csp();
         assert!(!validate(&csp, &Solution::new(vec![1, 2])));
         let mut rng = HeronRng::from_seed(3);
-        let sols = rand_sat(&csp, &mut rng, 1).expect_sat("tiling space");
+        let sols =
+            solve_once(&csp, &mut rng, 1, &SolvePolicy::default()).expect_sat("tiling space");
         let s = &sols[0];
         let mut bad = s.values().to_vec();
         bad[1] += 1; // break PROD
@@ -1067,7 +1101,7 @@ mod tests {
         let mut csp = Csp::new();
         csp.add_var("a", Domain::values([1, 2]), VarCategory::Tunable);
         let mut rng = HeronRng::from_seed(5);
-        let outcome = rand_sat_policy(&csp, &mut rng, 1, &SolvePolicy::fixed(100));
+        let outcome = solve_once(&csp, &mut rng, 1, &SolvePolicy::fixed(100));
         assert_eq!(outcome.status, SolveStatus::Sat);
         assert_eq!(outcome.solutions.len(), 1);
         assert_eq!(
@@ -1088,61 +1122,55 @@ mod tests {
 
     #[test]
     fn solve_stats_exact_counts_with_one_constraint() {
-        // `a IN {1}` filters once and is then entailed (dormant): exactly
-        // 1 propagation at the root, and the dive finds everything fixed
-        // (no trail).
+        // `a IN {1}` filters once at the root, which is session set-up,
+        // and is then entailed (dormant): no propagation in the call, and
+        // the dive finds everything fixed (no trail).
         let mut csp = Csp::new();
         let a = csp.add_var("a", Domain::values([1, 2]), VarCategory::Tunable);
         csp.post_in(a, [1]);
         let mut rng = HeronRng::from_seed(5);
-        let outcome = rand_sat_policy(&csp, &mut rng, 1, &SolvePolicy::fixed(100));
+        let outcome = solve_once(&csp, &mut rng, 1, &SolvePolicy::fixed(100));
         assert_eq!(outcome.solutions.len(), 1);
         assert_eq!(outcome.solutions[0].value(a), 1);
         assert_eq!(
             outcome.stats,
             SolveStats {
                 attempts: 1,
-                propagations: 1,
+                propagations: 0,
                 restarts: 0,
                 wipeouts: 0,
                 solutions: 1,
                 escalations: 0,
                 max_trail_depth: 0,
                 incremental_hits: 0,
-                by_kind: in_work(1, 0),
+                by_kind: Default::default(),
             }
         );
     }
 
-    /// `by_kind` with `passes` `IN` passes that proved `wipeouts` wipeouts.
-    fn in_work(passes: u64, wipeouts: u64) -> [KindWork; Kind::COUNT] {
-        let mut by_kind = [KindWork::default(); Kind::COUNT];
-        by_kind[Kind::In as usize] = KindWork { passes, wipeouts };
-        by_kind
-    }
-
     #[test]
     fn solve_stats_count_wipeouts_and_restarts() {
-        // Infeasible: the root propagation wipes out immediately, no dives.
+        // Infeasible: the root propagation (session set-up, unreported)
+        // wipes out immediately, so the call makes no dives.
         let mut csp = Csp::new();
         let a = csp.add_var("a", Domain::values([2, 3]), VarCategory::Tunable);
         csp.post_in(a, [7, 9]);
         let mut rng = HeronRng::from_seed(0);
-        let outcome = rand_sat_policy(&csp, &mut rng, 4, &SolvePolicy::fixed(100));
+        let outcome = solve_once(&csp, &mut rng, 4, &SolvePolicy::fixed(100));
         assert_eq!(outcome.status, SolveStatus::RootInfeasible);
         assert!(outcome.solutions.is_empty());
         assert_eq!(
             outcome.stats,
             SolveStats {
                 attempts: 0,
-                propagations: 1,
+                propagations: 0,
                 restarts: 0,
-                wipeouts: 1,
+                wipeouts: 0,
                 solutions: 0,
                 escalations: 0,
                 max_trail_depth: 0,
                 incremental_hits: 0,
-                by_kind: in_work(1, 1),
+                by_kind: Default::default(),
             }
         );
 
@@ -1151,7 +1179,7 @@ mod tests {
         let mut csp = Csp::new();
         csp.add_var("b", Domain::values([7]), VarCategory::Tunable);
         let mut rng = HeronRng::from_seed(1);
-        let outcome = rand_sat_policy(&csp, &mut rng, 2, &SolvePolicy::fixed(100));
+        let outcome = solve_once(&csp, &mut rng, 2, &SolvePolicy::fixed(100));
         assert_eq!(outcome.status, SolveStatus::Sat);
         assert_eq!(outcome.solutions.len(), 1);
         assert_eq!(outcome.stats.attempts, 6);
@@ -1165,7 +1193,7 @@ mod tests {
         // feasible space classifies as BudgetExhausted…
         let (csp, _) = tiling_csp();
         let mut rng = HeronRng::from_seed(2);
-        let starved = rand_sat_policy(&csp, &mut rng, 4, &SolvePolicy::fixed(0));
+        let starved = solve_once(&csp, &mut rng, 4, &SolvePolicy::fixed(0));
         assert_eq!(starved.status, SolveStatus::BudgetExhausted);
         assert!(starved.solutions.is_empty());
         assert_eq!(starved.stats.escalations, 0);
@@ -1180,7 +1208,7 @@ mod tests {
             budget_cap: 1_000,
             deadline_steps: 0,
         };
-        let escalated = rand_sat_policy(&csp, &mut rng, 4, &policy);
+        let escalated = solve_once(&csp, &mut rng, 4, &policy);
         assert_eq!(escalated.status, SolveStatus::Sat);
         assert!(escalated.stats.escalations >= 1);
         assert!(!escalated.solutions.is_empty());
@@ -1193,7 +1221,7 @@ mod tests {
         let policy = SolvePolicy::default().with_deadline(1);
         let run = |seed: u64| {
             let mut rng = HeronRng::from_seed(seed);
-            rand_sat_policy(&csp, &mut rng, 8, &policy)
+            solve_once(&csp, &mut rng, 8, &policy)
         };
         let a = run(3);
         assert_eq!(a.status, SolveStatus::DeadlineExceeded);
@@ -1204,7 +1232,7 @@ mod tests {
         // A generous deadline changes nothing: still Sat.
         let generous = SolvePolicy::default().with_deadline(1_000_000);
         let mut rng = HeronRng::from_seed(3);
-        let ok = rand_sat_policy(&csp, &mut rng, 8, &generous);
+        let ok = solve_once(&csp, &mut rng, 8, &generous);
         assert_eq!(ok.status, SolveStatus::Sat);
         assert_eq!(ok.solutions.len(), 8);
     }
@@ -1219,7 +1247,7 @@ mod tests {
         // than 8 solutions — without discarding the ones it found.
         let run = |deadline: u64| {
             let mut rng = HeronRng::from_seed(9);
-            rand_sat_policy(
+            solve_once(
                 &csp,
                 &mut rng,
                 8,
@@ -1249,8 +1277,8 @@ mod tests {
         let mut rng_a = HeronRng::from_seed(11);
         let mut rng_b = HeronRng::from_seed(11);
         let policy = SolvePolicy::fixed(2_000);
-        let traced = rand_sat_traced(&csp, &mut rng_a, 8, &policy, &tracer);
-        let untraced = rand_sat_with_budget(&csp, &mut rng_b, 8, 2_000);
+        let traced = SolveSession::new(&csp).solve(&mut rng_a, 8, &policy, &tracer);
+        let untraced = solve_once(&csp, &mut rng_b, 8, &policy);
         assert_eq!(
             traced.solutions, untraced.solutions,
             "tracing must not perturb sampling"
@@ -1283,7 +1311,8 @@ mod tests {
         let b = csp.add_var("b", Domain::values([1, big]), VarCategory::Tunable);
         csp.post_sum(out, vec![a, b]);
         let mut rng = HeronRng::from_seed(4);
-        let sols = rand_sat(&csp, &mut rng, 4).expect_sat("sum near i64::MAX");
+        let sols =
+            solve_once(&csp, &mut rng, 4, &SolvePolicy::default()).expect_sat("sum near i64::MAX");
         // (2^62, 2^62) has no i64 sum; the other three pairs do.
         assert_eq!(sols.len(), 3);
         for s in &sols {
@@ -1388,7 +1417,8 @@ mod tests {
         let csp = heron_like_csp();
         let var = |name: &str| csp.var_by_name(name).expect("declared");
         let mut rng = HeronRng::from_seed(6);
-        let sols = rand_sat(&csp, &mut rng, 16).expect_sat("heron-like space");
+        let sols =
+            solve_once(&csp, &mut rng, 16, &SolvePolicy::default()).expect_sat("heron-like space");
         for s in &sols {
             assert!(validate(&csp, s));
             assert_eq!(s.value(var("tile.p0")), s.value(var("p0")));
@@ -1399,7 +1429,7 @@ mod tests {
             }
         }
         // A pin on a helper boolean is a pin on its selector.
-        let mut session = crate::SolveSession::new(&csp);
+        let mut session = SolveSession::new(&csp);
         let policy = SolvePolicy::default();
         let pinned = session
             .solve_pinned(
@@ -1428,11 +1458,14 @@ mod tests {
         let a = csp.add_var("a", Domain::range(0, 4), VarCategory::Tunable);
         let b = csp.add_var("b", Domain::range(6, 9), VarCategory::Other);
         csp.post_eq(a, b);
+        let mut session = SolveSession::new(&csp);
+        assert!(!session.root_feasible());
         let mut rng = HeronRng::from_seed(0);
-        let outcome = rand_sat(&csp, &mut rng, 2);
+        let policy = SolvePolicy::default();
+        let outcome = session.solve(&mut rng, 2, &policy, &Tracer::disabled());
         assert_eq!(outcome.status, SolveStatus::RootInfeasible);
-        assert_eq!(outcome.stats.wipeouts, 1);
-        assert_eq!(outcome.stats.by_kind[Kind::Eq as usize].wipeouts, 1);
+        // The class's wipeout is the root's, and the root is set-up.
+        assert_eq!(outcome.stats, SolveStats::default());
     }
 
     #[test]
@@ -1446,11 +1479,219 @@ mod tests {
         let len = csp.add_var("len", Domain::range(1, 64), VarCategory::LoopLength);
         csp.post_select(len, loc, vec![l1, l2, l3]);
         let mut rng = HeronRng::from_seed(9);
-        let sols = rand_sat(&csp, &mut rng, 16).expect_sat("select space");
+        let sols =
+            solve_once(&csp, &mut rng, 16, &SolvePolicy::default()).expect_sat("select space");
         assert!(!sols.is_empty());
         for s in &sols {
             let expected = [4, 16, 64][s.value(loc) as usize];
             assert_eq!(s.value(len), expected);
         }
+    }
+
+    fn three_way_csp() -> (Csp, [VarRef; 3]) {
+        let mut csp = Csp::new();
+        let n = csp.add_const("n", 64);
+        let i0 = csp.add_var("i0", Domain::divisors_of(64), VarCategory::Tunable);
+        let i1 = csp.add_var("i1", Domain::divisors_of(64), VarCategory::Tunable);
+        let i2 = csp.add_var("i2", Domain::divisors_of(64), VarCategory::Tunable);
+        csp.post_prod(n, vec![i0, i1, i2]);
+        let inner = csp.add_var("inner", Domain::range(1, 4096), VarCategory::Other);
+        csp.post_prod(inner, vec![i1, i2]);
+        let cap = csp.add_const("cap", 32);
+        csp.post_le(inner, cap);
+        (csp, [i0, i1, i2])
+    }
+
+    #[test]
+    fn reused_session_matches_a_fresh_session_per_call() {
+        let (csp, _) = three_way_csp();
+        let policy = SolvePolicy::fixed(2_000);
+        let mut session = SolveSession::new(&csp);
+        let mut rng_a = HeronRng::from_seed(17);
+        let mut rng_b = HeronRng::from_seed(17);
+        for _ in 0..3 {
+            let a = session.solve(&mut rng_a, 8, &policy, &Tracer::disabled());
+            let b = solve_once(&csp, &mut rng_b, 8, &policy);
+            assert_eq!(a.status, b.status);
+            assert_eq!(a.solutions, b.solutions, "reused session diverged");
+            // Neither call pays for the root fixpoint or an earlier call.
+            assert_eq!(a.stats, b.stats);
+        }
+    }
+
+    #[test]
+    fn pinned_solve_matches_materialised_offspring() {
+        let (csp, [i0, i1, _]) = three_way_csp();
+        let policy = SolvePolicy::fixed(2_000);
+        let mut session = SolveSession::new(&csp);
+        let pins = vec![(i0, vec![2, 8]), (i1, vec![1, 4])];
+        let mut offspring = csp.clone();
+        for (v, vals) in &pins {
+            offspring.post_in(*v, vals.iter().copied());
+        }
+        let mut rng_a = HeronRng::from_seed(23);
+        let mut rng_b = HeronRng::from_seed(23);
+        let a = session.solve_pinned(&pins, &mut rng_a, 6, &policy, &Tracer::disabled());
+        let b = solve_once(&offspring, &mut rng_b, 6, &policy);
+        assert_eq!(a.status, b.status);
+        assert_eq!(
+            a.solutions, b.solutions,
+            "incremental re-solve diverged from the from-scratch offspring solve"
+        );
+        assert_eq!(a.stats.incremental_hits, 1);
+        assert_eq!(b.stats.incremental_hits, 0);
+        // The facts of the sampled stream are the same; only the pins'
+        // fixpoint (the offspring's root, unreported) tells them apart.
+        let stream = |s: &SolveStats| (s.attempts, s.restarts, s.solutions, s.escalations);
+        assert_eq!(stream(&a.stats), stream(&b.stats));
+    }
+
+    #[test]
+    fn pinned_solve_classifies_infeasible_pins() {
+        let (csp, [i0, _, _]) = three_way_csp();
+        let mut session = SolveSession::new(&csp);
+        // 3 is not a divisor of 64: the pin wipes i0 out.
+        let pins = vec![(i0, vec![3])];
+        let mut rng = HeronRng::from_seed(1);
+        let out = session.solve_pinned(
+            &pins,
+            &mut rng,
+            4,
+            &SolvePolicy::fixed(100),
+            &Tracer::disabled(),
+        );
+        assert_eq!(out.status, SolveStatus::RootInfeasible);
+        assert!(out.solutions.is_empty());
+        assert_eq!(out.stats.incremental_hits, 0);
+        // The cached root is untouched: the base space still solves.
+        let ok = session.solve(&mut rng, 4, &SolvePolicy::fixed(2_000), &Tracer::disabled());
+        assert_eq!(ok.status, SolveStatus::Sat);
+    }
+
+    #[test]
+    fn pinned_solve_stats_do_not_depend_on_earlier_calls() {
+        // Every field of a call's counters — the schedule-dependent
+        // propagation count and trail depth included — must be the same
+        // on a fresh session and on one that has served failing calls,
+        // or a resumed tune would count differently from an
+        // uninterrupted one.
+        let (csp, [i0, i1, i2]) = three_way_csp();
+        let policy = SolvePolicy::fixed(2_000);
+        let pins = vec![(i0, vec![1, 2, 4, 8]), (i2, vec![2, 4, 8, 16])];
+        let call = |session: &mut SolveSession| {
+            let mut rng = HeronRng::from_seed(8);
+            session.solve_pinned(&pins, &mut rng, 16, &policy, &Tracer::disabled())
+        };
+        let fresh = call(&mut SolveSession::new(&csp));
+        assert!(fresh.stats.wipeouts > 0, "the call must fail somewhere");
+
+        let mut used = SolveSession::new(&csp);
+        let mut rng = HeronRng::from_seed(3);
+        // i1 · i2 = 4096 breaks both products: a propagation wipeout.
+        let dead = used.solve_pinned(
+            &[(i1, vec![64]), (i2, vec![64])],
+            &mut rng,
+            4,
+            &policy,
+            &Tracer::disabled(),
+        );
+        assert_eq!(dead.status, SolveStatus::RootInfeasible);
+        assert_eq!(dead.stats.wipeouts, 1);
+        let busy = used.solve(&mut rng, 16, &policy, &Tracer::disabled());
+        assert!(busy.stats.wipeouts > 0);
+        let again = call(&mut used);
+        assert_eq!(again.solutions, fresh.solutions);
+        assert_eq!(again.stats, fresh.stats);
+    }
+
+    /// `x ∈ [0, 10]` pinned to `[50, 2]`: a binary-search pin would call
+    /// the space infeasible although `x = 2` is allowed.
+    #[test]
+    #[should_panic(expected = "values pinned on `x` are not strictly ascending")]
+    fn unsorted_pin_on_an_interval_is_rejected() {
+        let mut csp = Csp::new();
+        let x = csp.add_var("x", Domain::range(0, 10), VarCategory::Tunable);
+        let mut session = SolveSession::new(&csp);
+        let mut rng = HeronRng::from_seed(1);
+        let policy = SolvePolicy::default();
+        session.solve_pinned(
+            &[(x, vec![50, 2])],
+            &mut rng,
+            1,
+            &policy,
+            &Tracer::disabled(),
+        );
+    }
+
+    /// `y ∈ {2, 4, 8}` pinned to `[8, 2]`: a merge-walk pin would keep
+    /// only `y = 8`.
+    #[test]
+    #[should_panic(expected = "values pinned on `y` are not strictly ascending")]
+    fn unsorted_pin_on_a_value_set_is_rejected() {
+        let mut csp = Csp::new();
+        let y = csp.add_var("y", Domain::values([2, 4, 8]), VarCategory::Tunable);
+        let mut session = SolveSession::new(&csp);
+        let mut rng = HeronRng::from_seed(1);
+        let policy = SolvePolicy::default();
+        session.solve_pinned(
+            &[(y, vec![8, 2])],
+            &mut rng,
+            4,
+            &policy,
+            &Tracer::disabled(),
+        );
+    }
+
+    #[test]
+    fn zero_sample_requests_report_no_sampling_work() {
+        // Nothing asked for, nothing attempted: in particular the
+        // escalation schedule must not run on the empty result.
+        let (csp, [i0, _, _]) = three_way_csp();
+        let policy = SolvePolicy::default();
+        let tracer = Tracer::manual();
+        let mut rng = HeronRng::from_seed(5);
+        let mut session = SolveSession::new(&csp);
+        let base = session.solve(&mut rng, 0, &policy, &tracer);
+        let pinned = session.solve_pinned(&[(i0, vec![2, 8])], &mut rng, 0, &policy, &tracer);
+        let fresh = SolveSession::new(&csp).solve(&mut rng, 0, &policy, &tracer);
+        for out in [&base, &pinned, &fresh] {
+            assert_eq!(out.status, SolveStatus::Sat);
+            assert!(out.solutions.is_empty());
+            // What is left is fixpoint work: none on the cached root, the
+            // pins' for the pinned call.
+            let fixpoint_only = SolveStats {
+                propagations: out.stats.propagations,
+                wipeouts: out.stats.wipeouts,
+                incremental_hits: out.stats.incremental_hits,
+                by_kind: out.stats.by_kind,
+                ..SolveStats::default()
+            };
+            assert_eq!(out.stats, fixpoint_only);
+        }
+        assert_eq!(base.stats, SolveStats::default());
+        assert_eq!(fresh.stats, SolveStats::default());
+        assert_eq!(pinned.stats.incremental_hits, 1);
+        assert_eq!(tracer.counter("csp.escalations"), Some(0));
+        assert_eq!(tracer.counter("csp.attempts"), Some(0));
+    }
+
+    #[test]
+    fn root_infeasible_session_classifies_every_solve() {
+        let mut csp = Csp::new();
+        let a = csp.add_var("a", Domain::values([2, 3]), VarCategory::Tunable);
+        csp.post_in(a, [7, 9]);
+        let mut session = SolveSession::new(&csp);
+        assert!(!session.root_feasible());
+        let mut rng = HeronRng::from_seed(0);
+        let out = session.solve(&mut rng, 4, &SolvePolicy::fixed(100), &Tracer::disabled());
+        assert_eq!(out.status, SolveStatus::RootInfeasible);
+        let out = session.solve_pinned(
+            &[],
+            &mut rng,
+            4,
+            &SolvePolicy::fixed(100),
+            &Tracer::disabled(),
+        );
+        assert_eq!(out.status, SolveStatus::RootInfeasible);
     }
 }

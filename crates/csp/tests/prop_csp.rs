@@ -4,8 +4,8 @@
 //! determinism policy".)
 
 use heron_csp::propagate::Propagator;
-use heron_csp::{rand_sat, validate, Constraint, Csp, Domain, Solution, VarCategory, VarRef};
-use heron_testkit::{property_cases, Gen};
+use heron_csp::{validate, Constraint, Csp, Domain, Solution, SolvePolicy, VarCategory, VarRef};
+use heron_testkit::{property_cases, solve_once, Gen};
 use std::collections::BTreeSet;
 
 /// A small random CSP description we can brute-force.
@@ -109,7 +109,7 @@ fn rand_sat_solutions_validate() {
         let seed = g.int(0, 1000) as u64;
         let csp = small.build();
         let mut rng = heron_rng::HeronRng::from_seed(seed);
-        for sol in rand_sat(&csp, &mut rng, 8).solutions {
+        for sol in solve_once(&csp, &mut rng, 8, &SolvePolicy::default()).solutions {
             assert!(
                 validate(&csp, &sol),
                 "invalid RandSAT solution for {small:?}"
@@ -128,7 +128,7 @@ fn rand_sat_finds_solutions_when_they_exist() {
         let solutions = small.brute_force();
         let csp = small.build();
         let mut rng = heron_rng::HeronRng::from_seed(seed);
-        let found = rand_sat(&csp, &mut rng, 4);
+        let found = solve_once(&csp, &mut rng, 4, &SolvePolicy::default());
         if !solutions.is_empty() {
             assert!(
                 found.is_sat() && !found.solutions.is_empty(),

@@ -19,20 +19,20 @@
 use heron_core::generate::{SpaceGenerator, SpaceOptions};
 use heron_csp::propagate::Propagator;
 use heron_csp::{
-    rand_sat_policy, Constraint, Csp, Domain, DomainStore, SolvePolicy, SolveSession, SolveStats,
-    VarCategory, VarRef,
+    Constraint, Csp, Domain, DomainStore, SolvePolicy, SolveSession, SolveStats, VarCategory,
+    VarRef,
 };
 use heron_rng::{HeronRng, Rng};
 use heron_tensor::{ops, DType};
 use heron_testkit::csp_reference::{fixpoint_reference, rand_sat_reference};
-use heron_testkit::{csp_corpus, property_cases, Gen};
+use heron_testkit::{csp_corpus, property_cases, solve_once, Gen};
 use heron_trace::Tracer;
 
 /// Runs both engines on the same seed and asserts identical outcomes.
 fn assert_engines_agree(csp: &Csp, seed: u64, n: usize, policy: &SolvePolicy, label: &str) {
     let mut rng_new = HeronRng::from_seed(seed);
     let mut rng_ref = HeronRng::from_seed(seed);
-    let new = rand_sat_policy(csp, &mut rng_new, n, policy);
+    let new = solve_once(csp, &mut rng_new, n, policy);
     let reference = rand_sat_reference(csp, &mut rng_ref, n, policy);
     assert_eq!(
         new.status, reference.status,
@@ -83,7 +83,7 @@ fn trail_engine_matches_reference_on_single_solution_corpus() {
             let (csp, pinned) = csp_corpus::single_solution_csp(g);
             let seed = g.int(0, 1_000_000) as u64;
             let mut rng = HeronRng::from_seed(seed);
-            let new = rand_sat_policy(&csp, &mut rng, 4, &SolvePolicy::default());
+            let new = solve_once(&csp, &mut rng, 4, &SolvePolicy::default());
             if new.is_sat() {
                 assert_eq!(new.solutions, vec![pinned.clone()]);
             }
@@ -429,13 +429,13 @@ fn session_matches_reference_on_heron_shaped_corpus() {
                     "heron-shaped",
                 );
             }
-            // The one-shot door runs the same presolved root.
+            // A session built for one call draws what the reused one did.
             let mut rng_new = HeronRng::from_seed(seed);
             let mut rng_ref = HeronRng::from_seed(seed);
-            let one_shot = rand_sat_policy(&csp, &mut rng_new, n, &policy);
+            let fresh = solve_once(&csp, &mut rng_new, n, &policy);
             let reference = rand_sat_reference(&csp, &mut rng_ref, n, &policy);
-            assert_eq!(one_shot.status, reference.status, "one-shot status");
-            assert_eq!(one_shot.solutions, reference.solutions, "one-shot stream");
+            assert_eq!(fresh.status, reference.status, "fresh-session status");
+            assert_eq!(fresh.solutions, reference.solutions, "fresh-session stream");
         },
     );
 }

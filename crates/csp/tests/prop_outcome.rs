@@ -1,5 +1,5 @@
 //! Property tests pinning the `SolveOutcome` classification contract
-//! (DESIGN.md §6): `rand_sat` never silently returns an empty solution
+//! (DESIGN.md §6): a solve never silently returns an empty solution
 //! set — every non-`Sat` outcome carries an explanatory status, proven
 //! UNSAT roots are *classified* (and diagnosable), and deadline-bounded
 //! solves stay deterministic.
@@ -8,12 +8,10 @@
 //! `heron_testkit::csp_corpus` (UNSAT clashes, single-solution pins,
 //! knife-edge product spaces).
 
-use heron_csp::{
-    diagnose_root_conflict, rand_sat, rand_sat_policy, validate, SolvePolicy, SolveStatus,
-};
+use heron_csp::{diagnose_root_conflict, validate, SolvePolicy, SolveStatus};
 use heron_rng::HeronRng;
 use heron_testkit::csp_corpus::{knife_edge_csp, single_solution_csp, unsat_csp};
-use heron_testkit::{property_cases, Gen};
+use heron_testkit::{property_cases, solve_once, Gen};
 
 fn solver_rng(g: &mut Gen) -> HeronRng {
     HeronRng::from_seed(g.int(0, i64::MAX) as u64)
@@ -27,7 +25,7 @@ fn unsat_roots_are_classified_and_diagnosable() {
     property_cases("outcome_unsat_classified", 48, |g| {
         let csp = unsat_csp(g);
         let mut rng = solver_rng(g);
-        let outcome = rand_sat(&csp, &mut rng, 4);
+        let outcome = solve_once(&csp, &mut rng, 4, &SolvePolicy::default());
         assert_eq!(
             outcome.status,
             SolveStatus::RootInfeasible,
@@ -51,7 +49,7 @@ fn single_solution_spaces_are_solved_exactly() {
     property_cases("outcome_single_solution", 48, |g| {
         let (csp, expected) = single_solution_csp(g);
         let mut rng = solver_rng(g);
-        let outcome = rand_sat(&csp, &mut rng, 1);
+        let outcome = solve_once(&csp, &mut rng, 1, &SolvePolicy::default());
         assert!(
             outcome.is_sat(),
             "pinned-but-satisfiable space must solve, got {:?}",
@@ -79,7 +77,7 @@ fn knife_edges_never_return_silent_empty() {
         let budget = *g.pick(&[1u32, 4, 64, 2_000]);
         let policy = SolvePolicy::fixed(budget);
         let mut rng = solver_rng(g);
-        let outcome = rand_sat_policy(&csp, &mut rng, 2, &policy);
+        let outcome = solve_once(&csp, &mut rng, 2, &policy);
         if outcome.solutions.is_empty() {
             assert_ne!(
                 outcome.status,
@@ -109,7 +107,7 @@ fn deadline_bounded_solves_are_deterministic() {
         let policy = SolvePolicy::fixed(256).with_deadline(deadline);
         let solve = || {
             let mut rng = HeronRng::from_seed(seed);
-            rand_sat_policy(&csp, &mut rng, 4, &policy)
+            solve_once(&csp, &mut rng, 4, &policy)
         };
         let (a, b) = (solve(), solve());
         assert_eq!(a.status, b.status);

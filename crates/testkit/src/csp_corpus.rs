@@ -1,12 +1,12 @@
 //! Adversarial CSP corpus — generators for pathological constraint
 //! problems (DESIGN.md §6, "Solver-side failure & repair").
 //!
-//! The hardened solver contract says `rand_sat` must *classify* every
-//! failure (`root-infeasible`, `budget-exhausted`, `deadline-exceeded`)
-//! instead of silently returning an empty solution set, and the CGA
-//! repair loop must keep valid-by-construction sampling alive on
-//! over-constrained spaces. Those guarantees only bite on nasty inputs,
-//! so this module generates three adversarial families on demand:
+//! The hardened solver contract says every `SolveSession` call must
+//! *classify* a failure (`root-infeasible`, `budget-exhausted`,
+//! `deadline-exceeded`) instead of silently returning an empty solution
+//! set, and the CGA repair loop must keep valid-by-construction sampling
+//! alive on over-constrained spaces. Those guarantees only bite on nasty
+//! inputs, so this module generates three adversarial families on demand:
 //!
 //! * [`unsat_csp`] — *provably* root-infeasible problems (a clash of two
 //!   disjoint `IN` sets on one variable, buried among benign

@@ -47,6 +47,9 @@ pub mod shrink;
 
 pub use gen::Gen;
 
+use heron_csp::{Csp, SolveOutcome, SolvePolicy, SolveSession};
+use heron_rng::Rng;
+use heron_trace::Tracer;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Mutex;
 
@@ -182,6 +185,14 @@ pub fn property(name: &str, f: impl Fn(&mut Gen)) {
 /// Run one property with an explicit base case count.
 pub fn property_cases(name: &str, cases: u32, f: impl Fn(&mut Gen)) {
     Config::with_cases(cases).run(name, f);
+}
+
+/// Samples up to `n` solutions of `csp` under `policy` on a
+/// [`SolveSession`] built for the call, untraced: the one-call shape
+/// tests and benches use, so a bench row times the session's set-up
+/// along with its solve.
+pub fn solve_once<R: Rng>(csp: &Csp, rng: &mut R, n: usize, policy: &SolvePolicy) -> SolveOutcome {
+    SolveSession::new(csp).solve(rng, n, policy, &Tracer::disabled())
 }
 
 /// Execute the property once, catching panics. Returns the panic

@@ -234,7 +234,7 @@ fn eq_closure(csp: &Csp, start: VarRef) -> Vec<VarRef> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use heron_csp::{Domain, VarCategory};
+    use heron_csp::{Domain, SolvePolicy, VarCategory};
     use heron_rng::HeronRng;
 
     /// tile-split-shaped toy: extent 16 over two parts with a twin, a
@@ -309,7 +309,8 @@ mod tests {
         let var = widen.csp.var_by_name("vec").unwrap();
         assert!(widen.csp.var(var).domain.contains(8));
         let mut rng = HeronRng::from_seed(0);
-        let sols = heron_csp::rand_sat(&widen.csp, &mut rng, 64).expect_sat("widened toy");
+        let sols = crate::solve_once(&widen.csp, &mut rng, 64, &SolvePolicy::default())
+            .expect_sat("widened toy");
         assert!(
             sols.iter().any(|s| s.value(var) == 8),
             "widened value never sampled"

@@ -44,8 +44,15 @@ fn main() {
     );
 
     println!("\n== random valid configurations (RandSAT) ==");
+    // One solver session serves every solve on this space: the presolve
+    // and the root fixpoint are computed here, once.
+    let mut session = heron::csp::SolveSession::new(&space.csp);
+    let policy = heron::csp::SolvePolicy::default();
+    let tracer = heron::trace::Tracer::disabled();
     let mut rng = HeronRng::from_seed(1);
-    let sols = heron::csp::rand_sat(&space.csp, &mut rng, 3).expect_sat("generated space");
+    let sols = session
+        .solve(&mut rng, 3, &policy, &tracer)
+        .expect_sat("generated space");
     let tunables = space.csp.tunables();
     for (i, sol) in sols.iter().enumerate() {
         let values: Vec<String> = tunables
@@ -68,9 +75,6 @@ fn main() {
     for (v, allowed) in &pins {
         println!("    {} IN {allowed:?}", space.csp.var(*v).name);
     }
-    let mut session = heron::csp::SolveSession::new(&space.csp);
-    let policy = heron::csp::SolvePolicy::default();
-    let tracer = heron::trace::Tracer::disabled();
     let children = session
         .solve_pinned(&pins, &mut rng, 2, &policy, &tracer)
         .solutions;

@@ -19,7 +19,7 @@
 //! | §4 customization | `examples/custom_dla.rs` (new accelerator from a spec) |
 //! | §5 Algorithm 2 (CGA-based exploration) | [`heron_core::tuner::Tuner::run`]; Steps 1–2 in [`heron_core::explore::cga::evolve_population`] |
 //! | §5 Algorithm 3 (constraint-based crossover/mutation) | [`heron_core::explore::cga::offspring_pins`], materialised by [`heron_core::explore::cga::materialize_offspring`] |
-//! | §5 CSP solver (RandSAT) | [`heron_csp::solver::rand_sat`] |
+//! | §5 CSP solver (RandSAT) | [`heron_csp::SolveSession`] ([`solve`][heron_csp::SolveSession::solve], [`solve_pinned`][heron_csp::SolveSession::solve_pinned]) |
 //! | §5 key-variable extraction | [`heron_core::model::CostModel::key_variables`] via [`heron_cost::Gbdt::top_features`] |
 //! | §5 Figure 5 example | unit tests in [`heron_core::explore::cga`] |
 //! | §6 platforms | [`heron_dla::v100`], [`heron_dla::t4`], [`heron_dla::a100`], [`heron_dla::dlboost`], [`heron_dla::vta`] |

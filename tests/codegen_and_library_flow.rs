@@ -75,14 +75,19 @@ fn csp_export_of_generated_space_roundtrips() {
     assert_eq!(back.num_constraints(), space.csp.num_constraints());
     // Solutions of the original validate on the parsed copy and vice versa.
     let mut rng = heron_rng::HeronRng::from_seed(31);
-    for sol in heron::csp::rand_sat(&space.csp, &mut rng, 4).solutions {
+    for sol in
+        heron_testkit::solve_once(&space.csp, &mut rng, 4, &heron::csp::SolvePolicy::default())
+            .solutions
+    {
         assert!(heron::csp::validate(&back, &sol));
     }
-    for sol in heron::csp::rand_sat(&back, &mut rng, 4).solutions {
+    for sol in
+        heron_testkit::solve_once(&back, &mut rng, 4, &heron::csp::SolvePolicy::default()).solutions
+    {
         assert!(heron::csp::validate(&space.csp, &sol));
     }
     // Solution text round trip against the parsed CSP.
-    let sol = heron::csp::rand_sat(&back, &mut rng, 1)
+    let sol = heron_testkit::solve_once(&back, &mut rng, 1, &heron::csp::SolvePolicy::default())
         .one()
         .expect("solvable");
     let stext = heron::csp::solution_to_text(&back, &sol);

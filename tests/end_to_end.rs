@@ -89,7 +89,12 @@ fn every_operator_suite_generates_on_v100() {
                 .expect("v100 supports every operator");
             // Every space is satisfiable.
             let mut rng = heron_rng::HeronRng::from_seed(9);
-            let sols = heron::csp::rand_sat(&space.csp, &mut rng, 1);
+            let sols = heron_testkit::solve_once(
+                &space.csp,
+                &mut rng,
+                1,
+                &heron::csp::SolvePolicy::default(),
+            );
             assert!(
                 sols.is_sat() && !sols.solutions.is_empty(),
                 "{op}/{} space unsatisfiable ({})",

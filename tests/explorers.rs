@@ -97,7 +97,11 @@ fn sat_decoder_offspring_are_always_valid() {
     // GA-2's defining property: decoded phenotypes satisfy CSP_initial.
     let s = space();
     let mut rng = HeronRng::from_seed(8);
-    let parents = heron::csp::rand_sat(&s.csp, &mut rng, 2).expect_sat("explorer space");
+    let mut session = heron::csp::SolveSession::new(&s.csp);
+    let policy = heron::csp::SolvePolicy::default();
+    let parents = session
+        .solve(&mut rng, 2, &policy, &heron::trace::Tracer::disabled())
+        .expect_sat("explorer space");
     for _ in 0..10 {
         let geno = heron::core::explore::classic::crossover_tunables(
             &s,
@@ -105,7 +109,9 @@ fn sat_decoder_offspring_are_always_valid() {
             &parents[1],
             &mut rng,
         );
-        if let Some(pheno) = heron::core::explore::variants::sat_decode(&s, &geno, &mut rng) {
+        if let Some(pheno) =
+            heron::core::explore::variants::sat_decode(&mut session, &geno, &mut rng)
+        {
             assert!(heron::csp::validate(&s.csp, &pheno));
         }
     }

@@ -18,7 +18,12 @@ fn check_space(
         panic!("{label}: generation failed");
     };
     let mut rng = HeronRng::from_seed(11);
-    let sols = heron::csp::rand_sat(&space.csp, &mut rng, 12);
+    let sols = heron_testkit::solve_once(
+        &space.csp,
+        &mut rng,
+        12,
+        &heron::csp::SolvePolicy::default(),
+    );
     assert!(
         sols.is_sat() && !sols.solutions.is_empty(),
         "{label}: space unsatisfiable ({})",
