@@ -9,12 +9,13 @@
 //! Hardening (see DESIGN.md §6, "Solver-side failure & repair"): an
 //! offspring CSP whose injected `IN` constraints over-constrain the space
 //! is *repaired* by dropping the most-recently-injected constraint and
-//! retrying, instead of being silently discarded. The explorer also
-//! degrades gracefully when `RandSAT` starves — falling back to random
-//! samples of `CSP_initial` and bailing out after a bounded number of
+//! retrying, instead of being silently discarded. An offspring that cannot
+//! be repaired is replaced by a fresh random sample of `CSP_initial`; the
+//! tuner that drives the evolution bails out after a bounded number of
 //! stalled rounds instead of spinning forever.
 
 use heron_csp::{Solution, SolvePolicy, SolveSession, SolveStats, SolveStatus, VarRef};
+use heron_dla::Measurer;
 use heron_rng::HeronRng;
 use heron_rng::IndexedRandom;
 use heron_rng::Rng;
@@ -22,8 +23,9 @@ use heron_trace::Tracer;
 
 use crate::generate::GeneratedSpace;
 use crate::model::CostModel;
+use crate::tuner::{TuneConfig, Tuner};
 
-use super::{push_best, roulette_wheel, Chromosome, Evaluate, Explorer};
+use super::{roulette_wheel, Chromosome, Evaluate, Explorer};
 
 /// Builds one offspring: Algorithm 3 for a single offspring, in *pin
 /// form* — the crossover `IN` constraints compiled to `(variable, allowed
@@ -136,14 +138,6 @@ pub struct CgaConfig {
     /// Step deadline per RandSAT call (0 = none). One step == one
     /// candidate-value trial inside the solver's dive.
     pub solve_deadline: u64,
-    /// Rounds without progress (no fresh population, or nothing left to
-    /// measure) tolerated before the explorer gives up.
-    pub max_stall_rounds: usize,
-    /// Fraction of the best-so-far score recorded as a penalty sample for
-    /// candidates whose measurement fails (mirrors the tuner loop's
-    /// penalty policy; keeps the cost model from learning that failures
-    /// score exactly 0.0).
-    pub penalty_fraction: f64,
 }
 
 impl CgaConfig {
@@ -167,8 +161,6 @@ impl Default for CgaConfig {
             measure_batch: 16,
             solver_budget: 400,
             solve_deadline: 0,
-            max_stall_rounds: 16,
-            penalty_fraction: 0.1,
         }
     }
 }
@@ -195,9 +187,9 @@ pub struct GenerationStats {
     pub fallback_samples: usize,
 }
 
-/// Algorithm 2 Steps 1–2, the one implementation behind both
-/// [`crate::tuner::Tuner::step`] and [`CgaExplorer`]: populate the first
-/// generation from `survivors` plus fresh `RandSAT` samples of
+/// Algorithm 2 Steps 1–2, called once per round by
+/// [`crate::tuner::Tuner::step`] (and so by [`CgaExplorer`]): populate
+/// the first generation from `survivors` plus fresh `RandSAT` samples of
 /// `CSP_initial`, then evolve `cfg.generations` generations on CSPs
 /// (roulette-wheel parents, key variables, [`offspring_pins`] +
 /// [`materialize_offspring`], a fresh sample in place of an unrecoverable
@@ -305,7 +297,8 @@ pub fn evolve_population(
     (pop, stats)
 }
 
-/// The CGA explorer: Heron's Algorithm 2 with the cost model in the loop.
+/// The CGA explorer: an [`Explorer`] adapter over the product [`Tuner`],
+/// so Figures 12 and 13 measure the loop every tuning session runs.
 #[derive(Debug)]
 pub struct CgaExplorer {
     config: CgaConfig,
@@ -341,95 +334,27 @@ impl Explorer for CgaExplorer {
         }
     }
 
+    /// Runs a [`Tuner`] for `steps` trials under [`TuneConfig::paper`]
+    /// with this explorer's [`CgaConfig`], on a fault-free [`Measurer`] of
+    /// `space.dla`, seeded with one draw from `rng`, and returns its
+    /// best-so-far curve. The tuner measures each candidate itself, so
+    /// `measure` is never called.
     fn explore(
         &mut self,
         space: &GeneratedSpace,
-        measure: &mut Evaluate<'_>,
+        _measure: &mut Evaluate<'_>,
         steps: usize,
         rng: &mut HeronRng,
     ) -> Vec<f64> {
-        let cfg = self.config;
-        let mut model = CostModel::new(&space.csp);
-        let mut curve = Vec::with_capacity(steps);
-        let mut measured: std::collections::HashSet<u64> = std::collections::HashSet::new();
-        let mut survivors: Vec<Chromosome> = Vec::new();
-        let mut stalls = 0usize;
-        // One propagator + root fixpoint for the whole run; offspring are
-        // solved incrementally from it via value pins.
-        let mut session = SolveSession::new(&space.csp);
-
-        while curve.len() < steps {
-            // Steps 1–2: populate and evolve on CSPs.
-            let (mut pop, stats) = evolve_population(
-                &mut session,
-                &model,
-                &survivors,
-                &cfg,
-                self.random_key_vars,
-                rng,
-                &Tracer::disabled(),
-            );
-            if pop.is_empty() {
-                if stats.populate_status == SolveStatus::RootInfeasible {
-                    break; // proven infeasible space: nothing to explore
-                }
-                // Solver starved (budget/deadline) on a possibly-feasible
-                // space: retry a bounded number of rounds before giving up.
-                stalls += 1;
-                if stalls > cfg.max_stall_rounds {
-                    break;
-                }
-                continue;
-            }
-
-            // Step-3: ε-greedy measurement of unmeasured candidates.
-            let unmeasured: Vec<&Chromosome> = pop
-                .iter()
-                .filter(|c| !measured.contains(&c.solution.fingerprint()))
-                .collect();
-            if unmeasured.is_empty() {
-                // Space exhausted around the population; restart randomly,
-                // but only a bounded number of times.
-                stalls += 1;
-                if stalls > cfg.max_stall_rounds {
-                    break;
-                }
-                survivors.clear();
-                continue;
-            }
-            stalls = 0;
-            let predicted: Vec<f64> = unmeasured.iter().map(|c| c.fitness).collect();
-            let budget = cfg.measure_batch.min(steps - curve.len());
-            let picks = super::eps_greedy(&predicted, budget, cfg.eps, rng);
-            for idx in picks {
-                let sol = unmeasured[idx].solution.clone();
-                measured.insert(sol.fingerprint());
-                // Failed measurements feed a *penalty* sample into the
-                // model (a fraction of the best-so-far score), mirroring
-                // the tuner loop's EvalError policy, instead of a hard 0.0
-                // that would poison the regressor near real low scores.
-                let best = curve.last().copied().unwrap_or_default();
-                let score = match measure(&sol) {
-                    Some(s) => s,
-                    None => cfg.penalty_fraction * best,
-                };
-                model.add_sample(&sol, score);
-                push_best(&mut curve, score);
-                if curve.len() >= steps {
-                    break;
-                }
-            }
-
-            // Step-4: update the cost model, refresh predicted fitness and
-            // carry the best chromosomes into the next iteration.
-            model.fit(rng);
-            for c in &mut pop {
-                c.fitness = model.predict(&c.solution);
-            }
-            pop.sort_by(|a, b| b.fitness.total_cmp(&a.fitness));
-            survivors = pop.into_iter().take(cfg.population / 2).collect();
-        }
-        curve
+        let config = TuneConfig {
+            trials: steps,
+            cga: self.config,
+            ..TuneConfig::paper()
+        };
+        let measurer = Measurer::new(space.dla.clone());
+        let mut tuner = Tuner::new(space.clone(), measurer, config, rng.random::<u64>());
+        tuner.random_key_vars = self.random_key_vars;
+        tuner.run().curve
     }
 }
 

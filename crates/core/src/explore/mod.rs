@@ -38,7 +38,9 @@ pub trait Explorer {
 
     /// Spends up to `steps` measurements and returns the best-so-far score
     /// after each of them (length == number of measurements actually
-    /// performed).
+    /// performed). `measure` scores one candidate, except under
+    /// [`cga::CgaExplorer`], which runs the product tuner on its own
+    /// fault-free measurer of `space.dla` and never calls `measure`.
     fn explore(
         &mut self,
         space: &crate::generate::GeneratedSpace,
@@ -73,13 +75,6 @@ pub fn roulette_wheel<R: Rng>(pop: &[Chromosome], n: usize, rng: &mut R) -> Vec<
     picks
 }
 
-/// ε-greedy selection of `n` candidates for measurement: with probability
-/// `1 - eps` the best-predicted unmeasured candidate, otherwise a random
-/// one. Returns indices into `candidates`.
-pub fn eps_greedy<R: Rng>(predicted: &[f64], n: usize, eps: f64, rng: &mut R) -> Vec<usize> {
-    eps_greedy_detailed(predicted, n, eps, rng).picks
-}
-
 /// The result of one ε-greedy selection round, with the exploit/explore
 /// split that the search-health log records per round.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,14 +87,11 @@ pub struct EpsGreedyPicks {
     pub explore: u32,
 }
 
-/// [`eps_greedy`] with bookkeeping: identical RNG draw sequence and pick
-/// set, plus counts of how many picks were greedy vs random.
-pub fn eps_greedy_detailed<R: Rng>(
-    predicted: &[f64],
-    n: usize,
-    eps: f64,
-    rng: &mut R,
-) -> EpsGreedyPicks {
+/// ε-greedy selection of `n` candidates for measurement: with probability
+/// `1 - eps` the best-predicted unmeasured candidate, otherwise a random
+/// one. Returns indices into `predicted` plus counts of how many picks
+/// were greedy vs random.
+pub fn eps_greedy<R: Rng>(predicted: &[f64], n: usize, eps: f64, rng: &mut R) -> EpsGreedyPicks {
     let mut order: Vec<usize> = (0..predicted.len()).collect();
     // total_cmp: NaN predictions are sanitised to -inf at the model, so
     // the order is strict and deterministic.
@@ -184,7 +176,7 @@ mod tests {
     fn eps_greedy_zero_eps_is_pure_ranking() {
         let pred = [0.5, 3.0, 1.0, 2.0];
         let mut rng = HeronRng::from_seed(2);
-        let picks = eps_greedy(&pred, 3, 0.0, &mut rng);
+        let picks = eps_greedy(&pred, 3, 0.0, &mut rng).picks;
         assert_eq!(picks, vec![1, 3, 2]);
     }
 
@@ -192,7 +184,7 @@ mod tests {
     fn eps_greedy_never_repeats() {
         let pred = [1.0, 2.0, 3.0, 4.0, 5.0];
         let mut rng = HeronRng::from_seed(3);
-        let picks = eps_greedy(&pred, 5, 0.8, &mut rng);
+        let picks = eps_greedy(&pred, 5, 0.8, &mut rng).picks;
         let mut sorted = picks.clone();
         sorted.sort_unstable();
         sorted.dedup();
@@ -200,24 +192,22 @@ mod tests {
     }
 
     #[test]
-    fn eps_greedy_detailed_matches_plain_and_splits() {
+    fn eps_greedy_splits_exploit_and_explore() {
         let pred = [0.5, 3.0, 1.0, 2.0, 4.0, 0.1];
         for eps in [0.0, 0.3, 1.0] {
-            let mut a = HeronRng::from_seed(9);
-            let mut b = HeronRng::from_seed(9);
-            let plain = eps_greedy(&pred, 4, eps, &mut a);
-            let detail = eps_greedy_detailed(&pred, 4, eps, &mut b);
-            assert_eq!(plain, detail.picks, "eps = {eps}");
+            let mut rng = HeronRng::from_seed(9);
+            let d = eps_greedy(&pred, 4, eps, &mut rng);
             assert_eq!(
-                (detail.exploit + detail.explore) as usize,
-                detail.picks.len()
+                (d.exploit + d.explore) as usize,
+                d.picks.len(),
+                "eps = {eps}"
             );
         }
         // Pure greed / pure exploration pin the split exactly.
         let mut rng = HeronRng::from_seed(4);
-        let d = eps_greedy_detailed(&pred, 3, 0.0, &mut rng);
+        let d = eps_greedy(&pred, 3, 0.0, &mut rng);
         assert_eq!((d.exploit, d.explore), (3, 0));
-        let d = eps_greedy_detailed(&pred, 3, 1.0, &mut rng);
+        let d = eps_greedy(&pred, 3, 1.0, &mut rng);
         assert_eq!((d.exploit, d.explore), (0, 3));
     }
 

@@ -42,7 +42,7 @@ use heron_trace::{ProfileNode, Tracer};
 use crate::checkpoint::{write_result, CheckpointError, TuneCheckpoint};
 use crate::control::TunerControl;
 use crate::explore::cga::{evolve_population, CgaConfig, GenerationStats};
-use crate::explore::{eps_greedy_detailed, Chromosome};
+use crate::explore::{eps_greedy, push_best, Chromosome};
 use crate::generate::GeneratedSpace;
 use crate::model::CostModel;
 
@@ -202,8 +202,6 @@ impl TuneConfig {
                 measure_batch: 8,
                 solver_budget: 300,
                 solve_deadline: 0,
-                max_stall_rounds: 16,
-                penalty_fraction: 0.1,
             },
             ..TuneConfig::paper()
         }
@@ -645,6 +643,11 @@ pub struct Tuner {
     /// resume — its setup cost is never charged to any round's stats, so
     /// resumed runs stay byte-identical).
     solver: SolveSession,
+    /// CGA-1 ablation: draw key variables at random instead of from the
+    /// cost model. Set only by [`crate::explore::cga::CgaExplorer::cga1`]'s
+    /// adapter, which never checkpoints, so the checkpoint does not carry
+    /// it and [`Tuner::resume`] starts with `false`.
+    pub(crate) random_key_vars: bool,
 }
 
 impl Tuner {
@@ -665,6 +668,7 @@ impl Tuner {
             tracer: Tracer::disabled(),
             control: TunerControl::new(),
             solver,
+            random_key_vars: false,
         }
     }
 
@@ -888,7 +892,7 @@ impl Tuner {
             &self.state.model,
             &self.state.survivors,
             &cfg.cga,
-            false,
+            self.random_key_vars,
             &mut self.rng,
             &tracer,
         );
@@ -982,7 +986,7 @@ impl Tuner {
             .cga
             .measure_batch
             .min(cfg.trials - self.state.result.curve.len());
-        let sel = eps_greedy_detailed(&predicted, budget, cfg.cga.eps, &mut self.rng);
+        let sel = eps_greedy(&predicted, budget, cfg.cga.eps, &mut self.rng);
         tracer.counter_add("tuner.eps_rounds", 1);
         let chosen: Vec<Solution> = sel
             .picks
@@ -1211,8 +1215,7 @@ impl Tuner {
             }
         };
         res.timing.sim_s += t.elapsed().as_secs_f64();
-        let prev = res.curve.last().copied().unwrap_or_default();
-        res.curve.push(prev.max(score));
+        push_best(&mut res.curve, score);
         self.state.model.add_sample(sol, score);
         self.state.samples.push((sol.values().to_vec(), score));
         score
@@ -1345,6 +1348,7 @@ impl Tuner {
             tracer: Tracer::disabled(),
             control: TunerControl::new(),
             solver,
+            random_key_vars: false,
         })
     }
 }

@@ -8,7 +8,7 @@ use heron::core::explore::variants::{InfeasibilityDrivenGa, SatDecoderGa, Stocha
 use heron::core::explore::Explorer;
 use heron::core::tuner::evaluate;
 use heron::prelude::*;
-use heron_rng::HeronRng;
+use heron_rng::{HeronRng, Rng};
 
 fn space() -> GeneratedSpace {
     let dag = heron::tensor::ops::gemm(512, 512, 512);
@@ -82,6 +82,26 @@ fn cga_outperforms_sa_at_fixed_seed() {
         cga_best > sa_best,
         "CGA {cga_best} should beat SA {sa_best}"
     );
+}
+
+#[test]
+fn cga_explorer_is_the_product_tuner() {
+    // The adapter runs `Tuner` on the same device and seed stream: its
+    // curve is the tuner's, bit for bit.
+    let steps = 40;
+    let via_explorer = run(&mut CgaExplorer::new(CgaConfig::default()), steps, 5);
+    let s = space();
+    let config = TuneConfig {
+        trials: steps,
+        cga: CgaConfig::default(),
+        ..TuneConfig::paper()
+    };
+    let seed = HeronRng::from_seed(5).random();
+    let tuned = Tuner::new(s.clone(), Measurer::new(s.dla), config, seed).run();
+    assert_eq!(via_explorer, tuned.curve);
+    // CGA-1's random key variables reach the tuner's evolution step.
+    let cga1 = run(&mut CgaExplorer::cga1(CgaConfig::default()), steps, 5);
+    assert_ne!(cga1, via_explorer, "CGA-1 must not run plain CGA");
 }
 
 #[test]
