@@ -8,7 +8,7 @@
 //! heron-cli tune    ... [--solve-deadline STEPS] [--diagnose]
 //! heron-cli compare --dla v100 --op c2d  --shape 16x56x56x64x64x3x1x1 [--trials N]
 //! heron-cli census  --dla v100 --op gemm --shape 512x512x512
-//! heron-cli export  --dla v100 --op gemm --shape 512x512x512   # CSP_initial as text
+//! heron-cli export  --dla v100 --op gemm --shape 512x512x512   # CSP_initial, sealed heron-csp v2
 //! ```
 //!
 //! Fault tolerance: `--fault-rate 0.2` injects deterministic transient
@@ -504,14 +504,16 @@ fn census_cmd(args: &[String]) {
 fn export_cmd(args: &[String]) {
     let c = common(args);
     let dag = c.workload.build(c.spec.in_dtype);
-    match SpaceGenerator::new(c.spec.clone()).generate_named(
-        &dag,
-        &SpaceOptions::heron(),
-        &c.workload.name,
-    ) {
-        Ok(space) => print!("{}", heron_csp::to_text(&space.csp)),
+    let text = SpaceGenerator::new(c.spec.clone())
+        .generate_named(&dag, &SpaceOptions::heron(), &c.workload.name)
+        .map_err(|e| format!("cannot generate: {e}"))
+        .and_then(|space| {
+            heron_csp::to_text(&space.csp).map_err(|e| format!("cannot export: {e}"))
+        });
+    match text {
+        Ok(text) => print!("{text}"),
         Err(e) => {
-            eprintln!("cannot generate: {e}");
+            eprintln!("{e}");
             std::process::exit(1);
         }
     }

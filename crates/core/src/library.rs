@@ -2,32 +2,40 @@
 //!
 //! A [`KernelLibrary`] maps workload signatures to their best tuned
 //! configurations. It supports batch generation over a workload list,
-//! lookup (with the lowered kernel reconstructed on demand), and a plain
+//! lookup (with the lowered kernel reconstructed on demand), and a sealed
 //! text on-disk format so a generated library ships with an application
 //! and is loaded without re-tuning — the "high-performance software
 //! library with well-established APIs" of the paper's title.
 //!
-//! The text format is deliberately simple and diff-friendly:
+//! The format, `heron-library v2`, is a [`kv`] document: one section per
+//! entry, its four fields in this order, then one `var` line per tunable;
+//! floats are exact IEEE-754 bits.
 //!
 //! ```text
-//! heron-library v1
-//! [workload-key]
+//! heron-library v2
+//! entry = gemm-1024
 //! dla = v100
-//! gflops = 56203.4
-//! latency_s = 3.82e-5
-//! var.tile.C.i0 = 16
-//! var.tile.C.i1 = 8
+//! gflops = 40eb71cccccccccd
+//! latency_s = 3f04074f5db2a9e6
+//! var = tile.C.i0 16
+//! var = tile.C.i1 8
 //! …
+//! crc32 = 0123abcd
 //! ```
+//!
+//! [`KernelLibrary::save`] writes atomically and [`KernelLibrary::load`]
+//! checks the CRC first, so a damaged file is
+//! [`CheckpointError::Corrupt`] and a `heron-library v1` file
+//! [`CheckpointError::VersionMismatch`].
 
 use std::collections::BTreeMap;
-use std::fmt;
 use std::path::Path;
 
 use heron_csp::{SolvePolicy, SolveSession};
 use heron_dla::Measurer;
 use heron_sched::{lower, Kernel};
 use heron_tensor::Dag;
+use heron_trace::kv::{self, Bits, CheckpointError, Entry};
 use heron_trace::Tracer;
 
 use crate::generate::{GeneratedSpace, SpaceGenerator, SpaceOptions};
@@ -53,38 +61,7 @@ pub struct KernelLibrary {
     entries: BTreeMap<String, LibraryEntry>,
 }
 
-/// Errors from loading a library file.
-#[derive(Debug)]
-pub enum LibraryError {
-    /// I/O failure.
-    Io(std::io::Error),
-    /// Malformed content.
-    Parse {
-        /// 1-based line number.
-        line: usize,
-        /// What went wrong.
-        message: String,
-    },
-}
-
-impl fmt::Display for LibraryError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LibraryError::Io(e) => write!(f, "library i/o error: {e}"),
-            LibraryError::Parse { line, message } => {
-                write!(f, "library parse error at line {line}: {message}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for LibraryError {}
-
-impl From<std::io::Error> for LibraryError {
-    fn from(e: std::io::Error) -> Self {
-        LibraryError::Io(e)
-    }
-}
+const HEADER: &str = "heron-library v2";
 
 impl KernelLibrary {
     /// Creates an empty library.
@@ -184,109 +161,95 @@ impl KernelLibrary {
         .ok()
     }
 
-    /// Serialises the library to its text format.
-    pub fn to_text(&self) -> String {
-        let mut out = String::from("heron-library v1\n");
-        for (key, e) in &self.entries {
-            out.push_str(&format!("[{key}]\n"));
-            out.push_str(&format!("dla = {}\n", e.dla));
-            out.push_str(&format!("gflops = {}\n", e.gflops));
-            out.push_str(&format!("latency_s = {:e}\n", e.latency_s));
-            for (name, value) in &e.tunables {
-                out.push_str(&format!("var.{name} = {value}\n"));
-            }
-        }
-        out
-    }
-
-    /// Parses the text format.
+    /// Serialises the library to its sealed text format.
     ///
     /// # Errors
-    /// Returns [`LibraryError::Parse`] on malformed input.
-    pub fn from_text(text: &str) -> Result<Self, LibraryError> {
-        let mut lines = text.lines().enumerate();
-        let parse_err = |line: usize, message: &str| LibraryError::Parse {
-            line: line + 1,
-            message: message.to_string(),
-        };
-        match lines.next() {
-            Some((_, "heron-library v1")) => {}
-            _ => return Err(parse_err(0, "missing `heron-library v1` header")),
+    /// [`CheckpointError::Unwritable`] when a key or platform name holds a
+    /// `#`, a line break or surrounding whitespace, or a tunable name is
+    /// not a single token.
+    pub fn to_text(&self) -> Result<String, CheckpointError> {
+        let mut w = kv::Writer::new(HEADER);
+        for (key, e) in &self.entries {
+            w.line("entry", kv::value(key)?);
+            w.line("dla", kv::value(&e.dla)?);
+            w.line("gflops", Bits(e.gflops));
+            w.line("latency_s", Bits(e.latency_s));
+            for (name, value) in &e.tunables {
+                w.line("var", format_args!("{} {value}", kv::word(name)?));
+            }
         }
+        Ok(w.seal())
+    }
+
+    /// Parses the sealed text format.
+    ///
+    /// # Errors
+    /// [`CheckpointError::Corrupt`] or [`CheckpointError::VersionMismatch`]
+    /// for a damaged file or another version; [`CheckpointError::Parse`]
+    /// naming the line of a malformed field, a field out of order or
+    /// missing from its section, or a repeated key or tunable.
+    pub fn from_text(text: &str) -> Result<Self, CheckpointError> {
         let mut lib = KernelLibrary::new();
-        let mut current: Option<(String, LibraryEntry)> = None;
-        for (ln, raw) in lines {
-            let line = raw.trim();
-            if line.is_empty() {
+        let mut open: Option<(Entry<'_>, LibraryEntry)> = None;
+        let mut fields = kv::unseal(text, HEADER)?;
+        while let Some(e) = fields.next().transpose()? {
+            if e.key == "var" {
+                let (_, entry) = open.as_mut().ok_or_else(|| e.error("before any `entry`"))?;
+                let mut t = e.tokens();
+                let (name, value) = (t.word()?, t.num()?);
+                t.end()?;
+                if entry.tunables.insert(name.to_string(), value).is_some() {
+                    return Err(e.error(format!("repeated tunable `{name}`")));
+                }
                 continue;
             }
-            if let Some(key) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
-                if let Some((k, e)) = current.take() {
-                    lib.insert(k, e);
-                }
-                current = Some((
-                    key.to_string(),
-                    LibraryEntry {
-                        dla: String::new(),
-                        gflops: 0.0,
-                        latency_s: 0.0,
-                        tunables: BTreeMap::new(),
-                    },
-                ));
-                continue;
+            lib.close(open.take())?;
+            if e.key != "entry" {
+                return Err(e.error("expected `entry` or `var`"));
             }
-            let Some((field, value)) = line.split_once('=') else {
-                return Err(parse_err(ln, "expected `field = value`"));
+            // The section's fixed fields, in order.
+            let mut field = |name: &str| match fields.next().transpose()? {
+                Some(f) if f.key == name => Ok(f),
+                Some(f) => Err(f.error(format!("expected `{name}`"))),
+                None => Err(e.error(format!("section ends before `{name}`"))),
             };
-            let (field, value) = (field.trim(), value.trim());
-            let Some((_, entry)) = current.as_mut() else {
-                return Err(parse_err(ln, "field before any [workload] section"));
+            let entry = LibraryEntry {
+                dla: field("dla")?.value.to_string(),
+                gflops: field("gflops").and_then(|f| f.bits(f.value))?,
+                latency_s: field("latency_s").and_then(|f| f.bits(f.value))?,
+                tunables: BTreeMap::new(),
             };
-            match field {
-                "dla" => entry.dla = value.to_string(),
-                "gflops" => {
-                    entry.gflops = value
-                        .parse()
-                        .map_err(|_| parse_err(ln, "bad gflops number"))?;
-                }
-                "latency_s" => {
-                    entry.latency_s = value
-                        .parse()
-                        .map_err(|_| parse_err(ln, "bad latency number"))?;
-                }
-                other => {
-                    let Some(name) = other.strip_prefix("var.") else {
-                        return Err(parse_err(ln, "unknown field"));
-                    };
-                    let v: i64 = value
-                        .parse()
-                        .map_err(|_| parse_err(ln, "bad variable value"))?;
-                    entry.tunables.insert(name.to_string(), v);
-                }
-            }
+            open = Some((e, entry));
         }
-        if let Some((k, e)) = current.take() {
-            lib.insert(k, e);
-        }
+        lib.close(open)?;
         Ok(lib)
     }
 
-    /// Saves the library to a file.
+    /// Adds a section read by [`KernelLibrary::from_text`], refusing a
+    /// repeated key.
+    fn close(&mut self, section: Option<(Entry<'_>, LibraryEntry)>) -> Result<(), CheckpointError> {
+        if let Some((at, entry)) = section {
+            if self.entries.insert(at.value.to_string(), entry).is_some() {
+                return Err(at.error(format!("repeated key `{}`", at.value)));
+            }
+        }
+        Ok(())
+    }
+
+    /// Saves the library to a file, atomically.
     ///
     /// # Errors
-    /// Propagates I/O failures.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), LibraryError> {
-        std::fs::write(path, self.to_text())?;
-        Ok(())
+    /// As [`KernelLibrary::to_text`], and [`CheckpointError::Io`].
+    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
+        kv::save(path, &self.to_text()?)
     }
 
     /// Loads a library from a file.
     ///
     /// # Errors
-    /// Propagates I/O and parse failures.
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, LibraryError> {
-        let text = std::fs::read_to_string(path)?;
-        KernelLibrary::from_text(&text)
+    /// [`CheckpointError::Io`], and as [`KernelLibrary::from_text`].
+    pub fn load(path: impl AsRef<Path>) -> Result<Self, CheckpointError> {
+        KernelLibrary::from_text(&kv::load(path)?)
     }
 }
 
@@ -321,6 +284,14 @@ mod tests {
 
     #[test]
     fn text_roundtrip_preserves_everything() {
+        let lib = sample();
+        let text = lib.to_text().expect("writable");
+        let back = KernelLibrary::from_text(&text).expect("parses");
+        assert_eq!(lib, back);
+        assert_eq!(back.to_text().unwrap(), text);
+    }
+
+    fn sample() -> KernelLibrary {
         let mut lib = KernelLibrary::new();
         lib.insert(
             "gemm-1",
@@ -334,9 +305,7 @@ mod tests {
                 ]),
             },
         );
-        let text = lib.to_text();
-        let back = KernelLibrary::from_text(&text).expect("parses");
-        assert_eq!(lib, back);
+        lib
     }
 
     #[test]
@@ -358,11 +327,94 @@ mod tests {
 
     #[test]
     fn parse_errors_are_located() {
-        let bad = "heron-library v1\n[k]\nnonsense line\n";
-        match KernelLibrary::from_text(bad) {
-            Err(LibraryError::Parse { line, .. }) => assert_eq!(line, 3),
-            other => panic!("expected parse error, got {other:?}"),
+        /// `body` sealed under the library header.
+        fn doc(body: &str) -> String {
+            let text = format!("{HEADER}\n{body}");
+            format!("{text}crc32 = {:08x}\n", kv::crc32(text.as_bytes()))
         }
-        assert!(KernelLibrary::from_text("wrong header").is_err());
+        let bits = |x: f64| Bits(x).to_string();
+        let fields = format!(
+            "dla = v100\ngflops = {}\nlatency_s = {}\n",
+            bits(2.0),
+            bits(0.5)
+        );
+        for (body, line) in [
+            ("entry = k\nnonsense line\n".to_string(), 3),
+            ("entry = k\n".to_string(), 2),
+            ("entry = k\ndla = v100\ndla = v100\n".to_string(), 4),
+            (format!("entry = k\n{fields}dla = v100\n"), 6),
+            (format!("entry = k\ngflops = {}\n", bits(2.0)), 3),
+            ("entry = k\ndla = v100\ngflops = 2.0\n".to_string(), 4),
+            (format!("entry = k\n{fields}entry = k\n{fields}"), 6),
+            (format!("entry = k\n{fields}var = t 1\nvar = t 2\n"), 7),
+            (format!("entry = k\n{fields}var = t 1 2\n"), 6),
+            ("var = t 1\n".to_string(), 2),
+        ] {
+            match KernelLibrary::from_text(&doc(&body)) {
+                Err(CheckpointError::Parse { line: l, .. }) => assert_eq!(l, line, "{body:?}"),
+                other => panic!("{body:?}: expected a parse error, got {other:?}"),
+            }
+        }
+        let v1 = "heron-library v1\n[k]\ndla = v100\n";
+        let err = KernelLibrary::from_text(v1).unwrap_err();
+        assert!(
+            matches!(err, CheckpointError::VersionMismatch { .. }),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn names_the_format_cannot_carry_are_refused() {
+        for (key, dla, tunable) in [
+            ("a#b", "v100", "t"),
+            (" k", "v100", "t"),
+            ("k\nentry = j", "v100", "t"),
+            ("k", "v100 ", "t"),
+            ("k", "v100", "t u"),
+        ] {
+            let mut lib = KernelLibrary::new();
+            let tunables = BTreeMap::from([(tunable.to_string(), 1)]);
+            let (dla, gflops, latency_s) = (dla.to_string(), 1.0, 1.0);
+            lib.insert(
+                key,
+                LibraryEntry {
+                    dla,
+                    gflops,
+                    latency_s,
+                    tunables,
+                },
+            );
+            let err = lib.to_text().unwrap_err();
+            assert!(
+                matches!(err, CheckpointError::Unwritable(_)),
+                "{key:?}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_byte_flip_and_truncation_of_a_saved_library_is_corrupt() {
+        let path = std::env::temp_dir().join(format!("heron-lib-{}.lib", std::process::id()));
+        sample().save(&path).expect("saves");
+        let saved = std::fs::read(&path).expect("reads");
+        assert_eq!(KernelLibrary::load(&path).expect("loads"), sample());
+        std::fs::remove_file(&path).ok();
+        for off in 0..saved.len() {
+            let mut bytes = saved.clone();
+            bytes[off] ^= 0x01;
+            let err = KernelLibrary::from_text(&String::from_utf8(bytes).unwrap()).unwrap_err();
+            assert!(
+                matches!(err, CheckpointError::Corrupt { .. }),
+                "{off}: {err}"
+            );
+        }
+        let text = String::from_utf8(saved).unwrap();
+        for cut in 0..text.len() {
+            let err = KernelLibrary::from_text(&text[..cut]).unwrap_err();
+            assert!(
+                matches!(err, CheckpointError::Corrupt { .. }),
+                "{cut}: {err}"
+            );
+        }
     }
 }

@@ -44,7 +44,7 @@ pub use diagnose::{diagnose_root_conflict, root_feasible, ConflictEntry, Conflic
 pub use domain::Domain;
 pub use problem::{Csp, Solution, VarCategory, VarRef};
 pub use propagate::{Kind, KindWork};
-pub use serialize::{from_text, solution_from_text, solution_to_text, to_text};
+pub use serialize::{from_text, to_text};
 pub use solver::{validate, SolveOutcome, SolvePolicy, SolveSession, SolveStats, SolveStatus};
 pub use stats::{tunable_domains, SpaceCensus};
 pub use store::DomainStore;

@@ -1,39 +1,36 @@
-//! Plain-text (de)serialisation of CSPs and solutions.
+//! The CSP text format, `heron-csp v2`: a sealed [`kv`] document with one
+//! variable declaration or constraint per line.
 //!
-//! Lets generated spaces be cached on disk, inspected, or diffed. The
-//! format is line-oriented and self-describing:
+//! Lets generated spaces be cached on disk, inspected, or diffed:
 //!
 //! ```text
-//! heron-csp v1
-//! var tile.C.i0 tunable values 1,2,4,8
-//! var grid other range 1..4096
-//! var m arch values 8,16,32
-//! prod grid = tile.C.i0 m
-//! in m 8,16,32
-//! le grid m
-//! select grid m <- tile.C.i0 m
+//! heron-csp v2
+//! var = tile.C.i0 tunable values 1 2 4 8
+//! var = grid other range 1 4096
+//! var = m arch values 8 16 32
+//! prod = grid tile.C.i0 m
+//! in = m 8 16 32
+//! le = grid m
+//! select = grid m tile.C.i0 m
+//! crc32 = 0123abcd
 //! ```
+//!
+//! A `var` line is a name, a category and a domain. `prod`/`sum` name
+//! the output, then the operands; `select` the output, the index, then
+//! the choices; `in` a variable, then its values. Names are single
+//! tokens: [`to_text`] refuses a CSP whose names the format cannot carry.
+//! Reading goes through [`kv::unseal`], so a truncated or bit-flipped
+//! file is [`CheckpointError::Corrupt`], a `heron-csp v1` file
+//! [`CheckpointError::VersionMismatch`], and every malformed line a
+//! [`CheckpointError::Parse`] naming it.
+
+use heron_trace::kv::{self, CheckpointError, Entry, Tokens, Words};
 
 use crate::constraint::Constraint;
 use crate::domain::Domain;
-use crate::problem::{Csp, Solution, VarCategory, VarRef};
+use crate::problem::{Csp, VarCategory, VarRef};
 
-/// Error from parsing the text format.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
-    /// 1-based line number.
-    pub line: usize,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl std::fmt::Display for ParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "csp parse error at line {}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for ParseError {}
+const HEADER: &str = "heron-csp v2";
 
 fn category_tag(c: VarCategory) -> &'static str {
     match c {
@@ -54,252 +51,140 @@ fn parse_category(tag: &str) -> Option<VarCategory> {
     })
 }
 
-/// Serialises a CSP to the text format.
-pub fn to_text(csp: &Csp) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("heron-csp v1\n");
-    for (_, decl) in csp.vars() {
-        match &decl.domain {
-            Domain::Values(v) => {
-                let vals: Vec<String> = v.iter().map(|x| x.to_string()).collect();
-                let _ = writeln!(
-                    out,
-                    "var {} {} values {}",
-                    decl.name,
-                    category_tag(decl.category),
-                    vals.join(",")
-                );
-            }
-            Domain::Range { lo, hi } => {
-                let _ = writeln!(
-                    out,
-                    "var {} {} range {lo}..{hi}",
-                    decl.name,
-                    category_tag(decl.category)
-                );
-            }
-        }
-    }
-    let name = |r: VarRef| csp.var(r).name.clone();
-    for c in csp.constraints() {
-        match c {
-            Constraint::Prod { out: o, factors } => {
-                let fs: Vec<String> = factors.iter().map(|&f| name(f)).collect();
-                let _ = writeln!(out, "prod {} = {}", name(*o), fs.join(" "));
-            }
-            Constraint::Sum { out: o, terms } => {
-                let ts: Vec<String> = terms.iter().map(|&t| name(t)).collect();
-                let _ = writeln!(out, "sum {} = {}", name(*o), ts.join(" "));
-            }
-            Constraint::Eq(a, b) => {
-                let _ = writeln!(out, "eq {} {}", name(*a), name(*b));
-            }
-            Constraint::Le(a, b) => {
-                let _ = writeln!(out, "le {} {}", name(*a), name(*b));
-            }
-            Constraint::In { var, values } => {
-                let vals: Vec<String> = values.iter().map(|x| x.to_string()).collect();
-                let _ = writeln!(out, "in {} {}", name(*var), vals.join(","));
-            }
-            Constraint::Select {
-                out: o,
-                index,
-                choices,
-            } => {
-                let cs: Vec<String> = choices.iter().map(|&x| name(x)).collect();
-                let _ = writeln!(
-                    out,
-                    "select {} {} <- {}",
-                    name(*o),
-                    name(*index),
-                    cs.join(" ")
-                );
-            }
-        }
-    }
-    out
-}
-
-/// Parses the text format back into a CSP.
+/// Serialises a CSP to the sealed text format.
 ///
 /// # Errors
-/// Returns [`ParseError`] on any malformed line or dangling reference.
-pub fn from_text(text: &str) -> Result<Csp, ParseError> {
-    let err = |line: usize, message: &str| ParseError {
-        line: line + 1,
-        message: message.into(),
-    };
-    let mut lines = text.lines().enumerate();
-    match lines.next() {
-        Some((_, "heron-csp v1")) => {}
-        _ => return Err(err(0, "missing `heron-csp v1` header")),
-    }
-    let mut csp = Csp::new();
-    let lookup = |csp: &Csp, ln: usize, name: &str| {
-        csp.var_by_name(name)
-            .ok_or_else(|| err(ln, &format!("unknown variable `{name}`")))
-    };
-    let parse_values = |ln: usize, text: &str| -> Result<Vec<i64>, ParseError> {
-        text.split(',')
-            .map(|v| {
-                v.trim()
-                    .parse::<i64>()
-                    .map_err(|_| err(ln, &format!("bad value `{v}`")))
-            })
-            .collect()
-    };
-    for (ln, raw) in lines {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
+/// [`CheckpointError::Unwritable`] when a variable name is not a single
+/// token without `#`.
+pub fn to_text(csp: &Csp) -> Result<String, CheckpointError> {
+    let mut w = kv::Writer::new(HEADER);
+    for (_, decl) in csp.vars() {
+        let (name, tag) = (kv::word(&decl.name)?, category_tag(decl.category));
+        match &decl.domain {
+            Domain::Values(v) => w.line("var", format_args!("{name} {tag} values {}", Words(v))),
+            Domain::Range { lo, hi } => w.line("var", format_args!("{name} {tag} range {lo} {hi}")),
         }
-        let mut words = line.split_whitespace();
-        let keyword = words.next().expect("non-empty line");
-        match keyword {
+    }
+    // Every name below was checked as a declaration above.
+    for c in csp.constraints() {
+        match c {
+            Constraint::Prod { out, factors } => w.line("prod", names(csp, &[*out], factors)),
+            Constraint::Sum { out, terms } => w.line("sum", names(csp, &[*out], terms)),
+            Constraint::Eq(a, b) => w.line("eq", names(csp, &[*a, *b], &[])),
+            Constraint::Le(a, b) => w.line("le", names(csp, &[*a, *b], &[])),
+            Constraint::In { var, values } => w.line(
+                "in",
+                format_args!("{} {}", csp.var(*var).name, Words(values)),
+            ),
+            Constraint::Select {
+                out,
+                index,
+                choices,
+            } => w.line("select", names(csp, &[*out, *index], choices)),
+        }
+    }
+    Ok(w.seal())
+}
+
+/// Parses the sealed text format back into a CSP.
+///
+/// # Errors
+/// [`CheckpointError::Corrupt`] or [`CheckpointError::VersionMismatch`]
+/// for a damaged file or another version; [`CheckpointError::Parse`]
+/// naming the line of any malformed declaration or constraint, a
+/// duplicate variable, an empty or negative domain, or a dangling
+/// reference.
+pub fn from_text(text: &str) -> Result<Csp, CheckpointError> {
+    let mut csp = Csp::new();
+    for entry in kv::unseal(text, HEADER)? {
+        let e = entry?;
+        let mut t = e.tokens();
+        match e.key {
             "var" => {
-                let name = words.next().ok_or_else(|| err(ln, "var needs a name"))?;
-                let cat = words
-                    .next()
-                    .and_then(parse_category)
-                    .ok_or_else(|| err(ln, "bad category"))?;
-                let kind = words.next().ok_or_else(|| err(ln, "missing domain kind"))?;
-                let body = words.next().ok_or_else(|| err(ln, "missing domain body"))?;
-                let domain = match kind {
-                    "values" => Domain::values(parse_values(ln, body)?),
+                let name = t.word()?;
+                let category = parse_category(t.word()?)
+                    .ok_or_else(|| e.error("category must be arch|loop|tunable|other"))?;
+                let domain = match t.word()? {
+                    "values" => {
+                        let values = t.rest::<i64>()?;
+                        match values.iter().min() {
+                            None => return Err(e.error("needs at least one value")),
+                            Some(&v) if v < 0 => return Err(e.error("values must be >= 0")),
+                            Some(_) => Domain::values(values),
+                        }
+                    }
                     "range" => {
-                        let (lo, hi) = body
-                            .split_once("..")
-                            .ok_or_else(|| err(ln, "range needs lo..hi"))?;
-                        let lo = lo.parse().map_err(|_| err(ln, "bad range lo"))?;
-                        let hi = hi.parse().map_err(|_| err(ln, "bad range hi"))?;
+                        let (lo, hi) = (t.num()?, t.num()?);
+                        t.end()?;
+                        if !(0 <= lo && lo <= hi) {
+                            return Err(e.error(format!("range needs 0 <= lo <= hi: {lo} {hi}")));
+                        }
                         Domain::range(lo, hi)
                     }
-                    _ => return Err(err(ln, "domain kind must be values|range")),
+                    _ => return Err(e.error("domain kind must be values|range")),
                 };
-                csp.add_var(name, domain, cat);
-            }
-            "prod" | "sum" => {
-                let out_name = words.next().ok_or_else(|| err(ln, "missing output"))?;
-                let eq = words.next();
-                if eq != Some("=") {
-                    return Err(err(ln, "expected `=`"));
+                if csp.var_by_name(name).is_some() {
+                    return Err(e.error(format!("duplicate variable `{name}`")));
                 }
-                let out = lookup(&csp, ln, out_name)?;
-                let operands: Result<Vec<VarRef>, ParseError> =
-                    words.map(|w| lookup(&csp, ln, w)).collect();
-                let operands = operands?;
-                if operands.is_empty() {
-                    return Err(err(ln, "needs at least one operand"));
-                }
-                if keyword == "prod" {
-                    csp.post_prod(out, operands);
-                } else {
-                    csp.post_sum(out, operands);
-                }
-            }
-            "eq" | "le" => {
-                let a = lookup(
-                    &csp,
-                    ln,
-                    words.next().ok_or_else(|| err(ln, "missing lhs"))?,
-                )?;
-                let b = lookup(
-                    &csp,
-                    ln,
-                    words.next().ok_or_else(|| err(ln, "missing rhs"))?,
-                )?;
-                if keyword == "eq" {
-                    csp.post_eq(a, b);
-                } else {
-                    csp.post_le(a, b);
-                }
+                csp.add_var(name, domain, category);
             }
             "in" => {
-                let var = lookup(
-                    &csp,
-                    ln,
-                    words.next().ok_or_else(|| err(ln, "missing var"))?,
-                )?;
-                let vals =
-                    parse_values(ln, words.next().ok_or_else(|| err(ln, "missing values"))?)?;
-                csp.post_in(var, vals);
-            }
-            "select" => {
-                let out = lookup(
-                    &csp,
-                    ln,
-                    words.next().ok_or_else(|| err(ln, "missing out"))?,
-                )?;
-                let index = lookup(
-                    &csp,
-                    ln,
-                    words.next().ok_or_else(|| err(ln, "missing index"))?,
-                )?;
-                if words.next() != Some("<-") {
-                    return Err(err(ln, "expected `<-`"));
+                let var = lookup(&csp, &e, t.word()?)?;
+                let values = t.rest::<i64>()?;
+                if values.is_empty() {
+                    return Err(e.error("needs at least one value"));
                 }
-                let choices: Result<Vec<VarRef>, ParseError> =
-                    words.map(|w| lookup(&csp, ln, w)).collect();
-                let choices = choices?;
-                if choices.is_empty() {
-                    return Err(err(ln, "select needs choices"));
-                }
-                csp.post_select(out, index, choices);
+                csp.post_in(var, values);
             }
-            other => return Err(err(ln, &format!("unknown keyword `{other}`"))),
+            "prod" | "sum" | "eq" | "le" | "select" => {
+                let c = match (e.key, lookup_all(&csp, &e, t)?.as_slice()) {
+                    ("prod", [out, factors @ ..]) if !factors.is_empty() => Constraint::Prod {
+                        out: *out,
+                        factors: factors.to_vec(),
+                    },
+                    ("sum", [out, terms @ ..]) if !terms.is_empty() => Constraint::Sum {
+                        out: *out,
+                        terms: terms.to_vec(),
+                    },
+                    ("eq", &[a, b]) => Constraint::Eq(a, b),
+                    ("le", &[a, b]) => Constraint::Le(a, b),
+                    ("select", [out, index, choices @ ..]) if !choices.is_empty() => {
+                        Constraint::Select {
+                            out: *out,
+                            index: *index,
+                            choices: choices.to_vec(),
+                        }
+                    }
+                    ("eq" | "le", _) => return Err(e.error("needs exactly two variables")),
+                    ("select", _) => return Err(e.error("needs an output, an index and a choice")),
+                    _ => return Err(e.error("needs an output and an operand")),
+                };
+                csp.post(c);
+            }
+            other => return Err(e.error(format!("unknown keyword `{other}`"))),
         }
     }
     Ok(csp)
 }
 
-/// Serialises a solution as `name = value` lines against its CSP.
-pub fn solution_to_text(csp: &Csp, sol: &Solution) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("heron-solution v1\n");
-    for (r, decl) in csp.vars() {
-        let _ = writeln!(out, "{} = {}", decl.name, sol.value(r));
-    }
-    out
+/// The names of `head` then `rest`, space-separated.
+fn names<'a>(
+    csp: &'a Csp,
+    head: &'a [VarRef],
+    rest: &'a [VarRef],
+) -> Words<impl Iterator<Item = &'a String> + Clone> {
+    Words(head.iter().chain(rest).map(|r| &csp.var(*r).name))
 }
 
-/// Parses a solution produced by [`solution_to_text`] for `csp`.
-///
-/// # Errors
-/// Returns [`ParseError`] on malformed lines, unknown variables, or
-/// missing assignments.
-pub fn solution_from_text(csp: &Csp, text: &str) -> Result<Solution, ParseError> {
-    let err = |line: usize, message: &str| ParseError {
-        line: line + 1,
-        message: message.into(),
-    };
-    let mut lines = text.lines().enumerate();
-    match lines.next() {
-        Some((_, "heron-solution v1")) => {}
-        _ => return Err(err(0, "missing `heron-solution v1` header")),
-    }
-    let mut values = vec![None; csp.num_vars()];
-    for (ln, raw) in lines {
-        let line = raw.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let (name, value) = line
-            .split_once('=')
-            .ok_or_else(|| err(ln, "expected name = value"))?;
-        let var = csp
-            .var_by_name(name.trim())
-            .ok_or_else(|| err(ln, &format!("unknown variable `{}`", name.trim())))?;
-        let v: i64 = value.trim().parse().map_err(|_| err(ln, "bad value"))?;
-        values[var.0] = Some(v);
-    }
-    let values: Option<Vec<i64>> = values.into_iter().collect();
-    match values {
-        Some(v) => Ok(Solution::new(v)),
-        None => Err(ParseError {
-            line: 0,
-            message: "missing assignments".into(),
-        }),
-    }
+/// The declared variable `name`.
+fn lookup(csp: &Csp, e: &Entry<'_>, name: &str) -> Result<VarRef, CheckpointError> {
+    csp.var_by_name(name)
+        .ok_or_else(|| e.error(format!("unknown variable `{name}`")))
+}
+
+/// Every remaining token as a declared variable.
+fn lookup_all(csp: &Csp, e: &Entry<'_>, t: Tokens<'_>) -> Result<Vec<VarRef>, CheckpointError> {
+    t.map(|name| lookup(csp, e, name)).collect()
 }
 
 #[cfg(test)]
@@ -326,10 +211,17 @@ mod tests {
         csp
     }
 
+    /// `body` sealed under this format's header.
+    fn doc(body: &str) -> String {
+        let text = format!("{HEADER}\n{body}");
+        format!("{text}crc32 = {:08x}\n", kv::crc32(text.as_bytes()))
+    }
+
     #[test]
     fn csp_text_roundtrip() {
         let csp = sample_csp();
-        let text = to_text(&csp);
+        let text = to_text(&csp).expect("writable names");
+        assert!(text.contains("\nselect = pick idx x y\n"), "{text}");
         let back = from_text(&text).expect("parses");
         assert_eq!(back.num_vars(), csp.num_vars());
         assert_eq!(back.num_constraints(), csp.num_constraints());
@@ -342,43 +234,62 @@ mod tests {
             assert!(crate::solver::validate(&back, &sol));
         }
         // Second round trip is a fixed point.
-        assert_eq!(to_text(&back), text);
-    }
-
-    #[test]
-    fn solution_text_roundtrip() {
-        let csp = sample_csp();
-        let mut rng = HeronRng::from_seed(2);
-        let sol = SolveSession::new(&csp)
-            .solve(&mut rng, 1, &SolvePolicy::default(), &Tracer::disabled())
-            .one()
-            .expect("solvable");
-        let text = solution_to_text(&csp, &sol);
-        let back = solution_from_text(&csp, &text).expect("parses");
-        assert_eq!(back, sol);
+        assert_eq!(to_text(&back).unwrap(), text);
     }
 
     #[test]
     fn parse_errors_have_line_numbers() {
-        assert!(from_text("nope").is_err());
-        let bad = "heron-csp v1\nvar x tunable values 1,2\nwobble x y\n";
-        let e = from_text(bad).expect_err("unknown keyword");
-        assert_eq!(e.line, 3);
-        let dangling = "heron-csp v1\neq a b\n";
-        assert!(from_text(dangling).is_err());
+        for (body, line) in [
+            ("var = x tunable values 1 2\nwobble = x y\n", 3),
+            ("eq = a b\n", 2),
+            ("var = x tunable range 5 1\n", 2),
+            ("var = x tunable range -1 3\n", 2),
+            ("var = x tunable values -1\n", 2),
+            ("var = x tunable values\n", 2),
+            ("var = x tunable values 1\nvar = x other range 0 4\n", 3),
+            ("var = x tunable values 1 trailing junk\n", 2),
+            ("var = x tunable range 1 3 junk\n", 2),
+            ("var = x tunable values 1\nin = x\n", 3),
+            ("var = x tunable values 1\nprod = x\n", 3),
+            ("var = x tunable values 1\nle = x x x\n", 3),
+            ("var = x tunable values 1\nselect = x x\n", 3),
+            ("var = x sideways values 1\n", 2),
+            ("no equals sign\n", 2),
+        ] {
+            match from_text(&doc(body)) {
+                Err(CheckpointError::Parse { line: l, .. }) => assert_eq!(l, line, "{body:?}"),
+                other => panic!("{body:?} → {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn damaged_and_old_files_are_told_apart() {
+        let text = to_text(&sample_csp()).unwrap();
+        let err = from_text(&text[..text.len() - 3]).unwrap_err();
+        assert!(matches!(err, CheckpointError::Corrupt { .. }), "{err}");
+        let v1 = "heron-csp v1\nvar x tunable values 1,2\n";
+        let err = from_text(v1).unwrap_err();
+        assert!(
+            matches!(err, CheckpointError::VersionMismatch { .. }),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn names_the_format_cannot_carry_are_refused() {
+        for bad in ["a b", "a#b", "", "x\n"] {
+            let mut csp = Csp::new();
+            csp.add_var(bad, Domain::values([1]), VarCategory::Tunable);
+            let err = to_text(&csp).unwrap_err();
+            assert!(matches!(err, CheckpointError::Unwritable(_)), "{bad:?}");
+        }
     }
 
     #[test]
     fn comments_and_blank_lines_are_ignored() {
-        let text = "heron-csp v1\n\n# a comment\nvar x tunable values 1,2\n";
-        let csp = from_text(text).expect("parses");
+        let text = doc("\n# a comment\nvar = x tunable values 1 2 # trailing\n");
+        let csp = from_text(&text).expect("parses");
         assert_eq!(csp.num_vars(), 1);
-    }
-
-    #[test]
-    fn solution_requires_every_variable() {
-        let csp = sample_csp();
-        let partial = "heron-solution v1\nx = 2\n";
-        assert!(solution_from_text(&csp, partial).is_err());
     }
 }

@@ -501,23 +501,15 @@ mod tests {
             .lines()
             .find_map(|l| l.strip_prefix("insight.round = "))
             .unwrap();
-        assert_eq!(line.split_whitespace().count(), 24);
+        assert_eq!(line.split(' ').count(), 24);
         // A pre-trail-solver checkpoint lacks the two trailing counters.
-        let legacy = line
-            .split_whitespace()
-            .take(22)
-            .collect::<Vec<_>>()
-            .join(" ");
+        let legacy = line.split(' ').take(22).collect::<Vec<_>>().join(" ");
         let mut back = SearchLog::new("", "", 0, 0);
         apply(&mut back, "insight.round", &legacy).expect("legacy lines must decode");
         assert_eq!(back.rounds[0].solver_max_trail, 0);
         assert_eq!(back.rounds[0].solver_incremental, 0);
         assert_eq!(back.rounds[0].round, 3);
-        let short = line
-            .split_whitespace()
-            .take(23)
-            .collect::<Vec<_>>()
-            .join(" ");
+        let short = line.split(' ').take(23).collect::<Vec<_>>().join(" ");
         assert!(apply(&mut back, "insight.round", &short).is_err());
     }
 

@@ -15,6 +15,8 @@
 //! charged simulated seconds, so an SLO like `recovery_max_s <= 40`
 //! means 40 simulated seconds regardless of host speed.
 
+use heron_trace::kv;
+
 /// Rule direction: the SLI must stay below (`<=`) or above (`>=`) the
 /// threshold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,57 +71,52 @@ impl SloSpec {
         SloSpec::default()
     }
 
-    /// Parses a spec document.
+    /// Parses a spec document. Lines are read by [`kv::lines`], so
+    /// blank lines and `#` comments, whole-line or trailing, are skipped.
     ///
     /// # Errors
-    /// A message naming the first malformed line.
+    /// A message naming the first malformed line, including a threshold
+    /// that is not a finite number (a `NaN` bound never breaches).
     pub fn parse(text: &str) -> Result<Self, String> {
-        let mut rules = Vec::new();
-        for (idx, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let toks: Vec<&str> = line.split_whitespace().collect();
-            if toks.len() != 3 && toks.len() != 5 {
-                return Err(format!(
-                    "line {}: expected `metric <=|>= value [warn value]`, got `{line}`",
-                    idx + 1
-                ));
-            }
-            let op = match toks[1] {
+        let rules = kv::lines(text).map(|line| {
+            let bad = |message: String| format!("line {}: {message}", line.line);
+            let toks: Vec<&str> = line.tokens().collect();
+            let (metric, op, threshold, warn) = match toks[..] {
+                [m, op, t] => (m, op, t, None),
+                [m, op, t, w, v] => (m, op, t, Some((w, v))),
+                _ => {
+                    return Err(bad(format!(
+                        "expected `metric <=|>= value [warn value]`, got `{}`",
+                        line.text
+                    )))
+                }
+            };
+            let op = match op {
                 "<=" => SloOp::Le,
                 ">=" => SloOp::Ge,
-                other => {
-                    return Err(format!("line {}: unknown operator `{other}`", idx + 1));
-                }
+                other => return Err(bad(format!("unknown operator `{other}`"))),
             };
-            let num = |s: &str| {
-                s.parse::<f64>()
-                    .map_err(|_| format!("line {}: `{s}` is not a number", idx + 1))
+            let num = |s: &str| match s.parse::<f64>() {
+                Ok(x) if x.is_finite() => Ok(x),
+                Ok(_) => Err(bad(format!("`{s}` is not a finite number"))),
+                Err(_) => Err(bad(format!("`{s}` is not a number"))),
             };
-            let threshold = num(toks[2])?;
-            let warn = if toks.len() == 5 {
-                if toks[3] != "warn" {
-                    return Err(format!(
-                        "line {}: expected `warn <value>`, got `{} {}`",
-                        idx + 1,
-                        toks[3],
-                        toks[4]
-                    ));
-                }
-                Some(num(toks[4])?)
-            } else {
-                None
+            let threshold = num(threshold)?;
+            let warn = match warn {
+                None => None,
+                Some(("warn", v)) => Some(num(v)?),
+                Some((w, v)) => return Err(bad(format!("expected `warn <value>`, got `{w} {v}`"))),
             };
-            rules.push(SloRule {
-                metric: toks[0].to_string(),
+            Ok(SloRule {
+                metric: metric.to_string(),
                 op,
                 threshold,
                 warn,
-            });
-        }
-        Ok(SloSpec { rules })
+            })
+        });
+        Ok(SloSpec {
+            rules: rules.collect::<Result<_, _>>()?,
+        })
     }
 }
 
@@ -132,7 +129,7 @@ mod tests {
         let spec = SloSpec::parse(
             "\
 # service health
-reject_rate <= 0.2
+reject_rate <= 0.2 # trailing comments are skipped
 
 recovery_max_s <= 40 warn 10
 sol_per_kprop >= 1.5
@@ -156,6 +153,10 @@ sol_per_kprop >= 1.5
             ("m < 1", "unknown operator"),
             ("m <= x", "not a number"),
             ("m <= 1 alert 2", "expected `warn"),
+            ("m <= NaN", "not a finite number"),
+            ("m <= 1 warn NaN", "not a finite number"),
+            ("m >= inf", "not a finite number"),
+            ("ok <= 1 # fine\nm <= -inf", "line 2"),
         ] {
             let err = SloSpec::parse(bad).unwrap_err();
             assert!(err.contains(want), "{bad} → {err}");

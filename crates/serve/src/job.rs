@@ -25,6 +25,7 @@
 
 use heron_dla::DlaSpec;
 use heron_tensor::ops::Conv2dConfig;
+use heron_trace::kv;
 use heron_workloads::{OpKind, Workload};
 
 use crate::plan::{ChaosPlan, KillKind, KillRule};
@@ -42,6 +43,14 @@ pub enum JobError {
         expected: usize,
         /// Number of dimensions actually supplied.
         got: usize,
+    },
+    /// A shape component that is not a positive integer (a convolution's
+    /// padding may also be 0).
+    BadDimension {
+        /// Operator whose shape was malformed.
+        op: String,
+        /// The offending component.
+        component: String,
     },
     /// No platform with this name in `heron_dla::platforms::all()`.
     UnknownPlatform(String),
@@ -65,6 +74,10 @@ impl std::fmt::Display for JobError {
                     "op `{op}` expects {expected} shape components, got {got}"
                 )
             }
+            JobError::BadDimension { op, component } => write!(
+                f,
+                "op `{op}` shape component `{component}` is not a positive integer"
+            ),
             JobError::UnknownPlatform(p) => write!(f, "unknown platform `{p}`"),
             JobError::BadScript { line, reason } => {
                 write!(f, "job script line {line}: {reason}")
@@ -207,45 +220,52 @@ pub struct JobScript {
 /// Parses a job script. Jobs are validated syntactically (`key=value`
 /// form, numeric fields parse) but *not* semantically — admission owns
 /// workload/platform validation so a bad job is rejected, not fatal.
+/// Lines are read by [`kv::lines`], so blank lines and `#` comments,
+/// whole-line or trailing, are skipped.
 pub fn parse_script(text: &str) -> Result<JobScript, JobError> {
     let mut config = ServeConfig::default();
     let mut jobs: Vec<JobSpec> = Vec::new();
     let mut plan = ChaosPlan::none();
 
-    for (idx, raw) in text.lines().enumerate() {
-        let line_no = idx + 1;
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
+    for line in kv::lines(text) {
         let bad = |reason: String| JobError::BadScript {
-            line: line_no,
+            line: line.line,
             reason,
         };
-        if let Some((key, value)) = split_directive(line) {
+        // Directives are `key = value` with a bare identifier key; job/kill
+        // statements start with a keyword and contain spaces before any `=`.
+        let directive = line.entry().filter(|d| {
+            !d.key.is_empty()
+                && d.key
+                    .bytes()
+                    .all(|b| b.is_ascii_alphanumeric() || b == b'_')
+        });
+        if let Some(kv::Entry { key, value: v, .. }) = directive {
+            let not_num = || bad(format!("`{key}` is not a number: `{v}`"));
+            let c = &mut config;
             match key {
-                "workers" => config.workers = parse_num(value, key, line_no)?,
-                "queue_capacity" => config.queue_capacity = parse_num(value, key, line_no)?,
-                "restart_budget" => config.restart_budget = parse_num(value, key, line_no)?,
-                "checkpoint_every" => config.checkpoint_every = parse_num(value, key, line_no)?,
-                "poll_interval_ms" => config.poll_interval_ms = parse_num(value, key, line_no)?,
-                "hang_grace_polls" => config.hang_grace_polls = parse_num(value, key, line_no)?,
+                "workers" => c.workers = v.parse().map_err(|_| not_num())?,
+                "queue_capacity" => c.queue_capacity = v.parse().map_err(|_| not_num())?,
+                "restart_budget" => c.restart_budget = v.parse().map_err(|_| not_num())?,
+                "checkpoint_every" => c.checkpoint_every = v.parse().map_err(|_| not_num())?,
+                "poll_interval_ms" => c.poll_interval_ms = v.parse().map_err(|_| not_num())?,
+                "hang_grace_polls" => c.hang_grace_polls = v.parse().map_err(|_| not_num())?,
                 "drain_after_completions" => {
-                    config.drain_after_completions = parse_num(value, key, line_no)?
+                    c.drain_after_completions = v.parse().map_err(|_| not_num())?
                 }
-                "ring_capacity" => config.ring_capacity = parse_num(value, key, line_no)?,
+                "ring_capacity" => c.ring_capacity = v.parse().map_err(|_| not_num())?,
                 "ring_only" => {
-                    config.ring_only = value.parse().map_err(|_| {
-                        bad(format!("`ring_only` must be true|false, got `{value}`"))
-                    })?
+                    c.ring_only = v
+                        .parse()
+                        .map_err(|_| bad(format!("`ring_only` must be true|false, got `{v}`")))?
                 }
                 other => return Err(bad(format!("unknown directive `{other}`"))),
             }
             continue;
         }
-        let mut words = line.split_whitespace();
-        match words.next() {
-            Some("job") => {
+        let mut words = line.tokens();
+        match words.next().unwrap_or_default() {
+            "job" => {
                 let id = words
                     .next()
                     .ok_or_else(|| bad("`job` needs an id".to_string()))?;
@@ -254,18 +274,17 @@ pub fn parse_script(text: &str) -> Result<JobScript, JobError> {
                     let (k, v) = field
                         .split_once('=')
                         .ok_or_else(|| bad(format!("expected key=value, got `{field}`")))?;
+                    let not_num = || bad(format!("`{k}` is not a number: `{v}`"));
                     match k {
                         "op" => spec.op = v.to_string(),
                         "shape" => spec.shape = v.to_string(),
                         "dla" => spec.dla = v.to_string(),
-                        "trials" => spec.trials = parse_num(v, k, line_no)?,
-                        "seed" => spec.seed = parse_num(v, k, line_no)?,
-                        "fault_rate" => {
-                            spec.fault_rate = v
-                                .parse()
-                                .map_err(|_| bad(format!("`{k}` is not a number: `{v}`")))?
+                        "trials" => spec.trials = v.parse().map_err(|_| not_num())?,
+                        "seed" => spec.seed = v.parse().map_err(|_| not_num())?,
+                        "fault_rate" => spec.fault_rate = v.parse().map_err(|_| not_num())?,
+                        "deadline_rounds" => {
+                            spec.deadline_rounds = v.parse().map_err(|_| not_num())?
                         }
-                        "deadline_rounds" => spec.deadline_rounds = parse_num(v, k, line_no)?,
                         other => return Err(bad(format!("unknown job field `{other}`"))),
                     }
                 }
@@ -274,7 +293,7 @@ pub fn parse_script(text: &str) -> Result<JobScript, JobError> {
                 }
                 jobs.push(spec);
             }
-            Some("kill") => {
+            "kill" => {
                 let job = words
                     .next()
                     .ok_or_else(|| bad("`kill` needs a job id".to_string()))?;
@@ -288,9 +307,10 @@ pub fn parse_script(text: &str) -> Result<JobScript, JobError> {
                     let (k, v) = field
                         .split_once('=')
                         .ok_or_else(|| bad(format!("expected key=value, got `{field}`")))?;
+                    let not_num = || bad(format!("`{k}` is not a number: `{v}`"));
                     match k {
-                        "attempt" => rule.attempt = parse_num(v, k, line_no)?,
-                        "round" => rule.round = parse_num(v, k, line_no)?,
+                        "attempt" => rule.attempt = v.parse().map_err(|_| not_num())?,
+                        "round" => rule.round = v.parse().map_err(|_| not_num())?,
                         "kind" => {
                             rule.kind = match v {
                                 "crash" => KillKind::Crash,
@@ -307,36 +327,33 @@ pub fn parse_script(text: &str) -> Result<JobScript, JobError> {
                 }
                 plan.push(rule);
             }
-            Some(other) => return Err(bad(format!("unknown statement `{other}`"))),
-            None => unreachable!("blank lines are skipped above"),
+            other => return Err(bad(format!("unknown statement `{other}`"))),
         }
     }
     Ok(JobScript { config, jobs, plan })
 }
 
-fn split_directive(line: &str) -> Option<(&str, &str)> {
-    // Directives are `key = value` with a bare identifier key; job/kill
-    // statements start with a keyword and contain spaces before any `=`.
-    let (k, v) = line.split_once('=')?;
-    let key = k.trim();
-    if key.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') && !key.is_empty() {
-        Some((key, v.trim()))
-    } else {
-        None
-    }
-}
-
-fn parse_num<T: std::str::FromStr>(value: &str, key: &str, line: usize) -> Result<T, JobError> {
-    value.parse().map_err(|_| JobError::BadScript {
-        line,
-        reason: format!("`{key}` is not a number: `{value}`"),
-    })
-}
-
 /// Builds the workload for `op` × `shape`, mirroring the CLI's operator
 /// table but returning errors instead of exiting.
 pub fn parse_workload(op: &str, shape: &str) -> Result<Workload, JobError> {
-    let d: Vec<i64> = shape.split('x').filter_map(|t| t.parse().ok()).collect();
+    // Every dimension must be at least 1 or building the DAG panics; only
+    // a convolution's padding may be 0.
+    let padding = match op {
+        "c1d" => Some(5),
+        "c2d" | "c3d" => Some(6),
+        _ => None,
+    };
+    let d = shape
+        .split('x')
+        .enumerate()
+        .map(|(i, t)| match t.parse::<i64>() {
+            Ok(v) if v > 0 || (v == 0 && padding == Some(i)) => Ok(v),
+            _ => Err(JobError::BadDimension {
+                op: op.to_string(),
+                component: t.to_string(),
+            }),
+        })
+        .collect::<Result<Vec<i64>, _>>()?;
     let expect = |n: usize| -> Result<(), JobError> {
         if d.len() == n {
             Ok(())
@@ -422,7 +439,7 @@ mod tests {
     fn script_round_trips_config_jobs_and_kills() {
         let script = "\
 # demo
-workers = 3
+workers = 3 # trailing comments are skipped
 queue_capacity = 5
 restart_budget = 1
 checkpoint_every = 2
@@ -431,7 +448,7 @@ ring_only = true
 
 job g1 op=gemm shape=96x96x96 trials=40 seed=11
 job g2 op=gemv shape=256x256x8 trials=32 seed=13 fault_rate=0.15 deadline_rounds=4
-kill g1 attempt=0 round=3 kind=crash
+kill g1 attempt=0 round=3 kind=crash # first attempt dies
 kill g2 attempt=1 round=2 kind=hang
 ";
         let parsed = parse_script(script).expect("parses");
@@ -485,6 +502,18 @@ kill g2 attempt=1 round=2 kind=hang
             JobSpec::new("a", "fft", "8x8").validate(),
             Err(JobError::UnknownOp("fft".to_string()))
         );
+        for (shape, component) in [("8xfoox8x8", "foo"), ("0x8x8", "0"), ("-4x8x8", "-4")] {
+            assert_eq!(
+                JobSpec::new("a", "gemm", shape).validate(),
+                Err(JobError::BadDimension {
+                    op: "gemm".to_string(),
+                    component: component.to_string()
+                })
+            );
+        }
+        JobSpec::new("a", "c2d", "1x8x8x4x4x3x0x1")
+            .validate()
+            .expect("a convolution's padding may be 0");
         let mut spec = JobSpec::new("a", "gemm", "8x8x8");
         spec.dla = "tpu9".to_string();
         assert_eq!(

@@ -404,15 +404,22 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// The deepest nesting of arrays and objects [`parse`] accepts. The
+/// parser recurses once per level, so input from outside the program
+/// must not choose the depth; every artifact this workspace writes
+/// nests fewer than ten levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one complete JSON document; trailing whitespace allowed,
 /// anything else after the value is an error.
 ///
 /// # Errors
-/// A human-readable message with a byte offset on malformed input.
+/// A human-readable message with a byte offset on malformed input,
+/// including nesting deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Json, String> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -435,12 +442,15 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
+        None => Err(format!("unexpected end of input at byte {pos}")),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"))
+        }
+        Some(b'{') => parse_object(b, pos, depth + 1),
+        Some(b'[') => parse_array(b, pos, depth + 1),
         Some(b'"') => parse_string(b, pos).map(Json::Str),
         Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
@@ -459,7 +469,7 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Json) -> Result<Json, Stri
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(b, pos, b'{')?;
     let mut members = Vec::new();
     skip_ws(b, pos);
@@ -472,7 +482,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         let key = parse_string(b, pos)?;
         skip_ws(b, pos);
         expect(b, pos, b':')?;
-        let value = parse_value(b, pos)?;
+        let value = parse_value(b, pos, depth)?;
         members.push((key, value));
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -486,7 +496,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(b, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -495,7 +505,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -509,11 +519,12 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
 }
 
 fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
+    let start = *pos;
     expect(b, pos, b'"')?;
     let mut out = String::new();
     loop {
         match b.get(*pos) {
-            None => return Err("unterminated string".into()),
+            None => return Err(format!("unterminated string at byte {start}")),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
@@ -530,16 +541,16 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{0008}'),
                     Some(b'f') => out.push('\u{000c}'),
                     Some(b'u') => {
-                        let hex = b
+                        // Four hex digits naming a scalar value. Surrogates
+                        // are rejected rather than paired: the tracer never
+                        // emits them.
+                        let c = b
                             .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| "truncated \\u escape".to_string())?;
-                        let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                        let code =
-                            u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape digits")?;
-                        // Surrogates are rejected rather than paired: the
-                        // tracer never emits them.
-                        let c = char::from_u32(code)
-                            .ok_or_else(|| format!("\\u{hex} is not a scalar value"))?;
+                            .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+                            .and_then(|h| std::str::from_utf8(h).ok())
+                            .and_then(|h| u32::from_str_radix(h, 16).ok())
+                            .and_then(char::from_u32)
+                            .ok_or_else(|| format!("bad \\u escape at byte {pos}"))?;
                         out.push(c);
                         *pos += 4;
                     }
@@ -547,7 +558,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
                 *pos += 1;
             }
-            Some(&c) if c < 0x20 => return Err(format!("raw control byte at {pos}")),
+            Some(&c) if c < 0x20 => return Err(format!("raw control byte at byte {pos}")),
             Some(_) => {
                 // Consume one UTF-8 code point.
                 let s = &b[*pos..];
@@ -578,10 +589,13 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     {
         *pos += 1;
     }
-    let text = std::str::from_utf8(&b[start..*pos]).map_err(|_| "invalid number bytes")?;
-    text.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| format!("invalid number `{text}` at byte {start}"))
+    // Only ASCII bytes were consumed, so the slice is valid UTF-8. A
+    // number too large for an `f64` has no finite value to render back.
+    let text = std::str::from_utf8(&b[start..*pos]).unwrap_or_default();
+    match text.parse::<f64>() {
+        Ok(n) if n.is_finite() => Ok(Json::Num(n)),
+        _ => Err(format!("invalid number `{text}` at byte {start}")),
+    }
 }
 
 #[cfg(test)]
@@ -622,9 +636,25 @@ mod tests {
             "{'single':1}",
             "nul",
             "{\"a\":--1}",
+            "1e999",
+            "\"\\u+123\"",
+            "\"\\u12",
         ] {
-            assert!(parse(bad).is_err(), "accepted: {bad:?}");
+            let err = parse(bad).expect_err(bad);
+            assert!(err.contains("at byte "), "{bad:?} → {err}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_byte_offset() {
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&deepest).is_ok());
+        assert_eq!(
+            parse(&"[".repeat(1_000_000)).unwrap_err(),
+            format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}")
+        );
+        let objects = format!("{}1", "{\"a\":".repeat(MAX_DEPTH + 1));
+        assert!(parse(&objects).unwrap_err().starts_with("nesting deeper"));
     }
 
     #[test]

@@ -1,6 +1,9 @@
-//! The sealed `key = value` text codec behind every checkpoint: the
-//! tuner's `heron-checkpoint v2`, the search log's `insight.*` lines
-//! inside it, and the auditor's `heron-audit-ckpt-v2`.
+//! The line-oriented text codec behind every checkpoint and sealed
+//! artifact: the tuner's `heron-checkpoint v2`, the search log's
+//! `insight.*` lines inside it, the auditor's `heron-audit-ckpt-v2`, the
+//! kernel library's `heron-library v2` and the CSP export's
+//! `heron-csp v2`. The job-script and SLO grammars read through its
+//! unsealed [`lines`] and [`Tokens`].
 //!
 //! A document is a header line, then `key = value` lines (blank lines and
 //! `#` comments, whole-line or trailing, are ignored), then a footer
@@ -70,6 +73,9 @@ pub enum CheckpointError {
     /// The checkpoint is intact but does not belong to the session it
     /// was applied to (wrong workload, platform or solution arity).
     Mismatch(String),
+    /// A string the format cannot carry unchanged ([`value`], [`word`]):
+    /// refused when writing, so reading never gives back a mangled one.
+    Unwritable(String),
 }
 
 impl Display for CheckpointError {
@@ -87,6 +93,7 @@ impl Display for CheckpointError {
                 write!(f, "checkpoint parse error at line {line}: {message}")
             }
             CheckpointError::Mismatch(msg) => write!(f, "checkpoint mismatch: {msg}"),
+            CheckpointError::Unwritable(msg) => write!(f, "checkpoint cannot carry {msg}"),
         }
     }
 }
@@ -176,6 +183,31 @@ where
     }
 }
 
+/// `s` unchanged when it can be written as a whole value: [`unseal`]
+/// gives a value back without `#` comments, line breaks and surrounding
+/// whitespace, so a string holding any of them is refused.
+///
+/// # Errors
+/// [`CheckpointError::Unwritable`] naming `s`.
+pub fn value(s: &str) -> Result<&str> {
+    if s.contains(['#', '\n']) || s.trim() != s {
+        return Err(CheckpointError::Unwritable(format!("{s:?} as a value")));
+    }
+    Ok(s)
+}
+
+/// `s` unchanged when it can be written as one token of a value: as
+/// [`value`], and non-empty with no whitespace inside.
+///
+/// # Errors
+/// [`CheckpointError::Unwritable`] naming `s`.
+pub fn word(s: &str) -> Result<&str> {
+    if s.is_empty() || s.contains(char::is_whitespace) {
+        return Err(CheckpointError::Unwritable(format!("{s:?} as a token")));
+    }
+    value(s)
+}
+
 /// A document being written: a header, `key = value` lines, then either
 /// [`Writer::seal`] (a checkpoint) or [`Writer::finish`] (bare lines).
 #[derive(Debug, Default)]
@@ -263,21 +295,13 @@ pub fn load(path: impl AsRef<Path>) -> Result<String> {
 /// # Errors
 /// As above.
 pub fn unseal<'a>(text: &'a str, header: &str) -> Result<Entries<'a>> {
-    let body = verify_footer(text, header)?;
-    let mut lines = body.lines().enumerate();
-    let (idx, found) = lines
-        .by_ref()
-        .map(|(i, l)| (i, l.trim()))
-        .find(|(_, l)| !l.is_empty())
-        .unwrap_or((0, ""));
-    if found != header {
-        return Err(if is_other_version(found, header) {
-            version_mismatch(found, header)
+    let mut lines = lines(verify_footer(text, header)?);
+    let first = lines.next().unwrap_or(Line { line: 1, text: "" });
+    if first.text != header {
+        return Err(if is_other_version(first.text, header) {
+            version_mismatch(first.text, header)
         } else {
-            CheckpointError::Parse {
-                line: idx + 1,
-                message: format!("expected `{header}` header, got `{found}`"),
-            }
+            first.error(format!("expected `{header}` header, got `{}`", first.text))
         });
     }
     Ok(Entries { lines })
@@ -348,35 +372,89 @@ fn verify_footer<'a>(text: &'a str, header: &str) -> Result<&'a str> {
     Ok(body)
 }
 
+/// The content lines of an unsealed text, in order: each line with its
+/// `#` comment (whole-line or trailing) removed and trimmed, blank ones
+/// skipped. The one comment, blank-line and line-number reader: sealed
+/// documents ([`Entries`]) and the plain-text grammars read through it.
+pub fn lines(text: &str) -> Lines<'_> {
+    Lines(text.lines().enumerate())
+}
+
+/// Iterator returned by [`lines`].
+#[derive(Debug, Clone)]
+pub struct Lines<'a>(std::iter::Enumerate<std::str::Lines<'a>>);
+
+impl<'a> Iterator for Lines<'a> {
+    type Item = Line<'a>;
+
+    fn next(&mut self) -> Option<Line<'a>> {
+        self.0.by_ref().find_map(|(idx, raw)| {
+            let text = raw.split('#').next().unwrap_or("").trim();
+            (!text.is_empty()).then_some(Line {
+                line: idx + 1,
+                text,
+            })
+        })
+    }
+}
+
+/// One content line: never empty, comment removed, trimmed.
+#[derive(Debug, Clone, Copy)]
+pub struct Line<'a> {
+    /// 1-based line number.
+    pub line: usize,
+    /// The content.
+    pub text: &'a str,
+}
+
+impl<'a> Line<'a> {
+    /// The line as one value without a key.
+    fn bare(&self) -> Entry<'a> {
+        Entry {
+            line: self.line,
+            key: "",
+            value: self.text,
+        }
+    }
+
+    /// A parse error on this line.
+    pub fn error(&self, message: impl Display) -> CheckpointError {
+        self.bare().error(message)
+    }
+
+    /// The line's whitespace-separated tokens.
+    pub fn tokens(&self) -> Tokens<'a> {
+        self.bare().tokens()
+    }
+
+    /// The line split at its first `=` into a trimmed key and value, or
+    /// `None` when it has no `=`.
+    pub fn entry(&self) -> Option<Entry<'a>> {
+        let (key, value) = self.text.split_once('=')?;
+        Some(Entry {
+            line: self.line,
+            key: key.trim(),
+            value: value.trim(),
+        })
+    }
+}
+
 /// The `key = value` entries of a document, in file order.
 #[derive(Debug, Clone)]
 pub struct Entries<'a> {
-    lines: std::iter::Enumerate<std::str::Lines<'a>>,
+    lines: Lines<'a>,
 }
 
 impl<'a> Iterator for Entries<'a> {
     type Item = Result<Entry<'a>>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        for (idx, raw) in self.lines.by_ref() {
-            let content = raw.split('#').next().unwrap_or("").trim();
-            if content.is_empty() {
-                continue;
-            }
-            let line = idx + 1;
-            return Some(match content.split_once('=') {
-                Some((key, value)) => Ok(Entry {
-                    line,
-                    key: key.trim(),
-                    value: value.trim(),
-                }),
-                None => Err(CheckpointError::Parse {
-                    line,
-                    message: format!("expected `key = value`, got `{content}`"),
-                }),
-            });
-        }
-        None
+        let line = self.lines.next()?;
+        Some(
+            line.entry().ok_or_else(|| {
+                line.error(format_args!("expected `key = value`, got `{}`", line.text))
+            }),
+        )
     }
 }
 
@@ -396,9 +474,13 @@ pub struct Entry<'a> {
 impl<'a> Entry<'a> {
     /// A parse error on this line, naming its key.
     pub fn error(&self, message: impl Display) -> CheckpointError {
+        let message = match self.key {
+            "" => message.to_string(),
+            key => format!("`{key}`: {message}"),
+        };
         CheckpointError::Parse {
             line: self.line,
-            message: format!("`{}`: {message}", self.key),
+            message,
         }
     }
 
@@ -590,6 +672,38 @@ mod tests {
             matches!(bad, CheckpointError::Parse { line: 5, .. }),
             "{bad}"
         );
+    }
+
+    #[test]
+    fn lines_skip_comments_and_blanks_and_count_every_line() {
+        let got: Vec<(usize, &str)> = lines("# head\n\n  a b # note\nc=d\n   \n#x\n e ")
+            .map(|l| (l.line, l.text))
+            .collect();
+        assert_eq!(got, [(3, "a b"), (4, "c=d"), (7, "e")]);
+        let l = lines("x\n y  z ").nth(1).unwrap();
+        assert_eq!(l.tokens().collect::<Vec<_>>(), ["y", "z"]);
+        assert_eq!(
+            l.error("bad").to_string(),
+            "checkpoint parse error at line 2: bad"
+        );
+        assert!(l.entry().is_none());
+        let e = lines("k = v = w").next().unwrap().entry().unwrap();
+        assert_eq!((e.key, e.value), ("k", "v = w"));
+    }
+
+    #[test]
+    fn value_and_word_refuse_what_the_reader_would_change() {
+        for ok in ["", "gemm-256", "a b", "x=y"] {
+            assert_eq!(value(ok).unwrap(), ok);
+        }
+        for bad in ["a#b", "a\nb", " a", "a ", "a\r"] {
+            let err = value(bad).unwrap_err();
+            assert!(matches!(err, CheckpointError::Unwritable(_)), "{bad:?}");
+        }
+        assert_eq!(word("tile.C.i0").unwrap(), "tile.C.i0");
+        for bad in ["", "a b", "a\tb", "#"] {
+            assert!(word(bad).is_err(), "{bad:?}");
+        }
     }
 
     #[test]

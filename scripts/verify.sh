@@ -339,4 +339,22 @@ if [ -n "$stray" ]; then
 fi
 echo "ok: no stray prints outside bench/testkit"
 
+echo "== line-reader lint (product crates) =="
+# Every line-oriented text format reads through heron-trace's kv line
+# reader (DESIGN.md §6); a `split_whitespace` anywhere else in a product
+# crate is a second copy of its comment, blank-line and line-number rules.
+split=$(grep -rn --include='*.rs' 'split_whitespace' crates src \
+    | grep -v '^crates/trace/src/kv.rs:' \
+    | grep -v '^crates/testkit/' \
+    | grep -vE ':[0-9]+:[[:space:]]*//' \
+    | grep -vE '(^|/)(tests|benches)/' \
+    || true)
+if [ -n "$split" ]; then
+    echo "error: split_whitespace outside heron-trace's kv reader:" >&2
+    echo "$split" >&2
+    echo "hint: read lines with heron_trace::kv::lines and Tokens" >&2
+    exit 1
+fi
+echo "ok: every line-oriented format reads through kv"
+
 echo "verify.sh: all checks passed"

@@ -69,7 +69,7 @@ fn csp_export_of_generated_space_roundtrips() {
     let space = SpaceGenerator::new(heron::dla::v100())
         .generate_named(&dag, &SpaceOptions::heron(), "cg3")
         .expect("generates");
-    let text = heron::csp::to_text(&space.csp);
+    let text = heron::csp::to_text(&space.csp).expect("generated names are tokens");
     let back = heron::csp::from_text(&text).expect("parses");
     assert_eq!(back.num_vars(), space.csp.num_vars());
     assert_eq!(back.num_constraints(), space.csp.num_constraints());
@@ -86,11 +86,6 @@ fn csp_export_of_generated_space_roundtrips() {
     {
         assert!(heron::csp::validate(&space.csp, &sol));
     }
-    // Solution text round trip against the parsed CSP.
-    let sol = heron_testkit::solve_once(&back, &mut rng, 1, &heron::csp::SolvePolicy::default())
-        .one()
-        .expect("solvable");
-    let stext = heron::csp::solution_to_text(&back, &sol);
-    let sback = heron::csp::solution_from_text(&back, &stext).expect("parses");
-    assert_eq!(sback, sol);
+    // Re-exporting the parsed copy writes the same bytes.
+    assert_eq!(heron::csp::to_text(&back).unwrap(), text);
 }

@@ -46,7 +46,7 @@ fn library_covers_a_whole_operator_suite() {
     }
     assert_eq!(lib.len(), operator_suite("GEMM").len());
     // Text round trip preserves every entry.
-    let text = lib.to_text();
+    let text = lib.to_text().expect("workload keys are writable");
     let back = KernelLibrary::from_text(&text).expect("parses");
     assert_eq!(back, lib);
     for (key, entry) in back.iter() {
