@@ -1,9 +1,10 @@
 //! Micro-bench (heron-testkit): RandSAT sampling and propagation on the
 //! GEMM `CSP_initial` — the inner loop of CGA (called thousands of
 //! times per tuning session, so its cost sets the "CGA" slice of
-//! Figure 14). Every solve row also prints its mean propagations per
-//! call, and below that its filtering passes and wipeouts per constraint
-//! kind, so a time change can be read against a work change. The
+//! Figure 14). Every solve row also prints its mean propagations and
+//! nogood-memo hits per call, and below that its filtering passes and
+//! wipeouts per constraint kind, so a time change can be read against a
+//! work change. The
 //! `session_new` row is a session's set-up: the presolve, the propagator
 //! and the root fixpoint.
 
@@ -24,9 +25,9 @@ fn gemm_space(n: i64, name: &str) -> heron_core::generate::GeneratedSpace {
         .expect("generates")
 }
 
-/// Benches `solve` as `name`, then prints the mean propagations per call
-/// (warm-up calls included) under the timing line, and each constraint
-/// kind's mean passes and wipeouts per call.
+/// Benches `solve` as `name`, then prints the mean propagations and
+/// nogood hits per call (warm-up calls included) under the timing line,
+/// and each constraint kind's mean passes and wipeouts per call.
 fn bench_solve(h: &mut Harness, name: &str, mut solve: impl FnMut() -> SolveOutcome) {
     let mut calls = 0u64;
     let mut total = SolveStats::default();
@@ -38,9 +39,10 @@ fn bench_solve(h: &mut Harness, name: &str, mut solve: impl FnMut() -> SolveOutc
     });
     let per_call = |n: u64| n / calls.max(1);
     eprintln!(
-        "  {:<40} {:>12} propagations/call",
+        "  {:<40} {:>12} propagations/call {:>6} nogood hits/call",
         name,
-        per_call(total.propagations)
+        per_call(total.propagations),
+        per_call(total.nogood_hits)
     );
     for kind in Kind::ALL {
         let work = total.by_kind[kind as usize];

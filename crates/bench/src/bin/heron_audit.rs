@@ -22,10 +22,9 @@ use heron_audit::{audit_with_state, validate_audit, AuditConfig, UnderState};
 use heron_bench::{flag, has_flag, must_validate, write_file};
 use heron_core::generate::{SpaceGenerator, SpaceOptions};
 use heron_dla::DlaSpec;
-use heron_tensor::ops::Conv2dConfig;
 use heron_testkit::rule_mutation::RuleMutation;
 use heron_trace::{kv, Tracer};
-use heron_workloads::{OpKind, Workload};
+use heron_workloads::Workload;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -192,53 +191,15 @@ fn platform(name: &str) -> DlaSpec {
         })
 }
 
-fn dims(shape: &str) -> Vec<i64> {
-    shape
-        .split('x')
-        .map(|d| {
-            d.parse().unwrap_or_else(|_| {
-                eprintln!("bad shape component `{d}` in `{shape}`");
-                std::process::exit(2);
-            })
-        })
-        .collect()
-}
-
+/// The workload of `--op` × `--shape`, for the operators the oracle
+/// covers; exits 2 naming what is wrong.
 fn parse_workload(op: &str, shape: &str) -> Workload {
-    let d = dims(shape);
-    let expect = |n: usize| {
-        if d.len() != n {
-            eprintln!("op `{op}` expects {n} shape components, got {}", d.len());
-            std::process::exit(2);
-        }
-    };
-    let kind = match op {
-        "gemm" => {
-            expect(3);
-            OpKind::Gemm {
-                m: d[0],
-                n: d[1],
-                k: d[2],
-            }
-        }
-        "gemv" => {
-            expect(3);
-            OpKind::Gemv {
-                m: d[0],
-                k: d[1],
-                b: d[2],
-            }
-        }
-        "c2d" => {
-            expect(8);
-            OpKind::C2d(Conv2dConfig::new(
-                d[0], d[1], d[2], d[3], d[4], d[5], d[5], d[6], d[7],
-            ))
-        }
-        other => {
-            eprintln!("unknown op `{other}` (heron_audit supports gemm, gemv, c2d)");
-            std::process::exit(2);
-        }
-    };
-    Workload::new(format!("{op}-{shape}"), kind)
+    if !["gemm", "gemv", "c2d"].contains(&op) {
+        eprintln!("unknown op `{op}` (heron_audit supports gemm, gemv, c2d)");
+        std::process::exit(2);
+    }
+    heron_serve::parse_workload(op, shape).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
 }

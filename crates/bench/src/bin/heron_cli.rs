@@ -46,9 +46,8 @@ use heron_core::generate::{SpaceGenerator, SpaceOptions};
 use heron_csp::SpaceCensus;
 use heron_dla::DlaSpec;
 use heron_sched::kernel_pseudo_code;
-use heron_tensor::ops::Conv2dConfig;
 use heron_trace::Tracer;
-use heron_workloads::{OpKind, Workload};
+use heron_workloads::Workload;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -100,93 +99,12 @@ fn platforms() {
     }
 }
 
-fn dims(shape: &str) -> Vec<i64> {
-    shape
-        .split('x')
-        .map(|d| {
-            d.parse().unwrap_or_else(|_| {
-                eprintln!("bad shape component `{d}` in `{shape}`");
-                std::process::exit(2);
-            })
-        })
-        .collect()
-}
-
+/// The workload of `--op` × `--shape`; exits 2 naming what is wrong.
 fn parse_workload(op: &str, shape: &str) -> Workload {
-    let d = dims(shape);
-    let expect = |n: usize| {
-        if d.len() != n {
-            eprintln!("op `{op}` expects {n} shape components, got {}", d.len());
-            std::process::exit(2);
-        }
-    };
-    let kind = match op {
-        "gemm" => {
-            expect(3);
-            OpKind::Gemm {
-                m: d[0],
-                n: d[1],
-                k: d[2],
-            }
-        }
-        "bmm" => {
-            expect(4);
-            OpKind::Bmm {
-                b: d[0],
-                m: d[1],
-                n: d[2],
-                k: d[3],
-            }
-        }
-        "gemv" => {
-            expect(3);
-            OpKind::Gemv {
-                m: d[0],
-                k: d[1],
-                b: d[2],
-            }
-        }
-        "scan" => {
-            expect(2);
-            OpKind::Scan { b: d[0], l: d[1] }
-        }
-        "c1d" => {
-            expect(7);
-            OpKind::C1d {
-                n: d[0],
-                l: d[1],
-                ci: d[2],
-                co: d[3],
-                k: d[4],
-                p: d[5],
-                s: d[6],
-            }
-        }
-        "c2d" => {
-            expect(8);
-            OpKind::C2d(Conv2dConfig::new(
-                d[0], d[1], d[2], d[3], d[4], d[5], d[5], d[6], d[7],
-            ))
-        }
-        "c3d" => {
-            expect(8);
-            OpKind::C3d {
-                n: d[0],
-                d: d[1],
-                hw: d[2],
-                ci: d[3],
-                co: d[4],
-                k: d[5],
-                s: d[7],
-                p: d[6],
-            }
-        }
-        other => {
-            eprintln!("unknown op `{other}`");
-            std::process::exit(2);
-        }
-    };
-    Workload::new(format!("{op}-{shape}"), kind)
+    heron_serve::parse_workload(op, shape).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
 }
 
 struct Common {

@@ -18,7 +18,7 @@
 //! long as it never skips a pass that could still prune. After a wipeout
 //! the caller undoes the store to its mark, so a schedule that finds the
 //! wipeout sooner leaves every later domain, and every RNG draw of the
-//! sampler, unchanged. Six propagation-count optimisations exploit that
+//! sampler, unchanged. Seven propagation-count optimisations exploit that
 //! freedom:
 //!
 //! * **Entailment dormancy** — a filter pass reports when its constraint
@@ -57,9 +57,19 @@
 //!   before the other heavy ones. In a sampling call the same few
 //!   constraints end most failing propagations, so a failing run reaches
 //!   its wipeout after fewer passes. The flags are cleared at the start
-//!   of every sampling call (`Propagator::clear_hot`), so a call's pass
+//!   of every sampling call (`Propagator::begin_call`), so a call's pass
 //!   count depends only on its own inputs and a resumed session counts
 //!   exactly what an uninterrupted one does.
+//! * **Nogood memo** — a branch trial `x = v` of the dive
+//!   (`Propagator::branch`) that wipes out is remembered with its cause:
+//!   the passes that led to the wipeout, found by one backward sweep over
+//!   the run's pass log, and the domains the *source* variables they read
+//!   had when the trial began. A later trial of the same literal in the
+//!   same call whose sources all lie inside those domains fails at once,
+//!   without a pass: monotone filters on smaller domains wipe out again.
+//!   It counts the one wipeout the recorded pass proved, and debug builds
+//!   re-propagate every such trial to check it. The memo is cleared with
+//!   the hot flags, and its storage is bounded.
 //! * **Settled `PROD`/`SUM` runs** — the local-fixpoint loop of a
 //!   `PROD`/`SUM` pass stops after a run that moved only `out` (when
 //!   `out` is not also an operand), because that run already filtered
@@ -86,7 +96,7 @@ use std::rc::Rc;
 
 use crate::constraint::Constraint;
 use crate::problem::{Csp, VarRef};
-use crate::store::{DomainStore, VarTables};
+use crate::store::{DomainStore, VarTables, View};
 
 /// Returned when propagation proves the current domains unsatisfiable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -205,12 +215,12 @@ pub struct KindWork {
 /// The three-tier worklist of one `run`. Between runs every queue is
 /// empty and every `queued` flag is false — `drain` restores that on both
 /// its exits. The `hot` flags outlive a run: they are set by wipeouts and
-/// cleared only by `Propagator::clear_hot`.
+/// cleared only by `Propagator::begin_call`.
 #[derive(Debug)]
 struct Worklist {
     /// Per-constraint "already in a queue" flags.
     queued: Vec<bool>,
-    /// Per-constraint "wiped out since the last `clear_hot`" flags, read
+    /// Per-constraint "wiped out since the last `begin_call`" flags, read
     /// for heavy constraints only.
     hot: Vec<bool>,
     cheap: VecDeque<u32>,
@@ -265,6 +275,17 @@ struct Scratch {
     work: Worklist,
     /// The changes of the pass in progress.
     changed: Vec<Change>,
+    /// The passes of the run in progress: each constraint run, with the
+    /// end of its changed variables in `log_vars`.
+    log: Vec<(u32, u32)>,
+    log_vars: Vec<u32>,
+    /// Per-variable "a cause of the wipeout being learned" flags, and the
+    /// variables they are set for.
+    needed: Vec<bool>,
+    sources: Vec<u32>,
+    /// Each variable's domain size at the root of the call's dives.
+    dive_root: Vec<u64>,
+    memo: Memo,
     /// `SELECT`'s feasible indices.
     feasible: Vec<i64>,
     /// `PROD`'s suffix products.
@@ -290,6 +311,12 @@ pub struct Propagator {
     /// `watching[watch_start[v]..watch_start[v + 1]]`.
     watching: Vec<u32>,
     watch_start: Vec<u32>,
+    /// The (sorted, deduplicated) variables of each constraint,
+    /// flattened the same way: constraint `ci`'s are
+    /// `mentions[mention_start[ci]..mention_start[ci + 1]]`.
+    mentions: Vec<u32>,
+    mention_start: Vec<u32>,
+    tables: Rc<VarTables>,
     /// The initial domains (untracked, no dormancy).
     init: DomainStore,
     /// Per-constraint precompiled `IN` mask (constraints that are `IN` on
@@ -298,6 +325,8 @@ pub struct Propagator {
     /// Filtering passes and wipeouts executed so far, per [`Kind`]
     /// (observability counters; `Cell` keeps the propagation API `&self`).
     work: [Cell<KindWork>; Kind::COUNT],
+    /// Branch trials the nogood memo refuted without a pass.
+    nogood_hits: Cell<u64>,
     scratch: RefCell<Scratch>,
 }
 
@@ -325,6 +354,8 @@ impl Propagator {
             debug_assert!(narrowed.is_ok(), "narrowing {v} to [{lo}, {hi}] empties it");
         }
         let mut watchers = vec![Vec::new(); csp.num_vars()];
+        let mut mentions = Vec::new();
+        let mut mention_start = Vec::with_capacity(ncons + 1);
         for (ci, c) in constraints.iter().enumerate() {
             // A constraint may mention the same variable in non-adjacent
             // positions (SELECT with `out` among the choices, PROD with a
@@ -333,10 +364,13 @@ impl Propagator {
             let mut vars = c.vars();
             vars.sort_unstable();
             vars.dedup();
+            mention_start.push(mentions.len() as u32);
             for v in vars {
                 watchers[v.0].push(ci as u32);
+                mentions.push(v.0 as u32);
             }
         }
+        mention_start.push(mentions.len() as u32);
         let mut watch_start = Vec::with_capacity(watchers.len() + 1);
         let mut watching = Vec::new();
         for w in &watchers {
@@ -357,15 +391,20 @@ impl Propagator {
             _ => 0,
         });
         let longest = longest.max().unwrap_or(0);
+        let memo = Memo::new(&tables, csp.num_vars());
         Propagator {
             kinds: constraints.iter().map(Kind::of).collect(),
             constraints,
             exact,
             watching,
             watch_start,
+            mentions,
+            mention_start,
+            tables,
             init,
             in_masks,
             work: Default::default(),
+            nogood_hits: Cell::new(0),
             // A constraint is queued at most once at a time, so the
             // queues never outgrow this capacity.
             scratch: RefCell::new(Scratch {
@@ -377,6 +416,12 @@ impl Propagator {
                     heavy: VecDeque::with_capacity(ncons),
                 },
                 changed: Vec::new(),
+                log: Vec::new(),
+                log_vars: Vec::new(),
+                needed: vec![false; csp.num_vars()],
+                sources: Vec::new(),
+                dive_root: vec![0; csp.num_vars()],
+                memo,
                 feasible: Vec::new(),
                 suffix: Vec::new(),
                 exact: vec![[1, 1]; longest + 1],
@@ -405,19 +450,37 @@ impl Propagator {
         std::array::from_fn(|k| self.work[k].get())
     }
 
+    /// Branch trials refuted by the nogood memo so far.
+    pub(crate) fn nogood_hits(&self) -> u64 {
+        self.nogood_hits.get()
+    }
+
     /// Resets the observability counters to zero.
     pub fn reset_stats(&self) {
         for w in &self.work {
             w.set(KindWork::default());
         }
+        self.nogood_hits.set(0);
     }
 
-    /// Forgets which constraints have wiped out, so the schedule —
-    /// and with it the pass count — of later runs depends on nothing that
-    /// happened before this call. [`crate::solver`] calls it at the start
-    /// of every sampling call.
-    pub(crate) fn clear_hot(&self) {
-        self.scratch.borrow_mut().work.hot.fill(false);
+    /// Forgets which constraints have wiped out and every learned nogood,
+    /// so the schedule — and with it the pass count — of later runs
+    /// depends on nothing that happened before this call. [`crate::solver`]
+    /// calls it at the start of every sampling call.
+    pub(crate) fn begin_call(&self) {
+        let mut s = self.scratch.borrow_mut();
+        s.work.hot.fill(false);
+        s.memo.clear();
+    }
+
+    /// Notes `store` as the state every dive of the call starts from, so
+    /// that a nogood leaves out the sources a dive has not narrowed. Until
+    /// a call sets it, every source is kept.
+    pub(crate) fn set_dive_root(&self, store: &DomainStore) {
+        let mut s = self.scratch.borrow_mut();
+        for (v, size) in s.dive_root.iter_mut().enumerate() {
+            *size = store.size(v);
+        }
     }
 
     /// Schedules constraint `ci` as if it had already wiped out (which
@@ -432,6 +495,12 @@ impl Propagator {
     #[inline]
     fn watchers(&self, v: VarRef) -> &[u32] {
         &self.watching[self.watch_start[v.0] as usize..self.watch_start[v.0 + 1] as usize]
+    }
+
+    /// The variables constraint `ci` mentions, ascending.
+    #[inline]
+    fn mentioned(&self, ci: usize) -> &[u32] {
+        &self.mentions[self.mention_start[ci] as usize..self.mention_start[ci + 1] as usize]
     }
 
     /// Marks every already-entailed constraint dormant using read-only
@@ -484,7 +553,8 @@ impl Propagator {
         for ci in 0..self.constraints.len() {
             s.work.push(ci as u32, self.kinds[ci], store);
         }
-        self.drain(&mut s, store)
+        let run = self.drain(&mut s, store, false);
+        verdict(&mut s, run)
     }
 
     /// Runs propagation to fixpoint starting from the constraints watching
@@ -504,14 +574,147 @@ impl Propagator {
         pre_lo: i64,
         pre_hi: i64,
     ) -> Result<(), Infeasible> {
-        let ch = Change::since(store, var, pre_lo, pre_hi);
         let mut s = self.scratch.borrow_mut();
+        let run = self.drain_fixed(&mut s, store, var, pre_lo, pre_hi, false);
+        verdict(&mut s, run)
+    }
+
+    /// Seeds the watchers of `var`, just fixed from `[pre_lo, pre_hi]`,
+    /// whose wake events fired, and drains.
+    fn drain_fixed(
+        &self,
+        s: &mut Scratch,
+        store: &mut DomainStore,
+        var: VarRef,
+        pre_lo: i64,
+        pre_hi: i64,
+        log: bool,
+    ) -> Result<(), usize> {
+        let ch = Change::since(store, var, pre_lo, pre_hi);
         for &wi in self.watchers(var) {
             if self.wakes_on(wi as usize, &ch) {
                 s.work.push(wi, self.kinds[wi as usize], store);
             }
         }
-        self.drain(&mut s, store)
+        self.drain(s, store, log)
+    }
+
+    /// The branch trial `var = val` (`val` a value of `var`'s domain, in a
+    /// scope the caller opened for it): fixes `var` and propagates as
+    /// [`Propagator::run_from_fixed`] does, behind the call's nogood memo.
+    ///
+    /// A trial that wipes out teaches the memo why: the passes that led
+    /// to the wipeout and the *source* variables whose domains at the
+    /// start of the trial they read (see [`Propagator::learn`]). A later
+    /// trial of the same literal whose sources all lie inside a recorded
+    /// set of domains is refuted before anything is written: every filter
+    /// is sound and monotone, so the same passes would wipe out again. It
+    /// counts the one wipeout the recorded pass proved, on that pass's
+    /// kind, and no pass.
+    pub(crate) fn branch(
+        &self,
+        store: &mut DomainStore,
+        var: VarRef,
+        val: i64,
+    ) -> Result<(), Infeasible> {
+        let mut s = self.scratch.borrow_mut();
+        let lit = s.memo.literal(&self.tables, var.0, val);
+        if let Some(kind) = lit.and_then(|lit| s.memo.refuted(lit, store)) {
+            #[cfg(debug_assertions)]
+            self.assert_refuted(&mut s, store, var, val);
+            let count = &self.work[kind as usize];
+            let mut tally = count.get();
+            tally.wipeouts += 1;
+            count.set(tally);
+            self.nogood_hits.set(self.nogood_hits.get() + 1);
+            return Err(Infeasible);
+        }
+        let (pre_lo, pre_hi) = (store.min(var.0), store.max(var.0));
+        store.fix(var.0, val).map_err(|()| Infeasible)?;
+        let run = self.drain_fixed(&mut s, store, var, pre_lo, pre_hi, lit.is_some());
+        if let (Err(failed), Some(lit)) = (run, lit) {
+            self.learn(&mut s, store, var, lit, failed);
+        }
+        verdict(&mut s, run)
+    }
+
+    /// Records why the trial of literal `lit` (`var` fixed) wiped out on
+    /// constraint `failed`. One sweep down the run's pass log finds the
+    /// passes that caused the wipeout: a pass is a cause if it changed a
+    /// variable that a later cause reads, and every variable a cause
+    /// mentions is read by it. The variables read by causes are the
+    /// sources; their domains at the start of the trial (`store`'s
+    /// innermost scope) make the nogood. A source recorded as an interval
+    /// that has since become an explicit set is not learned from, since
+    /// the two representations filter differently (DESIGN.md §5).
+    fn learn(&self, s: &mut Scratch, store: &DomainStore, var: VarRef, lit: u32, failed: usize) {
+        let Scratch {
+            log,
+            log_vars,
+            needed,
+            sources,
+            dive_root,
+            memo,
+            ..
+        } = s;
+        let mut need = |ci: usize, needed: &mut [bool]| {
+            for &u in self.mentioned(ci) {
+                if !needed[u as usize] {
+                    needed[u as usize] = true;
+                    sources.push(u);
+                }
+            }
+        };
+        need(failed, needed);
+        for (i, &(ci, end)) in log.iter().enumerate().rev() {
+            let start = if i == 0 { 0 } else { log[i - 1].1 };
+            let changed = &log_vars[start as usize..end as usize];
+            if changed.iter().any(|&u| needed[u as usize]) {
+                need(ci as usize, needed);
+            }
+        }
+        for &u in sources.iter() {
+            needed[u as usize] = false;
+        }
+        // The branched variable is the literal itself, and a source still
+        // as wide as at the dives' root lies inside its record in every
+        // state of the call.
+        let x = var.0 as u32;
+        memo.record(lit, self.kinds[failed], sources, |u| {
+            let start = store.view(u as usize, true);
+            if matches!(start, View::Range(..))
+                && matches!(store.view(u as usize, false), View::Values(_))
+            {
+                return Err(());
+            }
+            Ok((u != x && start.len() != dive_root[u as usize]).then_some(start))
+        });
+        sources.clear();
+    }
+
+    /// Debug builds re-propagate every trial the memo refutes, inside its
+    /// own scope, and insist that it wipes out. The check leaves every
+    /// counter, hot flag and trail depth as it found them.
+    #[cfg(debug_assertions)]
+    fn assert_refuted(&self, s: &mut Scratch, store: &mut DomainStore, var: VarRef, val: i64) {
+        let work = self.work_by_kind();
+        let run = store.unobserved(|store| {
+            let m = store.mark();
+            let (pre_lo, pre_hi) = (store.min(var.0), store.max(var.0));
+            store
+                .fix(var.0, val)
+                .expect("a branch value is in the domain");
+            let run = self.drain_fixed(s, store, var, pre_lo, pre_hi, false);
+            store.undo_to(m);
+            run
+        });
+        for (count, w) in self.work.iter().zip(work) {
+            count.set(w);
+        }
+        assert!(
+            run.is_err(),
+            "the nogood memo refuted {var} = {val}, which propagates without a wipeout"
+        );
     }
 
     /// Runs propagation to fixpoint starting from the constraints watching
@@ -527,18 +730,33 @@ impl Propagator {
                 s.work.push(wi, self.kinds[wi as usize], store);
             }
         }
-        self.drain(&mut s, store)
+        let run = self.drain(&mut s, store, false);
+        verdict(&mut s, run)
     }
 
-    /// Drains the worklist to the fixpoint.
-    fn drain(&self, s: &mut Scratch, store: &mut DomainStore) -> Result<(), Infeasible> {
+    /// Drains the worklist to the fixpoint, logging every pass for
+    /// [`Propagator::learn`] if `log_passes`; `Err` names the constraint
+    /// whose pass wiped out.
+    fn drain(
+        &self,
+        s: &mut Scratch,
+        store: &mut DomainStore,
+        log_passes: bool,
+    ) -> Result<(), usize> {
         let Scratch {
             work,
             changed,
+            log,
+            log_vars,
             feasible,
             suffix,
             exact,
+            ..
         } = s;
+        if log_passes {
+            log.clear();
+            log_vars.clear();
+        }
         while let Some(ci) = work.pop() {
             if store.is_dormant(ci) {
                 // Went dormant while queued; skipping is not a pass.
@@ -552,14 +770,15 @@ impl Propagator {
             let Ok(entailed) = self.filter(ci, store, changed, feasible, suffix, exact) else {
                 tally.wipeouts += 1;
                 count.set(tally);
-                // A constraint that failed once is the likeliest to fail
-                // the next propagation of the same call.
-                work.hot[ci] = true;
                 work.clear();
-                return Err(Infeasible);
+                return Err(ci);
             };
             if entailed {
                 store.set_dormant(ci);
+            }
+            if log_passes {
+                log_vars.extend(changed.iter().map(|c| c.var.0 as u32));
+                log.push((ci as u32, log_vars.len() as u32));
             }
             // Filters run to their local fixpoint, so an immediate
             // re-run of `ci` is always a no-op: no self-wake.
@@ -683,6 +902,202 @@ impl Propagator {
                 })
             }
         }
+    }
+}
+
+/// A run's result as the public entry points report it. A constraint
+/// that wiped out is flagged hot: it is the likeliest to fail the next
+/// propagation of the same call.
+fn verdict(s: &mut Scratch, run: Result<(), usize>) -> Result<(), Infeasible> {
+    run.map_err(|failed| {
+        s.work.hot[failed] = true;
+        Infeasible
+    })
+}
+
+/// Nogoods kept per literal.
+const WAYS: usize = 8;
+/// Sources kept over all nogoods, and values over all their explicit
+/// sets: at these the memo starts over, so its storage is bounded
+/// whatever the length of a call.
+const MAX_SOURCES: usize = 1 << 11;
+const MAX_VALUES: usize = 1 << 11;
+/// The largest explicit set a nogood records.
+const MAX_SET: usize = 256;
+/// The flag of [`Memo::src_vars`] that marks an explicit set.
+const SET: u32 = 1 << 31;
+
+/// One nogood: the trial of its literal wipes out, on a constraint of
+/// kind `kind`, whenever every source lies inside its recorded domain.
+#[derive(Debug, Clone, Copy)]
+struct Nogood {
+    kind: Kind,
+    /// Its span of the memo's sources.
+    start: u32,
+    end: u32,
+}
+
+/// The nogoods of one literal: `len` of them, then the oldest replaced.
+#[derive(Debug, Clone, Copy)]
+struct Block {
+    len: usize,
+    ways: [Nogood; WAYS],
+}
+
+/// The nogoods of the sampling call in progress, for the literals
+/// `x = v` of the variables with a value table: literal
+/// `base[x] + (index of v in x's table)`. A literal takes a block when it
+/// first fails.
+#[derive(Debug)]
+struct Memo {
+    /// Each variable's first literal; `u32::MAX` without a value table.
+    base: Vec<u32>,
+    /// Each literal's block; `u32::MAX` for none.
+    owner: Vec<u32>,
+    blocks: Vec<Block>,
+    /// The sources of the live nogoods. A source is its variable, with
+    /// [`SET`] for an explicit set, and its recorded domain: a bitset
+    /// word (in `[0]`), an interval's bounds, or a span of `values`.
+    src_vars: Vec<u32>,
+    src_doms: Vec<[i64; 2]>,
+    values: Vec<i64>,
+}
+
+impl Memo {
+    fn new(tables: &VarTables, nvars: usize) -> Memo {
+        let mut literals = 0;
+        let base = (0..nvars)
+            .map(|v| match tables.table(v).len() {
+                0 => u32::MAX,
+                n => {
+                    literals += n;
+                    (literals - n) as u32
+                }
+            })
+            .collect();
+        Memo {
+            base,
+            owner: vec![u32::MAX; literals],
+            blocks: Vec::new(),
+            src_vars: Vec::new(),
+            src_doms: Vec::new(),
+            values: Vec::new(),
+        }
+    }
+
+    /// Empties the memo.
+    fn clear(&mut self) {
+        self.owner.fill(u32::MAX);
+        self.blocks.clear();
+        self.src_vars.clear();
+        self.src_doms.clear();
+        self.values.clear();
+    }
+
+    /// The literal `x = val`, if `x` has a value table holding `val`.
+    #[inline]
+    fn literal(&self, tables: &VarTables, x: usize, val: i64) -> Option<u32> {
+        let base = self.base[x];
+        if base == u32::MAX {
+            return None;
+        }
+        let i = tables.table(x).binary_search(&val).ok()?;
+        Some(base + i as u32)
+    }
+
+    /// The kind of a nogood of `lit` that `store`'s domains lie inside.
+    #[inline]
+    fn refuted(&self, lit: u32, store: &DomainStore) -> Option<Kind> {
+        let Block { len, ways } = self.blocks.get(self.owner[lit as usize] as usize)?;
+        ways[..*len]
+            .iter()
+            .find(|n| {
+                let span = n.start as usize..n.end as usize;
+                self.src_vars[span.clone()]
+                    .iter()
+                    .zip(&self.src_doms[span])
+                    .all(|(&u, &dom)| self.covers(u, dom, store.view((u & !SET) as usize, false)))
+            })
+            .map(|n| n.kind)
+    }
+
+    /// Whether `now` lies inside the domain `dom` recorded for source
+    /// `u`. An interval's bounds bound any domain, but an explicit set
+    /// covers only an explicit set: `PROD`'s divisor rule skips an
+    /// interval, so an interval inside a set it filtered need not wipe
+    /// out.
+    #[inline]
+    fn covers(&self, u: u32, dom: [i64; 2], now: View<'_>) -> bool {
+        match now {
+            View::Bits(w) => w & !(dom[0] as u64) == 0,
+            View::Range(lo, hi) => u & SET == 0 && dom[0] <= lo && hi <= dom[1],
+            View::Values(x) if u & SET == 0 => dom[0] <= x[0] && x[x.len() - 1] <= dom[1],
+            View::Values(x) => {
+                let mut set = self.values[dom[0] as usize..dom[1] as usize].iter();
+                x.iter().all(|v| set.any(|s| s == v))
+            }
+        }
+    }
+
+    /// Learns that `lit` wipes out on a `kind` constraint while every
+    /// source lies inside its domain: `at(u)` is that domain, or `None`
+    /// to leave `u` out, or `Err` to learn nothing.
+    fn record<'a>(
+        &mut self,
+        lit: u32,
+        kind: Kind,
+        sources: &[u32],
+        mut at: impl FnMut(u32) -> Result<Option<View<'a>>, ()>,
+    ) {
+        if sources.len() > MAX_SOURCES {
+            return;
+        }
+        if self.src_vars.len() + sources.len() > MAX_SOURCES
+            || self.values.len() + MAX_SET > MAX_VALUES
+        {
+            self.clear();
+        }
+        let start = self.src_vars.len();
+        for &u in sources {
+            let (flag, dom) = match at(u) {
+                Ok(None) => continue,
+                Ok(Some(View::Bits(w))) => (0, [w as i64, 0]),
+                Ok(Some(View::Range(lo, hi))) => (0, [lo, hi]),
+                Ok(Some(View::Values(x))) if x.len() <= MAX_SET => {
+                    let from = self.values.len() as i64;
+                    self.values.extend_from_slice(x);
+                    (SET, [from, self.values.len() as i64])
+                }
+                Ok(Some(View::Values(_))) | Err(()) => {
+                    self.src_vars.truncate(start);
+                    self.src_doms.truncate(start);
+                    return;
+                }
+            };
+            self.src_vars.push(u | flag);
+            self.src_doms.push(dom);
+        }
+        let nogood = Nogood {
+            kind,
+            start: start as u32,
+            end: self.src_vars.len() as u32,
+        };
+        let owner = &mut self.owner[lit as usize];
+        if *owner == u32::MAX {
+            *owner = self.blocks.len() as u32;
+            self.blocks.push(Block {
+                len: 0,
+                ways: [nogood; WAYS],
+            });
+        }
+        let Block { len, ways } = &mut self.blocks[*owner as usize];
+        let way = if *len < WAYS {
+            *len += 1;
+            *len - 1
+        } else {
+            (0..WAYS).min_by_key(|&i| ways[i].start).expect("WAYS > 0")
+        };
+        ways[way] = nogood;
     }
 }
 
@@ -1170,6 +1585,64 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_refuted_trial_counts_one_wipeout_and_no_pass() {
+        // x · y = 16 and x ≤ y: the root keeps x = 8, but its trial
+        // forces y = 2 and wipes out.
+        let mut csp = Csp::new();
+        let n = csp.add_const("n", 16);
+        let x = csp.add_var("x", Domain::values([1, 2, 4, 8]), VarCategory::Tunable);
+        let y = csp.add_var("y", Domain::values([1, 2, 4, 8]), VarCategory::Tunable);
+        csp.post_prod(n, vec![x, y]);
+        csp.post_le(x, y);
+        let p = Propagator::new(&csp);
+        let mut s = p.store();
+        p.run_all(&mut s).expect("feasible");
+        s.commit();
+        p.reset_stats();
+        p.begin_call();
+        let trial = |s: &mut DomainStore| {
+            let m = s.mark();
+            let verdict = p.branch(s, x, 8);
+            s.undo_to(m);
+            verdict
+        };
+        assert_eq!(trial(&mut s), Err(Infeasible));
+        let learned = p.work_by_kind();
+        assert_eq!(p.nogood_hits(), 0);
+        assert_eq!(trial(&mut s), Err(Infeasible));
+        let hit = p.work_by_kind();
+        assert_eq!(p.nogood_hits(), 1);
+        for k in 0..Kind::COUNT {
+            assert_eq!(hit[k].passes, learned[k].passes, "{}", Kind::ALL[k].tag());
+            let extra = u64::from(learned[k].wipeouts > 0);
+            assert_eq!(hit[k].wipeouts, 2 * extra, "{}", Kind::ALL[k].tag());
+        }
+        // A new call forgets the nogood.
+        p.begin_call();
+        assert_eq!(trial(&mut s), Err(Infeasible));
+        assert_eq!(p.nogood_hits(), 1);
+        assert!(p.propagations() > hit.iter().map(|w| w.passes).sum());
+    }
+
+    #[test]
+    fn an_explicit_set_source_never_matches_an_interval() {
+        let mut csp = Csp::new();
+        csp.add_var("x", Domain::range(0, 9), VarCategory::Other);
+        let mut memo = Memo::new(&VarTables::for_csp(&csp), 1);
+        memo.values.extend([2, 3, 5]);
+        let set = [0, 3];
+        // The same values as an interval are not covered…
+        assert!(!memo.covers(SET, set, View::Range(2, 3)));
+        assert!(!memo.covers(SET, set, View::Range(3, 3)));
+        // …but an explicit subset is, and an interval covers both.
+        assert!(memo.covers(SET, set, View::Values(&[2, 5])));
+        assert!(!memo.covers(SET, set, View::Values(&[2, 4])));
+        assert!(memo.covers(0, [2, 5], View::Values(&[2, 3])));
+        assert!(memo.covers(0, [2, 5], View::Range(3, 5)));
+        assert!(!memo.covers(0, [2, 5], View::Range(1, 3)));
     }
 
     #[test]

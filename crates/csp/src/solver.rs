@@ -68,9 +68,9 @@ use crate::store::DomainStore;
 /// n, policy)` tuple, which is what the exact-count unit tests pin down.
 /// `attempts`, `restarts`, `wipeouts`, `solutions` and `escalations` are
 /// facts of the sampled stream, fixed by the search itself;
-/// `propagations`, `max_trail_depth` and `by_kind` also depend on the
-/// propagation schedule and the presolve, which may change them without
-/// moving a single sample.
+/// `propagations`, `max_trail_depth`, `nogood_hits` and `by_kind` also
+/// depend on the propagation schedule, the presolve and the nogood memo,
+/// which may change them without moving a single sample.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
     /// Randomised backtracking dives started (including the ones that
@@ -97,6 +97,9 @@ pub struct SolveStats {
     /// fixpoint (1 for a feasible [`SolveSession::solve_pinned`] call, 0
     /// otherwise).
     pub incremental_hits: u64,
+    /// Branch trials refuted by the call's nogood memo: each is one of
+    /// the `wipeouts`, proved without a filtering pass.
+    pub nogood_hits: u64,
     /// `propagations` split by the kind of the constraint that ran,
     /// indexed by `Kind as usize`, with the wipeouts those passes proved
     /// (`wipeouts` also counts pins that empty a domain before any pass).
@@ -118,6 +121,7 @@ impl SolveStats {
         self.escalations += other.escalations;
         self.max_trail_depth = self.max_trail_depth.max(other.max_trail_depth);
         self.incremental_hits += other.incremental_hits;
+        self.nogood_hits += other.nogood_hits;
         for (mine, theirs) in self.by_kind.iter_mut().zip(&other.by_kind) {
             mine.passes += theirs.passes;
             mine.wipeouts += theirs.wipeouts;
@@ -436,7 +440,7 @@ impl SolveSession {
         // Neither the root fixpoint nor earlier calls' work or wipeouts
         // may show in, or steer, this call.
         self.prop.reset_stats();
-        self.prop.clear_hot();
+        self.prop.begin_call();
         let mut stats = SolveStats::default();
         let mut deadline = Deadline::new(policy.deadline_steps);
         let mut out = Vec::with_capacity(n);
@@ -473,6 +477,7 @@ impl SolveSession {
                 // pinned fixpoint's own trail entries.
                 store.take_max_trail();
                 let pinned_depth = store.trail_depth();
+                self.prop.set_dive_root(store);
                 let ctx = SampleCtx {
                     csp: &self.csp,
                     prop: &self.prop,
@@ -497,6 +502,7 @@ impl SolveSession {
         }
         stats.propagations = self.prop.propagations();
         stats.wipeouts += self.prop.wipeouts();
+        stats.nogood_hits = self.prop.nogood_hits();
         stats.by_kind = self.prop.work_by_kind();
         stats.solutions = out.len() as u64;
         let status = classify(root_ok, &deadline, &out, n);
@@ -754,6 +760,9 @@ fn record(tracer: &Tracer, stats: &SolveStats, status: SolveStatus) {
     if stats.incremental_hits > 0 {
         tracer.counter_add("csp.incremental_hits", stats.incremental_hits);
     }
+    if stats.nogood_hits > 0 {
+        tracer.counter_add("csp.nogood_hits", stats.nogood_hits);
+    }
 }
 
 /// What a dive reads besides the store and the [`Brancher`]: the problem
@@ -971,14 +980,7 @@ impl<R: Rng> Dive<'_, R> {
             }
             let val = self.candidates[k];
             let m = store.mark();
-            let (pre_lo, pre_hi) = (store.min(var.0), store.max(var.0));
-            if store.fix(var.0, val).is_ok()
-                && self
-                    .ctx
-                    .prop
-                    .run_from_fixed(store, var, pre_lo, pre_hi)
-                    .is_ok()
-            {
+            if self.ctx.prop.branch(store, var, val).is_ok() {
                 sol = self.descend(store, d + 1);
                 if sol.is_some() {
                     // No undo on success: the top-level mark unwinds the
@@ -1115,6 +1117,7 @@ mod tests {
                 escalations: 0,
                 max_trail_depth: 1,
                 incremental_hits: 0,
+                nogood_hits: 0,
                 by_kind: Default::default(),
             }
         );
@@ -1143,6 +1146,7 @@ mod tests {
                 escalations: 0,
                 max_trail_depth: 0,
                 incremental_hits: 0,
+                nogood_hits: 0,
                 by_kind: Default::default(),
             }
         );
@@ -1170,6 +1174,7 @@ mod tests {
                 escalations: 0,
                 max_trail_depth: 0,
                 incremental_hits: 0,
+                nogood_hits: 0,
                 by_kind: Default::default(),
             }
         );

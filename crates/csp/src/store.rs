@@ -20,7 +20,9 @@
 //! * **Trail** — every first write to a variable inside a
 //!   [`DomainStore::mark`] scope records the old domain and bounds;
 //!   [`DomainStore::undo_to`] pops the trail to restore them.
-//!   Backtracking is O(changes), not O(vars).
+//!   Backtracking is O(changes), not O(vars). The store keeps the trail
+//!   index of each variable's save in the current scope, so the domain a
+//!   variable had when the scope opened is one read away.
 //! * **No allocation in steady state** — every write goes through one
 //!   funnel that either trails the old domain or recycles its buffer, so
 //!   the explicit sets that interval variables turn into (`restrict_to`,
@@ -177,6 +179,26 @@ impl Iterator for ValueIter<'_> {
     }
 }
 
+/// A variable's domain as the propagator's nogood memo records and
+/// compares it: a bitset word, an interval's bounds, or an explicit set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum View<'a> {
+    Bits(u64),
+    Range(i64, i64),
+    Values(&'a [i64]),
+}
+
+impl View<'_> {
+    /// The number of values.
+    pub(crate) fn len(&self) -> u64 {
+        match *self {
+            View::Bits(w) => u64::from(w.count_ones()),
+            View::Range(lo, hi) => (hi - lo) as u64 + 1,
+            View::Values(x) => x.len() as u64,
+        }
+    }
+}
+
 /// A snapshot token returned by [`DomainStore::mark`].
 #[derive(Debug, Clone, Copy)]
 pub struct Mark {
@@ -201,6 +223,8 @@ pub struct DomainStore {
     trail: Vec<Saved>,
     dormant_trail: Vec<u32>,
     saved_at: Vec<u64>,
+    /// The trail index of each variable's save in epoch `saved_at[v]`.
+    saved_idx: Vec<u32>,
     epoch: u64,
     next_epoch: u64,
     max_trail: usize,
@@ -244,6 +268,7 @@ impl DomainStore {
             trail: Vec::new(),
             dormant_trail: Vec::new(),
             saved_at: vec![0; nvars],
+            saved_idx: vec![0; nvars],
             epoch: 0,
             next_epoch: 1,
             max_trail: 0,
@@ -300,6 +325,32 @@ impl DomainStore {
     /// Current trail length.
     pub fn trail_depth(&self) -> u64 {
         self.trail.len() as u64
+    }
+
+    /// `v`'s domain now, or — `at_mark` — when the innermost open scope
+    /// was opened.
+    pub(crate) fn view(&self, v: usize, at_mark: bool) -> View<'_> {
+        let (dom, lo, hi) = if at_mark && self.epoch != 0 && self.saved_at[v] == self.epoch {
+            let saved = &self.trail[self.saved_idx[v] as usize];
+            (&saved.dom, saved.lo, saved.hi)
+        } else {
+            (&self.doms[v], self.lo[v], self.hi[v])
+        };
+        match dom {
+            &Dom::Bits(w) => View::Bits(w),
+            Dom::Range => View::Range(lo, hi),
+            Dom::Values(x) => View::Values(x),
+        }
+    }
+
+    /// Runs `f` on the store, then forgets the trail depth it reached, so
+    /// a check that debug builds add moves no counter.
+    #[cfg(debug_assertions)]
+    pub(crate) fn unobserved<T>(&mut self, f: impl FnOnce(&mut Self) -> T) -> T {
+        let max_trail = self.max_trail;
+        let out = f(self);
+        self.max_trail = max_trail;
+        out
     }
 
     /// Marks constraint `ci` entailed (skippable). Trailed unless the
@@ -669,6 +720,7 @@ impl DomainStore {
         let old = std::mem::replace(&mut self.doms[v], dom);
         if self.epoch != 0 && self.saved_at[v] != self.epoch {
             self.saved_at[v] = self.epoch;
+            self.saved_idx[v] = self.trail.len() as u32;
             self.trail.push(Saved {
                 var: v as u32,
                 lo: self.lo[v],

@@ -52,6 +52,14 @@ pub enum JobError {
         /// The offending component.
         component: String,
     },
+    /// A convolution whose kernel is larger than its padded input, so
+    /// its output is empty.
+    EmptyOutput {
+        /// The convolution.
+        op: String,
+        /// The shape as given.
+        shape: String,
+    },
     /// No platform with this name in `heron_dla::platforms::all()`.
     UnknownPlatform(String),
     /// A script line that could not be parsed; carries line number and
@@ -77,6 +85,10 @@ impl std::fmt::Display for JobError {
             JobError::BadDimension { op, component } => write!(
                 f,
                 "op `{op}` shape component `{component}` is not a positive integer"
+            ),
+            JobError::EmptyOutput { op, shape } => write!(
+                f,
+                "op `{op}` shape `{shape}` has an empty output: the kernel is larger than the padded input"
             ),
             JobError::UnknownPlatform(p) => write!(f, "unknown platform `{p}`"),
             JobError::BadScript { line, reason } => {
@@ -333,8 +345,8 @@ pub fn parse_script(text: &str) -> Result<JobScript, JobError> {
     Ok(JobScript { config, jobs, plan })
 }
 
-/// Builds the workload for `op` × `shape`, mirroring the CLI's operator
-/// table but returning errors instead of exiting.
+/// Builds the workload for `op` × `shape`: the one operator table of the
+/// service and of the command-line tools, which print its error.
 pub fn parse_workload(op: &str, shape: &str) -> Result<Workload, JobError> {
     // Every dimension must be at least 1 or building the DAG panics; only
     // a convolution's padding may be 0.
@@ -428,6 +440,20 @@ pub fn parse_workload(op: &str, shape: &str) -> Result<Workload, JobError> {
         }
         other => return Err(JobError::UnknownOp(other.to_string())),
     };
+    // A kernel larger than a padded spatial extent leaves the output
+    // empty, and building the DAG panics.
+    let empty = match &kind {
+        OpKind::C1d { l, k, p, .. } => l + 2 * p < *k,
+        OpKind::C2d(c) => c.height.min(c.width) + 2 * c.padding < c.kh.max(c.kw),
+        OpKind::C3d { d, hw, k, p, .. } => d.min(hw) + 2 * p < *k,
+        _ => false,
+    };
+    if empty {
+        return Err(JobError::EmptyOutput {
+            op: op.to_string(),
+            shape: shape.to_string(),
+        });
+    }
     Ok(Workload::new(format!("{op}-{shape}"), kind))
 }
 
@@ -514,6 +540,19 @@ kill g2 attempt=1 round=2 kind=hang
         JobSpec::new("a", "c2d", "1x8x8x4x4x3x0x1")
             .validate()
             .expect("a convolution's padding may be 0");
+        for (op, shape) in [
+            ("c1d", "1x2x4x4x5x0x1"),
+            ("c2d", "1x2x2x4x4x5x0x1"),
+            ("c3d", "1x8x2x4x4x5x1x1"),
+        ] {
+            assert_eq!(
+                JobSpec::new("a", op, shape).validate(),
+                Err(JobError::EmptyOutput {
+                    op: op.to_string(),
+                    shape: shape.to_string()
+                })
+            );
+        }
         let mut spec = JobSpec::new("a", "gemm", "8x8x8");
         spec.dla = "tpu9".to_string();
         assert_eq!(

@@ -62,7 +62,7 @@ pub mod store;
 pub mod supervisor;
 pub mod worker;
 
-pub use job::{parse_script, JobError, JobScript, JobSpec, ServeConfig};
+pub use job::{parse_script, parse_workload, JobError, JobScript, JobSpec, ServeConfig};
 pub use plan::{ChaosPlan, KillKind, KillRule};
 pub use postmortem::{
     check_postmortem, DeathReport, Postmortem, PostmortemSummary, POSTMORTEM_SCHEMA,

@@ -512,7 +512,7 @@ fn solver_work_of_a_real_tune_is_pinned() {
     assert_eq!(
         work,
         [
-            ("csp.propagations", 454_749),
+            ("csp.propagations", 273_662),
             ("csp.wipeouts", 15_938),
             ("csp.attempts", 292),
             ("csp.restarts", 60),
