@@ -13,7 +13,7 @@
 //! job was lost or double-run, and a second service run reproduces the
 //! manifest byte for byte.
 
-use heron_bench::{flag, has_flag, read_json, read_slo, scope_input, write_file};
+use heron_bench::{flag, has_flag, read_slo, scope_input, write_file};
 use heron_pulse::{build_pulse, render_dashboard, render_slo_report, SloSpec};
 use heron_serve::{chaos, parse_script, JobScript, JobState, Supervisor};
 use heron_trace::Json;
@@ -60,8 +60,8 @@ fn usage() {
     eprintln!(
         "usage: heron_serve (--jobs FILE | --smoke) [--workers N] [--manifest FILE] \
          [--trace-out FILE.jsonl] [--artifact-dir DIR] [--verify-recovery] \
-         [--pulse-out FILE.json] [--slo SPEC] [--slo-report FILE] [--baseline BENCH.json] \
-         [--scope-out FILE.json] [--postmortem-dir DIR]"
+         [--pulse-out FILE.json] [--slo SPEC] [--slo-report FILE] [--scope-out FILE.json] \
+         [--postmortem-dir DIR]"
     );
 }
 
@@ -96,10 +96,6 @@ fn main() {
     if let Some(w) = flag(&args, "--workers").and_then(|w| w.parse().ok()) {
         script.config.workers = w;
     }
-    let baseline = match flag(&args, "--baseline") {
-        Some(path) => load_baseline(&path),
-        None => Vec::new(),
-    };
     let slo_spec = match flag(&args, "--slo") {
         Some(path) => read_slo(&path),
         None => SloSpec::parse(DEFAULT_SLO).expect("builtin SLO spec parses"),
@@ -107,12 +103,7 @@ fn main() {
 
     let specs = script.jobs.clone();
     let postmortem_dir = flag(&args, "--postmortem-dir");
-    let sup = run_service(
-        script.clone(),
-        &baseline,
-        &slo_spec,
-        postmortem_dir.as_deref(),
-    );
+    let sup = run_service(script.clone(), &slo_spec, postmortem_dir.as_deref());
     let manifest = sup.manifest();
     print!("{manifest}");
     if let Some(dir) = &postmortem_dir {
@@ -168,43 +159,18 @@ fn main() {
         }
     }
     if smoke {
-        smoke_assertions(
-            &sup, script, &manifest, &baseline, &slo_spec, &pulse_doc, &scope_doc,
-        );
+        smoke_assertions(&sup, script, &manifest, &slo_spec, &pulse_doc, &scope_doc);
         println!("service-robustness smoke: PASS");
     }
 }
 
-fn run_service(
-    script: JobScript,
-    baseline: &[(String, f64)],
-    slo: &SloSpec,
-    postmortem_dir: Option<&str>,
-) -> Supervisor {
-    let mut sup = Supervisor::from_script(script)
-        .with_baseline(baseline.to_vec())
-        .with_slo(slo.clone());
+fn run_service(script: JobScript, slo: &SloSpec, postmortem_dir: Option<&str>) -> Supervisor {
+    let mut sup = Supervisor::from_script(script).with_slo(slo.clone());
     if let Some(dir) = postmortem_dir {
         sup = sup.with_postmortem_dir(dir);
     }
     sup.run();
     sup
-}
-
-/// Loads the per-workload `sol_per_kprop` baseline from a committed
-/// `BENCH_heron.json` snapshot.
-fn load_baseline(path: &str) -> Vec<(String, f64)> {
-    match heron_insight::BenchReport::from_json(&read_json(path)) {
-        Ok(report) => report
-            .workloads
-            .into_iter()
-            .map(|w| (w.name, w.sol_per_kprop))
-            .collect(),
-        Err(e) => {
-            eprintln!("baseline `{path}` is not a bench snapshot: {e}");
-            std::process::exit(1);
-        }
-    }
 }
 
 /// Per-job artifacts: the deterministic record, the search-health
@@ -215,15 +181,15 @@ fn write_artifacts(sup: &Supervisor, dir: &str) {
         std::process::exit(1);
     }
     let base = std::path::Path::new(dir);
+    let write = |name: String, data: &str| {
+        if let Err(e) = std::fs::write(base.join(&name), data) {
+            eprintln!("cannot write artifact `{name}`: {e}");
+            std::process::exit(1);
+        }
+    };
     for row in sup.rows() {
         let Some(report) = sup.report(&row.id) else {
             continue;
-        };
-        let write = |name: String, data: &str| {
-            if let Err(e) = std::fs::write(base.join(&name), data) {
-                eprintln!("cannot write artifact `{name}`: {e}");
-                std::process::exit(1);
-            }
         };
         write(format!("{}.record.txt", row.id), &report.record);
         if !report.insight_json.is_empty() {
@@ -237,12 +203,7 @@ fn write_artifacts(sup: &Supervisor, dir: &str) {
     // or not the job completed (crashed jobs are the whole point).
     for (job, entry) in sup.recorder().entries() {
         if !entry.ring_jsonl.is_empty() {
-            if let Err(e) =
-                std::fs::write(base.join(format!("{job}.ring.jsonl")), &entry.ring_jsonl)
-            {
-                eprintln!("cannot write artifact `{job}.ring.jsonl`: {e}");
-                std::process::exit(1);
-            }
+            write(format!("{job}.ring.jsonl"), &entry.ring_jsonl);
         }
     }
     eprintln!("artifacts written to `{dir}`");
@@ -250,12 +211,10 @@ fn write_artifacts(sup: &Supervisor, dir: &str) {
 
 /// The assertions behind the CI smoke stage. Process exit 1 with a
 /// pointed message on any violation.
-#[allow(clippy::too_many_arguments)]
 fn smoke_assertions(
     first: &Supervisor,
     script: JobScript,
     first_manifest: &str,
-    baseline: &[(String, f64)],
     slo_spec: &SloSpec,
     first_pulse: &Json,
     first_scope: &Json,
@@ -264,50 +223,31 @@ fn smoke_assertions(
         eprintln!("smoke FAILED: {msg}");
         std::process::exit(1);
     };
-    let state_count =
-        |sup: &Supervisor, s: JobState| sup.rows().iter().filter(|r| r.state == s).count();
-    if state_count(first, JobState::Completed) != 4 {
-        fail(format!(
-            "expected 4 completed jobs, got {}",
-            state_count(first, JobState::Completed)
-        ));
-    }
-    if state_count(first, JobState::Quarantined) != 1 {
-        fail(format!(
-            "expected 1 quarantined (poisoned) job, got {}",
-            state_count(first, JobState::Quarantined)
-        ));
-    }
-    if first.rejected().len() != 1 {
-        fail(format!(
-            "expected 1 admission rejection, got {}",
-            first.rejected().len()
-        ));
-    }
+    let jobs_in = |s: JobState| first.rows().iter().filter(|r| r.state == s).count() as u64;
     let counter = |name: &str| first.tracer().counter(name).unwrap_or(0);
-    if counter("serve.crashes_detected") < 2 {
-        fail(format!(
-            "expected >= 2 crash detections, got {}",
-            counter("serve.crashes_detected")
-        ));
-    }
-    if counter("serve.hangs_detected") < 1 {
-        fail(format!(
-            "expected >= 1 hang detection, got {}",
-            counter("serve.hangs_detected")
-        ));
-    }
-    if counter("serve.jobs_recovered") < 2 {
-        fail(format!(
-            "expected >= 2 recoveries, got {}",
-            counter("serve.jobs_recovered")
-        ));
+    let exactly = [
+        ("completed jobs", jobs_in(JobState::Completed), 4),
+        ("poisoned jobs", jobs_in(JobState::Quarantined), 1),
+        ("admission rejections", first.rejected().len() as u64, 1),
+    ];
+    for (what, got, want) in exactly {
+        if got != want {
+            fail(format!("expected {want} {what}, got {got}"));
+        }
     }
     // Anomaly hooks: the injected hang (g2) must surface a heartbeat
     // stall *precursor* before the watchdog declares it hung, and the
     // warning must be listed in the manifest.
-    if counter("pulse.warn.heartbeat_stall") < 1 {
-        fail("expected >= 1 pulse.warn.heartbeat_stall precursor for the injected hang".into());
+    let at_least = [
+        ("crash detections", counter("serve.crashes_detected"), 2),
+        ("hang detections", counter("serve.hangs_detected"), 1),
+        ("recoveries", counter("serve.jobs_recovered"), 2),
+        ("hang precursors", counter("pulse.warn.heartbeat_stall"), 1),
+    ];
+    for (what, got, want) in at_least {
+        if got < want {
+            fail(format!("expected >= {want} {what}, got {got}"));
+        }
     }
     if !first_manifest.contains("warn g2 pulse.warn.heartbeat_stall") {
         fail("manifest does not list g2's heartbeat-stall warning".to_string());
@@ -365,7 +305,7 @@ fn smoke_assertions(
     // byte for byte — states, attempts, rounds, fingerprints and all —
     // the whole pulse plane (pulse.json, SLO report, dashboard), the
     // scope document, every postmortem bundle, and every ring snapshot.
-    let second = run_service(script, baseline, slo_spec, None);
+    let second = run_service(script, slo_spec, None);
     let second_manifest = second.manifest();
     if second_manifest != first_manifest {
         eprintln!("--- first run ---\n{first_manifest}");

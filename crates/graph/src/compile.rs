@@ -208,15 +208,18 @@ fn tune(workload: &Workload, spec: &DlaSpec, opts: &CompileOptions) -> (f64, f64
     }
 }
 
-/// Tunes every workload on up to `available_parallelism` workers — the
-/// calling thread and `workers − 1` scoped threads taking the next index
-/// from a shared counter — and returns the results by workload index, so
-/// they do not depend on the worker count or on the interleaving. A panic
-/// in a tune is re-raised with its original payload.
-fn tune_all(workloads: &[Workload], spec: &DlaSpec, opts: &CompileOptions) -> Vec<(f64, f64)> {
-    let workers = thread::available_parallelism()
-        .map_or(1, NonZeroUsize::get)
-        .min(workloads.len());
+/// Tunes every workload on up to `workers` workers — the calling thread
+/// and `workers − 1` scoped threads taking the next index from a shared
+/// counter — and returns the results by workload index, so they do not
+/// depend on the worker count or on the interleaving. A panic in a tune
+/// is re-raised with its original payload.
+fn tune_all(
+    workloads: &[Workload],
+    spec: &DlaSpec,
+    opts: &CompileOptions,
+    workers: usize,
+) -> Vec<(f64, f64)> {
+    let workers = workers.min(workloads.len());
     let slots: Vec<OnceLock<(f64, f64)>> = workloads.iter().map(|_| OnceLock::new()).collect();
     let next = AtomicUsize::new(0);
     let work = || loop {
@@ -255,6 +258,18 @@ pub fn compile(
     spec: &DlaSpec,
     opts: &CompileOptions,
 ) -> CompiledModel {
+    let workers = thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    compile_on(graph, fused, spec, opts, workers)
+}
+
+/// [`compile`] on `workers` workers (the calling thread included).
+pub(crate) fn compile_on(
+    graph: &Graph,
+    fused: &FusedGraph,
+    spec: &DlaSpec,
+    opts: &CompileOptions,
+    workers: usize,
+) -> CompiledModel {
     // The distinct MAC workloads in first-use order, and each layer's index
     // into them.
     let mut distinct: Vec<Workload> = Vec::new();
@@ -270,7 +285,7 @@ pub fn compile(
             }))
         })
         .collect();
-    let tuned = tune_all(&distinct, spec, opts);
+    let tuned = tune_all(&distinct, spec, opts, workers);
 
     let bw = spec.global_bandwidth_bytes_per_sec();
     let dtype_bytes = spec.in_dtype.bytes();
@@ -430,7 +445,6 @@ mod tests {
             trials: 12,
             seed: 5,
         };
-        let model = compile(&g, &fused, &spec, &opts);
 
         // The reference: one direct tune per distinct key, in first-use
         // order, one after another.
@@ -462,11 +476,17 @@ mod tests {
             ));
         }
         assert_eq!((tuned.len(), hits), (3, 1));
-        assert_eq!(tuned_layers(&model), expected);
-        assert_eq!((model.tuned_workloads, model.cache_hits), (3, 1));
-        assert_eq!(model.layers.len(), fused.layers.len());
-        let again = compile(&g, &fused, &spec, &opts);
-        assert_eq!(model.to_string(), again.to_string());
+        // The same bits at every worker count, with more workers than
+        // workloads included.
+        let mut rendered = Vec::new();
+        for workers in [1, 2, 4] {
+            let model = compile_on(&g, &fused, &spec, &opts, workers);
+            assert_eq!(tuned_layers(&model), expected, "{workers} workers");
+            assert_eq!((model.tuned_workloads, model.cache_hits), (3, 1));
+            assert_eq!(model.layers.len(), fused.layers.len());
+            rendered.push(model.to_string());
+        }
+        assert!(rendered.windows(2).all(|w| w[0] == w[1]));
     }
 
     #[test]

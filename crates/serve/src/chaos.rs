@@ -15,26 +15,24 @@
 //! terminal state) and no job double-run (exactly one report per
 //! completed job, none elsewhere).
 
-use crate::supervisor::{JobState, Supervisor};
 use crate::worker::build_session;
 use crate::JobSpec;
+use crate::{JobState, Supervisor};
 
 /// Runs `spec` uninterrupted in-process and returns its deterministic
 /// record and fingerprint — the truth recovered jobs are held to.
 pub fn reference_record(spec: &JobSpec) -> Result<(String, u64), String> {
-    let mut tuner = build_session(spec, None)?;
-    let result = tuner.run();
-    Ok((
-        result.deterministic_record(),
-        result.determinism_fingerprint(),
-    ))
+    run_record(spec, None)
 }
 
 /// Resumes a checkpointed job to completion in-process (used to verify
 /// drained/preempted jobs converge to the uninterrupted result).
 pub fn resume_record(spec: &JobSpec, checkpoint_text: &str) -> Result<(String, u64), String> {
-    let mut tuner = build_session(spec, Some(checkpoint_text))?;
-    let result = tuner.run();
+    run_record(spec, Some(checkpoint_text))
+}
+
+fn run_record(spec: &JobSpec, resume_from: Option<&str>) -> Result<(String, u64), String> {
+    let result = build_session(spec, resume_from)?.run();
     Ok((
         result.deterministic_record(),
         result.determinism_fingerprint(),
@@ -57,17 +55,13 @@ pub fn verify_run(sup: &Supervisor, specs: &[JobSpec]) -> Result<Vec<String>, St
     let mut problems = Vec::new();
     for spec in specs {
         let id = &spec.id;
-        let state = match sup.state(id) {
-            Some(s) => s,
-            None => {
-                // Never admitted: must be an explicitly recorded
-                // rejection, not a silent drop.
-                if sup.rejected().iter().any(|(rid, _)| rid == id) {
-                    continue;
-                }
+        let Some(state) = sup.state(id) else {
+            // Never admitted: must be an explicitly recorded rejection,
+            // not a silent drop.
+            if !sup.rejected().iter().any(|(rid, _)| rid == id) {
                 problems.push(format!("job `{id}` was lost: no state, no rejection"));
-                continue;
             }
+            continue;
         };
         match state {
             JobState::Completed => {

@@ -25,10 +25,12 @@
 //! * [`worker`] — one thread, one session: builds the `Tuner`
 //!   in-thread from `Send` data, checkpoints periodically, reports
 //!   over a channel;
-//! * [`supervisor`] — assignment, heartbeat watchdog, crash/hang
-//!   detection, retry-with-backoff under a restart budget, quarantine,
-//!   graceful drain;
-//! * [`plan`] — seeded worker-kill injection for the chaos harness;
+//! * [`policy`] — the service's decisions as one transition function:
+//!   assignment, epoch fencing, retry-with-backoff under a restart
+//!   budget, quarantine, graceful drain, postmortems;
+//! * [`supervisor`] — the threaded driver: worker threads, the event
+//!   channel, the heartbeat watchdog;
+//! * [`plan`] — worker-kill injection for the chaos harness;
 //! * [`recorder`] — the flight recorder: per-job ring-snapshot deposits
 //!   harvested after a death (DESIGN.md §12);
 //! * [`postmortem`] — schema-versioned crash/hang/quarantine autopsy
@@ -55,6 +57,7 @@ pub mod chaos;
 pub mod job;
 pub mod manifest;
 pub mod plan;
+pub mod policy;
 pub mod postmortem;
 pub mod queue;
 pub mod recorder;
@@ -64,11 +67,12 @@ pub mod worker;
 
 pub use job::{parse_script, parse_workload, JobError, JobScript, JobSpec, ServeConfig};
 pub use plan::{ChaosPlan, KillKind, KillRule};
+pub use policy::{AttemptRecord, Effect, Event, JobRow, JobState, Policy, ScheduleRow};
 pub use postmortem::{
     check_postmortem, DeathReport, Postmortem, PostmortemSummary, POSTMORTEM_SCHEMA,
 };
 pub use queue::{AdmitError, AdmitQueue};
 pub use recorder::{FlightEntry, FlightRecorder};
 pub use store::CheckpointStore;
-pub use supervisor::{AttemptRecord, JobRow, JobState, ScheduleRow, Supervisor};
-pub use worker::{build_session, Event, JobReport, WorkOrder};
+pub use supervisor::Supervisor;
+pub use worker::{build_session, JobReport, WorkOrder};

@@ -8,8 +8,8 @@
 //! ids, epochs, wall-clock), so two runs of the same script produce
 //! byte-identical manifests and the verify smoke can diff them.
 
+use crate::policy::{JobRow, JobState};
 use crate::postmortem::Postmortem;
-use crate::supervisor::{JobRow, JobState};
 
 /// Renders the manifest for a finished service run.
 pub fn render(

@@ -19,11 +19,13 @@
 //! * finished → [`Event::Completed`] with the full [`JobReport`];
 //! * preempted (job deadline or supervisor drain) → checkpoint to the
 //!   store, then [`Event::Preempted`];
-//! * cancelled (epoch fenced off after a false start) → silent exit;
-//! * chaos crash → silent exit (the supervisor sees a finished thread
-//!   that never reported);
-//! * chaos hang → park until cancelled, then silent exit (the
-//!   supervisor sees a live thread whose heartbeat stands still).
+//! * cancelled (epoch fenced off after a false start) → no report;
+//! * chaos crash → no report (the supervisor sees an exit that no
+//!   report preceded);
+//! * chaos hang → park until cancelled, then no report (the supervisor
+//!   sees a live thread whose heartbeat stands still).
+//!
+//! Every exit, panics included, ends with [`Event::Exited`].
 
 use std::sync::mpsc::Sender;
 
@@ -36,6 +38,7 @@ use heron_trace::{TraceContext, Tracer};
 
 use crate::job::JobSpec;
 use crate::plan::{ChaosPlan, KillKind};
+pub use crate::policy::Event;
 use crate::recorder::{FlightEntry, FlightRecorder};
 use crate::store::CheckpointStore;
 
@@ -59,7 +62,7 @@ pub struct WorkOrder {
     pub plan: ChaosPlan,
     /// Periodic checkpoint cadence in rounds (0 = only on preempt).
     pub checkpoint_every: u64,
-    /// Pool shard this attempt is pinned to (observability only).
+    /// Worker slot this attempt runs on (observability only).
     pub worker_id: usize,
     /// Flight-recorder ring capacity for the session tracer (0 = no
     /// ring sink; the recorder then receives clock/round flushes only).
@@ -101,42 +104,23 @@ pub struct JobReport {
     pub trace_jsonl: String,
 }
 
-/// Worker → supervisor notifications. Every event quotes the worker's
-/// epoch so the supervisor can discard reports from fenced-off zombies.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Event {
-    /// The session finished on its own; here is the result.
-    Completed {
-        /// Job id.
-        job: String,
-        /// Epoch the reporting worker was started under.
-        epoch: u64,
-        /// The deterministic result.
-        report: Box<JobReport>,
-    },
-    /// The session honoured a preempt (deadline or drain) and its
-    /// checkpoint is in the store.
-    Preempted {
-        /// Job id.
-        job: String,
-        /// Epoch the reporting worker was started under.
-        epoch: u64,
-        /// Lifetime rounds at preemption.
-        rounds: u64,
-        /// Trials completed at preemption.
-        trials: usize,
-        /// The attempt's simulated wall-clock at preemption, ns.
-        wall_ns: u64,
-    },
-    /// The session could not be built or resumed.
-    Failed {
-        /// Job id.
-        job: String,
-        /// Epoch the reporting worker was started under.
-        epoch: u64,
-        /// Why.
-        reason: String,
-    },
+/// Sends [`Event::Exited`] when dropped. The driver fills in the flush
+/// facts from the flight recorder.
+struct ExitNotice {
+    events: Sender<Event>,
+    job: String,
+    epoch: u64,
+}
+
+impl Drop for ExitNotice {
+    fn drop(&mut self) {
+        let _ = self.events.send(Event::Exited {
+            job: std::mem::take(&mut self.job),
+            epoch: self.epoch,
+            rounds: 0,
+            sim_ns: 0,
+        });
+    }
 }
 
 /// Builds a tuning session for `spec`, fresh or resumed from checkpoint
@@ -204,6 +188,11 @@ pub fn run_order(order: WorkOrder, events: Sender<Event>) {
         recorder,
     } = order;
     let job = spec.id.clone();
+    let _exit = ExitNotice {
+        events: events.clone(),
+        job: job.clone(),
+        epoch,
+    };
 
     let mut tuner = match build_session(&spec, resume_from.as_deref()) {
         Ok(t) => t,

@@ -199,7 +199,7 @@ echo "== service-robustness smoke (heron-serve chaos harness) =="
 cargo run --release --offline -p heron-bench --bin heron_serve -- \
     --smoke --trace-out "$obs_dir/serve_trace.jsonl" \
     --pulse-out "$obs_dir/pulse.json" --slo scripts/serve_smoke.slo \
-    --slo-report "$obs_dir/slo_report.txt" --baseline BENCH_heron.json \
+    --slo-report "$obs_dir/slo_report.txt" \
     --scope-out "$obs_dir/scope.json" \
     --postmortem-dir "$obs_dir/postmortems" >/dev/null
 cargo run --release --offline -p heron-bench --bin trace_report -- \
