@@ -72,20 +72,19 @@ pub fn sol_per_kprop_from_tsv(tsv: &str) -> Option<f64> {
     }
 }
 
-/// Total simulated backoff wait across `recoveries` recoveries
-/// (`Σ base·2^(k-1)` = `base·(2^recoveries − 1)`).
-pub fn backoff_wait_s(base_s: f64, recoveries: u32) -> f64 {
-    base_s * (f64::powi(2.0, recoveries as i32) - 1.0)
+/// The simulated backoff before recovery `k`: `base·2^(k−1)` seconds
+/// in whole nanoseconds, 0 for `k = 0`. The one backoff formula: the
+/// service policy waits it, and pulse, postmortems and scope report it.
+pub fn backoff_ns(base_s: f64, k: u32) -> u64 {
+    if k == 0 {
+        return 0;
+    }
+    (base_s * f64::powi(2.0, k as i32 - 1) * 1e9).round() as u64
 }
 
-/// The largest single backoff: `base·2^(recoveries−1)`, 0 when the job
-/// never recovered.
-pub fn backoff_last_s(base_s: f64, recoveries: u32) -> f64 {
-    if recoveries == 0 {
-        0.0
-    } else {
-        base_s * f64::powi(2.0, recoveries as i32 - 1)
-    }
+/// Total simulated backoff across `recoveries` recoveries, ns.
+pub fn backoff_wait_ns(base_s: f64, recoveries: u32) -> u64 {
+    (1..=recoveries).map(|k| backoff_ns(base_s, k)).sum()
 }
 
 /// Per-round trajectories pulled from a job's insight document.
@@ -166,8 +165,8 @@ fn slice_stats(job: &JobInput, checkpoint_every: u64) -> (Json, Option<f64>) {
 
 fn job_json(job: &JobInput, input: &ServiceInput) -> Json {
     let base = input.config.backoff_base_s;
-    let queue_wait_s = backoff_wait_s(base, job.recoveries);
-    let recovery_max_s = backoff_last_s(base, job.recoveries);
+    let queue_wait_s = backoff_wait_ns(base, job.recoveries) as f64 / 1e9;
+    let recovery_max_s = backoff_ns(base, job.recoveries) as f64 / 1e9;
     let completed = job.state == "completed";
     let wall_s = job.wall_ns as f64 / 1e9;
     let (hot_spans, ttfc_s) = slice_stats(job, input.config.checkpoint_every);

@@ -19,7 +19,7 @@
 //! would poison byte-identity, so they judge as no-sample passes.
 
 use heron_core::checkpoint::content_id;
-use heron_pulse::{attach_slo, backoff_last_s, backoff_wait_s, check_slo_rule, SloSpec};
+use heron_pulse::{attach_slo, backoff_ns, backoff_wait_ns, check_slo_rule, SloSpec};
 use heron_trace::{check_ring_snapshot, Cursor, Json, RingSummary};
 
 use crate::recorder::FlightEntry;
@@ -74,11 +74,11 @@ fn slo_at_death(report: &DeathReport<'_>) -> Json {
     let slis = Json::Obj(vec![
         (
             "queue_wait_s".to_string(),
-            Json::Num(backoff_wait_s(report.backoff_base_s, report.recoveries)),
+            Json::Num(backoff_wait_ns(report.backoff_base_s, report.recoveries) as f64 / 1e9),
         ),
         (
             "recovery_max_s".to_string(),
-            Json::Num(backoff_last_s(report.backoff_base_s, report.recoveries)),
+            Json::Num(backoff_ns(report.backoff_base_s, report.recoveries) as f64 / 1e9),
         ),
     ]);
     let doc = Json::Obj(vec![(

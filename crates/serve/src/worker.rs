@@ -76,7 +76,7 @@ pub struct WorkOrder {
 
 /// The deterministic outcome of a completed job, shipped back over the
 /// event channel (plain data — safe to send across threads).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct JobReport {
     /// Job id.
     pub job: String,
