@@ -13,7 +13,7 @@
 //! job was lost or double-run, and a second service run reproduces the
 //! manifest byte for byte.
 
-use heron_bench::{flag, has_flag, read_slo, scope_input, write_file};
+use heron_bench::{flag, has_flag, read_slo, write_file};
 use heron_pulse::{build_pulse, render_dashboard, render_slo_report, SloSpec};
 use heron_serve::{chaos, parse_script, JobScript, JobState, Supervisor};
 use heron_trace::Json;
@@ -113,12 +113,13 @@ fn main() {
         );
     }
 
-    let scope_doc = heron_scope::build_scope(&scope_input(&sup));
+    let pulse_input = sup.pulse_input();
+    let scope_doc = heron_scope::build_scope(&sup.timeline(), &pulse_input.jobs);
     if let Some(path) = flag(&args, "--scope-out") {
         write_file(&path, &scope_doc.render_pretty(), "scope document");
     }
 
-    let pulse_doc = build_pulse(&sup.pulse_input(), &slo_spec);
+    let pulse_doc = build_pulse(&pulse_input, &slo_spec);
     if let Some(path) = flag(&args, "--pulse-out") {
         write_file(&path, &pulse_doc.render_pretty(), "pulse document");
     }
@@ -312,7 +313,8 @@ fn smoke_assertions(
         eprintln!("--- second run ---\n{second_manifest}");
         fail("service manifest is not deterministic across runs".to_string());
     }
-    let second_pulse = build_pulse(&second.pulse_input(), slo_spec);
+    let second_input = second.pulse_input();
+    let second_pulse = build_pulse(&second_input, slo_spec);
     if second_pulse.render_pretty() != first_pulse.render_pretty() {
         fail("pulse.json is not deterministic across runs".to_string());
     }
@@ -322,7 +324,7 @@ fn smoke_assertions(
     if render_dashboard(&second_pulse, 3) != render_dashboard(first_pulse, 3) {
         fail("status dashboard is not deterministic across runs".to_string());
     }
-    let second_scope = heron_scope::build_scope(&scope_input(&second));
+    let second_scope = heron_scope::build_scope(&second.timeline(), &second_input.jobs);
     if second_scope.render_pretty() != first_scope.render_pretty() {
         fail("scope.json is not deterministic across runs".to_string());
     }

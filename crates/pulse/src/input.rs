@@ -20,7 +20,7 @@ pub struct PulseConfig {
 }
 
 /// One admitted job's deterministic outcome.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct JobInput {
     /// Job id.
     pub id: String,

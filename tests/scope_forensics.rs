@@ -2,7 +2,7 @@
 //! (DESIGN.md §12).
 //!
 //! The forensic artifacts — per-job flight-recorder rings, crash
-//! postmortem bundles, and the reconstructed `scope.json` schedule —
+//! postmortem bundles, and the policy's `scope.json` schedule —
 //! exist to be *diffed*: against a previous run, against a healthy
 //! baseline, against the same incident on another machine. That only
 //! works if they are byte-deterministic functions of (script, seeds,
@@ -11,10 +11,9 @@
 //! emission contract (exactly one bundle per confirmed death, hangs
 //! included).
 
-use heron::scope::validate_scope;
+use heron::scope::{build_scope, validate_scope};
 use heron::serve::{check_postmortem, parse_script, JobState, Supervisor};
 use heron::trace::Json;
-use heron_bench::scope_input;
 
 /// A chaos scenario that exercises all three death paths: a recovered
 /// crash, a confirmed hang, and a poisoned job that exhausts its
@@ -70,9 +69,9 @@ fn same_seed_chaos_runs_yield_byte_identical_forensics() {
             .unwrap_or_else(|e| panic!("bundle `{}` invalid: {e}", pm.file));
     }
 
-    // The reconstructed schedule document, rendered bytes included.
-    let scope_a = heron::scope::build_scope(&scope_input(&first));
-    let scope_b = heron::scope::build_scope(&scope_input(&second));
+    // The schedule document, rendered bytes included.
+    let scope = |sup: &Supervisor| build_scope(&sup.timeline(), &sup.pulse_input().jobs);
+    let (scope_a, scope_b) = (scope(&first), scope(&second));
     validate_scope(&scope_a).expect("scope document validates");
     assert_eq!(
         scope_a.render_pretty(),
