@@ -209,9 +209,11 @@ echo "ok: chaos smoke passes; recovered jobs byte-identical; service trace valid
 echo "== scope smoke (flight recorder, postmortems, critical path) =="
 # The forensics layer (DESIGN.md §12) gates the build: the chaos
 # smoke's injected crash must leave a postmortem bundle behind, and the
-# reconstructed schedule must satisfy the central scope invariant —
-# the critical path's segment durations sum *exactly* to the recorded
-# makespan (heron_scope --check validates it and prints the equality).
+# policy's own schedule of the run, replayed on the simulated clock,
+# must satisfy the central scope invariant — the critical path's
+# segment durations sum *exactly* to the makespan (heron_scope --check
+# validates it, slot bounds and disjoint runs included, and prints the
+# equality).
 test -f "$obs_dir/postmortems/g1.attempt0.crash.jsonl" || {
     echo "error: no postmortem bundle for the injected g1 crash" >&2
     ls "$obs_dir/postmortems" >&2 || true
