@@ -227,9 +227,32 @@ pub fn all() -> Vec<DlaSpec> {
     vec![v100(), t4(), a100(), dlboost(), vta(), tpu(), cambricon()]
 }
 
+/// The platform named `name`, building only that one.
+pub fn by_name(name: &str) -> Option<DlaSpec> {
+    let make = match name {
+        "v100" => v100,
+        "t4" => t4,
+        "a100" => a100,
+        "dlboost" => dlboost,
+        "vta" => vta,
+        "tpu" => tpu,
+        "cambricon" => cambricon,
+        _ => return None,
+    };
+    Some(make())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_platform_is_found_by_its_name() {
+        for spec in all() {
+            assert_eq!(by_name(&spec.name), Some(spec));
+        }
+        assert_eq!(by_name("h100"), None);
+    }
 
     #[test]
     fn wmma_shape_count() {

@@ -146,9 +146,7 @@ impl JobSpec {
 
     /// Resolves the target platform spec.
     pub fn platform(&self) -> Result<DlaSpec, JobError> {
-        heron_dla::platforms::all()
-            .into_iter()
-            .find(|s| s.name == self.dla)
+        heron_dla::platforms::by_name(&self.dla)
             .ok_or_else(|| JobError::UnknownPlatform(self.dla.clone()))
     }
 
