@@ -1,16 +1,18 @@
-//! `heron-insight`: search-health analytics, cost-model explainability
-//! and the perf-trajectory regression gate (DESIGN.md §7).
+//! `heron-insight`: search-health analytics and cost-model
+//! explainability (DESIGN.md §7).
 //!
 //! The crate is layered on `heron-trace`'s zero-dependency JSON
 //! reader/writer and stays free of any other dependency, so it can sit
 //! *below* `heron-core`: the tuner owns a [`SearchLog`] and appends one
 //! [`RoundRecord`] per tuning round plus one [`RefitRecord`] per cost
 //! model refit. Everything here is deterministic — same-seed runs
-//! produce byte-identical `insight.json` and `BENCH_heron.json`
-//! documents, which is what lets the regression gate and the
-//! determinism suite treat them as artifacts.
+//! produce byte-identical `insight.json` documents, which is what lets
+//! the determinism suite treat them as artifacts. (The committed
+//! `BENCH_heron.json` is not one of this crate's documents: it is the
+//! expected-scores file that `heron-hostbench` reads and
+//! `tests/determinism.rs` pins.)
 //!
-//! Three pieces:
+//! Two pieces:
 //!
 //! * [`SearchLog`] — the per-round structured event stream (best-so-far,
 //!   regret inputs, population diversity/entropy, ε-greedy split,
@@ -22,8 +24,6 @@
 //!   miscalibration warnings, per-variable coverage; rendered as
 //!   deterministic `insight.json` ([`InsightReport::to_json`]) and as a
 //!   human text report ([`InsightReport::render_text`]).
-//! * [`BenchReport`] — the canonical `BENCH_heron.json` snapshot plus
-//!   the [`compare`] regression gate with deterministic thresholds.
 //!
 //! # Example
 //!
@@ -44,14 +44,9 @@
 //! ```
 
 pub mod analyze;
-pub mod bench;
 pub mod log;
 pub mod schema;
 
 pub use analyze::{analyze, InsightReport, Warning};
-pub use bench::{
-    compare, trajectory_line, validate_trajectory, BenchReport, CompareConfig, WorkloadBench,
-    TRAJECTORY_SCHEMA,
-};
 pub use log::{population_entropy_bits, RefitRecord, RoundRecord, SearchLog, VarCoverage};
 pub use schema::validate_insight;

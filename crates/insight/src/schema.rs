@@ -3,8 +3,7 @@
 //! `heron_cli --insight-out` runs it on every document before writing:
 //! it checks member presence and types, array element shapes, and
 //! cross-field invariants (regret length = rounds, coverage in `[0,1]`,
-//! …). `BENCH_heron.json` is validated by [`crate::BenchReport::from_json`]
-//! as it parses.
+//! …).
 
 use heron_trace::{Cursor, Json};
 

@@ -40,7 +40,7 @@ pub use input::{JobInput, PulseConfig, ServiceInput};
 pub use report::{render_dashboard, render_slo_report};
 pub use schema::{check_slo_rule, validate_pulse, SLI_KEYS};
 pub use sli::{
-    attach_slo, backoff_ns, backoff_wait_ns, breach_count, build_pulse, sol_per_kprop_from_tsv,
+    attach_slo, backoff_ns, breach_count, build_pulse, recovery_slis, sol_per_kprop_from_tsv,
     HOT_SPANS, PULSE_SCHEMA,
 };
 pub use slo::{SloOp, SloRule, SloSpec};

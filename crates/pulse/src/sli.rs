@@ -82,9 +82,16 @@ pub fn backoff_ns(base_s: f64, k: u32) -> u64 {
     (base_s * f64::powi(2.0, k as i32 - 1) * 1e9).round() as u64
 }
 
-/// Total simulated backoff across `recoveries` recoveries, ns.
-pub fn backoff_wait_ns(base_s: f64, recoveries: u32) -> u64 {
-    (1..=recoveries).map(|k| backoff_ns(base_s, k)).sum()
+/// The two recovery SLIs of a job after `recoveries` recoveries, in
+/// simulated seconds: `queue_wait_s`, the sum of its backoffs, and
+/// `recovery_max_s`, the last and largest one. `pulse.json` and the
+/// postmortem's verdicts at time of death both report these.
+pub fn recovery_slis(base_s: f64, recoveries: u32) -> (f64, f64) {
+    let wait_ns: u64 = (1..=recoveries).map(|k| backoff_ns(base_s, k)).sum();
+    (
+        wait_ns as f64 / 1e9,
+        backoff_ns(base_s, recoveries) as f64 / 1e9,
+    )
 }
 
 /// Per-round trajectories pulled from a job's insight document.
@@ -164,9 +171,7 @@ fn slice_stats(job: &JobInput, checkpoint_every: u64) -> (Json, Option<f64>) {
 }
 
 fn job_json(job: &JobInput, input: &ServiceInput) -> Json {
-    let base = input.config.backoff_base_s;
-    let queue_wait_s = backoff_wait_ns(base, job.recoveries) as f64 / 1e9;
-    let recovery_max_s = backoff_ns(base, job.recoveries) as f64 / 1e9;
+    let (queue_wait_s, recovery_max_s) = recovery_slis(input.config.backoff_base_s, job.recoveries);
     let completed = job.state == "completed";
     let wall_s = job.wall_ns as f64 / 1e9;
     let (hot_spans, ttfc_s) = slice_stats(job, input.config.checkpoint_every);

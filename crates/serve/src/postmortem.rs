@@ -19,7 +19,7 @@
 //! would poison byte-identity, so they judge as no-sample passes.
 
 use heron_core::checkpoint::content_id;
-use heron_pulse::{attach_slo, backoff_ns, backoff_wait_ns, check_slo_rule, SloSpec};
+use heron_pulse::{attach_slo, check_slo_rule, recovery_slis, SloSpec};
 use heron_trace::{check_ring_snapshot, Cursor, Json, RingSummary};
 
 use crate::recorder::FlightEntry;
@@ -71,15 +71,10 @@ pub struct Postmortem {
 /// deterministic SLIs. Returns the `rules` array of
 /// [`heron_pulse::attach_slo`].
 fn slo_at_death(report: &DeathReport<'_>) -> Json {
+    let (queue_wait_s, recovery_max_s) = recovery_slis(report.backoff_base_s, report.recoveries);
     let slis = Json::Obj(vec![
-        (
-            "queue_wait_s".to_string(),
-            Json::Num(backoff_wait_ns(report.backoff_base_s, report.recoveries) as f64 / 1e9),
-        ),
-        (
-            "recovery_max_s".to_string(),
-            Json::Num(backoff_ns(report.backoff_base_s, report.recoveries) as f64 / 1e9),
-        ),
+        ("queue_wait_s".to_string(), Json::Num(queue_wait_s)),
+        ("recovery_max_s".to_string(), Json::Num(recovery_max_s)),
     ]);
     let doc = Json::Obj(vec![(
         "jobs".to_string(),

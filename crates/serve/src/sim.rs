@@ -17,7 +17,8 @@
 //! ran, so it never ends); a recorded attempt the replayed policy never
 //! starts is left off too, and counted in [`Timeline::unplaced`]. Both
 //! happen only when a drain's position followed host timing, or the
-//! drain came from outside the config.
+//! drain came from outside the config: `tests/serve_explore.rs` steps
+//! [`Event::Drain`] into its policy directly, the only such drain.
 
 use std::collections::BTreeMap;
 

@@ -117,12 +117,6 @@ impl Supervisor {
         self.policy.submit(spec)
     }
 
-    /// Requests a graceful drain: stop assigning, preempt everything
-    /// running (each drains to a checkpoint in the store).
-    pub fn begin_drain(&mut self) {
-        self.apply(Event::Drain);
-    }
-
     /// Drives the service to completion: assigns queued jobs to free
     /// workers, processes worker events, runs the watchdog, recovers
     /// failures, and returns once every admitted job is settled

@@ -17,10 +17,7 @@ use heron::audit::{
     validate_audit, AuditReport, BlockingEntry, DiffEntry, OverWitness, UnderWitness,
 };
 use heron::csp::Solution;
-use heron::insight::{
-    analyze, trajectory_line, validate_insight, validate_trajectory, BenchReport, RefitRecord,
-    RoundRecord, SearchLog, WorkloadBench,
-};
+use heron::insight::{analyze, validate_insight, RefitRecord, RoundRecord, SearchLog};
 use heron::pulse::{build_pulse, validate_pulse, JobInput, PulseConfig, ServiceInput, SloSpec};
 use heron::scope::{build_scope, validate_scope};
 use heron::serve::postmortem::build;
@@ -54,8 +51,7 @@ fn show(root: &str, path: &[Seg]) -> String {
     out
 }
 
-/// Members a document may omit: the trail-era bench counters (absent
-/// from older baselines) and a trace event's `ctx` tag and free-form
+/// Members a document may omit: a trace event's `ctx` tag and free-form
 /// `fields` map.
 fn optional(path: &[Seg]) -> bool {
     let keys: Vec<&str> = path
@@ -67,10 +63,7 @@ fn optional(path: &[Seg]) -> bool {
             Seg::Index(_) => "",
         })
         .collect();
-    matches!(
-        keys[0],
-        "randsat_max_trail" | "incremental_hits" | "ctx" | "fields"
-    ) || keys.get(1) == Some(&"fields")
+    matches!(keys[0], "ctx" | "fields") || keys.get(1) == Some(&"fields")
 }
 
 /// Every value below the root, with its path.
@@ -237,29 +230,6 @@ fn insight_json() -> Json {
     analyze(&log).to_json(&log)
 }
 
-fn bench_report() -> BenchReport {
-    let mut r = BenchReport::new(2023, 64);
-    for (name, gflops) in [("c2d-14x64", 1000.0), ("gemm-256", 4000.0)] {
-        r.push(WorkloadBench {
-            name: name.into(),
-            best_gflops: gflops,
-            best_latency_us: 67.1,
-            trials: 64,
-            valid_trials: 60,
-            rounds: 8,
-            hw_measure_s: 1.25,
-            randsat_solutions: 64,
-            randsat_propagations: 120_000,
-            sol_per_kprop: 0.5,
-            randsat_max_trail: 12,
-            incremental_hits: 30,
-            model_fits: 8,
-            final_rank_accuracy: 0.91,
-        });
-    }
-    r
-}
-
 fn jsonl(header: &str, body_lines: usize) -> Option<Vec<String>> {
     let body = (1..=body_lines).map(|n| format!("line {n}"));
     Some(std::iter::once(header.to_string()).chain(body).collect())
@@ -363,24 +333,6 @@ fn insight_json_document() {
         text: insight_json().render_pretty(),
         line_roots: None,
         check: |t| validate_insight(&parse(t)?),
-    });
-}
-
-#[test]
-fn bench_snapshot() {
-    assert_every_member_checked(Artifact {
-        text: bench_report().to_json().render_pretty(),
-        line_roots: None,
-        check: |t| BenchReport::from_json(&parse(t)?).map(drop),
-    });
-}
-
-#[test]
-fn trajectory_line_document() {
-    assert_every_member_checked(Artifact {
-        text: trajectory_line(&bench_report()) + "\n",
-        line_roots: Some(vec!["line 1".into()]),
-        check: |t| validate_trajectory(t).map(drop),
     });
 }
 
