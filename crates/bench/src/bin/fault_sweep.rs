@@ -18,7 +18,7 @@
 //! `--metrics-out` snapshots the sweep's aggregate metrics registry
 //! (per-column `bench.fault_sweep.*` histograms) to a TSV file.
 
-use heron_bench::{flag, write_metrics_flag, TsvTable};
+use heron_bench::{num_flag, write_metrics_flag, TsvTable};
 use heron_core::generate::{SpaceGenerator, SpaceOptions};
 use heron_core::tuner::{TuneConfig, TuneResult, Tuner};
 use heron_dla::{v100, FaultPlan, Measurer};
@@ -70,12 +70,8 @@ fn main() {
     if args.iter().any(|a| a == "--smoke") {
         std::process::exit(smoke());
     }
-    let trials: usize = flag(&args, "--trials")
-        .and_then(|t| t.parse().ok())
-        .unwrap_or(96);
-    let seed: u64 = flag(&args, "--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2023);
+    let trials: usize = num_flag(&args, "--trials").unwrap_or(96);
+    let seed: u64 = num_flag(&args, "--seed").unwrap_or(2023);
 
     println!("# fault-rate sweep: gemm-512 on v100, {trials} trials, seed {seed}");
     let mut table = TsvTable::new(

@@ -8,7 +8,7 @@
 //! maximum performance; (2) neighbouring buckets differ sharply (the
 //! space is irregular).
 
-use heron_bench::seed;
+use heron_bench::{env_num, seed};
 use heron_core::generate::{SpaceGenerator, SpaceOptions};
 use heron_core::tuner::evaluate;
 use heron_csp::{SolvePolicy, SolveSession};
@@ -27,10 +27,7 @@ fn main() {
     let spec = v100();
     let dag = ops::gemm(1024, 1024, 1024);
     let measurer = Measurer::new(spec.clone());
-    let samples: usize = std::env::var("HERON_SAMPLES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1500);
+    let samples: usize = env_num("HERON_SAMPLES").unwrap_or(1500);
 
     println!("Figure 11: search-space quality on GEMM G1 ({samples} samples per space)");
     let (policy, quiet) = (SolvePolicy::fixed(400), Tracer::disabled());

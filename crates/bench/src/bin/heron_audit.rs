@@ -19,7 +19,7 @@
 //! a mutated space **must** fail `--check`).
 
 use heron_audit::{audit_with_state, validate_audit, AuditConfig, UnderState};
-use heron_bench::{flag, has_flag, must_validate, write_file};
+use heron_bench::{flag, has_flag, must_validate, num_flag, write_file};
 use heron_core::generate::{SpaceGenerator, SpaceOptions};
 use heron_dla::DlaSpec;
 use heron_testkit::rule_mutation::RuleMutation;
@@ -36,9 +36,7 @@ fn main() {
     let op = flag(&args, "--op").unwrap_or_else(|| "gemm".into());
     let shape = flag(&args, "--shape").unwrap_or_else(|| "512x512x512".into());
     let workload = parse_workload(&op, &shape);
-    let seed = flag(&args, "--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2023);
+    let seed = num_flag(&args, "--seed").unwrap_or(2023);
 
     let dag = workload.build(spec.in_dtype);
     let mut space = match SpaceGenerator::new(spec.clone()).generate_named(
@@ -73,10 +71,10 @@ fn main() {
     }
 
     let mut cfg = AuditConfig::new(seed);
-    if let Some(n) = flag(&args, "--samples").and_then(|n| n.parse().ok()) {
+    if let Some(n) = num_flag(&args, "--samples") {
         cfg.samples = n;
     }
-    if let Some(n) = flag(&args, "--anchors").and_then(|n| n.parse().ok()) {
+    if let Some(n) = num_flag(&args, "--anchors") {
         cfg.anchors = n;
     }
 
@@ -103,7 +101,7 @@ fn main() {
         state = restored;
     }
 
-    let pause_after = flag(&args, "--pause-at").and_then(|n| n.parse::<usize>().ok());
+    let pause_after = num_flag(&args, "--pause-at");
     let report = match audit_with_state(&space, &cfg, &tracer, &mut state, pause_after) {
         Some(r) => r,
         None => {

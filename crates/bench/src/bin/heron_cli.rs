@@ -41,7 +41,7 @@
 //! `c2d NxHxWxCIxCOxKxPxS`, `c1d NxLxCIxCOxKxPxS`, `c3d NxDxHWxCIxCOxKxPxS`.
 
 use heron_baselines::{tune, vendor_outcome, Approach};
-use heron_bench::{flag, has_flag};
+use heron_bench::{flag, has_flag, num_flag};
 use heron_core::generate::{SpaceGenerator, SpaceOptions};
 use heron_csp::SpaceCensus;
 use heron_dla::DlaSpec;
@@ -121,12 +121,8 @@ fn common(args: &[String]) -> Common {
     Common {
         workload: parse_workload(&op, &shape),
         spec,
-        trials: flag(args, "--trials")
-            .and_then(|t| t.parse().ok())
-            .unwrap_or(300),
-        seed: flag(args, "--seed")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(2023),
+        trials: num_flag(args, "--trials").unwrap_or(300),
+        seed: num_flag(args, "--seed").unwrap_or(2023),
     }
 }
 
@@ -195,16 +191,14 @@ fn tune_cmd(args: &[String]) {
     };
 
     let dag = c.workload.build(c.spec.in_dtype);
-    let fault_rate: f64 = flag(args, "--fault-rate")
-        .and_then(|r| r.parse().ok())
-        .unwrap_or(0.0);
+    let fault_rate: f64 = num_flag(args, "--fault-rate").unwrap_or(0.0);
     let plan = if fault_rate > 0.0 {
         FaultPlan::uniform(c.seed, fault_rate)
     } else {
         FaultPlan::none(c.seed)
     };
     let mut config = heron_baselines::tune::heron_config(c.trials);
-    if let Some(deadline) = flag(args, "--solve-deadline").and_then(|d| d.parse::<u64>().ok()) {
+    if let Some(deadline) = num_flag(args, "--solve-deadline") {
         config.cga.solve_deadline = deadline;
     }
     let space = match SpaceGenerator::new(c.spec.clone()).generate_named(
@@ -262,11 +256,11 @@ fn tune_cmd(args: &[String]) {
     // boundary once its *lifetime* round counter (which survives
     // checkpoint/resume) reaches the bound — the same cooperative path
     // heron-serve uses, so the checkpoint is bit-exact resumable.
-    if let Some(deadline) = flag(args, "--deadline-rounds").and_then(|d| d.parse::<u64>().ok()) {
+    if let Some(deadline) = num_flag(args, "--deadline-rounds") {
         tuner.control().set_deadline_rounds(deadline);
     }
 
-    if let Some(pause_at) = flag(args, "--pause-at").and_then(|n| n.parse::<usize>().ok()) {
+    if let Some(pause_at) = num_flag(args, "--pause-at") {
         let finished = tuner.run_until(pause_at);
         if !finished {
             let path =

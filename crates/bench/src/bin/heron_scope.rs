@@ -18,7 +18,7 @@
 //! *exactly* to `makespan_ns`. The summary line printed on success
 //! states that equality, so the CI stage can grep for it.
 
-use heron_bench::{flag, has_flag, read_json};
+use heron_bench::{has_flag, num_flag, read_json};
 use heron_scope::{render_timeline, validate_scope};
 use heron_trace::Json;
 
@@ -58,8 +58,6 @@ fn main() {
     if has_flag(&args, "--check") {
         return;
     }
-    let width = flag(&args, "--width")
-        .and_then(|w| w.parse::<usize>().ok())
-        .unwrap_or(72);
+    let width = num_flag(&args, "--width").unwrap_or(72);
     print!("{}", render_timeline(&doc, width));
 }

@@ -13,7 +13,7 @@
 //! job was lost or double-run, and a second service run reproduces the
 //! manifest byte for byte.
 
-use heron_bench::{flag, has_flag, read_slo, write_file};
+use heron_bench::{flag, has_flag, num_flag, read_slo, write_file};
 use heron_pulse::{build_pulse, render_dashboard, render_slo_report, SloSpec};
 use heron_serve::{chaos, parse_script, JobScript, JobState, Supervisor};
 use heron_trace::Json;
@@ -93,7 +93,7 @@ fn main() {
             std::process::exit(1);
         }
     };
-    if let Some(w) = flag(&args, "--workers").and_then(|w| w.parse().ok()) {
+    if let Some(w) = num_flag(&args, "--workers") {
         script.config.workers = w;
     }
     let slo_spec = match flag(&args, "--slo") {

@@ -21,7 +21,7 @@
 //! output is byte-stable too — `--check` is the CI gate that fails the
 //! build when a committed SLO spec is breached.
 
-use heron_bench::{flag, has_flag, read_json, read_slo};
+use heron_bench::{flag, has_flag, num_flag, read_json, read_slo};
 use heron_pulse::{attach_slo, breach_count, render_dashboard, validate_pulse};
 
 fn usage() -> ! {
@@ -52,16 +52,7 @@ fn main() {
     if let Some(spec_path) = flag(&args, "--slo") {
         doc = attach_slo(doc, &read_slo(&spec_path));
     }
-    let top = match flag(&args, "--top") {
-        Some(t) => match t.parse::<usize>() {
-            Ok(n) => n,
-            Err(_) => {
-                eprintln!("--top expects a positive integer, got `{t}`");
-                std::process::exit(2);
-            }
-        },
-        None => 3,
-    };
+    let top = num_flag(&args, "--top").unwrap_or(3);
     print!("{}", render_dashboard(&doc, top));
     if has_flag(&args, "--check") {
         let breaches = breach_count(&doc);

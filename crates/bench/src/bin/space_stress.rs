@@ -24,7 +24,7 @@
 //! space_stress --smoke    # CI gate: over-constrained + UNSAT behaviour
 //! ```
 
-use heron_bench::{flag, has_flag, write_metrics_flag, TsvTable};
+use heron_bench::{flag, has_flag, num_flag, write_metrics_flag, TsvTable};
 use heron_core::generate::{GeneratedSpace, SpaceGenerator, SpaceOptions};
 use heron_core::tuner::{Termination, TuneConfig, TuneResult, Tuner};
 use heron_csp::{diagnose_root_conflict, SolvePolicy, SolveSession, SolveStatus};
@@ -179,18 +179,12 @@ fn smoke(seed: u64) -> i32 {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let seed: u64 = flag(&args, "--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2023);
+    let seed: u64 = num_flag(&args, "--seed").unwrap_or(2023);
     if has_flag(&args, "--smoke") {
         std::process::exit(smoke(seed));
     }
-    let trials: usize = flag(&args, "--trials")
-        .and_then(|t| t.parse().ok())
-        .unwrap_or(48);
-    let deadline: u64 = flag(&args, "--deadline")
-        .and_then(|d| d.parse().ok())
-        .unwrap_or(20_000);
+    let trials: usize = num_flag(&args, "--trials").unwrap_or(48);
+    let deadline: u64 = num_flag(&args, "--deadline").unwrap_or(20_000);
 
     println!("# space stress: gemm-256 on v100, {trials} trials, seed {seed}, deadline {deadline}");
     let columns = [

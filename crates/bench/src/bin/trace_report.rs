@@ -23,7 +23,7 @@
 
 use std::io::BufRead as _;
 
-use heron_bench::{flag, has_flag};
+use heron_bench::{flag, has_flag, num_flag};
 use heron_trace::{
     check_trace, check_trace_lines, profile_from_summary, slice_by_job, TraceSummary,
 };
@@ -65,27 +65,11 @@ fn check_streaming(path: &str) -> TraceSummary {
 
 /// Renders the `n` hottest spans as a flat table: call count, total and
 /// mean duration, and share of the top-level wall time. Aggregation is
-/// by (job, span name) — service-level spans aggregate under job `-` —
-/// and ties break (job, name)-ascending so the table is deterministic.
+/// by (job, span name) — service-level spans aggregate under job `-`
+/// (see [`TraceSummary::hottest_spans`] for the order).
 fn hottest_spans(summary: &TraceSummary, n: usize) -> String {
-    // ((job, name), count, total_ns)
-    let mut by_key: Vec<((String, String), u64, u64)> = Vec::new();
-    for s in &summary.spans {
-        let job = s
-            .ctx
-            .as_ref()
-            .map_or_else(|| "-".to_string(), |c| c.job.clone());
-        let key = (job, s.name.clone());
-        match by_key.iter_mut().find(|(k, _, _)| *k == key) {
-            Some((_, count, total)) => {
-                *count += 1;
-                *total += s.dur_ns();
-            }
-            None => by_key.push((key, 1, s.dur_ns())),
-        }
-    }
-    by_key.sort_by(|a, b| b.2.cmp(&a.2).then_with(|| a.0.cmp(&b.0)));
-    let shown = n.min(by_key.len());
+    let hot = summary.hottest_spans();
+    let shown = n.min(hot.len());
     let wall_ns: u64 = summary
         .spans
         .iter()
@@ -94,22 +78,25 @@ fn hottest_spans(summary: &TraceSummary, n: usize) -> String {
         .sum();
     let mut out = format!(
         "hottest spans (top {shown} of {} by total time)\n",
-        by_key.len()
+        hot.len()
     );
     out.push_str(&format!(
         "  {:<8} {:<24} {:>7} {:>12} {:>10} {:>7}\n",
         "job", "span", "count", "total_ms", "mean_ms", "%wall"
     ));
-    for ((job, name), count, total_ns) in by_key.iter().take(n) {
-        let total_ms = *total_ns as f64 / 1e6;
-        let mean_ms = total_ms / *count as f64;
+    for t in hot.iter().take(n) {
+        let total_ms = t.total_ns as f64 / 1e6;
+        let mean_ms = total_ms / t.count as f64;
         let pct = if wall_ns == 0 {
             0.0
         } else {
-            *total_ns as f64 * 100.0 / wall_ns as f64
+            t.total_ns as f64 * 100.0 / wall_ns as f64
         };
         out.push_str(&format!(
-            "  {job:<8} {name:<24} {count:>7} {total_ms:>12.3} {mean_ms:>10.3} {pct:>6.1}%\n"
+            "  {:<8} {:<24} {:>7} {total_ms:>12.3} {mean_ms:>10.3} {pct:>6.1}%\n",
+            t.job.unwrap_or("-"),
+            t.name,
+            t.count
         ));
     }
     out
@@ -127,6 +114,7 @@ fn main() {
     else {
         usage();
     };
+    let top = num_flag(&args, "--top");
     // Plain `--check` never needs the whole file in memory: stream it.
     // (`--job` slicing and profile rendering still buffer the text.)
     if has_flag(&args, "--check") && flag(&args, "--job").is_none() {
@@ -166,11 +154,7 @@ fn main() {
         return;
     }
     print!("{}", profile_from_summary(&summary).render());
-    if let Some(top) = flag(&args, "--top") {
-        let Ok(n) = top.parse::<usize>() else {
-            eprintln!("--top expects a positive integer, got `{top}`");
-            std::process::exit(2);
-        };
+    if let Some(n) = top {
         print!("{}", hottest_spans(&summary, n));
     }
     println!(

@@ -20,18 +20,12 @@ use heron_workloads::Workload;
 
 /// Measured trials per tuning run (`HERON_TRIALS`, default 300).
 pub fn trials() -> usize {
-    std::env::var("HERON_TRIALS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(300)
+    env_num("HERON_TRIALS").unwrap_or(300)
 }
 
 /// Base RNG seed (`HERON_SEED`, default 2023).
 pub fn seed() -> u64 {
-    std::env::var("HERON_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2023)
+    env_num("HERON_SEED").unwrap_or(2023)
 }
 
 /// Geometric mean of positive values (ignores non-positive entries).
@@ -91,6 +85,42 @@ pub fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter()
         .position(|a| a == name)
         .and_then(|i| args.get(i + 1).cloned())
+}
+
+/// Parsed value of a numeric `--name VALUE` flag, `None` when the flag
+/// is absent. A value that does not parse, or a flag given as the last
+/// argument, is a usage error: exits with status 2 naming the flag,
+/// never falling back to a default.
+pub fn num_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
+    let i = args.iter().position(|a| a == name)?;
+    Some(or_usage_exit(parse_value(
+        name,
+        args.get(i + 1).map(String::as_str),
+    )))
+}
+
+/// Parsed value of the numeric environment variable `var`, `None` when
+/// it is unset. Exits with status 2 naming `var` when it does not parse.
+pub fn env_num<T: std::str::FromStr>(var: &str) -> Option<T> {
+    let raw = std::env::var(var).ok()?;
+    Some(or_usage_exit(parse_value(var, Some(&raw))))
+}
+
+/// Parses `raw`, the value of the flag or environment variable `name`
+/// (`None`: a flag with no value after it).
+fn parse_value<T: std::str::FromStr>(name: &str, raw: Option<&str>) -> Result<T, String> {
+    let raw = raw.ok_or_else(|| format!("{name} expects a value"))?;
+    raw.parse().map_err(|_| {
+        let ty = std::any::type_name::<T>();
+        format!("{name} expects a {ty}, got `{raw}`")
+    })
+}
+
+fn or_usage_exit<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    })
 }
 
 /// Whether a bare `--name` flag is present.
@@ -298,6 +328,33 @@ mod tests {
         assert_eq!(flag(&args, "--smoke"), None, "bare flag has no value");
         assert!(has_flag(&args, "--smoke"));
         assert!(!has_flag(&args, "--resume"));
+    }
+
+    #[test]
+    fn numeric_settings_parse_or_name_the_setting() {
+        let args: Vec<String> = ["--trials", "24", "--fault-rate", "0.2"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        assert_eq!(num_flag::<usize>(&args, "--trials"), Some(24));
+        assert_eq!(num_flag::<f64>(&args, "--fault-rate"), Some(0.2));
+        assert_eq!(num_flag::<u64>(&args, "--seed"), None);
+        assert_eq!(
+            parse_value::<usize>("--trials", Some("1O")),
+            Err("--trials expects a usize, got `1O`".to_string())
+        );
+        assert_eq!(
+            parse_value::<f64>("--fault-rate", Some("0,2")),
+            Err("--fault-rate expects a f64, got `0,2`".to_string())
+        );
+        assert_eq!(
+            parse_value::<u64>("--seed", None),
+            Err("--seed expects a value".to_string())
+        );
+        assert_eq!(
+            parse_value::<usize>("HERON_TRIALS", Some("abc")),
+            Err("HERON_TRIALS expects a usize, got `abc`".to_string())
+        );
     }
 
     #[test]

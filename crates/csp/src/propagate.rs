@@ -168,16 +168,6 @@ impl Kind {
     /// Number of kinds.
     pub const COUNT: usize = 6;
 
-    /// Every kind, in discriminant order.
-    pub const ALL: [Kind; Kind::COUNT] = [
-        Kind::Eq,
-        Kind::In,
-        Kind::Le,
-        Kind::Prod,
-        Kind::Sum,
-        Kind::Select,
-    ];
-
     pub(crate) fn of(c: &Constraint) -> Kind {
         match c {
             Constraint::Eq(..) => Kind::Eq,
@@ -187,11 +177,6 @@ impl Kind {
             Constraint::Sum { .. } => Kind::Sum,
             Constraint::Select { .. } => Kind::Select,
         }
-    }
-
-    /// The type tag of [`Constraint::type_tag`] (`PROD`, `SUM`, …).
-    pub fn tag(self) -> &'static str {
-        ["EQ", "IN", "LE", "PROD", "SUM", "SELECT"][self as usize]
     }
 
     /// Cheap constraints (`EQ`/`IN`/`LE`: one bounds comparison or a
@@ -1616,9 +1601,9 @@ mod tests {
         let hit = p.work_by_kind();
         assert_eq!(p.nogood_hits(), 1);
         for k in 0..Kind::COUNT {
-            assert_eq!(hit[k].passes, learned[k].passes, "{}", Kind::ALL[k].tag());
+            assert_eq!(hit[k].passes, learned[k].passes, "kind {k}");
             let extra = u64::from(learned[k].wipeouts > 0);
-            assert_eq!(hit[k].wipeouts, 2 * extra, "{}", Kind::ALL[k].tag());
+            assert_eq!(hit[k].wipeouts, 2 * extra, "kind {k}");
         }
         // A new call forgets the nogood.
         p.begin_call();

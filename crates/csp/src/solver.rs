@@ -103,7 +103,8 @@ pub struct SolveStats {
     /// `propagations` split by the kind of the constraint that ran,
     /// indexed by `Kind as usize`, with the wipeouts those passes proved
     /// (`wipeouts` also counts pins that empty a domain before any pass).
-    /// Only the micro-benchmarks print it; no artifact carries it.
+    /// A traced call records it as the `csp.passes.<kind>` and
+    /// `csp.wipeouts.<kind>` counters (see [`record`]).
     pub by_kind: [KindWork; Kind::COUNT],
 }
 
@@ -247,7 +248,7 @@ impl SolveOutcome {
     }
 
     /// Unwraps the solutions, panicking with `ctx` and the status if the
-    /// call was not `Sat`. For tests, benches and pipeline stages where a
+    /// call was not `Sat`. For tests and pipeline stages where a
     /// non-`Sat` outcome is a bug, never an expected condition.
     #[track_caller]
     pub fn expect_sat(self, ctx: &str) -> Vec<Solution> {
@@ -743,7 +744,27 @@ fn classify(root_ok: bool, deadline: &Deadline, out: &[Solution], n: usize) -> S
     }
 }
 
-/// Emits the per-call counters.
+/// Counter names of [`SolveStats::by_kind`], indexed by `Kind as usize`.
+const PASSES_BY_KIND: [&str; Kind::COUNT] = [
+    "csp.passes.eq",
+    "csp.passes.in",
+    "csp.passes.le",
+    "csp.passes.prod",
+    "csp.passes.sum",
+    "csp.passes.select",
+];
+const WIPEOUTS_BY_KIND: [&str; Kind::COUNT] = [
+    "csp.wipeouts.eq",
+    "csp.wipeouts.in",
+    "csp.wipeouts.le",
+    "csp.wipeouts.prod",
+    "csp.wipeouts.sum",
+    "csp.wipeouts.select",
+];
+
+/// Emits the per-call counters. The per-kind split is emitted for the
+/// kinds that ran a pass in this call only, so a snapshot carries rows
+/// for the kinds a space actually exercises.
 fn record(tracer: &Tracer, stats: &SolveStats, status: SolveStatus) {
     tracer.counter_add("csp.attempts", stats.attempts);
     tracer.counter_add("csp.propagations", stats.propagations);
@@ -762,6 +783,12 @@ fn record(tracer: &Tracer, stats: &SolveStats, status: SolveStatus) {
     }
     if stats.nogood_hits > 0 {
         tracer.counter_add("csp.nogood_hits", stats.nogood_hits);
+    }
+    for (k, work) in stats.by_kind.iter().enumerate() {
+        if work.passes > 0 {
+            tracer.counter_add(PASSES_BY_KIND[k], work.passes);
+            tracer.counter_add(WIPEOUTS_BY_KIND[k], work.wipeouts);
+        }
     }
 }
 

@@ -2,13 +2,13 @@
 //! or per propagation pass.
 //!
 //! A counting global allocator watches `SolveSession::solve_pinned` on
-//! the conv2d TensorCore space the solver benchmarks use. Whatever a call
-//! has to do — a dive that succeeds at once, or thousands of branch
-//! decisions and wipeouts — it may allocate only what it hands back (the
-//! outcome's solution list and one value vector per solution) and a few
-//! call-scoped buffers. Everything the search itself touches (worklists,
-//! change buffer, branch order, candidate values, trail, the scratch
-//! store) is owned by the session and reused.
+//! a conv2d TensorCore space. Whatever a call has to do — a dive that
+//! succeeds at once, or thousands of branch decisions and wipeouts — it
+//! may allocate only what it hands back (the outcome's solution list and
+//! one value vector per solution) and a few call-scoped buffers.
+//! Everything the search itself touches (worklists, change buffer, branch
+//! order, candidate values, trail, the scratch store) is owned by the
+//! session and reused.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

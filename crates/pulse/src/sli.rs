@@ -129,27 +129,16 @@ fn slice_stats(job: &JobInput, checkpoint_every: u64) -> (Json, Option<f64>) {
     if summary.spans.is_empty() {
         return (Json::Arr(Vec::new()), None);
     }
-    // Hottest spans: aggregate by name, total-time descending,
-    // name-ascending on ties.
-    let mut by_name: Vec<(String, u64, u64)> = Vec::new();
-    for span in &summary.spans {
-        match by_name.iter_mut().find(|(n, _, _)| *n == span.name) {
-            Some((_, count, total)) => {
-                *count += 1;
-                *total += span.dur_ns();
-            }
-            None => by_name.push((span.name.clone(), 1, span.dur_ns())),
-        }
-    }
-    by_name.sort_by(|a, b| b.2.cmp(&a.2).then_with(|| a.0.cmp(&b.0)));
-    let hot: Vec<Json> = by_name
+    // A job's slice carries no context, so this groups by name alone.
+    let hot: Vec<Json> = summary
+        .hottest_spans()
         .iter()
         .take(HOT_SPANS)
-        .map(|(name, count, total_ns)| {
+        .map(|t| {
             Json::Obj(vec![
-                ("name".to_string(), s(name)),
-                ("count".to_string(), num(*count as f64)),
-                ("total_s".to_string(), num(*total_ns as f64 / 1e9)),
+                ("name".to_string(), s(t.name)),
+                ("count".to_string(), num(t.count as f64)),
+                ("total_s".to_string(), num(t.total_ns as f64 / 1e9)),
             ])
         })
         .collect();

@@ -5,8 +5,7 @@
 //! filtering, and a per-call watcher table. The equivalence property suite
 //! (`crates/csp/tests/prop_equiv.rs`) checks that the production trail +
 //! bitset engine draws *identical solution sequences* on the adversarial
-//! corpus, and the `solver_speedup` bench measures the production engine's
-//! propagations/sec against this one.
+//! corpus.
 //!
 //! Two deliberate differences from the historical code, both required for
 //! stream comparability with the fixed engine:

@@ -1,9 +1,10 @@
-//! # heron-testkit — in-repo property testing and micro-benchmarks
+//! # heron-testkit — in-repo property testing and solver oracles
 //!
-//! Replaces `proptest` (7 property suites) and `criterion` (5 benches)
-//! so the workspace builds and tests with **zero registry
-//! dependencies** (see DESIGN.md, "Zero-dependency & determinism
-//! policy").
+//! Replaces `proptest` (7 property suites) so the workspace builds and
+//! tests with **zero registry dependencies** (see DESIGN.md,
+//! "Zero-dependency & determinism policy"). It also holds the solver's
+//! test oracles: the reference engine ([`csp_reference`]), a corpus of
+//! CSPs ([`csp_corpus`]) and single-rule mutants ([`rule_mutation`]).
 //!
 //! ## Property testing
 //!
@@ -31,14 +32,7 @@
 //! - **Replay**: failures print the case seed; run with
 //!   `HERON_PROPTEST_REPLAY=<seed>` to re-execute exactly that case
 //!   under a debugger, without the harness catching the panic.
-//!
-//! ## Micro-benchmarks
-//!
-//! [`bench::Harness`] gives `harness = false` benches a warmup + N
-//! timed iterations, median/p95 reporting, and TSV output shaped like
-//! the committed `results/*.tsv` files.
 
-pub mod bench;
 pub mod csp_corpus;
 pub mod csp_reference;
 mod gen;
@@ -189,8 +183,7 @@ pub fn property_cases(name: &str, cases: u32, f: impl Fn(&mut Gen)) {
 
 /// Samples up to `n` solutions of `csp` under `policy` on a
 /// [`SolveSession`] built for the call, untraced: the one-call shape
-/// tests and benches use, so a bench row times the session's set-up
-/// along with its solve.
+/// the tests use.
 pub fn solve_once<R: Rng>(csp: &Csp, rng: &mut R, n: usize, policy: &SolvePolicy) -> SolveOutcome {
     SolveSession::new(csp).solve(rng, n, policy, &Tracer::disabled())
 }

@@ -75,6 +75,32 @@ impl TraceSummary {
         names
     }
 
+    /// Spans grouped by (context job, name), with each group's call count
+    /// and total duration: hottest first, ties (job, name)-ascending with
+    /// untagged (service-level) spans before any job's, so the order is
+    /// deterministic.
+    pub fn hottest_spans(&self) -> Vec<SpanTotal<'_>> {
+        let mut totals: BTreeMap<(Option<&str>, &str), (u64, u64)> = BTreeMap::new();
+        for s in &self.spans {
+            let job = s.ctx.as_ref().map(|c| c.job.as_str());
+            let (count, total_ns) = totals.entry((job, &s.name)).or_default();
+            *count += 1;
+            *total_ns += s.dur_ns();
+        }
+        let mut hot: Vec<SpanTotal<'_>> = totals
+            .into_iter()
+            .map(|((job, name), (count, total_ns))| SpanTotal {
+                job,
+                name,
+                count,
+                total_ns,
+            })
+            .collect();
+        // Stable: equal totals keep the map's (job, name) order.
+        hot.sort_by_key(|t| std::cmp::Reverse(t.total_ns));
+        hot
+    }
+
     /// Distinct job ids among tagged spans, in first-seen order.
     pub fn jobs(&self) -> Vec<&str> {
         let mut jobs: Vec<&str> = Vec::new();
@@ -87,6 +113,19 @@ impl TraceSummary {
         }
         jobs
     }
+}
+
+/// One group of [`TraceSummary::hottest_spans`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SpanTotal<'a> {
+    /// Job of the spans' correlation context (`None` = service-level).
+    pub job: Option<&'a str>,
+    /// Span name.
+    pub name: &'a str,
+    /// Spans in the group.
+    pub count: u64,
+    /// Their summed duration, nanoseconds.
+    pub total_ns: u64,
 }
 
 /// The optional `"ctx"` member of an event line.
@@ -317,6 +356,20 @@ mod tests {
         assert_eq!(fit.fields, vec![("rows".to_string(), "32".to_string())]);
         assert_eq!(fit.dur_ns(), 250_000_000);
         assert_eq!(summary.children_of(summary.spans[0].id).len(), 1);
+        let hot = summary.hottest_spans();
+        let row = |name, total_ns| SpanTotal {
+            job: None,
+            name,
+            count: 1,
+            total_ns,
+        };
+        assert_eq!(
+            hot,
+            vec![
+                row("tuner.step", 500_000_000),
+                row("model.fit", 250_000_000)
+            ]
+        );
     }
 
     #[test]

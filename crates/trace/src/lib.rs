@@ -47,7 +47,7 @@ pub mod ring;
 pub mod slice;
 pub mod tracer;
 
-pub use check::{check_trace, check_trace_lines, SpanRec, TraceChecker, TraceSummary};
+pub use check::{check_trace, check_trace_lines, SpanRec, SpanTotal, TraceChecker, TraceSummary};
 pub use clock::Clock;
 pub use json::{Cursor, Json};
 pub use metrics::{Histogram, Instrument, MetricsRegistry, DEFAULT_BUCKETS};

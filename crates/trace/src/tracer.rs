@@ -6,11 +6,11 @@
 //! A [`Tracer`] is a cheap handle (`Option<Rc<RefCell<…>>>`). The
 //! disabled tracer is `None`: every operation early-returns after one
 //! branch, so instrumented code can call the tracer unconditionally in
-//! hot paths without measurable cost (verified by the
-//! `trace_overhead` micro-bench). Callers that would *allocate* to build
-//! an event (dynamic names, field strings) should guard with
-//! [`Tracer::is_enabled`] or use the closure-taking `*_with` variants,
-//! which never invoke the closure when disabled.
+//! hot paths (the host benchmark's `trace.overhead_share` measures what
+//! an *enabled* tracer adds over a disabled one). Callers that would
+//! *allocate* to build an event (dynamic names, field strings) should
+//! guard with [`Tracer::is_enabled`] or use the closure-taking `*_with`
+//! variants, which never invoke the closure when disabled.
 //!
 //! # Determinism
 //!

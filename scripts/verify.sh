@@ -29,7 +29,7 @@ echo "== cargo fmt --check =="
 cargo fmt --check
 
 echo "== cargo clippy (deny warnings) =="
-# Lint everything (lib, bins, tests, benches) with warnings promoted to
+# Lint everything (lib, bins, tests) with warnings promoted to
 # errors so lints cannot accumulate. Skipped gracefully on toolchains
 # without the clippy component.
 if cargo clippy --version >/dev/null 2>&1; then
@@ -84,7 +84,9 @@ if [ "$instruments" -lt 12 ]; then
     echo "error: traced tune registered only $instruments instruments (<12)" >&2
     exit 1
 fi
-for layer in csp. cga. model. measure. dla.; do
+# `csp.passes.prod` (filtering passes over PROD constraints) stands for
+# the solver's per-constraint-kind split, csp.{passes,wipeouts}.<kind>.
+for layer in csp. cga. model. measure. dla. csp.passes.prod; do
     if ! grep -q "^$layer" "$obs_dir/metrics.tsv"; then
         echo "error: no \`$layer*\` instrument in the metrics snapshot" >&2
         exit 1
@@ -116,18 +118,6 @@ if ! cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml 
     exit 1
 fi
 echo "ok: heron-hostbench builds, passes its tests, and its smoke run is correct"
-
-echo "== micro-bench smoke (gbdt, cga) =="
-# clippy compiles the benches but nothing above runs one. One iteration
-# each of the cost-model and offspring benches: only the exit code counts.
-for bench in gbdt cga; do
-    if ! HERON_BENCH_WARMUP=0 HERON_BENCH_ITERS=1 \
-        cargo bench --offline -p heron-bench --bench "$bench" >"$obs_dir/bench.out" 2>&1; then
-        echo "error: the $bench micro-bench failed:" >&2
-        tail -n 40 "$obs_dir/bench.out" >&2; exit 1
-    fi
-done
-echo "ok: the gbdt and cga micro-benches run"
 
 echo "== robustness smoke (hardened exploration) =="
 # Over-constrained and UNSAT spaces must terminate with a classified
@@ -317,7 +307,7 @@ split=$(grep -rn --include='*.rs' 'split_whitespace' crates src \
     | grep -v '^crates/trace/src/kv.rs:' \
     | grep -v '^crates/testkit/' \
     | grep -vE ':[0-9]+:[[:space:]]*//' \
-    | grep -vE '(^|/)(tests|benches)/' \
+    | grep -vE '(^|/)tests/' \
     || true)
 if [ -n "$split" ]; then
     echo "error: split_whitespace outside heron-trace's kv reader:" >&2

@@ -227,10 +227,12 @@ fn traced_tune_with(tracer: &Tracer, seed: u64) -> (String, String) {
 /// manual clock, two same-seed sessions emit byte-identical JSONL traces
 /// (timestamps included) and byte-identical metrics snapshots; a
 /// different seed diverges. The trace also passes structural validation
-/// and covers every pipeline layer.
+/// and covers every pipeline layer, and the solver's per-kind pass
+/// counters sum to its pass count.
 #[test]
 fn traced_runs_are_byte_identical_for_same_seed() {
-    let (ja, ma) = traced_tune_with(&Tracer::manual(), 7);
+    let tracer = Tracer::manual();
+    let (ja, ma) = traced_tune_with(&tracer, 7);
     let (jb, mb) = traced_tune_with(&Tracer::manual(), 7);
     assert_eq!(ja, jb, "same-seed JSONL traces diverged");
     assert_eq!(
@@ -252,6 +254,17 @@ fn traced_runs_are_byte_identical_for_same_seed() {
             summary.span_names()
         );
     }
+
+    let by_kind: Vec<String> = metric_names(&ma)
+        .into_iter()
+        .filter(|name| name.starts_with("csp.passes."))
+        .collect();
+    assert!(
+        by_kind.iter().any(|name| name == "csp.passes.prod"),
+        "no PROD passes recorded: {by_kind:?}"
+    );
+    let passes: u64 = by_kind.iter().filter_map(|name| tracer.counter(name)).sum();
+    assert_eq!(Some(passes), tracer.counter("csp.propagations"));
 
     let (jc, _) = traced_tune_with(&Tracer::manual(), 8);
     assert_ne!(ja, jc, "different seeds gave identical traces");
