@@ -5,7 +5,7 @@
 //! heron-cli tune    --dla v100 --op gemm --shape 1024x1024x1024 [--trials N] [--seed S] [--code]  (--code also prints the bottleneck analysis)
 //! heron-cli tune    ... [--fault-rate R] [--pause-at N --checkpoint F] [--resume F]
 //! heron-cli tune    ... [--trace-out T.jsonl] [--metrics-out M.tsv] [--profile]
-//! heron-cli tune    ... [--solve-deadline STEPS] [--diagnose]
+//! heron-cli tune    ... [--diagnose]
 //! heron-cli compare --dla v100 --op c2d  --shape 16x56x56x64x64x3x1x1 [--trials N]
 //! heron-cli census  --dla v100 --op gemm --shape 512x512x512
 //! heron-cli export  --dla v100 --op gemm --shape 512x512x512   # CSP_initial, sealed heron-csp v2
@@ -30,12 +30,10 @@
 //! the human-readable search-health report. Both survive `--pause-at` /
 //! `--resume`: a resumed session emits the identical insight stream.
 //!
-//! Robustness: `--solve-deadline STEPS` bounds every RandSAT call to a
-//! deterministic number of candidate-value trials; `--diagnose` explains
-//! an infeasible space by printing the minimal constraint removal that
-//! restores feasibility (greedy conflict diagnosis). Corrupt or truncated
-//! checkpoints are rejected by `--resume` with the byte offset of the
-//! damage.
+//! Robustness: `--diagnose` explains an infeasible space by printing the
+//! minimal constraint removal that restores feasibility (greedy conflict
+//! diagnosis). Corrupt or truncated checkpoints are rejected by
+//! `--resume` with the byte offset of the damage.
 //!
 //! Shapes: `gemm MxNxK`, `bmm BxMxNxK`, `gemv MxKxB`, `scan BxL`,
 //! `c2d NxHxWxCIxCOxKxPxS`, `c1d NxLxCIxCOxKxPxS`, `c3d NxDxHWxCIxCOxKxPxS`.
@@ -70,7 +68,7 @@ fn main() {
 }
 
 fn usage() {
-    eprintln!("usage: heron-cli <platforms|tune|compare|census|export> [--dla NAME] [--op OP] [--shape SHAPE] [--trials N] [--seed S] [--code] [--fault-rate R] [--pause-at N] [--checkpoint FILE] [--resume FILE] [--trace-out FILE.jsonl] [--metrics-out FILE.tsv] [--profile] [--insight-out FILE.json] [--insight-report] [--solve-deadline STEPS] [--deadline-rounds N] [--diagnose]");
+    eprintln!("usage: heron-cli <platforms|tune|compare|census|export> [--dla NAME] [--op OP] [--shape SHAPE] [--trials N] [--seed S] [--code] [--fault-rate R] [--pause-at N] [--checkpoint FILE] [--resume FILE] [--trace-out FILE.jsonl] [--metrics-out FILE.tsv] [--profile] [--insight-out FILE.json] [--insight-report] [--deadline-rounds N] [--diagnose]");
 }
 
 fn platform(name: &str) -> DlaSpec {
@@ -179,8 +177,12 @@ fn tune_cmd(args: &[String]) {
     use heron_dla::{FaultPlan, Measurer};
 
     let c = common(args);
-    let traced = has_flag(args, "--trace-out")
-        || has_flag(args, "--metrics-out")
+    // Every value flag is read before the session runs, so one given
+    // without its value exits 2 before any work.
+    let checkpoint =
+        flag(args, "--checkpoint").unwrap_or_else(|| format!("{}.ckpt", c.workload.name));
+    let traced = flag(args, "--trace-out").is_some()
+        || flag(args, "--metrics-out").is_some()
         || has_flag(args, "--profile");
     // Manual clock: timestamps advance by simulated measurement time, so
     // traced runs are reproducible byte-for-byte from the seed.
@@ -197,10 +199,7 @@ fn tune_cmd(args: &[String]) {
     } else {
         FaultPlan::none(c.seed)
     };
-    let mut config = heron_baselines::tune::heron_config(c.trials);
-    if let Some(deadline) = num_flag(args, "--solve-deadline") {
-        config.cga.solve_deadline = deadline;
-    }
+    let config = heron_baselines::tune::heron_config(c.trials);
     let space = match SpaceGenerator::new(c.spec.clone()).generate_named(
         &dag,
         &SpaceOptions::heron(),
@@ -248,7 +247,7 @@ fn tune_cmd(args: &[String]) {
     // Search-health analytics: enable the log unless resume already
     // restored one from the checkpoint (resetting it would lose the
     // pre-pause rounds and break insight-exact resumption).
-    let want_insight = has_flag(args, "--insight-out") || has_flag(args, "--insight-report");
+    let want_insight = flag(args, "--insight-out").is_some() || has_flag(args, "--insight-report");
     if want_insight && tuner.insight().is_none() {
         tuner.enable_insight(8);
     }
@@ -263,9 +262,8 @@ fn tune_cmd(args: &[String]) {
     if let Some(pause_at) = num_flag(args, "--pause-at") {
         let finished = tuner.run_until(pause_at);
         if !finished {
-            let path =
-                flag(args, "--checkpoint").unwrap_or_else(|| format!("{}.ckpt", c.workload.name));
-            if let Err(e) = tuner.checkpoint().save(&path) {
+            let path = &checkpoint;
+            if let Err(e) = tuner.checkpoint().save(path) {
                 eprintln!("cannot write checkpoint `{path}`: {e}");
                 std::process::exit(1);
             }
@@ -282,9 +280,8 @@ fn tune_cmd(args: &[String]) {
         tuner.run();
     }
     if tuner.result().termination == heron_core::tuner::Termination::Preempted {
-        let path =
-            flag(args, "--checkpoint").unwrap_or_else(|| format!("{}.ckpt", c.workload.name));
-        if let Err(e) = tuner.checkpoint().save(&path) {
+        let path = &checkpoint;
+        if let Err(e) = tuner.checkpoint().save(path) {
             eprintln!("cannot write checkpoint `{path}`: {e}");
             std::process::exit(1);
         }

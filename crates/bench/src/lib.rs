@@ -80,11 +80,10 @@ pub fn row(cells: &[String]) {
 }
 
 /// Value of a `--name VALUE` flag, shared by every binary's argument
-/// parsing.
+/// parsing; `None` when the flag is absent. A flag given as the last
+/// argument is a usage error, as for [`num_flag`].
 pub fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
+    num_flag(args, name)
 }
 
 /// Parsed value of a numeric `--name VALUE` flag, `None` when the flag
@@ -325,7 +324,11 @@ mod tests {
             .collect();
         assert_eq!(flag(&args, "--seed"), Some("7".into()));
         assert_eq!(flag(&args, "--trials"), None);
-        assert_eq!(flag(&args, "--smoke"), None, "bare flag has no value");
+        // `--smoke` is last: read as a value flag it is a usage error.
+        assert_eq!(
+            parse_value::<String>("--smoke", None),
+            Err("--smoke expects a value".to_string())
+        );
         assert!(has_flag(&args, "--smoke"));
         assert!(!has_flag(&args, "--resume"));
     }

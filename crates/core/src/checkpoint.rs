@@ -6,10 +6,10 @@
 //! the cost-model sample log (replayed on resume), the survivor
 //! population, and — critically — the exact RNG stream position.
 //!
-//! The on-disk format is `heron-checkpoint v2`, written in the sealed
+//! The on-disk format is `heron-checkpoint v3`, written in the sealed
 //! `key = value` codec [`heron_trace::kv`]: the CRC-32 footer is verified
 //! before anything is parsed (any truncation or byte flip is
-//! [`CheckpointError::Corrupt`], a pre-CRC `v1` file a
+//! [`CheckpointError::Corrupt`], an older `v1` or `v2` file a
 //! [`CheckpointError::VersionMismatch`]), saving is atomic, and floats are
 //! the exact IEEE-754 bits, with a decimal `#` comment where a reader
 //! wants one. The lines come in three parts:
@@ -28,7 +28,7 @@
 //! middle still load.
 //!
 //! ```text
-//! heron-checkpoint v2
+//! heron-checkpoint v3
 //! # tuning-session checkpoint; floats are IEEE-754 bits
 //! workload = gemm-256
 //! dla = nvidia-v100
@@ -56,7 +56,7 @@ pub use heron_trace::kv::CheckpointError;
 
 use crate::tuner::{IterationStats, TuneResult};
 
-const HEADER: &str = "heron-checkpoint v2";
+const HEADER: &str = "heron-checkpoint v3";
 
 /// The start of the host envelope: its first line.
 const ENVELOPE: &str = "\ntiming.cga_s = ";
@@ -121,7 +121,6 @@ pub(crate) fn write_result(w: &mut Writer, r: &TuneResult) {
     w.line("timeout_trials", r.timeout_trials);
     w.line("repaired_offspring", r.repaired_offspring);
     w.line("relaxed_constraints", r.relaxed_constraints);
-    w.line("solver_deadline_hits", r.solver_deadline_hits);
     w.line("fallback_samples", r.fallback_samples);
     for (tag, n) in &r.error_counts {
         w.line(&format!("error.{tag}"), n);
@@ -161,7 +160,6 @@ fn read_result(r: &mut TuneResult, e: &Entry<'_>) -> Result<(), CheckpointError>
         "timeout_trials" => r.timeout_trials = e.num(e.value)?,
         "repaired_offspring" => r.repaired_offspring = e.num(e.value)?,
         "relaxed_constraints" => r.relaxed_constraints = e.num(e.value)?,
-        "solver_deadline_hits" => r.solver_deadline_hits = e.num(e.value)?,
         "fallback_samples" => r.fallback_samples = e.num(e.value)?,
         "timing.hw_measure_s" => r.timing.hw_measure_s = e.bits(e.value)?,
         "curve" => r.curve = e.tokens().map(|t| e.bits(t)).collect::<Result<_, _>>()?,
@@ -344,7 +342,6 @@ mod tests {
                 timeout_trials: 1,
                 repaired_offspring: 4,
                 relaxed_constraints: 9,
-                solver_deadline_hits: 2,
                 fallback_samples: 1,
                 error_counts,
                 timing: TuneTiming {
@@ -471,7 +468,7 @@ mod tests {
 
     #[test]
     fn pre_service_checkpoints_parse_with_zero_round_and_eviction_counters() {
-        // A pre-service v2 checkpoint has no `rounds_total` /
+        // A pre-service checkpoint has no `rounds_total` /
         // `quarantine_evictions` lines; it must still load, with both
         // counters defaulting to zero (fresh-deadline semantics).
         let body: String = sample_checkpoint()
@@ -525,18 +522,22 @@ mod tests {
     }
 
     #[test]
-    fn v1_checkpoints_are_a_version_mismatch() {
-        // A pre-CRC v1 file: old header, no footer.
-        let v1 = "heron-checkpoint v1\nworkload = g\ndla = d\nrng = 1 2 3 4\n";
-        let err = TuneCheckpoint::from_text(v1).expect_err("v1");
-        match &err {
-            CheckpointError::VersionMismatch { found, expected } => {
-                assert_eq!(found, "heron-checkpoint v1");
-                assert_eq!(expected, HEADER);
+    fn v1_and_v2_checkpoints_are_a_version_mismatch() {
+        // A pre-CRC v1 file (old header, no footer), and a sealed v2 file
+        // (the layout that still carried the solver's step-deadline count).
+        let v1 = "heron-checkpoint v1\nworkload = g\ndla = d\nrng = 1 2 3 4\n".to_string();
+        let v2 = with_crc("heron-checkpoint v2\nworkload = g\ndla = d\nrng = 1 2 3 4\n");
+        for (old, header) in [(v1, "heron-checkpoint v1"), (v2, "heron-checkpoint v2")] {
+            let err = TuneCheckpoint::from_text(&old).expect_err(header);
+            match &err {
+                CheckpointError::VersionMismatch { found, expected } => {
+                    assert_eq!(found, header);
+                    assert_eq!(expected, HEADER);
+                }
+                other => panic!("wrong error: {other}"),
             }
-            other => panic!("wrong error: {other}"),
+            assert!(err.to_string().contains("version mismatch"));
         }
-        assert!(err.to_string().contains("version mismatch"));
     }
 
     #[test]

@@ -69,8 +69,6 @@ pub struct OffspringOutcome {
     /// How many injected crossover constraints were dropped to make the
     /// offspring solvable (0 == solved as posted).
     pub relaxed: u32,
-    /// Whether any solve attempt hit the step deadline.
-    pub deadline_hit: bool,
     /// Solver counters aggregated over every solve attempt (initial and
     /// repair retries).
     pub stats: SolveStats,
@@ -95,12 +93,10 @@ pub fn materialize_offspring<R: Rng>(
     tracer: &Tracer,
 ) -> OffspringOutcome {
     let mut relaxed = 0u32;
-    let mut deadline_hit = false;
     let mut stats = SolveStats::default();
     loop {
         let outcome = session.solve_pinned(&pins, rng, 1, policy, tracer);
         stats.absorb(&outcome.stats);
-        deadline_hit |= outcome.status == SolveStatus::DeadlineExceeded;
         let solution = outcome.one();
         if solution.is_some() && relaxed > 0 {
             tracer.counter_add("csp.repairs", 1);
@@ -110,7 +106,6 @@ pub fn materialize_offspring<R: Rng>(
             return OffspringOutcome {
                 solution,
                 relaxed,
-                deadline_hit,
                 stats,
             };
         }
@@ -129,24 +124,17 @@ pub struct CgaConfig {
     pub offspring: usize,
     /// Number of key variables extracted from the cost model.
     pub key_vars: usize,
-    /// ε of the ε-greedy measurement selection.
-    pub eps: f64,
     /// Candidates measured per iteration (Algorithm 2 Step 3).
     pub measure_batch: usize,
     /// Backtracking budget per RandSAT call.
     pub solver_budget: u32,
-    /// Step deadline per RandSAT call (0 = none). One step == one
-    /// candidate-value trial inside the solver's dive.
-    pub solve_deadline: u64,
 }
 
 impl CgaConfig {
     /// The solve policy implied by this configuration (budget escalation
-    /// enabled, with the configured fixed budget and step deadline).
+    /// enabled, from the configured budget).
     pub fn solver_policy(&self) -> SolvePolicy {
-        SolvePolicy::default()
-            .with_budget(self.solver_budget)
-            .with_deadline(self.solve_deadline)
+        SolvePolicy::default().with_budget(self.solver_budget)
     }
 }
 
@@ -157,10 +145,8 @@ impl Default for CgaConfig {
             generations: 3,
             offspring: 24,
             key_vars: 8,
-            eps: 0.15,
             measure_batch: 16,
             solver_budget: 400,
-            solve_deadline: 0,
         }
     }
 }
@@ -181,8 +167,6 @@ pub struct GenerationStats {
     pub repaired_offspring: usize,
     /// Total pins dropped across all repairs.
     pub relaxed_constraints: usize,
-    /// Solve calls that hit the step deadline.
-    pub deadline_hits: usize,
     /// Offspring replaced by a fresh random sample of `CSP_initial`.
     pub fallback_samples: usize,
 }
@@ -227,7 +211,6 @@ pub fn evolve_population(
         offspring: SolveStats::default(),
         repaired_offspring: 0,
         relaxed_constraints: 0,
-        deadline_hits: usize::from(outcome.status == SolveStatus::DeadlineExceeded),
         fallback_samples: 0,
     };
     tracer.counter_add("cga.fresh_sampled", outcome.solutions.len() as u64);
@@ -266,7 +249,6 @@ pub fn evolve_population(
             tracer.counter_add("cga.offspring_attempted", 1);
             let off = materialize_offspring(session, pins, rng, &policy, tracer);
             stats.offspring.absorb(&off.stats);
-            stats.deadline_hits += usize::from(off.deadline_hit);
             if off.solution.is_some() && off.relaxed > 0 {
                 stats.repaired_offspring += 1;
                 stats.relaxed_constraints += off.relaxed as usize;

@@ -14,15 +14,15 @@
 //! reports noisy latencies. The loop therefore:
 //!
 //! * takes each hardware number as the **median** of
-//!   [`TuneConfig::measure_repeats`] independent runs (outlier rejection);
+//!   `MEASURE_REPEATS` independent runs (outlier rejection);
 //! * **retries** transient failures ([`heron_dla::ErrorClass::Transient`])
 //!   with capped exponential backoff, charging both the fault cost and the
 //!   backoff wait to the simulated `hw_measure_s` clock;
 //! * **quarantines** (by solution fingerprint) any candidate that exhausts
-//!   [`TuneConfig::max_retries`], so a configuration that reliably hangs
+//!   `MAX_RETRIES` retries, so a configuration that reliably hangs
 //!   the board cannot eat the session's measurement budget;
 //! * trains the cost model on failures with a **penalty score**
-//!   ([`TuneConfig::penalty_fraction`] of the current best) instead of a
+//!   (`PENALTY_FRACTION` of the current best) instead of a
 //!   raw `0.0`, which would drag predictions toward zero in fault-heavy
 //!   regimes;
 //! * runs in resumable **steps**: [`Tuner::checkpoint`] captures the whole
@@ -131,6 +131,26 @@ pub fn evaluate(
     Ok((kernel, m))
 }
 
+/// ε of the ε-greedy measurement selection.
+const EPS: f64 = 0.15;
+/// Per-trial fixed overhead charged to the simulated wall clock
+/// (compilation + transfer on a real deployment), seconds.
+const TRIAL_OVERHEAD_S: f64 = 0.8;
+/// Repeats per hardware measurement; the trial latency is the *median*
+/// of the repeats (outlier rejection for noisy boards).
+const MEASURE_REPEATS: u32 = 3;
+/// Transient-failure retries per candidate before it is quarantined.
+const MAX_RETRIES: u32 = 3;
+/// First retry backoff, seconds (doubles per retry, charged to the
+/// simulated measurement clock).
+const BACKOFF_BASE_S: f64 = 0.5;
+/// Backoff cap, seconds.
+const BACKOFF_CAP_S: f64 = 8.0;
+/// Failed/quarantined trials train the cost model with
+/// `PENALTY_FRACTION × best_gflops_so_far` instead of raw `0.0` (which
+/// would drag predictions toward zero in fault-heavy regimes).
+const PENALTY_FRACTION: f64 = 0.1;
+
 /// Tuning-session configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct TuneConfig {
@@ -138,23 +158,6 @@ pub struct TuneConfig {
     pub trials: usize,
     /// CGA hyper-parameters.
     pub cga: CgaConfig,
-    /// Per-trial fixed overhead charged to the simulated wall clock
-    /// (compilation + transfer on a real deployment), seconds.
-    pub trial_overhead_s: f64,
-    /// Repeats per hardware measurement; the trial latency is the
-    /// *median* of the repeats (outlier rejection for noisy boards).
-    pub measure_repeats: u32,
-    /// Transient-failure retries per candidate before it is quarantined.
-    pub max_retries: u32,
-    /// First retry backoff, seconds (doubles per retry, charged to the
-    /// simulated measurement clock).
-    pub backoff_base_s: f64,
-    /// Backoff cap, seconds.
-    pub backoff_cap_s: f64,
-    /// Failed/quarantined trials train the cost model with
-    /// `penalty_fraction × best_gflops_so_far` instead of raw `0.0`
-    /// (which would drag predictions toward zero in fault-heavy regimes).
-    pub penalty_fraction: f64,
     /// Space-exhaustion heuristic: after this many consecutive ε-greedy
     /// rounds in which evolution produced no yet-unmeasured candidate,
     /// the session concludes the reachable space is exhausted and stops
@@ -178,12 +181,6 @@ impl TuneConfig {
         TuneConfig {
             trials: 2_000,
             cga: CgaConfig::default(),
-            trial_overhead_s: 0.8,
-            measure_repeats: 3,
-            max_retries: 3,
-            backoff_base_s: 0.5,
-            backoff_cap_s: 8.0,
-            penalty_fraction: 0.1,
             max_stall_rounds: 16,
             max_quarantined: 4096,
         }
@@ -198,10 +195,8 @@ impl TuneConfig {
                 generations: 2,
                 offspring: 10,
                 key_vars: 6,
-                eps: 0.15,
                 measure_batch: 8,
                 solver_budget: 300,
-                solve_deadline: 0,
             },
             ..TuneConfig::paper()
         }
@@ -223,7 +218,7 @@ pub enum Termination {
     /// The constraint space admits no solution at all.
     Infeasible,
     /// The space was never proven infeasible, but the solver repeatedly
-    /// failed to materialise any chromosome within its budget/deadline
+    /// failed to materialise any chromosome within its budget
     /// ([`TuneConfig::max_stall_rounds`] consecutive starved rounds).
     SolverStarved,
     /// The session was preempted at a round boundary — by a supervisor's
@@ -317,7 +312,7 @@ pub struct TuneResult {
     /// Total transient-failure retries across all trials.
     pub total_retries: usize,
     /// Candidates *currently* quarantined after exhausting
-    /// [`TuneConfig::max_retries`] (bounded by
+    /// `MAX_RETRIES` retries (bounded by
     /// [`TuneConfig::max_quarantined`]).
     pub quarantined: usize,
     /// Quarantine entries evicted by the [`TuneConfig::max_quarantined`]
@@ -334,8 +329,6 @@ pub struct TuneResult {
     pub repaired_offspring: usize,
     /// Total injected constraints dropped across all repairs.
     pub relaxed_constraints: usize,
-    /// Solve calls that hit the configured step deadline.
-    pub solver_deadline_hits: usize,
     /// Offspring slots filled by a fresh random sample of `CSP_initial`
     /// after repair could not recover the offspring CSP.
     pub fallback_samples: usize,
@@ -375,7 +368,6 @@ impl Default for TuneResult {
             timeout_trials: 0,
             repaired_offspring: 0,
             relaxed_constraints: 0,
-            solver_deadline_hits: 0,
             fallback_samples: 0,
             error_counts: BTreeMap::new(),
             termination: Termination::Running,
@@ -434,15 +426,11 @@ impl TuneResult {
                 self.quarantine_evictions
             );
         }
-        if self.repaired_offspring > 0 || self.solver_deadline_hits > 0 || self.fallback_samples > 0
-        {
+        if self.repaired_offspring > 0 || self.fallback_samples > 0 {
             let _ = writeln!(
                 out,
-                "solver: {} repaired offspring ({} constraints relaxed), {} deadline hits, {} fallback samples",
-                self.repaired_offspring,
-                self.relaxed_constraints,
-                self.solver_deadline_hits,
-                self.fallback_samples
+                "solver: {} repaired offspring ({} constraints relaxed), {} fallback samples",
+                self.repaired_offspring, self.relaxed_constraints, self.fallback_samples
             );
         }
         if !self.error_counts.is_empty() {
@@ -610,8 +598,8 @@ impl SessionState {
 }
 
 /// Capped exponential backoff for retry `retry` (1-based), seconds.
-fn backoff_s(cfg: &TuneConfig, retry: u32) -> f64 {
-    (cfg.backoff_base_s * 2f64.powi(retry.saturating_sub(1).min(62) as i32)).min(cfg.backoff_cap_s)
+fn backoff_s(retry: u32) -> f64 {
+    (BACKOFF_BASE_S * 2f64.powi(retry.saturating_sub(1).min(62) as i32)).min(BACKOFF_CAP_S)
 }
 
 /// Median of a slice (mean of the middle two for even lengths).
@@ -654,7 +642,7 @@ impl Tuner {
     /// Creates a session with a perfectly reliable (fault-free) device.
     pub fn new(space: GeneratedSpace, measurer: Measurer, config: TuneConfig, seed: u64) -> Self {
         let measurer = FaultyMeasurer::new(
-            measurer.with_protocol(config.measure_repeats, 0.01),
+            measurer.with_protocol(MEASURE_REPEATS, 0.01),
             FaultPlan::none(seed),
         );
         let state = SessionState::fresh(&space);
@@ -782,7 +770,6 @@ impl Tuner {
         rec.repaired_offspring = evolved.repaired_offspring as u32;
         rec.relaxed_constraints = evolved.relaxed_constraints as u32;
         rec.fallback_samples = evolved.fallback_samples as u32;
-        rec.deadline_hits = evolved.deadline_hits as u32;
         let mut solver = evolved.fresh;
         solver.absorb(&evolved.offspring);
         rec.solver_attempts = solver.attempts;
@@ -897,7 +884,6 @@ impl Tuner {
             &tracer,
         );
         let r = &mut self.state.result;
-        r.solver_deadline_hits += evolved.deadline_hits;
         r.repaired_offspring += evolved.repaired_offspring;
         r.relaxed_constraints += evolved.relaxed_constraints;
         r.fallback_samples += evolved.fallback_samples;
@@ -914,7 +900,7 @@ impl Tuner {
                 self.finish(Termination::Infeasible);
                 return false;
             }
-            // The solver merely starved (budget / deadline) on a space not
+            // The solver merely starved (budget) on a space not
             // proven infeasible: retry a bounded number of rounds instead
             // of misreporting `Infeasible`.
             self.state.stall_rounds += 1;
@@ -986,7 +972,7 @@ impl Tuner {
             .cga
             .measure_batch
             .min(cfg.trials - self.state.result.curve.len());
-        let sel = eps_greedy(&predicted, budget, cfg.cga.eps, &mut self.rng);
+        let sel = eps_greedy(&predicted, budget, EPS, &mut self.rng);
         tracer.counter_add("tuner.eps_rounds", 1);
         let chosen: Vec<Solution> = sel
             .picks
@@ -1107,14 +1093,14 @@ impl Tuner {
         let mut saw_timeout = false;
         let mut quarantine = false;
         let res = &mut self.state.result;
-        res.timing.hw_measure_s += cfg.trial_overhead_s;
-        tracer.advance_s(cfg.trial_overhead_s);
-        tracer.gauge_add("measure.overhead_s", cfg.trial_overhead_s);
+        res.timing.hw_measure_s += TRIAL_OVERHEAD_S;
+        tracer.advance_s(TRIAL_OVERHEAD_S);
+        tracer.gauge_add("measure.overhead_s", TRIAL_OVERHEAD_S);
 
         let outcome: Result<(Kernel, Measurement), EvalError> = match lowered {
             Err(e) => Err(EvalError::Lower(e)),
             Ok(kernel) => {
-                let repeats = cfg.measure_repeats.max(1) as usize;
+                let repeats = MEASURE_REPEATS as usize;
                 let mut runs: Vec<f64> = Vec::with_capacity(repeats);
                 let mut attempt: u32 = 0;
                 let mut fail: Option<MeasureError> = None;
@@ -1133,7 +1119,7 @@ impl Tuner {
                             }
                             retries += 1;
                             let fault_s = self.measurer.fault_cost_s(&e);
-                            let wait_s = backoff_s(&cfg, retries);
+                            let wait_s = backoff_s(retries);
                             res.timing.hw_measure_s += fault_s + wait_s;
                             tracer.advance_s(fault_s + wait_s);
                             tracer.gauge_add("measure.fault_s", fault_s);
@@ -1142,7 +1128,7 @@ impl Tuner {
                             tracer.point_with("measure.retry", || {
                                 [("tag", e.tag().to_string()), ("retry", retries.to_string())]
                             });
-                            if retries > cfg.max_retries {
+                            if retries > MAX_RETRIES {
                                 quarantine = true;
                                 fail = Some(e);
                                 break;
@@ -1211,7 +1197,7 @@ impl Tuner {
                     });
                 }
                 // Penalty policy: teach the model "bad", not "zero".
-                res.best_gflops * cfg.penalty_fraction
+                res.best_gflops * PENALTY_FRACTION
             }
         };
         res.timing.sim_s += t.elapsed().as_secs_f64();
@@ -1336,8 +1322,7 @@ impl Tuner {
             finished: false,
             insight: ckpt.insight.clone(),
         };
-        let measurer =
-            FaultyMeasurer::new(measurer.with_protocol(config.measure_repeats, 0.01), plan);
+        let measurer = FaultyMeasurer::new(measurer.with_protocol(MEASURE_REPEATS, 0.01), plan);
         let solver = SolveSession::new(&space.csp);
         Ok(Tuner {
             space,
@@ -1846,9 +1831,8 @@ mod tests {
         assert_eq!(median(&mut xs), 1.2);
         let mut ys = [4.0, 1.0];
         assert_eq!(median(&mut ys), 2.5);
-        let cfg = TuneConfig::quick(1);
-        assert_eq!(backoff_s(&cfg, 1), cfg.backoff_base_s);
-        assert_eq!(backoff_s(&cfg, 2), cfg.backoff_base_s * 2.0);
-        assert_eq!(backoff_s(&cfg, 30), cfg.backoff_cap_s);
+        assert_eq!(backoff_s(1), BACKOFF_BASE_S);
+        assert_eq!(backoff_s(2), BACKOFF_BASE_S * 2.0);
+        assert_eq!(backoff_s(30), BACKOFF_CAP_S);
     }
 }

@@ -38,9 +38,8 @@
 //! Solver failure is a first-class outcome, not a silent empty `Vec`:
 //! every sampling call returns a [`SolveOutcome`] whose [`SolveStatus`]
 //! distinguishes a satisfiable space ([`SolveStatus::Sat`]) from a
-//! root-infeasible one ([`SolveStatus::RootInfeasible`]), an exhausted
-//! backtracking budget ([`SolveStatus::BudgetExhausted`]) and an exceeded
-//! solve deadline ([`SolveStatus::DeadlineExceeded`]). Callers must match
+//! root-infeasible one ([`SolveStatus::RootInfeasible`]) and an exhausted
+//! backtracking budget ([`SolveStatus::BudgetExhausted`]). Callers must match
 //! on the status — the explorer uses it to drive offspring repair and
 //! graceful degradation instead of silently shrinking generations.
 //!
@@ -88,7 +87,7 @@ pub struct SolveStats {
     /// Distinct solutions returned.
     pub solutions: u64,
     /// Budget-escalation rounds taken: each multiplies the per-sample
-    /// backtracking budget by [`SolvePolicy::escalation_factor`] after a
+    /// backtracking budget by [`ESCALATION_FACTOR`] after a
     /// round that produced zero solutions on a root-feasible space.
     pub escalations: u64,
     /// Deepest trail (undo-stack) length reached while backtracking.
@@ -144,10 +143,6 @@ pub enum SolveStatus {
     /// backtracking budget (after any escalation rounds) without finding a
     /// solution.
     BudgetExhausted,
-    /// The step deadline ([`SolvePolicy::deadline_steps`]) ran out before
-    /// the requested samples materialised. Any solutions found before the
-    /// deadline are still carried in [`SolveOutcome::solutions`].
-    DeadlineExceeded,
 }
 
 impl SolveStatus {
@@ -157,7 +152,6 @@ impl SolveStatus {
             SolveStatus::Sat => "sat",
             SolveStatus::RootInfeasible => "root-infeasible",
             SolveStatus::BudgetExhausted => "budget-exhausted",
-            SolveStatus::DeadlineExceeded => "deadline-exceeded",
         }
     }
 }
@@ -168,27 +162,20 @@ impl std::fmt::Display for SolveStatus {
     }
 }
 
-/// Solve-effort policy: per-sample backtracking budget, the geometric
-/// budget-escalation restart schedule, and an optional deterministic step
-/// deadline.
-///
-/// The deadline counts *candidate-value trials* (branch decisions), not
-/// wall-clock time, so same-seed runs remain byte-identical on any
-/// machine; it is a deterministic proxy for a wall deadline.
+/// Geometric budget growth per escalation round.
+pub const ESCALATION_FACTOR: u32 = 4;
+
+/// Solve-effort policy: the per-sample backtracking budget and the
+/// geometric budget-escalation restart schedule. Both count failures,
+/// never wall-clock time, so same-seed runs are byte-identical on any
+/// machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SolvePolicy {
     /// Initial per-sample backtracking budget (counted in failures).
     pub budget: u32,
     /// Extra rounds allowed after a zero-solution round on a feasible
-    /// root; each multiplies the budget by `escalation_factor`.
+    /// root; each multiplies the budget by [`ESCALATION_FACTOR`].
     pub max_escalations: u32,
-    /// Geometric budget growth per escalation round.
-    pub escalation_factor: u32,
-    /// Hard ceiling on the escalated budget.
-    pub budget_cap: u32,
-    /// Maximum branch decisions for the whole call; `0` disables the
-    /// deadline.
-    pub deadline_steps: u64,
 }
 
 impl Default for SolvePolicy {
@@ -196,35 +183,22 @@ impl Default for SolvePolicy {
         SolvePolicy {
             budget: 2_000,
             max_escalations: 2,
-            escalation_factor: 4,
-            budget_cap: 32_000,
-            deadline_steps: 0,
         }
     }
 }
 
 impl SolvePolicy {
-    /// A fixed-budget policy with no escalation and no deadline.
+    /// A fixed-budget policy with no escalation.
     pub const fn fixed(budget: u32) -> Self {
         SolvePolicy {
             budget,
             max_escalations: 0,
-            escalation_factor: 1,
-            budget_cap: budget,
-            deadline_steps: 0,
         }
-    }
-
-    /// Sets the step deadline (`0` disables it).
-    pub fn with_deadline(mut self, steps: u64) -> Self {
-        self.deadline_steps = steps;
-        self
     }
 
     /// Sets the initial budget, keeping the escalation schedule.
     pub fn with_budget(mut self, budget: u32) -> Self {
         self.budget = budget;
-        self.budget_cap = self.budget_cap.max(budget);
         self
     }
 }
@@ -265,36 +239,6 @@ impl SolveOutcome {
     /// absence explicitly via `Option`.
     pub fn one(self) -> Option<Solution> {
         self.solutions.into_iter().next()
-    }
-}
-
-/// Deterministic step deadline threaded through the dives.
-struct Deadline {
-    remaining: u64,
-    enabled: bool,
-    hit: bool,
-}
-
-impl Deadline {
-    fn new(steps: u64) -> Self {
-        Deadline {
-            remaining: steps,
-            enabled: steps > 0,
-            hit: false,
-        }
-    }
-
-    /// Consumes one branch decision; returns `false` once exhausted.
-    fn tick(&mut self) -> bool {
-        if !self.enabled {
-            return true;
-        }
-        if self.remaining == 0 {
-            self.hit = true;
-            return false;
-        }
-        self.remaining -= 1;
-        true
     }
 }
 
@@ -373,7 +317,7 @@ impl SolveSession {
     }
 
     /// Draws up to `n` *distinct* random solutions of the session's CSP
-    /// under `policy` (budget, escalation, deadline), reporting exact
+    /// under `policy` (budget and escalation), reporting exact
     /// counters and recording them on `tracer` (span `csp.solve`, counters
     /// `csp.*`). The tracer never touches `rng`, so traced and untraced
     /// calls draw identical samples. An empty solution list always comes
@@ -443,7 +387,6 @@ impl SolveSession {
         self.prop.reset_stats();
         self.prop.begin_call();
         let mut stats = SolveStats::default();
-        let mut deadline = Deadline::new(policy.deadline_steps);
         let mut out = Vec::with_capacity(n);
         let mut root_ok = false;
         if let Some(store) = self.store.as_mut() {
@@ -491,7 +434,6 @@ impl SolveSession {
                     rng,
                     n,
                     policy,
-                    &mut deadline,
                     &mut stats,
                     &mut out,
                 );
@@ -506,7 +448,7 @@ impl SolveSession {
         stats.nogood_hits = self.prop.nogood_hits();
         stats.by_kind = self.prop.work_by_kind();
         stats.solutions = out.len() as u64;
-        let status = classify(root_ok, &deadline, &out, n);
+        let status = classify(root_ok, &out, n);
         record(tracer, &stats, status);
         drop(span);
         SolveOutcome {
@@ -732,11 +674,9 @@ fn restrict_to_pins(
 }
 
 /// Maps the terminal solver state to a [`SolveStatus`].
-fn classify(root_ok: bool, deadline: &Deadline, out: &[Solution], n: usize) -> SolveStatus {
+fn classify(root_ok: bool, out: &[Solution], n: usize) -> SolveStatus {
     if !root_ok {
         SolveStatus::RootInfeasible
-    } else if deadline.hit {
-        SolveStatus::DeadlineExceeded
     } else if out.is_empty() && n > 0 {
         SolveStatus::BudgetExhausted
     } else {
@@ -772,9 +712,6 @@ fn record(tracer: &Tracer, stats: &SolveStats, status: SolveStatus) {
     tracer.counter_add("csp.wipeouts", stats.wipeouts);
     tracer.counter_add("csp.solutions", stats.solutions);
     tracer.counter_add("csp.escalations", stats.escalations);
-    if status == SolveStatus::DeadlineExceeded {
-        tracer.counter_add("csp.deadline_exceeded", 1);
-    }
     if status == SolveStatus::RootInfeasible {
         tracer.counter_add("csp.root_infeasible", 1);
     }
@@ -851,7 +788,6 @@ fn sample_into<R: Rng>(
     rng: &mut R,
     n: usize,
     policy: &SolvePolicy,
-    deadline: &mut Deadline,
     stats: &mut SolveStats,
     out: &mut Vec<Solution>,
 ) {
@@ -863,11 +799,11 @@ fn sample_into<R: Rng>(
         // so that a handful of unlucky random walks does not starve
         // the population.
         let mut attempts = n * 3;
-        while out.len() < n && attempts > 0 && !deadline.hit {
+        while out.len() < n && attempts > 0 {
             attempts -= 1;
             stats.attempts += 1;
             let mut fails = budget;
-            let found = match search_one(ctx, brancher, store, rng, &mut fails, deadline) {
+            let found = match search_one(ctx, brancher, store, rng, &mut fails) {
                 Some(sol) => {
                     debug_assert!(
                         validate(ctx.csp, &sol),
@@ -887,22 +823,15 @@ fn sample_into<R: Rng>(
             }
         }
         // Budget escalation: a zero-solution round on a feasible root
-        // retries the whole round with a geometrically larger budget,
-        // up to the cap — the restart policy for knife-edge spaces
-        // whose only solutions hide behind deep backtracking.
-        if !out.is_empty()
-            || deadline.hit
-            || escalation >= policy.max_escalations
-            || budget >= policy.budget_cap
-        {
+        // retries the whole round with a geometrically larger budget —
+        // the restart policy for knife-edge spaces whose only solutions
+        // hide behind deep backtracking.
+        if !out.is_empty() || escalation >= policy.max_escalations {
             break;
         }
         escalation += 1;
         stats.escalations += 1;
-        budget = budget
-            .max(1)
-            .saturating_mul(policy.escalation_factor.max(1))
-            .min(policy.budget_cap.max(1));
+        budget = budget.max(1).saturating_mul(ESCALATION_FACTOR);
     }
 }
 
@@ -915,7 +844,6 @@ fn search_one<R: Rng>(
     store: &mut DomainStore,
     rng: &mut R,
     fails: &mut u32,
-    deadline: &mut Deadline,
 ) -> Option<Solution> {
     // Branch order: tunables in random order, then everything else in
     // declaration order (those are functionally determined in well-formed
@@ -938,7 +866,6 @@ fn search_one<R: Rng>(
         leaf,
         rng,
         fails,
-        deadline,
     };
     let sol = dive.descend(store, 0);
     store.undo_to(top);
@@ -955,7 +882,6 @@ struct Dive<'a, R> {
     leaf: &'a mut Vec<i64>,
     rng: &'a mut R,
     fails: &'a mut u32,
-    deadline: &'a mut Deadline,
 }
 
 impl<R: Rng> Dive<'_, R> {
@@ -1002,7 +928,7 @@ impl<R: Rng> Dive<'_, R> {
         };
         let mut sol = None;
         for k in base..base + try_limit {
-            if *self.fails == 0 || !self.deadline.tick() {
+            if *self.fails == 0 {
                 break;
             }
             let val = self.candidates[k];
@@ -1236,70 +1162,11 @@ mod tests {
         let policy = SolvePolicy {
             budget: 0,
             max_escalations: 4,
-            escalation_factor: 4,
-            budget_cap: 1_000,
-            deadline_steps: 0,
         };
         let escalated = solve_once(&csp, &mut rng, 4, &policy);
         assert_eq!(escalated.status, SolveStatus::Sat);
         assert!(escalated.stats.escalations >= 1);
         assert!(!escalated.solutions.is_empty());
-    }
-
-    #[test]
-    fn deadline_exceeded_is_classified_and_deterministic() {
-        let (csp, _) = tiling_csp();
-        // One branch decision is never enough to fix every tunable.
-        let policy = SolvePolicy::default().with_deadline(1);
-        let run = |seed: u64| {
-            let mut rng = HeronRng::from_seed(seed);
-            solve_once(&csp, &mut rng, 8, &policy)
-        };
-        let a = run(3);
-        assert_eq!(a.status, SolveStatus::DeadlineExceeded);
-        assert!(a.solutions.is_empty());
-        let b = run(3);
-        assert_eq!(a.stats, b.stats, "same-seed deadline runs diverged");
-
-        // A generous deadline changes nothing: still Sat.
-        let generous = SolvePolicy::default().with_deadline(1_000_000);
-        let mut rng = HeronRng::from_seed(3);
-        let ok = solve_once(&csp, &mut rng, 8, &generous);
-        assert_eq!(ok.status, SolveStatus::Sat);
-        assert_eq!(ok.solutions.len(), 8);
-    }
-
-    #[test]
-    fn deadline_keeps_partial_solutions() {
-        let (csp, _) = tiling_csp();
-        // Binary-search the smallest deadline that still yields all 8
-        // samples (step consumption is deterministic and monotone in the
-        // deadline for a fixed seed), then run just under it: the
-        // truncated call must classify DeadlineExceeded and carry fewer
-        // than 8 solutions — without discarding the ones it found.
-        let run = |deadline: u64| {
-            let mut rng = HeronRng::from_seed(9);
-            solve_once(
-                &csp,
-                &mut rng,
-                8,
-                &SolvePolicy::default().with_deadline(deadline),
-            )
-        };
-        assert_eq!(run(1_000_000).status, SolveStatus::Sat);
-        let (mut lo, mut hi) = (1u64, 1_000_000u64);
-        while lo + 1 < hi {
-            let mid = lo + (hi - lo) / 2;
-            if run(mid).status == SolveStatus::Sat {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        assert!(hi > 2, "tiling space cannot be solved in two steps");
-        let cut = run(hi - 1);
-        assert_eq!(cut.status, SolveStatus::DeadlineExceeded);
-        assert!(cut.solutions.len() < 8);
     }
 
     #[test]

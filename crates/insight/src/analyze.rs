@@ -89,8 +89,6 @@ pub struct InsightReport {
     pub relaxed_constraints: u64,
     /// Σ fallback samples across rounds.
     pub fallback_samples: u64,
-    /// Σ solver deadline hits across rounds.
-    pub deadline_hits: u64,
     /// Σ RandSAT attempts / propagations / wipeouts across rounds.
     pub solver_attempts: u64,
     /// See [`InsightReport::solver_attempts`].
@@ -225,7 +223,6 @@ pub fn analyze(log: &SearchLog) -> InsightReport {
         repaired_offspring: sum32(|r| r.repaired_offspring),
         relaxed_constraints: sum32(|r| r.relaxed_constraints),
         fallback_samples: sum32(|r| r.fallback_samples),
-        deadline_hits: sum32(|r| r.deadline_hits),
         solver_attempts: sum64(|r| r.solver_attempts),
         solver_propagations: sum64(|r| r.solver_propagations),
         solver_wipeouts: sum64(|r| r.solver_wipeouts),
@@ -438,7 +435,6 @@ impl InsightReport {
                 num(self.relaxed_constraints as f64),
             ),
             ("fallback_samples".into(), num(self.fallback_samples as f64)),
-            ("deadline_hits".into(), num(self.deadline_hits as f64)),
             ("solver_attempts".into(), num(self.solver_attempts as f64)),
             (
                 "solver_propagations".into(),
@@ -519,11 +515,10 @@ impl InsightReport {
             ));
         }
         s.push_str(&format!(
-            "  constraint pressure: {} repaired offspring · {} relaxed constraints · {} fallback samples · {} deadline hits\n",
+            "  constraint pressure: {} repaired offspring · {} relaxed constraints · {} fallback samples\n",
             self.repaired_offspring,
             self.relaxed_constraints,
-            self.fallback_samples,
-            self.deadline_hits
+            self.fallback_samples
         ));
         s.push_str(&format!(
             "  solver: {} attempts · {} propagations · {} wipeouts · max trail {} · {} incremental re-solves\n",
@@ -588,7 +583,6 @@ fn round_json(r: &crate::RoundRecord) -> Json {
             "fallback_samples".into(),
             num(f64::from(r.fallback_samples)),
         ),
-        ("deadline_hits".into(), num(f64::from(r.deadline_hits))),
         ("solver_attempts".into(), num(r.solver_attempts as f64)),
         (
             "solver_propagations".into(),

@@ -80,8 +80,6 @@ pub struct RoundRecord {
     pub relaxed_constraints: u32,
     /// Fresh `CSP_initial` fallback samples injected this round.
     pub fallback_samples: u32,
-    /// Solver deadline hits this round.
-    pub deadline_hits: u32,
     /// RandSAT assignment attempts this round.
     pub solver_attempts: u64,
     /// RandSAT constraint propagations this round.
@@ -201,7 +199,7 @@ impl SearchLog {
     }
 
     // ------------------------------------------------------------------
-    // Checkpoint encoding (heron-checkpoint v2 `insight.*` keys)
+    // Checkpoint encoding (heron-checkpoint v3 `insight.*` keys)
     // ------------------------------------------------------------------
 
     /// Writes the log as `insight.*` checkpoint lines. The encoding is
@@ -303,7 +301,7 @@ fn write_round(w: &mut Writer, r: &RoundRecord) {
     w.line(
         "insight.round",
         format_args!(
-            "{} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
+            "{} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
             r.round,
             r.trials_done,
             Bits(r.best_gflops),
@@ -321,7 +319,6 @@ fn write_round(w: &mut Writer, r: &RoundRecord) {
             r.repaired_offspring,
             r.relaxed_constraints,
             r.fallback_samples,
-            r.deadline_hits,
             r.solver_attempts,
             r.solver_propagations,
             r.solver_wipeouts,
@@ -334,7 +331,7 @@ fn write_round(w: &mut Writer, r: &RoundRecord) {
 
 fn read_round(e: &Entry<'_>) -> Result<RoundRecord, CheckpointError> {
     let mut t = e.tokens();
-    let mut r = RoundRecord {
+    let r = RoundRecord {
         round: t.num()?,
         trials_done: t.num()?,
         best_gflops: t.bits()?,
@@ -352,24 +349,14 @@ fn read_round(e: &Entry<'_>) -> Result<RoundRecord, CheckpointError> {
         repaired_offspring: t.num()?,
         relaxed_constraints: t.num()?,
         fallback_samples: t.num()?,
-        deadline_hits: t.num()?,
         solver_attempts: t.num()?,
         solver_propagations: t.num()?,
         solver_wipeouts: t.num()?,
         stalled: t.flag()?,
-        ..RoundRecord::default()
+        solver_max_trail: t.num()?,
+        solver_incremental: t.num()?,
     };
-    // 22 fields = the pre-trail-solver encoding (no trailing
-    // `solver_max_trail solver_incremental`); accepted for checkpoint
-    // backward compatibility, both counters 0.
-    match t.rest::<u64>()?[..] {
-        [] => {}
-        [trail, incremental] => {
-            r.solver_max_trail = trail;
-            r.solver_incremental = incremental;
-        }
-        _ => return Err(e.error("expects 22 or 24 fields")),
-    }
+    t.end()?;
     Ok(r)
 }
 
@@ -487,30 +474,6 @@ mod tests {
         assert!(apply(&mut log, "insight.seen", "0 1").is_err());
         assert!(apply(&mut log, "insight.refit", "0 4 nothex").is_err());
         assert!(apply(&mut log, "insight.var", "1 16 skips-index-0").is_err());
-    }
-
-    #[test]
-    fn legacy_22_token_round_lines_decode_with_zero_defaults() {
-        let mut log = SearchLog::new("", "", 0, 0);
-        let mut r = RoundRecord::new(3);
-        r.solver_max_trail = 9;
-        r.solver_incremental = 4;
-        log.push_round(r);
-        let text = checkpoint_text(&log);
-        let line = text
-            .lines()
-            .find_map(|l| l.strip_prefix("insight.round = "))
-            .unwrap();
-        assert_eq!(line.split(' ').count(), 24);
-        // A pre-trail-solver checkpoint lacks the two trailing counters.
-        let legacy = line.split(' ').take(22).collect::<Vec<_>>().join(" ");
-        let mut back = SearchLog::new("", "", 0, 0);
-        apply(&mut back, "insight.round", &legacy).expect("legacy lines must decode");
-        assert_eq!(back.rounds[0].solver_max_trail, 0);
-        assert_eq!(back.rounds[0].solver_incremental, 0);
-        assert_eq!(back.rounds[0].round, 3);
-        let short = line.split(' ').take(23).collect::<Vec<_>>().join(" ");
-        assert!(apply(&mut back, "insight.round", &short).is_err());
     }
 
     #[test]

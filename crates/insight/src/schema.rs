@@ -129,11 +129,10 @@ pub fn validate_insight(doc: &Json) -> Result<(), String> {
 
 /// The constraint-pressure and solver-work counters carried both per
 /// round and as run totals.
-const SOLVER_PRESSURE: [&str; 9] = [
+const SOLVER_PRESSURE: [&str; 8] = [
     "repaired_offspring",
     "relaxed_constraints",
     "fallback_samples",
-    "deadline_hits",
     "solver_attempts",
     "solver_propagations",
     "solver_wipeouts",

@@ -191,11 +191,6 @@ pub struct ServeConfig {
     /// tracer (0 disables the ring sink; postmortem bundles then embed
     /// an empty ring). See DESIGN.md §12.
     pub ring_capacity: usize,
-    /// When set, the ring *replaces* each session's unbounded event log
-    /// — the bounded always-on recording mode for long-lived runs.
-    /// Completed jobs then report only their last-K trace events, so
-    /// leave it off when full session traces are wanted.
-    pub ring_only: bool,
 }
 
 impl Default for ServeConfig {
@@ -210,7 +205,6 @@ impl Default for ServeConfig {
             backoff_base_s: 0.5,
             drain_after_completions: 0,
             ring_capacity: 64,
-            ring_only: false,
         }
     }
 }
@@ -264,11 +258,6 @@ pub fn parse_script(text: &str) -> Result<JobScript, JobError> {
                     c.drain_after_completions = v.parse().map_err(|_| not_num())?
                 }
                 "ring_capacity" => c.ring_capacity = v.parse().map_err(|_| not_num())?,
-                "ring_only" => {
-                    c.ring_only = v
-                        .parse()
-                        .map_err(|_| bad(format!("`ring_only` must be true|false, got `{v}`")))?
-                }
                 other => return Err(bad(format!("unknown directive `{other}`"))),
             }
             continue;
@@ -468,7 +457,6 @@ queue_capacity = 5
 restart_budget = 1
 checkpoint_every = 2
 ring_capacity = 128
-ring_only = true
 
 job g1 op=gemm shape=96x96x96 trials=40 seed=11
 job g2 op=gemv shape=256x256x8 trials=32 seed=13 fault_rate=0.15 deadline_rounds=4
@@ -481,7 +469,6 @@ kill g2 attempt=1 round=2 kind=hang
         assert_eq!(parsed.config.restart_budget, 1);
         assert_eq!(parsed.config.checkpoint_every, 2);
         assert_eq!(parsed.config.ring_capacity, 128);
-        assert!(parsed.config.ring_only);
         assert_eq!(parsed.jobs.len(), 2);
         assert_eq!(parsed.jobs[0].id, "g1");
         assert_eq!(parsed.jobs[0].trials, 40);

@@ -212,7 +212,7 @@ mod tests {
 
     fn flight_with_ring(rounds: u64) -> FlightEntry {
         let t = Tracer::manual();
-        t.set_ring(8, false);
+        t.set_ring(8);
         for _ in 0..rounds {
             let _s = t.span("tuner.step");
             t.advance_s(0.5);

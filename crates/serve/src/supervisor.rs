@@ -240,7 +240,6 @@ impl Supervisor {
             checkpoint_every: config.checkpoint_every,
             worker_id: slot,
             ring_capacity: config.ring_capacity,
-            ring_only: config.ring_only,
             recorder: self.recorder.clone(),
         };
         let tx = self.tx.clone();

@@ -67,9 +67,6 @@ pub struct WorkOrder {
     /// Flight-recorder ring capacity for the session tracer (0 = no
     /// ring sink; the recorder then receives clock/round flushes only).
     pub ring_capacity: usize,
-    /// When set, the ring *replaces* the session's unbounded event log
-    /// (the always-on recording mode for long-lived runs).
-    pub ring_only: bool,
     /// Where per-round ring snapshots are deposited for postmortems.
     pub recorder: FlightRecorder,
 }
@@ -184,7 +181,6 @@ pub fn run_order(order: WorkOrder, events: Sender<Event>) {
         checkpoint_every,
         worker_id: _,
         ring_capacity,
-        ring_only,
         recorder,
     } = order;
     let job = spec.id.clone();
@@ -212,7 +208,7 @@ pub fn run_order(order: WorkOrder, events: Sender<Event>) {
     // crash can still be autopsied. Attached before the first span so
     // the ring starts on a safe eviction boundary.
     if ring_capacity > 0 {
-        tuner.tracer().set_ring(ring_capacity, ring_only);
+        tuner.tracer().set_ring(ring_capacity);
     }
     if spec.deadline_rounds > 0 {
         control.set_deadline_rounds(spec.deadline_rounds);

@@ -2,9 +2,8 @@
 //! problems (DESIGN.md §6, "Solver-side failure & repair").
 //!
 //! The hardened solver contract says every `SolveSession` call must
-//! *classify* a failure (`root-infeasible`, `budget-exhausted`,
-//! `deadline-exceeded`) instead of silently returning an empty solution
-//! set, and the CGA repair loop must keep valid-by-construction sampling
+//! *classify* a failure (`root-infeasible`, `budget-exhausted`) instead
+//! of silently returning an empty solution set, and the CGA repair loop must keep valid-by-construction sampling
 //! alive on over-constrained spaces. Those guarantees only bite on nasty
 //! inputs, so this module generates three adversarial families on demand:
 //!

@@ -20,6 +20,7 @@
 
 use std::collections::VecDeque;
 
+use heron_csp::solver::ESCALATION_FACTOR;
 use heron_csp::{Constraint, Csp, Domain, Solution, SolvePolicy, SolveStatus, VarRef};
 use heron_rng::{Rng, SliceRandom};
 
@@ -334,34 +335,6 @@ fn filter_select(
     Ok(())
 }
 
-struct Deadline {
-    remaining: u64,
-    enabled: bool,
-    hit: bool,
-}
-
-impl Deadline {
-    fn new(steps: u64) -> Self {
-        Deadline {
-            remaining: steps,
-            enabled: steps > 0,
-            hit: false,
-        }
-    }
-
-    fn tick(&mut self) -> bool {
-        if !self.enabled {
-            return true;
-        }
-        if self.remaining == 0 {
-            self.hit = true;
-            return false;
-        }
-        self.remaining -= 1;
-        true
-    }
-}
-
 /// Filters `domains` to the reference engine's propagation fixpoint,
 /// every constraint of `csp` seeded; `false` is a wipeout (`domains` is
 /// then partially filtered).
@@ -381,44 +354,33 @@ pub fn rand_sat_reference<R: Rng>(
     let mut root = prop.initial_domains();
     let root_ok = prop.run_all(&mut root).is_ok();
     let mut out = Vec::with_capacity(n);
-    let mut deadline = Deadline::new(policy.deadline_steps);
     if root_ok && n > 0 {
         let mut seen = std::collections::HashSet::new();
         let mut budget = policy.budget;
         let mut escalation = 0u32;
         loop {
             let mut attempts = n * 3;
-            while out.len() < n && attempts > 0 && !deadline.hit {
+            while out.len() < n && attempts > 0 {
                 attempts -= 1;
                 stats.attempts += 1;
                 let mut fails = budget;
-                if let Some(sol) = search_one(csp, &mut prop, &root, rng, &mut fails, &mut deadline)
-                {
+                if let Some(sol) = search_one(csp, &mut prop, &root, rng, &mut fails) {
                     if seen.insert(sol.fingerprint()) {
                         out.push(sol);
                     }
                 }
             }
-            if !out.is_empty()
-                || deadline.hit
-                || escalation >= policy.max_escalations
-                || budget >= policy.budget_cap
-            {
+            if !out.is_empty() || escalation >= policy.max_escalations {
                 break;
             }
             escalation += 1;
-            budget = budget
-                .max(1)
-                .saturating_mul(policy.escalation_factor.max(1))
-                .min(policy.budget_cap.max(1));
+            budget = budget.max(1).saturating_mul(ESCALATION_FACTOR);
         }
     }
     stats.propagations = prop.propagations;
     stats.solutions = out.len() as u64;
     let status = if !root_ok {
         SolveStatus::RootInfeasible
-    } else if deadline.hit {
-        SolveStatus::DeadlineExceeded
     } else if out.is_empty() && n > 0 {
         SolveStatus::BudgetExhausted
     } else {
@@ -437,7 +399,6 @@ fn search_one<R: Rng>(
     root: &[Domain],
     rng: &mut R,
     fails: &mut u32,
-    deadline: &mut Deadline,
 ) -> Option<Solution> {
     let mut order = csp.tunables();
     order.shuffle(rng);
@@ -447,10 +408,9 @@ fn search_one<R: Rng>(
         }
     }
     let mut domains = root.to_vec();
-    dive(csp, prop, &mut domains, &order, 0, rng, fails, deadline)
+    dive(csp, prop, &mut domains, &order, 0, rng, fails)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn dive<R: Rng>(
     csp: &Csp,
     prop: &mut RefPropagator<'_>,
@@ -459,7 +419,6 @@ fn dive<R: Rng>(
     depth: usize,
     rng: &mut R,
     fails: &mut u32,
-    deadline: &mut Deadline,
 ) -> Option<Solution> {
     let mut d = depth;
     while d < order.len() && domains[order[d].0].is_fixed() {
@@ -508,12 +467,9 @@ fn dive<R: Rng>(
         if *fails == 0 {
             return None;
         }
-        if !deadline.tick() {
-            return None;
-        }
         let mut trial = domains.to_vec();
         if trial[var.0].fix(val).is_ok() && prop.run_from(&mut trial, var).is_ok() {
-            if let Some(sol) = dive(csp, prop, &mut trial, order, d + 1, rng, fails, deadline) {
+            if let Some(sol) = dive(csp, prop, &mut trial, order, d + 1, rng, fails) {
                 return Some(sol);
             }
         }

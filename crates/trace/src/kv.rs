@@ -1,5 +1,5 @@
 //! The line-oriented text codec behind every checkpoint and sealed
-//! artifact: the tuner's `heron-checkpoint v2`, the search log's
+//! artifact: the tuner's `heron-checkpoint v3`, the search log's
 //! `insight.*` lines inside it, the auditor's `heron-audit-ckpt-v2`, the
 //! kernel library's `heron-library v2` and the CSP export's
 //! `heron-csp v2`. The job-script and SLO grammars read through its

@@ -17,8 +17,8 @@
 //!
 //! plus the flight-recorder **ring sink** ([`Tracer::set_ring`],
 //! DESIGN.md §12): a fixed-capacity buffer of the most recent events
-//! with span-boundary-safe eviction, the bounded always-on recording
-//! mode for long-lived service runs; and [`kv`], the CRC-sealed
+//! with span-boundary-safe eviction, kept alongside the full log as the
+//! bounded always-on record of long-lived service runs; and [`kv`], the CRC-sealed
 //! `key = value` text codec every checkpoint is written in (DESIGN.md §6).
 //!
 //! # Example

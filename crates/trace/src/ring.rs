@@ -2,9 +2,9 @@
 //! recent trace events with deterministic eviction accounting
 //! (DESIGN.md §12).
 //!
-//! Long-lived `heron_serve` runs cannot keep an unbounded JSONL trace
-//! in memory; the ring retains the last ~K events so a crash, hang or
-//! quarantine can still be autopsied from a bounded always-on record.
+//! The ring retains the last ~K events alongside the full trace, so a
+//! crash, hang or quarantine in a long-lived `heron_serve` run can be
+//! autopsied from a bounded always-on record.
 //!
 //! # Eviction is span-boundary safe
 //!
@@ -51,9 +51,6 @@ pub const RING_SCHEMA: &str = "heron-ring-v1";
 pub(crate) struct RingBuf {
     /// Soft capacity: eviction runs whenever the buffer exceeds it.
     pub(crate) capacity: usize,
-    /// When set, the ring *replaces* the unbounded event log instead of
-    /// mirroring it.
-    pub(crate) ring_only: bool,
     /// Retained `(event, context, is_top_level_boundary)` triples.
     buf: VecDeque<(Event, Option<TraceContext>, bool)>,
     /// Total events evicted so far.
@@ -61,10 +58,9 @@ pub(crate) struct RingBuf {
 }
 
 impl RingBuf {
-    pub(crate) fn new(capacity: usize, ring_only: bool) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         RingBuf {
             capacity: capacity.max(1),
-            ring_only,
             buf: VecDeque::new(),
             evicted: 0,
         }
@@ -154,10 +150,10 @@ mod tests {
 
     /// `steps` top-level spans, each enclosing one child span and one
     /// point (5 events per group), on a manual clock.
-    fn run_steps(ring: Option<(usize, bool)>, steps: usize) -> Tracer {
+    fn run_steps(ring: Option<usize>, steps: usize) -> Tracer {
         let t = Tracer::manual();
-        if let Some((cap, ring_only)) = ring {
-            t.set_ring(cap, ring_only);
+        if let Some(cap) = ring {
+            t.set_ring(cap);
         }
         for i in 0..steps {
             let _s = t.span_with("tuner.step", || vec![("round", i.to_string())]);
@@ -174,7 +170,7 @@ mod tests {
     #[test]
     fn mirror_mode_leaves_the_full_log_untouched() {
         let plain = run_steps(None, 6);
-        let ringed = run_steps(Some((8, false)), 6);
+        let ringed = run_steps(Some(8), 6);
         assert_eq!(plain.to_jsonl(), ringed.to_jsonl());
         assert_eq!(plain.event_count(), ringed.event_count());
         // The ring still evicted deterministically alongside.
@@ -187,8 +183,8 @@ mod tests {
 
     #[test]
     fn eviction_is_deterministic_and_snapshot_stays_valid() {
-        let a = run_steps(Some((10, false)), 12);
-        let b = run_steps(Some((10, false)), 12);
+        let a = run_steps(Some(10), 12);
+        let b = run_steps(Some(10), 12);
         assert_eq!(a.ring_snapshot_jsonl(), b.ring_snapshot_jsonl());
 
         let snap = a.ring_snapshot_jsonl();
@@ -205,20 +201,9 @@ mod tests {
     }
 
     #[test]
-    fn ring_only_mode_bounds_the_log_and_stays_checkable() {
-        let t = run_steps(Some((10, true)), 12);
-        let jsonl = t.to_jsonl();
-        let summary = check_trace(&jsonl).expect("ring-only log is a valid trace");
-        assert_eq!(summary.events, 10);
-        // event_count still reports the total recorded, not retained.
-        assert_eq!(t.event_count(), 60);
-        assert_eq!(t.ring_len(), 10);
-    }
-
-    #[test]
     fn open_spans_are_never_torn() {
         let t = Tracer::manual();
-        t.set_ring(3, false);
+        t.set_ring(3);
         let _outer = t.span("serve.run");
         for _ in 0..5 {
             let _inner = t.span("tuner.step");
@@ -234,7 +219,7 @@ mod tests {
     fn tagged_ring_snapshots_carry_context() {
         use crate::tracer::TraceContext;
         let t = Tracer::manual();
-        t.set_ring(4, false);
+        t.set_ring(4);
         t.set_context(Some(TraceContext::new("g1", 2, 7)));
         for _ in 0..6 {
             let _s = t.span("tuner.step");
@@ -247,7 +232,7 @@ mod tests {
 
     #[test]
     fn damaged_snapshots_are_rejected_with_named_errors() {
-        let t = run_steps(Some((8, false)), 4);
+        let t = run_steps(Some(8), 4);
         let snap = t.ring_snapshot_jsonl();
         let wrong_schema = snap.replace(RING_SCHEMA, "heron-ring-v0");
         assert!(check_ring_snapshot(&wrong_schema)

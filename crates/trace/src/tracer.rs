@@ -127,13 +127,6 @@ impl Inner {
         // span open".)
         let boundary = self.stack.is_empty() && !matches!(ev, Event::Close { .. });
         if let Some(ring) = &mut self.ring {
-            if ring.ring_only {
-                let dropped = ring.push(ev, self.ctx.clone(), boundary);
-                if dropped > 0 {
-                    self.metrics.counter_add("trace.ring_evicted", dropped);
-                }
-                return;
-            }
             let dropped = ring.push(ev.clone(), self.ctx.clone(), boundary);
             if dropped > 0 {
                 self.metrics.counter_add("trace.ring_evicted", dropped);
@@ -359,23 +352,14 @@ impl Tracer {
     }
 
     /// Enables the flight-recorder ring sink with the given capacity
-    /// (clamped to ≥ 1). With `ring_only = false` (mirror mode) the
-    /// unbounded event log is kept unchanged and the ring records the
-    /// most recent events alongside it; with `ring_only = true` the
-    /// ring *replaces* the event log, bounding memory for long-lived
-    /// runs — [`Tracer::to_jsonl`] then exports the retained suffix,
-    /// re-sequenced from 0 (still a valid trace). Evictions increment
-    /// the `trace.ring_evicted` counter. Call before opening spans so
-    /// the ring starts on a safe cut point; no-op when disabled.
-    pub fn set_ring(&self, capacity: usize, ring_only: bool) {
+    /// (clamped to ≥ 1). The unbounded event log is kept unchanged and
+    /// the ring records the most recent events alongside it. Evictions
+    /// increment the `trace.ring_evicted` counter. Call before opening
+    /// spans so the ring starts on a safe cut point; no-op when disabled.
+    pub fn set_ring(&self, capacity: usize) {
         if let Some(inner) = &self.0 {
-            inner.borrow_mut().ring = Some(RingBuf::new(capacity, ring_only));
+            inner.borrow_mut().ring = Some(RingBuf::new(capacity));
         }
-    }
-
-    /// Whether a ring sink is attached.
-    pub fn has_ring(&self) -> bool {
-        self.0.as_ref().is_some_and(|i| i.borrow().ring.is_some())
     }
 
     /// Total events evicted from the ring so far (0 without a ring).
@@ -419,17 +403,9 @@ impl Tracer {
         out
     }
 
-    /// Number of recorded events (0 when disabled). In ring-only mode
-    /// this is the total recorded — evicted plus retained — not the
-    /// retained count.
+    /// Number of recorded events (0 when disabled).
     pub fn event_count(&self) -> usize {
-        self.0.as_ref().map_or(0, |i| {
-            let inner = i.borrow();
-            match &inner.ring {
-                Some(ring) if ring.ring_only => ring.evicted as usize + ring.len(),
-                _ => inner.events.len(),
-            }
-        })
+        self.0.as_ref().map_or(0, |i| i.borrow().events.len())
     }
 
     /// Number of registered metric instruments (0 when disabled).
@@ -449,36 +425,21 @@ impl Tracer {
         self.0.as_ref().and_then(|i| i.borrow().metrics.gauge(name))
     }
 
-    /// A clone of the recorded events (empty when disabled; the
-    /// retained suffix in ring-only mode).
+    /// A clone of the recorded events (empty when disabled).
     pub fn events(&self) -> Vec<Event> {
-        self.0.as_ref().map_or_else(Vec::new, |i| {
-            let inner = i.borrow();
-            match &inner.ring {
-                Some(ring) if ring.ring_only => ring.iter().map(|(ev, _)| ev.clone()).collect(),
-                _ => inner.events.clone(),
-            }
-        })
+        self.0
+            .as_ref()
+            .map_or_else(Vec::new, |i| i.borrow().events.clone())
     }
 
     /// The JSONL export: one event object per line, in sequence order.
-    /// Empty string when disabled. In ring-only mode this is the
-    /// retained suffix, re-sequenced from 0 — still a valid trace.
+    /// Empty string when disabled.
     pub fn to_jsonl(&self) -> String {
         let Some(inner) = &self.0 else {
             return String::new();
         };
         let inner = inner.borrow();
         let mut out = String::new();
-        if let Some(ring) = &inner.ring {
-            if ring.ring_only {
-                for (seq, (ev, ctx)) in ring.iter().enumerate() {
-                    out.push_str(&event_json(seq, ev, ctx));
-                    out.push('\n');
-                }
-                return out;
-            }
-        }
         for (seq, ev) in inner.events.iter().enumerate() {
             out.push_str(&event_json(seq, ev, inner.event_ctx[seq].as_ref()));
             out.push('\n');

@@ -122,10 +122,19 @@ echo "ok: heron-hostbench builds, passes its tests, and its smoke run is correct
 echo "== robustness smoke (hardened exploration) =="
 # Over-constrained and UNSAT spaces must terminate with a classified
 # status (repair/fallback on satisfiable spaces, `root-infeasible` +
-# diagnosis on contradictory ones), and deadline-bounded solves must be
-# deterministic (DESIGN.md §6, "Solver-side failure & repair").
+# diagnosis on contradictory ones; DESIGN.md §6, "Solver-side failure &
+# repair").
 cargo run --release --offline -p heron-bench --bin space_stress -- --smoke >/dev/null
 echo "ok: over-constrained + UNSAT spaces behave (space_stress --smoke)"
+# The full stress table is a golden too (≈0.1 s). The bin writes the
+# table to --out; its stdout carries an extra `#` header line.
+cargo run --release --offline --quiet -p heron-bench --bin space_stress -- \
+    --out "$obs_dir/space_stress.tsv" >/dev/null 2>&1
+cmp -s "$obs_dir/space_stress.tsv" results/space_stress.tsv || {
+    echo "error: space_stress no longer reproduces results/space_stress.tsv byte for byte" >&2
+    exit 1
+}
+echo "ok: space_stress reproduces its committed table"
 
 # A corrupt checkpoint must be rejected up front: flip one byte mid-FILE and
 # `BIN ARGS --resume FILE` must exit non-zero naming the corruption.

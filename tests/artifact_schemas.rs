@@ -181,7 +181,7 @@ fn assert_every_member_checked(a: Artifact) {
 /// Three rounds of spans, fields and points on a manual clock.
 fn session(ctx: Option<TraceContext>) -> Tracer {
     let t = Tracer::manual();
-    t.set_ring(64, false);
+    t.set_ring(64);
     t.set_context(ctx);
     for round in 0..3 {
         let _step = t.span_with("tuner.step", || vec![("round", round.to_string())]);

@@ -57,11 +57,8 @@ fn record(result: &TuneResult) -> String {
     );
     let _ = writeln!(
         out,
-        "repaired={} relaxed={} deadline_hits={} fallbacks={}",
-        result.repaired_offspring,
-        result.relaxed_constraints,
-        result.solver_deadline_hits,
-        result.fallback_samples
+        "repaired={} relaxed={} fallbacks={}",
+        result.repaired_offspring, result.relaxed_constraints, result.fallback_samples
     );
     for (tag, n) in &result.error_counts {
         let _ = writeln!(out, "error[{tag}]={n}");

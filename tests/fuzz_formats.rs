@@ -219,7 +219,7 @@ fn render_script(s: &JobScript, kills: &[&str]) -> String {
     let mut out = format!(
         "workers = {}\nqueue_capacity = {}\nrestart_budget = {}\ncheckpoint_every = {}\n\
          poll_interval_ms = {}\nhang_grace_polls = {}\ndrain_after_completions = {}\n\
-         ring_capacity = {}\nring_only = {}\n",
+         ring_capacity = {}\n",
         c.workers,
         c.queue_capacity,
         c.restart_budget,
@@ -227,8 +227,7 @@ fn render_script(s: &JobScript, kills: &[&str]) -> String {
         c.poll_interval_ms,
         c.hang_grace_polls,
         c.drain_after_completions,
-        c.ring_capacity,
-        c.ring_only
+        c.ring_capacity
     );
     for j in &s.jobs {
         out += &format!(
@@ -256,7 +255,7 @@ fn arb_script(g: &mut Gen) -> String {
                 ]),
                 g.int(0, 100)
             ),
-            1 => format!("ring_only = {}", g.bool(0.5)),
+            1 => format!("restart_budget = {}", g.int(0, 100)),
             2 => format!(
                 "job j{i} op={} shape={} trials={} fault_rate={} deadline_rounds={}",
                 g.pick(&["gemm", "gemv", "c2d", "scan"]),
