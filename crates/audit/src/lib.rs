@@ -40,8 +40,8 @@ use heron_csp::{diagnose_root_conflict, SolvePolicy, SolveSession};
 use heron_trace::Tracer;
 
 /// RNG stream ids (forked off the audit seed). Each phase owns a
-/// stream, and resumable phases fork a per-chunk sub-stream, so partial
-/// progress never shifts another phase's draws.
+/// stream, and the under-probe forks a per-chunk sub-stream, so one
+/// phase's draws never shift another's.
 pub(crate) const STREAM_UNDER: u64 = 1;
 pub(crate) const STREAM_MINIMIZE: u64 = 2;
 pub(crate) const STREAM_ANCHOR: u64 = 3;
@@ -49,6 +49,13 @@ pub(crate) const STREAM_COMPLETE: u64 = 4;
 pub(crate) const STREAM_FULLCHECK: u64 = 5;
 pub(crate) const STREAM_BOUNDARY: u64 = 6;
 pub(crate) const STREAM_EXTREME: u64 = 7;
+
+/// Samples requested per under-probe chunk.
+pub(crate) const CHUNK: usize = 16;
+/// Per-tunable domain values tried by the over-probe.
+pub(crate) const MAX_DOMAIN: usize = 12;
+/// Per-sample backtracking budget for every solve.
+const BUDGET: u32 = 4000;
 
 /// Audit parameters. Every field participates in the determinism
 /// contract: the produced report is a pure function of
@@ -59,19 +66,12 @@ pub struct AuditConfig {
     pub seed: u64,
     /// Distinct-sample target for the under-probe.
     pub samples: usize,
-    /// Samples requested per under-probe chunk (the checkpoint
-    /// granularity).
-    pub chunk: usize,
     /// Known-valid anchors for the over-probe.
     pub anchors: usize,
-    /// Per-tunable domain values tried by the over-probe.
-    pub max_domain: usize,
     /// Stored witnesses per probe (further ones are counted, not kept).
     pub max_witnesses: usize,
     /// Over-probe witnesses that get the greedy-deletion diagnosis.
     pub max_diagnoses: usize,
-    /// Per-sample backtracking budget for every solve.
-    pub budget: u32,
     /// Stop each probe at its first witness (the mutation gate's mode).
     pub stop_at_first: bool,
 }
@@ -82,12 +82,9 @@ impl AuditConfig {
         AuditConfig {
             seed,
             samples: 64,
-            chunk: 16,
             anchors: 3,
-            max_domain: 12,
             max_witnesses: 8,
             max_diagnoses: 4,
-            budget: 4000,
             stop_at_first: false,
         }
     }
@@ -99,7 +96,6 @@ impl AuditConfig {
     pub fn gate(seed: u64) -> Self {
         AuditConfig {
             samples: 48,
-            chunk: 16,
             max_witnesses: 1,
             max_diagnoses: 0,
             stop_at_first: true,
@@ -110,29 +106,12 @@ impl AuditConfig {
     /// The solve policy every audit solve uses (fixed budget — no
     /// escalation, so solve behaviour is a pure function of the seed).
     pub fn policy(&self) -> SolvePolicy {
-        SolvePolicy::fixed(self.budget)
+        SolvePolicy::fixed(BUDGET)
     }
 }
 
 /// Runs the full audit on `space` and assembles the report.
 pub fn audit_space(space: &GeneratedSpace, cfg: &AuditConfig, tracer: &Tracer) -> AuditReport {
-    let mut state = UnderState::new();
-    audit_with_state(space, cfg, tracer, &mut state, None)
-        .expect("un-paused audit always completes")
-}
-
-/// Resumable audit driver: advances the under-probe by at most
-/// `pause_after` chunks per call (`None` = run everything). Returns
-/// `None` while paused mid-sampling — persist `state` (see
-/// [`UnderState::to_text`]) and call again to continue. The completed
-/// report is byte-identical to an uninterrupted run's.
-pub fn audit_with_state(
-    space: &GeneratedSpace,
-    cfg: &AuditConfig,
-    tracer: &Tracer,
-    state: &mut UnderState,
-    pause_after: Option<usize>,
-) -> Option<AuditReport> {
     let span = tracer.span_with("audit.run", || {
         [
             ("workload", space.workload.clone()),
@@ -147,7 +126,7 @@ pub fn audit_with_state(
         seed: cfg.seed,
         samples_cfg: cfg.samples,
         anchors_cfg: cfg.anchors,
-        max_domain_cfg: cfg.max_domain,
+        max_domain_cfg: MAX_DOMAIN,
         distinct: 0,
         invalid_total: 0,
         boundary_invalid: 0,
@@ -169,21 +148,19 @@ pub fn audit_with_state(
                 .collect();
         }
         drop(span);
-        return Some(report);
+        return report;
     }
     let oracle = Oracle::new(space, tracer.clone());
-    run_under(&mut session, &oracle, cfg, state, tracer, pause_after);
-    if !state.done {
-        return None; // paused mid-sampling; resume with the same state
-    }
+    let mut state = UnderState::new();
+    run_under(&mut session, &oracle, cfg, &mut state, tracer);
     // In gate mode a sampled witness already decides the audit.
     if !cfg.stop_at_first || state.raw_witnesses.is_empty() {
-        boundary_probe(&mut session, &oracle, cfg, state, tracer);
+        boundary_probe(&mut session, &oracle, cfg, &mut state, tracer);
     }
     report.distinct = state.seen.len();
     report.invalid_total = state.invalid_total;
     report.boundary_invalid = state.boundary_invalid;
-    report.under = minimize(&mut session, &oracle, cfg, state, tracer);
+    report.under = minimize(&mut session, &oracle, cfg, &state, tracer);
     // In gate mode an under-witness already decides the audit; skip the
     // (comparatively expensive) over-probe.
     if !cfg.stop_at_first || report.under.is_empty() {
@@ -193,5 +170,5 @@ pub fn audit_with_state(
         report.over = over.witnesses;
     }
     drop(span);
-    Some(report)
+    report
 }

@@ -30,7 +30,9 @@ use heron_trace::Tracer;
 
 use crate::oracle::Oracle;
 use crate::under::extreme_solution;
-use crate::{AuditConfig, STREAM_ANCHOR, STREAM_COMPLETE, STREAM_EXTREME, STREAM_FULLCHECK};
+use crate::{
+    AuditConfig, MAX_DOMAIN, STREAM_ANCHOR, STREAM_COMPLETE, STREAM_EXTREME, STREAM_FULLCHECK,
+};
 
 /// One directly-violated restrictive constraint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -180,12 +182,7 @@ pub fn run_over(
 
     for anchor in &anchors {
         for &t in &tunables {
-            let values: Vec<i64> = csp
-                .var(t)
-                .domain
-                .iter_values()
-                .take(cfg.max_domain)
-                .collect();
+            let values: Vec<i64> = csp.var(t).domain.iter_values().take(MAX_DOMAIN).collect();
             for v in values {
                 if v == anchor.value(t) || seen.contains(&(t.0, v)) {
                     continue;

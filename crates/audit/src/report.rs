@@ -5,8 +5,7 @@
 //! Determinism contract: the document is a pure function of
 //! `(space, AuditConfig)` — no wall-clock, no live trace counters —
 //! rendered with [`heron_trace::Json::render_pretty`] in fixed member
-//! order, so same-seed runs (including killed-and-resumed ones) are
-//! byte-identical.
+//! order, so same-seed runs are byte-identical.
 
 use heron_trace::{Cursor, Json};
 

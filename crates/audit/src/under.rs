@@ -3,10 +3,8 @@
 //!
 //! Sampling is *chunked and per-chunk seeded*: chunk `k` draws from
 //! `HeronRng::from_seed(seed).fork(STREAM_UNDER).fork(k)`, so every
-//! chunk's samples are a pure function of `(csp, seed, k)` — a run
-//! killed between chunks and resumed from an [`UnderState`] checkpoint
-//! reproduces the uninterrupted run byte-for-byte (the same discipline
-//! the tuner's checkpoint uses; see DESIGN.md §11).
+//! chunk's samples are a pure function of `(csp, seed, k)` (DESIGN.md
+//! §11).
 //!
 //! Each witness is minimized by greedy assignment-perturbation delta
 //! debugging against the first oracle-valid sample: walk the tunables
@@ -18,11 +16,10 @@
 
 use heron_csp::{Solution, SolveSession, VarRef};
 use heron_rng::HeronRng;
-use heron_trace::kv::{self, CheckpointError, Hex, Words, Writer};
 use heron_trace::Tracer;
 
 use crate::oracle::{Oracle, OracleVerdict};
-use crate::{AuditConfig, STREAM_BOUNDARY, STREAM_MINIMIZE, STREAM_UNDER};
+use crate::{AuditConfig, CHUNK, STREAM_BOUNDARY, STREAM_MINIMIZE, STREAM_UNDER};
 
 /// One tunable the minimizer could not revert to the reference value.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,13 +49,10 @@ pub struct UnderWitness {
     pub diff: Vec<DiffEntry>,
 }
 
-/// Resumable under-probe progress — everything the next chunk needs.
+/// The under-probe's findings, shared by sampling, the boundary probe
+/// and the minimizer.
 #[derive(Debug, Clone, Default)]
 pub struct UnderState {
-    /// Next chunk index to sample.
-    pub next_chunk: usize,
-    /// Consecutive chunks that contributed no new distinct sample.
-    pub dry: usize,
     /// Fingerprints of every distinct sample, in discovery order.
     pub seen: Vec<u64>,
     /// Total oracle-invalid samples (witnesses beyond the storage cap
@@ -68,109 +62,41 @@ pub struct UnderState {
     pub raw_witnesses: Vec<Solution>,
     /// First oracle-valid sample — the minimizer's reference point.
     pub reference: Option<Solution>,
-    /// Whether the probe has finished sampling.
-    pub done: bool,
-    /// Oracle-invalid *boundary* points (see [`boundary_probe`]). Not
-    /// checkpointed: the boundary probe runs after sampling completes,
-    /// so a paused state always carries zero.
+    /// Oracle-invalid *boundary* points (see [`boundary_probe`]).
     pub boundary_invalid: u64,
 }
-
-const CKPT_HEADER: &str = "heron-audit-ckpt-v2";
 
 impl UnderState {
     /// A fresh probe.
     pub fn new() -> Self {
         UnderState::default()
     }
-
-    /// Serializes the state (plus the `seed`/`samples` it is only valid
-    /// for) as a sealed [`kv`] checkpoint.
-    pub fn to_text(&self, seed: u64, samples: usize) -> String {
-        let mut w = Writer::new(CKPT_HEADER);
-        w.line("seed", seed);
-        w.line("samples", samples);
-        w.line("next_chunk", self.next_chunk);
-        w.line("dry", self.dry);
-        w.line("invalid_total", self.invalid_total);
-        w.line("done", u8::from(self.done));
-        w.line("seen", Words(self.seen.iter().map(|&fp| Hex(fp))));
-        if let Some(r) = &self.reference {
-            w.line("ref", Words(r.values()));
-        }
-        for wit in &self.raw_witnesses {
-            w.line("wit", Words(wit.values()));
-        }
-        w.seal()
-    }
-
-    /// Parses a checkpoint written by [`UnderState::to_text`], returning
-    /// the state and the `(seed, samples)` pair it belongs to.
-    ///
-    /// # Errors
-    /// [`CheckpointError::Corrupt`] on any damage (checked first),
-    /// [`CheckpointError::VersionMismatch`] for another version (a v1 file
-    /// included), [`CheckpointError::Parse`] naming a malformed line.
-    pub fn from_text(text: &str) -> Result<(UnderState, u64, usize), CheckpointError> {
-        let mut state = UnderState::default();
-        let (mut seed, mut samples) = (None, None);
-        for e in kv::unseal(text, CKPT_HEADER)? {
-            let e = e?;
-            match e.key {
-                "seed" => seed = Some(e.num(e.value)?),
-                "samples" => samples = Some(e.num(e.value)?),
-                "next_chunk" => state.next_chunk = e.num(e.value)?,
-                "dry" => state.dry = e.num(e.value)?,
-                "invalid_total" => state.invalid_total = e.num(e.value)?,
-                "done" => state.done = e.tokens().flag()?,
-                "seen" => state.seen = e.tokens().map(|t| e.hex(t)).collect::<Result<_, _>>()?,
-                "ref" => state.reference = Some(Solution::new(e.tokens().rest()?)),
-                "wit" => state.raw_witnesses.push(Solution::new(e.tokens().rest()?)),
-                _ => return Err(e.error("unknown key")),
-            }
-        }
-        let (Some(seed), Some(samples)) = (seed, samples) else {
-            return Err(CheckpointError::Parse {
-                line: 1,
-                message: "audit checkpoint is missing seed or samples".into(),
-            });
-        };
-        Ok((state, seed, samples))
-    }
 }
 
-/// Advances the under-probe by at most `pause_after` chunks (`None` =
-/// run to completion). Progress accumulates in `state`; sampling is
-/// finished when `state.done` turns true.
+/// Samples the space chunk by chunk, replaying every new distinct point
+/// through the oracle into `state`, until `cfg.samples` points, two dry
+/// chunks in a row, the chunk cap or (in gate mode) a first witness.
 pub fn run_under(
     session: &mut SolveSession,
     oracle: &Oracle,
     cfg: &AuditConfig,
     state: &mut UnderState,
     tracer: &Tracer,
-    pause_after: Option<usize>,
 ) {
     let root = HeronRng::from_seed(cfg.seed).fork(STREAM_UNDER);
     // Tiny spaces never reach `samples` distinct points; bound the chunk
     // count and stop after two consecutive dry chunks.
-    let max_chunks = cfg.samples.div_ceil(cfg.chunk.max(1)) * 4;
-    let mut chunks_this_call = 0usize;
-    loop {
+    let max_chunks = cfg.samples.div_ceil(CHUNK) * 4;
+    let mut dry = 0;
+    for chunk in 0..max_chunks {
         if state.seen.len() >= cfg.samples
-            || state.dry >= 2
-            || state.next_chunk >= max_chunks
+            || dry >= 2
             || (cfg.stop_at_first && !state.raw_witnesses.is_empty())
         {
-            state.done = true;
             return;
         }
-        if let Some(p) = pause_after {
-            if chunks_this_call >= p {
-                return;
-            }
-        }
-        let mut rng = root.fork(state.next_chunk as u64);
-        let out = session.solve(&mut rng, cfg.chunk, &cfg.policy(), tracer);
+        let mut rng = root.fork(chunk as u64);
+        let out = session.solve(&mut rng, CHUNK, &cfg.policy(), tracer);
         let mut new_any = false;
         for sol in &out.solutions {
             if state.seen.len() >= cfg.samples {
@@ -198,9 +124,7 @@ pub fn run_under(
                 }
             }
         }
-        state.dry = if new_any { 0 } else { state.dry + 1 };
-        state.next_chunk += 1;
-        chunks_this_call += 1;
+        dry = if new_any { 0 } else { dry + 1 };
     }
 }
 
@@ -261,7 +185,7 @@ pub fn boundary_probe(
     // propagation-refuted, so the walk uses a deliberately small search
     // budget: real extremes (products of power-of-two-ish factors)
     // complete almost immediately, dead candidates fail fast.
-    let probe_policy = heron_csp::SolvePolicy::fixed(cfg.budget.min(300));
+    let probe_policy = heron_csp::SolvePolicy::fixed(300);
     for i in 0..csp.num_vars() {
         let v = VarRef(i);
         if csp.var(v).domain.size() <= 1 {

@@ -1,11 +1,11 @@
 //! Integration tests for the differential constraint-space auditor:
-//! clean committed specs audit clean, same-seed runs (including
-//! killed-and-resumed ones) are byte-identical, witnesses replay, and
-//! the seeded mutation gate detects every certified drop/tighten.
+//! clean committed specs audit clean, same-seed runs are byte-identical,
+//! witnesses replay, and the seeded mutation gate detects every
+//! certified drop/tighten.
 
 use heron_audit::{
-    audit_space, audit_with_state, certified_corpus, corpus, detects, mutated_space,
-    validate_audit, AuditConfig, Oracle, UnderState,
+    audit_space, certified_corpus, corpus, detects, mutated_space, validate_audit, AuditConfig,
+    Oracle,
 };
 use heron_core::generate::{GeneratedSpace, SpaceGenerator, SpaceOptions};
 use heron_dla::DlaSpec;
@@ -61,81 +61,6 @@ fn same_seed_audit_json_is_byte_identical() {
     // A different seed samples differently (the summary block records it).
     let c = audit_space(&s, &AuditConfig::new(8), &Tracer::disabled()).to_json();
     assert_ne!(a.render_pretty(), c.render_pretty());
-}
-
-#[test]
-fn killed_and_resumed_audit_is_byte_identical() {
-    let s = gemm("v100", 128);
-    let cfg = AuditConfig::new(2023);
-    let tracer = Tracer::disabled();
-    let uninterrupted = audit_space(&s, &cfg, &tracer);
-
-    // Pause after every chunk, round-tripping the checkpoint text each
-    // time — the worst-case kill/resume schedule.
-    let mut state = UnderState::new();
-    let report = loop {
-        match audit_with_state(&s, &cfg, &tracer, &mut state, Some(1)) {
-            Some(r) => break r,
-            None => {
-                let text = state.to_text(cfg.seed, cfg.samples);
-                let (restored, seed, samples) = UnderState::from_text(&text).expect("round-trips");
-                assert_eq!((seed, samples), (cfg.seed, cfg.samples));
-                state = restored;
-            }
-        }
-    };
-    assert_eq!(
-        uninterrupted.to_json().render_pretty(),
-        report.to_json().render_pretty()
-    );
-}
-
-#[test]
-fn checkpoint_rejects_damage() {
-    // A paused probe with every kind of line: counters, seen
-    // fingerprints, the reference and a witness.
-    let s = gemm("v100", 128);
-    let cfg = AuditConfig::new(2023);
-    let mut state = UnderState::new();
-    assert!(audit_with_state(&s, &cfg, &Tracer::disabled(), &mut state, Some(1)).is_none());
-    let reference = state.reference.clone().expect("a valid reference sample");
-    state.raw_witnesses.push(reference);
-    state.invalid_total = 1;
-    let text = state.to_text(cfg.seed, cfg.samples);
-    let (back, seed, samples) = UnderState::from_text(&text).expect("round-trips");
-    assert_eq!(back.to_text(seed, samples), text);
-
-    // Every single-byte flip is rejected: no damaged digit of a counter
-    // or fingerprint may resume a different audit. (Non-UTF-8 results
-    // never reach the parser.)
-    for off in 0..text.len() {
-        let mut bytes = text.clone().into_bytes();
-        bytes[off] ^= 0x01;
-        if let Ok(flipped) = String::from_utf8(bytes) {
-            assert!(
-                UnderState::from_text(&flipped).is_err(),
-                "flip at byte {off} went undetected"
-            );
-        }
-    }
-    // So is every truncation.
-    for cut in 0..text.len() {
-        assert!(
-            UnderState::from_text(&text[..cut]).is_err(),
-            "truncation at byte {cut} went undetected"
-        );
-    }
-    assert!(UnderState::from_text("not a checkpoint").is_err());
-    // A checkpoint of the unsealed first version is a version mismatch
-    // naming both headers.
-    let v1 = "heron-audit-ckpt-v1\nseed 3 samples 16\n\
-              next_chunk 0 dry 0 invalid_total 0 done 0\nseen\nend\n";
-    let err = UnderState::from_text(v1)
-        .map(|_| ())
-        .unwrap_err()
-        .to_string();
-    assert!(err.contains("version mismatch"), "{err}");
-    assert!(err.contains("heron-audit-ckpt-v1") && err.contains("heron-audit-ckpt-v2"));
 }
 
 #[test]

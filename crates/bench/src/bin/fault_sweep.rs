@@ -9,16 +9,14 @@
 //! collapsing.
 //!
 //! ```text
-//! fault_sweep [--trials N] [--seed S] [--metrics-out M.tsv]   # full TSV sweep
-//! fault_sweep --smoke                                         # quick 10%-fault sanity check
+//! fault_sweep [--trials N] [--seed S]   # full TSV sweep
+//! fault_sweep --smoke                    # quick 10%-fault sanity check
 //! ```
 //!
 //! `--smoke` exits non-zero if a quick tune at a 10% fault rate fails to
 //! find any valid program — the CI gate for the resilience pipeline.
-//! `--metrics-out` snapshots the sweep's aggregate metrics registry
-//! (per-column `bench.fault_sweep.*` histograms) to a TSV file.
 
-use heron_bench::{num_flag, write_metrics_flag, TsvTable};
+use heron_bench::{num_flag, row};
 use heron_core::generate::{SpaceGenerator, SpaceOptions};
 use heron_core::tuner::{TuneConfig, TuneResult, Tuner};
 use heron_dla::{v100, FaultPlan, Measurer};
@@ -74,24 +72,22 @@ fn main() {
     let seed: u64 = num_flag(&args, "--seed").unwrap_or(2023);
 
     println!("# fault-rate sweep: gemm-512 on v100, {trials} trials, seed {seed}");
-    let mut table = TsvTable::new(
-        "fault_sweep",
-        &[
-            "rate",
-            "best_gops",
-            "vs_clean",
-            "retried",
-            "retries",
-            "quarantined",
-            "timeouts",
-            "inj_timeout",
-            "inj_hang",
-            "inj_rpc",
-            "inj_spurious",
-            "inj_noisy",
-            "hw_measure_s",
-        ],
-    );
+    row(&[
+        "rate",
+        "best_gops",
+        "vs_clean",
+        "retried",
+        "retries",
+        "quarantined",
+        "timeouts",
+        "inj_timeout",
+        "inj_hang",
+        "inj_rpc",
+        "inj_spurious",
+        "inj_noisy",
+        "hw_measure_s",
+    ]
+    .map(String::from));
     let mut clean_best = 0.0_f64;
     for rate in [0.0, 0.05, 0.10, 0.20, 0.30, 0.50] {
         let (r, tracer) = run_at(rate, trials, seed);
@@ -108,7 +104,7 @@ fn main() {
                 .counter(&format!("dla.fault_injected.{tag}"))
                 .unwrap_or(0)
         };
-        table.emit(&[
+        row(&[
             format!("{rate:.2}"),
             format!("{:.1}", r.best_gflops),
             format!("{vs_clean:.3}"),
@@ -127,5 +123,4 @@ fn main() {
             format!("{:.1}", r.timing.hw_measure_s),
         ]);
     }
-    write_metrics_flag(&args, table.tracer());
 }

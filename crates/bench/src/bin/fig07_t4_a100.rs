@@ -4,18 +4,16 @@
 //! the vendor libraries (cuDNN/cuBLAS model).
 
 use heron_baselines::{akg_outcome, Approach};
-use heron_bench::{run_approach, run_vendor, seed, trials, TsvTable};
+use heron_bench::{row, run_approach, run_vendor, seed, trials};
 use heron_workloads::{table9_c2d, table9_gemm};
 
 fn main() {
     let trials = trials();
     println!("Figure 7 / Table 9: absolute Gops on T4 and A100 (trials={trials})");
-    let mut table = TsvTable::new(
-        "fig07",
-        &[
-            "platform", "workload", "Heron", "AutoTVM", "Ansor", "AMOS", "AKG", "Vendor", "peak%",
-        ],
-    );
+    row(&[
+        "platform", "workload", "Heron", "AutoTVM", "Ansor", "AMOS", "AKG", "Vendor", "peak%",
+    ]
+    .map(String::from));
     for spec in [heron_dla::t4(), heron_dla::a100()] {
         let peak = spec.peak_ops_per_sec() / 1e9;
         for w in table9_gemm().into_iter().chain(table9_c2d()) {
@@ -30,7 +28,7 @@ fn main() {
                 o.as_ref()
                     .map_or("-".into(), |o| format!("{:.0}", o.best_gflops))
             };
-            table.emit(&[
+            row(&[
                 spec.name.to_string(),
                 w.name.clone(),
                 format!("{hg:.0}"),

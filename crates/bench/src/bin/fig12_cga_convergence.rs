@@ -3,7 +3,7 @@
 //! reaches in ~500 steps what the baselines need 1000+ steps for, because
 //! every offspring is valid and good genes are retained.
 
-use heron_bench::{downsample, seed, trials, TsvTable};
+use heron_bench::{downsample, row, seed, trials};
 use heron_core::explore::cga::{CgaConfig, CgaExplorer};
 use heron_core::explore::classic::{GaExplorer, RandomExplorer, SaExplorer};
 use heron_core::explore::Explorer;
@@ -24,7 +24,7 @@ fn main() {
         ("GEMM", ops::gemm(1024, 1024, 1024)),
     ];
     println!("Figure 12: exploration efficiency (steps={steps})");
-    let mut table = TsvTable::new("fig12", &["case", "algorithm", "step", "best_gflops"]);
+    row(&["case", "algorithm", "step", "best_gflops"].map(String::from));
     for (case, dag) in cases {
         let space = SpaceGenerator::new(spec.clone())
             .generate_named(&dag, &SpaceOptions::heron(), case)
@@ -43,7 +43,7 @@ fn main() {
             };
             let curve = explorer.explore(&space, &mut measure, steps, &mut rng);
             for (step, best) in downsample(&curve, 16) {
-                table.emit(&[
+                row(&[
                     case.to_string(),
                     explorer.name().to_string(),
                     step.to_string(),

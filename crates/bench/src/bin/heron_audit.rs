@@ -6,8 +6,6 @@
 //!             [--samples N] [--anchors N] [--out audit.json] [--check]
 //! heron_audit ... --list-mutations
 //! heron_audit ... --mutate <INDEX|drop-le|drop-in|tighten-le|tighten-in|widen-le|widen-in>
-//! heron_audit ... --pause-at K --checkpoint F      # pause mid-sampling
-//! heron_audit ... --resume F                        # byte-identical continuation
 //! ```
 //!
 //! The audit samples the generated space's CSP and replays every point
@@ -18,12 +16,12 @@
 //! `--mutate` damages one posted rule first (the seeded negative test:
 //! a mutated space **must** fail `--check`).
 
-use heron_audit::{audit_with_state, validate_audit, AuditConfig, UnderState};
+use heron_audit::{audit_space, validate_audit, AuditConfig};
 use heron_bench::{flag, has_flag, must_validate, num_flag, write_file};
 use heron_core::generate::{SpaceGenerator, SpaceOptions};
 use heron_dla::DlaSpec;
 use heron_testkit::rule_mutation::RuleMutation;
-use heron_trace::{kv, Tracer};
+use heron_trace::Tracer;
 use heron_workloads::Workload;
 
 fn main() {
@@ -32,11 +30,23 @@ fn main() {
         usage();
         return;
     }
+    // Every value flag is read before any work, so one given without its
+    // value exits 2 before the space is generated.
     let spec = platform(&flag(&args, "--dla").unwrap_or_else(|| "v100".into()));
     let op = flag(&args, "--op").unwrap_or_else(|| "gemm".into());
     let shape = flag(&args, "--shape").unwrap_or_else(|| "512x512x512".into());
     let workload = parse_workload(&op, &shape);
     let seed = num_flag(&args, "--seed").unwrap_or(2023);
+    let mut cfg = AuditConfig::new(seed);
+    if let Some(n) = num_flag(&args, "--samples") {
+        cfg.samples = n;
+    }
+    if let Some(n) = num_flag(&args, "--anchors") {
+        cfg.anchors = n;
+    }
+    let mutate = flag(&args, "--mutate");
+    let out = flag(&args, "--out");
+    let metrics_out = flag(&args, "--metrics-out");
 
     let dag = workload.build(spec.in_dtype);
     let mut space = match SpaceGenerator::new(spec.clone()).generate_named(
@@ -64,69 +74,21 @@ fn main() {
         }
         return;
     }
-    if let Some(which) = flag(&args, "--mutate") {
+    if let Some(which) = mutate {
         let m = select_mutation(&space, seed, &which);
         println!("mutating rule #{}: {}", m.index, m.detail);
         space = heron_audit::mutated_space(&space, &m);
     }
 
-    let mut cfg = AuditConfig::new(seed);
-    if let Some(n) = num_flag(&args, "--samples") {
-        cfg.samples = n;
-    }
-    if let Some(n) = num_flag(&args, "--anchors") {
-        cfg.anchors = n;
-    }
-
     let tracer = Tracer::manual();
-    let mut state = UnderState::new();
-    if let Some(path) = flag(&args, "--resume") {
-        let restored = kv::load(&path).and_then(|text| UnderState::from_text(&text));
-        let (restored, ck_seed, ck_samples) = restored.unwrap_or_else(|e| {
-            eprintln!("cannot resume from `{path}`: {e}");
-            std::process::exit(1);
-        });
-        if ck_seed != cfg.seed || ck_samples != cfg.samples {
-            eprintln!(
-                "checkpoint `{path}` is for seed {ck_seed} / {ck_samples} samples, \
-                 not seed {} / {} samples",
-                cfg.seed, cfg.samples
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "resuming audit from `{path}` ({} samples done)…",
-            restored.seen.len()
-        );
-        state = restored;
-    }
-
-    let pause_after = num_flag(&args, "--pause-at");
-    let report = match audit_with_state(&space, &cfg, &tracer, &mut state, pause_after) {
-        Some(r) => r,
-        None => {
-            let path = flag(&args, "--checkpoint")
-                .unwrap_or_else(|| format!("{}.audit.ckpt", workload.name));
-            if let Err(e) = kv::save(&path, &state.to_text(cfg.seed, cfg.samples)) {
-                eprintln!("cannot write checkpoint `{path}`: {e}");
-                std::process::exit(1);
-            }
-            println!(
-                "paused after {} samples; checkpoint written to `{path}` \
-                 (resume with --resume {path})",
-                state.seen.len()
-            );
-            return;
-        }
-    };
-
+    let report = audit_space(&space, &cfg, &tracer);
     print!("{}", report.render_text());
-    if let Some(path) = flag(&args, "--out") {
+    if let Some(path) = out {
         let doc = report.to_json();
         must_validate("audit.json", validate_audit(&doc));
         write_file(&path, &doc.render_pretty(), "audit");
     }
-    heron_bench::write_metrics_flag(&args, &tracer);
+    heron_bench::write_metrics_flag(metrics_out.as_deref(), &tracer);
     if has_flag(&args, "--check") && !report.clean() {
         eprintln!(
             "audit check FAILED: {} confirmed witness(es), {} invalid sample(s)",
@@ -141,8 +103,7 @@ fn usage() {
     eprintln!(
         "usage: heron_audit [--dla NAME] [--op OP] [--shape SHAPE] [--seed S] \
          [--samples N] [--anchors N] [--out FILE.json] [--metrics-out FILE.tsv] [--check] \
-         [--list-mutations] [--mutate INDEX|drop-le|drop-in|tighten-le|tighten-in|widen-le|widen-in] \
-         [--pause-at K --checkpoint FILE] [--resume FILE]"
+         [--list-mutations] [--mutate INDEX|drop-le|drop-in|tighten-le|tighten-in|widen-le|widen-in]"
     );
 }
 

@@ -138,7 +138,7 @@ fn emit_observability(args: &[String], tracer: &Tracer, result: &heron_core::tun
             tracer.event_count()
         );
     }
-    heron_bench::write_metrics_flag(args, tracer);
+    heron_bench::write_metrics_flag(flag(args, "--metrics-out").as_deref(), tracer);
     if has_flag(args, "--profile") {
         print!("{}", result.profile());
     }

@@ -37,6 +37,7 @@ fn main() {
     else {
         usage();
     };
+    let width = num_flag(&args, "--width").unwrap_or(72);
     let doc = read_json(path);
     if let Err(e) = validate_scope(&doc) {
         eprintln!("invalid scope document `{path}`: {e}");
@@ -58,6 +59,5 @@ fn main() {
     if has_flag(&args, "--check") {
         return;
     }
-    let width = num_flag(&args, "--width").unwrap_or(72);
     print!("{}", render_timeline(&doc, width));
 }

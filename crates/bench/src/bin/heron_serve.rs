@@ -72,9 +72,22 @@ fn main() {
         return;
     }
     let smoke = has_flag(&args, "--smoke");
+    // Every value flag is read before any work, so one given without its
+    // value exits 2 before a job runs.
+    let jobs = flag(&args, "--jobs");
+    let workers = num_flag(&args, "--workers");
+    let slo = flag(&args, "--slo");
+    let postmortem_dir = flag(&args, "--postmortem-dir");
+    let scope_out = flag(&args, "--scope-out");
+    let pulse_out = flag(&args, "--pulse-out");
+    let slo_report = flag(&args, "--slo-report");
+    let manifest_out = flag(&args, "--manifest");
+    let trace_out = flag(&args, "--trace-out");
+    let artifact_dir = flag(&args, "--artifact-dir");
+
     let script_text = if smoke {
         SMOKE_SCRIPT.to_string()
-    } else if let Some(path) = flag(&args, "--jobs") {
+    } else if let Some(path) = jobs {
         match std::fs::read_to_string(&path) {
             Ok(t) => t,
             Err(e) => {
@@ -93,16 +106,15 @@ fn main() {
             std::process::exit(1);
         }
     };
-    if let Some(w) = num_flag(&args, "--workers") {
+    if let Some(w) = workers {
         script.config.workers = w;
     }
-    let slo_spec = match flag(&args, "--slo") {
+    let slo_spec = match slo {
         Some(path) => read_slo(&path),
         None => SloSpec::parse(DEFAULT_SLO).expect("builtin SLO spec parses"),
     };
 
     let specs = script.jobs.clone();
-    let postmortem_dir = flag(&args, "--postmortem-dir");
     let sup = run_service(script.clone(), &slo_spec, postmortem_dir.as_deref());
     let manifest = sup.manifest();
     print!("{manifest}");
@@ -115,22 +127,22 @@ fn main() {
 
     let pulse_input = sup.pulse_input();
     let scope_doc = heron_scope::build_scope(&sup.timeline(), &pulse_input.jobs);
-    if let Some(path) = flag(&args, "--scope-out") {
+    if let Some(path) = scope_out {
         write_file(&path, &scope_doc.render_pretty(), "scope document");
     }
 
     let pulse_doc = build_pulse(&pulse_input, &slo_spec);
-    if let Some(path) = flag(&args, "--pulse-out") {
+    if let Some(path) = pulse_out {
         write_file(&path, &pulse_doc.render_pretty(), "pulse document");
     }
-    if let Some(path) = flag(&args, "--slo-report") {
+    if let Some(path) = slo_report {
         write_file(&path, &render_slo_report(&pulse_doc), "SLO report");
     }
 
-    if let Some(path) = flag(&args, "--manifest") {
+    if let Some(path) = manifest_out {
         write_file(&path, &manifest, "manifest");
     }
-    if let Some(path) = flag(&args, "--trace-out") {
+    if let Some(path) = trace_out {
         // The merged trace: supervisor events plus every completed
         // job's tagged session trace — `trace_report --job` slices it.
         let merged = sup.merged_trace_jsonl();
@@ -143,7 +155,7 @@ fn main() {
             merged.lines().count()
         );
     }
-    if let Some(dir) = flag(&args, "--artifact-dir") {
+    if let Some(dir) = artifact_dir {
         write_artifacts(&sup, &dir);
     }
 
@@ -203,9 +215,7 @@ fn write_artifacts(sup: &Supervisor, dir: &str) {
     // Flight-recorder deposits: every job's last ring snapshot, whether
     // or not the job completed (crashed jobs are the whole point).
     for (job, entry) in sup.recorder().entries() {
-        if !entry.ring_jsonl.is_empty() {
-            write(format!("{job}.ring.jsonl"), &entry.ring_jsonl);
-        }
+        write(format!("{job}.ring.jsonl"), &entry.ring_jsonl);
     }
     eprintln!("artifacts written to `{dir}`");
 }

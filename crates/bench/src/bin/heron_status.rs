@@ -44,15 +44,16 @@ fn main() {
     else {
         usage();
     };
+    let slo = flag(&args, "--slo");
+    let top = num_flag(&args, "--top").unwrap_or(3);
     let mut doc = read_json(path);
     if let Err(e) = validate_pulse(&doc) {
         eprintln!("`{path}` is not a valid heron-pulse-v1 document: {e}");
         std::process::exit(1);
     }
-    if let Some(spec_path) = flag(&args, "--slo") {
+    if let Some(spec_path) = slo {
         doc = attach_slo(doc, &read_slo(&spec_path));
     }
-    let top = num_flag(&args, "--top").unwrap_or(3);
     print!("{}", render_dashboard(&doc, top));
     if has_flag(&args, "--check") {
         let breaches = breach_count(&doc);

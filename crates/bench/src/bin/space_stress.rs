@@ -20,11 +20,11 @@
 //! `results/space_stress.tsv`.
 //!
 //! ```text
-//! space_stress [--trials N] [--seed S] [--out F.tsv] [--metrics-out M.tsv]
+//! space_stress [--trials N] [--seed S] [--out F.tsv]
 //! space_stress --smoke    # CI gate: over-constrained + UNSAT behaviour
 //! ```
 
-use heron_bench::{flag, has_flag, num_flag, write_metrics_flag, TsvTable};
+use heron_bench::{flag, has_flag, num_flag, row};
 use heron_core::generate::{GeneratedSpace, SpaceGenerator, SpaceOptions};
 use heron_core::tuner::{Termination, TuneConfig, TuneResult, Tuner};
 use heron_csp::{diagnose_root_conflict, SolvePolicy, SolveSession, SolveStatus};
@@ -177,7 +177,7 @@ fn main() {
         "escalations",
         "root_infeasible",
     ];
-    let mut table = TsvTable::new("space_stress", &columns);
+    row(&columns.map(String::from));
     let mut file_rows: Vec<Vec<String>> = vec![columns.iter().map(|c| c.to_string()).collect()];
 
     let total_tunables = base_space("stress-probe").csp.tunables().len();
@@ -215,7 +215,7 @@ fn main() {
                 .unwrap_or(0)
                 .to_string(),
         ];
-        table.emit(&cells);
+        row(&cells);
         file_rows.push(cells);
     }
 
@@ -230,5 +230,4 @@ fn main() {
         std::process::exit(1);
     }
     eprintln!("table written to `{path}`");
-    write_metrics_flag(&args, table.tracer());
 }

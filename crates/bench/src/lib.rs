@@ -80,22 +80,31 @@ pub fn row(cells: &[String]) {
 }
 
 /// Value of a `--name VALUE` flag, shared by every binary's argument
-/// parsing; `None` when the flag is absent. A flag given as the last
-/// argument is a usage error, as for [`num_flag`].
+/// parsing; `None` when the flag is absent. A flag with no value after
+/// it is a usage error, as for [`num_flag`].
 pub fn flag(args: &[String], name: &str) -> Option<String> {
     num_flag(args, name)
 }
 
 /// Parsed value of a numeric `--name VALUE` flag, `None` when the flag
-/// is absent. A value that does not parse, or a flag given as the last
-/// argument, is a usage error: exits with status 2 naming the flag,
-/// never falling back to a default.
+/// is absent. A value that does not parse, or a flag with no value after
+/// it, is a usage error: exits with status 2 naming the flag, never
+/// falling back to a default.
 pub fn num_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
+    value_after(args, name).map(|raw| or_usage_exit(parse_value(name, raw)))
+}
+
+/// The argument after the flag `name`: `None` when the flag is absent,
+/// `Some(None)` when nothing follows it or the next argument is itself a
+/// `--flag` (so `--trace-out --metrics-out M` never writes a file named
+/// `--metrics-out`).
+fn value_after<'a>(args: &'a [String], name: &str) -> Option<Option<&'a str>> {
     let i = args.iter().position(|a| a == name)?;
-    Some(or_usage_exit(parse_value(
-        name,
-        args.get(i + 1).map(String::as_str),
-    )))
+    Some(
+        args.get(i + 1)
+            .map(String::as_str)
+            .filter(|v| !v.starts_with("--")),
+    )
 }
 
 /// Parsed value of the numeric environment variable `var`, `None` when
@@ -127,93 +136,13 @@ pub fn has_flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
-/// Streaming TSV table writer shared by the figure/table binaries.
-///
-/// Replaces the per-binary header/row `println!` boilerplate: rows go to
-/// stdout exactly as before (diffable output is the bench contract), and
-/// every numeric cell is mirrored into a [`heron_trace`] metrics registry
-/// as a histogram `bench.<table>.<column>` plus a row counter
-/// `bench.<table>.rows`, so any binary can also dump a machine-readable
-/// snapshot via [`TsvTable::write_metrics`].
-#[derive(Debug)]
-pub struct TsvTable {
-    name: String,
-    columns: Vec<String>,
-    tracer: Tracer,
-    rows: usize,
-}
-
-impl TsvTable {
-    /// Creates a table, printing the header row immediately. `name` keys
-    /// the mirrored metrics (`bench.<name>.…`) and should be short and
-    /// dot-free.
-    pub fn new(name: &str, columns: &[&str]) -> Self {
-        Self::with_tracer(name, columns, Tracer::manual())
-    }
-
-    /// Like [`TsvTable::new`] but mirrors metrics into an existing
-    /// tracer (e.g. one shared with a tuning session).
-    pub fn with_tracer(name: &str, columns: &[&str], tracer: Tracer) -> Self {
-        row(&columns.iter().map(|c| c.to_string()).collect::<Vec<_>>());
-        TsvTable {
-            name: name.to_string(),
-            columns: columns.iter().map(|c| c.to_string()).collect(),
-            tracer,
-            rows: 0,
-        }
-    }
-
-    /// Prints one row and mirrors its numeric cells into the metrics
-    /// registry. Cells that do not parse as `f64` (labels, `-`, `n/a`)
-    /// are printed but not mirrored.
-    ///
-    /// # Panics
-    /// Panics in debug builds when the cell count does not match the
-    /// header.
-    pub fn emit(&mut self, cells: &[String]) {
-        debug_assert_eq!(
-            cells.len(),
-            self.columns.len(),
-            "table `{}`: row width {} vs header width {}",
-            self.name,
-            cells.len(),
-            self.columns.len()
-        );
-        row(cells);
-        self.rows += 1;
-        self.tracer
-            .counter_add(&format!("bench.{}.rows", self.name), 1);
-        for (col, cell) in self.columns.iter().zip(cells) {
-            if let Ok(v) = cell.parse::<f64>() {
-                self.tracer
-                    .hist_record(&format!("bench.{}.{col}", self.name), v);
-            }
-        }
-    }
-
-    /// Number of data rows emitted so far.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// The tracer holding the mirrored metrics.
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
-    /// Writes the metrics snapshot to `path`
-    /// (see [`Tracer::write_metrics_tsv`]).
-    pub fn write_metrics(&self, path: &str) -> std::io::Result<()> {
-        self.tracer.write_metrics_tsv(path)
-    }
-}
-
-/// Handles the shared `--metrics-out PATH` flag: writes the tracer's
-/// metrics snapshot and confirms on stderr (stdout stays pure TSV).
-/// Exits non-zero when the file cannot be written.
-pub fn write_metrics_flag(args: &[String], tracer: &Tracer) {
-    if let Some(path) = flag(args, "--metrics-out") {
-        if let Err(e) = tracer.write_metrics_tsv(&path) {
+/// Handles the shared `--metrics-out PATH` flag, read before any work:
+/// writes the tracer's metrics snapshot to `path`, if given, and confirms
+/// on stderr (stdout stays pure TSV). Exits non-zero when the file
+/// cannot be written.
+pub fn write_metrics_flag(path: Option<&str>, tracer: &Tracer) {
+    if let Some(path) = path {
+        if let Err(e) = tracer.write_metrics_tsv(path) {
             eprintln!("cannot write metrics to `{path}`: {e}");
             std::process::exit(1);
         }
@@ -324,13 +253,24 @@ mod tests {
             .collect();
         assert_eq!(flag(&args, "--seed"), Some("7".into()));
         assert_eq!(flag(&args, "--trials"), None);
-        // `--smoke` is last: read as a value flag it is a usage error.
+        // `--smoke` is last: read as a value flag it has no value, which
+        // is a usage error.
+        assert_eq!(value_after(&args, "--smoke"), Some(None));
         assert_eq!(
             parse_value::<String>("--smoke", None),
             Err("--smoke expects a value".to_string())
         );
         assert!(has_flag(&args, "--smoke"));
         assert!(!has_flag(&args, "--resume"));
+        // A value flag followed by another flag has no value either: the
+        // next flag is not swallowed as a path.
+        let args: Vec<String> = ["--trace-out", "--metrics-out", "M"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        assert_eq!(value_after(&args, "--trace-out"), Some(None));
+        assert_eq!(value_after(&args, "--metrics-out"), Some(Some("M")));
+        assert_eq!(flag(&args, "--metrics-out"), Some("M".into()));
     }
 
     #[test]
@@ -358,21 +298,5 @@ mod tests {
             parse_value::<usize>("HERON_TRIALS", Some("abc")),
             Err("HERON_TRIALS expects a usize, got `abc`".to_string())
         );
-    }
-
-    #[test]
-    fn tsv_table_mirrors_numeric_cells_as_metrics() {
-        let mut t = TsvTable::new("demo", &["case", "gops", "ratio"]);
-        t.emit(&["a".into(), "10.5".into(), "1.00".into()]);
-        t.emit(&["b".into(), "21.0".into(), "-".into()]);
-        assert_eq!(t.rows(), 2);
-        assert_eq!(t.tracer().counter("bench.demo.rows"), Some(2));
-        let tsv = t.tracer().metrics_tsv();
-        assert!(tsv.contains("bench.demo.gops\thistogram\t31.5\t2"));
-        assert!(
-            tsv.contains("bench.demo.ratio\thistogram\t1\t1"),
-            "non-numeric `-` cell must be skipped: {tsv}"
-        );
-        assert!(!tsv.contains("bench.demo.case"), "labels are not mirrored");
     }
 }

@@ -79,8 +79,7 @@ pub struct TuneCheckpoint {
     /// lowers it again from `best_solution`), `termination` and
     /// `model_rank_accuracy` (a resumed session is running and refits its
     /// model); `quarantined` reads back as the length of
-    /// [`TuneCheckpoint::quarantined`]. Counters absent from an older
-    /// file read as 0.
+    /// [`TuneCheckpoint::quarantined`].
     pub result: TuneResult,
     /// Fingerprints of every measured solution, ascending.
     pub measured: Vec<u64>,
@@ -144,6 +143,24 @@ pub(crate) fn write_result(w: &mut Writer, r: &TuneResult) {
         );
     }
 }
+
+/// The scalar result lines [`write_result`] always writes; a checkpoint
+/// without one of them is refused, never read as zero.
+const RESULT_KEYS: [&str; 13] = [
+    "rounds_total",
+    "quarantine_evictions",
+    "best_gflops",
+    "best_latency_s",
+    "valid_trials",
+    "invalid_trials",
+    "retried_trials",
+    "total_retries",
+    "timeout_trials",
+    "repaired_offspring",
+    "relaxed_constraints",
+    "fallback_samples",
+    "timing.hw_measure_s",
+];
 
 /// Reads one line written by [`write_result`] into `r`.
 fn read_result(r: &mut TuneResult, e: &Entry<'_>) -> Result<(), CheckpointError> {
@@ -238,8 +255,12 @@ impl TuneCheckpoint {
     pub fn from_text(text: &str) -> Result<Self, CheckpointError> {
         let mut ck = TuneCheckpoint::default();
         let mut seen_rng = false;
+        let mut seen_results = [false; RESULT_KEYS.len()];
         for e in kv::unseal(text, HEADER)? {
             let e = e?;
+            if let Some(i) = RESULT_KEYS.iter().position(|&k| k == e.key) {
+                seen_results[i] = true;
+            }
             match e.key {
                 "workload" => ck.workload = e.value.to_string(),
                 "dla" => ck.dla = e.value.to_string(),
@@ -274,6 +295,12 @@ impl TuneCheckpoint {
             return Err(CheckpointError::Parse {
                 line: 1,
                 message: "checkpoint is missing workload, dla or rng state".into(),
+            });
+        }
+        if let Some(i) = seen_results.iter().position(|&seen| !seen) {
+            return Err(CheckpointError::Parse {
+                line: 1,
+                message: format!("checkpoint is missing its `{}` line", RESULT_KEYS[i]),
             });
         }
         ck.result.quarantined = ck.quarantined.len();
@@ -467,21 +494,32 @@ mod tests {
     }
 
     #[test]
-    fn pre_service_checkpoints_parse_with_zero_round_and_eviction_counters() {
-        // A pre-service checkpoint has no `rounds_total` /
-        // `quarantine_evictions` lines; it must still load, with both
-        // counters defaulting to zero (fresh-deadline semantics).
-        let body: String = sample_checkpoint()
-            .to_text()
-            .lines()
-            .filter(|l| !l.starts_with("rounds_total") && !l.starts_with("quarantine_evictions"))
-            .take_while(|l| !l.starts_with("crc32"))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        let back = TuneCheckpoint::from_text(&with_crc(&body)).expect("legacy checkpoint parses");
-        assert_eq!(back.result.rounds_total, 0);
-        assert_eq!(back.result.quarantine_evictions, 0);
-        assert_eq!(back.quarantined, vec![22]);
+    fn checkpoints_missing_a_result_line_are_refused_naming_it() {
+        // Every scalar result line is required: a checkpoint without one
+        // is a parse error naming the key, never a zero.
+        let text = sample_checkpoint().to_text();
+        for key in RESULT_KEYS {
+            let body: String = text
+                .lines()
+                .filter(|l| !l.starts_with(&format!("{key} = ")))
+                .take_while(|l| !l.starts_with("crc32"))
+                .map(|l| format!("{l}\n"))
+                .collect();
+            assert_eq!(body.lines().count(), text.lines().count() - 2, "{key}");
+            match TuneCheckpoint::from_text(&with_crc(&body)) {
+                Err(CheckpointError::Parse { message, .. }) => {
+                    assert!(message.contains(&format!("`{key}`")), "{key}: {message}")
+                }
+                other => panic!("{key}: expected a parse error, got {other:?}"),
+            }
+        }
+        // The optional lines may be absent: an empty session has no
+        // `best_solution`, `curve`, `iter` or `error.*` lines.
+        let mut ck = sample_checkpoint();
+        ck.result = TuneResult::default();
+        let empty = ck.to_text();
+        assert!(!empty.contains("best_solution") && !empty.contains("\ncurve"));
+        TuneCheckpoint::from_text(&empty).expect("optional lines may be absent");
     }
 
     #[test]

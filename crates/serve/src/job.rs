@@ -187,10 +187,6 @@ pub struct ServeConfig {
     /// have completed (0 = never; used to exercise graceful drain
     /// deterministically from a script).
     pub drain_after_completions: usize,
-    /// Flight-recorder ring capacity attached to every worker session
-    /// tracer (0 disables the ring sink; postmortem bundles then embed
-    /// an empty ring). See DESIGN.md §12.
-    pub ring_capacity: usize,
 }
 
 impl Default for ServeConfig {
@@ -204,7 +200,6 @@ impl Default for ServeConfig {
             hang_grace_polls: 500,
             backoff_base_s: 0.5,
             drain_after_completions: 0,
-            ring_capacity: 64,
         }
     }
 }
@@ -257,7 +252,6 @@ pub fn parse_script(text: &str) -> Result<JobScript, JobError> {
                 "drain_after_completions" => {
                     c.drain_after_completions = v.parse().map_err(|_| not_num())?
                 }
-                "ring_capacity" => c.ring_capacity = v.parse().map_err(|_| not_num())?,
                 other => return Err(bad(format!("unknown directive `{other}`"))),
             }
             continue;
@@ -456,7 +450,6 @@ workers = 3 # trailing comments are skipped
 queue_capacity = 5
 restart_budget = 1
 checkpoint_every = 2
-ring_capacity = 128
 
 job g1 op=gemm shape=96x96x96 trials=40 seed=11
 job g2 op=gemv shape=256x256x8 trials=32 seed=13 fault_rate=0.15 deadline_rounds=4
@@ -468,7 +461,6 @@ kill g2 attempt=1 round=2 kind=hang
         assert_eq!(parsed.config.queue_capacity, 5);
         assert_eq!(parsed.config.restart_budget, 1);
         assert_eq!(parsed.config.checkpoint_every, 2);
-        assert_eq!(parsed.config.ring_capacity, 128);
         assert_eq!(parsed.jobs.len(), 2);
         assert_eq!(parsed.jobs[0].id, "g1");
         assert_eq!(parsed.jobs[0].trials, 40);

@@ -10,13 +10,8 @@
 //! script yields the same kills, the same recoveries, and — the point
 //! of the whole exercise — the same final results.
 //!
-//! Plans come in two flavours that compose: **explicit rules** (from
-//! `kill` script lines, for pinpoint scenarios like "crash g1's first
-//! attempt at round 3") and a **seeded background rate** which draws a
-//! kill decision per (job, attempt, round) from a hash chain, for
-//! soak-style coverage without enumerating rules.
-
-use heron_rng::SplitMix64;
+//! A plan is a list of **explicit rules**, one per `kill` script line,
+//! for pinpoint scenarios like "crash g1's first attempt at round 3".
 
 /// How a kill manifests to the supervisor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,9 +51,6 @@ pub struct KillRule {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChaosPlan {
     rules: Vec<KillRule>,
-    /// Seeded background kill probability in ppm per (job, attempt,
-    /// round); `None` disables the stochastic layer.
-    seeded: Option<(u64, u32)>,
 }
 
 impl ChaosPlan {
@@ -89,53 +81,24 @@ impl ChaosPlan {
         self
     }
 
-    /// Enables the seeded background layer: each (job, attempt, round)
-    /// independently crashes with probability `rate` (clamped to [0,1]),
-    /// drawn from a hash chain over `seed`. Background kills are always
-    /// crashes — hangs cost a watchdog grace period each, so they stay
-    /// opt-in via explicit rules.
-    pub fn with_seeded(mut self, seed: u64, rate: f64) -> Self {
-        let ppm = (rate.clamp(0.0, 1.0) * 1_000_000.0).round() as u32;
-        self.seeded = if ppm == 0 { None } else { Some((seed, ppm)) };
-        self
-    }
-
     /// Number of explicit rules.
     pub fn rule_count(&self) -> usize {
         self.rules.len()
     }
 
-    /// True when no rule and no seeded layer can ever fire.
+    /// True when no rule can ever fire.
     pub fn is_none(&self) -> bool {
-        self.rules.is_empty() && self.seeded.is_none()
+        self.rules.is_empty()
     }
 
     /// The kill decision for attempt `attempt` of `job` at lifetime
     /// round `round` — pure, so every consultation of the same
     /// coordinates agrees.
     pub fn kill_at(&self, job: &str, attempt: u32, round: u64) -> Option<KillKind> {
-        for rule in &self.rules {
-            if rule.job == job && rule.attempt == attempt && rule.round == round {
-                return Some(rule.kind);
-            }
-        }
-        if let Some((seed, ppm)) = self.seeded {
-            // FNV-1a over the job id, then SplitMix64 to mix in the
-            // coordinates; uniform draw in ppm space.
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            for b in job.as_bytes() {
-                h ^= u64::from(*b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            let mut mix = SplitMix64::new(
-                seed.wrapping_add(h)
-                    .wrapping_add((u64::from(attempt) << 32) | round),
-            );
-            if mix.next_u64() % 1_000_000 < u64::from(ppm) {
-                return Some(KillKind::Crash);
-            }
-        }
-        None
+        self.rules
+            .iter()
+            .find(|r| r.job == job && r.attempt == attempt && r.round == round)
+            .map(|r| r.kind)
     }
 }
 
@@ -154,29 +117,5 @@ mod tests {
         assert_eq!(plan.kill_at("g2", 0, 3), None);
         assert!(!plan.is_none());
         assert_eq!(plan.rule_count(), 2);
-    }
-
-    #[test]
-    fn seeded_layer_is_deterministic_and_rate_bounded() {
-        let plan = ChaosPlan::none().with_seeded(77, 0.25);
-        let again = ChaosPlan::none().with_seeded(77, 0.25);
-        let mut kills = 0usize;
-        let mut total = 0usize;
-        for job in ["a", "b", "c"] {
-            for attempt in 0..4u32 {
-                for round in 1..=50u64 {
-                    total += 1;
-                    let k = plan.kill_at(job, attempt, round);
-                    assert_eq!(k, again.kill_at(job, attempt, round));
-                    if k.is_some() {
-                        assert_eq!(k, Some(KillKind::Crash));
-                        kills += 1;
-                    }
-                }
-            }
-        }
-        let rate = kills as f64 / total as f64;
-        assert!((0.10..=0.40).contains(&rate), "rate {rate} far from 0.25");
-        assert!(ChaosPlan::none().with_seeded(77, 0.0).is_none());
     }
 }

@@ -102,8 +102,7 @@ fn empty_ring() -> String {
 /// Assembles the bundle for one death. Pure: no IO, no clock reads.
 pub fn build(report: &DeathReport<'_>) -> Postmortem {
     let (rounds, sim_ns, ring) = match report.flight {
-        Some(f) if !f.ring_jsonl.is_empty() => (f.rounds, f.sim_ns, f.ring_jsonl.clone()),
-        Some(f) => (f.rounds, f.sim_ns, empty_ring()),
+        Some(f) => (f.rounds, f.sim_ns, f.ring_jsonl.clone()),
         None => (0, 0, empty_ring()),
     };
     let checkpoint = Json::Obj(vec![
@@ -212,7 +211,6 @@ mod tests {
 
     fn flight_with_ring(rounds: u64) -> FlightEntry {
         let t = Tracer::manual();
-        t.set_ring(8);
         for _ in 0..rounds {
             let _s = t.span("tuner.step");
             t.advance_s(0.5);
@@ -222,7 +220,7 @@ mod tests {
             epoch: 1,
             rounds,
             sim_ns: t.now_ns(),
-            ring_jsonl: t.ring_snapshot_jsonl(),
+            ring_jsonl: t.tail_jsonl(8),
         }
     }
 

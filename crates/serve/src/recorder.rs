@@ -3,8 +3,8 @@
 //!
 //! A crashed worker cannot be asked for its trace after the fact — the
 //! thread is gone and its `Tracer` died with it. So each worker flushes
-//! a bounded [`heron_trace::Tracer::ring_snapshot_jsonl`] into this
-//! shared recorder at every round boundary (*before* the chaos kill
+//! the bounded tail of its trace ([`heron_trace::Tracer::tail_jsonl`])
+//! into this shared recorder at every round boundary (*before* the chaos kill
 //! check, so the snapshot always covers the fatal round). When the
 //! watchdog later confirms a crash, hang, or quarantine, the supervisor
 //! harvests the job's last deposit into a postmortem bundle
@@ -31,8 +31,7 @@ pub struct FlightEntry {
     pub rounds: u64,
     /// The session's simulated wall-clock at the flush, nanoseconds.
     pub sim_ns: u64,
-    /// The `heron-ring-v1` snapshot (empty when the attempt has no ring
-    /// sink attached).
+    /// The `heron-ring-v1` snapshot of the session trace's tail.
     pub ring_jsonl: String,
 }
 

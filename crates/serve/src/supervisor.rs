@@ -239,7 +239,6 @@ impl Supervisor {
             plan: self.plan.clone(),
             checkpoint_every: config.checkpoint_every,
             worker_id: slot,
-            ring_capacity: config.ring_capacity,
             recorder: self.recorder.clone(),
         };
         let tx = self.tx.clone();

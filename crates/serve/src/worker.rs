@@ -64,12 +64,13 @@ pub struct WorkOrder {
     pub checkpoint_every: u64,
     /// Worker slot this attempt runs on (observability only).
     pub worker_id: usize,
-    /// Flight-recorder ring capacity for the session tracer (0 = no
-    /// ring sink; the recorder then receives clock/round flushes only).
-    pub ring_capacity: usize,
     /// Where per-round ring snapshots are deposited for postmortems.
     pub recorder: FlightRecorder,
 }
+
+/// Events in the flight-recorder tail each round deposits (DESIGN.md
+/// §12).
+const RING_EVENTS: usize = 64;
 
 /// The deterministic outcome of a completed job, shipped back over the
 /// event channel (plain data — safe to send across threads).
@@ -180,7 +181,6 @@ pub fn run_order(order: WorkOrder, events: Sender<Event>) {
         plan,
         checkpoint_every,
         worker_id: _,
-        ring_capacity,
         recorder,
     } = order;
     let job = spec.id.clone();
@@ -204,21 +204,15 @@ pub fn run_order(order: WorkOrder, events: Sender<Event>) {
     tuner
         .tracer()
         .set_context(Some(TraceContext::new(job.as_str(), attempt, epoch)));
-    // Flight recorder: a bounded ring of the most recent events, so a
-    // crash can still be autopsied. Attached before the first span so
-    // the ring starts on a safe eviction boundary.
-    if ring_capacity > 0 {
-        tuner.tracer().set_ring(ring_capacity);
-    }
     if spec.deadline_rounds > 0 {
         control.set_deadline_rounds(spec.deadline_rounds);
     }
 
     while tuner.step() {
         let round = tuner.rounds_total() as u64;
-        // Flush the ring *before* the chaos kill check: the deposit must
-        // cover the fatal round, because a killed worker flushes nothing
-        // ever again. Epoch-guarded like checkpoint saves.
+        // Flush the log's tail *before* the chaos kill check: the deposit
+        // must cover the fatal round, because a killed worker flushes
+        // nothing ever again. Epoch-guarded like checkpoint saves.
         recorder.save(
             &spec.id,
             FlightEntry {
@@ -226,7 +220,7 @@ pub fn run_order(order: WorkOrder, events: Sender<Event>) {
                 epoch,
                 rounds: round,
                 sim_ns: tuner.tracer().now_ns(),
-                ring_jsonl: tuner.tracer().ring_snapshot_jsonl(),
+                ring_jsonl: tuner.tracer().tail_jsonl(RING_EVENTS),
             },
         );
         match plan.kill_at(&spec.id, attempt, round) {

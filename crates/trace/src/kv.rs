@@ -1,8 +1,7 @@
 //! The line-oriented text codec behind every checkpoint and sealed
 //! artifact: the tuner's `heron-checkpoint v3`, the search log's
-//! `insight.*` lines inside it, the auditor's `heron-audit-ckpt-v2`, the
-//! kernel library's `heron-library v2` and the CSP export's
-//! `heron-csp v2`. The job-script and SLO grammars read through its
+//! `insight.*` lines inside it, the kernel library's `heron-library v2`
+//! and the CSP export's `heron-csp v2`. The job-script and SLO grammars read through its
 //! unsealed [`lines`] and [`Tokens`].
 //!
 //! A document is a header line, then `key = value` lines (blank lines and

@@ -15,11 +15,11 @@
 //!   JSONL trace and checks span balance, and a flamegraph-style text
 //!   profile tree built from traces or known totals.
 //!
-//! plus the flight-recorder **ring sink** ([`Tracer::set_ring`],
-//! DESIGN.md §12): a fixed-capacity buffer of the most recent events
-//! with span-boundary-safe eviction, kept alongside the full log as the
-//! bounded always-on record of long-lived service runs; and [`kv`], the CRC-sealed
-//! `key = value` text codec every checkpoint is written in (DESIGN.md §6).
+//! plus the flight-recorder **tail** ([`Tracer::tail_jsonl`], DESIGN.md
+//! §12): the last ~K events of the log, cut on span boundaries into a
+//! `heron-ring-v1` snapshot, the bounded record a long-lived service run
+//! is autopsied from; and [`kv`], the CRC-sealed `key = value` text codec
+//! every checkpoint is written in (DESIGN.md §6).
 //!
 //! # Example
 //!

@@ -28,7 +28,7 @@ use std::rc::Rc;
 use crate::clock::Clock;
 use crate::json::{escape, Json};
 use crate::metrics::MetricsRegistry;
-use crate::ring::{RingBuf, RING_SCHEMA};
+use crate::ring::RING_SCHEMA;
 
 /// Correlation context stamped on every event recorded while it is set:
 /// which service job, which attempt, which supervisor epoch produced
@@ -115,23 +115,10 @@ struct Inner {
     stack: Vec<u64>,
     next_id: u64,
     metrics: MetricsRegistry,
-    /// Flight-recorder sink (`None` = ring disabled).
-    ring: Option<RingBuf>,
 }
 
 impl Inner {
     fn push_event(&mut self, ev: Event) {
-        // A safe eviction cut point: a top-level open or point. (At this
-        // call site the stack holds the depth *before* an open and
-        // *after* a close, so `is_empty` is exactly "recorded with no
-        // span open".)
-        let boundary = self.stack.is_empty() && !matches!(ev, Event::Close { .. });
-        if let Some(ring) = &mut self.ring {
-            let dropped = ring.push(ev.clone(), self.ctx.clone(), boundary);
-            if dropped > 0 {
-                self.metrics.counter_add("trace.ring_evicted", dropped);
-            }
-        }
         self.events.push(ev);
         self.event_ctx.push(self.ctx.clone());
     }
@@ -158,7 +145,6 @@ impl Tracer {
             stack: Vec::new(),
             next_id: 0,
             metrics: MetricsRegistry::new(),
-            ring: None,
         }))))
     }
 
@@ -351,53 +337,29 @@ impl Tracer {
         }
     }
 
-    /// Enables the flight-recorder ring sink with the given capacity
-    /// (clamped to ≥ 1). The unbounded event log is kept unchanged and
-    /// the ring records the most recent events alongside it. Evictions
-    /// increment the `trace.ring_evicted` counter. Call before opening
-    /// spans so the ring starts on a safe cut point; no-op when disabled.
-    pub fn set_ring(&self, capacity: usize) {
-        if let Some(inner) = &self.0 {
-            inner.borrow_mut().ring = Some(RingBuf::new(capacity));
-        }
-    }
-
-    /// Total events evicted from the ring so far (0 without a ring).
-    pub fn ring_evicted(&self) -> u64 {
-        self.0
-            .as_ref()
-            .map_or(0, |i| i.borrow().ring.as_ref().map_or(0, |r| r.evicted))
-    }
-
-    /// Number of events currently retained in the ring (0 without one).
-    pub fn ring_len(&self) -> usize {
-        self.0
-            .as_ref()
-            .map_or(0, |i| i.borrow().ring.as_ref().map_or(0, RingBuf::len))
-    }
-
-    /// The `heron-ring-v1` snapshot: a header line carrying capacity,
-    /// eviction count, retained-event count and the clock reading,
-    /// followed by the retained events re-sequenced from 0 (the body
-    /// alone is a valid trace — see [`crate::check_ring_snapshot`]).
-    /// Empty string when disabled or no ring is attached.
-    pub fn ring_snapshot_jsonl(&self) -> String {
+    /// The flight-recorder tail of the log as a `heron-ring-v1`
+    /// snapshot: a header line carrying `capacity`, the number of events
+    /// `evicted` before the tail, the tail's event count and the clock
+    /// reading, followed by the tail's events re-sequenced from 0 (see
+    /// [`crate::check_ring_snapshot`]). The tail starts at the first
+    /// top-level event whose suffix holds at most `capacity` events, or
+    /// at the last top-level event if none does (DESIGN.md §12). Empty
+    /// string when disabled.
+    pub fn tail_jsonl(&self, capacity: usize) -> String {
         let Some(inner) = &self.0 else {
             return String::new();
         };
         let inner = inner.borrow();
-        let Some(ring) = &inner.ring else {
-            return String::new();
-        };
+        let n = inner.events.len();
+        let start = tail_start(&inner.events, inner.stack.len(), capacity);
         let mut out = format!(
-            "{{\"schema\":\"{RING_SCHEMA}\",\"capacity\":{},\"evicted\":{},\"events\":{},\"now_ns\":{}}}\n",
-            ring.capacity,
-            ring.evicted,
-            ring.len(),
+            "{{\"schema\":\"{RING_SCHEMA}\",\"capacity\":{capacity},\"evicted\":{start},\"events\":{},\"now_ns\":{}}}\n",
+            n - start,
             inner.clock.now_ns()
         );
-        for (seq, (ev, ctx)) in ring.iter().enumerate() {
-            out.push_str(&event_json(seq, ev, ctx));
+        let tail = inner.events[start..].iter().zip(&inner.event_ctx[start..]);
+        for (seq, (ev, ctx)) in tail.enumerate() {
+            out.push_str(&event_json(seq, ev, ctx.as_ref()));
             out.push('\n');
         }
         out
@@ -485,6 +447,35 @@ impl Drop for SpanGuard {
             self.tracer.close_span(self.id);
         }
     }
+}
+
+/// Where the tail of `events` starts (see [`Tracer::tail_jsonl`]): a
+/// backward scan from the end, where `depth` spans are open, that stops
+/// at the first top-level event past `capacity`. A top-level event is an
+/// open or a point recorded with no span open, so no close in the tail
+/// is cut off from its open.
+fn tail_start(events: &[Event], mut depth: usize, capacity: usize) -> usize {
+    let mut start = None;
+    for (i, ev) in events.iter().enumerate().rev() {
+        let top_level = match ev {
+            Event::Open { .. } => {
+                depth -= 1;
+                depth == 0
+            }
+            Event::Close { .. } => {
+                depth += 1;
+                false
+            }
+            Event::Point { .. } => depth == 0,
+        };
+        if top_level {
+            if events.len() - i > capacity {
+                return start.unwrap_or(i);
+            }
+            start = Some(i);
+        }
+    }
+    start.unwrap_or(0)
 }
 
 fn fields_json(fields: &[(&'static str, String)]) -> String {

@@ -247,10 +247,6 @@ if cargo run --release --offline -p heron-bench --bin heron_audit -- \
     echo "error: audit --check passed on a space with a dropped LE rule" >&2
     exit 1
 fi
-audit=(--dla v100 --op gemm --shape 128x128x128 --samples 32)
-cargo run --release --offline -p heron-bench --bin heron_audit -- "${audit[@]}" \
-    --pause-at 1 --checkpoint "$obs_dir/audit.ckpt" >/dev/null
-resume_rejects_flip "$obs_dir/audit.ckpt" heron_audit "${audit[@]}"
 echo "ok: clean specs audit clean (3 platforms, byte-stable); dropped rule fails the gate"
 
 echo "== telemetry-name lint (serve.* / pulse.* / audit.* / scope.* documentation) =="

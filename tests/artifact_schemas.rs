@@ -181,7 +181,6 @@ fn assert_every_member_checked(a: Artifact) {
 /// Three rounds of spans, fields and points on a manual clock.
 fn session(ctx: Option<TraceContext>) -> Tracer {
     let t = Tracer::manual();
-    t.set_ring(64);
     t.set_context(ctx);
     for round in 0..3 {
         let _step = t.span_with("tuner.step", || vec![("round", round.to_string())]);
@@ -338,7 +337,7 @@ fn insight_json_document() {
 
 #[test]
 fn ring_snapshot() {
-    let text = session(Some(TraceContext::new("g1", 1, 2))).ring_snapshot_jsonl();
+    let text = session(Some(TraceContext::new("g1", 1, 2))).tail_jsonl(64);
     let events = text.lines().count() - 1;
     assert_every_member_checked(Artifact {
         text,
@@ -355,7 +354,7 @@ fn postmortem_bundle() {
         epoch: 2,
         rounds: 3,
         sim_ns: t.now_ns(),
-        ring_jsonl: t.ring_snapshot_jsonl(),
+        ring_jsonl: t.tail_jsonl(64),
     };
     let slo = SloSpec::parse("queue_wait_s <= 60 warn 30\nrecovery_max_s <= 0.1\n").unwrap();
     let bundle = build(&DeathReport {

@@ -218,16 +218,14 @@ fn render_script(s: &JobScript, kills: &[&str]) -> String {
     let c = &s.config;
     let mut out = format!(
         "workers = {}\nqueue_capacity = {}\nrestart_budget = {}\ncheckpoint_every = {}\n\
-         poll_interval_ms = {}\nhang_grace_polls = {}\ndrain_after_completions = {}\n\
-         ring_capacity = {}\n",
+         poll_interval_ms = {}\nhang_grace_polls = {}\ndrain_after_completions = {}\n",
         c.workers,
         c.queue_capacity,
         c.restart_budget,
         c.checkpoint_every,
         c.poll_interval_ms,
         c.hang_grace_polls,
-        c.drain_after_completions,
-        c.ring_capacity
+        c.drain_after_completions
     );
     for j in &s.jobs {
         out += &format!(
@@ -251,7 +249,7 @@ fn arb_script(g: &mut Gen) -> String {
                     "workers",
                     "queue_capacity",
                     "checkpoint_every",
-                    "ring_capacity"
+                    "hang_grace_polls"
                 ]),
                 g.int(0, 100)
             ),

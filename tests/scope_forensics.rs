@@ -25,7 +25,6 @@ restart_budget = 1
 checkpoint_every = 2
 hang_grace_polls = 200
 poll_interval_ms = 5
-ring_capacity = 32
 
 job a op=gemm shape=64x64x64 trials=32 seed=41
 job b op=gemm shape=96x96x96 trials=24 seed=42
@@ -55,10 +54,8 @@ fn same_seed_chaos_runs_yield_byte_identical_forensics() {
     assert!(!rings.is_empty(), "chaos run deposited no flight entries");
     assert_eq!(rings, second.recorder().entries(), "ring contents differ");
     for (job, entry) in &rings {
-        if !entry.ring_jsonl.is_empty() {
-            heron::trace::check_ring_snapshot(&entry.ring_jsonl)
-                .unwrap_or_else(|e| panic!("job `{job}` ring snapshot invalid: {e}"));
-        }
+        heron::trace::check_ring_snapshot(&entry.ring_jsonl)
+            .unwrap_or_else(|e| panic!("job `{job}` ring snapshot invalid: {e}"));
     }
 
     // Postmortem bundles: same set, same bytes, and each validates.
