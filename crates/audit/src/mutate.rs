@@ -19,6 +19,8 @@
 //! The acceptance property (pinned in `crates/audit/tests/`): the gate
 //! detects **every** certified drop and tighten mutation.
 
+use std::sync::Arc;
+
 use heron_core::generate::GeneratedSpace;
 use heron_testkit::rule_mutation::{mutations, MutationKind, RuleMutation};
 use heron_trace::Tracer;
@@ -55,7 +57,7 @@ pub fn corpus(space: &GeneratedSpace, seed: u64) -> Vec<RuleMutation> {
 /// the CSP's claim moved).
 pub fn mutated_space(space: &GeneratedSpace, m: &RuleMutation) -> GeneratedSpace {
     GeneratedSpace {
-        csp: m.csp.clone(),
+        csp: Arc::new(m.csp.clone()),
         template: space.template.clone(),
         dla: space.dla.clone(),
         workload: format!("{} [{}]", space.workload, m.detail),

@@ -168,13 +168,13 @@ fn over_witnesses_replay_against_csp_and_oracle() {
 fn infeasible_space_is_reported_with_a_removal_set() {
     let s = gemm("v100", 128);
     // Tighten every capacity to 1: guaranteed root-infeasible.
-    let mut csp = s.csp.clone();
+    let mut csp = (*s.csp).clone();
     let one = csp.add_const("mut.one", 1);
     for t in csp.tunables() {
         csp.post_le(t, one);
     }
     let ms = GeneratedSpace {
-        csp,
+        csp: csp.into(),
         template: s.template.clone(),
         dla: s.dla.clone(),
         workload: "gemm-128 [crushed]".into(),

@@ -24,6 +24,8 @@
 //! space_stress --smoke    # CI gate: over-constrained + UNSAT behaviour
 //! ```
 
+use std::sync::Arc;
+
 use heron_bench::{flag, has_flag, num_flag, row};
 use heron_core::generate::{GeneratedSpace, SpaceGenerator, SpaceOptions};
 use heron_core::tuner::{Termination, TuneConfig, TuneResult, Tuner};
@@ -48,25 +50,24 @@ fn pin_tunables(space: &mut GeneratedSpace, count: usize, seed: u64) {
         .solve(&mut rng, 1, &SolvePolicy::fixed(4_000), &Tracer::disabled())
         .one()
         .expect("base space is satisfiable");
-    let tunables = space.csp.tunables();
-    for &v in tunables.iter().take(count) {
-        let value = sol.value(v);
-        space.csp.post_in(v, [value]);
+    let csp = Arc::make_mut(&mut space.csp);
+    for v in csp.tunables().into_iter().take(count) {
+        csp.post_in(v, [sol.value(v)]);
     }
 }
 
 /// Makes `space` provably root-infeasible: two disjoint `IN` sets on one
 /// tunable with a multi-value domain.
 fn add_clash(space: &mut GeneratedSpace) {
-    let v = *space
-        .csp
+    let csp = Arc::make_mut(&mut space.csp);
+    let v = csp
         .tunables()
-        .iter()
-        .find(|&&v| space.csp.var(v).domain.size() >= 2)
+        .into_iter()
+        .find(|&v| csp.var(v).domain.size() >= 2)
         .expect("a multi-value tunable exists");
-    let values: Vec<i64> = space.csp.var(v).domain.iter_values().collect();
-    space.csp.post_in(v, [values[0]]);
-    space.csp.post_in(v, [values[1]]);
+    let values: Vec<i64> = csp.var(v).domain.iter_values().collect();
+    csp.post_in(v, [values[0]]);
+    csp.post_in(v, [values[1]]);
 }
 
 fn run_level(space: GeneratedSpace, trials: usize, seed: u64) -> (TuneResult, Tracer) {

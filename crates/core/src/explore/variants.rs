@@ -399,7 +399,7 @@ mod tests {
         let n = csp.add_const("n", 64);
         csp.post_prod(n, vec![x, y]);
         GeneratedSpace {
-            csp,
+            csp: csp.into(),
             template: heron_sched::KernelTemplate::default(),
             dla: heron_dla::v100(),
             workload: "toy".into(),

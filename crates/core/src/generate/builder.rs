@@ -14,11 +14,16 @@
 //!   SUM totals, LE capacity),
 //! * free-form constraints for Rule-C6 `AddDLASpecific`.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
+use std::fmt::Write;
+use std::sync::Arc;
 
 use heron_csp::{Csp, Domain, VarCategory, VarRef};
-use heron_sched::template::BufferSpec;
+use heron_dla::DlaSpec;
+use heron_sched::template::{BufferSpec, KernelTemplate};
 use heron_sched::{MemScope, ScheduleState};
+
+use super::GeneratedSpace;
 
 /// Builder accumulating the CSP and the schedule state side by side.
 #[derive(Debug, Default)]
@@ -29,7 +34,7 @@ pub struct SpaceBuilder {
     pub state: ScheduleState,
     /// On-chip buffers registered so far (for the kernel template).
     pub buffers: Vec<BufferSpec>,
-    consts: HashMap<i64, VarRef>,
+    consts: BTreeMap<i64, VarRef>,
 }
 
 impl SpaceBuilder {
@@ -51,40 +56,53 @@ impl SpaceBuilder {
 
     /// A named constant in the Arch category (dedicated architectural
     /// variables such as `m`, `cap.shared`).
-    pub fn arch_const(&mut self, name: &str, v: i64) -> VarRef {
+    pub fn arch_const(&mut self, name: impl Into<String>, v: i64) -> VarRef {
         self.csp.add_const(name, v)
     }
 
     /// An architectural variable restricted to candidate values
     /// (Rule-C3, e.g. `m ∈ {8, 16, 32}`).
-    pub fn arch_candidates(&mut self, name: &str, values: &[i64]) -> VarRef {
+    pub fn arch_candidates(&mut self, name: impl Into<String>, values: &[i64]) -> VarRef {
         let r = self.csp.add_var(
             name,
             Domain::values(values.iter().copied()),
             VarCategory::Arch,
         );
         self.csp.post_in(r, values.iter().copied());
-        self.add_indicators(r, name, values);
+        self.add_indicators(r, values);
         r
     }
 
     /// The paper expresses `v ∈ {c1, …, cn}` with helper boolean variables
     /// (`m == 8`, `m == 16`, … in Table 4's "others" column). We encode the
     /// same structure with a selector index plus one indicator boolean per
-    /// candidate, each tied through a SELECT constraint.
-    fn add_indicators(&mut self, var: VarRef, tag: &str, values: &[i64]) {
+    /// candidate, each tied through a SELECT constraint. The helpers are
+    /// named after `var`.
+    fn add_indicators(&mut self, var: VarRef, values: &[i64]) {
         if values.len() < 2 || values.len() > 8 {
             return;
         }
+        // Each helper's name, allocated at its final size (a `format!`
+        // would start it at 8 bytes and grow it).
+        let tag = &self.csp.var(var).name;
+        let named = |prefix: &str, value: Option<i64>| {
+            let mut name = String::with_capacity(prefix.len() + tag.len() + 21);
+            name.push_str(prefix);
+            name.push_str(tag);
+            if let Some(v) = value {
+                write!(name, ".{v}").expect("writing to a String cannot fail");
+            }
+            name
+        };
+        let idx_name = named("idx.", None);
+        let names: Vec<String> = values.iter().map(|&c| named("is.", Some(c))).collect();
         let consts: Vec<VarRef> = values.iter().map(|&c| self.constant(c)).collect();
-        let idx = self.aux(&format!("idx.{tag}"), 0, values.len() as i64 - 1);
+        let idx = self.aux(idx_name, 0, values.len() as i64 - 1);
         self.csp.post_select(var, idx, consts);
-        for (i, &c) in values.iter().enumerate() {
-            let b = self.csp.add_var(
-                format!("is.{tag}.{c}"),
-                Domain::boolean(),
-                VarCategory::Other,
-            );
+        for (i, name) in names.into_iter().enumerate() {
+            let b = self
+                .csp
+                .add_var(name, Domain::boolean(), VarCategory::Other);
             let choices: Vec<VarRef> = (0..values.len())
                 .map(|j| self.constant(i64::from(j == i)))
                 .collect();
@@ -93,26 +111,26 @@ impl SpaceBuilder {
     }
 
     /// A loop-length variable with range `[1, max]`.
-    pub fn loop_var(&mut self, name: &str, max: i64) -> VarRef {
+    pub fn loop_var(&mut self, name: impl Into<String>, max: i64) -> VarRef {
         self.csp
             .add_var(name, Domain::range(1, max.max(1)), VarCategory::LoopLength)
     }
 
     /// A tunable variable with an explicit value set (Rule-C3 posts the IN,
     /// plus the paper's indicator-boolean helpers).
-    pub fn tunable(&mut self, name: &str, values: &[i64]) -> VarRef {
+    pub fn tunable(&mut self, name: impl Into<String>, values: &[i64]) -> VarRef {
         let r = self.csp.add_var(
             name,
             Domain::values(values.iter().copied()),
             VarCategory::Tunable,
         );
         self.csp.post_in(r, values.iter().copied());
-        self.add_indicators(r, name, values);
+        self.add_indicators(r, values);
         r
     }
 
     /// An auxiliary variable with range `[lo, hi]`.
-    pub fn aux(&mut self, name: &str, lo: i64, hi: i64) -> VarRef {
+    pub fn aux(&mut self, name: impl Into<String>, lo: i64, hi: i64) -> VarRef {
         self.csp
             .add_var(name, Domain::range(lo, hi.max(lo)), VarCategory::Other)
     }
@@ -179,7 +197,7 @@ impl SpaceBuilder {
     }
 
     /// PROD helper: declares `name = Π factors` as an auxiliary variable.
-    pub fn prod(&mut self, name: &str, factors: &[VarRef]) -> VarRef {
+    pub fn prod(&mut self, name: impl Into<String>, factors: &[VarRef]) -> VarRef {
         let hi = factors
             .iter()
             .map(|f| self.csp.var(*f).domain.max())
@@ -196,7 +214,7 @@ impl SpaceBuilder {
     }
 
     /// SUM helper: declares `name = Σ terms` as an auxiliary variable.
-    pub fn sum(&mut self, name: &str, terms: &[VarRef]) -> VarRef {
+    pub fn sum(&mut self, name: impl Into<String>, terms: &[VarRef]) -> VarRef {
         let lo: i64 = terms.iter().map(|t| self.csp.var(*t).domain.min()).sum();
         let hi: i64 = terms
             .iter()
@@ -219,7 +237,7 @@ impl SpaceBuilder {
         elem_bytes: u64,
     ) -> VarRef {
         let b = self.constant(elem_bytes as i64);
-        let bytes = self.prod(&format!("bytes.{buffer}"), &[elems, b]);
+        let bytes = self.prod(format!("bytes.{buffer}"), &[elems, b]);
         self.buffers.push(BufferSpec {
             name: buffer.to_string(),
             scope,
@@ -230,7 +248,12 @@ impl SpaceBuilder {
 
     /// Posts `Σ byte_vars <= capacity` for a scope (the second half of
     /// Rule-C5).
-    pub fn cap_total(&mut self, name: &str, byte_vars: &[VarRef], capacity: u64) -> VarRef {
+    pub fn cap_total(
+        &mut self,
+        name: impl Into<String>,
+        byte_vars: &[VarRef],
+        capacity: u64,
+    ) -> VarRef {
         let total = self.sum(name, byte_vars);
         let cap = self.constant(capacity as i64);
         self.csp.post_le(total, cap);
@@ -242,14 +265,14 @@ impl SpaceBuilder {
     /// alignment, a Rule-C6 pattern).
     pub fn divides(&mut self, divisor: VarRef, value: VarRef, tag: &str) {
         let hi = self.csp.var(value).domain.max();
-        let q = self.aux(&format!("quot.{tag}"), 1, hi);
+        let q = self.aux(format!("quot.{tag}"), 1, hi);
         self.csp.post_prod(value, vec![divisor, q]);
     }
 
     /// Declares a loop-length twin variable `name` EQ-linked to `of` —
     /// the paper's per-stage loop-length variables (`stage.i6`, …) that
     /// mirror quantities already defined by the tile structure.
-    pub fn loop_twin(&mut self, name: &str, of: VarRef) -> VarRef {
+    pub fn loop_twin(&mut self, name: impl Into<String>, of: VarRef) -> VarRef {
         let hi = self.csp.var(of).domain.max();
         let lo = self.csp.var(of).domain.min();
         let v = self.csp.add_var(
@@ -264,6 +287,31 @@ impl SpaceBuilder {
     /// Name of a variable (for wiring template slots).
     pub fn name_of(&self, r: VarRef) -> String {
         self.csp.var(r).name.clone()
+    }
+
+    /// Finishes the space: `template` receives the buffers, the schedule
+    /// primitives and the tunables' names, and the CSP becomes the
+    /// space's shared `CSP_initial`.
+    pub fn finish(
+        self,
+        mut template: KernelTemplate,
+        spec: &DlaSpec,
+        workload: &str,
+    ) -> GeneratedSpace {
+        template.tunables = self
+            .csp
+            .tunables()
+            .iter()
+            .map(|r| self.csp.var(*r).name.clone())
+            .collect();
+        template.buffers = self.buffers;
+        template.primitives = self.state.into_template();
+        GeneratedSpace {
+            csp: Arc::new(self.csp),
+            template,
+            dla: spec.clone(),
+            workload: workload.to_string(),
+        }
     }
 }
 

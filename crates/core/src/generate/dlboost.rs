@@ -180,8 +180,7 @@ pub fn build(
     let store_elems = b.prod("elems.C.store", &[i[1], i[2], j[1], j[2]]);
     let vec_store = b.tunable("vec.C", &[1, 4, 16]);
 
-    let mut template =
-        KernelTemplate::from_state(&spec.name, workload, dag.total_flops(), &b.state);
+    let mut template = KernelTemplate::new(&spec.name, workload, dag.total_flops());
     template.var_grid = "grid".into();
     template.var_threads = "warps".into();
 
@@ -253,20 +252,7 @@ pub fn build(
     store.var_row_elems = Some(b.name_of(b_cols));
     template.stages.push(store);
 
-    template.buffers = b.buffers.clone();
-    template.primitives = b.state.template().to_vec();
-    template.tunables = b
-        .csp
-        .tunables()
-        .iter()
-        .map(|v| b.csp.var(*v).name.clone())
-        .collect();
-    GeneratedSpace {
-        csp: b.csp,
-        template,
-        dla: spec.clone(),
-        workload: workload.to_string(),
-    }
+    b.finish(template, spec, workload)
 }
 
 /// Builds the scalar (AVX, non-VNNI) CPU space: the Ansor-like baseline on
@@ -341,8 +327,7 @@ pub fn build_scalar(
     let store_elems = b.prod("elems.C.store", &[i[1], i[2], j[1], j[2]]);
     let vec_store = b.tunable("vec.C", &[1, 4, 16]);
 
-    let mut template =
-        KernelTemplate::from_state(&spec.name, workload, dag.total_flops(), &b.state);
+    let mut template = KernelTemplate::new(&spec.name, workload, dag.total_flops());
     template.var_grid = "grid".into();
     template.var_threads = "warps".into();
 
@@ -391,20 +376,7 @@ pub fn build_scalar(
     store.var_vector = Some(b.name_of(vec_store));
     template.stages.push(store);
 
-    template.buffers = b.buffers.clone();
-    template.primitives = b.state.template().to_vec();
-    template.tunables = b
-        .csp
-        .tunables()
-        .iter()
-        .map(|v| b.csp.var(*v).name.clone())
-        .collect();
-    GeneratedSpace {
-        csp: b.csp,
-        template,
-        dla: spec.clone(),
-        workload: workload.to_string(),
-    }
+    b.finish(template, spec, workload)
 }
 
 #[cfg(test)]

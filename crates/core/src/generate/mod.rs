@@ -20,6 +20,7 @@ pub mod tensorcore;
 pub mod vta;
 
 use std::fmt;
+use std::sync::Arc;
 
 use heron_csp::Csp;
 use heron_dla::{DlaFamily, DlaSpec};
@@ -131,8 +132,9 @@ impl SpaceOptions {
 /// kernel template it parameterises.
 #[derive(Debug, Clone)]
 pub struct GeneratedSpace {
-    /// The constraint satisfaction problem (`CSP_initial`).
-    pub csp: Csp,
+    /// The constraint satisfaction problem (`CSP_initial`), shared with
+    /// every [`heron_csp::SolveSession`] built on it.
+    pub csp: Arc<Csp>,
     /// The symbolic kernel template for lowering.
     pub template: KernelTemplate,
     /// The target platform.

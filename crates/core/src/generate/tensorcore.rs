@@ -255,8 +255,7 @@ pub fn build_tensorized(
     let vec_store = b.tunable("vec.C", &[1, 2, 4]);
 
     // ---- Assemble the kernel template -------------------------------------
-    let mut template =
-        KernelTemplate::from_state(&spec.name, workload, dag.total_flops(), &b.state);
+    let mut template = KernelTemplate::new(&spec.name, workload, dag.total_flops());
     template.var_grid = "grid".into();
     template.var_threads = "warps".into();
     template.stages.push(a_stage.spec);
@@ -306,7 +305,7 @@ pub fn build_tensorized(
     store.var_vector = Some(b.name_of(vec_store));
     template.stages.push(store);
 
-    finish(b, template, spec, workload)
+    b.finish(template, spec, workload)
 }
 
 /// Builds the scalar (CUDA-core) GPU space: the Ansor-like template, also
@@ -395,8 +394,7 @@ pub fn build_scalar(
     let store_elems = b.prod("elems.C.store", &[i[1], i[2], i[3], j[1], j[2], j[3]]);
     let vec_store = b.tunable("vec.C", &[1, 2, 4]);
 
-    let mut template =
-        KernelTemplate::from_state(&spec.name, workload, dag.total_flops(), &b.state);
+    let mut template = KernelTemplate::new(&spec.name, workload, dag.total_flops());
     template.var_grid = "grid".into();
     template.var_threads = "warps".into();
     template.stages.push(a_stage.spec);
@@ -422,7 +420,7 @@ pub fn build_scalar(
     store.var_vector = Some(b.name_of(vec_store));
     template.stages.push(store);
 
-    finish(b, template, spec, workload)
+    b.finish(template, spec, workload)
 }
 
 /// Fused MAC loop extents after padding.
@@ -491,7 +489,7 @@ pub(super) fn fuse_mac_axes(
                 .iter()
                 .filter_map(|a| b.csp.var_by_name(&format!("{prefix}.ax.{a}")))
                 .collect();
-            let orig = b.prod(&format!("{fused}.orig"), &parts);
+            let orig = b.prod(format!("{fused}.orig"), &parts);
             let padded_ext = super::axes::round_up(
                 parts.iter().map(|p| b.csp.var(*p).domain.max()).product(),
                 base,
@@ -577,15 +575,15 @@ fn shared_load_stage(
         ],
     );
 
-    let fixed = b.prod(&format!("fixdim.{st}"), p.fixed_dim);
-    let dep_shallow = b.prod(&format!("kchunk.{st}.at0"), p.dep_shallow);
-    let execs_deep = b.prod(&format!("execs.{st}.at1"), p.execs_deep);
+    let fixed = b.prod(format!("fixdim.{st}"), p.fixed_dim);
+    let dep_shallow = b.prod(format!("kchunk.{st}.at0"), p.dep_shallow);
+    let execs_deep = b.prod(format!("execs.{st}.at1"), p.execs_deep);
 
     // The K chunk and execution count depend on the compute_at location
     // (Rule-C4); total traffic is invariant, but footprint and granularity
     // trade off.
     let (dep, execs) = if opts.tunable_locations {
-        let loc = b.tunable(&format!("loc.{st}"), &[0, 1]);
+        let loc = b.tunable(format!("loc.{st}"), &[0, 1]);
         // Anchor in the schedule state when the parent has those loops.
         if b.state
             .stage(&parent)
@@ -594,9 +592,9 @@ fn shared_load_stage(
             b.state
                 .compute_at(st, &parent, &format!("loc.{st}"), &["C.r0", "C.r1"]);
         }
-        let dep = b.aux(&format!("kchunk.{st}"), 1, i64::from(u32::MAX));
+        let dep = b.aux(format!("kchunk.{st}"), 1, i64::from(u32::MAX));
         b.select(dep, loc, vec![dep_shallow, p.dep_deep]);
-        let execs = b.aux(&format!("execs.{st}"), 1, i64::from(u32::MAX));
+        let execs = b.aux(format!("execs.{st}"), 1, i64::from(u32::MAX));
         b.select(execs, loc, vec![p.execs_shallow, execs_deep]);
         (dep, execs)
     } else {
@@ -605,13 +603,13 @@ fn shared_load_stage(
 
     // Contiguous row of the tile, aliased under a stable name for the
     // template and the bank-conflict model.
-    let row = b.aux(&format!("row.{st}"), 1, p.max_row);
+    let row = b.aux(format!("row.{st}"), 1, p.max_row);
     let contiguous = if p.contiguous_is_fixed { fixed } else { dep };
     b.csp.post_eq(row, contiguous);
 
     // Vectorised access width must divide the row (Rule-C6).
     let legal_vecs: Vec<i64> = spec.vector_lengths.clone();
-    let vec = b.tunable(&format!("vec.{st}"), &legal_vecs);
+    let vec = b.tunable(format!("vec.{st}"), &legal_vecs);
     b.state.vectorize(st, &format!("vec.{st}"));
     if opts.arch_constraints {
         b.divides(vec, row, st);
@@ -619,24 +617,24 @@ fn shared_load_stage(
 
     // storage_align padding (Rule-C6 on TensorCore).
     let pad = if opts.storage_align {
-        let pad = b.tunable(&format!("pad.{st}"), &[0, 1, 2, 4, 8]);
+        let pad = b.tunable(format!("pad.{st}"), &[0, 1, 2, 4, 8]);
         b.state.storage_align(st, &format!("pad.{st}"));
         pad
     } else {
         b.constant(opts.fixed_align_pad.unwrap_or(0))
     };
-    let padded_row = b.sum(&format!("prow.{st}"), &[row, pad]);
+    let padded_row = b.sum(format!("prow.{st}"), &[row, pad]);
 
     // Footprints: transfer elements (unpadded) and buffer bytes (padded):
     // (#rows of the buffer) x (padded contiguous row).
-    let elems = b.prod(&format!("elems.{st}"), &[fixed, dep]);
+    let elems = b.prod(format!("elems.{st}"), &[fixed, dep]);
     let nrows = if p.contiguous_is_fixed { dep } else { fixed };
-    let buf_elems = b.prod(&format!("belems.{st}"), &[nrows, padded_row]);
+    let buf_elems = b.prod(format!("belems.{st}"), &[nrows, padded_row]);
     let bytes = b.mem_limit(st, MemScope::Shared, buf_elems, p.dtype.bytes());
 
     // Per-stage loop-length variables (the cache stage's own nest).
-    b.loop_twin(&format!("{st}.rows.len"), nrows);
-    b.loop_twin(&format!("{st}.cols.len"), row);
+    b.loop_twin(format!("{st}.rows.len"), nrows);
+    b.loop_twin(format!("{st}.cols.len"), row);
 
     let mut spec_out = StageSpec::new(
         st,
@@ -676,8 +674,8 @@ fn fragment_stage(
         spec.in_dtype,
         vec![LoopSym::new(format!("{name}.x"), IterKind::Spatial, "x")],
     );
-    let elems = b.prod(&format!("elems.{name}"), elem_factors);
-    let execs = b.prod(&format!("execs.{name}"), exec_factors);
+    let elems = b.prod(format!("elems.{name}"), elem_factors);
+    let execs = b.prod(format!("execs.{name}"), exec_factors);
     let bytes = b.mem_limit(name, scope, elems, spec.in_dtype.bytes());
     if opts.register_constraints {
         if let Some(cap) = spec.capacity(scope) {
@@ -685,7 +683,7 @@ fn fragment_stage(
             b.csp.post_le(bytes, capv);
         }
     }
-    b.loop_twin(&format!("{name}.x.len"), elems);
+    b.loop_twin(format!("{name}.x.len"), elems);
     let mut s = StageSpec::new(
         name,
         StageRole::Load,
@@ -700,27 +698,4 @@ fn fragment_stage(
     s.var_row_elems = src.spec.var_row_elems.clone();
     s.var_align_pad = src.spec.var_align_pad.clone();
     s
-}
-
-/// Finalises the generated space.
-fn finish(
-    b: SpaceBuilder,
-    mut template: KernelTemplate,
-    spec: &DlaSpec,
-    workload: &str,
-) -> GeneratedSpace {
-    template.buffers = b.buffers.clone();
-    template.primitives = b.state.template().to_vec();
-    template.tunables = b
-        .csp
-        .tunables()
-        .iter()
-        .map(|r| b.csp.var(*r).name.clone())
-        .collect();
-    GeneratedSpace {
-        csp: b.csp,
-        template,
-        dla: spec.clone(),
-        workload: workload.to_string(),
-    }
 }

@@ -179,8 +179,7 @@ pub fn build(
     b.state.unroll(tc, "unroll");
     let vec_st = b.tunable("vec.C", &[1, 4, 16]);
 
-    let mut template =
-        KernelTemplate::from_state(&spec.name, workload, dag.total_flops(), &b.state);
+    let mut template = KernelTemplate::new(&spec.name, workload, dag.total_flops());
     template.var_grid = "grid".into();
     template.var_threads = "warps".into();
 
@@ -244,20 +243,7 @@ pub fn build(
     store.var_vector = Some(b.name_of(vec_st));
     template.stages.push(store);
 
-    template.buffers = b.buffers.clone();
-    template.primitives = b.state.template().to_vec();
-    template.tunables = b
-        .csp
-        .tunables()
-        .iter()
-        .map(|v| b.csp.var(*v).name.clone())
-        .collect();
-    GeneratedSpace {
-        csp: b.csp,
-        template,
-        dla: spec.clone(),
-        workload: workload.to_string(),
-    }
+    b.finish(template, spec, workload)
 }
 
 #[cfg(test)]

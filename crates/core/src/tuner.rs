@@ -1394,7 +1394,7 @@ mod tests {
         // its variables by handing evaluate a foreign space whose template
         // references names the solution's CSP does not declare.
         let mut broken = space.clone();
-        broken.csp = heron_csp::Csp::new(); // no variables declared at all
+        broken.csp = heron_csp::Csp::new().into(); // no variables declared at all
         let sol = Solution::new(Vec::new());
         let err = evaluate(&broken, &Measurer::new(v100()), &sol)
             .expect_err("lowering must fail, not panic");
@@ -1470,7 +1470,7 @@ mod tests {
         .expect("satisfiable");
         for v in space.csp.tunables() {
             let value = sol.value(v);
-            space.csp.post_in(v, [value]);
+            std::sync::Arc::make_mut(&mut space.csp).post_in(v, [value]);
         }
         let mut config = TuneConfig::quick(10_000);
         config.max_stall_rounds = 2;

@@ -53,31 +53,21 @@ pub enum Constraint {
 }
 
 impl Constraint {
-    /// All variables referenced by the constraint.
-    pub fn vars(&self) -> Vec<VarRef> {
-        match self {
-            Constraint::Prod { out, factors } => {
-                let mut v = vec![*out];
-                v.extend_from_slice(factors);
-                v
-            }
-            Constraint::Sum { out, terms } => {
-                let mut v = vec![*out];
-                v.extend_from_slice(terms);
-                v
-            }
-            Constraint::Eq(a, b) | Constraint::Le(a, b) => vec![*a, *b],
-            Constraint::In { var, .. } => vec![*var],
+    /// All variables referenced by the constraint, in operand order
+    /// (repeats included), without allocating.
+    pub fn vars(&self) -> impl Iterator<Item = VarRef> + '_ {
+        let (head, tail): ([Option<VarRef>; 2], &[VarRef]) = match self {
+            Constraint::Prod { out, factors } => ([Some(*out), None], factors),
+            Constraint::Sum { out, terms } => ([Some(*out), None], terms),
+            Constraint::Eq(a, b) | Constraint::Le(a, b) => ([Some(*a), Some(*b)], &[]),
+            Constraint::In { var, .. } => ([Some(*var), None], &[]),
             Constraint::Select {
                 out,
                 index,
                 choices,
-            } => {
-                let mut v = vec![*out, *index];
-                v.extend_from_slice(choices);
-                v
-            }
-        }
+            } => ([Some(*out), Some(*index)], choices),
+        };
+        head.into_iter().flatten().chain(tail.iter().copied())
     }
 
     /// The constraint with every variable `v` replaced by `f(v)`.
@@ -244,7 +234,24 @@ mod tests {
             index: VarRef(1),
             choices: vec![VarRef(2), VarRef(3)],
         };
-        assert_eq!(c.vars(), vec![VarRef(0), VarRef(1), VarRef(2), VarRef(3)]);
+        assert_eq!(
+            c.vars().collect::<Vec<_>>(),
+            [VarRef(0), VarRef(1), VarRef(2), VarRef(3)]
+        );
+        let p = Constraint::Prod {
+            out: VarRef(4),
+            factors: vec![VarRef(5), VarRef(4)],
+        };
+        assert_eq!(
+            p.vars().collect::<Vec<_>>(),
+            [VarRef(4), VarRef(5), VarRef(4)]
+        );
+        assert_eq!(
+            Constraint::Le(VarRef(1), VarRef(0))
+                .vars()
+                .collect::<Vec<_>>(),
+            [VarRef(1), VarRef(0)]
+        );
     }
 
     #[test]

@@ -45,6 +45,8 @@ pub use domain::Domain;
 pub use problem::{Csp, Solution, VarCategory, VarRef};
 pub use propagate::{Kind, KindWork};
 pub use serialize::{from_text, to_text};
-pub use solver::{validate, SolveOutcome, SolvePolicy, SolveSession, SolveStats, SolveStatus};
+pub use solver::{
+    validate, SessionCsp, SolveOutcome, SolvePolicy, SolveSession, SolveStats, SolveStatus,
+};
 pub use stats::{tunable_domains, SpaceCensus};
 pub use store::DomainStore;

@@ -1,7 +1,7 @@
 //! CSP definition: variables, categories, constraints, and solutions.
 
-use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, RandomState};
 
 use crate::constraint::Constraint;
 use crate::domain::Domain;
@@ -48,8 +48,76 @@ pub struct VarDecl {
 #[derive(Debug, Clone, Default)]
 pub struct Csp {
     vars: Vec<VarDecl>,
-    by_name: HashMap<String, VarRef>,
+    by_name: NameIndex,
     constraints: Vec<Constraint>,
+}
+
+/// Each variable's handle by name, with the name stored once: in its
+/// [`VarDecl`]. An open-addressing table of variable indices, probed by
+/// the name's hash and confirmed against `vars`. The hash is std's keyed
+/// SipHash, so names crafted to collide (a `heron-csp v2` document is
+/// untrusted input) cannot make declaring them quadratic.
+#[derive(Debug, Clone, Default)]
+struct NameIndex {
+    hasher: RandomState,
+    /// `(hash, variable index)`, `EMPTY` in the index for a free slot;
+    /// the length is 0 or a power of two, at most half full.
+    slots: Vec<(u32, u32)>,
+}
+
+impl NameIndex {
+    const EMPTY: u32 = u32::MAX;
+
+    /// The variable of `vars` named `name`, or else the free slot where
+    /// it belongs (the table must have one).
+    fn probe(&self, vars: &[VarDecl], name: &str, hash: u32) -> Result<VarRef, usize> {
+        let mask = self.slots.len() - 1;
+        let mut i = hash as usize & mask;
+        loop {
+            match self.slots[i] {
+                (_, Self::EMPTY) => return Err(i),
+                (h, v) if h == hash && vars[v as usize].name == name => {
+                    return Ok(VarRef(v as usize));
+                }
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    fn hash(&self, name: &str) -> u32 {
+        self.hasher.hash_one(name) as u32
+    }
+
+    fn get(&self, vars: &[VarDecl], name: &str) -> Option<VarRef> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.probe(vars, name, self.hash(name)).ok()
+    }
+
+    /// Claims the slot of `name` for the next variable, `vars.len()`.
+    ///
+    /// # Panics
+    /// Panics if a variable of `vars` has that name.
+    fn claim(&mut self, vars: &[VarDecl], name: &str) {
+        if 2 * (vars.len() + 1) > self.slots.len() {
+            let mut grown = vec![(0, Self::EMPTY); (2 * self.slots.len()).max(16)];
+            let mask = grown.len() - 1;
+            for &(h, v) in self.slots.iter().filter(|s| s.1 != Self::EMPTY) {
+                let mut i = h as usize & mask;
+                while grown[i].1 != Self::EMPTY {
+                    i = (i + 1) & mask;
+                }
+                grown[i] = (h, v);
+            }
+            self.slots = grown;
+        }
+        let hash = self.hash(name);
+        match self.probe(vars, name, hash) {
+            Ok(_) => panic!("duplicate variable `{name}`"),
+            Err(slot) => self.slots[slot] = (hash, vars.len() as u32),
+        }
+    }
 }
 
 impl Csp {
@@ -69,18 +137,13 @@ impl Csp {
         category: VarCategory,
     ) -> VarRef {
         let name = name.into();
-        assert!(
-            !self.by_name.contains_key(&name),
-            "duplicate variable `{name}`"
-        );
-        let r = VarRef(self.vars.len());
-        self.by_name.insert(name.clone(), r);
+        self.by_name.claim(&self.vars, &name);
         self.vars.push(VarDecl {
             name,
             domain,
             category,
         });
-        r
+        VarRef(self.vars.len() - 1)
     }
 
     /// Declares a constant as a fixed architectural variable.
@@ -105,7 +168,7 @@ impl Csp {
 
     /// Variable lookup by name.
     pub fn var_by_name(&self, name: &str) -> Option<VarRef> {
-        self.by_name.get(name).copied()
+        self.by_name.get(&self.vars, name)
     }
 
     /// Iterator over `(handle, declaration)` pairs.
@@ -329,6 +392,21 @@ mod tests {
         assert_eq!(csp.var(x).category, VarCategory::Tunable);
         assert_eq!(csp.num_vars(), 1);
         assert_eq!(csp.tunables(), vec![x]);
+    }
+
+    #[test]
+    fn names_are_found_across_index_growth() {
+        let mut csp = Csp::new();
+        let refs: Vec<VarRef> = (0..1000)
+            .map(|i| csp.add_var(format!("v{i}"), Domain::boolean(), VarCategory::Other))
+            .collect();
+        let copy = csp.clone();
+        for (i, r) in refs.into_iter().enumerate() {
+            assert_eq!(csp.var_by_name(&format!("v{i}")), Some(r));
+            assert_eq!(copy.var_by_name(&format!("v{i}")), Some(r));
+        }
+        assert_eq!(csp.var_by_name("v1000"), None);
+        assert_eq!(Csp::new().var_by_name("v0"), None);
     }
 
     #[test]

@@ -338,31 +338,39 @@ impl Propagator {
             let narrowed = init.restrict_min(v.0, lo).and(init.restrict_max(v.0, hi));
             debug_assert!(narrowed.is_ok(), "narrowing {v} to [{lo}, {hi}] empties it");
         }
-        let mut watchers = vec![Vec::new(); csp.num_vars()];
-        let mut mentions = Vec::new();
+        // A constraint may mention the same variable in non-adjacent
+        // positions (SELECT with `out` among the choices, PROD with a
+        // repeated factor): sort + dedup so each variable watches the
+        // constraint exactly once.
+        let mut mentions = Vec::with_capacity(constraints.iter().map(|c| c.vars().count()).sum());
         let mut mention_start = Vec::with_capacity(ncons + 1);
-        for (ci, c) in constraints.iter().enumerate() {
-            // A constraint may mention the same variable in non-adjacent
-            // positions (SELECT with `out` among the choices, PROD with a
-            // repeated factor): sort + dedup so each variable watches the
-            // constraint exactly once.
-            let mut vars = c.vars();
+        let mut vars = Vec::new();
+        for c in &constraints {
+            vars.clear();
+            vars.extend(c.vars().map(|v| v.0 as u32));
             vars.sort_unstable();
             vars.dedup();
             mention_start.push(mentions.len() as u32);
-            for v in vars {
-                watchers[v.0].push(ci as u32);
-                mentions.push(v.0 as u32);
-            }
+            mentions.extend_from_slice(&vars);
         }
         mention_start.push(mentions.len() as u32);
-        let mut watch_start = Vec::with_capacity(watchers.len() + 1);
-        let mut watching = Vec::new();
-        for w in &watchers {
-            watch_start.push(watching.len() as u32);
-            watching.extend_from_slice(w);
+        // The watch lists, flat: count each variable's watchers, then
+        // place the constraints in ascending order behind the prefix sums.
+        let mut watch_start = vec![0u32; csp.num_vars() + 1];
+        for &v in &mentions {
+            watch_start[v as usize + 1] += 1;
         }
-        watch_start.push(watching.len() as u32);
+        for v in 0..csp.num_vars() {
+            watch_start[v + 1] += watch_start[v];
+        }
+        let mut watching = vec![0u32; mentions.len()];
+        let mut next = watch_start.clone();
+        for (ci, span) in mention_start.windows(2).enumerate() {
+            for &v in &mentions[span[0] as usize..span[1] as usize] {
+                watching[next[v as usize] as usize] = ci as u32;
+                next[v as usize] += 1;
+            }
+        }
         let in_masks = constraints
             .iter()
             .map(|c| match c {
@@ -476,9 +484,10 @@ impl Propagator {
         self.scratch.borrow_mut().work.hot[ci] = true;
     }
 
-    /// The constraints mentioning `v`, ascending.
+    /// The indices of the constraints mentioning `v` (among those the
+    /// engine runs), ascending and each once.
     #[inline]
-    fn watchers(&self, v: VarRef) -> &[u32] {
+    pub fn watchers(&self, v: VarRef) -> &[u32] {
         &self.watching[self.watch_start[v.0] as usize..self.watch_start[v.0 + 1] as usize]
     }
 

@@ -12,7 +12,9 @@
 //! pins, e.g. a CGA offspring's crossover `IN`s, or a baseline's fixed
 //! tunables). Building the session presolves the CSP, builds the
 //! propagator adjacency and the branch order, and runs the root fixpoint,
-//! exactly once; every call then samples on that cached root. A pinned
+//! exactly once; every call then samples on that cached root. The session
+//! shares its problem: built from an `Arc<Csp>` (a generated space's) it
+//! keeps a second handle, not a copy (see [`SessionCsp`]). A pinned
 //! call opens a backtrack scope on it, applies the pins and propagates
 //! only from the pinned variables. Because the filters are monotone,
 //! `fixpoint(root_fixpoint + pins)` equals the from-scratch
@@ -48,6 +50,8 @@
 //! resumed mid-run rebuilds its session; if the root cost were charged to
 //! the first solve after construction, a resumed run's round records
 //! would differ from an uninterrupted run's.
+
+use std::sync::Arc;
 
 use heron_rng::Rng;
 use heron_rng::SliceRandom;
@@ -254,11 +258,31 @@ fn satisfies(csp: &Csp, value: &dyn Fn(VarRef) -> i64) -> bool {
         && csp.constraints().iter().all(|c| c.check(value))
 }
 
+/// What a [`SolveSession`] can be built from. The session keeps its
+/// problem behind an `Arc`: a shared `&Arc<Csp>` (as a generated space
+/// holds it) is shared, a borrowed `&Csp` is copied once.
+pub trait SessionCsp {
+    /// The problem as the session keeps it.
+    fn into_shared(self) -> Arc<Csp>;
+}
+
+impl SessionCsp for &Csp {
+    fn into_shared(self) -> Arc<Csp> {
+        Arc::new(self.clone())
+    }
+}
+
+impl SessionCsp for &Arc<Csp> {
+    fn into_shared(self) -> Arc<Csp> {
+        Arc::clone(self)
+    }
+}
+
 /// One CSP's presolved propagator, branch order and committed root
 /// fixpoint, built once and sampled by every call (see the module docs).
 #[derive(Debug)]
 pub struct SolveSession {
-    csp: Csp,
+    csp: Arc<Csp>,
     prop: Propagator,
     /// How each variable of the CSP is read (see [`Read`]).
     reads: Vec<Read>,
@@ -276,14 +300,16 @@ impl SolveSession {
     /// the propagator adjacency, the branch order and the root fixpoint,
     /// retiring the constraints already entailed there (a free,
     /// fixpoint-preserving bounds sweep).
-    pub fn new(csp: &Csp) -> Self {
+    pub fn new(csp: impl SessionCsp) -> Self {
+        let csp = csp.into_shared();
         let Presolve {
             reads,
             live,
             narrow,
             empty_class,
-        } = Presolve::of(csp);
-        let prop = Propagator::with_constraints(csp, live, if empty_class { &[] } else { &narrow });
+        } = Presolve::of(&csp);
+        let prop =
+            Propagator::with_constraints(&csp, live, if empty_class { &[] } else { &narrow });
         let store = if empty_class {
             // The EQ chain joining the class would wipe it out.
             None
@@ -296,9 +322,9 @@ impl SolveSession {
             })
         };
         SolveSession {
-            csp: csp.clone(),
+            brancher: Brancher::new(&csp, &reads),
+            csp,
             prop,
-            brancher: Brancher::new(csp, &reads),
             reads,
             store,
             pinned: Vec::new(),

@@ -46,6 +46,7 @@
 //! operation, including when an interval turns into an explicit set;
 //! `tests/prop_store.rs` holds the two equal.
 
+use std::collections::HashMap;
 use std::rc::Rc;
 
 use crate::domain::Domain;
@@ -67,24 +68,15 @@ impl VarTables {
     /// explicit value set of at most 64 values.
     pub(crate) fn for_csp(csp: &Csp) -> Self {
         let mut values: Vec<i64> = Vec::new();
-        let mut distinct: Vec<(u32, u32)> = Vec::new();
+        let mut distinct: HashMap<&[i64], (u32, u32)> = HashMap::new();
         let spans = csp
             .vars()
             .map(|(_, d)| match &d.domain {
-                Domain::Values(v) if v.len() <= 64 => {
-                    let shared = distinct
-                        .iter()
-                        .find(|&&(s, l)| values[s as usize..(s + l) as usize] == v[..]);
-                    match shared {
-                        Some(&span) => span,
-                        None => {
-                            let span = (values.len() as u32, v.len() as u32);
-                            values.extend_from_slice(v);
-                            distinct.push(span);
-                            span
-                        }
-                    }
-                }
+                Domain::Values(v) if v.len() <= 64 => *distinct.entry(v).or_insert_with(|| {
+                    let span = (values.len() as u32, v.len() as u32);
+                    values.extend_from_slice(v);
+                    span
+                }),
                 _ => (0, 0),
             })
             .collect();

@@ -1,8 +1,15 @@
-//! The pinned re-solve allocates per *call*, never per branch decision
+//! Set-up allocates per posted list, never per variable mention, and
+//! the pinned re-solve allocates per *call*, never per branch decision
 //! or per propagation pass.
 //!
-//! A counting global allocator watches `SolveSession::solve_pinned` on
-//! a conv2d TensorCore space. Whatever a call has to do — a dive that
+//! A counting global allocator watches a conv2d TensorCore space being
+//! generated and given a tuner session, and then
+//! `SolveSession::solve_pinned` on it. The session shares the generated
+//! CSP instead of copying it, and builds its adjacency in flat arrays, so
+//! building it allocates one list per posted list constraint (the
+//! presolve's rewritten copy) and a fixed number of arrays.
+//!
+//! Whatever a pinned call has to do — a dive that
 //! succeeds at once, or thousands of branch decisions and wipeouts — it
 //! may allocate only what it hands back (the outcome's solution list and
 //! one value vector per solution) and a few call-scoped buffers.
@@ -15,7 +22,9 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use heron_core::generate::{SpaceGenerator, SpaceOptions};
-use heron_csp::{SolvePolicy, SolveSession, VarRef};
+use heron_core::tuner::{TuneConfig, Tuner};
+use heron_csp::{Constraint, SolvePolicy, SolveSession, VarRef};
+use heron_dla::Measurer;
 use heron_rng::{HeronRng, Rng};
 use heron_tensor::ops;
 use heron_trace::Tracer;
@@ -158,4 +167,62 @@ fn pinned_resolve_allocates_per_call_not_per_decision() {
             "no offspring needed a long search (most wipeouts: {hardest})"
         );
     }
+}
+
+/// How often the set-up of one space — `generate_named`, then
+/// `Tuner::new` — may allocate or reallocate per variable and per
+/// constraint, in eighths. At 31/8, ResNet-50's 21 distinct v100 spaces
+/// (3,422 variables and 3,020 constraints) stay under 25,000.
+const SET_UP_EIGHTHS_PER_ITEM: u64 = 31;
+
+/// The arrays `Tuner::new` may allocate besides one list per posted
+/// `PROD`, `SUM`, `IN` or `SELECT`: the presolve's maps, the propagator's
+/// tables and adjacency, two domain stores, the branch order and the
+/// session's buffers (a copy of the CSP would add one name per variable).
+const SESSION_ARRAYS: u64 = 48;
+
+#[test]
+fn set_up_shares_the_csp_and_allocates_per_list() {
+    let dag = ops::conv2d(ops::Conv2dConfig::new(1, 14, 14, 64, 64, 3, 3, 1, 1));
+    let (space, generate) = counted(|| {
+        SpaceGenerator::new(heron_dla::v100())
+            .generate_named(&dag, &SpaceOptions::heron(), "c2d-14x64")
+            .expect("generates")
+    });
+    let csp = &space.csp;
+    let items = (csp.num_vars() + csp.num_constraints()) as u64;
+    let lists = csp
+        .constraints()
+        .iter()
+        .filter(|c| !matches!(c, Constraint::Eq(..) | Constraint::Le(..)))
+        .count() as u64;
+    assert!(
+        lists + SESSION_ARRAYS < csp.num_vars() as u64,
+        "a copy of the CSP would fit in the session budget"
+    );
+
+    // A session built on the space's `Arc` holds the same problem.
+    let session = SolveSession::new(&space.csp);
+    assert!(
+        std::ptr::eq(session.csp(), &**csp),
+        "the session copied the CSP"
+    );
+    drop(session);
+
+    let (shared, measurer) = (space.clone(), Measurer::new(heron_dla::v100()));
+    let (tuner, new) = counted(|| Tuner::new(shared, measurer, TuneConfig::quick(48), 2023));
+    assert_eq!(
+        std::sync::Arc::strong_count(&space.csp),
+        3,
+        "the space, its clone in the tuner and the tuner's session share one CSP"
+    );
+    drop(tuner);
+    assert!(
+        new <= lists + SESSION_ARRAYS,
+        "Tuner::new allocated {new} times for {lists} list constraints"
+    );
+    assert!(
+        8 * (generate + new) <= SET_UP_EIGHTHS_PER_ITEM * items,
+        "set-up allocated {generate} + {new} times for {items} variables and constraints"
+    );
 }

@@ -111,6 +111,48 @@ fn trail_engine_matches_reference_on_knife_edge_corpus() {
     );
 }
 
+/// The propagator's flat watch lists hold, for each variable, the
+/// constraints mentioning it, ascending and each once: the lists a
+/// per-variable build (one `Vec` per variable, kept here as the reference)
+/// collects, over every corpus generator plus a `PROD` and a `SELECT` that
+/// repeat a variable in non-adjacent positions.
+#[test]
+fn flat_watch_lists_equal_per_variable_lists() {
+    property_cases("flat_watch_lists_equal_per_variable_lists", 64, |g| {
+        let n_vars = g.index(2, 7);
+        let mut csp = match g.index(0, 8) {
+            0 => csp_corpus::base_csp(g, n_vars),
+            1 => csp_corpus::unsat_csp(g),
+            2 => csp_corpus::single_solution_csp(g).0,
+            3 => csp_corpus::knife_edge_csp(g),
+            4 => csp_corpus::eq_twin_csp(g),
+            5 => csp_corpus::helper_boolean_csp(g),
+            6 => csp_corpus::prod_fallback_csp(g),
+            _ => csp_corpus::heron_shaped_csp(g),
+        };
+        let n = csp.num_vars();
+        let mut var = || VarRef(g.index(0, n));
+        let (out, factor) = (var(), var());
+        csp.post_prod(out, vec![factor, out, factor]);
+        let (out, index, choice) = (var(), var(), var());
+        csp.post_select(out, index, vec![choice, out]);
+
+        let mut reference = vec![Vec::new(); n];
+        for (ci, c) in csp.constraints().iter().enumerate() {
+            let mut vars: Vec<VarRef> = c.vars().collect();
+            vars.sort_unstable();
+            vars.dedup();
+            for v in vars {
+                reference[v.0].push(ci as u32);
+            }
+        }
+        let prop = Propagator::new(&csp);
+        for (v, watchers) in reference.iter().enumerate() {
+            assert_eq!(prop.watchers(VarRef(v)), watchers, "watchers of x{v}");
+        }
+    });
+}
+
 /// The session's two entry points share one driver: a pinned solve with
 /// no pins is the plain solve — same status, same solutions, same
 /// counters — except that it counts as an incremental hit on a feasible

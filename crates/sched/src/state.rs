@@ -183,6 +183,11 @@ impl ScheduleState {
         &self.template
     }
 
+    /// The accumulated schedule template, taken out of the finished state.
+    pub fn into_template(self) -> Vec<Primitive> {
+        self.template
+    }
+
     /// Splits `loop_name` of `stage` into `parts` (outermost first),
     /// replacing it in place.
     ///

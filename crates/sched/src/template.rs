@@ -11,7 +11,6 @@ use heron_tensor::DType;
 
 use crate::primitive::Primitive;
 use crate::scope::{MemScope, StageRole};
-use crate::state::ScheduleState;
 
 /// Intrinsic shape variables of a tensorized stage.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -120,14 +119,9 @@ pub struct KernelTemplate {
 }
 
 impl KernelTemplate {
-    /// Creates a template shell for `dla` and `workload`, copying the
-    /// primitives recorded in `state`.
-    pub fn from_state(
-        dla: impl Into<String>,
-        workload: impl Into<String>,
-        total_flops: u64,
-        state: &ScheduleState,
-    ) -> Self {
+    /// Creates an empty template shell for `dla` and `workload`; the
+    /// generator fills in its stages, buffers, primitives and tunables.
+    pub fn new(dla: impl Into<String>, workload: impl Into<String>, total_flops: u64) -> Self {
         KernelTemplate {
             dla: dla.into(),
             workload: workload.into(),
@@ -136,7 +130,7 @@ impl KernelTemplate {
             var_grid: String::new(),
             var_threads: String::new(),
             buffers: Vec::new(),
-            primitives: state.template().to_vec(),
+            primitives: Vec::new(),
             tunables: Vec::new(),
         }
     }

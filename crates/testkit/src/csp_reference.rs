@@ -56,7 +56,7 @@ impl<'a> RefPropagator<'a> {
     fn new(csp: &'a Csp) -> Self {
         let mut watching = vec![Vec::new(); csp.num_vars()];
         for (ci, c) in csp.constraints().iter().enumerate() {
-            let mut vars = c.vars();
+            let mut vars: Vec<_> = c.vars().collect();
             vars.sort_unstable();
             vars.dedup();
             for v in vars {

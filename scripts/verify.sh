@@ -40,11 +40,11 @@ fi
 
 echo "== offline release build (workspace) =="
 cargo build --release --offline --workspace
-# Five committed tables are goldens (≈17 s in release): their bins,
+# Six committed tables are goldens (≈20 s in release): their bins,
 # run with the defaults they were committed with, must print them byte
 # for byte, so a refactor that moves a single sample fails here.
 for fig in fig02_irregular_space fig11_space_quality fig12_cga_convergence \
-    fig13_constraint_handling ablation_features; do
+    fig13_constraint_handling ablation_features fault_sweep; do
     env -u HERON_TRIALS -u HERON_SEED -u HERON_SAMPLES \
         cargo run --release --offline --quiet -p heron-bench --bin "$fig" \
         | cmp -s - "results/$fig.tsv" || {
@@ -52,7 +52,7 @@ for fig in fig02_irregular_space fig11_space_quality fig12_cga_convergence \
         exit 1
     }
 done
-echo "ok: fig02/11/12/13 and ablation_features reproduce their committed tables"
+echo "ok: fig02/11/12/13, ablation_features and fault_sweep reproduce their committed tables"
 
 echo "== offline tests (workspace) =="
 # NB: a bare `cargo test` from the root only tests the root package;
