@@ -14,19 +14,20 @@
 
 use heron_tensor::{Dag, IterKind, ReduceKind, StageId};
 
-/// The matrix-multiply view of a compute stage.
+/// The matrix-multiply view of a compute stage, naming the axes of the
+/// DAG it was taken from.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MacView {
+pub struct MacView<'a> {
     /// Stage analysed (the DAG output).
     pub stage: StageId,
     /// Names of the M-group axes.
-    pub m_axes: Vec<String>,
+    pub m_axes: Vec<&'a str>,
     /// Names of the N-group axes.
-    pub n_axes: Vec<String>,
+    pub n_axes: Vec<&'a str>,
     /// Names of the K-group (reduction) axes.
-    pub k_axes: Vec<String>,
+    pub k_axes: Vec<&'a str>,
     /// Names of batch axes (read by both operands).
-    pub batch_axes: Vec<String>,
+    pub batch_axes: Vec<&'a str>,
     /// Product of M-axis extents.
     pub m_extent: i64,
     /// Product of N-axis extents.
@@ -37,10 +38,10 @@ pub struct MacView {
     pub batch_extent: i64,
     /// Extent of every original axis, in DAG order (for the per-axis
     /// loop-length variables of the census).
-    pub axis_extents: Vec<(String, i64)>,
+    pub axis_extents: Vec<(&'a str, i64)>,
 }
 
-impl MacView {
+impl MacView<'_> {
     /// M extent rounded up to a multiple of `base` (tail padding for
     /// intrinsic alignment).
     pub fn m_padded(&self, base: i64) -> i64 {
@@ -64,21 +65,18 @@ pub fn round_up(v: i64, base: i64) -> i64 {
     v.div_euclid(base) * base + if v.rem_euclid(base) == 0 { 0 } else { base }
 }
 
-/// Analyses the DAG's output stage for the MAC pattern (paper Rule-S1:
-/// `Tensorizable(S, i)`).
+/// Analyses stage `out` of the DAG (its output, as Rule-S1 applies it) for
+/// the MAC pattern (paper Rule-S1: `Tensorizable(S, i)`).
 ///
 /// Returns `None` when the output is not a sum-reduction of a product of
 /// two tensor loads — e.g. the SCAN operator, which then follows the
 /// non-tensorized (CUDA-core / scalar) template instead.
-pub fn mac_view(dag: &Dag) -> Option<MacView> {
-    let out = dag.output();
+pub fn mac_view(dag: &Dag, out: StageId) -> Option<MacView<'_>> {
     let op = dag.stage(out).compute()?;
     if op.reduce != ReduceKind::Sum || op.reduce_axes.is_empty() {
         return None;
     }
     let (lhs, rhs) = op.body.as_mac_pattern()?;
-    let lhs_vars = lhs.vars();
-    let rhs_vars = rhs.vars();
 
     let mut view = MacView {
         stage: out,
@@ -90,34 +88,29 @@ pub fn mac_view(dag: &Dag) -> Option<MacView> {
         n_extent: 1,
         k_extent: 1,
         batch_extent: 1,
-        axis_extents: Vec::new(),
+        axis_extents: op.all_axes().map(|a| (a.name.as_str(), a.extent)).collect(),
     };
-    for axis in op.axes.iter().chain(op.reduce_axes.iter()) {
-        view.axis_extents.push((axis.name.clone(), axis.extent));
-    }
     for axis in &op.axes {
         debug_assert_eq!(axis.kind, IterKind::Spatial);
-        let in_lhs = lhs_vars.contains(&axis.id);
-        let in_rhs = rhs_vars.contains(&axis.id);
-        match (in_lhs, in_rhs) {
+        match (lhs.mentions(axis.id), rhs.mentions(axis.id)) {
             (true, true) => {
-                view.batch_axes.push(axis.name.clone());
+                view.batch_axes.push(&axis.name);
                 view.batch_extent *= axis.extent;
             }
             (true, false) | (false, false) => {
                 // Axes read by neither operand still index the output and
                 // behave like M rows.
-                view.m_axes.push(axis.name.clone());
+                view.m_axes.push(&axis.name);
                 view.m_extent *= axis.extent;
             }
             (false, true) => {
-                view.n_axes.push(axis.name.clone());
+                view.n_axes.push(&axis.name);
                 view.n_extent *= axis.extent;
             }
         }
     }
     for axis in &op.reduce_axes {
-        view.k_axes.push(axis.name.clone());
+        view.k_axes.push(&axis.name);
         view.k_extent *= axis.extent;
     }
     if view.m_axes.is_empty() || view.n_axes.is_empty() {
@@ -134,7 +127,7 @@ mod tests {
     #[test]
     fn gemm_maps_directly() {
         let dag = ops::gemm(128, 256, 64);
-        let v = mac_view(&dag).expect("gemm is tensorizable");
+        let v = mac_view(&dag, dag.output()).expect("gemm is tensorizable");
         assert_eq!(v.m_axes, vec!["i"]);
         assert_eq!(v.n_axes, vec!["j"]);
         assert_eq!(v.k_axes, vec!["r"]);
@@ -145,7 +138,7 @@ mod tests {
     #[test]
     fn bmm_batch_axis_detected() {
         let dag = ops::bmm(16, 64, 64, 32);
-        let v = mac_view(&dag).expect("bmm is tensorizable");
+        let v = mac_view(&dag, dag.output()).expect("bmm is tensorizable");
         assert_eq!(v.batch_axes, vec!["b"]);
         assert_eq!(v.batch_extent, 16);
         assert_eq!((v.m_extent, v.n_extent, v.k_extent), (64, 64, 32));
@@ -154,7 +147,7 @@ mod tests {
     #[test]
     fn conv2d_im2col_grouping() {
         let dag = ops::conv2d(ops::Conv2dConfig::new(8, 28, 28, 512, 128, 1, 1, 1, 1));
-        let v = mac_view(&dag).expect("conv2d is tensorizable");
+        let v = mac_view(&dag, dag.output()).expect("conv2d is tensorizable");
         // M = n * oh * ow, N = co, K = rc * rh * rw.
         assert_eq!(v.m_axes, vec!["n", "oh", "ow"]);
         assert_eq!(v.n_axes, vec!["co"]);
@@ -166,7 +159,7 @@ mod tests {
     #[test]
     fn conv3d_has_four_k_axes() {
         let dag = ops::conv3d(1, 8, 8, 8, 16, 32, 3, 1, 1);
-        let v = mac_view(&dag).expect("conv3d is tensorizable");
+        let v = mac_view(&dag, dag.output()).expect("conv3d is tensorizable");
         assert_eq!(v.k_axes.len(), 4);
         assert_eq!(v.k_extent, 16 * 27);
     }
@@ -174,7 +167,10 @@ mod tests {
     #[test]
     fn scan_is_not_tensorizable() {
         let dag = ops::scan(16, 128);
-        assert!(mac_view(&dag).is_none(), "guarded body is not a MAC");
+        assert!(
+            mac_view(&dag, dag.output()).is_none(),
+            "guarded body is not a MAC"
+        );
     }
 
     #[test]
@@ -187,7 +183,7 @@ mod tests {
     #[test]
     fn padded_extents() {
         let dag = ops::gemm(100, 100, 100);
-        let v = mac_view(&dag).expect("tensorizable");
+        let v = mac_view(&dag, dag.output()).expect("tensorizable");
         assert_eq!(v.m_padded(8), 104);
         assert_eq!(v.k_padded(16), 112);
     }

@@ -9,8 +9,8 @@
 
 use heron_dla::{CpuParams, DlaSpec};
 use heron_sched::template::{IntrinsicRef, KernelTemplate, StageSpec};
-use heron_sched::{LoopSym, MemScope, StageRole, ThreadAxis};
-use heron_tensor::{DType, Dag, IterKind};
+use heron_sched::{MemScope, StageRole, ThreadAxis};
+use heron_tensor::{DType, Dag};
 
 use super::axes::MacView;
 use super::builder::SpaceBuilder;
@@ -22,7 +22,7 @@ pub fn build(
     spec: &DlaSpec,
     cpu: &CpuParams,
     dag: &Dag,
-    view: &MacView,
+    view: &MacView<'_>,
     opts: &SpaceOptions,
     workload: &str,
 ) -> GeneratedSpace {
@@ -35,9 +35,9 @@ pub fn build(
     let fused = fuse_mac_axes(&mut b, view, "C.wmma", im, inn, ik, spec.in_dtype);
     let tc = "C.wmma";
 
-    let i = b.tile_split(tc, "C.wmma.M", fused.m_ext, &["C.i0", "C.i1", "C.i2"]);
-    let j = b.tile_split(tc, "C.wmma.N", fused.n_ext, &["C.j0", "C.j1", "C.j2"]);
-    let r = b.tile_split(tc, "C.wmma.K", fused.k_ext, &["C.r0", "C.r1", "C.r2"]);
+    let i = b.tile_split(tc, "C.wmma.M", fused.m_ext, ["C.i0", "C.i1", "C.i2"]);
+    let j = b.tile_split(tc, "C.wmma.N", fused.n_ext, ["C.j0", "C.j1", "C.j2"]);
+    let r = b.tile_split(tc, "C.wmma.K", fused.k_ext, ["C.r0", "C.r1", "C.r2"]);
     // VNNI consumes fixed (1, 16, 4) tiles; the M direction is register
     // blocking (i2 rows of independent accumulators).
     b.csp.post_eq(j[2], n);
@@ -67,27 +67,19 @@ pub fn build(
     b.state.tensorize(tc, &["C.j2", "C.r2"], "m", "n", "k");
 
     let batch = b.arch_const("batch", fused.batch_ext);
-    let grid = b.prod("grid", &[batch, i[0], j[0]]);
+    let grid = b.prod("grid", [batch, i[0], j[0]]);
     let threads = b.arch_const("warps", 1);
     let _ = (grid, threads);
 
     // ---- Packed operand stages through L2 (Rules S2/C4/C5) --------------
-    let a_rows = b.prod("rows.A.l2", &[i[1], i[2]]);
-    let kc_shallow = b.prod("row.A.l2.at0", &[r[1], r[2]]);
-    let a_execs_deep = b.prod("execs.A.l2.at1", &[r[0], r[1]]);
+    let a_rows = b.prod("rows.A.l2", [i[1], i[2]]);
+    let kc_shallow = b.prod("row.A.l2.at0", [r[1], r[2]]);
+    let a_execs_deep = b.prod("execs.A.l2.at1", [r[0], r[1]]);
     let (a_row, a_execs) = if opts.tunable_locations {
         let loc = b.tunable("loc.A.l2", &[0, 1]);
-        b.state.cache_read(
-            "A",
-            MemScope::L2,
-            "A.l2",
-            MemScope::Global,
-            spec.in_dtype,
-            vec![
-                LoopSym::new("A.l2.rows".to_string(), IterKind::Spatial, "rows"),
-                LoopSym::new("A.l2.cols".to_string(), IterKind::Spatial, "cols"),
-            ],
-        );
+        b.state
+            .cache_read("A", MemScope::L2, "A.l2", MemScope::Global, spec.in_dtype);
+        b.tile_loops("A.l2");
         b.state
             .compute_at("A.l2", tc, "loc.A.l2", &["C.r0", "C.r1"]);
         let row = b.aux("row.A.l2", 1, fused.k_ext);
@@ -96,17 +88,9 @@ pub fn build(
         b.select(execs, loc, vec![r[0], a_execs_deep]);
         (row, execs)
     } else {
-        b.state.cache_read(
-            "A",
-            MemScope::L2,
-            "A.l2",
-            MemScope::Global,
-            spec.in_dtype,
-            vec![
-                LoopSym::new("A.l2.rows".to_string(), IterKind::Spatial, "rows"),
-                LoopSym::new("A.l2.cols".to_string(), IterKind::Spatial, "cols"),
-            ],
-        );
+        b.state
+            .cache_read("A", MemScope::L2, "A.l2", MemScope::Global, spec.in_dtype);
+        b.tile_loops("A.l2");
         if opts.fixed_align_pad.is_some() {
             // AutoTVM's manual template hard-codes the sensible shallow
             // fusion point.
@@ -119,27 +103,19 @@ pub fn build(
             (r[2], a_execs_deep)
         }
     };
-    let a_elems = b.prod("elems.A.l2", &[a_rows, a_row]);
+    let a_elems = b.prod("elems.A.l2", [a_rows, a_row]);
     let a_bytes = b.mem_limit("A.l2", MemScope::L2, a_elems, spec.in_dtype.bytes());
 
     // Weight panel, packed: the layout tunable chooses the contiguous run
     // the streaming-efficiency model sees (Ohwi16o-style packing).
-    b.state.cache_read(
-        "B",
-        MemScope::L2,
-        "B.l2",
-        MemScope::Global,
-        spec.in_dtype,
-        vec![
-            LoopSym::new("B.l2.rows".to_string(), IterKind::Spatial, "rows"),
-            LoopSym::new("B.l2.cols".to_string(), IterKind::Spatial, "cols"),
-        ],
-    );
-    let b_cols = b.prod("cols.B.l2", &[j[1], j[2]]);
-    let b_rows = b.prod("rows.B.l2", &[r[1], r[2]]);
-    let b_elems = b.prod("elems.B.l2", &[b_rows, b_cols]);
+    b.state
+        .cache_read("B", MemScope::L2, "B.l2", MemScope::Global, spec.in_dtype);
+    b.tile_loops("B.l2");
+    let b_cols = b.prod("cols.B.l2", [j[1], j[2]]);
+    let b_rows = b.prod("rows.B.l2", [r[1], r[2]]);
+    let b_elems = b.prod("elems.B.l2", [b_rows, b_cols]);
     let b_bytes = b.mem_limit("B.l2", MemScope::L2, b_elems, spec.in_dtype.bytes());
-    let packed = b.prod("row.B.l2.packed", &[b_rows, j[2]]);
+    let packed = b.prod("row.B.l2.packed", [b_rows, j[2]]);
     let b_row = if opts.storage_align {
         // `storage_align` on CPU models layout packing: contiguous run is
         // either one intrinsic column tile (plain layout) or the whole
@@ -162,11 +138,11 @@ pub fn build(
     }
 
     // ---- L1 micro-kernel working set (Rule-C5 on L1) ---------------------
-    let a_mk = b.prod("elems.A.l1", &[i[2], r[1], r[2]]);
+    let a_mk = b.prod("elems.A.l1", [i[2], r[1], r[2]]);
     let a_l1_bytes = b.mem_limit("A.l1", MemScope::L1, a_mk, spec.in_dtype.bytes());
-    let b_panel = b.prod("elems.B.l1", &[r[1], r[2], j[2]]);
+    let b_panel = b.prod("elems.B.l1", [r[1], r[2], j[2]]);
     let b_l1_bytes = b.mem_limit("B.l1", MemScope::L1, b_panel, spec.in_dtype.bytes());
-    let c_tile = b.prod("elems.C.l1", &[i[2], j[2]]);
+    let c_tile = b.prod("elems.C.l1", [i[2], j[2]]);
     let c_l1_bytes = b.mem_limit("C.l1", MemScope::L1, c_tile, 4);
     if opts.arch_constraints {
         let l1cap = spec.capacity(MemScope::L1).unwrap_or(cpu.l1_bytes);
@@ -174,10 +150,10 @@ pub fn build(
     }
 
     // ---- Compute and store ------------------------------------------------
-    let intrin = b.prod("intrin.C", &[i[1], i[2], j[1], r[0], r[1]]);
+    let intrin = b.prod("intrin.C", [i[1], i[2], j[1], r[0], r[1]]);
     let unroll = b.tunable("unroll", &[0, 16, 64, 512]);
     b.state.unroll(tc, "unroll");
-    let store_elems = b.prod("elems.C.store", &[i[1], i[2], j[1], j[2]]);
+    let store_elems = b.prod("elems.C.store", [i[1], i[2], j[1], j[2]]);
     let vec_store = b.tunable("vec.C", &[1, 4, 16]);
 
     let mut template = KernelTemplate::new(&spec.name, workload, dag.total_flops());
@@ -220,7 +196,7 @@ pub fn build(
         spec.in_dtype,
     );
     l1_spec.var_elems = Some(b.name_of(a_mk));
-    let l1_execs = b.prod("execs.A.l1", &[r[0], i[1], j[1]]);
+    let l1_execs = b.prod("execs.A.l1", [r[0], i[1], j[1]]);
     l1_spec.var_execs = Some(b.name_of(l1_execs));
     template.stages.push(l1_spec);
 
@@ -261,7 +237,7 @@ pub fn build_scalar(
     spec: &DlaSpec,
     cpu: &CpuParams,
     dag: &Dag,
-    view: &MacView,
+    view: &MacView<'_>,
     opts: &SpaceOptions,
     workload: &str,
 ) -> GeneratedSpace {
@@ -269,9 +245,9 @@ pub fn build_scalar(
     let fused = fuse_mac_axes(&mut b, view, "C", 1, 1, 1, spec.in_dtype);
     let tc = "C";
 
-    let i = b.tile_split(tc, "C.M", fused.m_ext, &["C.i0", "C.i1", "C.i2"]);
-    let j = b.tile_split(tc, "C.N", fused.n_ext, &["C.j0", "C.j1", "C.j2"]);
-    let r = b.tile_split(tc, "C.K", fused.k_ext, &["C.r0", "C.r1"]);
+    let i = b.tile_split(tc, "C.M", fused.m_ext, ["C.i0", "C.i1", "C.i2"]);
+    let j = b.tile_split(tc, "C.N", fused.n_ext, ["C.j0", "C.j1", "C.j2"]);
+    let r = b.tile_split(tc, "C.K", fused.k_ext, ["C.r0", "C.r1"]);
     b.state.reorder(
         tc,
         &[
@@ -282,37 +258,21 @@ pub fn build_scalar(
     b.state.bind(tc, "C.j0", ThreadAxis::BlockY);
 
     let batch = b.arch_const("batch", fused.batch_ext);
-    let grid = b.prod("grid", &[batch, i[0], j[0]]);
+    let grid = b.prod("grid", [batch, i[0], j[0]]);
     b.arch_const("warps", 1);
     let _ = grid;
 
-    b.state.cache_read(
-        "A",
-        MemScope::L2,
-        "A.l2",
-        MemScope::Global,
-        spec.in_dtype,
-        vec![
-            LoopSym::new("A.l2.rows".to_string(), IterKind::Spatial, "rows"),
-            LoopSym::new("A.l2.cols".to_string(), IterKind::Spatial, "cols"),
-        ],
-    );
-    let a_rows = b.prod("rows.A.l2", &[i[1], i[2]]);
-    let a_elems = b.prod("elems.A.l2", &[a_rows, r[1]]);
+    b.state
+        .cache_read("A", MemScope::L2, "A.l2", MemScope::Global, spec.in_dtype);
+    b.tile_loops("A.l2");
+    let a_rows = b.prod("rows.A.l2", [i[1], i[2]]);
+    let a_elems = b.prod("elems.A.l2", [a_rows, r[1]]);
     let a_bytes = b.mem_limit("A.l2", MemScope::L2, a_elems, spec.in_dtype.bytes());
-    b.state.cache_read(
-        "B",
-        MemScope::L2,
-        "B.l2",
-        MemScope::Global,
-        spec.in_dtype,
-        vec![
-            LoopSym::new("B.l2.rows".to_string(), IterKind::Spatial, "rows"),
-            LoopSym::new("B.l2.cols".to_string(), IterKind::Spatial, "cols"),
-        ],
-    );
-    let b_cols = b.prod("cols.B.l2", &[j[1], j[2]]);
-    let b_elems = b.prod("elems.B.l2", &[r[1], b_cols]);
+    b.state
+        .cache_read("B", MemScope::L2, "B.l2", MemScope::Global, spec.in_dtype);
+    b.tile_loops("B.l2");
+    let b_cols = b.prod("cols.B.l2", [j[1], j[2]]);
+    let b_elems = b.prod("elems.B.l2", [r[1], b_cols]);
     let b_bytes = b.mem_limit("B.l2", MemScope::L2, b_elems, spec.in_dtype.bytes());
     if opts.arch_constraints {
         let l2cap = spec.capacity(MemScope::L2).unwrap_or(cpu.l2_bytes);
@@ -321,10 +281,10 @@ pub fn build_scalar(
 
     let two = b.constant(2);
     let kc = b.constant(fused.k_ext);
-    let scalar_ops = b.prod("scalar.C", &[two, i[1], i[2], j[1], j[2], kc]);
+    let scalar_ops = b.prod("scalar.C", [two, i[1], i[2], j[1], j[2], kc]);
     let unroll = b.tunable("unroll", &[0, 16, 64, 512]);
     b.state.unroll(tc, "unroll");
-    let store_elems = b.prod("elems.C.store", &[i[1], i[2], j[1], j[2]]);
+    let store_elems = b.prod("elems.C.store", [i[1], i[2], j[1], j[2]]);
     let vec_store = b.tunable("vec.C", &[1, 4, 16]);
 
     let mut template = KernelTemplate::new(&spec.name, workload, dag.total_flops());

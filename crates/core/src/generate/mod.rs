@@ -244,7 +244,7 @@ impl SpaceGenerator {
 
 /// Pseudo-MAC view for non-tensorizable operators: the last spatial axis
 /// becomes N, the rest M, reductions K.
-fn fallback_view(dag: &Dag) -> Option<axes::MacView> {
+fn fallback_view(dag: &Dag) -> Option<axes::MacView<'_>> {
     let out = dag.output();
     let op = dag.stage(out).compute()?;
     let mut view = axes::MacView {
@@ -257,32 +257,27 @@ fn fallback_view(dag: &Dag) -> Option<axes::MacView> {
         n_extent: 1,
         k_extent: 1,
         batch_extent: 1,
-        axis_extents: op
-            .axes
-            .iter()
-            .chain(op.reduce_axes.iter())
-            .map(|a| (a.name.clone(), a.extent))
-            .collect(),
+        axis_extents: op.all_axes().map(|a| (a.name.as_str(), a.extent)).collect(),
     };
     let spatial = &op.axes;
     for (idx, a) in spatial.iter().enumerate() {
         if idx + 1 == spatial.len() && spatial.len() > 1 {
-            view.n_axes.push(a.name.clone());
+            view.n_axes.push(&a.name);
             view.n_extent *= a.extent;
         } else {
-            view.m_axes.push(a.name.clone());
+            view.m_axes.push(&a.name);
             view.m_extent *= a.extent;
         }
     }
     if view.n_axes.is_empty() {
-        view.n_axes.push("one".into());
+        view.n_axes.push("one");
     }
     for a in &op.reduce_axes {
-        view.k_axes.push(a.name.clone());
+        view.k_axes.push(&a.name);
         view.k_extent *= a.extent;
     }
     if view.k_axes.is_empty() {
-        view.k_axes.push("rk".into());
+        view.k_axes.push("rk");
     }
     Some(view)
 }

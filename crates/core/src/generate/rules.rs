@@ -15,53 +15,57 @@ use super::axes::{mac_view, MacView};
 
 /// One recorded rule application (for reporting and tests).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RuleApplication {
+pub struct RuleApplication<'a> {
     /// Rule identifier (`S1`, `S2`, `S3`, `Always-Inline`,
     /// `Multi-Level-Tiling`).
     pub rule: &'static str,
     /// Stage the rule fired on.
-    pub stage: String,
+    pub stage: &'a str,
 }
 
-/// The outcome of running Algorithm 1's condition checks over a DAG.
+/// The outcome of running Algorithm 1's condition checks over a DAG, naming
+/// the DAG's stages and axes.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RulePlan {
+pub struct RulePlan<'a> {
     /// Stages fused into their consumers (padding stages, element-wise
     /// epilogues).
-    pub inlined: Vec<String>,
+    pub inlined: Vec<&'a str>,
     /// The MAC view when Rule-S1's `Tensorizable` condition holds.
-    pub mac: Option<MacView>,
+    pub mac: Option<MacView<'a>>,
     /// SPM scopes Rule-S2 (multi-level) injects cache stages for.
     pub cache_levels: Vec<MemScope>,
     /// SPM scopes Rule-S3 (multi-scope) injects cache stages for.
     pub cache_scopes: Vec<MemScope>,
     /// Every rule application in firing order.
-    pub applications: Vec<RuleApplication>,
+    pub applications: Vec<RuleApplication<'a>>,
 }
 
 /// Runs the rule conditions of Algorithm 1 over `dag` for `spec`.
-pub fn plan(dag: &Dag, spec: &DlaSpec, allow_tensorize: bool) -> RulePlan {
+pub fn plan<'a>(dag: &'a Dag, spec: &DlaSpec, allow_tensorize: bool) -> RulePlan<'a> {
     let mut plan = RulePlan {
         inlined: Vec::new(),
         mac: None,
         cache_levels: Vec::new(),
         cache_scopes: Vec::new(),
-        applications: Vec::new(),
+        // Rule applications: Always-Inline per inlined stage, then at
+        // most four on the output.
+        applications: Vec::with_capacity(dag.len() + 4),
     };
     // Visit nodes output-first (pop from the back of the post-order list).
     let mut order: Vec<StageId> = dag.post_order_traverse();
+    let output = *order.last().expect("the output is visited last");
     while let Some(id) = order.pop() {
         let stage = dag.stage(id);
         let Some(op) = stage.compute() else { continue };
-        let is_output = id == dag.output();
+        let is_output = id == output;
 
         // Rule Always-Inline: strictly inlinable non-output stages fuse
         // into their consumers (the padding stages of convolutions).
         if !is_output && op.is_strict_inlinable() {
-            plan.inlined.push(stage.name.clone());
+            plan.inlined.push(&stage.name);
             plan.applications.push(RuleApplication {
                 rule: "Always-Inline",
-                stage: stage.name.clone(),
+                stage: &stage.name,
             });
             continue;
         }
@@ -72,11 +76,11 @@ pub fn plan(dag: &Dag, spec: &DlaSpec, allow_tensorize: bool) -> RulePlan {
         // Rule-S1 Tensorize: the MAC pattern must match and the platform
         // must expose an intrinsic.
         if allow_tensorize && !spec.intrinsic_shapes.is_empty() {
-            if let Some(view) = mac_view(dag) {
+            if let Some(view) = mac_view(dag, id) {
                 plan.mac = Some(view);
                 plan.applications.push(RuleApplication {
                     rule: "S1-Tensorize",
-                    stage: stage.name.clone(),
+                    stage: &stage.name,
                 });
             }
         }
@@ -85,7 +89,7 @@ pub fn plan(dag: &Dag, spec: &DlaSpec, allow_tensorize: bool) -> RulePlan {
         if op.has_data_reuse() {
             plan.applications.push(RuleApplication {
                 rule: "Multi-Level-Tiling",
-                stage: stage.name.clone(),
+                stage: &stage.name,
             });
             match &spec.family {
                 DlaFamily::Gpu(_) => {
@@ -93,7 +97,7 @@ pub fn plan(dag: &Dag, spec: &DlaSpec, allow_tensorize: bool) -> RulePlan {
                     plan.cache_levels.push(MemScope::Shared);
                     plan.applications.push(RuleApplication {
                         rule: "S2-MultiLevelSPM",
-                        stage: stage.name.clone(),
+                        stage: &stage.name,
                     });
                     if plan.mac.is_some() {
                         // S3: distinct fragment scopes per operand.
@@ -101,7 +105,7 @@ pub fn plan(dag: &Dag, spec: &DlaSpec, allow_tensorize: bool) -> RulePlan {
                         plan.cache_scopes.push(MemScope::FragB);
                         plan.applications.push(RuleApplication {
                             rule: "S3-MultiScopeSPM",
-                            stage: stage.name.clone(),
+                            stage: &stage.name,
                         });
                     }
                 }
@@ -110,7 +114,7 @@ pub fn plan(dag: &Dag, spec: &DlaSpec, allow_tensorize: bool) -> RulePlan {
                     plan.cache_levels.push(MemScope::L1);
                     plan.applications.push(RuleApplication {
                         rule: "S2-MultiLevelSPM",
-                        stage: stage.name.clone(),
+                        stage: &stage.name,
                     });
                 }
                 DlaFamily::Vta(_) => {
@@ -119,7 +123,7 @@ pub fn plan(dag: &Dag, spec: &DlaSpec, allow_tensorize: bool) -> RulePlan {
                     plan.cache_scopes.push(MemScope::VtaAcc);
                     plan.applications.push(RuleApplication {
                         rule: "S3-MultiScopeSPM",
-                        stage: stage.name.clone(),
+                        stage: &stage.name,
                     });
                 }
             }

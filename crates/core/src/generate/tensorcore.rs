@@ -13,14 +13,16 @@
 //! the same structure serves both non-tensorizable operators (SCAN) and the
 //! Ansor-like baseline.
 
+use std::ops::Range;
+
 use heron_csp::VarRef;
 use heron_dla::{DlaSpec, GpuParams};
 use heron_sched::template::{IntrinsicRef, KernelTemplate, StageSpec};
-use heron_sched::{LoopSym, MemScope, StageRole, ThreadAxis};
+use heron_sched::{MemScope, StageRole, ThreadAxis};
 use heron_tensor::{DType, Dag, IterKind};
 
 use super::axes::MacView;
-use super::builder::SpaceBuilder;
+use super::builder::{var_name, SpaceBuilder};
 use super::{GeneratedSpace, SpaceOptions};
 
 /// Builds the tensorized TensorCore space for a MAC-patterned operator.
@@ -28,16 +30,19 @@ pub fn build_tensorized(
     spec: &DlaSpec,
     gpu: &GpuParams,
     dag: &Dag,
-    view: &MacView,
+    view: &MacView<'_>,
     opts: &SpaceOptions,
     workload: &str,
 ) -> GeneratedSpace {
     let mut b = SpaceBuilder::new();
 
     // ---- Architectural variables (Rule-C6 dedicated variables) ----------
-    let m_cands: Vec<i64> = dedup_sorted(spec.intrinsic_shapes.iter().map(|s| s.0));
-    let n_cands: Vec<i64> = dedup_sorted(spec.intrinsic_shapes.iter().map(|s| s.1));
-    let k_cands: Vec<i64> = dedup_sorted(spec.intrinsic_shapes.iter().map(|s| s.2));
+    let shapes = &spec.intrinsic_shapes;
+    let mut dims = Vec::with_capacity(3 * shapes.len());
+    let m_span = push_distinct(&mut dims, shapes.iter().map(|s| s.0));
+    let n_span = push_distinct(&mut dims, shapes.iter().map(|s| s.1));
+    let k_span = push_distinct(&mut dims, shapes.iter().map(|s| s.2));
+    let (m_cands, n_cands, k_cands) = (&dims[m_span], &dims[n_span], &dims[k_span]);
     let (m, n, k) = if opts.fixed_intrinsic {
         // AutoTVM-style template: hard-coded 16x16x16.
         (
@@ -46,9 +51,9 @@ pub fn build_tensorized(
             b.arch_const("k", 16),
         )
     } else {
-        let m = b.arch_candidates("m", &m_cands);
-        let n = b.arch_candidates("n", &n_cands);
-        let k = b.arch_candidates("k", &k_cands);
+        let m = b.arch_candidates("m", m_cands);
+        let n = b.arch_candidates("n", n_cands);
+        let k = b.arch_candidates("k", k_cands);
         // m * n * k == product constraint (e.g. 4096 on wmma).
         let prod =
             spec.intrinsic_shapes[0].0 * spec.intrinsic_shapes[0].1 * spec.intrinsic_shapes[0].2;
@@ -84,15 +89,15 @@ pub fn build_tensorized(
         tc,
         "C.wmma.M",
         fused.m_ext,
-        &["C.i0", "C.i1", "C.i2", "C.i3"],
+        ["C.i0", "C.i1", "C.i2", "C.i3"],
     );
     let j = b.tile_split(
         tc,
         "C.wmma.N",
         fused.n_ext,
-        &["C.j0", "C.j1", "C.j2", "C.j3"],
+        ["C.j0", "C.j1", "C.j2", "C.j3"],
     );
-    let r = b.tile_split(tc, "C.wmma.K", fused.k_ext, &["C.r0", "C.r1", "C.r2"]);
+    let r = b.tile_split(tc, "C.wmma.K", fused.k_ext, ["C.r0", "C.r1", "C.r2"]);
     // Intrinsic equalities: innermost tiles are the wmma shape.
     b.csp.post_eq(i[3], m);
     b.csp.post_eq(j[3], n);
@@ -126,8 +131,8 @@ pub fn build_tensorized(
 
     // ---- Launch geometry --------------------------------------------------
     let batch = b.arch_const("batch", fused.batch_ext);
-    let _grid = b.prod("grid", &[batch, i[0], j[0]]);
-    let warps = b.prod("warps", &[i[1], j[1]]);
+    let _grid = b.prod("grid", [batch, i[0], j[0]]);
+    let warps = b.prod("warps", [i[1], j[1]]);
     if opts.arch_constraints {
         let wl = b.constant(gpu.max_warps_per_block);
         b.csp.post_le(warps, wl);
@@ -142,6 +147,7 @@ pub fn build_tensorized(
         SharedLoad {
             tensor: "A",
             stage: "A.shared",
+            parent: tc,
             fixed_dim: &[i[1], i[2], i[3]],
             dep_shallow: &[r[1], r[2]],
             dep_deep: r[2],
@@ -159,6 +165,7 @@ pub fn build_tensorized(
         SharedLoad {
             tensor: "B",
             stage: "B.shared",
+            parent: tc,
             fixed_dim: &[j[1], j[2], j[3]],
             dep_shallow: &[r[1], r[2]],
             dep_deep: r[2],
@@ -198,7 +205,7 @@ pub fn build_tensorized(
     );
 
     // Accumulator fragments per warp (register budget).
-    let acc_elems = b.prod("elems.C.frag", &[i[2], i[3], j[2], j[3]]);
+    let acc_elems = b.prod("elems.C.frag", [i[2], i[3], j[2], j[3]]);
     let acc_bytes = b.mem_limit("C.frag", MemScope::FragAcc, acc_elems, 4);
     if opts.register_constraints {
         let cap = spec.capacity(MemScope::FragAcc).unwrap_or(16 * 16 * 16 * 4);
@@ -207,7 +214,7 @@ pub fn build_tensorized(
     }
 
     // ---- Compute + store specs -------------------------------------------
-    let intrin_execs = b.prod("intrin.C", &[warps, i[2], j[2], r[0], r[1]]);
+    let intrin_execs = b.prod("intrin.C", [warps, i[2], j[2], r[0], r[1]]);
     let unroll = b.tunable("unroll", &[0, 16, 64, 512]);
     b.state.unroll(tc, "unroll");
 
@@ -222,13 +229,10 @@ pub fn build_tensorized(
         "C.shared",
         MemScope::Global,
         DType::F32,
-        vec![
-            LoopSym::new("C.shared.rows".to_string(), IterKind::Spatial, "rows"),
-            LoopSym::new("C.shared.cols".to_string(), IterKind::Spatial, "cols"),
-        ],
     );
-    let frag_elems = b.prod("elems.C.stage4", &[m, n]);
-    let stage4_execs = b.prod("execs.C.stage4", &[warps, i[2], j[2]]);
+    b.tile_loops("C.shared");
+    let frag_elems = b.prod("elems.C.stage4", [m, n]);
+    let stage4_execs = b.prod("execs.C.stage4", [warps, i[2], j[2]]);
     let out_pad = if opts.storage_align {
         let pad = b.tunable("pad.C.shared", &[0, 1, 2, 4, 8]);
         b.state.storage_align("C.shared", "pad.C.shared");
@@ -238,8 +242,8 @@ pub fn build_tensorized(
     };
     let out_row = b.loop_twin("C.shared.cols.len", n);
     let padded_out_row = b.sum("prow.C.shared", &[out_row, out_pad]);
-    let stage_buf_rows = b.prod("rows.C.shared", &[warps, m]);
-    let stage_buf_elems = b.prod("belems.C.shared", &[stage_buf_rows, padded_out_row]);
+    let stage_buf_rows = b.prod("rows.C.shared", [warps, m]);
+    let stage_buf_elems = b.prod("belems.C.shared", [stage_buf_rows, padded_out_row]);
     let cshared_bytes = b.mem_limit("C.shared", MemScope::Shared, stage_buf_elems, 4);
     if opts.arch_constraints {
         // The staging buffer shares the shared-memory budget with A and B.
@@ -251,7 +255,7 @@ pub fn build_tensorized(
         );
     }
 
-    let store_elems = b.prod("elems.C.store", &[i[1], i[2], i[3], j[1], j[2], j[3]]);
+    let store_elems = b.prod("elems.C.store", [i[1], i[2], i[3], j[1], j[2], j[3]]);
     let vec_store = b.tunable("vec.C", &[1, 2, 4]);
 
     // ---- Assemble the kernel template -------------------------------------
@@ -314,7 +318,7 @@ pub fn build_scalar(
     spec: &DlaSpec,
     gpu: &GpuParams,
     dag: &Dag,
-    view: &MacView,
+    view: &MacView<'_>,
     opts: &SpaceOptions,
     workload: &str,
 ) -> GeneratedSpace {
@@ -322,9 +326,9 @@ pub fn build_scalar(
     let fused = fuse_mac_axes(&mut b, view, "C", 1, 1, 1, spec.in_dtype);
     let tc = "C";
 
-    let i = b.tile_split(tc, "C.M", fused.m_ext, &["C.i0", "C.i1", "C.i2", "C.i3"]);
-    let j = b.tile_split(tc, "C.N", fused.n_ext, &["C.j0", "C.j1", "C.j2", "C.j3"]);
-    let r = b.tile_split(tc, "C.K", fused.k_ext, &["C.r0", "C.r1"]);
+    let i = b.tile_split(tc, "C.M", fused.m_ext, ["C.i0", "C.i1", "C.i2", "C.i3"]);
+    let j = b.tile_split(tc, "C.N", fused.n_ext, ["C.j0", "C.j1", "C.j2", "C.j3"]);
+    let r = b.tile_split(tc, "C.K", fused.k_ext, ["C.r0", "C.r1"]);
     b.state.reorder(
         tc,
         &[
@@ -337,8 +341,8 @@ pub fn build_scalar(
     b.state.bind(tc, "C.j1", ThreadAxis::ThreadY);
 
     let batch = b.arch_const("batch", fused.batch_ext);
-    let grid = b.prod("grid", &[batch, i[0], j[0]]);
-    let warps = b.prod("warps", &[i[1], j[1]]);
+    let grid = b.prod("grid", [batch, i[0], j[0]]);
+    let warps = b.prod("warps", [i[1], j[1]]);
     if opts.arch_constraints {
         let wl = b.constant(gpu.max_warps_per_block);
         b.csp.post_le(warps, wl);
@@ -353,6 +357,7 @@ pub fn build_scalar(
         SharedLoad {
             tensor: "A",
             stage: "A.shared",
+            parent: tc,
             fixed_dim: &[i[1], i[2], i[3]],
             dep_shallow: &[r[1]],
             dep_deep: r[1],
@@ -370,6 +375,7 @@ pub fn build_scalar(
         SharedLoad {
             tensor: "B",
             stage: "B.shared",
+            parent: tc,
             fixed_dim: &[j[1], j[2], j[3]],
             dep_shallow: &[r[1]],
             dep_deep: r[1],
@@ -388,10 +394,10 @@ pub fn build_scalar(
     // Scalar arithmetic per block: 2 * blockM * blockN * K.
     let two = b.constant(2);
     let kc = b.constant(fused.k_ext);
-    let scalar_ops = b.prod("scalar.C", &[two, i[1], i[2], i[3], j[1], j[2], j[3], kc]);
+    let scalar_ops = b.prod("scalar.C", [two, i[1], i[2], i[3], j[1], j[2], j[3], kc]);
     let unroll = b.tunable("unroll", &[0, 16, 64, 512]);
     b.state.unroll(tc, "unroll");
-    let store_elems = b.prod("elems.C.store", &[i[1], i[2], i[3], j[1], j[2], j[3]]);
+    let store_elems = b.prod("elems.C.store", [i[1], i[2], i[3], j[1], j[2], j[3]]);
     let vec_store = b.tunable("vec.C", &[1, 2, 4]);
 
     let mut template = KernelTemplate::new(&spec.name, workload, dag.total_flops());
@@ -437,7 +443,7 @@ pub(super) struct FusedMac {
 /// fused extents the tile splits operate on.
 pub(super) fn fuse_mac_axes(
     b: &mut SpaceBuilder,
-    view: &MacView,
+    view: &MacView<'_>,
     prefix: &str,
     m_base: i64,
     n_base: i64,
@@ -446,54 +452,55 @@ pub(super) fn fuse_mac_axes(
 ) -> FusedMac {
     // Initial loops: original axis names, except that single-axis groups are
     // born with their fused name directly (there is nothing to fuse).
-    let group_names = [
-        (&view.m_axes, format!("{prefix}.M"), IterKind::Spatial),
-        (&view.n_axes, format!("{prefix}.N"), IterKind::Spatial),
-        (&view.k_axes, format!("{prefix}.K"), IterKind::Reduce),
+    let groups = [
+        (&view.m_axes, "M", IterKind::Spatial, m_base),
+        (&view.n_axes, "N", IterKind::Spatial, n_base),
+        (&view.k_axes, "K", IterKind::Reduce, k_base),
     ];
-    let mut loops = Vec::new();
-    for (axes, fused, kind) in &group_names {
-        if axes.len() == 1 {
-            loops.push(LoopSym::new(fused.clone(), *kind, axes[0].clone()));
-        } else {
-            for a in axes.iter() {
-                loops.push(LoopSym::new(format!("{prefix}.{a}"), *kind, a.clone()));
-            }
-        }
-    }
     b.state.add_stage(
         prefix,
         StageRole::Compute,
         MemScope::Global,
         MemScope::Global,
         dtype,
-        loops,
     );
+    for &(axes, group, kind, _) in &groups {
+        if axes.len() == 1 {
+            b.state
+                .push_loop(prefix, &[prefix, ".", group], kind, axes[0]);
+        } else {
+            for a in axes {
+                b.state.push_loop(prefix, &[prefix, ".", a], kind, a);
+            }
+        }
+    }
     // Declare the per-axis loop-length variables of the census (paper
-    // Table 4: `stage.i6` et al.) and log the Rule-C2 fusions for
-    // multi-axis groups, tying the fused product to the padded extent.
+    // Table 4: `stage.i6` et al.), one after another from `first`, and log
+    // the Rule-C2 fusions for multi-axis groups, tying the fused product to
+    // the padded extent.
+    let first = b.csp.num_vars();
     for (name, ext) in &view.axis_extents {
         b.csp.add_var(
-            format!("{prefix}.ax.{name}"),
+            var_name(&[prefix, ".ax.", name]),
             heron_csp::Domain::singleton(*ext),
             heron_csp::VarCategory::LoopLength,
         );
     }
-    for ((axes, fused, _), base) in group_names.iter().zip([m_base, n_base, k_base]) {
+    for &(axes, group, _, base) in &groups {
         if axes.len() >= 2 {
-            let names: Vec<String> = axes.iter().map(|a| format!("{prefix}.{a}")).collect();
-            let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-            b.state.fuse(prefix, &name_refs, fused);
+            let names = axes.iter().map(|a| var_name(&[prefix, ".", a])).collect();
+            b.state.fuse(prefix, names, var_name(&[prefix, ".", group]));
             // Rule-C2: fused-loop product, bounded by the padded extent.
             let parts: Vec<heron_csp::VarRef> = axes
                 .iter()
-                .filter_map(|a| b.csp.var_by_name(&format!("{prefix}.ax.{a}")))
+                .filter_map(|a| view.axis_extents.iter().position(|(n, _)| n == a))
+                .map(|i| heron_csp::VarRef(first + i))
                 .collect();
-            let orig = b.prod(format!("{fused}.orig"), &parts);
             let padded_ext = super::axes::round_up(
                 parts.iter().map(|p| b.csp.var(*p).domain.max()).product(),
                 base,
             );
+            let orig = b.prod(var_name(&[prefix, ".", group, ".orig"]), parts);
             let padded = b.constant(padded_ext);
             b.csp.post_le(orig, padded);
         }
@@ -506,11 +513,21 @@ pub(super) fn fuse_mac_axes(
     }
 }
 
-fn dedup_sorted(vals: impl Iterator<Item = i64>) -> Vec<i64> {
-    let mut v: Vec<i64> = vals.collect();
-    v.sort_unstable();
-    v.dedup();
-    v
+/// Appends the distinct `values`, ascending, to `buf` and returns their
+/// span of it.
+fn push_distinct(buf: &mut Vec<i64>, values: impl Iterator<Item = i64>) -> Range<usize> {
+    let start = buf.len();
+    buf.extend(values);
+    buf[start..].sort_unstable();
+    let mut end = start;
+    for i in start..buf.len() {
+        if end == start || buf[i] != buf[end - 1] {
+            buf[end] = buf[i];
+            end += 1;
+        }
+    }
+    buf.truncate(end);
+    start..end
 }
 
 /// Parameters for one global→shared load stage.
@@ -523,6 +540,8 @@ fn dedup_sorted(vals: impl Iterator<Item = i64>) -> Vec<i64> {
 struct SharedLoad<'a> {
     tensor: &'a str,
     stage: &'a str,
+    /// The compute stage the load is anchored in.
+    parent: &'a str,
     /// Variables whose product is the fixed (spatial) tile dimension.
     fixed_dim: &'a [VarRef],
     /// K-chunk factors when computed at the shallow location (`r0`).
@@ -557,44 +576,33 @@ fn shared_load_stage(
     p: SharedLoad<'_>,
 ) -> SharedStage {
     let st = p.stage;
-    let parent = b
-        .state
-        .stages()
-        .first()
-        .map(|s| s.name.clone())
-        .unwrap_or_default();
-    b.state.cache_read(
-        p.tensor,
-        MemScope::Shared,
-        st,
-        MemScope::Global,
-        p.dtype,
-        vec![
-            LoopSym::new(format!("{st}.rows"), IterKind::Spatial, "rows"),
-            LoopSym::new(format!("{st}.cols"), IterKind::Spatial, "cols"),
-        ],
-    );
+    b.state
+        .cache_read(p.tensor, MemScope::Shared, st, MemScope::Global, p.dtype);
+    b.tile_loops(st);
 
-    let fixed = b.prod(format!("fixdim.{st}"), p.fixed_dim);
-    let dep_shallow = b.prod(format!("kchunk.{st}.at0"), p.dep_shallow);
-    let execs_deep = b.prod(format!("execs.{st}.at1"), p.execs_deep);
+    let fixed = b.prod(var_name(&["fixdim.", st]), p.fixed_dim);
+    let dep_shallow = b.prod(var_name(&["kchunk.", st, ".at0"]), p.dep_shallow);
+    let execs_deep = b.prod(var_name(&["execs.", st, ".at1"]), p.execs_deep);
 
     // The K chunk and execution count depend on the compute_at location
     // (Rule-C4); total traffic is invariant, but footprint and granularity
     // trade off.
     let (dep, execs) = if opts.tunable_locations {
-        let loc = b.tunable(format!("loc.{st}"), &[0, 1]);
+        let loc = b.tunable(var_name(&["loc.", st]), &[0, 1]);
         // Anchor in the schedule state when the parent has those loops.
-        if b.state
-            .stage(&parent)
-            .is_some_and(|s| s.loops.iter().any(|l| l.name == "C.r0"))
-        {
+        let parent = b.state.stage(p.parent);
+        if parent.is_some_and(|s| {
             b.state
-                .compute_at(st, &parent, &format!("loc.{st}"), &["C.r0", "C.r1"]);
+                .nest(s)
+                .iter()
+                .any(|l| b.state.name(l.name) == "C.r0")
+        }) {
+            b.state
+                .compute_at(st, p.parent, &b.csp.var(loc).name, &["C.r0", "C.r1"]);
         }
-        let dep = b.aux(format!("kchunk.{st}"), 1, i64::from(u32::MAX));
+        let dep = b.aux(var_name(&["kchunk.", st]), 1, i64::from(u32::MAX));
         b.select(dep, loc, vec![dep_shallow, p.dep_deep]);
-        let execs = b.aux(format!("execs.{st}"), 1, i64::from(u32::MAX));
+        let execs = b.aux(var_name(&["execs.", st]), 1, i64::from(u32::MAX));
         b.select(execs, loc, vec![p.execs_shallow, execs_deep]);
         (dep, execs)
     } else {
@@ -603,38 +611,37 @@ fn shared_load_stage(
 
     // Contiguous row of the tile, aliased under a stable name for the
     // template and the bank-conflict model.
-    let row = b.aux(format!("row.{st}"), 1, p.max_row);
+    let row = b.aux(var_name(&["row.", st]), 1, p.max_row);
     let contiguous = if p.contiguous_is_fixed { fixed } else { dep };
     b.csp.post_eq(row, contiguous);
 
     // Vectorised access width must divide the row (Rule-C6).
-    let legal_vecs: Vec<i64> = spec.vector_lengths.clone();
-    let vec = b.tunable(format!("vec.{st}"), &legal_vecs);
-    b.state.vectorize(st, &format!("vec.{st}"));
+    let vec = b.tunable(var_name(&["vec.", st]), &spec.vector_lengths);
+    b.state.vectorize(st, &b.csp.var(vec).name);
     if opts.arch_constraints {
         b.divides(vec, row, st);
     }
 
     // storage_align padding (Rule-C6 on TensorCore).
     let pad = if opts.storage_align {
-        let pad = b.tunable(format!("pad.{st}"), &[0, 1, 2, 4, 8]);
-        b.state.storage_align(st, &format!("pad.{st}"));
+        let pad = b.tunable(var_name(&["pad.", st]), &[0, 1, 2, 4, 8]);
+        b.state.storage_align(st, &b.csp.var(pad).name);
         pad
     } else {
         b.constant(opts.fixed_align_pad.unwrap_or(0))
     };
-    let padded_row = b.sum(format!("prow.{st}"), &[row, pad]);
+    let padded_row = b.sum(var_name(&["prow.", st]), &[row, pad]);
 
     // Footprints: transfer elements (unpadded) and buffer bytes (padded):
     // (#rows of the buffer) x (padded contiguous row).
-    let elems = b.prod(format!("elems.{st}"), &[fixed, dep]);
+    let elems = b.prod(var_name(&["elems.", st]), [fixed, dep]);
     let nrows = if p.contiguous_is_fixed { dep } else { fixed };
-    let buf_elems = b.prod(format!("belems.{st}"), &[nrows, padded_row]);
+    let buf_elems = b.prod(var_name(&["belems.", st]), [nrows, padded_row]);
     let bytes = b.mem_limit(st, MemScope::Shared, buf_elems, p.dtype.bytes());
 
     // Per-stage loop-length variables (the cache stage's own nest).
-    b.loop_twin(format!("{st}.rows.len"), nrows);
-    b.loop_twin(format!("{st}.cols.len"), row);
+    b.loop_twin(var_name(&[st, ".rows.len"]), nrows);
+    b.loop_twin(var_name(&[st, ".cols.len"]), row);
 
     let mut spec_out = StageSpec::new(
         st,
@@ -672,10 +679,11 @@ fn fragment_stage(
         name,
         MemScope::Shared,
         spec.in_dtype,
-        vec![LoopSym::new(format!("{name}.x"), IterKind::Spatial, "x")],
     );
-    let elems = b.prod(format!("elems.{name}"), elem_factors);
-    let execs = b.prod(format!("execs.{name}"), exec_factors);
+    b.state
+        .push_loop(name, &[name, ".x"], IterKind::Spatial, "x");
+    let elems = b.prod(var_name(&["elems.", name]), elem_factors);
+    let execs = b.prod(var_name(&["execs.", name]), exec_factors);
     let bytes = b.mem_limit(name, scope, elems, spec.in_dtype.bytes());
     if opts.register_constraints {
         if let Some(cap) = spec.capacity(scope) {
@@ -683,7 +691,7 @@ fn fragment_stage(
             b.csp.post_le(bytes, capv);
         }
     }
-    b.loop_twin(format!("{name}.x.len"), elems);
+    b.loop_twin(var_name(&[name, ".x.len"]), elems);
     let mut s = StageSpec::new(
         name,
         StageRole::Load,

@@ -10,8 +10,8 @@
 
 use heron_dla::{DlaSpec, VtaParams};
 use heron_sched::template::{IntrinsicRef, KernelTemplate, StageSpec};
-use heron_sched::{LoopSym, MemScope, StageRole, ThreadAxis};
-use heron_tensor::{DType, Dag, IterKind};
+use heron_sched::{MemScope, StageRole, ThreadAxis};
+use heron_tensor::{DType, Dag};
 
 use super::axes::MacView;
 use super::builder::SpaceBuilder;
@@ -23,7 +23,7 @@ pub fn build(
     spec: &DlaSpec,
     vta: &VtaParams,
     dag: &Dag,
-    view: &MacView,
+    view: &MacView<'_>,
     opts: &SpaceOptions,
     workload: &str,
 ) -> GeneratedSpace {
@@ -78,9 +78,9 @@ pub fn build(
     let fused = fuse_mac_axes(&mut b, view, "C.wmma", pad_m, pad_n, pad_k, spec.in_dtype);
     let tc = "C.wmma";
 
-    let i = b.tile_split(tc, "C.wmma.M", fused.m_ext, &["C.i0", "C.i1", "C.i2"]);
-    let j = b.tile_split(tc, "C.wmma.N", fused.n_ext, &["C.j0", "C.j1", "C.j2"]);
-    let r = b.tile_split(tc, "C.wmma.K", fused.k_ext, &["C.r0", "C.r1", "C.r2"]);
+    let i = b.tile_split(tc, "C.wmma.M", fused.m_ext, ["C.i0", "C.i1", "C.i2"]);
+    let j = b.tile_split(tc, "C.wmma.N", fused.n_ext, ["C.j0", "C.j1", "C.j2"]);
+    let r = b.tile_split(tc, "C.wmma.K", fused.k_ext, ["C.r0", "C.r1", "C.r2"]);
     b.csp.post_eq(i[2], m);
     b.csp.post_eq(j[2], n);
     b.csp.post_eq(r[2], k);
@@ -116,7 +116,7 @@ pub fn build(
     }
 
     let batch = b.arch_const("batch", fused.batch_ext);
-    let grid = b.prod("grid", &[batch, i[0], j[0]]);
+    let grid = b.prod("grid", [batch, i[0], j[0]]);
     b.arch_const("warps", 1);
     let _ = grid;
 
@@ -127,13 +127,10 @@ pub fn build(
         "A.sram",
         MemScope::Global,
         spec.in_dtype,
-        vec![
-            LoopSym::new("A.sram.rows".to_string(), IterKind::Spatial, "rows"),
-            LoopSym::new("A.sram.cols".to_string(), IterKind::Spatial, "cols"),
-        ],
     );
-    let kc = b.prod("row.A.sram", &[r[1], r[2]]);
-    let in_elems = b.prod("elems.A.sram", &[i[1], i[2], kc]);
+    b.tile_loops("A.sram");
+    let kc = b.prod("row.A.sram", [r[1], r[2]]);
+    let in_elems = b.prod("elems.A.sram", [i[1], i[2], kc]);
     let in_bytes = b.mem_limit(
         "A.sram",
         MemScope::VtaInput,
@@ -147,13 +144,10 @@ pub fn build(
         "B.sram",
         MemScope::Global,
         spec.in_dtype,
-        vec![
-            LoopSym::new("B.sram.rows".to_string(), IterKind::Spatial, "rows"),
-            LoopSym::new("B.sram.cols".to_string(), IterKind::Spatial, "cols"),
-        ],
     );
-    let nc = b.prod("cols.B.sram", &[j[1], j[2]]);
-    let w_elems = b.prod("elems.B.sram", &[kc, nc]);
+    b.tile_loops("B.sram");
+    let nc = b.prod("cols.B.sram", [j[1], j[2]]);
+    let w_elems = b.prod("elems.B.sram", [kc, nc]);
     let w_bytes = b.mem_limit(
         "B.sram",
         MemScope::VtaWeight,
@@ -161,7 +155,7 @@ pub fn build(
         spec.in_dtype.bytes(),
     );
 
-    let acc_elems = b.prod("elems.C.sram", &[i[1], i[2], nc]);
+    let acc_elems = b.prod("elems.C.sram", [i[1], i[2], nc]);
     let acc_bytes = b.mem_limit("C.sram", MemScope::VtaAcc, acc_elems, 4);
 
     if opts.arch_constraints {
@@ -174,7 +168,7 @@ pub fn build(
     }
 
     // ---- Compute / stores -------------------------------------------------
-    let intrin = b.prod("intrin.C", &[i[1], j[1], r[0], r[1]]);
+    let intrin = b.prod("intrin.C", [i[1], j[1], r[0], r[1]]);
     let unroll = b.tunable("unroll", &[0, 8, 32, 128]);
     b.state.unroll(tc, "unroll");
     let vec_st = b.tunable("vec.C", &[1, 4, 16]);

@@ -64,16 +64,20 @@ impl Domain {
     /// ```
     pub fn divisors_of(n: i64) -> Self {
         assert!(n >= 1, "divisors_of requires n >= 1");
-        let mut v = Vec::new();
-        let mut d = 1;
-        while d * d <= n {
-            if n % d == 0 {
-                v.push(d);
-                if d != n / d {
-                    v.push(n / d);
-                }
+        // Each divisor `d <= √n` pairs with `n / d`; counted first so the
+        // set is allocated once, at its size.
+        let small = || {
+            (1..)
+                .take_while(move |d| d * d <= n)
+                .filter(move |d| n % d == 0)
+        };
+        let count = small().map(|d| if d == n / d { 1 } else { 2 }).sum();
+        let mut v = Vec::with_capacity(count);
+        for d in small() {
+            v.push(d);
+            if d != n / d {
+                v.push(n / d);
             }
-            d += 1;
         }
         Domain::values(v)
     }

@@ -126,6 +126,23 @@ impl Csp {
         Csp::default()
     }
 
+    /// An empty problem with room for `vars` variables and `constraints`
+    /// constraints, so declaring that many allocates no table twice.
+    pub fn with_capacity(vars: usize, constraints: usize) -> Self {
+        let mut slots = 16;
+        while slots < 2 * vars {
+            slots *= 2;
+        }
+        Csp {
+            vars: Vec::with_capacity(vars),
+            by_name: NameIndex {
+                hasher: RandomState::new(),
+                slots: vec![(0, NameIndex::EMPTY); slots],
+            },
+            constraints: Vec::with_capacity(constraints),
+        }
+    }
+
     /// Declares a variable.
     ///
     /// # Panics
@@ -178,10 +195,11 @@ impl Csp {
 
     /// Handles of all tunable (decision) variables.
     pub fn tunables(&self) -> Vec<VarRef> {
-        self.vars()
-            .filter(|(_, d)| d.category == VarCategory::Tunable)
-            .map(|(r, _)| r)
-            .collect()
+        let tunable =
+            |(r, d): (VarRef, &VarDecl)| (d.category == VarCategory::Tunable).then_some(r);
+        let mut out = Vec::with_capacity(self.vars().filter_map(tunable).count());
+        out.extend(self.vars().filter_map(tunable));
+        out
     }
 
     /// The posted constraints.

@@ -5,12 +5,14 @@
 //! cannot appear in any solution; it is deliberately not complete (complete
 //! filtering of PROD is NP-hard), which is the standard CP trade-off.
 //!
-//! The engine is built once per CSP and owns everything it needs —
-//! constraint list, per-variable watch lists (properly deduplicated, so a
-//! constraint mentioning a variable in non-adjacent positions is woken
-//! once), precompiled `IN` bitmasks, and the initial domain state — so a
-//! tuner session can reuse one `Propagator` across thousands of solves
-//! instead of rebuilding the adjacency on every offspring.
+//! The engine is built once per CSP and owns everything it needs — a flat
+//! constraint store (kinds, operands and `IN` values in three arrays, read
+//! straight from the CSP), per-variable watch lists (properly
+//! deduplicated, so a constraint mentioning a variable in non-adjacent
+//! positions is woken once), precompiled `IN` bitmasks, and the initial
+//! domain state — so a tuner session can reuse one `Propagator` across
+//! thousands of solves instead of rebuilding the adjacency on every
+//! offspring.
 //!
 //! Because every filter is sound and monotone, chaotic iteration reaches
 //! the *same* least fixpoint (and the same wipeout verdict) under any
@@ -188,6 +190,25 @@ impl Kind {
     }
 }
 
+/// Where one constraint's runs of the engine's flat arrays start.
+#[derive(Debug, Clone, Copy)]
+struct Starts {
+    operands: u32,
+    values: u32,
+    mentions: u32,
+}
+
+/// A constraint's precompiled fast path.
+#[derive(Debug, Clone, Copy)]
+enum Fast {
+    None,
+    /// A `PROD` whose bounds [`filter_prod_exact`] may compute (see
+    /// [`exact_prod`]).
+    ExactProd,
+    /// An `IN` on a bitset variable: it filters with a single AND.
+    InMask(u64),
+}
+
 /// Filtering passes run, and wipeouts they proved, for one [`Kind`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KindWork {
@@ -281,32 +302,39 @@ struct Scratch {
 
 /// Reusable propagation engine for one CSP.
 ///
-/// Owns a copy of the constraints and the precomputed variable →
-/// constraint adjacency, so it has no borrow of the originating [`Csp`]
-/// and can live inside a long-lived solver session.
+/// Holds its constraints flat — a kind per constraint, the operands of all
+/// of them in one array and the values of every `IN` in another — along
+/// with the precomputed variable → constraint adjacency, so it has no
+/// borrow of the originating [`Csp`] and can live inside a long-lived
+/// solver session. Building it allocates a fixed set of arrays, whatever
+/// the number of constraints.
 #[derive(Debug)]
 pub struct Propagator {
-    constraints: Vec<Constraint>,
     kinds: Vec<Kind>,
-    /// Per-constraint: a `PROD` whose bounds [`filter_prod_exact`] may
-    /// compute (see [`exact_prod`]).
-    exact: Vec<bool>,
+    /// Each constraint's operands, in [`Constraint::vars`] order
+    /// (`PROD`/`SUM`: `out`, then the factors or terms; `EQ`/`LE`: `a`,
+    /// `b`; `IN`: the variable; `SELECT`: `out`, `index`, then the
+    /// choices), flattened: constraint `ci`'s are
+    /// `operands[starts[ci].operands..starts[ci + 1].operands]`.
+    operands: Vec<VarRef>,
+    /// The allowed values of each `IN`, flattened the same way (empty for
+    /// every other kind).
+    values: Vec<i64>,
+    /// Where each constraint's operands, values and mentions start.
+    starts: Vec<Starts>,
+    /// Each constraint's precompiled fast path.
+    fast: Vec<Fast>,
     /// The (sorted, deduplicated) indices of the constraints mentioning
     /// each variable, flattened: variable `v`'s are
     /// `watching[watch_start[v]..watch_start[v + 1]]`.
     watching: Vec<u32>,
     watch_start: Vec<u32>,
     /// The (sorted, deduplicated) variables of each constraint,
-    /// flattened the same way: constraint `ci`'s are
-    /// `mentions[mention_start[ci]..mention_start[ci + 1]]`.
+    /// flattened the same way.
     mentions: Vec<u32>,
-    mention_start: Vec<u32>,
     tables: Rc<VarTables>,
     /// The initial domains (untracked, no dormancy).
     init: DomainStore,
-    /// Per-constraint precompiled `IN` mask (constraints that are `IN` on
-    /// a bitset variable filter with a single AND).
-    in_masks: Vec<Option<u64>>,
     /// Filtering passes and wipeouts executed so far, per [`Kind`]
     /// (observability counters; `Cell` keeps the propagation API `&self`).
     work: [Cell<KindWork>; Kind::COUNT],
@@ -318,21 +346,59 @@ pub struct Propagator {
 impl Propagator {
     /// Builds the engine for `csp`.
     pub fn new(csp: &Csp) -> Self {
-        Propagator::with_constraints(csp, csp.constraints().to_vec(), &[])
+        Propagator::build(csp, csp.constraints().iter(), |v| v, &[])
     }
 
-    /// Builds the engine for `constraints` over `csp`'s variables, whose
-    /// declared domains are first narrowed to the intervals
-    /// `(v, lo, hi)` of `narrow` (each inside `v`'s declared interval and
-    /// non-empty). The presolve of [`crate::solver`] passes its rewritten
-    /// constraint list and the merged domains of its `EQ` classes.
-    pub(crate) fn with_constraints(
+    /// Builds the engine for the constraints `live` over `csp`'s
+    /// variables, each operand `v` read as `store_var(v)`, whose declared
+    /// domains are first narrowed to the intervals `(v, lo, hi)` of
+    /// `narrow` (each inside `v`'s declared interval and non-empty). The
+    /// presolve of [`crate::solver`] passes the constraints it keeps, its
+    /// variable map and the merged domains of its `EQ` classes; nothing
+    /// is copied out of `csp` but operands and `IN` values.
+    pub(crate) fn build<'c>(
         csp: &Csp,
-        constraints: Vec<Constraint>,
+        live: impl Iterator<Item = &'c Constraint> + Clone,
+        store_var: impl Fn(VarRef) -> VarRef,
         narrow: &[(VarRef, i64, i64)],
     ) -> Self {
+        let (mut ncons, mut noperands, mut nvalues) = (0, 0, 0);
+        let (mut longest_prod, mut longest_select) = (0, 0);
+        for c in live.clone() {
+            ncons += 1;
+            noperands += c.vars().count();
+            match c {
+                Constraint::In { values, .. } => nvalues += values.len(),
+                Constraint::Prod { factors, .. } => longest_prod = longest_prod.max(factors.len()),
+                Constraint::Select { choices, .. } => {
+                    longest_select = longest_select.max(choices.len());
+                }
+                _ => {}
+            }
+        }
+        let mut kinds = Vec::with_capacity(ncons);
+        let mut operands = Vec::with_capacity(noperands);
+        let mut values = Vec::with_capacity(nvalues);
+        let mut starts = Vec::with_capacity(ncons + 1);
+        let start = |operands: &Vec<VarRef>, values: &Vec<i64>| Starts {
+            operands: operands.len() as u32,
+            values: values.len() as u32,
+            mentions: 0,
+        };
+        for c in live {
+            kinds.push(Kind::of(c));
+            starts.push(start(&operands, &values));
+            operands.extend(c.vars().map(&store_var));
+            if let Constraint::In {
+                values: allowed, ..
+            } = c
+            {
+                values.extend_from_slice(allowed);
+            }
+        }
+        starts.push(start(&operands, &values));
+
         let tables = Rc::new(VarTables::for_csp(csp));
-        let ncons = constraints.len();
         let mut init = DomainStore::new(tables.clone(), csp, ncons);
         for &(v, lo, hi) in narrow {
             let narrowed = init.restrict_min(v.0, lo).and(init.restrict_max(v.0, hi));
@@ -342,60 +408,72 @@ impl Propagator {
         // positions (SELECT with `out` among the choices, PROD with a
         // repeated factor): sort + dedup so each variable watches the
         // constraint exactly once.
-        let mut mentions = Vec::with_capacity(constraints.iter().map(|c| c.vars().count()).sum());
-        let mut mention_start = Vec::with_capacity(ncons + 1);
-        let mut vars = Vec::new();
-        for c in &constraints {
-            vars.clear();
-            vars.extend(c.vars().map(|v| v.0 as u32));
-            vars.sort_unstable();
-            vars.dedup();
-            mention_start.push(mentions.len() as u32);
-            mentions.extend_from_slice(&vars);
+        let mut mentions: Vec<u32> = Vec::with_capacity(noperands);
+        for ci in 0..ncons {
+            let start = mentions.len();
+            starts[ci].mentions = start as u32;
+            let ops = &operands[starts[ci].operands as usize..starts[ci + 1].operands as usize];
+            mentions.extend(ops.iter().map(|v| v.0 as u32));
+            mentions[start..].sort_unstable();
+            let mut kept = start;
+            for i in start..mentions.len() {
+                if kept == start || mentions[i] != mentions[kept - 1] {
+                    mentions[kept] = mentions[i];
+                    kept += 1;
+                }
+            }
+            mentions.truncate(kept);
         }
-        mention_start.push(mentions.len() as u32);
+        starts[ncons].mentions = mentions.len() as u32;
         // The watch lists, flat: count each variable's watchers, then
-        // place the constraints in ascending order behind the prefix sums.
-        let mut watch_start = vec![0u32; csp.num_vars() + 1];
+        // place the constraints in ascending order behind the prefix
+        // sums, each variable's cursor starting at the previous one's
+        // start.
+        let nvars = csp.num_vars();
+        let mut watch_start = vec![0u32; nvars + 1];
         for &v in &mentions {
             watch_start[v as usize + 1] += 1;
         }
-        for v in 0..csp.num_vars() {
+        for v in 0..nvars {
             watch_start[v + 1] += watch_start[v];
         }
         let mut watching = vec![0u32; mentions.len()];
-        let mut next = watch_start.clone();
-        for (ci, span) in mention_start.windows(2).enumerate() {
-            for &v in &mentions[span[0] as usize..span[1] as usize] {
-                watching[next[v as usize] as usize] = ci as u32;
-                next[v as usize] += 1;
+        for (ci, span) in starts.windows(2).enumerate() {
+            for &v in &mentions[span[0].mentions as usize..span[1].mentions as usize] {
+                watching[watch_start[v as usize] as usize] = ci as u32;
+                watch_start[v as usize] += 1;
             }
         }
-        let in_masks = constraints
-            .iter()
-            .map(|c| match c {
-                Constraint::In { var, values } => tables.mask_of(var.0, values),
-                _ => None,
+        // Each cursor now sits at the next variable's start: shift back.
+        for v in (0..nvars).rev() {
+            watch_start[v + 1] = watch_start[v];
+        }
+        watch_start[0] = 0;
+        let fast = (0..ncons)
+            .map(|ci| {
+                let (from, to) = (starts[ci], starts[ci + 1]);
+                let ops = &operands[from.operands as usize..to.operands as usize];
+                match kinds[ci] {
+                    Kind::In => tables
+                        .mask_of(ops[0].0, &values[from.values as usize..to.values as usize])
+                        .map_or(Fast::None, Fast::InMask),
+                    Kind::Prod if exact_prod(ops[0], &ops[1..], &init) => Fast::ExactProd,
+                    _ => Fast::None,
+                }
             })
             .collect();
-        let exact = constraints.iter().map(|c| exact_prod(c, &init)).collect();
-        let longest = constraints.iter().map(|c| match c {
-            Constraint::Prod { factors, .. } => factors.len(),
-            _ => 0,
-        });
-        let longest = longest.max().unwrap_or(0);
-        let memo = Memo::new(&tables, csp.num_vars());
+        let memo = Memo::new(&tables, nvars);
         Propagator {
-            kinds: constraints.iter().map(Kind::of).collect(),
-            constraints,
-            exact,
+            kinds,
+            operands,
+            values,
+            starts,
+            fast,
             watching,
             watch_start,
             mentions,
-            mention_start,
             tables,
             init,
-            in_masks,
             work: Default::default(),
             nogood_hits: Cell::new(0),
             // A constraint is queued at most once at a time, so the
@@ -411,13 +489,13 @@ impl Propagator {
                 changed: Vec::new(),
                 log: Vec::new(),
                 log_vars: Vec::new(),
-                needed: vec![false; csp.num_vars()],
+                needed: vec![false; nvars],
                 sources: Vec::new(),
-                dive_root: vec![0; csp.num_vars()],
+                dive_root: vec![0; nvars],
                 memo,
-                feasible: Vec::new(),
+                feasible: Vec::with_capacity(longest_select),
                 suffix: Vec::new(),
-                exact: vec![[1, 1]; longest + 1],
+                exact: vec![[1, 1]; longest_prod + 1],
             }),
         }
     }
@@ -425,6 +503,14 @@ impl Propagator {
     /// A fresh store over the declared domains (untracked, no dormancy).
     pub fn store(&self) -> DomainStore {
         self.init.clone()
+    }
+
+    /// The store over the declared domains, moved out for a caller that
+    /// needs just one (the solver session): [`Propagator::store`] returns
+    /// an empty store afterwards.
+    pub(crate) fn take_store(&mut self) -> DomainStore {
+        let empty = DomainStore::empty(self.tables.clone());
+        std::mem::replace(&mut self.init, empty)
     }
 
     /// Total single-constraint filtering passes executed so far.
@@ -494,7 +580,19 @@ impl Propagator {
     /// The variables constraint `ci` mentions, ascending.
     #[inline]
     fn mentioned(&self, ci: usize) -> &[u32] {
-        &self.mentions[self.mention_start[ci] as usize..self.mention_start[ci + 1] as usize]
+        &self.mentions[self.starts[ci].mentions as usize..self.starts[ci + 1].mentions as usize]
+    }
+
+    /// The operands of constraint `ci`, in [`Constraint::vars`] order.
+    #[inline]
+    fn operands(&self, ci: usize) -> &[VarRef] {
+        &self.operands[self.starts[ci].operands as usize..self.starts[ci + 1].operands as usize]
+    }
+
+    /// The allowed values of constraint `ci`, an `IN`.
+    #[inline]
+    fn in_values(&self, ci: usize) -> &[i64] {
+        &self.values[self.starts[ci].values as usize..self.starts[ci + 1].values as usize]
     }
 
     /// Marks every already-entailed constraint dormant using read-only
@@ -509,29 +607,22 @@ impl Propagator {
     /// entailment arose *after* their final filtering pass — without the
     /// sweep, every subsequent dive re-runs them for a guaranteed no-op.
     pub fn sweep_entailed(&self, store: &mut DomainStore) {
-        for (ci, c) in self.constraints.iter().enumerate() {
+        for (ci, &kind) in self.kinds.iter().enumerate() {
             if store.is_dormant(ci) {
                 continue;
             }
-            let entailed = match c {
-                Constraint::Prod { out, factors } => {
-                    store.is_fixed(out.0) && factors.iter().all(|f| store.is_fixed(f.0))
-                }
-                Constraint::Sum { out, terms } => {
-                    store.is_fixed(out.0) && terms.iter().all(|t| store.is_fixed(t.0))
-                }
-                Constraint::Eq(a, b) => a == b || (store.is_fixed(a.0) && store.is_fixed(b.0)),
-                Constraint::Le(a, b) => store.max(a.0) <= store.min(b.0),
+            let ops = self.operands(ci);
+            let fixed = |vs: &[VarRef]| vs.iter().all(|v| store.is_fixed(v.0));
+            let entailed = match kind {
+                Kind::Prod | Kind::Sum => fixed(ops),
+                Kind::Eq => ops[0] == ops[1] || fixed(ops),
+                Kind::Le => store.max(ops[0].0) <= store.min(ops[1].0),
                 // IN goes dormant on its first pass; nothing to sweep.
-                Constraint::In { .. } => false,
-                Constraint::Select {
-                    out,
-                    index,
-                    choices,
-                } => {
-                    store.is_fixed(index.0) && store.is_fixed(out.0) && {
-                        let i = store.min(index.0);
-                        store.is_fixed(choices[i as usize].0)
+                Kind::In => false,
+                Kind::Select => {
+                    fixed(&ops[..2]) && {
+                        let i = store.min(ops[1].0);
+                        store.is_fixed(ops[2 + i as usize].0)
                     }
                 }
             };
@@ -544,8 +635,8 @@ impl Propagator {
     /// Runs propagation to fixpoint starting from every constraint.
     pub fn run_all(&self, store: &mut DomainStore) -> Result<(), Infeasible> {
         let mut s = self.scratch.borrow_mut();
-        for ci in 0..self.constraints.len() {
-            s.work.push(ci as u32, self.kinds[ci], store);
+        for (ci, &kind) in self.kinds.iter().enumerate() {
+            s.work.push(ci as u32, kind, store);
         }
         let run = self.drain(&mut s, store, false);
         verdict(&mut s, run)
@@ -797,10 +888,8 @@ impl Propagator {
             Kind::Eq | Kind::In | Kind::Select => true,
             Kind::Prod | Kind::Sum => ch.min || ch.max,
             Kind::Le => {
-                let Constraint::Le(a, b) = &self.constraints[wi] else {
-                    unreachable!("kinds mirrors constraints")
-                };
-                (ch.var == *a && ch.min) || (ch.var == *b && ch.max)
+                let ops = self.operands(wi);
+                (ch.var == ops[0] && ch.min) || (ch.var == ops[1] && ch.max)
             }
         }
     }
@@ -818,74 +907,77 @@ impl Propagator {
         suffix: &mut Vec<[SatProd; 2]>,
         exact: &mut [[i64; 2]],
     ) -> Result<bool, ()> {
-        match &self.constraints[ci] {
-            Constraint::Prod { out, factors } => {
+        let ops = self.operands(ci);
+        match self.kinds[ci] {
+            Kind::Prod => {
+                let (out, factors) = (ops[0], &ops[1..]);
                 loop {
                     let before = changed.len();
-                    if self.exact[ci] {
-                        filter_prod_exact(store, *out, factors, changed, exact)?;
+                    if matches!(self.fast[ci], Fast::ExactProd) {
+                        filter_prod_exact(store, out, factors, changed, exact)?;
                     } else {
-                        filter_prod(store, *out, factors, changed, suffix)?;
+                        filter_prod(store, out, factors, changed, suffix)?;
                     }
-                    if settled(&changed[before..], *out, factors) {
+                    if settled(&changed[before..], out, factors) {
                         break;
                     }
                 }
-                Ok(store.is_fixed(out.0) && factors.iter().all(|f| store.is_fixed(f.0)))
+                Ok(ops.iter().all(|v| store.is_fixed(v.0)))
             }
-            Constraint::Sum { out, terms } => {
+            Kind::Sum => {
+                let (out, terms) = (ops[0], &ops[1..]);
                 loop {
                     let before = changed.len();
-                    filter_sum(store, *out, terms, changed)?;
-                    if settled(&changed[before..], *out, terms) {
+                    filter_sum(store, out, terms, changed)?;
+                    if settled(&changed[before..], out, terms) {
                         break;
                     }
                 }
-                Ok(store.is_fixed(out.0) && terms.iter().all(|t| store.is_fixed(t.0)))
+                Ok(ops.iter().all(|v| store.is_fixed(v.0)))
             }
-            Constraint::Eq(a, b) => {
+            Kind::Eq => {
+                let (a, b) = (ops[0], ops[1]);
                 let (alo, ahi) = (store.min(a.0), store.max(a.0));
                 if store.intersect_var(a.0, b.0)? {
-                    changed.push(Change::since(store, *a, alo, ahi));
+                    changed.push(Change::since(store, a, alo, ahi));
                 }
                 let (blo, bhi) = (store.min(b.0), store.max(b.0));
                 if store.intersect_var(b.0, a.0)? {
-                    changed.push(Change::since(store, *b, blo, bhi));
+                    changed.push(Change::since(store, b, blo, bhi));
                 }
                 Ok(a == b || (store.is_fixed(a.0) && store.is_fixed(b.0)))
             }
-            Constraint::Le(a, b) => {
+            Kind::Le => {
+                let (a, b) = (ops[0], ops[1]);
                 let bhi = store.max(b.0);
                 if store.restrict_max(a.0, bhi)? {
-                    changed.push(Change::max_lowered(*a));
+                    changed.push(Change::max_lowered(a));
                 }
                 let alo = store.min(a.0);
                 if store.restrict_min(b.0, alo)? {
-                    changed.push(Change::min_raised(*b));
+                    changed.push(Change::min_raised(b));
                 }
                 Ok(store.max(a.0) <= store.min(b.0))
             }
-            Constraint::In { var, values } => {
+            Kind::In => {
+                let var = ops[0];
                 let (lo, hi) = (store.min(var.0), store.max(var.0));
-                let ch = match self.in_masks[ci] {
-                    Some(mask) => store.and_mask(var.0, mask)?,
-                    None => store.restrict_to(var.0, values)?,
+                let ch = match self.fast[ci] {
+                    Fast::InMask(mask) => store.and_mask(var.0, mask)?,
+                    _ => store.restrict_to(var.0, self.in_values(ci))?,
                 };
                 if ch {
-                    changed.push(Change::since(store, *var, lo, hi));
+                    changed.push(Change::since(store, var, lo, hi));
                 }
                 // Domains only shrink, so once inside the IN set, always
                 // inside: entailed after any successful pass.
                 Ok(true)
             }
-            Constraint::Select {
-                out,
-                index,
-                choices,
-            } => {
+            Kind::Select => {
+                let (out, index, choices) = (ops[0], ops[1], &ops[2..]);
                 loop {
                     let before = changed.len();
-                    filter_select(store, *out, *index, choices, changed, feasible)?;
+                    filter_select(store, out, index, choices, changed, feasible)?;
                     if changed.len() == before {
                         break;
                     }
@@ -1233,20 +1325,16 @@ fn filter_prod(
     Ok(())
 }
 
-/// Whether `c` is a `PROD` that [`filter_prod_exact`] may filter over
-/// domains no wider than `init`'s: `out` non-negative, every factor at
-/// least 1, the factors
-/// distinct, `out` not among them, and the product of the factors' upper
+/// Whether `PROD(out, factors)` is one that [`filter_prod_exact`] may
+/// filter over domains no wider than `init`'s: `out` non-negative, every
+/// factor at least 1, the factors distinct, `out` not among them, and the product of the factors' upper
 /// bounds below `i64::MAX`. Then no product of bounds saturates or hits
 /// a 0, and a change to one factor moves no other operand's bounds.
-fn exact_prod(c: &Constraint, init: &DomainStore) -> bool {
-    let Constraint::Prod { out, factors } = c else {
-        return false;
-    };
+fn exact_prod(out: VarRef, factors: &[VarRef], init: &DomainStore) -> bool {
     let distinct = factors
         .iter()
         .enumerate()
-        .all(|(i, f)| f != out && !factors[..i].contains(f));
+        .all(|(i, f)| *f != out && !factors[..i].contains(f));
     let positive = init.min(out.0) >= 0 && factors.iter().all(|f| init.min(f.0) >= 1);
     let bounded = factors
         .iter()
@@ -1523,7 +1611,12 @@ mod tests {
         csp.post_prod(out, vec![big, big, y]); // the bounds' product saturates
         csp.post_prod(out, vec![big, x, y]); // 2^32 · 64 · 64 is exact
         let p = Propagator::new(&csp);
-        assert_eq!(p.exact, [true, false, false, false, false, true]);
+        let exact: Vec<bool> = p
+            .fast
+            .iter()
+            .map(|f| matches!(f, Fast::ExactProd))
+            .collect();
+        assert_eq!(exact, [true, false, false, false, false, true]);
     }
 
     #[test]
@@ -1557,7 +1650,7 @@ mod tests {
             };
             csp.post_prod(out, factors.clone());
             let p = Propagator::new(&csp);
-            assert!(p.exact[0]);
+            assert!(matches!(p.fast[0], Fast::ExactProd));
             let (mut a, mut b) = (p.store(), p.store());
             let (mut ca, mut cb) = (Vec::new(), Vec::new());
             let ra = filter_prod(&mut a, out, &factors, &mut ca, &mut Vec::new());

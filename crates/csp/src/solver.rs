@@ -302,19 +302,24 @@ impl SolveSession {
     /// fixpoint-preserving bounds sweep).
     pub fn new(csp: impl SessionCsp) -> Self {
         let csp = csp.into_shared();
+        let pre = Presolve::of(&csp);
+        let mut prop = Propagator::build(
+            &csp,
+            csp.constraints().iter().filter(|c| pre.runs(c)),
+            |v| match pre.reads[v.0] {
+                Read::Store(r) => VarRef(r),
+                Read::Helper { .. } => unreachable!("a retired output is in no live constraint"),
+            },
+            if pre.empty_class { &[] } else { &pre.narrow },
+        );
         let Presolve {
-            reads,
-            live,
-            narrow,
-            empty_class,
-        } = Presolve::of(&csp);
-        let prop =
-            Propagator::with_constraints(&csp, live, if empty_class { &[] } else { &narrow });
+            reads, empty_class, ..
+        } = pre;
         let store = if empty_class {
             // The EQ chain joining the class would wipe it out.
             None
         } else {
-            let mut store = prop.store();
+            let mut store = prop.take_store();
             prop.run_all(&mut store).is_ok().then(|| {
                 store.commit();
                 prop.sweep_entailed(&mut store);
@@ -523,8 +528,6 @@ impl Read {
 #[derive(Debug)]
 struct Presolve {
     reads: Vec<Read>,
-    /// The constraints the propagator runs, rewritten to store variables.
-    live: Vec<Constraint>,
     /// `(representative, lo, hi)` of each interval class narrower than its
     /// representative's declared interval.
     narrow: Vec<(VarRef, i64, i64)>,
@@ -583,29 +586,30 @@ impl Presolve {
             .collect();
         let empty_class = narrow.iter().any(|&(_, lo, hi)| lo > hi);
 
-        // Helper booleans, then the live constraints over store variables.
-        let mut live = Vec::with_capacity(csp.num_constraints());
+        // The helper booleans.
         for c in csp.constraints() {
             if let Some((out, helper)) = retired_helper(csp, c, &mentions, &reads) {
                 reads[out.0] = helper;
-                continue;
             }
-            let store_var = |v: VarRef| match reads[v.0] {
-                Read::Store(r) => VarRef(r),
-                Read::Helper { .. } => unreachable!("a retired output is in no live constraint"),
-            };
-            if let Constraint::Eq(a, b) = c {
-                if store_var(*a) == store_var(*b) {
-                    continue;
-                }
-            }
-            live.push(c.map_vars(store_var));
         }
         Presolve {
             reads,
-            live,
             narrow,
             empty_class,
+        }
+    }
+
+    /// Whether the propagator runs `c` (over store variables, read through
+    /// `reads`): every constraint but a retired helper's `SELECT` and an
+    /// `EQ` inside one class.
+    fn runs(&self, c: &Constraint) -> bool {
+        match c {
+            Constraint::Select { out, .. } => matches!(self.reads[out.0], Read::Store(_)),
+            Constraint::Eq(a, b) => !matches!(
+                (self.reads[a.0], self.reads[b.0]),
+                (Read::Store(x), Read::Store(y)) if x == y
+            ),
+            _ => true,
         }
     }
 }
@@ -788,7 +792,8 @@ impl Brancher {
             Read::Helper { .. } => None,
         };
         let tunables: Vec<VarRef> = csp.tunables().into_iter().filter_map(store_var).collect();
-        let mut order = tunables.clone();
+        let mut order = Vec::with_capacity(csp.num_vars());
+        order.extend_from_slice(&tunables);
         order.extend(
             csp.vars()
                 .filter(|(_, d)| d.category != VarCategory::Tunable)
@@ -1307,9 +1312,11 @@ mod tests {
         }
         // Of 12 constraints, three merged EQs and three helper SELECTs go.
         assert_eq!(csp.num_constraints(), 12);
-        assert_eq!(pre.live.len(), 6);
-        assert!(pre.live.contains(&Constraint::Eq(var("len.p0"), var("p0"))));
-        assert!(pre.live.contains(&Constraint::Le(var("v"), var("p1"))));
+        let live: Vec<&Constraint> = csp.constraints().iter().filter(|c| pre.runs(c)).collect();
+        assert_eq!(live.len(), 6);
+        assert!(live.contains(&&Constraint::Eq(var("len.p0"), var("p0"))));
+        // `LE(v, tile.p1)` runs, and reads `tile.p1` as `p1`.
+        assert!(live.contains(&&Constraint::Le(var("v"), var("tile.p1"))));
     }
 
     #[test]
@@ -1334,7 +1341,7 @@ mod tests {
             .map(|b| matches!(pre.reads[b.0], Read::Helper { .. }))
             .into();
         assert_eq!(retired, [false, false, false, false, true]);
-        assert_eq!(pre.live.len(), 5);
+        assert_eq!(csp.constraints().iter().filter(|c| pre.runs(c)).count(), 5);
     }
 
     #[test]

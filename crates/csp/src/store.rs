@@ -36,7 +36,7 @@
 //!
 //! Save-on-write dedup uses monotone epochs: `mark()` hands out a fresh
 //! epoch, a variable is trailed at most once per epoch, and epochs are
-//! never reused so stale `saved_at` entries are harmless after an undo.
+//! never reused so stale `saved` entries are harmless after an undo.
 //! Epoch 0 means "untracked": writes before the first `mark()` (or after
 //! a `commit()`) mutate the base state directly without trailing.
 //!
@@ -67,8 +67,18 @@ impl VarTables {
     /// Builds the tables for every variable of `csp`: a table for each
     /// explicit value set of at most 64 values.
     pub(crate) fn for_csp(csp: &Csp) -> Self {
-        let mut values: Vec<i64> = Vec::new();
-        let mut distinct: HashMap<&[i64], (u32, u32)> = HashMap::new();
+        // Sized for every set to be distinct, so neither grows.
+        let (mut sets, mut total) = (0, 0);
+        for (_, d) in csp.vars() {
+            if let Domain::Values(v) = &d.domain {
+                if v.len() <= 64 {
+                    sets += 1;
+                    total += v.len();
+                }
+            }
+        }
+        let mut values: Vec<i64> = Vec::with_capacity(total);
+        let mut distinct: HashMap<&[i64], (u32, u32)> = HashMap::with_capacity(sets);
         let spans = csp
             .vars()
             .map(|(_, d)| match &d.domain {
@@ -214,9 +224,9 @@ pub struct DomainStore {
     dormant: Vec<bool>,
     trail: Vec<Saved>,
     dormant_trail: Vec<u32>,
-    saved_at: Vec<u64>,
-    /// The trail index of each variable's save in epoch `saved_at[v]`.
-    saved_idx: Vec<u32>,
+    /// Each variable's last save: the epoch it was saved in, and its trail
+    /// index.
+    saved: Vec<(u64, u32)>,
     epoch: u64,
     next_epoch: u64,
     max_trail: usize,
@@ -259,8 +269,25 @@ impl DomainStore {
             dormant: vec![false; ncons],
             trail: Vec::new(),
             dormant_trail: Vec::new(),
-            saved_at: vec![0; nvars],
-            saved_idx: vec![0; nvars],
+            saved: vec![(0, 0); nvars],
+            epoch: 0,
+            next_epoch: 1,
+            max_trail: 0,
+            spare: Vec::new(),
+        }
+    }
+
+    /// A store over no variables and no constraints.
+    pub(crate) fn empty(tables: Rc<VarTables>) -> Self {
+        DomainStore {
+            tables,
+            doms: Vec::new(),
+            lo: Vec::new(),
+            hi: Vec::new(),
+            dormant: Vec::new(),
+            trail: Vec::new(),
+            dormant_trail: Vec::new(),
+            saved: Vec::new(),
             epoch: 0,
             next_epoch: 1,
             max_trail: 0,
@@ -322,8 +349,8 @@ impl DomainStore {
     /// `v`'s domain now, or — `at_mark` — when the innermost open scope
     /// was opened.
     pub(crate) fn view(&self, v: usize, at_mark: bool) -> View<'_> {
-        let (dom, lo, hi) = if at_mark && self.epoch != 0 && self.saved_at[v] == self.epoch {
-            let saved = &self.trail[self.saved_idx[v] as usize];
+        let (dom, lo, hi) = if at_mark && self.epoch != 0 && self.saved[v].0 == self.epoch {
+            let saved = &self.trail[self.saved[v].1 as usize];
             (&saved.dom, saved.lo, saved.hi)
         } else {
             (&self.doms[v], self.lo[v], self.hi[v])
@@ -710,9 +737,8 @@ impl DomainStore {
     #[inline]
     fn write(&mut self, v: usize, dom: Dom, lo: i64, hi: i64) {
         let old = std::mem::replace(&mut self.doms[v], dom);
-        if self.epoch != 0 && self.saved_at[v] != self.epoch {
-            self.saved_at[v] = self.epoch;
-            self.saved_idx[v] = self.trail.len() as u32;
+        if self.epoch != 0 && self.saved[v].0 != self.epoch {
+            self.saved[v] = (self.epoch, self.trail.len() as u32);
             self.trail.push(Saved {
                 var: v as u32,
                 lo: self.lo[v],

@@ -20,17 +20,13 @@
 //! # Example
 //!
 //! ```
-//! use heron_sched::{LoopSym, MemScope, ScheduleState, StageRole, ThreadAxis};
+//! use heron_sched::{MemScope, ScheduleState, StageRole, ThreadAxis};
 //! use heron_tensor::{DType, IterKind};
 //!
 //! let mut state = ScheduleState::new();
-//! state.add_stage(
-//!     "C", StageRole::Compute, MemScope::Global, MemScope::Global, DType::F16,
-//!     vec![
-//!         LoopSym::new("C.i", IterKind::Spatial, "i"),
-//!         LoopSym::new("C.r", IterKind::Reduce, "r"),
-//!     ],
-//! );
+//! state.add_stage("C", StageRole::Compute, MemScope::Global, MemScope::Global, DType::F16);
+//! state.push_loop("C", &["C.i"], IterKind::Spatial, "i");
+//! state.push_loop("C", &["C.r"], IterKind::Reduce, "r");
 //! state.split("C", "C.i", &["C.i0", "C.i1"]);
 //! state.bind("C", "C.i0", ThreadAxis::BlockX);
 //! assert_eq!(state.template().len(), 2); // split + bind recorded
@@ -47,5 +43,5 @@ pub use codegen::kernel_pseudo_code;
 pub use kernel::{lower, Kernel, KernelBuffer, KernelStage, LowerError};
 pub use primitive::Primitive;
 pub use scope::{MemScope, StageRole, ThreadAxis};
-pub use state::{LoopSym, ScheduleState, StageSym};
+pub use state::{LoopSym, ScheduleState, StageSym, SymName};
 pub use template::{IntrinsicRef, KernelTemplate, StageSpec};

@@ -126,7 +126,8 @@ impl KernelTemplate {
             dla: dla.into(),
             workload: workload.into(),
             total_flops,
-            stages: Vec::new(),
+            // Room for a full pipeline (Equation 1 has seven stages).
+            stages: Vec::with_capacity(8),
             var_grid: String::new(),
             var_threads: String::new(),
             buffers: Vec::new(),

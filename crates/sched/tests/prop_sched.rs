@@ -3,7 +3,7 @@
 //! (heron-testkit harness; see DESIGN.md, "Zero-dependency &
 //! determinism policy".)
 
-use heron_sched::{LoopSym, MemScope, ScheduleState, StageRole};
+use heron_sched::{MemScope, ScheduleState, StageRole};
 use heron_tensor::{DType, IterKind};
 use heron_testkit::{property_cases, Gen};
 
@@ -37,12 +37,10 @@ fn fresh_state() -> ScheduleState {
         MemScope::Global,
         MemScope::Global,
         DType::F32,
-        vec![
-            LoopSym::new("C.i", IterKind::Spatial, "i"),
-            LoopSym::new("C.j", IterKind::Spatial, "j"),
-            LoopSym::new("C.r", IterKind::Reduce, "r"),
-        ],
     );
+    st.push_loop("C", &["C.i"], IterKind::Spatial, "i");
+    st.push_loop("C", &["C.j"], IterKind::Spatial, "j");
+    st.push_loop("C", &["C.r"], IterKind::Reduce, "r");
     st
 }
 
@@ -58,11 +56,9 @@ fn transformations_preserve_invariants() {
         let mut applied = 0usize;
         for o in ops {
             let loops: Vec<(String, IterKind)> = st
-                .stage("C")
-                .expect("exists")
-                .loops
+                .nest(st.stage("C").expect("exists"))
                 .iter()
-                .map(|l| (l.name.clone(), l.kind))
+                .map(|l| (st.name(l.name).to_string(), l.kind))
                 .collect();
             match o {
                 Op::Split { loop_idx, parts } => {
@@ -88,7 +84,11 @@ fn transformations_preserve_invariants() {
                     }
                     fresh += 1;
                     let fused = format!("F{fresh}");
-                    st.fuse("C", &[&loops[idx].0, &loops[idx + 1].0], &fused);
+                    st.fuse(
+                        "C",
+                        vec![loops[idx].0.clone(), loops[idx + 1].0.clone()],
+                        fused,
+                    );
                     applied += 1;
                 }
                 Op::Reorder { seed } => {
@@ -102,19 +102,19 @@ fn transformations_preserve_invariants() {
                 }
             }
         }
-        let stage = st.stage("C").expect("exists");
+        let nest = st.nest(st.stage("C").expect("exists"));
         // Unique loop names.
-        let mut names: Vec<&str> = stage.loops.iter().map(|l| l.name.as_str()).collect();
+        let mut names: Vec<&str> = nest.iter().map(|l| st.name(l.name)).collect();
         let before = names.len();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), before, "duplicate loop names");
         // Origins only come from the initial axes.
-        for l in &stage.loops {
-            assert!(["i", "j", "r"].contains(&l.origin.as_str()));
+        for l in nest {
+            assert!(["i", "j", "r"].contains(&st.name(l.origin)));
             // Reduce loops only descend from r.
             if l.kind == IterKind::Reduce {
-                assert_eq!(l.origin.as_str(), "r");
+                assert_eq!(st.name(l.origin), "r");
             }
         }
         // One template entry per applied transformation.
@@ -132,18 +132,22 @@ fn split_then_fuse_roundtrip() {
         let names: Vec<String> = (0..parts).map(|p| format!("C.i{p}")).collect();
         let refs: Vec<&str> = names.iter().map(String::as_str).collect();
         st.split("C", "C.i", &refs);
-        assert_eq!(st.stage("C").expect("exists").loops.len(), 2 + parts);
+        assert_eq!(st.nest(st.stage("C").expect("exists")).len(), 2 + parts);
         // Fuse pairwise back into one.
         let mut current = names.clone();
         while current.len() > 1 {
             let fused = format!("f.{}", current.len());
-            st.fuse("C", &[&current[0], &current[1]], &fused);
+            st.fuse(
+                "C",
+                vec![current[0].clone(), current[1].clone()],
+                fused.clone(),
+            );
             let mut next = vec![fused];
             next.extend(current[2..].iter().cloned());
             current = next;
         }
-        let stage = st.stage("C").expect("exists");
-        assert_eq!(stage.loops.len(), 3);
-        assert_eq!(stage.loops[0].origin.as_str(), "i");
+        let nest = st.nest(st.stage("C").expect("exists"));
+        assert_eq!(nest.len(), 3);
+        assert_eq!(st.name(nest[0].origin), "i");
     });
 }

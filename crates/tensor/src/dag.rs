@@ -49,14 +49,14 @@ impl Dag {
     /// Panics if the stage name collides or an input tensor is not defined
     /// by an earlier stage.
     pub fn compute(&mut self, op: ComputeOp) -> StageId {
-        for input in op.input_names() {
+        op.body.for_each_access(&mut |a| {
             assert!(
-                self.by_name.contains_key(&input),
+                self.by_name.contains_key(&a.tensor.name),
                 "stage `{}` reads undefined tensor `{}`",
                 op.output.name,
-                input
+                a.tensor.name
             );
-        }
+        });
         self.push(Stage {
             name: op.output.name.clone(),
             kind: StageKind::Compute(op),
@@ -109,47 +109,51 @@ impl Dag {
             .filter_map(|(id, s)| s.compute().map(|op| (id, op)))
     }
 
-    /// Producer stage ids for each input tensor of `id`.
+    /// Producer stage ids for each input tensor of `id`, in the order of
+    /// the tensors' names.
     pub fn producers(&self, id: StageId) -> Vec<StageId> {
-        match &self.stage(id).kind {
-            StageKind::Placeholder(_) => Vec::new(),
-            StageKind::Compute(op) => op
-                .input_names()
-                .iter()
-                .map(|n| *self.by_name.get(n).expect("validated at insert"))
-                .collect(),
+        let mut ids = Vec::new();
+        if let StageKind::Compute(op) = &self.stage(id).kind {
+            op.body.for_each_access(&mut |a| {
+                ids.push(
+                    *self
+                        .by_name
+                        .get(&a.tensor.name)
+                        .expect("validated at insert"),
+                );
+            });
         }
+        ids.sort_unstable_by(|a, b| self.stages[a.0].name.cmp(&self.stages[b.0].name));
+        ids.dedup();
+        ids
     }
 
     /// Stage ids that read the tensor produced by `id`.
     pub fn consumers(&self, id: StageId) -> Vec<StageId> {
         let name = &self.stage(id).name;
-        self.iter()
-            .filter(|(_, s)| {
-                s.compute()
-                    .is_some_and(|op| op.input_names().iter().any(|n| n == name))
-            })
+        self.compute_stages()
+            .filter(|(_, op)| op.reads(name))
             .map(|(cid, _)| cid)
             .collect()
     }
 
-    /// The final output stage: the unique stage with no consumers.
+    /// The final output stage: the unique stage with no consumers, found
+    /// in one pass over the reads.
     ///
     /// # Panics
     /// Panics if the DAG is empty or has multiple sink stages.
     pub fn output(&self) -> StageId {
-        let sinks: Vec<StageId> = self
-            .iter()
-            .filter(|(id, _)| self.consumers(*id).is_empty())
-            .map(|(id, _)| id)
-            .collect();
+        let mut read = vec![false; self.stages.len()];
+        for (_, op) in self.compute_stages() {
+            op.body
+                .for_each_access(&mut |a| read[self.by_name[&a.tensor.name].0] = true);
+        }
+        let sinks = read.iter().filter(|&&r| !r).count();
         assert_eq!(
-            sinks.len(),
-            1,
-            "DAG must have exactly one output stage, has {}",
-            sinks.len()
+            sinks, 1,
+            "DAG must have exactly one output stage, has {sinks}"
         );
-        sinks[0]
+        StageId(read.iter().position(|&r| !r).expect("one sink"))
     }
 
     /// Stage ids in reverse topological order (output first) — the order in
@@ -163,20 +167,36 @@ impl Dag {
     /// `post_order_traverse`): children (producers) before parents, output
     /// stage last; the schedule generator pops from the back.
     pub fn post_order_traverse(&self) -> Vec<StageId> {
-        let mut visited = vec![false; self.stages.len()];
         let mut order = Vec::with_capacity(self.stages.len());
         let output = self.output();
-        self.post_order_visit(output, &mut visited, &mut order);
+        self.post_order_visit(output, &mut order);
         order
     }
 
-    fn post_order_visit(&self, id: StageId, visited: &mut [bool], order: &mut Vec<StageId>) {
-        if visited[id.0] {
+    /// Appends the producers of `id` not yet in `order`, children first,
+    /// then `id` itself (a DAG is small: `order` doubles as the visited
+    /// set).
+    fn post_order_visit(&self, id: StageId, order: &mut Vec<StageId>) {
+        if order.contains(&id) {
             return;
         }
-        visited[id.0] = true;
-        for p in self.producers(id) {
-            self.post_order_visit(p, visited, order);
+        // The producers in the order of their names (as
+        // [`Dag::producers`] lists them), each picked as the least name
+        // after the last one visited, so the walk collects nothing.
+        if let StageKind::Compute(op) = &self.stage(id).kind {
+            let mut last: Option<&str> = None;
+            loop {
+                let mut next: Option<&str> = None;
+                op.body.for_each_access(&mut |a| {
+                    let name = a.tensor.name.as_str();
+                    if last.is_none_or(|l| name > l) && next.is_none_or(|n| name < n) {
+                        next = Some(name);
+                    }
+                });
+                let Some(name) = next else { break };
+                self.post_order_visit(self.by_name[name], order);
+                last = next;
+            }
         }
         order.push(id);
     }

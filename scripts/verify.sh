@@ -40,11 +40,14 @@ fi
 
 echo "== offline release build (workspace) =="
 cargo build --release --offline --workspace
-# Six committed tables are goldens (≈20 s in release): their bins,
-# run with the defaults they were committed with, must print them byte
-# for byte, so a refactor that moves a single sample fails here.
+# Nine committed tables are goldens (≈35 s in release, fig07 ≈12 s of
+# it): their bins, run with the defaults they were committed with, must
+# print them byte for byte, so a refactor that moves a single sample — or
+# a single generated constraint (table03, the table 4/5 census) — fails
+# here.
 for fig in fig02_irregular_space fig11_space_quality fig12_cga_convergence \
-    fig13_constraint_handling ablation_features fault_sweep; do
+    fig13_constraint_handling ablation_features fault_sweep \
+    table03_dla_constraints table04_05_space_census fig07_t4_a100; do
     env -u HERON_TRIALS -u HERON_SEED -u HERON_SAMPLES \
         cargo run --release --offline --quiet -p heron-bench --bin "$fig" \
         | cmp -s - "results/$fig.tsv" || {
@@ -52,7 +55,7 @@ for fig in fig02_irregular_space fig11_space_quality fig12_cga_convergence \
         exit 1
     }
 done
-echo "ok: fig02/11/12/13, ablation_features and fault_sweep reproduce their committed tables"
+echo "ok: fig02/07/11/12/13, table03, table04_05, ablation_features and fault_sweep reproduce their committed tables"
 
 echo "== offline tests (workspace) =="
 # NB: a bare `cargo test` from the root only tests the root package;
