@@ -5,59 +5,14 @@
 //! baseline (paper averages: 1.55× AutoTVM, 2.85× Ansor, 1.52× AMOS,
 //! 2.69× PyTorch/cuDNN).
 
-use heron_baselines::Approach;
-use heron_bench::{geomean, ratio, run_approach, run_vendor, seed, trials};
-use heron_workloads::{operator_names, operator_suite};
+use heron_bench::{print_operator_speedups, seed, trials};
 
 fn main() {
     let spec = heron_dla::v100();
     let trials = trials();
     println!("Figure 6: V100 TensorCore operator performance (trials={trials})");
     println!("op\tHeron(Gops)\tvsAutoTVM\tvsAnsor\tvsAMOS\tvsVendor");
-
-    let mut all: [Vec<f64>; 4] = Default::default();
-    for op in operator_names() {
-        let mut speedups: [Vec<f64>; 4] = Default::default();
-        let mut heron_scores = Vec::new();
-        for w in operator_suite(op) {
-            let Some(heron) = run_approach(Approach::Heron, &spec, &w, trials, seed()) else {
-                continue;
-            };
-            heron_scores.push(heron.best_gflops);
-            let others = [
-                run_approach(Approach::AutoTvm, &spec, &w, trials, seed()).map(|o| o.best_gflops),
-                run_approach(Approach::Ansor, &spec, &w, trials, seed()).map(|o| o.best_gflops),
-                run_approach(Approach::Amos, &spec, &w, trials, seed()).map(|o| o.best_gflops),
-                run_vendor(&spec, &w, seed()).map(|(g, _)| g),
-            ];
-            for (i, other) in others.iter().enumerate() {
-                if let Some(g) = other {
-                    if *g > 0.0 && heron.best_gflops > 0.0 {
-                        speedups[i].push(heron.best_gflops / g);
-                    }
-                }
-            }
-        }
-        let cells = [
-            op.to_string(),
-            format!("{:.0}", geomean(&heron_scores)),
-            format!("{:.2}", geomean(&speedups[0])),
-            format!("{:.2}", geomean(&speedups[1])),
-            format!("{:.2}", geomean(&speedups[2])),
-            format!("{:.2}", geomean(&speedups[3])),
-        ];
-        println!("{}", cells.join("\t"));
-        for i in 0..4 {
-            all[i].extend(speedups[i].iter());
-        }
-    }
-    println!(
-        "geomean\t-\t{}\t{}\t{}\t{}",
-        ratio(geomean(&all[0]), 1.0),
-        ratio(geomean(&all[1]), 1.0),
-        ratio(geomean(&all[2]), 1.0),
-        ratio(geomean(&all[3]), 1.0)
-    );
+    print_operator_speedups(&spec, trials, seed());
     println!();
     println!("(paper: AutoTVM 1.55x, Ansor 2.85x, AMOS 1.52x, PyTorch/cuDNN 2.69x)");
 }

@@ -2,58 +2,14 @@
 //! DL Boost CPU relative to Heron (paper averages: 2.93× AutoTVM, 12.0×
 //! Ansor, 2.71× AMOS, 1.49× oneDNN).
 
-use heron_baselines::Approach;
-use heron_bench::{geomean, run_approach, run_vendor, seed, trials};
-use heron_workloads::{operator_names, operator_suite};
+use heron_bench::{print_operator_speedups, seed, trials};
 
 fn main() {
     let spec = heron_dla::dlboost();
     let trials = trials();
     println!("Figure 8: DL Boost operator performance (trials={trials})");
     println!("op\tHeron(Gops)\tvsAutoTVM\tvsAnsor\tvsAMOS\tvsOneDNN");
-
-    let mut all: [Vec<f64>; 4] = Default::default();
-    for op in operator_names() {
-        let mut speedups: [Vec<f64>; 4] = Default::default();
-        let mut heron_scores = Vec::new();
-        for w in operator_suite(op) {
-            let Some(heron) = run_approach(Approach::Heron, &spec, &w, trials, seed()) else {
-                continue;
-            };
-            heron_scores.push(heron.best_gflops);
-            let others = [
-                run_approach(Approach::AutoTvm, &spec, &w, trials, seed()).map(|o| o.best_gflops),
-                run_approach(Approach::Ansor, &spec, &w, trials, seed()).map(|o| o.best_gflops),
-                run_approach(Approach::Amos, &spec, &w, trials, seed()).map(|o| o.best_gflops),
-                run_vendor(&spec, &w, seed()).map(|(g, _)| g),
-            ];
-            for (i, other) in others.iter().enumerate() {
-                if let Some(g) = other {
-                    if *g > 0.0 && heron.best_gflops > 0.0 {
-                        speedups[i].push(heron.best_gflops / g);
-                    }
-                }
-            }
-        }
-        println!(
-            "{op}\t{:.0}\t{:.2}\t{:.2}\t{:.2}\t{:.2}",
-            geomean(&heron_scores),
-            geomean(&speedups[0]),
-            geomean(&speedups[1]),
-            geomean(&speedups[2]),
-            geomean(&speedups[3])
-        );
-        for i in 0..4 {
-            all[i].extend(speedups[i].iter());
-        }
-    }
-    println!(
-        "geomean\t-\t{:.2}\t{:.2}\t{:.2}\t{:.2}",
-        geomean(&all[0]),
-        geomean(&all[1]),
-        geomean(&all[2]),
-        geomean(&all[3])
-    );
+    print_operator_speedups(&spec, trials, seed());
     println!();
     println!("(paper: AutoTVM 2.93x, Ansor 12.0x, AMOS 2.71x, oneDNN 1.49x)");
 }

@@ -16,7 +16,7 @@ use heron_baselines::{tune, vendor_outcome, Approach, Outcome};
 use heron_dla::DlaSpec;
 use heron_tensor::DType;
 use heron_trace::{Json, Tracer};
-use heron_workloads::Workload;
+use heron_workloads::{operator_names, operator_suite, Workload};
 
 /// Measured trials per tuning run (`HERON_TRIALS`, default 300).
 pub fn trials() -> usize {
@@ -65,13 +65,53 @@ pub fn run_vendor(spec: &DlaSpec, workload: &Workload, seed: u64) -> Option<(f64
     vendor_outcome(spec, &dag, &workload.name, seed).map(|v| (v.gflops, v.latency_s))
 }
 
-/// Formats a ratio column: `x.xx` or `-` when undefined.
-pub fn ratio(heron: f64, other: f64) -> String {
-    if other > 0.0 && heron > 0.0 {
-        format!("{:.2}", heron / other)
-    } else {
-        "-".into()
+/// Prints the rows of an operator figure (Figures 6 and 8) under its
+/// header: for each operator, Heron's geomean Gop/s over the operator's
+/// shapes and its geomean speedups over AutoTVM, Ansor, AMOS and the
+/// vendor library, then the geomean speedups over every shape.
+pub fn print_operator_speedups(spec: &DlaSpec, trials: usize, seed: u64) {
+    let mut all: [Vec<f64>; 4] = Default::default();
+    for op in operator_names() {
+        let mut speedups: [Vec<f64>; 4] = Default::default();
+        let mut heron_scores = Vec::new();
+        for w in operator_suite(op) {
+            let Some(heron) = run_approach(Approach::Heron, spec, &w, trials, seed) else {
+                continue;
+            };
+            heron_scores.push(heron.best_gflops);
+            let others = [
+                run_approach(Approach::AutoTvm, spec, &w, trials, seed).map(|o| o.best_gflops),
+                run_approach(Approach::Ansor, spec, &w, trials, seed).map(|o| o.best_gflops),
+                run_approach(Approach::Amos, spec, &w, trials, seed).map(|o| o.best_gflops),
+                run_vendor(spec, &w, seed).map(|(g, _)| g),
+            ];
+            for (i, other) in others.iter().enumerate() {
+                if let Some(g) = other {
+                    if *g > 0.0 && heron.best_gflops > 0.0 {
+                        speedups[i].push(heron.best_gflops / g);
+                    }
+                }
+            }
+        }
+        println!(
+            "{op}\t{:.0}\t{:.2}\t{:.2}\t{:.2}\t{:.2}",
+            geomean(&heron_scores),
+            geomean(&speedups[0]),
+            geomean(&speedups[1]),
+            geomean(&speedups[2]),
+            geomean(&speedups[3])
+        );
+        for i in 0..4 {
+            all[i].extend(speedups[i].iter());
+        }
     }
+    println!(
+        "geomean\t-\t{:.2}\t{:.2}\t{:.2}\t{:.2}",
+        geomean(&all[0]),
+        geomean(&all[1]),
+        geomean(&all[2]),
+        geomean(&all[3])
+    );
 }
 
 /// Prints a TSV row.
@@ -237,12 +277,6 @@ mod tests {
         let pts = downsample(&curve, 10);
         assert!(pts.len() <= 12);
         assert_eq!(pts.last(), Some(&(100, 100.0)));
-    }
-
-    #[test]
-    fn ratio_formats() {
-        assert_eq!(ratio(4.0, 2.0), "2.00");
-        assert_eq!(ratio(4.0, 0.0), "-");
     }
 
     #[test]

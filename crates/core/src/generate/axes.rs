@@ -41,24 +41,6 @@ pub struct MacView<'a> {
     pub axis_extents: Vec<(&'a str, i64)>,
 }
 
-impl MacView<'_> {
-    /// M extent rounded up to a multiple of `base` (tail padding for
-    /// intrinsic alignment).
-    pub fn m_padded(&self, base: i64) -> i64 {
-        round_up(self.m_extent, base)
-    }
-
-    /// N extent rounded up to a multiple of `base`.
-    pub fn n_padded(&self, base: i64) -> i64 {
-        round_up(self.n_extent, base)
-    }
-
-    /// K extent rounded up to a multiple of `base`.
-    pub fn k_padded(&self, base: i64) -> i64 {
-        round_up(self.k_extent, base)
-    }
-}
-
 /// Rounds `v` up to the next multiple of `base`.
 pub fn round_up(v: i64, base: i64) -> i64 {
     assert!(base >= 1);
@@ -178,13 +160,5 @@ mod tests {
         assert_eq!(round_up(49, 8), 56);
         assert_eq!(round_up(56, 8), 56);
         assert_eq!(round_up(1, 16), 16);
-    }
-
-    #[test]
-    fn padded_extents() {
-        let dag = ops::gemm(100, 100, 100);
-        let v = mac_view(&dag, dag.output()).expect("tensorizable");
-        assert_eq!(v.m_padded(8), 104);
-        assert_eq!(v.k_padded(16), 112);
     }
 }

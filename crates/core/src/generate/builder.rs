@@ -1,6 +1,6 @@
-//! The space builder: a thin facade coupling the CSP, the symbolic schedule
-//! state, and the kernel template so that every schedule decision and its
-//! constraints stay consistent.
+//! The space builder: a thin facade coupling the CSP, the schedule
+//! template's primitives, and the kernel template so that every schedule
+//! decision and its constraints stay consistent.
 //!
 //! The constraint generation rules C1–C6 are methods here:
 //!
@@ -20,7 +20,6 @@ use heron_csp::{Csp, Domain, VarCategory, VarRef};
 use heron_dla::DlaSpec;
 use heron_sched::template::{BufferSpec, KernelTemplate};
 use heron_sched::{MemScope, ScheduleState};
-use heron_tensor::IterKind;
 
 use super::GeneratedSpace;
 
@@ -75,20 +74,16 @@ const CSP_ROOM: usize = 256;
 const BUFFER_ROOM: usize = 8;
 const CONST_ROOM: usize = 32;
 
-/// Room a builder reserves for its schedule state: at most eight stages,
-/// three dozen loops and primitives, whose stage and loop names take a few
-/// hundred bytes.
-const STAGE_ROOM: usize = 8;
-const LOOP_ROOM: usize = 40;
+/// Room a builder reserves for its schedule primitives (three dozen at
+/// most).
 const PRIMITIVE_ROOM: usize = 40;
-const NAME_ROOM: usize = 1024;
 
-/// Builder accumulating the CSP and the schedule state side by side.
+/// Builder accumulating the CSP and the schedule primitives side by side.
 #[derive(Debug)]
 pub struct SpaceBuilder {
     /// The growing `CSP_initial`.
     pub csp: Csp,
-    /// The growing symbolic schedule.
+    /// The growing schedule template.
     pub state: ScheduleState,
     /// On-chip buffers registered so far (for the kernel template).
     pub buffers: Vec<BufferSpec>,
@@ -100,7 +95,7 @@ impl Default for SpaceBuilder {
     fn default() -> Self {
         SpaceBuilder {
             csp: Csp::with_capacity(CSP_ROOM, CSP_ROOM),
-            state: ScheduleState::with_capacity(STAGE_ROOM, LOOP_ROOM, PRIMITIVE_ROOM, NAME_ROOM),
+            state: ScheduleState::with_capacity(PRIMITIVE_ROOM),
             buffers: Vec::with_capacity(BUFFER_ROOM),
             consts: Vec::with_capacity(CONST_ROOM),
         }
@@ -357,15 +352,6 @@ impl SpaceBuilder {
         self.csp.var(r).name.clone()
     }
 
-    /// Gives a buffer stage its nest: the `<stage>.rows` and
-    /// `<stage>.cols` loops.
-    pub fn tile_loops(&mut self, stage: &str) {
-        for axis in ["rows", "cols"] {
-            self.state
-                .push_loop(stage, &[stage, ".", axis], IterKind::Spatial, axis);
-        }
-    }
-
     /// Finishes the space: `template` receives the buffers, the schedule
     /// primitives and the tunables' names, and the CSP becomes the
     /// space's shared `CSP_initial`.
@@ -399,26 +385,10 @@ impl SpaceBuilder {
 mod tests {
     use super::*;
     use heron_rng::HeronRng;
-    use heron_sched::StageRole;
-    use heron_tensor::DType;
-
-    fn builder_with_stage() -> SpaceBuilder {
-        let mut b = SpaceBuilder::new();
-        b.state.add_stage(
-            "C",
-            StageRole::Compute,
-            MemScope::Global,
-            MemScope::Global,
-            DType::F16,
-        );
-        b.state.push_loop("C", &["C.i"], IterKind::Spatial, "i");
-        b.state.push_loop("C", &["C.r"], IterKind::Reduce, "r");
-        b
-    }
 
     #[test]
     fn tile_split_posts_prod_and_twins() {
-        let mut b = builder_with_stage();
+        let mut b = SpaceBuilder::new();
         let parts = b.tile_split("C", "C.i", 64, ["C.i0", "C.i1", "C.i2"]);
         assert_eq!(parts.len(), 3);
         assert!(b.csp.var_by_name("tile.C.i1").is_some());
@@ -439,7 +409,7 @@ mod tests {
 
     #[test]
     fn mem_limit_and_cap_total_bound_tiles() {
-        let mut b = builder_with_stage();
+        let mut b = SpaceBuilder::new();
         let parts = b.tile_split("C", "C.i", 4096, ["C.i0", "C.i1"]);
         let elems = b.prod("elems.buf", [parts[1]]);
         let bytes = b.mem_limit("buf", MemScope::Shared, elems, 2);
@@ -458,7 +428,7 @@ mod tests {
 
     #[test]
     fn divides_enforces_alignment() {
-        let mut b = builder_with_stage();
+        let mut b = SpaceBuilder::new();
         let parts = b.tile_split("C", "C.r", 96, ["C.r0", "C.r1"]);
         let vec = b.tunable("vec", &[1, 2, 4, 8]);
         b.divides(vec, parts[1], "vec.row");

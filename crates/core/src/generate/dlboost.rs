@@ -32,7 +32,7 @@ pub fn build(
     let n = b.arch_const("n", inn);
     let k = b.arch_const("k", ik);
 
-    let fused = fuse_mac_axes(&mut b, view, "C.wmma", im, inn, ik, spec.in_dtype);
+    let fused = fuse_mac_axes(&mut b, view, "C.wmma", im, inn, ik);
     let tc = "C.wmma";
 
     let i = b.tile_split(tc, "C.wmma.M", fused.m_ext, ["C.i0", "C.i1", "C.i2"]);
@@ -64,7 +64,7 @@ pub fn build(
     );
     b.state.bind(tc, "C.i0", ThreadAxis::BlockX);
     b.state.bind(tc, "C.j0", ThreadAxis::BlockY);
-    b.state.tensorize(tc, &["C.j2", "C.r2"], "m", "n", "k");
+    b.state.tensorize(tc, "m", "n", "k");
 
     let batch = b.arch_const("batch", fused.batch_ext);
     let grid = b.prod("grid", [batch, i[0], j[0]]);
@@ -75,11 +75,9 @@ pub fn build(
     let a_rows = b.prod("rows.A.l2", [i[1], i[2]]);
     let kc_shallow = b.prod("row.A.l2.at0", [r[1], r[2]]);
     let a_execs_deep = b.prod("execs.A.l2.at1", [r[0], r[1]]);
+    b.state.cache_read("A", MemScope::L2, "A.l2");
     let (a_row, a_execs) = if opts.tunable_locations {
         let loc = b.tunable("loc.A.l2", &[0, 1]);
-        b.state
-            .cache_read("A", MemScope::L2, "A.l2", MemScope::Global, spec.in_dtype);
-        b.tile_loops("A.l2");
         b.state
             .compute_at("A.l2", tc, "loc.A.l2", &["C.r0", "C.r1"]);
         let row = b.aux("row.A.l2", 1, fused.k_ext);
@@ -87,30 +85,23 @@ pub fn build(
         let execs = b.aux("execs.A.l2", 1, i64::from(u32::MAX));
         b.select(execs, loc, vec![r[0], a_execs_deep]);
         (row, execs)
+    } else if opts.fixed_align_pad.is_some() {
+        // AutoTVM's manual template hard-codes the sensible shallow fusion
+        // point.
+        (kc_shallow, r[0])
     } else {
-        b.state
-            .cache_read("A", MemScope::L2, "A.l2", MemScope::Global, spec.in_dtype);
-        b.tile_loops("A.l2");
-        if opts.fixed_align_pad.is_some() {
-            // AutoTVM's manual template hard-codes the sensible shallow
-            // fusion point.
-            (kc_shallow, r[0])
-        } else {
-            // AMOS cannot tune the compute location of the fused packing
-            // stage (paper Section 7.1, DL Boost): its mapping fixes the
-            // stage at the inner reduction level, fragmenting the stream
-            // into intrinsic-width rows.
-            (r[2], a_execs_deep)
-        }
+        // AMOS cannot tune the compute location of the fused packing stage
+        // (paper Section 7.1, DL Boost): its mapping fixes the stage at the
+        // inner reduction level, fragmenting the stream into
+        // intrinsic-width rows.
+        (r[2], a_execs_deep)
     };
     let a_elems = b.prod("elems.A.l2", [a_rows, a_row]);
     let a_bytes = b.mem_limit("A.l2", MemScope::L2, a_elems, spec.in_dtype.bytes());
 
     // Weight panel, packed: the layout tunable chooses the contiguous run
     // the streaming-efficiency model sees (Ohwi16o-style packing).
-    b.state
-        .cache_read("B", MemScope::L2, "B.l2", MemScope::Global, spec.in_dtype);
-    b.tile_loops("B.l2");
+    b.state.cache_read("B", MemScope::L2, "B.l2");
     let b_cols = b.prod("cols.B.l2", [j[1], j[2]]);
     let b_rows = b.prod("rows.B.l2", [r[1], r[2]]);
     let b_elems = b.prod("elems.B.l2", [b_rows, b_cols]);
@@ -242,7 +233,7 @@ pub fn build_scalar(
     workload: &str,
 ) -> GeneratedSpace {
     let mut b = SpaceBuilder::new();
-    let fused = fuse_mac_axes(&mut b, view, "C", 1, 1, 1, spec.in_dtype);
+    let fused = fuse_mac_axes(&mut b, view, "C", 1, 1, 1);
     let tc = "C";
 
     let i = b.tile_split(tc, "C.M", fused.m_ext, ["C.i0", "C.i1", "C.i2"]);
@@ -262,15 +253,11 @@ pub fn build_scalar(
     b.arch_const("warps", 1);
     let _ = grid;
 
-    b.state
-        .cache_read("A", MemScope::L2, "A.l2", MemScope::Global, spec.in_dtype);
-    b.tile_loops("A.l2");
+    b.state.cache_read("A", MemScope::L2, "A.l2");
     let a_rows = b.prod("rows.A.l2", [i[1], i[2]]);
     let a_elems = b.prod("elems.A.l2", [a_rows, r[1]]);
     let a_bytes = b.mem_limit("A.l2", MemScope::L2, a_elems, spec.in_dtype.bytes());
-    b.state
-        .cache_read("B", MemScope::L2, "B.l2", MemScope::Global, spec.in_dtype);
-    b.tile_loops("B.l2");
+    b.state.cache_read("B", MemScope::L2, "B.l2");
     let b_cols = b.prod("cols.B.l2", [j[1], j[2]]);
     let b_elems = b.prod("elems.B.l2", [r[1], b_cols]);
     let b_bytes = b.mem_limit("B.l2", MemScope::L2, b_elems, spec.in_dtype.bytes());

@@ -19,7 +19,7 @@ use heron_csp::VarRef;
 use heron_dla::{DlaSpec, GpuParams};
 use heron_sched::template::{IntrinsicRef, KernelTemplate, StageSpec};
 use heron_sched::{MemScope, StageRole, ThreadAxis};
-use heron_tensor::{DType, Dag, IterKind};
+use heron_tensor::{DType, Dag};
 
 use super::axes::MacView;
 use super::builder::{var_name, SpaceBuilder};
@@ -82,7 +82,7 @@ pub fn build_tensorized(
             *k_cands.last().unwrap_or(&8),
         )
     };
-    let fused = fuse_mac_axes(&mut b, view, "C.wmma", pad_m, pad_n, pad_k, spec.in_dtype);
+    let fused = fuse_mac_axes(&mut b, view, "C.wmma", pad_m, pad_n, pad_k);
     let tc = "C.wmma";
 
     let i = b.tile_split(
@@ -126,8 +126,7 @@ pub fn build_tensorized(
     b.state.bind(tc, "C.j0", ThreadAxis::BlockY);
     b.state.bind(tc, "C.i1", ThreadAxis::ThreadY);
     b.state.bind(tc, "C.j1", ThreadAxis::ThreadY);
-    b.state
-        .tensorize(tc, &["C.i3", "C.j3", "C.r2"], "m", "n", "k");
+    b.state.tensorize(tc, "m", "n", "k");
 
     // ---- Launch geometry --------------------------------------------------
     let batch = b.arch_const("batch", fused.batch_ext);
@@ -223,14 +222,7 @@ pub fn build_tensorized(
     // small shared staging buffer (counted against the 48 KiB budget), so
     // coalesced vectorised stores reach global memory; the staging buffer's
     // row is storage_align-tunable like the input tiles.
-    b.state.cache_write(
-        "C",
-        MemScope::Shared,
-        "C.shared",
-        MemScope::Global,
-        DType::F32,
-    );
-    b.tile_loops("C.shared");
+    b.state.cache_write("C", MemScope::Shared, "C.shared");
     let frag_elems = b.prod("elems.C.stage4", [m, n]);
     let stage4_execs = b.prod("execs.C.stage4", [warps, i[2], j[2]]);
     let out_pad = if opts.storage_align {
@@ -323,7 +315,7 @@ pub fn build_scalar(
     workload: &str,
 ) -> GeneratedSpace {
     let mut b = SpaceBuilder::new();
-    let fused = fuse_mac_axes(&mut b, view, "C", 1, 1, 1, spec.in_dtype);
+    let fused = fuse_mac_axes(&mut b, view, "C", 1, 1, 1);
     let tc = "C";
 
     let i = b.tile_split(tc, "C.M", fused.m_ext, ["C.i0", "C.i1", "C.i2", "C.i3"]);
@@ -437,10 +429,11 @@ pub(super) struct FusedMac {
     pub batch_ext: i64,
 }
 
-/// Creates the compute stage in the schedule state, logging the Rule-C2
-/// fuse primitives that collapse the original operator axes into the fused
-/// `M`, `N`, `K` loops (the implicit im2col view), and returns the padded
-/// fused extents the tile splits operate on.
+/// Logs the Rule-C2 fuse primitives that collapse the original operator
+/// axes of the compute stage `prefix` into the fused `M`, `N`, `K` loops
+/// (the implicit im2col view), and returns the padded fused extents the
+/// tile splits operate on. A single-axis group has nothing to fuse: its
+/// loop is the fused `<prefix>.M` (`N`, `K`) the splits name.
 pub(super) fn fuse_mac_axes(
     b: &mut SpaceBuilder,
     view: &MacView<'_>,
@@ -448,32 +441,12 @@ pub(super) fn fuse_mac_axes(
     m_base: i64,
     n_base: i64,
     k_base: i64,
-    dtype: DType,
 ) -> FusedMac {
-    // Initial loops: original axis names, except that single-axis groups are
-    // born with their fused name directly (there is nothing to fuse).
     let groups = [
-        (&view.m_axes, "M", IterKind::Spatial, m_base),
-        (&view.n_axes, "N", IterKind::Spatial, n_base),
-        (&view.k_axes, "K", IterKind::Reduce, k_base),
+        (&view.m_axes, "M", m_base),
+        (&view.n_axes, "N", n_base),
+        (&view.k_axes, "K", k_base),
     ];
-    b.state.add_stage(
-        prefix,
-        StageRole::Compute,
-        MemScope::Global,
-        MemScope::Global,
-        dtype,
-    );
-    for &(axes, group, kind, _) in &groups {
-        if axes.len() == 1 {
-            b.state
-                .push_loop(prefix, &[prefix, ".", group], kind, axes[0]);
-        } else {
-            for a in axes {
-                b.state.push_loop(prefix, &[prefix, ".", a], kind, a);
-            }
-        }
-    }
     // Declare the per-axis loop-length variables of the census (paper
     // Table 4: `stage.i6` et al.), one after another from `first`, and log
     // the Rule-C2 fusions for multi-axis groups, tying the fused product to
@@ -486,7 +459,7 @@ pub(super) fn fuse_mac_axes(
             heron_csp::VarCategory::LoopLength,
         );
     }
-    for &(axes, group, _, base) in &groups {
+    for &(axes, group, base) in &groups {
         if axes.len() >= 2 {
             let names = axes.iter().map(|a| var_name(&[prefix, ".", a])).collect();
             b.state.fuse(prefix, names, var_name(&[prefix, ".", group]));
@@ -576,9 +549,7 @@ fn shared_load_stage(
     p: SharedLoad<'_>,
 ) -> SharedStage {
     let st = p.stage;
-    b.state
-        .cache_read(p.tensor, MemScope::Shared, st, MemScope::Global, p.dtype);
-    b.tile_loops(st);
+    b.state.cache_read(p.tensor, MemScope::Shared, st);
 
     let fixed = b.prod(var_name(&["fixdim.", st]), p.fixed_dim);
     let dep_shallow = b.prod(var_name(&["kchunk.", st, ".at0"]), p.dep_shallow);
@@ -589,17 +560,8 @@ fn shared_load_stage(
     // trade off.
     let (dep, execs) = if opts.tunable_locations {
         let loc = b.tunable(var_name(&["loc.", st]), &[0, 1]);
-        // Anchor in the schedule state when the parent has those loops.
-        let parent = b.state.stage(p.parent);
-        if parent.is_some_and(|s| {
-            b.state
-                .nest(s)
-                .iter()
-                .any(|l| b.state.name(l.name) == "C.r0")
-        }) {
-            b.state
-                .compute_at(st, p.parent, &b.csp.var(loc).name, &["C.r0", "C.r1"]);
-        }
+        b.state
+            .compute_at(st, p.parent, &b.csp.var(loc).name, &["C.r0", "C.r1"]);
         let dep = b.aux(var_name(&["kchunk.", st]), 1, i64::from(u32::MAX));
         b.select(dep, loc, vec![dep_shallow, p.dep_deep]);
         let execs = b.aux(var_name(&["execs.", st]), 1, i64::from(u32::MAX));
@@ -673,15 +635,8 @@ fn fragment_stage(
     exec_factors: &[VarRef],
     src: &SharedStage,
 ) -> StageSpec {
-    b.state.cache_read(
-        name.split('.').next().unwrap_or(name),
-        scope,
-        name,
-        MemScope::Shared,
-        spec.in_dtype,
-    );
     b.state
-        .push_loop(name, &[name, ".x"], IterKind::Spatial, "x");
+        .cache_read(name.split('.').next().unwrap_or(name), scope, name);
     let elems = b.prod(var_name(&["elems.", name]), elem_factors);
     let execs = b.prod(var_name(&["execs.", name]), exec_factors);
     let bytes = b.mem_limit(name, scope, elems, spec.in_dtype.bytes());

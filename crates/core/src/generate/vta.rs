@@ -75,7 +75,7 @@ pub fn build(
     let pad_n = shapes.iter().map(|s| s.1).max().expect("non-empty");
     let pad_k = shapes.iter().map(|s| s.2).max().expect("non-empty");
 
-    let fused = fuse_mac_axes(&mut b, view, "C.wmma", pad_m, pad_n, pad_k, spec.in_dtype);
+    let fused = fuse_mac_axes(&mut b, view, "C.wmma", pad_m, pad_n, pad_k);
     let tc = "C.wmma";
 
     let i = b.tile_split(tc, "C.wmma.M", fused.m_ext, ["C.i0", "C.i1", "C.i2"]);
@@ -102,8 +102,7 @@ pub fn build(
         ],
     );
     b.state.bind(tc, "C.i0", ThreadAxis::BlockX);
-    b.state
-        .tensorize(tc, &["C.i2", "C.j2", "C.r2"], "m", "n", "k");
+    b.state.tensorize(tc, "m", "n", "k");
 
     // Rule-C6: accumulator write-port hazard — the inner reduction extent
     // must cover the pipeline latency. The hazard only exists when the
@@ -121,14 +120,7 @@ pub fn build(
     let _ = grid;
 
     // ---- SRAM tiles (Rule-C5 on all three buffers) -----------------------
-    b.state.cache_read(
-        "A",
-        MemScope::VtaInput,
-        "A.sram",
-        MemScope::Global,
-        spec.in_dtype,
-    );
-    b.tile_loops("A.sram");
+    b.state.cache_read("A", MemScope::VtaInput, "A.sram");
     let kc = b.prod("row.A.sram", [r[1], r[2]]);
     let in_elems = b.prod("elems.A.sram", [i[1], i[2], kc]);
     let in_bytes = b.mem_limit(
@@ -138,14 +130,7 @@ pub fn build(
         spec.in_dtype.bytes(),
     );
 
-    b.state.cache_read(
-        "B",
-        MemScope::VtaWeight,
-        "B.sram",
-        MemScope::Global,
-        spec.in_dtype,
-    );
-    b.tile_loops("B.sram");
+    b.state.cache_read("B", MemScope::VtaWeight, "B.sram");
     let nc = b.prod("cols.B.sram", [j[1], j[2]]);
     let w_elems = b.prod("elems.B.sram", [kc, nc]);
     let w_bytes = b.mem_limit(

@@ -692,19 +692,13 @@ impl Tuner {
         &self.tracer
     }
 
-    /// Attaches a supervisor control handle (builder style). The tuner
-    /// consults it at every round boundary ([`Termination::Preempted`] /
-    /// [`Termination::Cancelled`]) and publishes a heartbeat on it. Like
-    /// the tracer, the control observes only: attaching one never
-    /// perturbs the deterministic session stream.
-    #[must_use]
-    pub fn with_control(mut self, control: TunerControl) -> Self {
-        self.set_control(control);
-        self
-    }
-
-    /// Replaces the control handle in place (used when a recovered job
-    /// is re-attached to a fresh worker epoch).
+    /// Attaches a supervisor control handle, replacing the current one
+    /// (a recovered job is re-attached to a fresh worker epoch this way).
+    /// The tuner consults it at every round boundary
+    /// ([`Termination::Preempted`] / [`Termination::Cancelled`]) and
+    /// publishes a heartbeat on it. Like the tracer, the control observes
+    /// only: attaching one never perturbs the deterministic session
+    /// stream.
     pub fn set_control(&mut self, control: TunerControl) {
         self.control = control;
     }

@@ -1,15 +1,17 @@
-//! Schedule primitives, symbolic schedule state, kernel templates, and
-//! lowering for the Heron reproduction.
+//! Schedule primitives, the state that records them, kernel templates,
+//! and lowering for the Heron reproduction.
 //!
 //! The pipeline is:
 //!
-//! 1. `heron-core`'s space generator applies [`primitive::Primitive`]s to a
-//!    [`state::ScheduleState`] (TVM-style `split`/`fuse`/`bind`/`tensorize`
-//!    …), producing a paper-style schedule *template* whose loop extents are
-//!    **names of CSP variables**, not numbers.
-//! 2. The same generator wraps the state into a [`template::KernelTemplate`]
-//!    that records which CSP variables carry each stage's footprints,
-//!    execution counts, vector widths and intrinsic shape.
+//! 1. `heron-core`'s space generator records the [`primitive::Primitive`]s
+//!    it applies (TVM-style `split`/`fuse`/`bind`/`tensorize` …) in a
+//!    [`state::ScheduleState`], producing a paper-style schedule
+//!    *template* whose loop extents are **names of CSP variables**, not
+//!    numbers.
+//! 2. The same generator states every stage once, in a
+//!    [`template::KernelTemplate`] that records which CSP variables carry
+//!    each stage's footprints, execution counts, vector widths and
+//!    intrinsic shape.
 //! 3. Given one concrete CSP solution, [`kernel::lower`] evaluates every
 //!    referenced variable and emits a fully numeric [`kernel::Kernel`] that
 //!    the DLA measurer in `heron-dla` simulates.
@@ -20,16 +22,14 @@
 //! # Example
 //!
 //! ```
-//! use heron_sched::{MemScope, ScheduleState, StageRole, ThreadAxis};
-//! use heron_tensor::{DType, IterKind};
+//! use heron_sched::{Primitive, ScheduleState, ThreadAxis};
 //!
 //! let mut state = ScheduleState::new();
-//! state.add_stage("C", StageRole::Compute, MemScope::Global, MemScope::Global, DType::F16);
-//! state.push_loop("C", &["C.i"], IterKind::Spatial, "i");
-//! state.push_loop("C", &["C.r"], IterKind::Reduce, "r");
 //! state.split("C", "C.i", &["C.i0", "C.i1"]);
 //! state.bind("C", "C.i0", ThreadAxis::BlockX);
 //! assert_eq!(state.template().len(), 2); // split + bind recorded
+//! assert_eq!(state.template()[0].to_string(), "C.split(C.i -> C.i0, C.i1)");
+//! assert!(matches!(state.template()[1], Primitive::Bind { .. }));
 //! ```
 
 pub mod codegen;
@@ -43,5 +43,5 @@ pub use codegen::kernel_pseudo_code;
 pub use kernel::{lower, Kernel, KernelBuffer, KernelStage, LowerError};
 pub use primitive::Primitive;
 pub use scope::{MemScope, StageRole, ThreadAxis};
-pub use state::{LoopSym, ScheduleState, StageSym, SymName};
+pub use state::ScheduleState;
 pub use template::{IntrinsicRef, KernelTemplate, StageSpec};

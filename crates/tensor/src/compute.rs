@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use crate::dtype::DType;
 use crate::expr::{IterKind, IterVar, ScalarExpr, VarId};
 use crate::tensor::Tensor;
 
@@ -146,11 +145,6 @@ impl ComputeOp {
         });
         reads && elementwise
     }
-
-    /// Element type produced by the stage.
-    pub fn out_dtype(&self) -> DType {
-        self.output.dtype
-    }
 }
 
 impl fmt::Display for ComputeOp {
@@ -210,6 +204,7 @@ impl Stage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dtype::DType;
     use crate::expr::IndexExpr;
 
     fn gemm_op(m: i64, n: i64, k: i64) -> ComputeOp {

@@ -156,13 +156,6 @@ impl Dag {
         StageId(read.iter().position(|&r| !r).expect("one sink"))
     }
 
-    /// Stage ids in reverse topological order (output first) — the order in
-    /// which Algorithm 1 visits nodes.
-    pub fn reverse_topological(&self) -> Vec<StageId> {
-        // Insertion order is topological, so reversal suffices.
-        (0..self.stages.len()).rev().map(StageId).collect()
-    }
-
     /// Post-order traversal from the output stage (paper's
     /// `post_order_traverse`): children (producers) before parents, output
     /// stage last; the schedule generator pops from the back.

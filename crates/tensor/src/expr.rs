@@ -193,14 +193,6 @@ impl IndexExpr {
         }
     }
 
-    /// Whether the expression is exactly a single variable reference.
-    pub fn as_single_var(&self) -> Option<VarId> {
-        match self {
-            IndexExpr::Var(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// Renders with variable names supplied by `name`.
     pub fn display_with(&self, name: &dyn Fn(VarId) -> String) -> String {
         match self {

@@ -4,7 +4,7 @@
 //! | Paper element | Implementation |
 //! |---|---|
 //! | §2.1 deep learning compilers (graph opts, tensor expressions) | [`heron_graph`] (fusion front end), [`heron_tensor`] (compute/DAG) |
-//! | §2.2 schedule templates, Table 1 primitives | [`heron_sched::primitive::Primitive`], [`heron_sched::state::ScheduleState`] |
+//! | §2.2 schedule templates, Table 1 primitives | [`heron_sched::template::KernelTemplate`] (its `StageSpec`s drive lowering; its primitives, each a [`heron_sched::primitive::Primitive`] recorded through [`heron_sched::state::ScheduleState`], are what `heron_cli census` prints) |
 //! | §2.2 Ansor derivation rules (Table 2) | [`heron_core::generate::rules`] (`Always-Inline`, `Multi-Level-Tiling`, cache-stage conditions) |
 //! | §2.3 genetic algorithm background | [`heron_core::explore::classic::GaExplorer`], roulette-wheel selection in [`heron_core::explore`] |
 //! | §2.4 Observation 1 (Table 3 constraints) | [`heron_dla::platforms`] (machine-readable per-DLA constraint sets) |

@@ -301,3 +301,31 @@ fn generated_spaces_are_pinned() {
         .collect();
     assert_eq!(got, pinned, "generated spaces moved; now:\n{table}");
 }
+
+/// Lowering resolves every name the template refers to, and a name the CSP
+/// does not declare makes every trial of the space invalid: each name a
+/// stage, the launch geometry, a buffer or a primitive's variable slot
+/// (split parts, compute_at location, unroll and vector lengths,
+/// storage_align pad, intrinsic shape) holds is a variable of the space.
+#[test]
+fn generated_templates_name_only_declared_variables() {
+    for (label, spec, w, opts) in pinned_spaces() {
+        let dag = w.build(spec.in_dtype);
+        let space = SpaceGenerator::new(spec)
+            .generate_named(&dag, &opts, &w.name)
+            .unwrap_or_else(|e| panic!("{label}: generation failed: {e}"));
+        let slots = space.template.primitives.iter().flat_map(|p| {
+            let mut vars = p.tunable_vars();
+            if let heron::sched::Primitive::Tensorize { m, n, k, .. } = p {
+                vars.extend([m.as_str(), n.as_str(), k.as_str()]);
+            }
+            vars
+        });
+        for name in space.template.referenced_vars().into_iter().chain(slots) {
+            assert!(
+                space.csp.var_by_name(name).is_some(),
+                "{label}: the template names `{name}`, which the CSP does not declare"
+            );
+        }
+    }
+}
