@@ -446,6 +446,26 @@ mod tests {
     }
 
     #[test]
+    fn resume_refuses_a_sample_of_the_wrong_arity() {
+        let mut head = faulty_session();
+        head.run_until(12);
+        let mut ckpt = head.checkpoint();
+        ckpt.samples[3].0.pop();
+        let err = Tuner::resume(
+            gemm64(),
+            Measurer::new(v100()),
+            TuneConfig::quick(24),
+            FaultPlan::uniform(11, 0.35),
+            &ckpt,
+        )
+        .expect_err("a short sample cannot join the model's store");
+        assert!(
+            matches!(&err, CheckpointError::Mismatch(m) if m.contains("a recorded sample")),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn insight_log_roundtrips_inside_the_checkpoint() {
         use heron_insight::{RefitRecord, RoundRecord};
         let mut log = SearchLog::new("gemm-256", "nvidia-v100", 42, 3);

@@ -2,11 +2,13 @@
 //! template's primitives, and the kernel template so that every schedule
 //! decision and its constraints stay consistent.
 //!
-//! The constraint generation rules C1–C6 are methods here:
+//! The constraint generation rules C1–C6 are methods here, but for C2:
 //!
 //! * [`SpaceBuilder::tile_split`] — Rule-C1 `AddLoopSplit` (PROD over the
 //!   split parts, plus the paper's `tile.*` twin variables),
-//! * [`SpaceBuilder::fuse_loops`] — Rule-C2 `AddLoopFuse`,
+//! * Rule-C2 `AddLoopFuse` is posted by `tensorcore::fuse_mac_axes`,
+//!   which every platform's generator shares (PROD of the fused axes,
+//!   LE the padded extent),
 //! * [`SpaceBuilder::candidates`] — Rule-C3 `AddCandidates` (IN),
 //! * [`SpaceBuilder::select`] — Rule-C4 `AddStageFuse` (SELECT over
 //!   location-dependent loop lengths),
@@ -167,12 +169,6 @@ impl SpaceBuilder {
         }
     }
 
-    /// A loop-length variable with range `[1, max]`.
-    pub fn loop_var(&mut self, name: impl Into<String>, max: i64) -> VarRef {
-        self.csp
-            .add_var(name, Domain::range(1, max.max(1)), VarCategory::LoopLength)
-    }
-
     /// A tunable variable with an explicit value set (Rule-C3 posts the IN,
     /// plus the paper's indicator-boolean helpers).
     pub fn tunable(&mut self, name: impl Into<String>, values: &[i64]) -> VarRef {
@@ -223,23 +219,6 @@ impl SpaceBuilder {
         });
         self.csp.post_prod(total, refs.to_vec());
         refs
-    }
-
-    /// Rule-C2 `AddLoopFuse`: declares the fused loop length as the product
-    /// of the fused parts.
-    pub fn fuse_loops(
-        &mut self,
-        stage: &str,
-        loops: &[&str],
-        fused: &str,
-        part_refs: &[VarRef],
-        max: i64,
-    ) -> VarRef {
-        let names = loops.iter().map(|l| l.to_string()).collect();
-        self.state.fuse(stage, names, fused.to_string());
-        let f = self.loop_var(fused, max);
-        self.csp.post_prod(f, part_refs.to_vec());
-        f
     }
 
     /// Rule-C3 `AddCandidates`: posts `var ∈ values`.

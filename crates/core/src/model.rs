@@ -6,17 +6,26 @@
 //! throughput, and its gain-based feature importances select CGA's key
 //! variables (Algorithm 3, Step 1).
 
-use heron_cost::{Gbdt, GbdtParams};
+use heron_cost::{Columns, Gbdt, GbdtParams};
 use heron_csp::{Csp, Solution, VarRef};
 use heron_rng::Rng;
 use heron_trace::Tracer;
 
 /// Cost model bound to one CSP's variable layout.
+///
+/// The model's store is the session's one copy of its measured samples:
+/// the fit and the training-set predictions read the features' codes, and
+/// [`CostModel::samples`] reads the raw values back for the checkpoint.
 #[derive(Debug)]
 pub struct CostModel {
     num_vars: usize,
-    data_x: Vec<Vec<f64>>,
-    data_y: Vec<f64>,
+    /// Log-scaled features of every sample, rank-coded.
+    features: Columns,
+    /// The same samples' raw variable values. `featurize` is not
+    /// injective (negative values and large integers collide), so the
+    /// features cannot give them back.
+    raw: Columns<i64>,
+    scores: Vec<f64>,
     model: Option<Gbdt>,
     params: GbdtParams,
     tracer: Tracer,
@@ -27,8 +36,9 @@ impl CostModel {
     pub fn new(csp: &Csp) -> Self {
         CostModel {
             num_vars: csp.num_vars(),
-            data_x: Vec::new(),
-            data_y: Vec::new(),
+            features: Columns::default(),
+            raw: Columns::default(),
+            scores: Vec::new(),
             model: None,
             params: GbdtParams::default(),
             tracer: Tracer::disabled(),
@@ -53,35 +63,45 @@ impl CostModel {
     /// programs should be recorded with score 0).
     pub fn add_sample(&mut self, sol: &Solution, score: f64) {
         debug_assert_eq!(sol.values().len(), self.num_vars);
-        self.data_x.push(self.featurize(sol));
-        self.data_y.push(score);
+        self.features.push_row(&self.featurize(sol));
+        self.raw.push_row(sol.values());
+        self.scores.push(score);
+    }
+
+    /// Every recorded `(solution values, score)` sample in measurement
+    /// order: the log that lets a resumed session rebuild the model.
+    pub fn samples(&self) -> impl Iterator<Item = (Vec<i64>, f64)> + '_ {
+        self.scores
+            .iter()
+            .enumerate()
+            .map(|(r, &score)| (self.raw.row(r).collect(), score))
     }
 
     /// Number of recorded samples.
     pub fn len(&self) -> usize {
-        self.data_y.len()
+        self.scores.len()
     }
 
     /// Whether no samples have been recorded yet.
     pub fn is_empty(&self) -> bool {
-        self.data_y.is_empty()
+        self.scores.is_empty()
     }
 
     /// Refits the GBDT on all recorded samples (no-op with < 8 samples).
     pub fn fit<R: Rng>(&mut self, rng: &mut R) {
-        if self.data_y.len() < 8 {
+        if self.scores.len() < 8 {
             return;
         }
         let span = self
             .tracer
-            .span_with("model.fit", || [("samples", self.data_y.len().to_string())]);
+            .span_with("model.fit", || [("samples", self.scores.len().to_string())]);
         let wall = std::time::Instant::now();
         // The previous model is not read by the fit: free it first, so the
         // old and the new ensemble are never live together.
         self.model = None;
         self.model = Some(Gbdt::fit_traced(
-            &self.data_x,
-            &self.data_y,
+            &self.features,
+            &self.scores,
             &self.params,
             rng,
             &self.tracer,
@@ -134,8 +154,8 @@ impl CostModel {
     /// this is the fidelity signal that matters.
     pub fn rank_accuracy(&self) -> Option<f64> {
         let model = self.model.as_ref()?;
-        let preds = model.predict_batch(&self.data_x);
-        Some(heron_cost::pairwise_rank_accuracy(&preds, &self.data_y))
+        let preds = model.predict_columns(&self.features);
+        Some(heron_cost::pairwise_rank_accuracy(&preds, &self.scores))
     }
 
     /// Training-set fit quality `(rank accuracy, Spearman ρ)` of the
@@ -144,10 +164,10 @@ impl CostModel {
     /// records after every refit.
     pub fn train_quality(&self) -> Option<(f64, f64)> {
         let model = self.model.as_ref()?;
-        let preds = model.predict_batch(&self.data_x);
+        let preds = model.predict_columns(&self.features);
         Some((
-            heron_cost::pairwise_rank_accuracy(&preds, &self.data_y),
-            heron_cost::spearman_rho(&preds, &self.data_y),
+            heron_cost::pairwise_rank_accuracy(&preds, &self.scores),
+            heron_cost::spearman_rho(&preds, &self.scores),
         ))
     }
 
@@ -212,6 +232,22 @@ mod tests {
         assert_eq!(top[0].0, 0, "variable a carries the signal: {top:?}");
         assert!(top[0].1 > 0.0);
         assert!(top.windows(2).all(|w| w[0].1 >= w[1].1));
+    }
+
+    #[test]
+    fn samples_read_back_the_raw_values() {
+        let csp = csp2();
+        let mut model = CostModel::new(&csp);
+        // `featurize` maps all three of these to the same features.
+        let recorded = [
+            (vec![-5, 1 << 60], 1.5),
+            (vec![0, (1 << 60) + 1], 0.0),
+            (vec![-1, 1 << 60], 2.0),
+        ];
+        for (values, score) in &recorded {
+            model.add_sample(&Solution::new(values.clone()), *score);
+        }
+        assert_eq!(model.samples().collect::<Vec<_>>(), recorded);
     }
 
     #[test]

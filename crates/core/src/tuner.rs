@@ -564,11 +564,8 @@ impl Quarantine {
 /// except the RNG which lives beside it on the [`Tuner`]).
 #[derive(Debug)]
 struct SessionState {
+    /// Also the session's one copy of its samples ([`CostModel::samples`]).
     model: CostModel,
-    /// Every recorded `(solution values, score)` sample in measurement
-    /// order — the replay log that lets [`Tuner::resume`] rebuild the
-    /// cost model exactly.
-    samples: Vec<(Vec<i64>, f64)>,
     result: TuneResult,
     measured: BTreeSet<u64>,
     quarantined: Quarantine,
@@ -585,7 +582,6 @@ impl SessionState {
     fn fresh(space: &GeneratedSpace) -> Self {
         SessionState {
             model: CostModel::new(&space.csp),
-            samples: Vec::new(),
             result: TuneResult::default(),
             measured: BTreeSet::new(),
             quarantined: Quarantine::default(),
@@ -1197,7 +1193,6 @@ impl Tuner {
         res.timing.sim_s += t.elapsed().as_secs_f64();
         push_best(&mut res.curve, score);
         self.state.model.add_sample(sol, score);
-        self.state.samples.push((sol.values().to_vec(), score));
         score
     }
 
@@ -1216,7 +1211,7 @@ impl Tuner {
             result: self.state.result.clone(),
             measured: self.state.measured.iter().copied().collect(),
             quarantined: self.state.quarantined.ordered(),
-            samples: self.state.samples.clone(),
+            samples: self.state.model.samples().collect(),
             survivors: self
                 .state
                 .survivors
@@ -1307,7 +1302,6 @@ impl Tuner {
 
         let state = SessionState {
             model,
-            samples: ckpt.samples.clone(),
             result,
             measured: ckpt.measured.iter().copied().collect(),
             quarantined,

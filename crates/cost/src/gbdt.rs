@@ -43,23 +43,25 @@ pub struct Gbdt {
 }
 
 impl Gbdt {
-    /// Fits the model to `(x, y)` with squared loss.
+    /// Fits the model to `(x, y)` with squared loss: rank-codes `x` into a
+    /// [`Columns`], then [`Gbdt::fit_traced`] on it.
     ///
     /// # Panics
     /// Panics if `x` is empty, ragged, or `x.len() != y.len()`.
     pub fn fit<R: Rng>(x: &[Vec<f64>], y: &[f64], params: &GbdtParams, rng: &mut R) -> Self {
-        Gbdt::fit_traced(x, y, params, rng, &Tracer::disabled())
+        Gbdt::fit_traced(&Columns::new(x), y, params, rng, &Tracer::disabled())
     }
 
-    /// [`Gbdt::fit`] under a `cost.fit` span, recording the counter
-    /// `cost.fits` and the wall-time histogram `cost.fit_ms` on `tracer`.
-    /// The tracer never draws from `rng`, so traced and untraced fits
-    /// produce identical models.
+    /// Fits the model to the rows of `x` and the targets `y` under a
+    /// `cost.fit` span, recording the counter `cost.fits` and the
+    /// wall-time histogram `cost.fit_ms` on `tracer`. The tracer never
+    /// draws from `rng`, so traced and untraced fits produce identical
+    /// models.
     ///
     /// # Panics
-    /// Same conditions as [`Gbdt::fit`].
+    /// Panics if `x` has no rows or `x.rows() != y.len()`.
     pub fn fit_traced<R: Rng>(
-        x: &[Vec<f64>],
+        x: &Columns,
         y: &[f64],
         params: &GbdtParams,
         rng: &mut R,
@@ -67,7 +69,7 @@ impl Gbdt {
     ) -> Self {
         let span = tracer.span_with("cost.fit", || {
             [
-                ("rows", x.len().to_string()),
+                ("rows", x.rows().to_string()),
                 ("trees", params.n_trees.to_string()),
             ]
         });
@@ -79,36 +81,35 @@ impl Gbdt {
         model
     }
 
-    fn fit_inner<R: Rng>(x: &[Vec<f64>], y: &[f64], params: &GbdtParams, rng: &mut R) -> Self {
-        assert_eq!(x.len(), y.len(), "feature/target length mismatch");
-        // Panics on an empty or ragged `x`.
-        let cols = Columns::new(x);
+    fn fit_inner<R: Rng>(cols: &Columns, y: &[f64], params: &GbdtParams, rng: &mut R) -> Self {
+        assert_eq!(cols.rows(), y.len(), "feature/target length mismatch");
+        assert!(!y.is_empty(), "cannot fit a tree to zero samples");
 
         let base = y.iter().sum::<f64>() / y.len() as f64;
         let mut preds = vec![base; y.len()];
         let mut trees = Vec::with_capacity(params.n_trees);
         let mut residuals = vec![0.0; y.len()];
-        let mut rows = Vec::with_capacity(x.len());
+        let mut rows = Vec::with_capacity(y.len());
         let mut scratch = Scratch::default();
         for _ in 0..params.n_trees {
             for ((r, t), p) in residuals.iter_mut().zip(y).zip(&preds) {
                 *r = t - p;
             }
             rows.clear();
-            rows.extend((0..x.len()).filter(|_| rng.random::<f64>() < params.subsample));
+            rows.extend((0..y.len()).filter(|_| rng.random::<f64>() < params.subsample));
             if rows.is_empty() {
-                rows.extend(0..x.len());
+                rows.extend(0..y.len());
             }
             let tree = RegressionTree::fit_columns(
-                &cols,
+                cols,
                 &residuals,
                 &rows,
                 &params.tree,
                 rng,
                 &mut scratch,
             );
-            for (i, row) in x.iter().enumerate() {
-                preds[i] += params.learning_rate * tree.predict(row);
+            for (r, p) in preds.iter_mut().enumerate() {
+                *p += params.learning_rate * tree.predict_row(cols, r);
             }
             trees.push(tree);
         }
@@ -129,6 +130,25 @@ impl Gbdt {
     /// Predictions for a batch.
     pub fn predict_batch(&self, rows: &[Vec<f64>]) -> Vec<f64> {
         rows.iter().map(|r| self.predict(r)).collect()
+    }
+
+    /// Predictions for every row of `x`, read from its codes: the same
+    /// bits as [`Gbdt::predict_batch`] of those rows.
+    ///
+    /// # Panics
+    /// Panics if `x`'s arity differs from the model's.
+    pub fn predict_columns(&self, x: &Columns) -> Vec<f64> {
+        assert_eq!(
+            x.num_features(),
+            self.num_features,
+            "feature arity mismatch"
+        );
+        (0..x.rows())
+            .map(|r| {
+                let boost: f64 = self.trees.iter().map(|t| t.predict_row(x, r)).sum();
+                self.base + self.learning_rate * boost
+            })
+            .collect()
     }
 
     /// Gain-based feature importance, normalised to sum to 1 (all zeros if
@@ -237,7 +257,13 @@ mod tests {
         let tracer = Tracer::manual();
         let mut rng_a = HeronRng::from_seed(7);
         let mut rng_b = HeronRng::from_seed(7);
-        let traced = Gbdt::fit_traced(&x, &y, &GbdtParams::default(), &mut rng_a, &tracer);
+        let traced = Gbdt::fit_traced(
+            &Columns::new(&x),
+            &y,
+            &GbdtParams::default(),
+            &mut rng_a,
+            &tracer,
+        );
         let plain = Gbdt::fit(&x, &y, &GbdtParams::default(), &mut rng_b);
         let probe = vec![3.0, 1.0, 0.4];
         assert_eq!(

@@ -30,4 +30,4 @@ pub mod tree;
 
 pub use gbdt::{Gbdt, GbdtParams};
 pub use metrics::{pairwise_rank_accuracy, r_squared, spearman_rho};
-pub use tree::RegressionTree;
+pub use tree::{Columns, RegressionTree};

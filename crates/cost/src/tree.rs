@@ -1,5 +1,7 @@
 //! Variance-reduction regression trees (the weak learner of the GBDT).
 
+use std::cmp::Ordering;
+
 use heron_rng::Rng;
 use heron_rng::SliceRandom;
 
@@ -41,30 +43,65 @@ impl Default for TreeParams {
     }
 }
 
-/// Rank-coded, column-major copy of a feature matrix, built once per
-/// fit and shared by every tree and node.
-///
-/// `codes(f)[r]` is the rank of `x[r][f]` among feature `f`'s distinct
-/// values under [`f64::total_cmp`] and `values(f)[code]` is that value, so
-/// ordering rows by code *is* ordering them by `total_cmp` on the value
-/// (`-0.0 < +0.0` and every NaN payload get codes of their own).
-#[derive(Debug)]
-pub(crate) struct Columns {
-    rows: usize,
-    /// `codes[f * rows + r]`.
-    codes: Vec<u32>,
-    /// Distinct values of every feature, ascending, back to back.
-    values: Vec<f64>,
-    /// `values[starts[f]..starts[f + 1]]` belong to feature `f`.
-    starts: Vec<usize>,
+/// How a column orders its values: `f64` by [`f64::total_cmp`] (so
+/// `-0.0 < +0.0` and every NaN payload ranks on its own), integers as
+/// integers. Two values rank equal only if they are the same bits.
+pub trait Rank: Copy {
+    /// The column order of `self` against `other`.
+    fn rank(&self, other: &Self) -> Ordering;
 }
 
-impl Columns {
-    /// Rank-codes `x`. The one owner of the feature-matrix shape checks.
+impl Rank for f64 {
+    fn rank(&self, other: &Self) -> Ordering {
+        self.total_cmp(other)
+    }
+}
+
+impl Rank for i64 {
+    fn rank(&self, other: &Self) -> Ordering {
+        self.cmp(other)
+    }
+}
+
+/// Rank-coded, column-major store of a matrix whose rows arrive one at a
+/// time ([`Columns::push_row`]) or all at once ([`Columns::new`]); the
+/// cost model keeps its samples here and every fit reads it in place.
+///
+/// `codes(f)[r]` is the rank of `x[r][f]` among feature `f`'s distinct
+/// values under [`Rank`] and `values(f)[code]` is that value, so ordering
+/// rows by code *is* ordering them by value, and `values(f)[code]` gives
+/// the row's value back bit for bit.
+#[derive(Debug)]
+pub struct Columns<T = f64> {
+    rows: usize,
+    columns: Vec<Column<T>>,
+}
+
+/// One feature of a [`Columns`].
+#[derive(Debug)]
+struct Column<T> {
+    /// `codes[r]`: the rank of row `r`'s value among `values`.
+    codes: Vec<u32>,
+    /// The distinct values, ascending.
+    values: Vec<T>,
+}
+
+impl<T> Default for Columns<T> {
+    /// An empty store; it allocates on the first row.
+    fn default() -> Self {
+        Columns {
+            rows: 0,
+            columns: Vec::new(),
+        }
+    }
+}
+
+impl<T: Rank> Columns<T> {
+    /// Rank-codes `x` at once: one sort per feature.
     ///
     /// # Panics
     /// Panics if `x` is empty or its rows differ in length.
-    pub(crate) fn new(x: &[Vec<f64>]) -> Self {
+    pub fn new(x: &[Vec<T>]) -> Self {
         assert!(!x.is_empty(), "cannot fit a tree to zero samples");
         let rows = x.len();
         let num_features = x[0].len();
@@ -73,50 +110,100 @@ impl Columns {
             "ragged feature matrix"
         );
         assert!(u32::try_from(rows).is_ok(), "row index exceeds u32");
-        let mut codes = vec![0u32; num_features * rows];
-        let mut values: Vec<f64> = Vec::new();
-        let mut starts = Vec::with_capacity(num_features + 1);
-        let mut column: Vec<(f64, u32)> = Vec::with_capacity(rows);
-        for (f, codes) in codes.chunks_exact_mut(rows).enumerate() {
-            column.clear();
-            column.extend(x.iter().zip(0u32..).map(|(row, r)| (row[f], r)));
-            column.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-            let start = values.len();
-            starts.push(start);
-            for &(v, r) in &column {
-                let last = values[start..].last();
-                if last.is_none_or(|last| last.total_cmp(&v).is_ne()) {
-                    values.push(v);
+        let mut column: Vec<(T, u32)> = Vec::with_capacity(rows);
+        let columns = (0..num_features)
+            .map(|f| {
+                column.clear();
+                column.extend(x.iter().zip(0u32..).map(|(row, r)| (row[f], r)));
+                column.sort_unstable_by(|a, b| a.0.rank(&b.0));
+                let mut codes = vec![0u32; rows];
+                let mut values: Vec<T> = Vec::new();
+                for &(v, r) in &column {
+                    if values.last().is_none_or(|last| last.rank(&v).is_ne()) {
+                        values.push(v);
+                    }
+                    codes[r as usize] = (values.len() - 1) as u32;
                 }
-                codes[r as usize] = (values.len() - start - 1) as u32;
-            }
+                Column { codes, values }
+            })
+            .collect();
+        Columns { rows, columns }
+    }
+
+    /// Appends one row: a value new to its feature is inserted in rank
+    /// order and the codes above it are raised, so the store equals
+    /// [`Columns::new`] of all rows pushed so far.
+    ///
+    /// # Panics
+    /// Panics if `row`'s length differs from the rows before it.
+    pub fn push_row(&mut self, row: &[T]) {
+        if self.rows == 0 {
+            self.columns = row
+                .iter()
+                .map(|_| Column {
+                    codes: Vec::new(),
+                    values: Vec::new(),
+                })
+                .collect();
         }
-        starts.push(values.len());
-        Columns {
-            rows,
-            codes,
-            values,
-            starts,
+        assert_eq!(row.len(), self.columns.len(), "ragged feature matrix");
+        assert!(
+            u32::try_from(self.rows + 1).is_ok(),
+            "row index exceeds u32"
+        );
+        for (column, &v) in self.columns.iter_mut().zip(row) {
+            let code = match column.values.binary_search_by(|x| x.rank(&v)) {
+                Ok(code) => code,
+                Err(code) => {
+                    column.values.insert(code, v);
+                    let raised = code as u32;
+                    for c in &mut column.codes {
+                        *c += u32::from(*c >= raised);
+                    }
+                    code
+                }
+            };
+            column.codes.push(code as u32);
         }
+        self.rows += 1;
     }
 
-    pub(crate) fn num_features(&self) -> usize {
-        self.starts.len() - 1
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.rows
     }
 
-    fn codes(&self, feature: usize) -> &[u32] {
-        &self.codes[feature * self.rows..(feature + 1) * self.rows]
+    /// Number of features (0 before the first row).
+    pub fn num_features(&self) -> usize {
+        self.columns.len()
     }
 
-    fn values(&self, feature: usize) -> &[f64] {
-        &self.values[self.starts[feature]..self.starts[feature + 1]]
+    /// Every row's code of `feature`.
+    pub fn codes(&self, feature: usize) -> &[u32] {
+        &self.columns[feature].codes
+    }
+
+    /// The distinct values of `feature`, ascending.
+    pub fn values(&self, feature: usize) -> &[T] {
+        &self.columns[feature].values
+    }
+
+    /// The value of row `r` at `feature`.
+    pub fn value(&self, feature: usize, r: usize) -> T {
+        let column = &self.columns[feature];
+        column.values[column.codes[r] as usize]
+    }
+
+    /// The values of row `r`, feature by feature.
+    pub fn row(&self, r: usize) -> impl Iterator<Item = T> + '_ {
+        (0..self.num_features()).map(move |f| self.value(f, r))
     }
 
     /// Largest number of distinct values any feature has.
     fn max_distinct(&self) -> usize {
-        self.starts
-            .windows(2)
-            .map(|w| w[1] - w[0])
+        self.columns
+            .iter()
+            .map(|c| c.values.len())
             .max()
             .unwrap_or(0)
     }
@@ -219,12 +306,24 @@ impl RegressionTree {
         }
     }
 
+    /// Predicted value for row `r` of `cols`, read from its codes: the
+    /// same value bits, hence the same leaf, as [`RegressionTree::predict`]
+    /// of the row.
+    pub(crate) fn predict_row(&self, cols: &Columns, r: usize) -> f64 {
+        self.descend(|feature| cols.value(feature, r))
+    }
+
     /// Predicted value for one feature vector.
     ///
     /// # Panics
     /// Panics if `row` has the wrong arity.
     pub fn predict(&self, row: &[f64]) -> f64 {
         assert_eq!(row.len(), self.num_features, "feature arity mismatch");
+        self.descend(|feature| row[feature])
+    }
+
+    /// The leaf value reached by reading feature values from `x`.
+    fn descend(&self, x: impl Fn(usize) -> f64) -> f64 {
         let mut id = 0;
         loop {
             match &self.nodes[id] {
@@ -236,7 +335,7 @@ impl RegressionTree {
                     right,
                     ..
                 } => {
-                    id = if row[*feature] <= *threshold {
+                    id = if x(*feature) <= *threshold {
                         *left
                     } else {
                         *right
@@ -384,7 +483,8 @@ impl<R: Rng> Builder<'_, R> {
             };
             // SAFETY: every row of `sorted` passed `fit_columns`'s range
             // check against the row count, which is `codes.len()`, and a
-            // code is a rank among `values` (`Columns::new`).
+            // code is a rank among `values` (`Columns::new` codes a column
+            // so, and `Columns::push_row` keeps it so).
             if !unsafe { sort(codes, values, &sorted[..len], counts, tmp) } {
                 // Constant inside this node: no boundary here or below.
                 dead[f] = depth;

@@ -118,24 +118,6 @@ pub enum Primitive {
 }
 
 impl Primitive {
-    /// Stage this primitive applies to (the consumer for cache primitives).
-    pub fn stage(&self) -> &str {
-        match self {
-            Primitive::Split { stage, .. }
-            | Primitive::Fuse { stage, .. }
-            | Primitive::Reorder { stage, .. }
-            | Primitive::Bind { stage, .. }
-            | Primitive::ComputeAt { stage, .. }
-            | Primitive::Unroll { stage, .. }
-            | Primitive::Vectorize { stage, .. }
-            | Primitive::Tensorize { stage, .. }
-            | Primitive::StorageAlign { stage, .. } => stage,
-            Primitive::CacheRead { new_stage, .. } | Primitive::CacheWrite { new_stage, .. } => {
-                new_stage
-            }
-        }
-    }
-
     /// Names of the tunable CSP variables this primitive introduces.
     pub fn tunable_vars(&self) -> Vec<&str> {
         match self {
@@ -227,7 +209,6 @@ mod tests {
             parts: vec!["C.i0".into(), "C.i1".into()],
         };
         assert_eq!(p.tunable_vars(), vec!["C.i0", "C.i1"]);
-        assert_eq!(p.stage(), "C");
         assert_eq!(p.to_string(), "C.split(C.i -> C.i0, C.i1)");
     }
 
@@ -238,7 +219,6 @@ mod tests {
             scope: MemScope::Shared,
             new_stage: "A.shared".into(),
         };
-        assert_eq!(p.stage(), "A.shared");
         assert!(p.tunable_vars().is_empty());
         assert!(p.to_string().contains("shared"));
     }

@@ -154,9 +154,26 @@ resume_rejects_flip() { # FILE BIN ARGS...
     fi
     echo "ok: $bin rejects a bit-flipped checkpoint as corrupt (byte $mid)"
 }
-tune=(tune --op gemm --shape 256x256x256 --trials 16)
+tune=(tune --op gemm --shape 256x256x256 --trials 24)
 cargo run --release --offline -p heron-bench --bin heron_cli -- "${tune[@]}" \
     --pause-at 8 --checkpoint "$obs_dir/gemm.ckpt" >/dev/null 2>&1
+# A resumed session paused again writes what the uninterrupted session
+# writes at that trial, up to the host-time envelope (`timing.cga_s = `
+# and every line after it): the sample log is rebuilt from the cost
+# model's store, and the refitted model decides every later trial.
+cargo run --release --offline -p heron-bench --bin heron_cli -- "${tune[@]}" \
+    --resume "$obs_dir/gemm.ckpt" --pause-at 12 --checkpoint "$obs_dir/resumed.ckpt" >/dev/null 2>&1
+cargo run --release --offline -p heron-bench --bin heron_cli -- "${tune[@]}" \
+    --pause-at 12 --checkpoint "$obs_dir/straight.ckpt" >/dev/null 2>&1
+for ck in resumed straight; do
+    sed '/^timing\.cga_s = /,$d' "$obs_dir/$ck.ckpt" > "$obs_dir/$ck.section"
+done
+cmp -s "$obs_dir/resumed.section" "$obs_dir/straight.section" && test -s "$obs_dir/straight.section" || {
+    echo "error: a resumed-then-paused checkpoint differs from the uninterrupted one:" >&2
+    diff "$obs_dir/resumed.section" "$obs_dir/straight.section" | head -n 20 >&2
+    exit 1
+}
+echo "ok: resume then pause writes the uninterrupted checkpoint (host envelope aside)"
 resume_rejects_flip "$obs_dir/gemm.ckpt" heron_cli "${tune[@]}"
 
 echo "== service-robustness smoke (heron-serve chaos harness) =="

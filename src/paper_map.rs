@@ -14,7 +14,7 @@
 //! | §4 Algorithm 1 (constrained space generation) | [`heron_core::generate::SpaceGenerator::generate`], rule engine in [`heron_core::generate::rules::plan`] |
 //! | §4 schedule rules S1–S3 (Table 6) | Tensorize/SPM handling inside [`heron_core::generate::tensorcore`], [`heron_core::generate::dlboost`], [`heron_core::generate::vta`] |
 //! | §4 constraint types T1–T6 (Table 7) | [`heron_csp::constraint::Constraint`] |
-//! | §4 constraint rules C1–C6 (Table 8) | [`heron_core::generate::builder::SpaceBuilder`] (`tile_split`, `fuse_loops`, `candidates`, `select`, `mem_limit`, platform-specific rules) |
+//! | §4 constraint rules C1–C6 (Table 8) | [`heron_core::generate::builder::SpaceBuilder`] (`tile_split`, `candidates`, `select`, `mem_limit`, platform-specific rules); C2 `AddLoopFuse` is posted by `heron_core::generate::tensorcore::fuse_mac_axes` |
 //! | §4 Figure 4 example | `examples/inspect_space.rs`, `heron_cli census` |
 //! | §4 customization | `examples/custom_dla.rs` (new accelerator from a spec) |
 //! | §5 Algorithm 2 (CGA-based exploration) | [`heron_core::tuner::Tuner::run`]; Steps 1–2 in [`heron_core::explore::cga::evolve_population`] |

@@ -146,6 +146,12 @@ fn checkpoint_resume_matches_uninterrupted_run() {
     assert!(!finished, "32-trial session must not finish by trial 16");
     assert!(first.trials_done() >= 16);
     let text = first.checkpoint().to_text();
+    // The cost model's store rebuilds the sample log: its bytes are pinned.
+    assert_eq!(
+        heron::core::checkpoint::content_id(&text),
+        3_191_084_948,
+        "trial-16 checkpoint content changed"
+    );
     let ckpt = TuneCheckpoint::from_text(&text).expect("checkpoint roundtrips");
 
     // Resume in a brand-new tuner and finish the budget.
@@ -157,12 +163,33 @@ fn checkpoint_resume_matches_uninterrupted_run() {
         &ckpt,
     )
     .expect("checkpoint applies to the same space");
+    // Paused again, the resumed session writes what the uninterrupted one
+    // writes at the same trial, host-time envelope aside.
+    assert!(!second.run_until(24));
+    let mut straight = Tuner::new(space(), Measurer::new(heron::dla::v100()), config, seed)
+        .with_faults(FaultPlan::uniform(seed, rate));
+    assert!(!straight.run_until(24));
+    let (again, reference) = (
+        second.checkpoint().to_text(),
+        straight.checkpoint().to_text(),
+    );
+    assert_eq!(
+        deterministic_section(&again),
+        deterministic_section(&reference),
+        "re-paused checkpoint diverged from the uninterrupted one"
+    );
     let resumed = record(&second.run());
 
     assert_eq!(
         resumed, full,
         "resumed trace diverged from uninterrupted run"
     );
+}
+
+/// A checkpoint's text before its host-time envelope.
+fn deterministic_section(text: &str) -> &str {
+    let end = text.find("\ntiming.cga_s = ").expect("a host envelope");
+    &text[..end]
 }
 
 /// At a 20% transient-fault rate the session still completes every trial,
