@@ -186,13 +186,35 @@ echo "== service-robustness smoke (heron-serve chaos harness) =="
 # manifest byte for byte. Its trace must pass the structural validator.
 cargo run --release --offline -p heron-bench --bin heron_serve -- \
     --smoke --trace-out "$obs_dir/serve_trace.jsonl" \
+    --manifest "$obs_dir/manifest.txt" \
     --pulse-out "$obs_dir/pulse.json" --slo scripts/serve_smoke.slo \
     --slo-report "$obs_dir/slo_report.txt" \
     --scope-out "$obs_dir/scope.json" \
-    --postmortem-dir "$obs_dir/postmortems" >/dev/null
+    --postmortem-dir "$obs_dir/postmortems" \
+    --artifact-dir "$obs_dir/artifacts" >/dev/null
 cargo run --release --offline -p heron-bench --bin trace_report -- \
     "$obs_dir/serve_trace.jsonl" --check
-echo "ok: chaos smoke passes; recovered jobs byte-identical; service trace validates"
+# The smoke's deterministic outputs are goldens: the manifest, the pulse
+# plane, the scope document, every postmortem bundle and every job's
+# last ring snapshot must match results/serve_smoke/ byte for byte, and
+# no bundle or snapshot may appear or go missing.
+golden=results/serve_smoke
+for f in manifest.txt pulse.json slo_report.txt scope.json; do
+    cmp -s "$obs_dir/$f" "$golden/$f" || {
+        echo "error: heron_serve --smoke no longer reproduces $golden/$f byte for byte" >&2
+        exit 1
+    }
+done
+mkdir -p "$obs_dir/rings"
+cp "$obs_dir"/artifacts/*.ring.jsonl "$obs_dir/rings/"
+for sub in postmortems rings; do
+    diff -r "$obs_dir/$sub" "$golden/$sub" >/dev/null || {
+        echo "error: heron_serve --smoke no longer reproduces $golden/$sub/ file for file:" >&2
+        diff -rq "$obs_dir/$sub" "$golden/$sub" >&2 || true
+        exit 1
+    }
+done
+echo "ok: chaos smoke passes; recovered jobs byte-identical; service trace validates; manifest, pulse, SLO report, scope, postmortems and rings reproduce results/serve_smoke/"
 
 echo "== scope smoke (flight recorder, postmortems, critical path) =="
 # The forensics layer (DESIGN.md §12) gates the build: the chaos
