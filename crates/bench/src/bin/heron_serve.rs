@@ -212,9 +212,9 @@ fn write_artifacts(sup: &Supervisor, dir: &str) {
             write(format!("{}.trace.jsonl", row.id), &report.trace_jsonl);
         }
     }
-    // Flight-recorder deposits: every job's last ring snapshot, whether
-    // or not the job completed (crashed jobs are the whole point).
-    for (job, entry) in sup.recorder().entries() {
+    // Every job's last flushed ring snapshot, whether or not the job
+    // completed (crashed jobs are the whole point).
+    for (job, entry) in sup.store().flights() {
         write(format!("{job}.ring.jsonl"), &entry.ring_jsonl);
     }
     eprintln!("artifacts written to `{dir}`");
@@ -341,15 +341,15 @@ fn smoke_assertions(
     if second.postmortems() != first.postmortems() {
         fail("postmortem bundles are not byte-identical across runs".to_string());
     }
-    if second.recorder().entries() != first.recorder().entries() {
-        fail("flight-recorder ring snapshots are not byte-identical across runs".to_string());
+    if second.store().flights() != first.store().flights() {
+        fail("ring snapshots are not byte-identical across runs".to_string());
     }
     println!(
         "manifest, pulse.json, SLO report, dashboard, scope.json, {} \
          postmortem bundle(s) and {} ring snapshot(s) deterministic \
          across two service runs ({} jobs)",
         first.postmortems().len(),
-        first.recorder().entries().len(),
+        first.store().flights().len(),
         first.rows().len()
     );
 }

@@ -48,19 +48,6 @@ impl SpaceCensus {
     pub fn total_constraints(&self) -> usize {
         self.constraints_by_type.values().sum()
     }
-
-    /// One-line TSV row: `vars constraints arch loop tunable other`.
-    pub fn tsv_row(&self) -> String {
-        format!(
-            "{}\t{}\t{}\t{}\t{}\t{}",
-            self.total_vars(),
-            self.total_constraints(),
-            self.arch_vars,
-            self.loop_length_vars,
-            self.tunable_vars,
-            self.other_vars
-        )
-    }
 }
 
 /// `(name, initial domain size)` for every tunable variable, in
@@ -97,6 +84,5 @@ mod tests {
         assert_eq!(c.total_vars(), 4);
         assert_eq!(c.total_constraints(), 3);
         assert_eq!(c.constraints_by_type["EQ"], 1);
-        assert!(c.tsv_row().starts_with("4\t3"));
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! Everything here is a deterministic function of (job script, seeds,
 //! chaos plan): manifest-grade job rows, per-job artifacts (insight
-//! document, metrics snapshot, sliced session trace) and the simulated
+//! document, metrics snapshot, session trace) and the simulated
 //! wall-clock. Scheduling-dependent data (event interleavings, worker
 //! ids, host wall-clock) is deliberately *absent*, which is what makes
 //! `pulse.json` byte-identical across reruns of the same script.
@@ -44,8 +44,8 @@ pub struct JobInput {
     pub metrics_tsv: String,
     /// Final attempt's simulated wall-clock, nanoseconds.
     pub wall_ns: u64,
-    /// Final attempt's session trace (ctx-stripped slice; empty when
-    /// unavailable).
+    /// Final attempt's session trace as recorded: every line carries the
+    /// attempt's one correlation context (empty when unavailable).
     pub trace_jsonl: String,
     /// Postmortem bundles emitted for this job (crash/hang/quarantine
     /// deaths; deterministic under a fixed chaos plan).

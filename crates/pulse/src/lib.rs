@@ -2,7 +2,7 @@
 //! (DESIGN.md §10).
 //!
 //! The crate folds a finished service run's deterministic projection —
-//! manifest-grade job rows, per-job artifacts, and the sliced session
+//! manifest-grade job rows, per-job artifacts, and the jobs' session
 //! traces — into a schema-versioned `pulse.json` document
 //! (`heron-pulse-v1`) of per-job SLIs, evaluates a declarative SLO
 //! spec over it, and renders two human views: a pass/warn/breach SLO

@@ -22,7 +22,7 @@
 //!
 //! The document also carries per-round trajectories
 //! (`batch_rank_accuracy`, `solver_propagations`), the top hottest
-//! spans per job (via the trace slicer), and the SLO verdicts
+//! spans per job (from its session trace), and the SLO verdicts
 //! ([`attach_slo`]).
 
 use heron_trace::json::{self, Json};
@@ -121,7 +121,7 @@ fn trajectories(insight_json: &str) -> (Json, Option<f64>) {
 }
 
 /// The job's hottest spans (name, count, total seconds) and its
-/// time-to-first-checkpoint, both from the sliced session trace.
+/// time-to-first-checkpoint, both from its session trace.
 fn slice_stats(job: &JobInput, checkpoint_every: u64) -> (Json, Option<f64>) {
     let Ok(summary) = check_trace(&job.trace_jsonl) else {
         return (Json::Arr(Vec::new()), None);
@@ -129,7 +129,7 @@ fn slice_stats(job: &JobInput, checkpoint_every: u64) -> (Json, Option<f64>) {
     if summary.spans.is_empty() {
         return (Json::Arr(Vec::new()), None);
     }
-    // A job's slice carries no context, so this groups by name alone.
+    // A job's trace carries one context, so this groups by name alone.
     let hot: Vec<Json> = summary
         .hottest_spans()
         .iter()

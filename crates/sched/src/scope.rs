@@ -41,21 +41,6 @@ impl MemScope {
     pub fn is_spm(self) -> bool {
         !matches!(self, MemScope::Global)
     }
-
-    /// Whether the scope is allocated per thread block (GPU) or per core
-    /// (CPU) rather than per device.
-    pub fn per_block(self) -> bool {
-        matches!(
-            self,
-            MemScope::Shared
-                | MemScope::FragA
-                | MemScope::FragB
-                | MemScope::FragAcc
-                | MemScope::Register
-                | MemScope::L1
-                | MemScope::L2
-        )
-    }
 }
 
 impl fmt::Display for MemScope {
@@ -90,13 +75,6 @@ pub enum ThreadAxis {
     ThreadY,
     /// TVM virtual thread (striding over banks/registers).
     Vthread,
-}
-
-impl ThreadAxis {
-    /// Whether the axis contributes to grid-level parallelism.
-    pub fn is_block_level(self) -> bool {
-        matches!(self, ThreadAxis::BlockX | ThreadAxis::BlockY)
-    }
 }
 
 impl fmt::Display for ThreadAxis {
@@ -144,19 +122,6 @@ mod tests {
         assert!(!MemScope::Global.is_spm());
         assert!(MemScope::Shared.is_spm());
         assert!(MemScope::VtaWeight.is_spm());
-    }
-
-    #[test]
-    fn per_block_scopes() {
-        assert!(MemScope::Shared.per_block());
-        assert!(!MemScope::VtaInput.per_block());
-        assert!(!MemScope::Global.per_block());
-    }
-
-    #[test]
-    fn block_level_axes() {
-        assert!(ThreadAxis::BlockX.is_block_level());
-        assert!(!ThreadAxis::ThreadY.is_block_level());
     }
 
     #[test]

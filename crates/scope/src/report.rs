@@ -41,27 +41,16 @@ fn worker(seg: &Segment) -> Json {
     seg.worker.map_or(Json::Null, |w| ns(w as u64))
 }
 
-/// Per-job span profile from its sliced session trace: event counts
-/// and the top-3 span names by total duration.
+/// Per-job span profile from its session trace: event counts and the
+/// top-3 span names by total duration. The trace carries one context, so
+/// [`heron_trace::TraceSummary::hottest_spans`] groups by name alone.
 fn profile_json(trace_jsonl: &str) -> Json {
     let summary = check_trace(trace_jsonl).unwrap_or_default();
-    let mut by_name: Vec<(String, u64, u64)> = Vec::new();
-    for span in &summary.spans {
-        match by_name.iter_mut().find(|(n, _, _)| *n == span.name) {
-            Some(row) => {
-                row.1 += 1;
-                row.2 += span.dur_ns();
-            }
-            None => by_name.push((span.name.clone(), 1, span.dur_ns())),
-        }
-    }
-    by_name.sort_by(|a, b| b.2.cmp(&a.2).then_with(|| a.0.cmp(&b.0)));
-    by_name.truncate(3);
-    let top = by_name.into_iter().map(|(name, count, total_ns)| {
+    let top = summary.hottest_spans().into_iter().take(3).map(|t| {
         obj([
-            ("name", Json::Str(name)),
-            ("count", ns(count)),
-            ("total_ns", ns(total_ns)),
+            ("name", s(t.name)),
+            ("count", ns(t.count)),
+            ("total_ns", ns(t.total_ns)),
         ])
     });
     obj([
@@ -72,8 +61,8 @@ fn profile_json(trace_jsonl: &str) -> Json {
 }
 
 /// Assembles the `scope.json` document for a finished service run from
-/// the policy's timeline; each job's profile reads its sliced session
-/// trace from the pulse projection (`Supervisor::pulse_input`).
+/// the policy's timeline; each job's profile reads its session trace
+/// from the pulse projection (`Supervisor::pulse_input`).
 pub fn build_scope(timeline: &Timeline, profiles: &[JobInput]) -> Json {
     let segs = segments(timeline);
     let makespan_ns = makespan_ns(&segs);

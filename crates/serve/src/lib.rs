@@ -20,8 +20,9 @@
 //!   the service configuration;
 //! * [`queue`] — bounded admission with reject-with-reason
 //!   ([`queue::AdmitError`]);
-//! * [`store`] — the epoch-fenced checkpoint store (zombie workers
-//!   cannot clobber their replacement's snapshots);
+//! * [`store`] — the epoch-fenced per-job store: each job's latest
+//!   checkpoint and latest flush of its trace tail, under the policy's
+//!   epoch (zombie workers cannot clobber their replacement's state);
 //! * [`worker`] — one thread, one session: builds the `Tuner`
 //!   in-thread from `Send` data, checkpoints periodically, reports
 //!   over a channel;
@@ -33,8 +34,6 @@
 //! * [`sim`] — the simulated-clock driver: a finished run's schedule as
 //!   the policy places it, for `heron-scope` (DESIGN.md §12);
 //! * [`plan`] — worker-kill injection for the chaos harness;
-//! * [`recorder`] — the flight recorder: per-job ring-snapshot deposits
-//!   harvested after a death (DESIGN.md §12);
 //! * [`postmortem`] — schema-versioned crash/hang/quarantine autopsy
 //!   bundles (`heron-postmortem-v1`);
 //! * [`manifest`] — the deterministic results manifest;
@@ -62,7 +61,6 @@ pub mod plan;
 pub mod policy;
 pub mod postmortem;
 pub mod queue;
-pub mod recorder;
 pub mod sim;
 pub mod store;
 pub mod supervisor;
@@ -75,8 +73,7 @@ pub use postmortem::{
     check_postmortem, DeathReport, Postmortem, PostmortemSummary, POSTMORTEM_SCHEMA,
 };
 pub use queue::{AdmitError, AdmitQueue};
-pub use recorder::{FlightEntry, FlightRecorder};
 pub use sim::{timeline, TimedRun, Timeline};
-pub use store::CheckpointStore;
+pub use store::{CheckpointStore, FlightEntry};
 pub use supervisor::Supervisor;
 pub use worker::{build_session, JobReport, WorkOrder};

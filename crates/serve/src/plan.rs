@@ -64,23 +64,6 @@ impl ChaosPlan {
         self.rules.push(rule);
     }
 
-    /// Builder form of [`ChaosPlan::push`].
-    pub fn with_rule(
-        mut self,
-        job: impl Into<String>,
-        attempt: u32,
-        round: u64,
-        kind: KillKind,
-    ) -> Self {
-        self.push(KillRule {
-            job: job.into(),
-            attempt,
-            round,
-            kind,
-        });
-        self
-    }
-
     /// Number of explicit rules.
     pub fn rule_count(&self) -> usize {
         self.rules.len()
@@ -108,9 +91,15 @@ mod tests {
 
     #[test]
     fn explicit_rules_fire_only_on_their_coordinates() {
-        let plan = ChaosPlan::none()
-            .with_rule("g1", 0, 3, KillKind::Crash)
-            .with_rule("g1", 1, 2, KillKind::Hang);
+        let mut plan = ChaosPlan::none();
+        for (attempt, round, kind) in [(0, 3, KillKind::Crash), (1, 2, KillKind::Hang)] {
+            plan.push(KillRule {
+                job: "g1".to_string(),
+                attempt,
+                round,
+                kind,
+            });
+        }
         assert_eq!(plan.kill_at("g1", 0, 3), Some(KillKind::Crash));
         assert_eq!(plan.kill_at("g1", 1, 2), Some(KillKind::Hang));
         assert_eq!(plan.kill_at("g1", 0, 2), None);

@@ -126,9 +126,8 @@ pub enum Event {
         job: String,
         /// Epoch the exiting worker was started under.
         epoch: u64,
-        /// Lifetime rounds at the attempt's last flight-recorder flush
-        /// (0 if it never flushed). The worker sends 0; the driver reads
-        /// the recorder.
+        /// Lifetime rounds at the attempt's last flush (0 if it never
+        /// flushed). The worker sends 0; the driver reads the store.
         rounds: u64,
         /// The attempt's simulated clock at that flush, ns.
         sim_ns: u64,
@@ -139,7 +138,7 @@ pub enum Event {
         job: String,
         /// Epoch of the stalled attempt.
         epoch: u64,
-        /// Lifetime rounds at the attempt's last flight-recorder flush.
+        /// Lifetime rounds at the attempt's last flush.
         rounds: u64,
         /// The attempt's simulated clock at that flush, ns.
         sim_ns: u64,
@@ -181,7 +180,7 @@ impl Event {
 #[derive(Debug, Clone)]
 pub enum Effect {
     /// Run attempt `attempt` of `spec` on worker slot `slot` under
-    /// `epoch`: open that epoch in the checkpoint store (fencing every
+    /// `epoch`: make that epoch the store's current one (fencing every
     /// older one) and resume from the store's checkpoint, if any. A
     /// retry holds the slot through its simulated backoff first.
     Start {
@@ -197,7 +196,7 @@ pub enum Effect {
         /// run).
         backoff_ns: u64,
     },
-    /// Open epoch `epoch` of `job` in the checkpoint store, fencing every
+    /// Make `epoch` the store's current epoch of `job`, fencing every
     /// older one; nothing runs under it. Sent on quarantine, so a hung
     /// attempt's late save cannot land.
     Fence {

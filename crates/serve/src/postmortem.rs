@@ -7,8 +7,8 @@
 //! [`heron_core::checkpoint::content_id`]: the CRC-32 of the checkpoint's
 //! deterministic section, so host time never reaches it), restart
 //! budget state, and the SLO verdicts judged at that instant — followed
-//! verbatim by the job's last flight-recorder ring snapshot (its last-K
-//! trace events; see [`crate::recorder`]). Every field is a
+//! verbatim by the dying attempt's last flushed ring snapshot (its
+//! last-K trace events; see [`crate::store`]). Every field is a
 //! deterministic function of (script, seeds, chaos plan) and the manual
 //! clock, so two same-seed chaos runs produce byte-identical bundles.
 //!
@@ -22,7 +22,7 @@ use heron_core::checkpoint::content_id;
 use heron_pulse::{attach_slo, check_slo_rule, recovery_slis, SloSpec};
 use heron_trace::{check_ring_snapshot, Cursor, Json, RingSummary};
 
-use crate::recorder::FlightEntry;
+use crate::store::FlightEntry;
 
 /// The schema identifier stamped into every bundle header.
 pub const POSTMORTEM_SCHEMA: &str = "heron-postmortem-v1";
@@ -45,7 +45,7 @@ pub struct DeathReport<'a> {
     pub backoff_base_s: f64,
     /// The job's latest accepted checkpoint text, if any.
     pub checkpoint: Option<&'a str>,
-    /// The job's last flight-recorder deposit, if any attempt flushed.
+    /// The dying attempt's last flush, if it flushed at all.
     pub flight: Option<&'a FlightEntry>,
     /// The SLO spec to judge at time of death.
     pub slo: &'a SloSpec,

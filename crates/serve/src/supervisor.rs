@@ -2,7 +2,8 @@
 //!
 //! Every decision is the policy's; the supervisor carries its effects out
 //! with one OS thread per worker attempt ([`run_order`]), one mpsc channel
-//! back, and the shared checkpoint store and flight recorder. A thread's
+//! back, and the shared per-job store, whose epochs it sets to the
+//! policy's on every start and fence ([`CheckpointStore::fence`]). A thread's
 //! end is itself a message — its drop guard sends [`Event::Exited`] after
 //! any report, on return and panic alike — so a crash is seen the moment
 //! the thread ends. Only a hang is polled for: every `poll_interval_ms`,
@@ -28,7 +29,6 @@ use crate::plan::ChaosPlan;
 use crate::policy::{Effect, Event, Policy};
 use crate::postmortem::{self, DeathReport, Postmortem};
 use crate::queue::AdmitError;
-use crate::recorder::FlightRecorder;
 use crate::store::CheckpointStore;
 use crate::worker::{run_order, JobReport, WorkOrder};
 
@@ -50,7 +50,6 @@ pub struct Supervisor {
     policy: Policy,
     plan: ChaosPlan,
     store: CheckpointStore,
-    recorder: FlightRecorder,
     slo: SloSpec,
     postmortem_dir: Option<PathBuf>,
     postmortems: Vec<Postmortem>,
@@ -68,7 +67,6 @@ impl Supervisor {
             policy: Policy::new(config),
             plan: ChaosPlan::none(),
             store: CheckpointStore::new(),
-            recorder: FlightRecorder::new(),
             slo: SloSpec::empty(),
             postmortem_dir: None,
             postmortems: Vec::new(),
@@ -173,11 +171,10 @@ impl Supervisor {
     }
 
     /// Lifetime rounds and simulated clock at attempt `epoch` of `job`'s
-    /// last flight-recorder flush; zeros if it never flushed.
+    /// last flush; zeros if it never flushed.
     fn last_flush(&self, job: &str, epoch: u64) -> (u64, u64) {
-        self.recorder
-            .get(job)
-            .filter(|f| f.epoch == epoch)
+        self.store
+            .flight(job, epoch)
             .map_or((0, 0), |f| (f.rounds, f.sim_ns))
     }
 
@@ -194,7 +191,7 @@ impl Supervisor {
                     epoch,
                     ..
                 } => self.spawn(slot, spec, attempt, epoch),
-                Effect::Fence { job, epoch } => self.open_epoch(&job, epoch),
+                Effect::Fence { job, epoch } => self.store.fence(&job, epoch),
                 Effect::Preempt { job, epoch } => {
                     if let Some(w) = self.workers.get(&(job, epoch)) {
                         w.control.request_preempt();
@@ -216,14 +213,8 @@ impl Supervisor {
         }
     }
 
-    /// Opens the policy's epoch `epoch` of `job` in the store.
-    fn open_epoch(&self, job: &str, epoch: u64) {
-        let opened = self.store.open_epoch(job);
-        assert_eq!(opened, epoch, "the store's epoch follows the policy's");
-    }
-
     fn spawn(&mut self, slot: usize, spec: JobSpec, attempt: u32, epoch: u64) {
-        self.open_epoch(&spec.id, epoch);
+        self.store.fence(&spec.id, epoch);
         // Job ids are unique, so only a recovery finds a checkpoint.
         let resume_from = self.store.load(&spec.id);
         let config = self.policy.config();
@@ -239,7 +230,6 @@ impl Supervisor {
             plan: self.plan.clone(),
             checkpoint_every: config.checkpoint_every,
             worker_id: slot,
-            recorder: self.recorder.clone(),
         };
         let tx = self.tx.clone();
         let handle = std::thread::Builder::new()
@@ -297,7 +287,7 @@ impl Supervisor {
     /// the manifest, and mirrors it to `--postmortem-dir` when set.
     fn postmortem(&mut self, job: &str, attempt: u32, epoch: u64, reason: &str, recoveries: u32) {
         let checkpoint = self.store.load(job);
-        let flight = self.recorder.get(job).filter(|f| f.epoch == epoch);
+        let flight = self.store.flight(job, epoch);
         let config = self.policy.config();
         let pm = postmortem::build(&DeathReport {
             job,
@@ -334,11 +324,6 @@ impl Supervisor {
         &self.postmortems
     }
 
-    /// The shared flight recorder (per-job latest ring deposits).
-    pub fn recorder(&self) -> &FlightRecorder {
-        &self.recorder
-    }
-
     /// The run's schedule as the policy places it on the simulated clock.
     pub fn timeline(&self) -> crate::sim::Timeline {
         crate::sim::timeline(&self.policy)
@@ -359,7 +344,8 @@ impl Supervisor {
         self.policy.state(id)
     }
 
-    /// The shared checkpoint store (e.g. to resume preempted jobs).
+    /// The shared per-job store: checkpoints (e.g. to resume preempted
+    /// jobs) and each job's last flush.
     pub fn store(&self) -> &CheckpointStore {
         &self.store
     }
@@ -407,9 +393,7 @@ impl Supervisor {
                     metrics_tsv: report.map(|r| r.metrics_tsv.clone()).unwrap_or_default(),
                     wall_ns: report.map_or(0, |r| r.wall_ns),
                     postmortems: self.postmortems.iter().filter(|p| p.job == row.id).count() as u64,
-                    trace_jsonl: report
-                        .and_then(|r| heron_trace::slice_by_job(&r.trace_jsonl).remove(&row.id))
-                        .unwrap_or_default(),
+                    trace_jsonl: report.map(|r| r.trace_jsonl.clone()).unwrap_or_default(),
                     id: row.id,
                 }
             })

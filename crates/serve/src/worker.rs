@@ -39,8 +39,7 @@ use heron_trace::{TraceContext, Tracer};
 use crate::job::JobSpec;
 use crate::plan::{ChaosPlan, KillKind};
 pub use crate::policy::Event;
-use crate::recorder::{FlightEntry, FlightRecorder};
-use crate::store::CheckpointStore;
+use crate::store::{CheckpointStore, FlightEntry};
 
 /// Everything a worker thread needs to run one attempt of one job.
 /// All fields are `Send`; the non-`Send` session is built in-thread.
@@ -56,7 +55,7 @@ pub struct WorkOrder {
     /// Cancellation/preemption/heartbeat handle shared with the
     /// supervisor.
     pub control: TunerControl,
-    /// Shared checkpoint store.
+    /// Shared per-job store: checkpoint saves and per-round flushes.
     pub store: CheckpointStore,
     /// Kill-injection schedule.
     pub plan: ChaosPlan,
@@ -64,11 +63,9 @@ pub struct WorkOrder {
     pub checkpoint_every: u64,
     /// Worker slot this attempt runs on (observability only).
     pub worker_id: usize,
-    /// Where per-round ring snapshots are deposited for postmortems.
-    pub recorder: FlightRecorder,
 }
 
-/// Events in the flight-recorder tail each round deposits (DESIGN.md
+/// Events in the trace tail each round flushes to the store (DESIGN.md
 /// §12).
 const RING_EVENTS: usize = 64;
 
@@ -103,7 +100,7 @@ pub struct JobReport {
 }
 
 /// Sends [`Event::Exited`] when dropped. The driver fills in the flush
-/// facts from the flight recorder.
+/// facts from the store.
 struct ExitNotice {
     events: Sender<Event>,
     job: String,
@@ -181,7 +178,6 @@ pub fn run_order(order: WorkOrder, events: Sender<Event>) {
         plan,
         checkpoint_every,
         worker_id: _,
-        recorder,
     } = order;
     let job = spec.id.clone();
     let _exit = ExitNotice {
@@ -198,9 +194,10 @@ pub fn run_order(order: WorkOrder, events: Sender<Event>) {
         }
     };
     tuner.set_control(control.clone());
-    // Correlation: tag every event this attempt emits so the merged
-    // service trace can be sliced back per job. Set here — not in
-    // `build_session` — so chaos reference runs stay untagged.
+    // Correlation: tag the attempt's whole log with its job, attempt and
+    // epoch, so the merged service trace can be sliced back per job. Set
+    // here — not in `build_session` — so chaos reference runs stay
+    // untagged.
     tuner
         .tracer()
         .set_context(Some(TraceContext::new(job.as_str(), attempt, epoch)));
@@ -210,10 +207,10 @@ pub fn run_order(order: WorkOrder, events: Sender<Event>) {
 
     while tuner.step() {
         let round = tuner.rounds_total() as u64;
-        // Flush the log's tail *before* the chaos kill check: the deposit
+        // Flush the log's tail *before* the chaos kill check: the flush
         // must cover the fatal round, because a killed worker flushes
-        // nothing ever again. Epoch-guarded like checkpoint saves.
-        recorder.save(
+        // nothing ever again. Epoch-fenced like checkpoint saves.
+        store.flush(
             &spec.id,
             FlightEntry {
                 attempt,

@@ -37,11 +37,6 @@ impl DType {
         }
     }
 
-    /// Whether this is a floating-point type.
-    pub fn is_float(self) -> bool {
-        matches!(self, DType::F16 | DType::BF16 | DType::F32)
-    }
-
     /// The natural accumulator type for multiply-accumulate chains on DLAs.
     pub fn accumulator(self) -> DType {
         match self {
@@ -82,13 +77,6 @@ mod tests {
         assert_eq!(DType::F16.accumulator(), DType::F32);
         assert_eq!(DType::I8.accumulator(), DType::I32);
         assert_eq!(DType::F32.accumulator(), DType::F32);
-    }
-
-    #[test]
-    fn float_classification() {
-        assert!(DType::F16.is_float());
-        assert!(DType::BF16.is_float());
-        assert!(!DType::I8.is_float());
     }
 
     #[test]

@@ -59,11 +59,6 @@ pub struct TraceSummary {
 }
 
 impl TraceSummary {
-    /// The spans with the given parent id, in open order.
-    pub fn children_of(&self, parent: u64) -> Vec<&SpanRec> {
-        self.spans.iter().filter(|s| s.parent == parent).collect()
-    }
-
     /// Distinct span names, in first-seen order.
     pub fn span_names(&self) -> Vec<&str> {
         let mut names: Vec<&str> = Vec::new();
@@ -355,7 +350,6 @@ mod tests {
         let fit = &summary.spans[1];
         assert_eq!(fit.fields, vec![("rows".to_string(), "32".to_string())]);
         assert_eq!(fit.dur_ns(), 250_000_000);
-        assert_eq!(summary.children_of(summary.spans[0].id).len(), 1);
         let hot = summary.hottest_spans();
         let row = |name, total_ns| SpanTotal {
             job: None,

@@ -58,11 +58,6 @@ impl Clock {
             *now_ns = now_ns.saturating_add(ns);
         }
     }
-
-    /// Whether this is the simulated (manually advanced) clock.
-    pub fn is_manual(&self) -> bool {
-        matches!(self, Clock::Manual { .. })
-    }
 }
 
 #[cfg(test)]
@@ -72,7 +67,6 @@ mod tests {
     #[test]
     fn manual_clock_only_moves_when_advanced() {
         let mut c = Clock::manual();
-        assert!(c.is_manual());
         assert_eq!(c.now_ns(), 0);
         c.advance_ns(1_500);
         assert_eq!(c.now_ns(), 1_500);
@@ -83,7 +77,6 @@ mod tests {
     #[test]
     fn real_clock_is_monotone() {
         let c = Clock::real();
-        assert!(!c.is_manual());
         let a = c.now_ns();
         let b = c.now_ns();
         assert!(b >= a);

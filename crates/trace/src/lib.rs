@@ -53,5 +53,5 @@ pub use json::{Cursor, Json};
 pub use metrics::{Histogram, Instrument, MetricsRegistry, DEFAULT_BUCKETS};
 pub use profile::{profile_from_summary, ProfileNode};
 pub use ring::{check_ring_snapshot, RingSummary, RING_SCHEMA};
-pub use slice::{jobs_in, merge_traces, service_slice, slice_by_job, tag_jsonl};
+pub use slice::{merge_traces, service_slice, slice_by_job};
 pub use tracer::{normalize_jsonl, Event, SpanGuard, TraceContext, Tracer};

@@ -13,8 +13,8 @@
 //!   uninterrupted single-session run;
 //! * [`service_slice`] extracts the untagged service-level events the
 //!   same way;
-//! * [`tag_jsonl`] / [`merge_traces`] are the write side the
-//!   supervisor uses to assemble the merged document.
+//! * [`merge_traces`] is the write side the supervisor uses to assemble
+//!   the merged document from its own log and each job's tagged log.
 //!
 //! All functions are line-oriented and infallible: callers are
 //! expected to validate with [`crate::check_trace`] first, and any
@@ -52,25 +52,6 @@ pub fn strip_ctx_line(line: &str) -> String {
     edit_members(line, |members| members.retain(|(k, _)| k != "ctx"))
 }
 
-/// Tags every line of a JSONL trace with `ctx` (replacing any existing
-/// tag), keeping timestamps and sequence numbers untouched.
-pub fn tag_jsonl(jsonl: &str, ctx: &TraceContext) -> String {
-    let tag = Json::Obj(vec![
-        ("job".to_string(), Json::Str(ctx.job.clone())),
-        ("attempt".to_string(), Json::Num(f64::from(ctx.attempt))),
-        ("epoch".to_string(), Json::Num(ctx.epoch as f64)),
-    ]);
-    let mut out = String::with_capacity(jsonl.len());
-    for line in jsonl.lines() {
-        out.push_str(&edit_members(line, |members| {
-            members.retain(|(k, _)| k != "ctx");
-            members.push(("ctx".to_string(), tag.clone()));
-        }));
-        out.push('\n');
-    }
-    out
-}
-
 /// Rewrites every line's `"seq"` to its line index, making any
 /// concatenation of trace segments a well-formed trace again.
 pub fn reseq_jsonl(jsonl: &str) -> String {
@@ -101,19 +82,6 @@ pub fn merge_traces(segments: &[&str]) -> String {
         }
     }
     reseq_jsonl(&joined)
-}
-
-/// Distinct job ids tagged in a merged trace, in first-seen order.
-pub fn jobs_in(jsonl: &str) -> Vec<String> {
-    let mut jobs: Vec<String> = Vec::new();
-    for line in jsonl.lines() {
-        if let Some(ctx) = line_ctx(line) {
-            if !jobs.contains(&ctx.job) {
-                jobs.push(ctx.job);
-            }
-        }
-    }
-    jobs
 }
 
 /// Splits a merged service trace into per-job sub-traces: for each job
@@ -183,7 +151,7 @@ mod tests {
         let (svc, a, b) = (service(), session("a", 1, 2, 2.0), session("b", 0, 1, 3.0));
         let merged = merge_traces(&[&svc, &a, &b]);
         let summary = check_trace(&merged).expect("merged trace validates per context");
-        assert_eq!(jobs_in(&merged), vec!["a", "b"]);
+        assert_eq!(summary.jobs(), vec!["a", "b"]);
 
         // Slices are byte-identical to the original untagged sessions
         // (ctx stripped, reseq restores each segment's own numbering).
@@ -210,15 +178,15 @@ mod tests {
     }
 
     #[test]
-    fn tag_jsonl_then_strip_roundtrips() {
+    fn tagging_then_stripping_roundtrips() {
         let t = Tracer::manual();
         {
             let _s = t.span_with("s", || [("k", "v".to_string())]);
             t.advance_s(0.5);
         }
         let plain = t.to_jsonl();
-        let tagged = tag_jsonl(&plain, &TraceContext::new("j", 2, 9));
-        assert!(tagged.lines().all(|l| l.contains("\"ctx\"")));
+        t.set_context(Some(TraceContext::new("j", 2, 9)));
+        let tagged = t.to_jsonl();
         assert_eq!(
             tagged.lines().map(line_ctx).collect::<Vec<_>>(),
             vec![Some(TraceContext::new("j", 2, 9)); 2]
@@ -235,6 +203,5 @@ mod tests {
         let plain = service();
         assert!(slice_by_job(&plain).is_empty());
         assert_eq!(service_slice(&plain), plain);
-        assert_eq!(jobs_in(&plain), Vec::<String>::new());
     }
 }

@@ -30,13 +30,12 @@ use crate::json::{escape, Json};
 use crate::metrics::MetricsRegistry;
 use crate::ring::RING_SCHEMA;
 
-/// Correlation context stamped on every event recorded while it is set:
-/// which service job, which attempt, which supervisor epoch produced
-/// the event. A service worker sets the context right after building
-/// its session, so every span/point the session emits carries it into
-/// the JSONL export (as a trailing `"ctx"` member) and a merged service
-/// trace can be split back into per-job sub-traces (`slice_by_job`).
-/// Untagged events (context unset) are service-level.
+/// Correlation context of a whole session log: which service job, which
+/// attempt, which supervisor epoch produced it. A service worker sets it
+/// on its session's tracer ([`Tracer::set_context`]), so every line of
+/// the JSONL export carries it (as a trailing `"ctx"` member) and a
+/// merged service trace can be split back into per-job sub-traces
+/// (`slice_by_job`). Untagged logs (context unset) are service-level.
 #[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub struct TraceContext {
     /// Job id the event belongs to.
@@ -107,21 +106,12 @@ pub enum Event {
 struct Inner {
     clock: Clock,
     events: Vec<Event>,
-    /// Per-event correlation context, parallel to `events`.
-    event_ctx: Vec<Option<TraceContext>>,
-    /// Context stamped on events recorded from now on.
+    /// The log's correlation context, carried by every exported line.
     ctx: Option<TraceContext>,
     /// Ids of currently open spans, innermost last.
     stack: Vec<u64>,
     next_id: u64,
     metrics: MetricsRegistry,
-}
-
-impl Inner {
-    fn push_event(&mut self, ev: Event) {
-        self.events.push(ev);
-        self.event_ctx.push(self.ctx.clone());
-    }
 }
 
 /// A handle to a trace session. Clones share the same underlying
@@ -140,7 +130,6 @@ impl Tracer {
         Tracer(Some(Rc::new(RefCell::new(Inner {
             clock,
             events: Vec::new(),
-            event_ctx: Vec::new(),
             ctx: None,
             stack: Vec::new(),
             next_id: 0,
@@ -201,7 +190,7 @@ impl Tracer {
         let id = inner.next_id;
         let parent = inner.stack.last().copied().unwrap_or(0);
         let t_ns = inner.clock.now_ns();
-        inner.push_event(Event::Open {
+        inner.events.push(Event::Open {
             id,
             parent,
             name: name.to_string(),
@@ -222,7 +211,7 @@ impl Tracer {
         // out of order only on panic unwind).
         while let Some(top) = inner.stack.pop() {
             let t_ns = inner.clock.now_ns();
-            inner.push_event(Event::Close { id: top, t_ns });
+            inner.events.push(Event::Close { id: top, t_ns });
             if top == id {
                 break;
             }
@@ -256,26 +245,20 @@ impl Tracer {
         let Some(inner) = &self.0 else { return };
         let mut inner = inner.borrow_mut();
         let t_ns = inner.clock.now_ns();
-        inner.push_event(Event::Point {
+        inner.events.push(Event::Point {
             name: name.to_string(),
             t_ns,
             fields,
         });
     }
 
-    /// Sets (or clears, with `None`) the correlation context stamped on
-    /// every event recorded from now on. Already-recorded events keep
-    /// the context they were recorded under. No-op when disabled.
+    /// Sets (or clears, with `None`) the correlation context of the
+    /// whole log: every event, recorded before the call or after it,
+    /// exports carrying it. No-op when disabled.
     pub fn set_context(&self, ctx: Option<TraceContext>) {
         if let Some(inner) = &self.0 {
             inner.borrow_mut().ctx = ctx;
         }
-    }
-
-    /// The currently set correlation context (`None` when unset or
-    /// disabled).
-    pub fn context(&self) -> Option<TraceContext> {
-        self.0.as_ref().and_then(|i| i.borrow().ctx.clone())
     }
 
     /// The tracer clock's current reading in nanoseconds (0 when
@@ -357,9 +340,9 @@ impl Tracer {
             n - start,
             inner.clock.now_ns()
         );
-        let tail = inner.events[start..].iter().zip(&inner.event_ctx[start..]);
-        for (seq, (ev, ctx)) in tail.enumerate() {
-            out.push_str(&event_json(seq, ev, ctx.as_ref()));
+        let ctx = ctx_member(inner.ctx.as_ref());
+        for (seq, ev) in inner.events[start..].iter().enumerate() {
+            out.push_str(&event_json(seq, ev, &ctx));
             out.push('\n');
         }
         out
@@ -368,11 +351,6 @@ impl Tracer {
     /// Number of recorded events (0 when disabled).
     pub fn event_count(&self) -> usize {
         self.0.as_ref().map_or(0, |i| i.borrow().events.len())
-    }
-
-    /// Number of registered metric instruments (0 when disabled).
-    pub fn metrics_len(&self) -> usize {
-        self.0.as_ref().map_or(0, |i| i.borrow().metrics.len())
     }
 
     /// Current value of a named counter.
@@ -401,9 +379,10 @@ impl Tracer {
             return String::new();
         };
         let inner = inner.borrow();
+        let ctx = ctx_member(inner.ctx.as_ref());
         let mut out = String::new();
         for (seq, ev) in inner.events.iter().enumerate() {
-            out.push_str(&event_json(seq, ev, inner.event_ctx[seq].as_ref()));
+            out.push_str(&event_json(seq, ev, &ctx));
             out.push('\n');
         }
         out
@@ -486,10 +465,15 @@ fn fields_json(fields: &[(&'static str, String)]) -> String {
     format!("{{{}}}", members.join(","))
 }
 
-fn event_json(seq: usize, ev: &Event, ctx: Option<&TraceContext>) -> String {
-    // The context is a *trailing* member, so untagged lines are exactly
-    // the pre-context schema (backward compatible byte-for-byte).
-    let ctx_suffix = ctx.map_or_else(String::new, |c| format!(",\"ctx\":{}", c.to_json()));
+/// The `,"ctx":{…}` suffix every exported line of a log carries; empty
+/// for an untagged log. The context is a *trailing* member, so untagged
+/// lines are exactly the pre-context schema (backward compatible
+/// byte-for-byte).
+fn ctx_member(ctx: Option<&TraceContext>) -> String {
+    ctx.map_or_else(String::new, |c| format!(",\"ctx\":{}", c.to_json()))
+}
+
+fn event_json(seq: usize, ev: &Event, ctx_suffix: &str) -> String {
     match ev {
         Event::Open {
             id,
@@ -606,7 +590,6 @@ mod tests {
         }
         assert!(!t.is_enabled());
         assert_eq!(t.event_count(), 0);
-        assert_eq!(t.metrics_len(), 0);
         assert_eq!(t.to_jsonl(), "");
         assert_eq!(t.counter("c"), None);
     }
@@ -692,27 +675,34 @@ mod tests {
     }
 
     #[test]
-    fn context_tags_events_from_set_until_cleared() {
+    fn context_tags_every_event_of_the_log() {
         let t = Tracer::manual();
         t.point("before");
+        let untagged = t.to_jsonl();
         t.set_context(Some(TraceContext::new("g1", 1, 3)));
-        assert_eq!(t.context(), Some(TraceContext::new("g1", 1, 3)));
         {
             let _g = t.span("tagged");
             t.advance_s(1.0);
         }
-        t.set_context(None);
-        t.point("after");
         let jsonl = t.to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
-        assert!(!lines[0].contains("\"ctx\""), "{}", lines[0]);
-        for tagged in &lines[1..3] {
+        assert_eq!(lines.len(), 3);
+        // Events recorded before the context was set carry it too.
+        for tagged in &lines {
             assert!(
                 tagged.ends_with(",\"ctx\":{\"job\":\"g1\",\"attempt\":1,\"epoch\":3}}"),
                 "{tagged}"
             );
         }
-        assert!(!lines[3].contains("\"ctx\""), "{}", lines[3]);
+        assert!(t
+            .tail_jsonl(8)
+            .lines()
+            .skip(1)
+            .all(|l| l.contains("\"ctx\"")));
+        // Clearing it exports the same events untagged again.
+        t.set_context(None);
+        assert!(t.to_jsonl().starts_with(&untagged));
+        assert!(!t.to_jsonl().contains("\"ctx\""));
         // Tagged traces still validate.
         let summary = check_trace(&jsonl).expect("tagged trace is valid");
         assert_eq!(summary.spans.len(), 1);
@@ -756,6 +746,6 @@ mod tests {
         t.counter_add("shared.count", 2);
         u.counter_add("shared.count", 3);
         assert_eq!(t.counter("shared.count"), Some(5));
-        assert_eq!(u.metrics_len(), 1);
+        assert_eq!(u.counter("shared.count"), Some(5));
     }
 }

@@ -1,7 +1,8 @@
 //! Equivalence oracle for the flight-recorder tail: the ring buffer it
 //! replaced, which evicted whole top-level groups as events arrived,
 //! lives on here as the reference. Over random open/close/point
-//! sequences and capacities 1–16, `Tracer::tail_jsonl` taken after any
+//! sequences, tagged with a drawn context or untagged, and capacities
+//! 1–16, `Tracer::tail_jsonl` taken after any
 //! event must equal the snapshot that ring would have held: the same
 //! events, the same `evicted` count, byte for byte. (heron-testkit
 //! harness; see DESIGN.md, "Zero-dependency & determinism policy".)
@@ -58,12 +59,12 @@ fn tail_equals_the_ring_it_replaced() {
     property("tail_equals_the_ring_it_replaced", |g| {
         let capacity = g.index(1, 17);
         let t = Tracer::manual();
+        if g.bool(0.5) {
+            t.set_context(Some(TraceContext::new("j", g.index(0, 3) as u32, 1)));
+        }
         let mut open: Vec<SpanGuard> = Vec::new();
         let mut top_level = Vec::new();
         for _ in 0..g.index(0, 80) {
-            if g.bool(0.1) {
-                t.set_context(Some(TraceContext::new("j", g.index(0, 3) as u32, 1)));
-            }
             t.advance_ns(g.index(0, 1000) as u64);
             match g.choice(3) {
                 0 => {

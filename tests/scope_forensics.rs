@@ -1,7 +1,7 @@
-//! Flight-recorder and postmortem forensics regression suite
+//! Ring-snapshot and postmortem forensics regression suite
 //! (DESIGN.md §12).
 //!
-//! The forensic artifacts — per-job flight-recorder rings, crash
+//! The forensic artifacts — per-job ring snapshots, crash
 //! postmortem bundles, and the policy's `scope.json` schedule —
 //! exist to be *diffed*: against a previous run, against a healthy
 //! baseline, against the same incident on another machine. That only
@@ -48,11 +48,11 @@ fn same_seed_chaos_runs_yield_byte_identical_forensics() {
     let first = run_chaos();
     let second = run_chaos();
 
-    // Ring contents: every job's last flight deposit (rounds, simulated
-    // clock, ring snapshot JSONL) is reproduced byte for byte.
-    let rings = first.recorder().entries();
-    assert!(!rings.is_empty(), "chaos run deposited no flight entries");
-    assert_eq!(rings, second.recorder().entries(), "ring contents differ");
+    // Ring contents: every job's last flush (rounds, simulated clock,
+    // ring snapshot JSONL) is reproduced byte for byte.
+    let rings = first.store().flights();
+    assert!(!rings.is_empty(), "chaos run flushed no ring snapshots");
+    assert_eq!(rings, second.store().flights(), "ring contents differ");
     for (job, entry) in &rings {
         heron::trace::check_ring_snapshot(&entry.ring_jsonl)
             .unwrap_or_else(|e| panic!("job `{job}` ring snapshot invalid: {e}"));

@@ -197,6 +197,8 @@ struct World<'a> {
     late: bool,
     policy: Policy,
     store: CheckpointStore,
+    /// The last epoch each job's store slot was fenced to.
+    epochs: BTreeMap<String, u64>,
     attempts: BTreeMap<(usize, u64), Attempt>,
     turns: VecDeque<(usize, u64)>,
     /// Deaths the policy confirmed: `(job, attempt, reason)`.
@@ -226,12 +228,7 @@ impl World<'_> {
                     ..
                 } => {
                     let job: usize = spec.id[1..].parse().expect("synthetic id");
-                    if self.store.open_epoch(&spec.id) != epoch {
-                        return Err(format!(
-                            "{}: policy epoch {epoch} is not the store's",
-                            spec.id
-                        ));
-                    }
+                    self.fence(&spec.id, epoch)?;
                     let (start_round, value) = match self.store.load(&spec.id) {
                         Some(text) => parse_checkpoint(&text),
                         None => (0, seed(job)),
@@ -251,11 +248,7 @@ impl World<'_> {
                     self.turns.push_back(a.key());
                     self.attempts.insert(a.key(), a);
                 }
-                Effect::Fence { job, epoch } => {
-                    if self.store.open_epoch(&job) != epoch {
-                        return Err(format!("{job}: policy epoch {epoch} is not the store's"));
-                    }
-                }
+                Effect::Fence { job, epoch } => self.fence(&job, epoch)?,
                 Effect::Preempt { job, epoch } => self.with(&job, epoch, |a| a.preempt = true),
                 Effect::Cancel { job, epoch } => self.with(&job, epoch, |a| a.dead = true),
                 Effect::Postmortem {
@@ -294,6 +287,17 @@ impl World<'_> {
                 return Err(format!("j{}: slot {} is not free", a.job, a.slot));
             }
         }
+        Ok(())
+    }
+
+    /// Hands the policy's new epoch of `job` to the store, as the
+    /// supervisor does; the policy's epochs for a job only increase.
+    fn fence(&mut self, job: &str, epoch: u64) -> Result<(), String> {
+        let last = self.epochs.insert(job.to_string(), epoch).unwrap_or(0);
+        if epoch <= last {
+            return Err(format!("{job}: policy epoch {epoch} follows epoch {last}"));
+        }
+        self.store.fence(job, epoch);
         Ok(())
     }
 
@@ -532,6 +536,7 @@ fn run(
         late,
         policy: Policy::new(config(set)),
         store: CheckpointStore::new(),
+        epochs: BTreeMap::new(),
         attempts: BTreeMap::new(),
         turns: VecDeque::new(),
         deaths: Vec::new(),
