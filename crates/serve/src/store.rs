@@ -88,7 +88,7 @@ impl CheckpointStore {
     /// Records `entry` as the job's latest flush if its epoch is still
     /// current; returns whether it was accepted. A refused flush is not
     /// counted: `stale_saves` counts checkpoints only.
-    pub fn flush(&self, job: &str, entry: FlightEntry) -> bool {
+    pub(crate) fn flush(&self, job: &str, entry: FlightEntry) -> bool {
         let mut inner = self.inner.lock().expect("store lock");
         match inner.slots.get_mut(job).filter(|s| s.epoch == entry.epoch) {
             Some(slot) => {
@@ -106,7 +106,7 @@ impl CheckpointStore {
     }
 
     /// The job's latest flush, if it came from attempt `epoch`.
-    pub fn flight(&self, job: &str, epoch: u64) -> Option<FlightEntry> {
+    pub(crate) fn flight(&self, job: &str, epoch: u64) -> Option<FlightEntry> {
         let inner = self.inner.lock().expect("store lock");
         let flight = inner.slots.get(job).and_then(|s| s.flight.as_ref());
         flight.filter(|f| f.epoch == epoch).cloned()

@@ -202,16 +202,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Number of registered instruments.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
     /// Looks up the current value of a counter (`None` when absent or not
     /// a counter).
     pub fn counter(&self, name: &str) -> Option<u64> {
@@ -297,7 +287,7 @@ mod tests {
         assert_eq!(m.counter("csp.propagations"), Some(7));
         assert_eq!(m.gauge("tuner.best_gflops"), Some(12.5));
         assert_eq!(m.gauge("measure.hw_s"), Some(4.0));
-        assert_eq!(m.len(), 4);
+        assert_eq!(m.iter().count(), 4);
     }
 
     #[test]
