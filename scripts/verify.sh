@@ -40,15 +40,15 @@ fi
 
 echo "== offline release build (workspace) =="
 cargo build --release --offline --workspace
-# Eleven committed tables are goldens (≈75 s in release on two cores:
-# fig06 ≈29 s, fig07 ≈12 s, fig08 ≈10 s of it): their bins, run with the
+# Twelve committed tables are goldens (≈78 s in release on two cores:
+# fig06 ≈29 s, fig07 ≈12 s, fig08 ≈10 s, fig09 ≈3 s of it): their bins, run with the
 # defaults they were committed with, must print them byte for byte, so a
 # refactor that moves a single sample — or a single generated constraint
 # (table03, the table 4/5 census) — fails here.
 for fig in fig02_irregular_space fig11_space_quality fig12_cga_convergence \
     fig13_constraint_handling ablation_features fault_sweep \
     table03_dla_constraints table04_05_space_census fig07_t4_a100 \
-    fig06_tensorcore_ops fig08_dlboost_ops; do
+    fig06_tensorcore_ops fig08_dlboost_ops fig09_vta_ops; do
     env -u HERON_TRIALS -u HERON_SEED -u HERON_SAMPLES \
         cargo run --release --offline --quiet -p heron-bench --bin "$fig" \
         | cmp -s - "results/$fig.tsv" || {
@@ -56,7 +56,7 @@ for fig in fig02_irregular_space fig11_space_quality fig12_cga_convergence \
         exit 1
     }
 done
-echo "ok: fig02/06/07/08/11/12/13, table03, table04_05, ablation_features and fault_sweep reproduce their committed tables"
+echo "ok: fig02/06/07/08/09/11/12/13, table03, table04_05, ablation_features and fault_sweep reproduce their committed tables"
 
 echo "== offline tests (workspace) =="
 # NB: a bare `cargo test` from the root only tests the root package;
