@@ -137,9 +137,9 @@ pub fn tune(
     let mut rng = HeronRng::from_seed(seed);
     let t = std::time::Instant::now();
     let curve = match approach {
-        Approach::AutoTvm => SaExplorer::default().explore(&space, &mut measure, trials, &mut rng),
+        Approach::AutoTvm => SaExplorer.explore(&space, &mut measure, trials, &mut rng),
         Approach::Ansor | Approach::Amos => {
-            GaExplorer::default().explore(&space, &mut measure, trials, &mut rng)
+            GaExplorer.explore(&space, &mut measure, trials, &mut rng)
         }
         Approach::Heron => unreachable!("handled above"),
     };

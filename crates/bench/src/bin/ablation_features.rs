@@ -7,7 +7,7 @@
 //! (solver-backed random search).
 
 use heron_bench::{seed, trials};
-use heron_core::explore::cga::{CgaConfig, CgaExplorer};
+use heron_core::explore::cga::CgaExplorer;
 use heron_core::explore::classic::RandomExplorer;
 use heron_core::explore::Explorer;
 use heron_core::generate::{SpaceGenerator, SpaceOptions};
@@ -23,7 +23,7 @@ fn run_space(opts: SpaceOptions, dag: &heron_tensor::Dag, steps: usize) -> f64 {
     };
     let measurer = Measurer::new(spec);
     let mut rng = HeronRng::from_seed(seed());
-    let mut explorer = CgaExplorer::new(CgaConfig::default());
+    let mut explorer = CgaExplorer::new();
     let mut measure =
         |sol: &heron_csp::Solution| evaluate(&space, &measurer, sol).ok().map(|(_, m)| m.gflops);
     explorer
@@ -111,9 +111,7 @@ fn main() {
     let rel: Vec<f64> = cases
         .iter()
         .zip(&full)
-        .map(|((_, dag), f)| {
-            run_search(&mut CgaExplorer::cga1(CgaConfig::default()), dag, steps) / f.max(1e-9)
-        })
+        .map(|((_, dag), f)| run_search(&mut CgaExplorer::cga1(), dag, steps) / f.max(1e-9))
         .collect();
     println!("cga1-random-keys\t{:.2}\t{:.2}", rel[0], rel[1]);
     let rel: Vec<f64> = cases

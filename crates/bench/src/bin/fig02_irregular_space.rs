@@ -25,8 +25,8 @@ fn main() {
     println!("algorithm\tstep\tbest_gflops");
     let mut explorers: Vec<Box<dyn Explorer>> = vec![
         Box::new(RandomExplorer),
-        Box::new(SaExplorer::default()),
-        Box::new(GaExplorer::default()),
+        Box::new(SaExplorer),
+        Box::new(GaExplorer),
     ];
     for explorer in &mut explorers {
         let mut rng = HeronRng::from_seed(seed());

@@ -4,7 +4,7 @@
 //! every offspring is valid and good genes are retained.
 
 use heron_bench::{downsample, row, seed, trials};
-use heron_core::explore::cga::{CgaConfig, CgaExplorer};
+use heron_core::explore::cga::CgaExplorer;
 use heron_core::explore::classic::{GaExplorer, RandomExplorer, SaExplorer};
 use heron_core::explore::Explorer;
 use heron_core::generate::{SpaceGenerator, SpaceOptions};
@@ -31,9 +31,9 @@ fn main() {
             .expect("generates");
         let measurer = Measurer::new(spec.clone());
         let mut explorers: Vec<Box<dyn Explorer>> = vec![
-            Box::new(CgaExplorer::new(CgaConfig::default())),
-            Box::new(SaExplorer::default()),
-            Box::new(GaExplorer::default()),
+            Box::new(CgaExplorer::new()),
+            Box::new(SaExplorer),
+            Box::new(GaExplorer),
             Box::new(RandomExplorer),
         ];
         for explorer in &mut explorers {

@@ -8,7 +8,7 @@
 //! * GA-3 — infeasibility-driven multi-objective.
 
 use heron_bench::{seed, trials};
-use heron_core::explore::cga::{CgaConfig, CgaExplorer};
+use heron_core::explore::cga::CgaExplorer;
 use heron_core::explore::variants::{InfeasibilityDrivenGa, SatDecoderGa, StochasticRankingGa};
 use heron_core::explore::Explorer;
 use heron_core::generate::{SpaceGenerator, SpaceOptions};
@@ -31,11 +31,11 @@ fn main() {
         let measurer = Measurer::new(spec.clone());
         let mut finals = Vec::new();
         let mut explorers: Vec<Box<dyn Explorer>> = vec![
-            Box::new(CgaExplorer::new(CgaConfig::default())),
-            Box::new(CgaExplorer::cga1(CgaConfig::default())),
-            Box::new(StochasticRankingGa::default()),
-            Box::new(SatDecoderGa::default()),
-            Box::new(InfeasibilityDrivenGa::default()),
+            Box::new(CgaExplorer::new()),
+            Box::new(CgaExplorer::cga1()),
+            Box::new(StochasticRankingGa),
+            Box::new(SatDecoderGa),
+            Box::new(InfeasibilityDrivenGa),
         ];
         for explorer in &mut explorers {
             let mut rng = HeronRng::from_seed(seed());

@@ -281,9 +281,8 @@ pub fn evolve_population(
 
 /// The CGA explorer: an [`Explorer`] adapter over the product [`Tuner`],
 /// so Figures 12 and 13 measure the loop every tuning session runs.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct CgaExplorer {
-    config: CgaConfig,
     /// CGA-1 ablation: choose key variables at random instead of by
     /// feature importance.
     random_key_vars: bool,
@@ -291,17 +290,13 @@ pub struct CgaExplorer {
 
 impl CgaExplorer {
     /// Full CGA with model-derived key variables.
-    pub fn new(config: CgaConfig) -> Self {
-        CgaExplorer {
-            config,
-            random_key_vars: false,
-        }
+    pub fn new() -> Self {
+        CgaExplorer::default()
     }
 
     /// The CGA-1 variant (random key variables) of Figure 13.
-    pub fn cga1(config: CgaConfig) -> Self {
+    pub fn cga1() -> Self {
         CgaExplorer {
-            config,
             random_key_vars: true,
         }
     }
@@ -317,7 +312,7 @@ impl Explorer for CgaExplorer {
     }
 
     /// Runs a [`Tuner`] for `steps` trials under [`TuneConfig::paper`]
-    /// with this explorer's [`CgaConfig`], on a fault-free [`Measurer`] of
+    /// (its CGA settings included), on a fault-free [`Measurer`] of
     /// `space.dla`, seeded with one draw from `rng`, and returns its
     /// best-so-far curve. The tuner measures each candidate itself, so
     /// `measure` is never called.
@@ -330,7 +325,6 @@ impl Explorer for CgaExplorer {
     ) -> Vec<f64> {
         let config = TuneConfig {
             trials: steps,
-            cga: self.config,
             ..TuneConfig::paper()
         };
         let measurer = Measurer::new(space.dla.clone());

@@ -7,7 +7,7 @@
 //! demonstrates. RAND samples valid programs through the solver, which is
 //! why it is a surprisingly strong baseline there.
 
-use heron_csp::{validate, Solution, SolvePolicy, SolveSession};
+use heron_csp::{validate, Solution, SolvePolicy, SolveSession, VarRef};
 use heron_rng::HeronRng;
 use heron_rng::IndexedRandom;
 use heron_rng::Rng;
@@ -22,6 +22,77 @@ pub(super) const SAMPLE: SolvePolicy = SolvePolicy::fixed(400);
 /// The budget of their re-solves under pinned tunables, and of a random
 /// restart after an invalid offspring.
 pub(super) const REPAIR: SolvePolicy = SolvePolicy::fixed(200);
+/// Population size of every GA baseline (GA, GA-1, GA-2, GA-3).
+pub(super) const POPULATION: usize = 20;
+/// Share of GA and GA-2 offspring that are mutated after crossover.
+const MUTATION_RATE: f64 = 0.3;
+/// SA's initial temperature, relative to the first measured score.
+const START_TEMP: f64 = 1.0;
+/// SA's multiplicative cooling per step.
+const COOLING: f64 = 0.98;
+
+/// A baseline's trial budget: spends up to `steps` measurements through
+/// the `measure` callback and keeps the best-so-far curve that
+/// [`Explorer::explore`] returns.
+pub(super) struct Trials<'m, 'a> {
+    measure: &'m mut Evaluate<'a>,
+    steps: usize,
+    curve: Vec<f64>,
+}
+
+impl<'m, 'a> Trials<'m, 'a> {
+    pub(super) fn new(measure: &'m mut Evaluate<'a>, steps: usize) -> Self {
+        Trials {
+            measure,
+            steps,
+            curve: Vec::with_capacity(steps),
+        }
+    }
+
+    /// Trials not yet spent.
+    pub(super) fn left(&self) -> usize {
+        self.steps - self.curve.len()
+    }
+
+    /// Measures `sol` as one trial and returns its score (0 for an
+    /// invalid program).
+    pub(super) fn measure(&mut self, sol: &Solution) -> f64 {
+        let score = (self.measure)(sol).unwrap_or_default();
+        push_best(&mut self.curve, score);
+        score
+    }
+
+    /// Spends one trial on a program that fails before it runs.
+    pub(super) fn waste(&mut self) {
+        push_best(&mut self.curve, 0.0);
+    }
+
+    /// Draws `n` fresh solver samples and measures them while trials are
+    /// left: the seed population (empty when the space yields none).
+    pub(super) fn seed(
+        &mut self,
+        session: &mut SolveSession,
+        n: usize,
+        rng: &mut HeronRng,
+    ) -> Vec<Chromosome> {
+        let batch = session.solve(rng, n, &SAMPLE, &Tracer::disabled());
+        let left = self.left();
+        batch
+            .solutions
+            .into_iter()
+            .take(left)
+            .map(|solution| Chromosome {
+                fitness: self.measure(&solution),
+                solution,
+            })
+            .collect()
+    }
+
+    /// The best-so-far score after each trial spent.
+    pub(super) fn curve(self) -> Vec<f64> {
+        self.curve
+    }
+}
 
 /// Random search: every step measures a fresh solver sample.
 #[derive(Debug, Default)]
@@ -39,24 +110,25 @@ impl Explorer for RandomExplorer {
         steps: usize,
         rng: &mut HeronRng,
     ) -> Vec<f64> {
-        let mut curve = Vec::with_capacity(steps);
+        let mut trials = Trials::new(measure, steps);
         let mut session = SolveSession::new(&space.csp);
-        let quiet = Tracer::disabled();
-        while curve.len() < steps {
-            let batch = session.solve(rng, 16.min(steps - curve.len()), &SAMPLE, &quiet);
-            if batch.solutions.is_empty() {
+        while trials.left() > 0 {
+            if trials
+                .seed(&mut session, trials.left().min(16), rng)
+                .is_empty()
+            {
                 break;
             }
-            for sol in batch.solutions {
-                let score = measure(&sol).unwrap_or_default();
-                push_best(&mut curve, score);
-                if curve.len() >= steps {
-                    break;
-                }
-            }
         }
-        curve
+        trials.curve()
     }
+}
+
+/// A uniform draw from `var`'s declared domain.
+pub(super) fn random_value(space: &GeneratedSpace, var: VarRef, rng: &mut HeronRng) -> i64 {
+    let domain = &space.csp.var(var).domain;
+    let i = rng.random_range(0..domain.size() as usize);
+    domain.iter_values().nth(i).expect("drawn below the size")
 }
 
 /// Replaces one random tunable with a random value from its declared
@@ -65,11 +137,7 @@ pub fn mutate_tunable(space: &GeneratedSpace, sol: &Solution, rng: &mut HeronRng
     let tunables = space.csp.tunables();
     let mut values = sol.values().to_vec();
     if let Some(&var) = tunables.as_slice().choose(rng) {
-        let domain = &space.csp.var(var).domain;
-        let options: Vec<i64> = domain.iter_values().collect();
-        if let Some(&v) = options.as_slice().choose(rng) {
-            values[var.0] = v;
-        }
+        values[var.0] = random_value(space, var, rng);
     }
     Solution::new(values)
 }
@@ -96,22 +164,8 @@ pub fn complete_from_tunables(
 }
 
 /// Simulated annealing over tunable assignments.
-#[derive(Debug)]
-pub struct SaExplorer {
-    /// Initial temperature relative to typical score.
-    pub start_temp: f64,
-    /// Multiplicative cooling per step.
-    pub cooling: f64,
-}
-
-impl Default for SaExplorer {
-    fn default() -> Self {
-        SaExplorer {
-            start_temp: 1.0,
-            cooling: 0.98,
-        }
-    }
-}
+#[derive(Debug, Default)]
+pub struct SaExplorer;
 
 impl Explorer for SaExplorer {
     fn name(&self) -> &'static str {
@@ -125,26 +179,26 @@ impl Explorer for SaExplorer {
         steps: usize,
         rng: &mut HeronRng,
     ) -> Vec<f64> {
-        let mut curve = Vec::with_capacity(steps);
+        let mut trials = Trials::new(measure, steps);
         let mut session = SolveSession::new(&space.csp);
         // Initial valid program from the solver (as in the paper's setup).
-        let Some(start) = session.solve(rng, 1, &SAMPLE, &Tracer::disabled()).one() else {
-            return curve;
+        let Some(Chromosome {
+            solution: mut current,
+            fitness: mut current_score,
+        }) = trials.seed(&mut session, 1, rng).pop()
+        else {
+            return trials.curve();
         };
-        let mut current = start;
-        let mut current_score = measure(&current).unwrap_or_default();
-        push_best(&mut curve, current_score);
-        let mut temp = self.start_temp * current_score.max(1.0);
-        while curve.len() < steps {
-            temp *= self.cooling;
+        let mut temp = START_TEMP * current_score.max(1.0);
+        while trials.left() > 0 {
+            temp *= COOLING;
             let proposal = mutate_tunable(space, &current, rng);
             let Some(candidate) = complete_from_tunables(&mut session, &proposal, rng) else {
                 // Invalid neighbour: the move is wasted (a failed trial).
-                push_best(&mut curve, 0.0);
+                trials.waste();
                 continue;
             };
-            let score = measure(&candidate).unwrap_or_default();
-            push_best(&mut curve, score);
+            let score = trials.measure(&candidate);
             let accept = score >= current_score
                 || rng.random::<f64>() < ((score - current_score) / temp.max(1e-9)).exp();
             if accept {
@@ -152,29 +206,15 @@ impl Explorer for SaExplorer {
                 current_score = score;
             }
         }
-        curve
+        trials.curve()
     }
 }
 
 /// Traditional GA: single-point crossover and value mutation on concrete
 /// chromosomes; invalid offspring are measured as failures (score 0) and
 /// replaced by random restarts.
-#[derive(Debug)]
-pub struct GaExplorer {
-    /// Population size.
-    pub population: usize,
-    /// Mutation probability per offspring.
-    pub mutation_rate: f64,
-}
-
-impl Default for GaExplorer {
-    fn default() -> Self {
-        GaExplorer {
-            population: 20,
-            mutation_rate: 0.3,
-        }
-    }
-}
+#[derive(Debug, Default)]
+pub struct GaExplorer;
 
 /// Single-point crossover over the tunable positions.
 pub fn crossover_tunables(
@@ -194,6 +234,25 @@ pub fn crossover_tunables(
     Solution::new(values)
 }
 
+/// GA and GA-2's offspring genotype: two roulette-wheel parents, crossed
+/// over, then mutated at [`MUTATION_RATE`].
+pub(super) fn breed(space: &GeneratedSpace, pop: &[Chromosome], rng: &mut HeronRng) -> Solution {
+    let parents = roulette_wheel(pop, 2, rng);
+    let (a, b) = (&pop[parents[0]].solution, &pop[parents[1]].solution);
+    let child = crossover_tunables(space, a, b, rng);
+    if rng.random::<f64>() < MUTATION_RATE {
+        mutate_tunable(space, &child, rng)
+    } else {
+        child
+    }
+}
+
+/// Keeps the [`POPULATION`] fittest chromosomes, fittest first.
+pub(super) fn keep_fittest(pop: &mut Vec<Chromosome>) {
+    pop.sort_by(|a, b| b.fitness.total_cmp(&a.fitness));
+    pop.truncate(POPULATION);
+}
+
 impl Explorer for GaExplorer {
     fn name(&self) -> &'static str {
         "GA"
@@ -206,67 +265,31 @@ impl Explorer for GaExplorer {
         steps: usize,
         rng: &mut HeronRng,
     ) -> Vec<f64> {
-        let mut curve = Vec::with_capacity(steps);
+        let mut trials = Trials::new(measure, steps);
         let mut session = SolveSession::new(&space.csp);
-        let quiet = Tracer::disabled();
-        let init = session.solve(rng, self.population, &SAMPLE, &quiet);
-        if init.solutions.is_empty() {
-            return curve;
-        }
-        let mut pop: Vec<Chromosome> = Vec::new();
-        for sol in init.solutions {
-            if curve.len() >= steps {
-                break;
-            }
-            let fitness = measure(&sol).unwrap_or_default();
-            push_best(&mut curve, fitness);
-            pop.push(Chromosome {
-                solution: sol,
-                fitness,
-            });
-        }
-        while curve.len() < steps {
-            let parents = roulette_wheel(&pop, 2, rng);
-            let child = crossover_tunables(
-                space,
-                &pop[parents[0]].solution,
-                &pop[parents[1]].solution,
-                rng,
-            );
-            let child = if rng.random::<f64>() < self.mutation_rate {
-                mutate_tunable(space, &child, rng)
-            } else {
-                child
-            };
+        let mut pop = trials.seed(&mut session, POPULATION, rng);
+        while !pop.is_empty() && trials.left() > 0 {
+            let child = breed(space, &pop, rng);
             match complete_from_tunables(&mut session, &child, rng) {
-                Some(sol) => {
-                    let fitness = measure(&sol).unwrap_or_default();
-                    push_best(&mut curve, fitness);
-                    pop.push(Chromosome {
-                        solution: sol,
-                        fitness,
-                    });
-                }
+                Some(solution) => pop.push(Chromosome {
+                    fitness: trials.measure(&solution),
+                    solution,
+                }),
                 None => {
                     // Invalid offspring: wasted trial + random restart, the
                     // behaviour the paper observes for plain GA.
-                    push_best(&mut curve, 0.0);
-                    if let Some(sol) = session.solve(rng, 1, &REPAIR, &quiet).one() {
-                        if curve.len() < steps {
-                            let fitness = measure(&sol).unwrap_or_default();
-                            push_best(&mut curve, fitness);
-                            pop.push(Chromosome {
-                                solution: sol,
-                                fitness,
-                            });
-                        }
+                    trials.waste();
+                    let restart = session.solve(rng, 1, &REPAIR, &Tracer::disabled());
+                    if let Some(solution) = restart.one().filter(|_| trials.left() > 0) {
+                        pop.push(Chromosome {
+                            fitness: trials.measure(&solution),
+                            solution,
+                        });
                     }
                 }
             }
-            // Bound the population.
-            pop.sort_by(|a, b| b.fitness.total_cmp(&a.fitness));
-            pop.truncate(self.population);
+            keep_fittest(&mut pop);
         }
-        curve
+        trials.curve()
     }
 }

@@ -8,6 +8,21 @@
 //! All explorers share one interface: they spend a budget of *measurement
 //! steps* (hardware trials) and report the best-so-far score after each
 //! step, which is exactly how the paper plots exploration efficiency.
+//!
+//! No explorer has a setting. The CGA explorers run
+//! [`crate::tuner::TuneConfig::paper`]. The baselines are unit structs
+//! whose settings are private constants:
+//!
+//! * every GA (GA, GA-1, GA-2, GA-3) keeps a population of 20
+//!   (`classic::POPULATION`); GA-1 and GA-3 seed it with 10 samples;
+//! * GA and GA-2 mutate 30 % of their offspring (`classic::MUTATION_RATE`);
+//! * GA-1 compares an infeasible pair by objective with probability 0.45
+//!   (`variants::P_F`);
+//! * GA-3 reserves 20 % of its population for infeasible chromosomes
+//!   (`variants::INFEASIBLE_FRACTION`);
+//! * SA starts at temperature 1.0 × its first score
+//!   (`classic::START_TEMP`) and cools by 0.98 per step
+//!   (`classic::COOLING`).
 
 pub mod cga;
 pub mod classic;

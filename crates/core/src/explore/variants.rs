@@ -19,8 +19,17 @@ use heron_trace::Tracer;
 
 use crate::generate::GeneratedSpace;
 
-use super::classic::{complete_from_tunables, crossover_tunables, mutate_tunable, REPAIR, SAMPLE};
-use super::{push_best, roulette_wheel, Chromosome, Evaluate, Explorer};
+use super::classic::{
+    breed, complete_from_tunables, crossover_tunables, keep_fittest, mutate_tunable, random_value,
+    Trials, POPULATION, REPAIR,
+};
+use super::{Chromosome, Evaluate, Explorer};
+
+/// GA-1's probability of comparing by objective even for an infeasible
+/// pair.
+const P_F: f64 = 0.45;
+/// Share of GA-3's population reserved for infeasible chromosomes.
+const INFEASIBLE_FRACTION: f64 = 0.2;
 
 /// Number of violated constraints of an assignment.
 pub fn violation_count(csp: &Csp, sol: &Solution) -> usize {
@@ -36,23 +45,60 @@ struct Ranked {
     violations: usize,
 }
 
-/// GA-1: stochastic ranking.
-#[derive(Debug)]
-pub struct StochasticRankingGa {
-    /// Population size.
-    pub population: usize,
-    /// Probability of comparing by objective even for infeasible pairs.
-    pub p_f: f64,
+/// GA-1 and GA-3's seed population: half a population of solver
+/// samples, measured while trials are left.
+fn seed_ranked(
+    space: &GeneratedSpace,
+    session: &mut SolveSession,
+    trials: &mut Trials<'_, '_>,
+    rng: &mut HeronRng,
+) -> Vec<Ranked> {
+    let seeds = trials.seed(session, POPULATION / 2, rng);
+    seeds
+        .into_iter()
+        .map(|c| Ranked {
+            violations: violation_count(&space.csp, &c.solution),
+            solution: c.solution,
+            fitness: c.fitness,
+        })
+        .collect()
 }
 
-impl Default for StochasticRankingGa {
-    fn default() -> Self {
-        StochasticRankingGa {
-            population: 20,
-            p_f: 0.45,
-        }
+/// GA-1 and GA-3's parent pick: a uniformly random member.
+fn pick<'p>(pop: &'p [Ranked], rng: &mut HeronRng) -> &'p Solution {
+    &pop.choose(rng).expect("non-empty").solution
+}
+
+/// GA-1 and GA-3's offspring step: mutates `child`, completes its
+/// auxiliaries or keeps the raw (violating) assignment when inconsistent,
+/// and measures it only when feasible. An infeasible offspring still
+/// spends a trial (a compile failure).
+fn offspring(
+    space: &GeneratedSpace,
+    session: &mut SolveSession,
+    trials: &mut Trials<'_, '_>,
+    child: &Solution,
+    rng: &mut HeronRng,
+) -> Ranked {
+    let child = mutate_tunable(space, child, rng);
+    let solution = complete_from_tunables(session, &child, rng).unwrap_or(child);
+    let violations = violation_count(&space.csp, &solution);
+    let fitness = if violations == 0 {
+        trials.measure(&solution)
+    } else {
+        trials.waste();
+        0.0
+    };
+    Ranked {
+        solution,
+        fitness,
+        violations,
     }
 }
+
+/// GA-1: stochastic ranking.
+#[derive(Debug, Default)]
+pub struct StochasticRankingGa;
 
 fn stochastic_rank(pop: &mut [Ranked], p_f: f64, rng: &mut HeronRng) {
     let n = pop.len();
@@ -82,19 +128,9 @@ fn stochastic_rank(pop: &mut [Ranked], p_f: f64, rng: &mut HeronRng) {
 fn random_genotype(space: &GeneratedSpace, base: &Solution, rng: &mut HeronRng) -> Solution {
     let mut values = base.values().to_vec();
     for var in space.csp.tunables() {
-        let options: Vec<i64> = space.csp.var(var).domain.iter_values().collect();
-        if let Some(&v) = options.as_slice().choose(rng) {
-            values[var.0] = v;
-        }
+        values[var.0] = random_value(space, var, rng);
     }
     Solution::new(values)
-}
-
-/// Best-effort completion of auxiliaries for a tunable assignment; falls
-/// back to the raw (violating) assignment when inconsistent, so that the
-/// chromosome carries a non-zero violation count.
-fn complete_or_keep(session: &mut SolveSession, sol: Solution, rng: &mut HeronRng) -> Solution {
-    complete_from_tunables(session, &sol, rng).unwrap_or(sol)
 }
 
 impl Explorer for StochasticRankingGa {
@@ -109,76 +145,23 @@ impl Explorer for StochasticRankingGa {
         steps: usize,
         rng: &mut HeronRng,
     ) -> Vec<f64> {
-        let mut curve = Vec::with_capacity(steps);
+        let mut trials = Trials::new(measure, steps);
         let mut session = SolveSession::new(&space.csp);
-        let seeds = session
-            .solve(rng, self.population / 2, &SAMPLE, &Tracer::disabled())
-            .solutions;
-        if seeds.is_empty() {
-            return curve;
-        }
-        let mut pop: Vec<Ranked> = Vec::new();
-        for sol in seeds {
-            if curve.len() >= steps {
-                break;
-            }
-            let fitness = measure(&sol).unwrap_or_default();
-            push_best(&mut curve, fitness);
-            pop.push(Ranked {
-                violations: violation_count(&space.csp, &sol),
-                solution: sol,
-                fitness,
-            });
-        }
-        while curve.len() < steps {
+        let mut pop = seed_ranked(space, &mut session, &mut trials, rng);
+        while !pop.is_empty() && trials.left() > 0 {
             // Produce an offspring by crossover+mutation on raw genotypes.
-            let a = pop
-                .as_slice()
-                .choose(rng)
-                .expect("non-empty")
-                .solution
-                .clone();
-            let b = pop
-                .as_slice()
-                .choose(rng)
-                .expect("non-empty")
-                .solution
-                .clone();
-            let child = crossover_tunables(space, &a, &b, rng);
-            let child = mutate_tunable(space, &child, rng);
-            let child = complete_or_keep(&mut session, child, rng);
-            let violations = violation_count(&space.csp, &child);
-            let fitness = if violations == 0 {
-                measure(&child).unwrap_or_default()
-            } else {
-                0.0
-            };
-            // Infeasible offspring still consume a trial (compile failure).
-            push_best(&mut curve, fitness);
-            pop.push(Ranked {
-                solution: child,
-                fitness,
-                violations,
-            });
-            stochastic_rank(&mut pop, self.p_f, rng);
-            pop.truncate(self.population);
+            let child = crossover_tunables(space, pick(&pop, rng), pick(&pop, rng), rng);
+            pop.push(offspring(space, &mut session, &mut trials, &child, rng));
+            stochastic_rank(&mut pop, P_F, rng);
+            pop.truncate(POPULATION);
         }
-        curve
+        trials.curve()
     }
 }
 
 /// GA-2: SAT-decoder GA.
-#[derive(Debug)]
-pub struct SatDecoderGa {
-    /// Population size.
-    pub population: usize,
-}
-
-impl Default for SatDecoderGa {
-    fn default() -> Self {
-        SatDecoderGa { population: 20 }
-    }
-}
+#[derive(Debug, Default)]
+pub struct SatDecoderGa;
 
 /// Decodes a genotype to a valid phenotype of the session's CSP: pins
 /// each tunable to its gene value *if the propagated domain still allows
@@ -234,77 +217,32 @@ impl Explorer for SatDecoderGa {
         steps: usize,
         rng: &mut HeronRng,
     ) -> Vec<f64> {
-        let mut curve = Vec::with_capacity(steps);
+        let mut trials = Trials::new(measure, steps);
         let mut session = SolveSession::new(&space.csp);
-        let seeds = session
-            .solve(rng, self.population, &SAMPLE, &Tracer::disabled())
-            .solutions;
-        if seeds.is_empty() {
-            return curve;
-        }
         // Genotypes evolve freely; phenotypes are decoded before measuring.
-        let mut pop: Vec<Chromosome> = Vec::new();
-        for sol in seeds {
-            if curve.len() >= steps {
-                break;
-            }
-            let fitness = measure(&sol).unwrap_or_default();
-            push_best(&mut curve, fitness);
-            pop.push(Chromosome {
-                solution: sol,
-                fitness,
-            });
-        }
-        while curve.len() < steps {
-            let parents = roulette_wheel(&pop, 2, rng);
-            let geno = crossover_tunables(
-                space,
-                &pop[parents[0]].solution,
-                &pop[parents[1]].solution,
-                rng,
-            );
-            let geno = if rng.random::<f64>() < 0.3 {
-                mutate_tunable(space, &geno, rng)
-            } else {
-                geno
-            };
+        let mut pop = trials.seed(&mut session, POPULATION, rng);
+        while !pop.is_empty() && trials.left() > 0 {
+            let geno = breed(space, &pop, rng);
             let Some(pheno) = sat_decode(&mut session, &geno, rng) else {
-                push_best(&mut curve, 0.0);
+                trials.waste();
                 continue;
             };
             debug_assert!(heron_csp::validate(&space.csp, &pheno));
-            let fitness = measure(&pheno).unwrap_or_default();
-            push_best(&mut curve, fitness);
             pop.push(Chromosome {
+                fitness: trials.measure(&pheno),
                 solution: pheno,
-                fitness,
             });
-            pop.sort_by(|a, b| b.fitness.total_cmp(&a.fitness));
-            pop.truncate(self.population);
+            keep_fittest(&mut pop);
         }
-        curve
+        trials.curve()
     }
 }
 
 /// GA-3: infeasibility-driven evolutionary algorithm (simplified IDEA):
 /// a fraction of the archive is reserved for the *best infeasible*
 /// chromosomes, the rest selected by objective among the feasible.
-#[derive(Debug)]
-pub struct InfeasibilityDrivenGa {
-    /// Population size.
-    pub population: usize,
-    /// Fraction of slots reserved for infeasible chromosomes.
-    pub infeasible_fraction: f64,
-}
-
-impl Default for InfeasibilityDrivenGa {
-    fn default() -> Self {
-        InfeasibilityDrivenGa {
-            population: 20,
-            infeasible_fraction: 0.2,
-        }
-    }
-}
+#[derive(Debug, Default)]
+pub struct InfeasibilityDrivenGa;
 
 impl Explorer for InfeasibilityDrivenGa {
     fn name(&self) -> &'static str {
@@ -318,72 +256,30 @@ impl Explorer for InfeasibilityDrivenGa {
         steps: usize,
         rng: &mut HeronRng,
     ) -> Vec<f64> {
-        let mut curve = Vec::with_capacity(steps);
+        let mut trials = Trials::new(measure, steps);
         let mut session = SolveSession::new(&space.csp);
-        let seeds = session
-            .solve(rng, self.population / 2, &SAMPLE, &Tracer::disabled())
-            .solutions;
-        if seeds.is_empty() {
-            return curve;
-        }
-        let mut pop: Vec<Ranked> = Vec::new();
-        for sol in seeds {
-            if curve.len() >= steps {
-                break;
-            }
-            let fitness = measure(&sol).unwrap_or_default();
-            push_best(&mut curve, fitness);
-            pop.push(Ranked {
-                violations: violation_count(&space.csp, &sol),
-                solution: sol,
-                fitness,
-            });
-        }
-        while curve.len() < steps {
-            let a = pop
-                .as_slice()
-                .choose(rng)
-                .expect("non-empty")
-                .solution
-                .clone();
+        let mut pop = seed_ranked(space, &mut session, &mut trials, rng);
+        let slots_inf = (POPULATION as f64 * INFEASIBLE_FRACTION).round() as usize;
+        while !pop.is_empty() && trials.left() > 0 {
+            let a = pick(&pop, rng);
             let child = if rng.random::<f64>() < 0.5 {
-                let b = pop
-                    .as_slice()
-                    .choose(rng)
-                    .expect("non-empty")
-                    .solution
-                    .clone();
-                crossover_tunables(space, &a, &b, rng)
+                crossover_tunables(space, a, pick(&pop, rng), rng)
             } else {
-                random_genotype(space, &a, rng)
+                random_genotype(space, a, rng)
             };
-            let child = mutate_tunable(space, &child, rng);
-            let child = complete_or_keep(&mut session, child, rng);
-            let violations = violation_count(&space.csp, &child);
-            let fitness = if violations == 0 {
-                measure(&child).unwrap_or_default()
-            } else {
-                0.0
-            };
-            push_best(&mut curve, fitness);
-            pop.push(Ranked {
-                solution: child,
-                fitness,
-                violations,
-            });
+            pop.push(offspring(space, &mut session, &mut trials, &child, rng));
 
             // IDEA-style environmental selection.
-            let slots_inf = ((self.population as f64) * self.infeasible_fraction).round() as usize;
             let (mut feas, mut infeas): (Vec<Ranked>, Vec<Ranked>) =
                 pop.drain(..).partition(|c| c.violations == 0);
             feas.sort_by(|x, y| y.fitness.total_cmp(&x.fitness));
             infeas.sort_by_key(|c| c.violations);
-            feas.truncate(self.population - slots_inf.min(infeas.len()));
+            feas.truncate(POPULATION - slots_inf.min(infeas.len()));
             infeas.truncate(slots_inf);
             pop = feas;
             pop.extend(infeas);
         }
-        curve
+        trials.curve()
     }
 }
 

@@ -19,13 +19,12 @@
 //! let mut rng = HeronRng::from_seed(42);
 //! let x: f64 = rng.random();            // uniform in [0, 1)
 //! let i = rng.random_range(0..10usize); // uniform integer
-//! let heads = rng.random_bool(0.5);
+//! let g = rng.gaussian(0.0, 1.0);       // normal sample
 //! let mut v = vec![1, 2, 3, 4];
 //! v.shuffle(&mut rng);
 //! let picked = v.as_slice().choose(&mut rng);
 //! assert!(picked.is_some());
-//! let _ = heads;
-//! let _ = (x, i);
+//! let _ = (x, i, g);
 //!
 //! // Parallel explorers: fork decorrelated child streams by id.
 //! let child_a = rng.fork(0);
@@ -39,7 +38,7 @@ mod range;
 mod slice;
 
 pub use range::{SampleRange, SampleUniform};
-pub use slice::{reservoir_sample, weighted_index, IndexedRandom, SliceRandom};
+pub use slice::{IndexedRandom, SliceRandom};
 
 /// Multiplicative constant of the Weyl sequence used by SplitMix64
 /// (the 64-bit golden ratio).
@@ -103,12 +102,6 @@ impl HeronRng {
         let mut sm = SplitMix64::new(seed);
         let s = [sm.next_u64(), sm.next_u64(), sm.next_u64(), sm.next_u64()];
         HeronRng { s, seed }
-    }
-
-    /// `rand::SeedableRng`-compatible spelling of [`HeronRng::from_seed`].
-    #[inline]
-    pub fn seed_from_u64(seed: u64) -> Self {
-        Self::from_seed(seed)
     }
 
     /// The seed this generator (or fork) was constructed from.
@@ -226,35 +219,6 @@ pub trait Rng {
         range.sample_from(self)
     }
 
-    /// `true` with probability `p` (clamped to `[0, 1]`).
-    #[inline]
-    fn random_bool(&mut self, p: f64) -> bool
-    where
-        Self: Sized,
-    {
-        let f: f64 = self.random();
-        f < p
-    }
-
-    /// `true` with probability `numerator / denominator`.
-    ///
-    /// Exact (no float rounding): draws an integer below `denominator`.
-    ///
-    /// # Panics
-    /// Panics if `denominator == 0` or `numerator > denominator`.
-    #[inline]
-    fn random_ratio(&mut self, numerator: u32, denominator: u32) -> bool
-    where
-        Self: Sized,
-    {
-        assert!(denominator > 0, "random_ratio: zero denominator");
-        assert!(
-            numerator <= denominator,
-            "random_ratio: numerator {numerator} > denominator {denominator}"
-        );
-        self.random_range(0..denominator) < numerator
-    }
-
     /// A normal (Gaussian) sample via the Box–Muller transform.
     ///
     /// Deterministically consumes exactly two raw words per call (the
@@ -330,14 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn seed_from_u64_aliases_from_seed() {
-        assert_eq!(
-            HeronRng::seed_from_u64(99).next_u64(),
-            HeronRng::from_seed(99).next_u64()
-        );
-    }
-
-    #[test]
     fn different_seeds_diverge() {
         assert_ne!(
             HeronRng::from_seed(1).next_u64(),
@@ -386,22 +342,6 @@ mod tests {
             let y: f32 = rng.random();
             assert!((0.0..1.0).contains(&y));
         }
-    }
-
-    #[test]
-    fn random_bool_extremes() {
-        let mut rng = HeronRng::from_seed(5);
-        assert!(!rng.random_bool(0.0));
-        assert!(rng.random_bool(1.0));
-    }
-
-    #[test]
-    fn random_ratio_extremes_and_rough_balance() {
-        let mut rng = HeronRng::from_seed(5);
-        assert!(!rng.random_ratio(0, 7));
-        assert!(rng.random_ratio(7, 7));
-        let hits = (0..10_000).filter(|_| rng.random_ratio(1, 4)).count();
-        assert!((2_000..3_000).contains(&hits), "1/4 ratio hit {hits}/10000");
     }
 
     #[test]

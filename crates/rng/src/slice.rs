@@ -1,7 +1,6 @@
-//! Slice adaptors: Fisher–Yates shuffling and uniform / weighted
-//! element choice, mirroring the `rand` trait split (`SliceRandom` for
-//! mutation, `IndexedRandom` for read-only choice) so call sites stay
-//! idiomatic.
+//! Slice adaptors: Fisher–Yates shuffling and uniform element choice,
+//! mirroring the `rand` trait split (`SliceRandom` for mutation,
+//! `IndexedRandom` for read-only choice) so call sites stay idiomatic.
 
 use crate::Rng;
 
@@ -11,19 +10,6 @@ pub trait IndexedRandom {
 
     /// A uniformly random element, or `None` if the slice is empty.
     fn choose<R: Rng>(&self, rng: &mut R) -> Option<&Self::Output>;
-
-    /// A random element with probability proportional to
-    /// `weight(element)`, or `None` if the slice is empty or the total
-    /// weight is not strictly positive. Negative weights are treated
-    /// as zero.
-    fn choose_weighted<R, F>(&self, rng: &mut R, weight: F) -> Option<&Self::Output>
-    where
-        R: Rng,
-        F: Fn(&Self::Output) -> f64;
-
-    /// `n` distinct elements in selection order (a partial Fisher–Yates
-    /// over indices). Returns fewer than `n` if the slice is shorter.
-    fn choose_multiple<R: Rng>(&self, rng: &mut R, n: usize) -> Vec<&Self::Output>;
 }
 
 impl<T> IndexedRandom for [T] {
@@ -36,42 +22,6 @@ impl<T> IndexedRandom for [T] {
         } else {
             Some(&self[rng.random_range(0..self.len())])
         }
-    }
-
-    fn choose_weighted<R, F>(&self, rng: &mut R, weight: F) -> Option<&T>
-    where
-        R: Rng,
-        F: Fn(&T) -> f64,
-    {
-        let weights: Vec<f64> = self.iter().map(|x| weight(x).max(0.0)).collect();
-        let total: f64 = weights.iter().sum();
-        if self.is_empty() || total <= 0.0 || !total.is_finite() {
-            return None;
-        }
-        let mut ticket = rng.random::<f64>() * total;
-        for (item, w) in self.iter().zip(&weights) {
-            if ticket < *w {
-                return Some(item);
-            }
-            ticket -= w;
-        }
-        // Float summation slack: fall back to the last positive-weight
-        // element so the draw is never silently dropped.
-        self.iter()
-            .zip(&weights)
-            .rev()
-            .find(|(_, &w)| w > 0.0)
-            .map(|(item, _)| item)
-    }
-
-    fn choose_multiple<R: Rng>(&self, rng: &mut R, n: usize) -> Vec<&T> {
-        let n = n.min(self.len());
-        let mut idx: Vec<usize> = (0..self.len()).collect();
-        for i in 0..n {
-            let j = rng.random_range(i..idx.len());
-            idx.swap(i, j);
-        }
-        idx[..n].iter().map(|&i| &self[i]).collect()
     }
 }
 
@@ -89,44 +39,6 @@ impl<T> SliceRandom for [T] {
             self.swap(i, j);
         }
     }
-}
-
-/// Uniform sample from an iterator of unknown length via reservoir
-/// sampling (Algorithm R). One pass, O(1) memory.
-pub fn reservoir_sample<I, R>(iter: I, rng: &mut R) -> Option<I::Item>
-where
-    I: IntoIterator,
-    R: Rng,
-{
-    let mut chosen = None;
-    for (seen, item) in iter.into_iter().enumerate() {
-        if seen == 0 || rng.random_range(0..=seen) == 0 {
-            chosen = Some(item);
-        }
-    }
-    chosen
-}
-
-/// Weighted index draw over a weight slice (roulette wheel). Returns
-/// `None` when no weight is strictly positive.
-pub fn weighted_index<R: Rng, W: Copy + Into<f64>>(weights: &[W], rng: &mut R) -> Option<usize> {
-    let total: f64 = weights.iter().map(|&w| w.into().max(0.0)).sum();
-    if total <= 0.0 || !total.is_finite() {
-        return None;
-    }
-    let mut ticket = rng.random::<f64>() * total;
-    let mut last_positive = None;
-    for (i, &w) in weights.iter().enumerate() {
-        let w = w.into().max(0.0);
-        if w > 0.0 {
-            last_positive = Some(i);
-        }
-        if ticket < w {
-            return Some(i);
-        }
-        ticket -= w;
-    }
-    last_positive
 }
 
 #[cfg(test)]
@@ -161,73 +73,5 @@ mod tests {
         let mut v2: Vec<u32> = (0..50).collect();
         v2.shuffle(&mut rng2);
         assert_eq!(v, v2, "same seed must give the same permutation");
-    }
-
-    #[test]
-    fn choose_weighted_respects_weights() {
-        let mut rng = HeronRng::from_seed(23);
-        let v = ["never", "rare", "common"];
-        let mut counts = [0usize; 3];
-        for _ in 0..10_000 {
-            let &x = v
-                .as_slice()
-                .choose_weighted(&mut rng, |s| match *s {
-                    "never" => 0.0,
-                    "rare" => 1.0,
-                    _ => 9.0,
-                })
-                .unwrap();
-            counts[v.iter().position(|&s| s == x).unwrap()] += 1;
-        }
-        assert_eq!(counts[0], 0);
-        assert!(counts[1] > 500 && counts[1] < 1_500, "rare: {}", counts[1]);
-        assert!(counts[2] > 8_500, "common: {}", counts[2]);
-    }
-
-    #[test]
-    fn choose_weighted_degenerate_weights() {
-        let mut rng = HeronRng::from_seed(24);
-        let v = [1, 2, 3];
-        assert!(v.as_slice().choose_weighted(&mut rng, |_| 0.0).is_none());
-        assert!(v.as_slice().choose_weighted(&mut rng, |_| -1.0).is_none());
-        let empty: [i32; 0] = [];
-        assert!(empty
-            .as_slice()
-            .choose_weighted(&mut rng, |_| 1.0)
-            .is_none());
-    }
-
-    #[test]
-    fn choose_multiple_distinct() {
-        let mut rng = HeronRng::from_seed(25);
-        let v: Vec<u32> = (0..10).collect();
-        let picks = v.as_slice().choose_multiple(&mut rng, 4);
-        assert_eq!(picks.len(), 4);
-        let mut dedup: Vec<u32> = picks.iter().map(|&&x| x).collect();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), 4);
-        assert_eq!(v.as_slice().choose_multiple(&mut rng, 99).len(), 10);
-    }
-
-    #[test]
-    fn reservoir_matches_population() {
-        let mut rng = HeronRng::from_seed(26);
-        for _ in 0..100 {
-            let x = reservoir_sample(5..15, &mut rng).unwrap();
-            assert!((5..15).contains(&x));
-        }
-        assert!(reservoir_sample(0..0, &mut rng).is_none());
-    }
-
-    #[test]
-    fn weighted_index_basic() {
-        let mut rng = HeronRng::from_seed(27);
-        for _ in 0..100 {
-            let i = weighted_index(&[0.0f64, 2.0, 1.0], &mut rng).unwrap();
-            assert!(i == 1 || i == 2);
-        }
-        assert!(weighted_index::<_, f64>(&[], &mut rng).is_none());
-        assert!(weighted_index(&[0.0f64, 0.0], &mut rng).is_none());
     }
 }

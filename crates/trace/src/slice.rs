@@ -27,7 +27,7 @@ use crate::tracer::TraceContext;
 
 /// The correlation context of one JSONL event line (`None` for
 /// untagged/service-level lines and lines that do not parse).
-pub fn line_ctx(line: &str) -> Option<TraceContext> {
+fn line_ctx(line: &str) -> Option<TraceContext> {
     let obj = json::parse(line).ok()?;
     crate::check::event_ctx(&json::Cursor::line(&obj, 0))
         .ok()
@@ -48,13 +48,13 @@ fn edit_members(line: &str, edit: impl FnOnce(&mut Vec<(String, Json)>)) -> Stri
 /// emits ctx as the trailing member and [`Json::render`] round-trips
 /// tracer output byte-for-byte, stripping a tagged line yields exactly
 /// the bytes the same session would have written untagged.
-pub fn strip_ctx_line(line: &str) -> String {
+fn strip_ctx_line(line: &str) -> String {
     edit_members(line, |members| members.retain(|(k, _)| k != "ctx"))
 }
 
 /// Rewrites every line's `"seq"` to its line index, making any
 /// concatenation of trace segments a well-formed trace again.
-pub fn reseq_jsonl(jsonl: &str) -> String {
+fn reseq_jsonl(jsonl: &str) -> String {
     let mut out = String::with_capacity(jsonl.len());
     for (idx, line) in jsonl.lines().enumerate() {
         out.push_str(&edit_members(line, |members| {

@@ -6,7 +6,7 @@
 //! | §2.1 deep learning compilers (graph opts, tensor expressions) | [`heron_graph`] (fusion front end), [`heron_tensor`] (compute/DAG) |
 //! | §2.2 schedule templates, Table 1 primitives | [`heron_sched::template::KernelTemplate`] (its `StageSpec`s drive lowering; its primitives, each a [`heron_sched::primitive::Primitive`] recorded through [`heron_sched::state::ScheduleState`], are what `heron_cli census` prints) |
 //! | §2.2 Ansor derivation rules (Table 2) | [`heron_core::generate::rules`] (`Always-Inline`, `Multi-Level-Tiling`, cache-stage conditions) |
-//! | §2.3 genetic algorithm background | [`heron_core::explore::classic::GaExplorer`], roulette-wheel selection in [`heron_core::explore`] |
+//! | §2.3 genetic algorithm background | [`heron_core::explore::classic::GaExplorer`] (population 20, 30 % of offspring mutated), roulette-wheel selection in [`heron_core::explore::roulette_wheel`] |
 //! | §2.4 Observation 1 (Table 3 constraints) | [`heron_dla::platforms`] (machine-readable per-DLA constraint sets) |
 //! | §2.4 Observation 2 (Tables 4–5 census) | [`heron_csp::stats::SpaceCensus`], `table04_05_space_census` binary |
 //! | §2.4 Observation 3 / Figure 2 | [`heron_core::explore::classic`] (`RAND`/`SA`/`GA`), `fig02_irregular_space` binary |

@@ -28,14 +28,14 @@ fn run(explorer: &mut dyn Explorer, steps: usize, seed: u64) -> Vec<f64> {
 
 fn all_explorers() -> Vec<Box<dyn Explorer>> {
     vec![
-        Box::new(CgaExplorer::new(CgaConfig::default())),
-        Box::new(CgaExplorer::cga1(CgaConfig::default())),
+        Box::new(CgaExplorer::new()),
+        Box::new(CgaExplorer::cga1()),
         Box::new(RandomExplorer),
-        Box::new(SaExplorer::default()),
-        Box::new(GaExplorer::default()),
-        Box::new(StochasticRankingGa::default()),
-        Box::new(SatDecoderGa::default()),
-        Box::new(InfeasibilityDrivenGa::default()),
+        Box::new(SaExplorer),
+        Box::new(GaExplorer),
+        Box::new(StochasticRankingGa),
+        Box::new(SatDecoderGa),
+        Box::new(InfeasibilityDrivenGa),
     ]
 }
 
@@ -72,8 +72,8 @@ fn every_explorer_finds_something_valid() {
 #[test]
 fn cga_outperforms_sa_at_fixed_seed() {
     // The paper's Figure 12 ordering; SA gets stuck in the irregular space.
-    let cga = run(&mut CgaExplorer::new(CgaConfig::default()), 120, 7);
-    let sa = run(&mut SaExplorer::default(), 120, 7);
+    let cga = run(&mut CgaExplorer::new(), 120, 7);
+    let sa = run(&mut SaExplorer, 120, 7);
     let (cga_best, sa_best) = (
         cga.last().copied().unwrap_or(0.0),
         sa.last().copied().unwrap_or(0.0),
@@ -89,7 +89,7 @@ fn cga_explorer_is_the_product_tuner() {
     // The adapter runs `Tuner` on the same device and seed stream: its
     // curve is the tuner's, bit for bit.
     let steps = 40;
-    let via_explorer = run(&mut CgaExplorer::new(CgaConfig::default()), steps, 5);
+    let via_explorer = run(&mut CgaExplorer::new(), steps, 5);
     let s = space();
     let config = TuneConfig {
         trials: steps,
@@ -100,7 +100,7 @@ fn cga_explorer_is_the_product_tuner() {
     let tuned = Tuner::new(s.clone(), Measurer::new(s.dla), config, seed).run();
     assert_eq!(via_explorer, tuned.curve);
     // CGA-1's random key variables reach the tuner's evolution step.
-    let cga1 = run(&mut CgaExplorer::cga1(CgaConfig::default()), steps, 5);
+    let cga1 = run(&mut CgaExplorer::cga1(), steps, 5);
     assert_ne!(cga1, via_explorer, "CGA-1 must not run plain CGA");
 }
 
