@@ -195,9 +195,11 @@ cargo run --release --offline -p heron-bench --bin heron_serve -- \
 cargo run --release --offline -p heron-bench --bin trace_report -- \
     "$obs_dir/serve_trace.jsonl" --check
 # The smoke's deterministic outputs are goldens: the manifest, the pulse
-# plane, the scope document, every postmortem bundle and every job's
-# last ring snapshot must match results/serve_smoke/ byte for byte, and
-# no bundle or snapshot may appear or go missing.
+# plane, the scope document, every postmortem bundle, every job's last
+# ring snapshot and every completed job's record and insight.json must
+# match results/serve_smoke/ byte for byte, and no file may appear or go
+# missing. The completed jobs' session traces (≈144 KB) are compared by
+# their cksum lines.
 golden=results/serve_smoke
 for f in manifest.txt pulse.json slo_report.txt scope.json; do
     cmp -s "$obs_dir/$f" "$golden/$f" || {
@@ -205,8 +207,18 @@ for f in manifest.txt pulse.json slo_report.txt scope.json; do
         exit 1
     }
 done
-mkdir -p "$obs_dir/rings"
+(cd "$obs_dir/artifacts" && cksum *.trace.jsonl) | cmp -s - "$golden/traces.cksum" || {
+    echo "error: heron_serve --smoke no longer reproduces $golden/traces.cksum" >&2
+    exit 1
+}
+mkdir -p "$obs_dir/rings" "$obs_dir/texts"
 cp "$obs_dir"/artifacts/*.ring.jsonl "$obs_dir/rings/"
+cp "$obs_dir"/artifacts/*.record.txt "$obs_dir"/artifacts/*.insight.json "$obs_dir/texts/"
+diff -r "$obs_dir/texts" "$golden/artifacts" >/dev/null || {
+    echo "error: heron_serve --smoke no longer reproduces $golden/artifacts/ file for file:" >&2
+    diff -rq "$obs_dir/texts" "$golden/artifacts" >&2 || true
+    exit 1
+}
 for sub in postmortems rings; do
     diff -r "$obs_dir/$sub" "$golden/$sub" >/dev/null || {
         echo "error: heron_serve --smoke no longer reproduces $golden/$sub/ file for file:" >&2
@@ -214,7 +226,7 @@ for sub in postmortems rings; do
         exit 1
     }
 done
-echo "ok: chaos smoke passes; recovered jobs byte-identical; service trace validates; manifest, pulse, SLO report, scope, postmortems and rings reproduce results/serve_smoke/"
+echo "ok: chaos smoke passes; recovered jobs byte-identical; service trace validates; manifest, pulse, SLO report, scope, postmortems, rings, job records, insight.json and trace checksums reproduce results/serve_smoke/"
 
 echo "== scope smoke (flight recorder, postmortems, critical path) =="
 # The forensics layer (DESIGN.md §12) gates the build: the chaos

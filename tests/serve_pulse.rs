@@ -45,16 +45,23 @@ fn run_service() -> Supervisor {
     sup
 }
 
-#[test]
-fn pulse_plane_is_byte_identical_across_service_runs() {
-    let spec = SloSpec::parse(
-        "\
+/// The SLO spec the chaos scenario's pulse documents are judged under.
+const SPEC: &str = "\
 reject_rate <= 0.5
 recovery_max_s <= 60
 queue_wait_s <= 120
-",
-    )
-    .expect("spec parses");
+";
+
+/// FNV-1a over `text`.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn pulse_plane_is_byte_identical_across_service_runs() {
+    let spec = SloSpec::parse(SPEC).expect("spec parses");
     let first = build_pulse(&run_service().pulse_input(), &spec);
     let second = build_pulse(&run_service().pulse_input(), &spec);
     validate_pulse(&first).expect("valid pulse document");
@@ -84,6 +91,25 @@ queue_wait_s <= 120
             .filter_map(Json::as_str)
             .any(|w| w.starts_with("pulse.warn.heartbeat_stall")),
         "job c should carry a heartbeat-stall warning"
+    );
+}
+
+/// The chaos scenario reaches every pulse and scope member the smoke
+/// golden may not: a crash after a checkpoint, one before any, a hang
+/// and a 0.2 fault rate. Its rendered `pulse.json` and `scope.json` are
+/// pinned by digest; on a mismatch the documents are printed.
+#[test]
+fn chaos_script_pulse_and_scope_documents_are_pinned() {
+    let sup = run_service();
+    let input = sup.pulse_input();
+    let spec = SloSpec::parse(SPEC).expect("spec parses");
+    let pulse = build_pulse(&input, &spec).render_pretty();
+    let scope = heron::scope::build_scope(&sup.timeline(), &input.jobs).render_pretty();
+    let got = (fnv1a(&pulse), fnv1a(&scope));
+    assert_eq!(
+        got,
+        (0x621e_2a5b_a13e_db24, 0xea4b_5454_bc3b_306e),
+        "pulse.json or scope.json moved; digests {got:#018x?}\n{pulse}\n{scope}"
     );
 }
 
