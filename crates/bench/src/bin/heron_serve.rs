@@ -13,10 +13,20 @@
 //! job was lost or double-run, and a second service run reproduces the
 //! manifest byte for byte.
 
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+use std::path::Path;
+use std::rc::Rc;
+
 use heron_bench::{flag, has_flag, num_flag, read_slo, write_file};
 use heron_pulse::{build_pulse, render_dashboard, render_slo_report, SloSpec};
-use heron_serve::{chaos, parse_script, JobScript, JobState, Supervisor};
+use heron_serve::{
+    chaos, parse_script, ArtifactSink, JobReport, JobScript, JobState, JobTexts, Supervisor,
+};
 use heron_trace::Json;
+
+/// Completed jobs' session traces by job id, kept for `--trace-out`.
+type Traces = Rc<RefCell<BTreeMap<String, String>>>;
 
 /// The built-in chaos scenario for `--smoke` (and a worked example of
 /// the job-script language).
@@ -115,7 +125,9 @@ fn main() {
     };
 
     let specs = script.jobs.clone();
-    let sup = run_service(script.clone(), &slo_spec, postmortem_dir.as_deref());
+    let traces = trace_out.is_some().then(Traces::default);
+    let sink = artifact_sink(artifact_dir.clone(), traces.clone());
+    let sup = run_service(script.clone(), &slo_spec, postmortem_dir.as_deref(), sink);
     let manifest = sup.manifest();
     print!("{manifest}");
     if let Some(dir) = &postmortem_dir {
@@ -142,10 +154,15 @@ fn main() {
     if let Some(path) = manifest_out {
         write_file(&path, &manifest, "manifest");
     }
-    if let Some(path) = trace_out {
+    if let (Some(path), Some(traces)) = (trace_out, traces) {
         // The merged trace: supervisor events plus every completed
-        // job's tagged session trace — `trace_report --job` slices it.
-        let merged = sup.merged_trace_jsonl();
+        // job's tagged session trace in job-id order, resequenced —
+        // `trace_report --job` slices it.
+        let service = sup.tracer().to_jsonl();
+        let traces = traces.borrow();
+        let mut parts = vec![service.as_str()];
+        parts.extend(traces.values().map(String::as_str));
+        let merged = heron_trace::merge_traces(&parts);
         if let Err(e) = std::fs::write(&path, &merged) {
             eprintln!("cannot write trace `{path}`: {e}");
             std::process::exit(1);
@@ -156,7 +173,12 @@ fn main() {
         );
     }
     if let Some(dir) = artifact_dir {
-        write_artifacts(&sup, &dir);
+        // Every job's last flushed ring snapshot, whether or not the job
+        // completed (crashed jobs are the whole point).
+        for (job, entry) in sup.store().flights() {
+            write_artifact(&dir, &format!("{job}.ring.jsonl"), &entry.ring_jsonl);
+        }
+        eprintln!("artifacts written to `{dir}`");
     }
 
     if smoke || has_flag(&args, "--verify-recovery") {
@@ -177,47 +199,61 @@ fn main() {
     }
 }
 
-fn run_service(script: JobScript, slo: &SloSpec, postmortem_dir: Option<&str>) -> Supervisor {
+fn run_service(
+    script: JobScript,
+    slo: &SloSpec,
+    postmortem_dir: Option<&str>,
+    sink: Option<ArtifactSink>,
+) -> Supervisor {
     let mut sup = Supervisor::from_script(script).with_slo(slo.clone());
     if let Some(dir) = postmortem_dir {
         sup = sup.with_postmortem_dir(dir);
+    }
+    if let Some(sink) = sink {
+        sup = sup.with_artifact_sink(sink);
     }
     sup.run();
     sup
 }
 
-/// Per-job artifacts: the deterministic record, the search-health
-/// `insight.json`, and the final attempt's session trace.
-fn write_artifacts(sup: &Supervisor, dir: &str) {
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("cannot create artifact dir `{dir}`: {e}");
-        std::process::exit(1);
-    }
-    let base = std::path::Path::new(dir);
-    let write = |name: String, data: &str| {
-        if let Err(e) = std::fs::write(base.join(&name), data) {
-            eprintln!("cannot write artifact `{name}`: {e}");
+/// The reader of completed jobs' texts, if any is wanted: writes each
+/// job's deterministic record, search-health `insight.json` and final
+/// attempt's session trace into `dir` as the job completes, and keeps
+/// the trace in `traces` for `--trace-out`.
+fn artifact_sink(dir: Option<String>, traces: Option<Traces>) -> Option<ArtifactSink> {
+    if let Some(dir) = &dir {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("cannot create artifact dir `{dir}`: {e}");
             std::process::exit(1);
         }
-    };
-    for row in sup.rows() {
-        let Some(report) = sup.report(&row.id) else {
-            continue;
-        };
-        write(format!("{}.record.txt", row.id), &report.record);
-        if !report.insight_json.is_empty() {
-            write(format!("{}.insight.json", row.id), &report.insight_json);
-        }
-        if !report.trace_jsonl.is_empty() {
-            write(format!("{}.trace.jsonl", row.id), &report.trace_jsonl);
-        }
     }
-    // Every job's last flushed ring snapshot, whether or not the job
-    // completed (crashed jobs are the whole point).
-    for (job, entry) in sup.store().flights() {
-        write(format!("{job}.ring.jsonl"), &entry.ring_jsonl);
+    if dir.is_none() && traces.is_none() {
+        return None;
     }
-    eprintln!("artifacts written to `{dir}`");
+    Some(Box::new(move |report: &JobReport, texts: JobTexts| {
+        if let Some(dir) = &dir {
+            let files = [
+                ("record.txt", &report.record),
+                ("insight.json", &texts.insight_json),
+                ("trace.jsonl", &texts.trace_jsonl),
+            ];
+            for (ext, text) in files {
+                write_artifact(dir, &format!("{}.{ext}", report.job), text);
+            }
+        }
+        if let Some(traces) = &traces {
+            traces
+                .borrow_mut()
+                .insert(report.job.clone(), texts.trace_jsonl);
+        }
+    }))
+}
+
+fn write_artifact(dir: &str, name: &str, data: &str) {
+    if let Err(e) = std::fs::write(Path::new(dir).join(name), data) {
+        eprintln!("cannot write artifact `{name}`: {e}");
+        std::process::exit(1);
+    }
 }
 
 /// The assertions behind the CI smoke stage. Process exit 1 with a
@@ -316,7 +352,7 @@ fn smoke_assertions(
     // byte for byte — states, attempts, rounds, fingerprints and all —
     // the whole pulse plane (pulse.json, SLO report, dashboard), the
     // scope document, every postmortem bundle, and every ring snapshot.
-    let second = run_service(script, slo_spec, None);
+    let second = run_service(script, slo_spec, None, None);
     let second_manifest = second.manifest();
     if second_manifest != first_manifest {
         eprintln!("--- first run ---\n{first_manifest}");

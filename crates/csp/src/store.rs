@@ -46,7 +46,6 @@
 //! operation, including when an interval turns into an explicit set;
 //! `tests/prop_store.rs` holds the two equal.
 
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use crate::domain::Domain;
@@ -65,31 +64,53 @@ pub(crate) struct VarTables {
 
 impl VarTables {
     /// Builds the tables for every variable of `csp`: a table for each
-    /// explicit value set of at most 64 values.
+    /// explicit value set of at most 64 values. Equal sets share the
+    /// table of their first occurrence, and tables are laid out in
+    /// first-occurrence order. Sets are grouped by sorting, O(n log n) on
+    /// any input: by a key of their length and end values, which tells
+    /// nearly every two different sets apart, and only where keys tie, by
+    /// the whole set. Within a group the lowest variable, the set's first
+    /// occurrence, sorts first.
     pub(crate) fn for_csp(csp: &Csp) -> Self {
-        // Sized for every set to be distinct, so neither grows.
-        let (mut sets, mut total) = (0, 0);
-        for (_, d) in csp.vars() {
-            if let Domain::Values(v) = &d.domain {
-                if v.len() <= 64 {
-                    sets += 1;
-                    total += v.len();
+        let mut keyed = Vec::with_capacity(csp.num_vars());
+        keyed.extend(csp.vars().filter_map(|(r, d)| match &d.domain {
+            Domain::Values(v) if v.len() <= 64 => {
+                let end = |x: Option<&i64>| x.copied().unwrap_or(0) as u64;
+                let key = (v.len() as u64) << 57 ^ end(v.first()) ^ end(v.last()).rotate_left(28);
+                Some((key, r.0 as u32, v.as_slice()))
+            }
+            _ => None,
+        }));
+        keyed.sort_unstable_by_key(|&(key, v, _)| (key, v));
+        // A span of length `FIRST` points at the set's first occurrence.
+        const FIRST: u32 = u32::MAX;
+        let mut spans = vec![(0, 0); csp.num_vars()];
+        let mut total = 0;
+        for run in keyed.chunk_by_mut(|a, b| a.0 == b.0) {
+            if run.iter().any(|x| x.2 != run[0].2) {
+                run.sort_unstable_by_key(|&(_, v, set)| (set, v));
+            }
+            for group in run.chunk_by(|a, b| a.2 == b.2) {
+                total += group[0].2.len();
+                for &(_, v, _) in group {
+                    spans[v as usize] = (group[0].1, FIRST);
                 }
             }
         }
         let mut values: Vec<i64> = Vec::with_capacity(total);
-        let mut distinct: HashMap<&[i64], (u32, u32)> = HashMap::with_capacity(sets);
-        let spans = csp
-            .vars()
-            .map(|(_, d)| match &d.domain {
-                Domain::Values(v) if v.len() <= 64 => *distinct.entry(v).or_insert_with(|| {
-                    let span = (values.len() as u32, v.len() as u32);
-                    values.extend_from_slice(v);
-                    span
-                }),
-                _ => (0, 0),
-            })
-            .collect();
+        for (v, (_, d)) in csp.vars().enumerate() {
+            let (first, len) = spans[v];
+            if len != FIRST {
+                continue;
+            }
+            spans[v] = match &d.domain {
+                Domain::Values(set) if first as usize == v => {
+                    values.extend_from_slice(set);
+                    ((values.len() - set.len()) as u32, set.len() as u32)
+                }
+                _ => spans[first as usize],
+            };
+        }
         VarTables { values, spans }
     }
 
@@ -783,6 +804,63 @@ mod tests {
 
     fn vals(s: &DomainStore, v: usize) -> Vec<i64> {
         s.values(v).collect()
+    }
+
+    /// The tables by a linear scan over the sets seen so far: each set
+    /// takes the span of its first occurrence.
+    fn first_occurrence_tables(csp: &Csp) -> (Vec<i64>, Vec<(u32, u32)>) {
+        let (mut values, mut spans) = (Vec::new(), Vec::new());
+        let mut seen: Vec<(&[i64], (u32, u32))> = Vec::new();
+        for (_, d) in csp.vars() {
+            spans.push(match &d.domain {
+                Domain::Values(v) if v.len() <= 64 => match seen.iter().find(|s| s.0 == &v[..]) {
+                    Some(&(_, span)) => span,
+                    None => {
+                        let span = (values.len() as u32, v.len() as u32);
+                        values.extend_from_slice(v);
+                        seen.push((v, span));
+                        span
+                    }
+                },
+                _ => (0, 0),
+            });
+        }
+        (values, spans)
+    }
+
+    #[test]
+    fn equal_sets_share_their_first_occurrences_table() {
+        let mut csp = Csp::new();
+        // `[1, 5, 9]` and `[1, 7, 9]` share a length and end values.
+        let sets: [&[i64]; 12] = [
+            &[4, 8],
+            &[1, 7, 9],
+            &[1, 2, 3],
+            &[4, 8],
+            &[1, 5, 9],
+            &[1, 2],
+            &[1, 2, 3],
+            &[2],
+            &[1, 7, 9],
+            &[1, 2],
+            &[4, 8],
+            &[1, 5, 9],
+        ];
+        for (i, set) in sets.iter().enumerate() {
+            csp.add_var(
+                format!("v{i}"),
+                Domain::values(set.iter().copied()),
+                VarCategory::Tunable,
+            );
+            if i % 3 == 0 {
+                csp.add_var(format!("r{i}"), Domain::range(0, 9), VarCategory::Other);
+            }
+        }
+        let wide = Domain::values((0..65).map(|x| x * 2));
+        csp.add_var("wide", wide, VarCategory::Other);
+        let tables = VarTables::for_csp(&csp);
+        let (values, spans) = first_occurrence_tables(&csp);
+        assert_eq!((tables.values, tables.spans), (values, spans));
     }
 
     #[test]

@@ -182,7 +182,7 @@ const SET_UP_EIGHTHS_PER_ITEM: u64 = 16;
 /// The arrays `Tuner::new` may allocate, whatever the number of
 /// constraints: 37 fixed ones — the presolve's union-find, mention
 /// counts, reads and class bounds (5); the value tables, their spans,
-/// their dedup map and the shared handle (4); the propagator's kinds,
+/// their dedup buffer and the shared handle (4); the propagator's kinds,
 /// operands, `IN` values, starts, mentions, watch starts, watchers and
 /// fast paths (8); the domain store's domains, bounds, dormancy flags and
 /// saves (5); the nogood memo's literal tables (2); the worklist's flags

@@ -2,8 +2,8 @@
 //! (DESIGN.md §10).
 //!
 //! The crate folds a finished service run's deterministic projection —
-//! manifest-grade job rows, per-job artifacts, and the jobs' session
-//! traces — into a schema-versioned `pulse.json` document
+//! manifest-grade job rows and each completed job's digest of its
+//! session — into a schema-versioned `pulse.json` document
 //! (`heron-pulse-v1`) of per-job SLIs, evaluates a declarative SLO
 //! spec over it, and renders two human views: a pass/warn/breach SLO
 //! report and the `heron_status` ops dashboard.
@@ -36,11 +36,10 @@ pub mod schema;
 pub mod sli;
 pub mod slo;
 
-pub use input::{JobInput, PulseConfig, ServiceInput};
+pub use input::{JobDigest, JobInput, PulseConfig, ServiceInput, SpanStat};
 pub use report::{render_dashboard, render_slo_report};
 pub use schema::{check_slo_rule, validate_pulse, SLI_KEYS};
 pub use sli::{
-    attach_slo, backoff_ns, breach_count, build_pulse, recovery_slis, sol_per_kprop_from_tsv,
-    HOT_SPANS, PULSE_SCHEMA,
+    attach_slo, backoff_ns, breach_count, build_pulse, recovery_slis, HOT_SPANS, PULSE_SCHEMA,
 };
 pub use slo::{SloOp, SloRule, SloSpec};

@@ -259,10 +259,8 @@ mod tests {
             trials: 20,
             termination: Some("trials-exhausted".to_string()),
             warnings,
-            insight_json: String::new(),
-            metrics_tsv: String::new(),
+            digest: Default::default(),
             wall_ns: 2_000_000_000,
-            trace_jsonl: String::new(),
             postmortems: 0,
         };
         let input = ServiceInput {

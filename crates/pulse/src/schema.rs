@@ -118,10 +118,8 @@ mod tests {
                 trials: 12,
                 termination: Some("trials-exhausted".to_string()),
                 warnings: vec!["pulse.warn.heartbeat_stall attempt=1".to_string()],
-                insight_json: String::new(),
-                metrics_tsv: String::new(),
+                digest: Default::default(),
                 wall_ns: 1_500_000_000,
-                trace_jsonl: String::new(),
                 postmortems: 1,
             }],
             rejected: Vec::new(),

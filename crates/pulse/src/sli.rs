@@ -16,19 +16,20 @@
 //!   `tuner.step` span (the attempt's wall-clock when it ran fewer
 //!   rounds than a checkpoint period).
 //! * `sol_per_kprop` — solver throughput, `1000·csp.solutions /
-//!   csp.propagations` from the attempt's metrics snapshot.
+//!   csp.propagations` from the attempt's counters.
 //! * `rank_accuracy_final` — the last recorded per-round
-//!   `batch_rank_accuracy` from the job's insight document.
+//!   `batch_rank_accuracy` from the job's insight log.
 //!
 //! The document also carries per-round trajectories
 //! (`batch_rank_accuracy`, `solver_propagations`), the top hottest
 //! spans per job (from its session trace), and the SLO verdicts
-//! ([`attach_slo`]).
+//! ([`attach_slo`]). Every per-job number is read from the job's
+//! [`JobDigest`].
 
-use heron_trace::json::{self, Json};
-use heron_trace::{check_trace, Json as J};
+use heron_trace::json::Json;
+use heron_trace::Json as J;
 
-use crate::input::{JobInput, ServiceInput};
+use crate::input::{JobDigest, JobInput, ServiceInput};
 use crate::slo::{SloOp, SloSpec};
 
 /// The schema identifier stamped into every document.
@@ -47,29 +48,6 @@ fn opt_num(v: Option<f64>) -> Json {
 
 fn s(v: &str) -> Json {
     Json::Str(v.to_string())
-}
-
-/// Solver throughput from a metrics TSV snapshot:
-/// `1000 · csp.solutions / csp.propagations`, or `None` when either
-/// counter is missing or no propagation happened.
-pub fn sol_per_kprop_from_tsv(tsv: &str) -> Option<f64> {
-    let mut solutions: Option<f64> = None;
-    let mut propagations: Option<f64> = None;
-    for line in tsv.lines() {
-        let cols: Vec<&str> = line.split('\t').collect();
-        if cols.len() < 3 {
-            continue;
-        }
-        match cols[0] {
-            "csp.solutions" => solutions = cols[2].parse().ok(),
-            "csp.propagations" => propagations = cols[2].parse().ok(),
-            _ => {}
-        }
-    }
-    match (solutions, propagations) {
-        (Some(sol), Some(prop)) if prop > 0.0 => Some(1000.0 * sol / prop),
-        _ => None,
-    }
 }
 
 /// The simulated backoff before recovery `k`: `base·2^(k−1)` seconds
@@ -94,49 +72,35 @@ pub fn recovery_slis(base_s: f64, recoveries: u32) -> (f64, f64) {
     )
 }
 
-/// Per-round trajectories pulled from a job's insight document.
-fn trajectories(insight_json: &str) -> (Json, Option<f64>) {
-    let mut rank = Vec::new();
-    let mut props = Vec::new();
-    let mut rank_final = None;
-    if let Ok(doc) = json::parse(insight_json) {
-        if let Some(J::Arr(rounds)) = doc.get("rounds") {
-            for round in rounds {
-                let acc = round.get("batch_rank_accuracy").and_then(J::as_f64);
-                if let Some(a) = acc {
-                    rank_final = Some(a);
-                }
-                rank.push(opt_num(acc));
-                props.push(opt_num(
-                    round.get("solver_propagations").and_then(J::as_f64),
-                ));
-            }
-        }
-    }
+/// Per-round trajectories from a job's insight log, and the last
+/// recorded rank accuracy.
+fn trajectories(d: &JobDigest) -> (Json, Option<f64>) {
+    let rank = d.rank_accuracy.iter().map(|&a| opt_num(a));
+    let props = d.round_propagations.iter().map(|&p| num(p as f64));
     let traj = Json::Obj(vec![
-        ("batch_rank_accuracy".to_string(), Json::Arr(rank)),
-        ("solver_propagations".to_string(), Json::Arr(props)),
+        ("batch_rank_accuracy".to_string(), Json::Arr(rank.collect())),
+        (
+            "solver_propagations".to_string(),
+            Json::Arr(props.collect()),
+        ),
     ]);
-    (traj, rank_final)
+    (traj, d.rank_accuracy.iter().rev().find_map(|&a| a))
 }
 
 /// The job's hottest spans (name, count, total seconds) and its
 /// time-to-first-checkpoint, both from its session trace.
 fn slice_stats(job: &JobInput, checkpoint_every: u64) -> (Json, Option<f64>) {
-    let Ok(summary) = check_trace(&job.trace_jsonl) else {
-        return (Json::Arr(Vec::new()), None);
-    };
-    if summary.spans.is_empty() {
+    let d = &job.digest;
+    if d.spans.is_empty() {
         return (Json::Arr(Vec::new()), None);
     }
-    // A job's trace carries one context, so this groups by name alone.
-    let hot: Vec<Json> = summary
-        .hottest_spans()
+    let hot: Vec<Json> = d
+        .spans
         .iter()
         .take(HOT_SPANS)
         .map(|t| {
             Json::Obj(vec![
-                ("name".to_string(), s(t.name)),
+                ("name".to_string(), s(&t.name)),
                 ("count".to_string(), num(t.count as f64)),
                 ("total_s".to_string(), num(t.total_ns as f64 / 1e9)),
             ])
@@ -144,19 +108,18 @@ fn slice_stats(job: &JobInput, checkpoint_every: u64) -> (Json, Option<f64>) {
         .collect();
     // Time to first checkpoint: close of the checkpoint_every-th
     // top-level tuner.step, else the attempt's whole wall-clock.
-    let steps: Vec<u64> = summary
-        .spans
-        .iter()
-        .filter(|sp| sp.parent == 0 && sp.name == "tuner.step")
-        .map(|sp| sp.t_close_ns)
-        .collect();
     let k = checkpoint_every.max(1) as usize;
-    let ttfc_ns = if steps.is_empty() {
-        job.wall_ns
-    } else {
-        steps.get(k - 1).copied().unwrap_or(job.wall_ns)
-    };
+    let ttfc_ns = d.step_close_ns.get(k - 1).copied().unwrap_or(job.wall_ns);
     (Json::Arr(hot), Some(ttfc_ns as f64 / 1e9))
+}
+
+/// Solver throughput, `1000 · csp.solutions / csp.propagations`, or
+/// `None` when either counter is missing or no propagation happened.
+fn sol_per_kprop(d: &JobDigest) -> Option<f64> {
+    match (d.solutions, d.propagations) {
+        (Some(sol), Some(prop)) if prop > 0 => Some(1000.0 * sol as f64 / prop as f64),
+        _ => None,
+    }
 }
 
 fn job_json(job: &JobInput, input: &ServiceInput) -> Json {
@@ -164,7 +127,7 @@ fn job_json(job: &JobInput, input: &ServiceInput) -> Json {
     let completed = job.state == "completed";
     let wall_s = job.wall_ns as f64 / 1e9;
     let (hot_spans, ttfc_s) = slice_stats(job, input.config.checkpoint_every);
-    let (traj, rank_final) = trajectories(&job.insight_json);
+    let (traj, rank_final) = trajectories(&job.digest);
     let slis = Json::Obj(vec![
         ("queue_wait_s".to_string(), num(queue_wait_s)),
         ("recovery_max_s".to_string(), num(recovery_max_s)),
@@ -179,7 +142,7 @@ fn job_json(job: &JobInput, input: &ServiceInput) -> Json {
         ("ttfc_s".to_string(), opt_num(ttfc_s)),
         (
             "sol_per_kprop".to_string(),
-            opt_num(sol_per_kprop_from_tsv(&job.metrics_tsv)),
+            opt_num(sol_per_kprop(&job.digest)),
         ),
         ("rank_accuracy_final".to_string(), opt_num(rank_final)),
     ]);
@@ -345,7 +308,7 @@ mod tests {
     use crate::input::PulseConfig;
     use heron_trace::Tracer;
 
-    fn session_trace(steps: usize, per_step_s: f64) -> (String, u64) {
+    fn session_trace(steps: usize, per_step_s: f64) -> (JobDigest, u64) {
         let t = Tracer::manual();
         for _ in 0..steps {
             let _s = t.span("tuner.step");
@@ -355,11 +318,11 @@ mod tests {
             }
             t.advance_s(per_step_s / 2.0);
         }
-        (t.to_jsonl(), t.now_ns())
+        (t.with_events(JobDigest::of_log), t.now_ns())
     }
 
     fn job(id: &str, recoveries: u32) -> JobInput {
-        let (trace_jsonl, wall_ns) = session_trace(4, 2.0);
+        let (digest, wall_ns) = session_trace(4, 2.0);
         JobInput {
             id: id.to_string(),
             state: "completed".to_string(),
@@ -369,10 +332,12 @@ mod tests {
             trials: 16,
             termination: Some("trials-exhausted".to_string()),
             warnings: Vec::new(),
-            insight_json: String::new(),
-            metrics_tsv: "metric\ttype\tvalue\ncsp.solutions\tcounter\t50\ncsp.propagations\tcounter\t20000\n".to_string(),
+            digest: JobDigest {
+                solutions: Some(50),
+                propagations: Some(20_000),
+                ..digest
+            },
             wall_ns,
-            trace_jsonl,
             postmortems: 0,
         }
     }

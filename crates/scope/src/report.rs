@@ -7,9 +7,9 @@
 //! are pure functions of the input, so two same-seed service runs render
 //! byte-identical output.
 
-use heron_trace::{check_trace, Json};
+use heron_trace::Json;
 
-use heron_pulse::JobInput;
+use heron_pulse::{JobDigest, JobInput};
 use heron_serve::Timeline;
 
 use crate::segments::{makespan_ns, segments, Phase, Segment};
@@ -41,28 +41,26 @@ fn worker(seg: &Segment) -> Json {
     seg.worker.map_or(Json::Null, |w| ns(w as u64))
 }
 
-/// Per-job span profile from its session trace: event counts and the
-/// top-3 span names by total duration. The trace carries one context, so
-/// [`heron_trace::TraceSummary::hottest_spans`] groups by name alone.
-fn profile_json(trace_jsonl: &str) -> Json {
-    let summary = check_trace(trace_jsonl).unwrap_or_default();
-    let top = summary.hottest_spans().into_iter().take(3).map(|t| {
+/// Per-job span profile from its session's digest: event counts and the
+/// top-3 span names by total duration.
+fn profile_json(d: &JobDigest) -> Json {
+    let top = d.spans.iter().take(3).map(|t| {
         obj([
-            ("name", s(t.name)),
+            ("name", s(&t.name)),
             ("count", ns(t.count)),
             ("total_ns", ns(t.total_ns)),
         ])
     });
     obj([
-        ("events", ns(summary.events as u64)),
-        ("points", ns(summary.points as u64)),
+        ("events", ns(d.events)),
+        ("points", ns(d.points)),
         ("top_spans", Json::Arr(top.collect())),
     ])
 }
 
 /// Assembles the `scope.json` document for a finished service run from
-/// the policy's timeline; each job's profile reads its session trace
-/// from the pulse projection (`Supervisor::pulse_input`).
+/// the policy's timeline; each job's profile reads its digest from the
+/// pulse projection (`Supervisor::pulse_input`).
 pub fn build_scope(timeline: &Timeline, profiles: &[JobInput]) -> Json {
     let segs = segments(timeline);
     let makespan_ns = makespan_ns(&segs);
@@ -82,7 +80,7 @@ pub fn build_scope(timeline: &Timeline, profiles: &[JobInput]) -> Json {
                 ("slack_ns", ns(seg.slack_ns)),
             ]));
         }
-        let trace = profiles.iter().find(|p| p.id == *job);
+        let digest = profiles.iter().find(|p| p.id == *job).map(|p| &p.digest);
         obj([
             ("id", s(job)),
             ("state", Json::Str(state.to_string())),
@@ -92,7 +90,7 @@ pub fn build_scope(timeline: &Timeline, profiles: &[JobInput]) -> Json {
             ("segments", Json::Arr(segments)),
             (
                 "profile",
-                profile_json(trace.map_or("", |p| &p.trace_jsonl)),
+                profile_json(digest.unwrap_or(&JobDigest::default())),
             ),
         ])
     });
@@ -279,7 +277,7 @@ mod tests {
         );
         let profile = JobInput {
             id: "g1".to_string(),
-            trace_jsonl: tracer.to_jsonl(),
+            digest: tracer.with_events(JobDigest::of_log),
             ..JobInput::default()
         };
         (t, vec![profile])

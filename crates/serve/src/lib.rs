@@ -22,7 +22,8 @@
 //!   ([`queue::AdmitError`]);
 //! * [`store`] — the epoch-fenced per-job store: each job's latest
 //!   checkpoint and latest flush of its trace tail, under the policy's
-//!   epoch (zombie workers cannot clobber their replacement's state);
+//!   epoch (zombie workers cannot clobber their replacement's state); a
+//!   completed job's checkpoint text is released;
 //! * [`worker`] — one thread, one session: builds the `Tuner`
 //!   in-thread from `Send` data, checkpoints periodically, reports
 //!   over a channel;
@@ -30,7 +31,7 @@
 //!   assignment, epoch fencing, retry-with-backoff under a restart
 //!   budget, quarantine, graceful drain, postmortems;
 //! * [`supervisor`] — the threaded driver: worker threads, the event
-//!   channel, the heartbeat watchdog;
+//!   channel, the heartbeat watchdog, the artifact sink;
 //! * [`sim`] — the simulated-clock driver: a finished run's schedule as
 //!   the policy places it, for `heron-scope` (DESIGN.md §12);
 //! * [`plan`] — worker-kill injection for the chaos harness;
@@ -74,6 +75,6 @@ pub use postmortem::{
 };
 pub use queue::{AdmitError, AdmitQueue};
 pub use sim::{timeline, TimedRun, Timeline};
-pub use store::{CheckpointStore, FlightEntry};
-pub use supervisor::Supervisor;
+pub use store::{CheckpointStore, FlightEntry, JobTexts};
+pub use supervisor::{ArtifactSink, Supervisor};
 pub use worker::{build_session, JobReport, WorkOrder};

@@ -15,6 +15,14 @@
 //! The store keeps checkpoint *text* (the CRC-sealed `key = value`
 //! format from `heron_core::checkpoint`), not parsed structs: exactly the
 //! byte string an on-disk checkpoint holds.
+//!
+//! A slot lives as long as the store. When the policy accepts a job's
+//! completion the supervisor [`CheckpointStore::release`]s it: the
+//! checkpoint text, which no attempt will resume from again, is dropped,
+//! and the job's [`JobTexts`] go to the supervisor's artifact sink. The
+//! epoch and the last flush stay, so a zombie's late save is still
+//! refused and counted, and the job's ring is still read. Preempted and
+//! quarantined jobs keep their checkpoint.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -35,11 +43,23 @@ pub struct FlightEntry {
     pub ring_jsonl: String,
 }
 
+/// A completed attempt's texts for an artifact reader, rendered only
+/// when the supervisor has an artifact sink.
+#[derive(Debug, Clone, PartialEq)]
+pub struct JobTexts {
+    /// The job's `insight.json` document (search-health analytics).
+    pub insight_json: String,
+    /// The attempt's session trace (manual clock, JSONL; every line
+    /// carries the job's correlation context).
+    pub trace_jsonl: String,
+}
+
 #[derive(Debug, Default)]
 struct Slot {
     epoch: u64,
     text: Option<String>,
     flight: Option<FlightEntry>,
+    texts: Option<JobTexts>,
 }
 
 #[derive(Debug, Default)]
@@ -64,10 +84,12 @@ impl CheckpointStore {
     /// Makes `epoch` the job's current one: from now on only saves and
     /// flushes quoting it are accepted. The checkpoint and the last
     /// flush stay, for the next attempt to resume from and for the dead
-    /// one's postmortem.
+    /// one's postmortem; texts a fenced-off attempt deposited go.
     pub fn fence(&self, job: &str, epoch: u64) {
         let mut inner = self.inner.lock().expect("store lock");
-        inner.slots.entry(job.to_string()).or_default().epoch = epoch;
+        let slot = inner.slots.entry(job.to_string()).or_default();
+        slot.epoch = epoch;
+        slot.texts = None;
     }
 
     /// Saves checkpoint text for `job` if `epoch` is still current;
@@ -89,14 +111,31 @@ impl CheckpointStore {
     /// current; returns whether it was accepted. A refused flush is not
     /// counted: `stale_saves` counts checkpoints only.
     pub(crate) fn flush(&self, job: &str, entry: FlightEntry) -> bool {
+        self.write_current(job, entry.epoch, |slot| slot.flight = Some(entry))
+    }
+
+    /// Deposits a finished attempt's texts for the artifact sink if
+    /// `epoch` is still current; returns whether they were accepted.
+    pub(crate) fn deposit(&self, job: &str, epoch: u64, texts: JobTexts) -> bool {
+        self.write_current(job, epoch, |slot| slot.texts = Some(texts))
+    }
+
+    /// Runs `write` on the job's slot if `epoch` is its current one;
+    /// returns whether it ran.
+    fn write_current(&self, job: &str, epoch: u64, write: impl FnOnce(&mut Slot)) -> bool {
         let mut inner = self.inner.lock().expect("store lock");
-        match inner.slots.get_mut(job).filter(|s| s.epoch == entry.epoch) {
-            Some(slot) => {
-                slot.flight = Some(entry);
-                true
-            }
-            None => false,
-        }
+        let slot = inner.slots.get_mut(job).filter(|s| s.epoch == epoch);
+        slot.map(write).is_some()
+    }
+
+    /// Releases a completed job's slot: drops its checkpoint text and
+    /// hands over the texts its attempt deposited, if any. The epoch and
+    /// the last flush stay.
+    pub(crate) fn release(&self, job: &str) -> Option<JobTexts> {
+        let mut inner = self.inner.lock().expect("store lock");
+        let slot = inner.slots.get_mut(job)?;
+        slot.text = None;
+        slot.texts.take()
     }
 
     /// The latest accepted checkpoint text for `job`, if any.
@@ -163,6 +202,44 @@ mod tests {
         assert_eq!(store.load("job").as_deref(), Some("second"));
         assert_eq!(store.saves(), 2);
         assert_eq!(store.stale_saves(), 2);
+    }
+
+    #[test]
+    fn a_released_slot_keeps_its_fence_and_flight() {
+        let store = CheckpointStore::new();
+        store.fence("job", 1);
+        assert!(store.save("job", 1, "first".to_string()));
+        store.fence("job", 2);
+        assert!(store.save("job", 2, "second".to_string()));
+        assert!(store.flush("job", entry(1, 2, 6)));
+        let texts = JobTexts {
+            insight_json: "{}".to_string(),
+            trace_jsonl: "trace\n".to_string(),
+        };
+        assert!(!store.deposit("job", 1, texts.clone()), "fenced off");
+        assert!(store.deposit("job", 2, texts.clone()));
+        assert_eq!(store.release("job"), Some(texts));
+        assert_eq!(store.load("job"), None, "the checkpoint text is released");
+        assert_eq!(store.release("job"), None, "texts are handed over once");
+        // The fence stays: a zombie's late save is refused and counted.
+        assert!(!store.save("job", 1, "zombie".to_string()));
+        assert_eq!(store.stale_saves(), 1);
+        assert_eq!(store.load("job"), None);
+        assert_eq!(store.flights(), vec![("job".to_string(), entry(1, 2, 6))]);
+        assert_eq!(store.release("never-fenced"), None);
+    }
+
+    #[test]
+    fn fencing_drops_a_dead_attempts_texts() {
+        let store = CheckpointStore::new();
+        store.fence("job", 1);
+        let texts = JobTexts {
+            insight_json: String::new(),
+            trace_jsonl: String::new(),
+        };
+        assert!(store.deposit("job", 1, texts));
+        store.fence("job", 2);
+        assert_eq!(store.release("job"), None);
     }
 
     #[test]

@@ -12,6 +12,13 @@
 //! `hang_grace_polls` polls, it records a `pulse.warn.heartbeat_stall`
 //! precursor in the service trace only (a slow but healthy round can trip
 //! it too); flat for all of them, it hands the policy a confirmed stall.
+//!
+//! A finished job costs the supervisor its [`JobReport`] and its store
+//! slot's fence and last flush. When the policy accepts a completion, the
+//! supervisor releases the job's checkpoint text and hands the job's
+//! [`JobTexts`] to the artifact sink, if one is installed
+//! ([`Supervisor::with_artifact_sink`]); workers render those texts only
+//! then.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -29,7 +36,7 @@ use crate::plan::ChaosPlan;
 use crate::policy::{Effect, Event, Policy};
 use crate::postmortem::{self, DeathReport, Postmortem};
 use crate::queue::AdmitError;
-use crate::store::CheckpointStore;
+use crate::store::{CheckpointStore, JobTexts};
 use crate::worker::{run_order, JobReport, WorkOrder};
 
 pub use crate::policy::{JobRow, JobState};
@@ -44,6 +51,10 @@ struct Worker {
     stall_polls: u32,
 }
 
+/// The reader of completed jobs' texts, called on the supervisor's
+/// thread once per accepted completion, in completion order.
+pub type ArtifactSink = Box<dyn FnMut(&JobReport, JobTexts)>;
+
 /// The tuning service: a bounded queue, a worker pool, and a watchdog,
 /// all driven by [`Supervisor::run`] on the calling thread.
 pub struct Supervisor {
@@ -52,6 +63,7 @@ pub struct Supervisor {
     store: CheckpointStore,
     slo: SloSpec,
     postmortem_dir: Option<PathBuf>,
+    sink: Option<ArtifactSink>,
     postmortems: Vec<Postmortem>,
     tx: Sender<Event>,
     rx: Receiver<Event>,
@@ -69,6 +81,7 @@ impl Supervisor {
             store: CheckpointStore::new(),
             slo: SloSpec::empty(),
             postmortem_dir: None,
+            sink: None,
             postmortems: Vec::new(),
             tx,
             rx,
@@ -95,6 +108,14 @@ impl Supervisor {
     /// identical with and without one.
     pub fn with_postmortem_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.postmortem_dir = Some(dir.into());
+        self
+    }
+
+    /// Hands every accepted completion's report and texts to `sink` as
+    /// the job completes; the supervisor keeps none of the texts. With
+    /// no sink, workers do not render them.
+    pub fn with_artifact_sink(mut self, sink: impl FnMut(&JobReport, JobTexts) + 'static) -> Self {
+        self.sink = Some(Box::new(sink));
         self
     }
 
@@ -158,16 +179,30 @@ impl Supervisor {
         // first, so its session is freed before a successor starts. A
         // panic reaches the policy as an exit with no report: a crash.
         // An exit quotes the attempt's last flush, as a stall does.
+        let mut completed = None;
         if let Some((job, epoch)) = event.attempt() {
             let key = (job.to_string(), epoch);
             if let Some(worker) = self.workers.remove(&key) {
                 let _ = worker.handle.join();
             }
-            if let Event::Exited { rounds, sim_ns, .. } = &mut event {
-                (*rounds, *sim_ns) = self.last_flush(&key.0, key.1);
+            match &mut event {
+                Event::Exited { rounds, sim_ns, .. } => {
+                    (*rounds, *sim_ns) = self.last_flush(&key.0, key.1);
+                }
+                // The policy accepts the live attempt's report only.
+                Event::Completed { .. } if self.policy.is_live(&key.0, epoch) => {
+                    completed = Some(key.0);
+                }
+                _ => {}
             }
         }
         self.apply(event);
+        if let Some(job) = completed {
+            let texts = self.store.release(&job);
+            if let (Some(sink), Some(texts)) = (&mut self.sink, texts) {
+                sink(self.policy.report(&job).expect("a completed job"), texts);
+            }
+        }
     }
 
     /// Lifetime rounds and simulated clock at attempt `epoch` of `job`'s
@@ -230,6 +265,7 @@ impl Supervisor {
             plan: self.plan.clone(),
             checkpoint_every: config.checkpoint_every,
             worker_id: slot,
+            render_texts: self.sink.is_some(),
         };
         let tx = self.tx.clone();
         let handle = std::thread::Builder::new()
@@ -355,26 +391,9 @@ impl Supervisor {
         self.policy.tracer()
     }
 
-    /// One correlated trace for the whole run: the supervisor's own
-    /// (untagged) events merged with every completed job's tagged
-    /// session trace, in job-id order, resequenced. Validates under
-    /// `check_trace` (per-context discipline) and slices losslessly
-    /// back apart with `slice_by_job`.
-    pub fn merged_trace_jsonl(&self) -> String {
-        let service = self.tracer().to_jsonl();
-        let rows = self.rows();
-        let mut parts: Vec<&str> = vec![service.as_str()];
-        parts.extend(
-            rows.iter()
-                .filter_map(|r| self.report(&r.id))
-                .map(|r| r.trace_jsonl.as_str()),
-        );
-        heron_trace::merge_traces(&parts)
-    }
-
     /// The deterministic projection of this run for the pulse engine
-    /// ([`heron_pulse::build_pulse`]): manifest-grade job rows plus
-    /// per-job artifacts, nothing scheduling-dependent.
+    /// ([`heron_pulse::build_pulse`]): manifest-grade job rows plus each
+    /// completed job's digest, nothing scheduling-dependent.
     pub fn pulse_input(&self) -> heron_pulse::ServiceInput {
         let jobs = self
             .rows()
@@ -389,11 +408,9 @@ impl Supervisor {
                     trials: row.trials as u64,
                     termination: row.termination,
                     warnings: row.warnings,
-                    insight_json: report.map(|r| r.insight_json.clone()).unwrap_or_default(),
-                    metrics_tsv: report.map(|r| r.metrics_tsv.clone()).unwrap_or_default(),
+                    digest: report.map(|r| r.digest.clone()).unwrap_or_default(),
                     wall_ns: report.map_or(0, |r| r.wall_ns),
                     postmortems: self.postmortems.iter().filter(|p| p.job == row.id).count() as u64,
-                    trace_jsonl: report.map(|r| r.trace_jsonl.clone()).unwrap_or_default(),
                     id: row.id,
                 }
             })

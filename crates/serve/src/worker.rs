@@ -16,7 +16,10 @@
 //! genuinely has to replay them) and the [`TunerControl`] is consulted
 //! by the tuner itself inside `step()`. Exits:
 //!
-//! * finished → [`Event::Completed`] with the full [`JobReport`];
+//! * finished → [`Event::Completed`] with the [`JobReport`], whose
+//!   digest is folded from the session; the texts an artifact sink
+//!   reads are rendered and deposited in the store only when the order
+//!   asks for them;
 //! * preempted (job deadline or supervisor drain) → checkpoint to the
 //!   store, then [`Event::Preempted`];
 //! * cancelled (epoch fenced off after a false start) → no report;
@@ -34,12 +37,13 @@ use heron_core::generate::{SpaceGenerator, SpaceOptions};
 use heron_core::tuner::{Termination, Tuner};
 use heron_core::TunerControl;
 use heron_dla::{FaultPlan, Measurer};
+use heron_pulse::JobDigest;
 use heron_trace::{TraceContext, Tracer};
 
 use crate::job::JobSpec;
 use crate::plan::{ChaosPlan, KillKind};
 pub use crate::policy::Event;
-use crate::store::{CheckpointStore, FlightEntry};
+use crate::store::{CheckpointStore, FlightEntry, JobTexts};
 
 /// Everything a worker thread needs to run one attempt of one job.
 /// All fields are `Send`; the non-`Send` session is built in-thread.
@@ -63,6 +67,9 @@ pub struct WorkOrder {
     pub checkpoint_every: u64,
     /// Worker slot this attempt runs on (observability only).
     pub worker_id: usize,
+    /// Whether a finished session renders its [`JobTexts`] into the
+    /// store: only when the supervisor has an artifact sink.
+    pub render_texts: bool,
 }
 
 /// Events in the trace tail each round flushes to the store (DESIGN.md
@@ -88,15 +95,10 @@ pub struct JobReport {
     pub trials: usize,
     /// Final `Termination`, rendered.
     pub termination: String,
-    /// Per-job `insight.json` document (search-health analytics).
-    pub insight_json: String,
-    /// The attempt's metrics registry snapshot (TSV).
-    pub metrics_tsv: String,
     /// The attempt's simulated wall-clock, nanoseconds.
     pub wall_ns: u64,
-    /// The attempt's session trace (manual clock, JSONL; every line
-    /// carries the job's correlation context).
-    pub trace_jsonl: String,
+    /// What pulse and scope read of the session, folded by the worker.
+    pub digest: JobDigest,
 }
 
 /// Sends [`Event::Exited`] when dropped. The driver fills in the flush
@@ -164,6 +166,26 @@ pub fn render_insight(tuner: &Tuner) -> String {
     }
 }
 
+/// Folds a finished session into the numbers pulse and scope read of
+/// it: its trace's span totals, events and top-level steps, its insight
+/// log's per-round rank accuracy and propagations, and its solver
+/// counters.
+fn digest(tuner: &Tuner) -> JobDigest {
+    let tracer = tuner.tracer();
+    let rounds = tuner.insight().map_or(&[][..], |log| &log.rounds);
+    JobDigest {
+        // A non-finite accuracy renders as JSON `null`.
+        rank_accuracy: rounds
+            .iter()
+            .map(|r| r.batch_rank_accuracy.filter(|a| a.is_finite()))
+            .collect(),
+        round_propagations: rounds.iter().map(|r| r.solver_propagations).collect(),
+        solutions: tracer.counter("csp.solutions"),
+        propagations: tracer.counter("csp.propagations"),
+        ..tracer.with_events(JobDigest::of_log)
+    }
+}
+
 /// The worker thread body: builds the session, runs it round by round
 /// under the chaos plan, and reports (or pointedly fails to report)
 /// to the supervisor.
@@ -178,6 +200,7 @@ pub fn run_order(order: WorkOrder, events: Sender<Event>) {
         plan,
         checkpoint_every,
         worker_id: _,
+        render_texts,
     } = order;
     let job = spec.id.clone();
     let _exit = ExitNotice {
@@ -260,6 +283,13 @@ pub fn run_order(order: WorkOrder, events: Sender<Event>) {
             // Fenced off; our results are nobody's business.
         }
         _ => {
+            if render_texts {
+                let texts = JobTexts {
+                    insight_json: render_insight(&tuner),
+                    trace_jsonl: tuner.tracer().to_jsonl(),
+                };
+                store.deposit(&spec.id, epoch, texts);
+            }
             let report = JobReport {
                 job: job.clone(),
                 record: result.deterministic_record(),
@@ -268,10 +298,8 @@ pub fn run_order(order: WorkOrder, events: Sender<Event>) {
                 rounds: result.rounds_total as u64,
                 trials: tuner.trials_done(),
                 termination: result.termination.to_string(),
-                insight_json: render_insight(&tuner),
-                metrics_tsv: tuner.tracer().metrics_tsv(),
                 wall_ns: tuner.tracer().now_ns(),
-                trace_jsonl: tuner.tracer().to_jsonl(),
+                digest: digest(&tuner),
             };
             let _ = events.send(Event::Completed {
                 job,

@@ -365,13 +365,6 @@ impl Tracer {
         self.0.as_ref().and_then(|i| i.borrow().metrics.gauge(name))
     }
 
-    /// A clone of the recorded events (empty when disabled).
-    pub fn events(&self) -> Vec<Event> {
-        self.0
-            .as_ref()
-            .map_or_else(Vec::new, |i| i.borrow().events.clone())
-    }
-
     /// The JSONL export: one event object per line, in sequence order.
     /// Empty string when disabled.
     pub fn to_jsonl(&self) -> String {
@@ -386,6 +379,15 @@ impl Tracer {
             out.push('\n');
         }
         out
+    }
+
+    /// Calls `f` on the recorded events in place, without copying them
+    /// (an empty slice when disabled).
+    pub fn with_events<R>(&self, f: impl FnOnce(&[Event]) -> R) -> R {
+        match &self.0 {
+            Some(inner) => f(&inner.borrow().events),
+            None => f(&[]),
+        }
     }
 
     /// The metrics registry snapshot as TSV (header only when disabled).

@@ -18,7 +18,9 @@ use heron::audit::{
 };
 use heron::csp::Solution;
 use heron::insight::{analyze, validate_insight, RefitRecord, RoundRecord, SearchLog};
-use heron::pulse::{build_pulse, validate_pulse, JobInput, PulseConfig, ServiceInput, SloSpec};
+use heron::pulse::{
+    build_pulse, validate_pulse, JobDigest, JobInput, PulseConfig, ServiceInput, SloSpec,
+};
 use heron::scope::{build_scope, validate_scope};
 use heron::serve::postmortem::build;
 use heron::serve::{check_postmortem, DeathReport, FlightEntry, JobState, TimedRun, Timeline};
@@ -229,6 +231,19 @@ fn insight_json() -> Json {
     analyze(&log).to_json(&log)
 }
 
+/// A completed job's digest: [`session`]'s spans, [`search_log`]'s
+/// rounds and solver counters.
+fn digest() -> JobDigest {
+    let rounds = search_log().rounds;
+    JobDigest {
+        rank_accuracy: rounds.iter().map(|r| r.batch_rank_accuracy).collect(),
+        round_propagations: rounds.iter().map(|r| r.solver_propagations).collect(),
+        solutions: Some(50),
+        propagations: Some(20_000),
+        ..session(None).with_events(JobDigest::of_log)
+    }
+}
+
 fn jsonl(header: &str, body_lines: usize) -> Option<Vec<String>> {
     let body = (1..=body_lines).map(|n| format!("line {n}"));
     Some(std::iter::once(header.to_string()).chain(body).collect())
@@ -254,20 +269,12 @@ fn pulse_json() {
         } else {
             Vec::new()
         },
-        insight_json: if completed {
-            insight_json().render()
+        digest: if completed {
+            digest()
         } else {
-            String::new()
+            JobDigest::default()
         },
-        metrics_tsv:
-            "metric\ttype\tvalue\ncsp.solutions\tcounter\t50\ncsp.propagations\tcounter\t20000\n"
-                .into(),
         wall_ns: 1_500_000_000,
-        trace_jsonl: if completed {
-            session(None).to_jsonl()
-        } else {
-            String::new()
-        },
         postmortems: 1,
     };
     let input = ServiceInput {
@@ -316,7 +323,7 @@ fn scope_json() {
     };
     let profiles = [JobInput {
         id: "a".into(),
-        trace_jsonl: session(None).to_jsonl(),
+        digest: digest(),
         ..JobInput::default()
     }];
     assert_every_member_checked(Artifact {

@@ -89,10 +89,8 @@ fn report(job: usize, rounds: u64, value: u64, wall_ns: u64) -> Box<JobReport> {
         rounds,
         trials: rounds as usize,
         termination: "finished".to_string(),
-        insight_json: String::new(),
-        metrics_tsv: String::new(),
         wall_ns,
-        trace_jsonl: String::new(),
+        digest: Default::default(),
     })
 }
 

@@ -9,14 +9,16 @@
 //! and the whole derived plane — `pulse.json`, the SLO report, the
 //! `heron_status` dashboard — is byte-identical across service reruns.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use heron::pulse::{
     attach_slo, breach_count, build_pulse, render_dashboard, render_slo_report, validate_pulse,
     SloSpec,
 };
 use heron::serve::{parse_script, JobState, Supervisor};
-use heron::trace::{check_trace, service_slice, slice_by_job, Json};
+use heron::trace::{check_trace, merge_traces, service_slice, slice_by_job, Json};
 use heron_serve::build_session;
 
 /// The shared chaos scenario: all three kill paths (crash after a
@@ -43,6 +45,26 @@ fn run_service() -> Supervisor {
     let mut sup = Supervisor::from_script(script);
     sup.run();
     sup
+}
+
+/// Runs the scenario with an artifact sink that keeps each completed
+/// job's session trace, and merges those after the service's own trace
+/// in job-id order, as `heron_serve --trace-out` does.
+fn run_merged() -> (Supervisor, String) {
+    let traces = Rc::new(RefCell::new(BTreeMap::new()));
+    let kept = Rc::clone(&traces);
+    let script = parse_script(SCRIPT).expect("script parses");
+    let mut sup = Supervisor::from_script(script).with_artifact_sink(move |report, texts| {
+        kept.borrow_mut()
+            .insert(report.job.clone(), texts.trace_jsonl);
+    });
+    sup.run();
+    let service = sup.tracer().to_jsonl();
+    let traces = traces.borrow();
+    let mut parts = vec![service.as_str()];
+    parts.extend(traces.values().map(String::as_str));
+    let merged = merge_traces(&parts);
+    (sup, merged)
 }
 
 /// The SLO spec the chaos scenario's pulse documents are judged under.
@@ -115,8 +137,7 @@ fn chaos_script_pulse_and_scope_documents_are_pinned() {
 
 #[test]
 fn merged_trace_slices_losslessly_and_sums_to_each_jobs_wall_clock() {
-    let sup = run_service();
-    let merged = sup.merged_trace_jsonl();
+    let (sup, merged) = run_merged();
     let summary = check_trace(&merged).expect("merged trace validates");
 
     // Per-job span multiset of the merged trace, keyed by job id
@@ -181,12 +202,10 @@ fn merged_trace_slices_losslessly_and_sums_to_each_jobs_wall_clock() {
 
 #[test]
 fn recovered_job_slice_equals_the_uninterrupted_resume_suffix() {
-    let script = parse_script(SCRIPT).expect("script parses");
-    let specs = script.jobs.clone();
-    let mut sup = Supervisor::from_script(script);
-    sup.run();
+    let specs = parse_script(SCRIPT).expect("script parses").jobs;
+    let (sup, merged) = run_merged();
     assert_eq!(sup.state("a"), Some(JobState::Completed));
-    let slices = slice_by_job(&sup.merged_trace_jsonl());
+    let slices = slice_by_job(&merged);
 
     // Job `a` crashed after round 3 with a round-2 checkpoint: its
     // final attempt must trace byte-identically to checkpointing an
